@@ -16,16 +16,8 @@ import sys
 from ropscope.gadgets import BUILTIN_SETS, load_set_spec
 from ropscope.harvest import HarvestOptions
 from ropscope.rerand import evaluate_interval, upper_bound
-from ropscope.snapshot import load_elf, load_snapshot
+from ropscope.snapshot import load_image
 from ropscope.synth import GenParams, generate, materialize
-
-
-def load_image(path: str):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == b"\x7fELF":
-        return load_elf(path)
-    return load_snapshot(path)
 
 
 def main(argv=None) -> int:

@@ -20,7 +20,7 @@ import statistics
 import sys
 from collections import Counter
 
-from ropscope.gadgets import Footprint
+from ropscope.gadgets import min_fp_labels
 from ropscope.harvest import HarvestOptions, mine_image
 from ropscope.synth import (
     GenParams,
@@ -33,20 +33,10 @@ from ropscope.synth import (
 )
 
 
-def min_fp_count(image, opts: HarvestOptions) -> int:
-    gadgets = mine_image(image, opts)
-    return sum(
-        1
-        for g in gadgets
-        for fp in g.footprints.values()
-        if fp is Footprint.MIN_FP
-    )
-
-
 def run_program(seed: int, params: GenParams, schemes, opts) -> dict:
     program = generate(params, seed)
     base_image, truth = materialize(program)
-    base = min_fp_count(base_image, opts)
+    base = min_fp_labels(mine_image(base_image, opts))
     row = {
         "seed": seed,
         "baseline_min_fp": base,
@@ -56,7 +46,7 @@ def run_program(seed: int, params: GenParams, schemes, opts) -> dict:
     for kind in schemes:
         scheme = RandomizationScheme(kind=kind, seed=seed + 1)
         image, _ = apply_scheme(program, scheme)
-        count = min_fp_count(image, opts)
+        count = min_fp_labels(mine_image(image, opts))
         reduction = 100.0 * (base - count) / base if base else 0.0
         row["schemes"][kind.value] = {
             "min_fp": count,

@@ -14,7 +14,6 @@ from ropscope.snapshot import (
     SegmentTag,
     load_elf,
     load_snapshot,
-    read_page,
     save_snapshot,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "SegmentTag",
     "load_elf",
     "load_snapshot",
-    "read_page",
     "save_snapshot",
 ]
 

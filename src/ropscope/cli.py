@@ -32,6 +32,8 @@ from ropscope.gadgets import (
     gadget_report_csv,
     gadget_report_json,
     load_set_spec,
+    min_fp_labels,
+    resolve_set,
 )
 from ropscope.harvest import (
     HarvestOptions,
@@ -49,10 +51,9 @@ from ropscope.quality import (
 )
 from ropscope.rerand import evaluate_interval, upper_bound
 from ropscope.snapshot import (
-    MemoryImage,
     SegmentTag,
     SnapshotError,
-    load_elf,
+    load_image,
     load_snapshot,
     save_snapshot,
 )
@@ -97,26 +98,11 @@ def _parse_types(text: str) -> list[GadgetType]:
     return out
 
 
-def _load_image(path: str) -> MemoryImage:
-    if path.endswith(".rsnp"):
-        return load_snapshot(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == b"\x7fELF":
-        return load_elf(path)
-    return load_snapshot(path)
-
-
 def _resolve_set(args) -> GadgetSetSpec | None:
     if getattr(args, "set_file", None):
         return load_set_spec(args.set_file)
     if getattr(args, "set_name", None):
-        if args.set_name not in BUILTIN_SETS:
-            raise ValueError(
-                f"unknown gadget set {args.set_name!r}; "
-                f"built-ins: {', '.join(sorted(BUILTIN_SETS))}"
-            )
-        return BUILTIN_SETS[args.set_name]
+        return resolve_set(args.set_name)
     return None
 
 
@@ -136,7 +122,7 @@ def _harvest_options(args, track: GadgetSetSpec | None) -> HarvestOptions:
 
 
 def _cmd_harvest(args) -> int:
-    image = _load_image(args.snapshot)
+    image = load_image(args.snapshot)
     spec = _resolve_set(args)
     opts = _harvest_options(args, spec)
     trace = harvest(image, args.start, opts)
@@ -177,7 +163,7 @@ def _cmd_harvest(args) -> int:
 
 
 def _cmd_gadgets(args) -> int:
-    image = _load_image(args.snapshot)
+    image = load_image(args.snapshot)
     spec = _resolve_set(args)
     opts = _harvest_options(args, spec)
     gadgets = mine_image(image, opts)
@@ -210,7 +196,7 @@ def _cmd_gadgets(args) -> int:
 
 
 def _cmd_upper_bound(args) -> int:
-    image = _load_image(args.snapshot)
+    image = load_image(args.snapshot)
     spec = _resolve_set(args) or BUILTIN_SETS["tc"]
     opts = _harvest_options(args, spec)
     report = upper_bound(image, spec, opts)
@@ -240,7 +226,7 @@ def _cmd_upper_bound(args) -> int:
 
 
 def _cmd_corrupt(args) -> int:
-    image = _load_image(args.snapshot)
+    image = load_image(args.snapshot)
     opts = _harvest_options(args, None)
     gadgets = mine_image(image, opts)
     types = _parse_types(args.types) if args.types else None
@@ -269,7 +255,8 @@ _TAG_NAMES = {t.name.lower(): t for t in SegmentTag}
 
 
 def _cmd_scan(args) -> int:
-    image = _load_image(args.snapshot)
+    # Pointers live in data segments, so an ELF is mapped with every PT_LOAD.
+    image = load_image(args.snapshot, kind="all_load")
     tags = None
     if args.segment:
         tags = []
@@ -381,15 +368,6 @@ def _cmd_synth_transform(args) -> int:
     return 0
 
 
-def _min_fp_labels(gadgets) -> int:
-    return sum(
-        1
-        for g in gadgets
-        for t in g.types
-        if g.footprints[t] is Footprint.MIN_FP
-    )
-
-
 def _entry_stats(image, opts) -> dict:
     gadgets = mine_image(image, opts)
     per_type: dict[str, dict[str, int]] = {}
@@ -404,7 +382,7 @@ def _entry_stats(image, opts) -> dict:
     tc = evaluate_set(gadgets, BUILTIN_SETS["tc"])
     return {
         "gadgets": len(gadgets),
-        "min_fp_labels": _min_fp_labels(gadgets),
+        "min_fp_labels": min_fp_labels(gadgets),
         "types": per_type,
         "categories": {
             name: {"min_fp": c.min_fp, "ex_fp": c.ex_fp}
@@ -455,7 +433,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_starts(args) -> int:
-    image = _load_image(args.snapshot)
+    image = load_image(args.snapshot)
     opts = _harvest_options(args, None)
     starts = page_start_pointers(image, opts)
     payload = {f"{base:#x}": f"{ptr:#x}" for base, ptr in sorted(starts.items())}

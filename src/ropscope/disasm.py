@@ -733,20 +733,6 @@ class PageDisasm:
         return tuple(self.insns[a] for a in sorted(self.insns))
 
 
-def disassemble_page(
-    page: PageRecord, entries: Iterable[int]
-) -> tuple[Instruction, ...]:
-    """Recursive-traversal disassembly of one page from the given entry points.
-
-    Paths stop at terminators, invalid bytes, claimed bytes, and the page end.
-    Direct branch targets inside the page are followed; the returned stream is
-    deduplicated and sorted by address.
-    """
-    state = PageDisasm(page)
-    state.add_entries(entries)
-    return state.instructions()
-
-
 def extract_chain_targets(
     insns: Iterable[Instruction],
     image: MemoryImage,

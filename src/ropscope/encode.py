@@ -71,11 +71,6 @@ def mov_rr(dst: Reg, src: Reg, width: int = 64) -> bytes:
     return _binary_rm_r(opcode, dst, src, width)
 
 
-def mov_rr_load_form(dst: Reg, src: Reg, width: int = 64) -> bytes:
-    opcode = 0x8A if width == 8 else 0x8B
-    return _binary_rm_r(opcode, src, dst, width)
-
-
 def mov_rm(dst: Reg, base: Reg, disp: int = 0, width: int = 64) -> bytes:
     opcode = 0x8A if width == 8 else 0x8B
     return _binary_mem_r(opcode, base, disp, dst, width)
@@ -112,10 +107,6 @@ def mov_mi(base: Reg, imm: int, disp: int = 0, width: int = 64) -> bytes:
 
 def alu_rr(op: str, dst: Reg, src: Reg, width: int = 64) -> bytes:
     return _binary_rm_r(_ALU_RM_R[op], dst, src, width)
-
-
-def alu_rr_load_form(op: str, dst: Reg, src: Reg, width: int = 64) -> bytes:
-    return _binary_rm_r(_ALU_R_RM[op], src, dst, width)
 
 
 def alu_rm(op: str, dst: Reg, base: Reg, disp: int = 0, width: int = 64) -> bytes:

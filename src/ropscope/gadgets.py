@@ -114,14 +114,6 @@ def _is_sys_core(insn: Instruction) -> bool:
     )
 
 
-def _is_gadget_terminator(insn: Instruction) -> bool:
-    return (
-        insn.mnemonic in _RET_CLASS
-        or insn.mnemonic in (Mnemonic.JMP_RM, Mnemonic.CALL_RM)
-        or _is_sys_core(insn)
-    )
-
-
 def _is_store_mov(insn: Instruction) -> bool:
     return (
         insn.mnemonic is Mnemonic.MOV
@@ -597,7 +589,8 @@ def load_set_spec(path: str | Path) -> GadgetSetSpec:
 def resolve_set(name: str) -> GadgetSetSpec:
     if name not in BUILTIN_SETS:
         raise ValueError(
-            f"unknown gadget set {name!r}; built-ins: {sorted(BUILTIN_SETS)}"
+            f"unknown gadget set {name!r}; "
+            f"built-ins: {', '.join(sorted(BUILTIN_SETS))}"
         )
     return BUILTIN_SETS[name]
 
@@ -653,6 +646,16 @@ def evaluate_set(
             else:
                 counts[gtype].ex_fp += 1
     return CoverageReport(spec.name, counts)
+
+
+def min_fp_labels(gadgets: Iterable[Gadget]) -> int:
+    """Number of (gadget, type) labels in minimal-footprint form."""
+    return sum(
+        1
+        for g in gadgets
+        for t in g.types
+        if g.footprints[t] is Footprint.MIN_FP
+    )
 
 
 def leaked_types(gadgets: Iterable[Gadget]) -> frozenset[GadgetType]:

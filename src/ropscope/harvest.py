@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ropscope.disasm import (
     Instruction,
@@ -53,7 +52,6 @@ class HarvestOptions:
     enable_heuristic_types: bool = False
     track_set: GadgetSetSpec | None = None
     stop_on_convergence: bool = False
-    measure_wall_clock: bool = False
     start_strategy: str = "lowest"
 
     def mining_options(self) -> MiningOptions:
@@ -97,7 +95,6 @@ class HarvestTrace:
     pages_found: int
     skipped_targets: int
     converged: bool
-    wall_seconds: float | None = None
     # Analysis products; not part of the serialized trace.
     streams: dict[int, tuple[Instruction, ...]] = field(default_factory=dict)
     gadgets: tuple[Gadget, ...] = ()
@@ -166,7 +163,6 @@ def harvest(
             f"start pointer {start:#x} is not in executable memory"
         )
 
-    t0 = time.perf_counter() if opts.measure_wall_clock else None
     mining = opts.mining_options()
     tracked = set(opts.track_set.required) if opts.track_set else None
 
@@ -242,7 +238,11 @@ def harvest(
             ):
                 add_target(target)
 
-            new_types = _report_types(page_gadgets.values(), tracked) - seen_types
+            # seen_types already holds the types of every other page, so
+            # only the page just mined can add new ones.
+            new_types = leaked_types(page_gadgets[base]) - seen_types
+            if tracked is not None:
+                new_types &= tracked
             for gtype in sorted(new_types, key=lambda t: t.value):
                 step += 1
                 events.append(
@@ -277,7 +277,6 @@ def harvest(
     for b in sorted(page_gadgets):
         all_gadgets.extend(page_gadgets[b])
 
-    wall = time.perf_counter() - t0 if t0 is not None else None
     return HarvestTrace(
         start=start,
         events=events,
@@ -286,24 +285,11 @@ def harvest(
         pages_found=len(page_gadgets),
         skipped_targets=skipped,
         converged=converged if tracked is not None else False,
-        wall_seconds=wall,
         streams={
             b: states[b].disasm.instructions() for b in sorted(page_gadgets)
         },
         gadgets=tuple(all_gadgets),
     )
-
-
-def _report_types(
-    per_page: Iterable[tuple[Gadget, ...]],
-    tracked: set[GadgetType] | None,
-) -> set[GadgetType]:
-    out: set[GadgetType] = set()
-    for gadgets in per_page:
-        out |= leaked_types(gadgets)
-    if tracked is not None:
-        out &= tracked
-    return out
 
 
 # Start-pointer discovery: one plausible leaked pointer per executable page.
@@ -360,10 +346,16 @@ def page_start_pointers(
     otherwise the first offset whose forward decode is accepted; otherwise
     the page base.
     """
-    exec_pages = image.executable_pages()
-    targets_by_page = collect_branch_targets(image)
+    return _choose_starts(image, collect_branch_targets(image), opts)
+
+
+def _choose_starts(
+    image: MemoryImage,
+    targets_by_page: dict[int, set[int]],
+    opts: HarvestOptions,
+) -> dict[int, int]:
     out: dict[int, int] = {}
-    for page in exec_pages:
+    for page in image.executable_pages():
         candidates = sorted(
             t
             for t in targets_by_page[page.base]
@@ -404,9 +396,9 @@ def offline_disassemble(
     scan finds plus one fallback start per page, then follows chain targets
     to closure. Used for whole-image mining when the memory image is
     already in hand rather than leaked page by page."""
-    starts = page_start_pointers(image, opts)
-    seeds: set[int] = set(starts.values())
-    for targets in collect_branch_targets(image).values():
+    targets_by_page = collect_branch_targets(image)
+    seeds: set[int] = set(_choose_starts(image, targets_by_page, opts).values())
+    for targets in targets_by_page.values():
         seeds |= targets
     streams: dict[int, tuple[Instruction, ...]] = {}
     states: dict[int, PageDisasm] = {}

@@ -198,11 +198,6 @@ class MemoryImage:
         return struct.unpack("<Q", self.read_bytes(addr, 8))[0]
 
 
-def read_page(image: MemoryImage, ptr: Pointer) -> PageRecord:
-    """Resolve a leaked pointer to the full page that contains it."""
-    return image.page_at(ptr)
-
-
 # Container layout, all little-endian:
 #   magic "RSNP", u16 version, u16 reserved, u64 page count
 #   per page (ascending base): u64 base, u8 perm bits, u8 tag, u16 reserved, 4096 bytes
@@ -352,6 +347,10 @@ def load_elf(
             raise ElfFormatError("segment file extent past end of file")
         if p_filesz > p_memsz:
             raise ElfFormatError("segment filesz exceeds memsz")
+        if p_vaddr + p_memsz > 1 << 64:
+            raise ElfFormatError(
+                f"segment at {p_vaddr:#x} runs past the end of the address space"
+            )
 
         perms = Perms(bool(p_flags & _PF_R), writable, executable)
         seg_tag = tag if executable else SegmentTag.DATA
@@ -386,6 +385,20 @@ def load_elf(
         for base, data in sorted(page_bytes.items())
     ]
     return MemoryImage(pages, {"source": "elf", "load_kind": kind})
+
+
+def load_image(path: str | Path, kind: str = "exec_only") -> MemoryImage:
+    """Load a snapshot container or an ELF file, told apart by magic bytes.
+
+    A path ending in .rsnp is always read as a snapshot. kind is passed to
+    load_elf when the file is an ELF.
+    """
+    if not str(path).endswith(".rsnp"):
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
+        if magic == _ELF_MAGIC:
+            return load_elf(path, kind)
+    return load_snapshot(path)
 
 
 @dataclass

@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from helpers import RW, asm, code_image
+from helpers import RW, asm, build_elf, code_image
 from ropscope.cli import main
 from ropscope.disasm import Reg
 from ropscope.encode import call_rel32, mov_rr, pop_r, ret, syscall
@@ -174,6 +174,32 @@ def test_scan_segments(tmp_path):
     code, out = run(["scan", path, "--segment", "heap"])
     assert code == 0
     assert json.loads(out)["occurrences"] == 0
+
+
+def test_scan_elf_maps_data_segments(tmp_path):
+    # Two code pages (RX) and two data pages (RW) holding pointers into the
+    # second code page, which is the library range, plus one into the first.
+    planted = {0x10: 0x401000, 0x800: 0x401234, 0x1FF8: 0x401FFE}
+    data = bytearray(2 * 0x1000)
+    for off, value in {**planted, 0x100: 0x400010}.items():
+        data[off : off + 8] = value.to_bytes(8, "little")
+    path = tmp_path / "prog.elf"
+    path.write_bytes(build_elf([
+        {"vaddr": 0x400000, "data": b"\xc3" * 0x2000, "flags": 4 | 1},
+        {"vaddr": 0x600000, "data": bytes(data), "flags": 4 | 2},
+    ]))
+
+    code, out = run(["scan", path, "--lib-range", "0x401000:0x402000"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["scanned_pages"] == 2
+    assert report["occurrences"] == len(planted)
+    assert report["by_tag"] == {"data": len(planted)}
+
+    # Analysis subcommands still map only the executable segments.
+    code, out = run(["starts", path])
+    assert code == 0
+    assert list(json.loads(out)) == ["0x400000", "0x401000"]
 
 
 def test_starts_listing(snap):

@@ -11,7 +11,6 @@ from ropscope.disasm import (
     PageDisasm,
     Reg,
     decode,
-    disassemble_page,
     extract_chain_targets,
 )
 from ropscope.encode import (
@@ -220,8 +219,9 @@ def test_page_disasm_follows_in_page_direct_branch():
     # jcc hops over a gap of poison; target decodes, the gap does not.
     code = asm(jcc_rel8(0x4, 2), b"\x06\x06", mov_rr(Reg.RCX, Reg.RDX), ret())
     image = code_image(code)
-    insns = disassemble_page(_page_of(image), [BASE])
-    rendered = [i.render() for i in insns]
+    pd = PageDisasm(_page_of(image))
+    pd.add_entries([BASE])
+    rendered = [i.render() for i in pd.instructions()]
     assert rendered == ["je " + hex(BASE + 4), "mov rcx, rdx", "ret"]
 
 

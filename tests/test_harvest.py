@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import ropscope.harvest as harvest_module
 from helpers import RW, asm, code_image, gadget_multiset, multi_page_image
 from ropscope.disasm import Reg
 from ropscope.encode import (
@@ -192,16 +193,6 @@ def test_unconverged_trace_has_no_convergence_clock():
     assert trace.convergence_clock() is None
 
 
-def test_wall_clock_measurement_is_optional():
-    image = code_image(asm(ret()))
-    assert harvest(image, 0x400000).wall_seconds is None
-    timed = harvest(
-        image, 0x400000, HarvestOptions(measure_wall_clock=True)
-    )
-    assert timed.wall_seconds is not None
-    assert timed.wall_seconds >= 0.0
-
-
 def test_conditional_branch_following_toggle():
     base = 0x400000
     far = base + 0x1000
@@ -272,6 +263,20 @@ def test_collect_branch_targets_groups_by_page():
     assert 0x11FC020 in all_targets
     for target_page, targets in grouped.items():
         assert all(page_base(t) == target_page for t in targets)
+
+
+def test_mine_image_scans_branch_targets_once(monkeypatch):
+    calls = []
+    scan = harvest_module.collect_branch_targets
+
+    def counting_scan(image):
+        calls.append(image)
+        return scan(image)
+
+    monkeypatch.setattr(harvest_module, "collect_branch_targets", counting_scan)
+    image, _, _ = topology_image()
+    mine_image(image)
+    assert calls == [image]
 
 
 def test_offline_mining_equals_stream_mining_on_linear_code():

@@ -21,7 +21,6 @@ from ropscope.snapshot import (
     load_elf,
     load_snapshot,
     page_base,
-    read_page,
     save_snapshot,
 )
 
@@ -83,8 +82,8 @@ def test_unmapped_reads_raise():
         # Crossing from a mapped page into a hole must not silently truncate.
         image.read_bytes(BASE + PAGE_SIZE - 4, 8)
     with pytest.raises(UnmappedRead):
-        read_page(image, 0x123000)
-    assert read_page(image, BASE + 17).base == BASE
+        image.page_at(0x123000)
+    assert image.page_at(BASE + 17).base == BASE
 
 
 def test_snapshot_round_trip_bytes_exact():
@@ -179,6 +178,22 @@ def test_elf_format_errors():
         load_elf(wx)
     with pytest.raises(ValueError):
         load_elf(build_elf([]), kind="bogus")
+
+
+def test_elf_segment_wrapping_address_space_rejected():
+    wraps = build_elf([
+        {"vaddr": 2**64 - PAGE_SIZE, "data": b"\xc3", "memsz": 2 * PAGE_SIZE,
+         "flags": PF_R | PF_X},
+    ])
+    for kind in ("exec_only", "all_load"):
+        with pytest.raises(ElfFormatError):
+            load_elf(wraps, kind=kind)
+    # A segment ending exactly at the top of the address space still loads.
+    top = build_elf([
+        {"vaddr": 2**64 - PAGE_SIZE, "data": b"\xc3", "memsz": PAGE_SIZE,
+         "flags": PF_R | PF_X},
+    ])
+    assert [p.base for p in load_elf(top).pages] == [2**64 - PAGE_SIZE]
 
 
 def test_elf_non_load_segments_skipped():
