@@ -315,13 +315,18 @@ def _s32(value: int) -> int:
 
 
 class _Cursor:
-    """Byte reader over the decode window; raises IndexError past the end."""
+    """Byte reader over data[start:]; raises IndexError past the end.
 
-    __slots__ = ("data", "pos")
+    addr is the address of data[start], so a relative branch target and the
+    instruction length are both measured from start."""
 
-    def __init__(self, data: bytes):
+    __slots__ = ("data", "pos", "start", "addr")
+
+    def __init__(self, data: bytes, start: int, addr: int):
         self.data = data
-        self.pos = 0
+        self.pos = start
+        self.start = start
+        self.addr = addr
 
     def u8(self) -> int:
         value = self.data[self.pos]
@@ -346,6 +351,10 @@ class _Cursor:
         value = struct.unpack_from("<Q", self.data, self.pos)[0]
         self.pos += 8
         return value
+
+    def target(self, disp: int) -> int:
+        """Absolute target of a displacement relative to the cursor."""
+        return (self.addr + self.pos - self.start + disp) & MASK64
 
 
 def _reg_op(index: int, width: int, rex_present: bool) -> Operand:
@@ -427,27 +436,68 @@ def _binary_effects(
     return frozenset(reads), frozenset(writes), access
 
 
-def decode(data: bytes, addr: int) -> Instruction | None:
-    """Decode one instruction at addr from data. Returns None for anything
-    outside the supported subset; the invalid marker always consumes 1 byte."""
-    if not data:
-        return None
-    if data[:7] == GS_CALL_BYTES:
-        mem = Operand.make_mem(MemRef(disp=0x10), 64)
-        return Instruction(
-            addr=addr, length=7, mnemonic=Mnemonic.CALL_GS, operands=(mem,),
-            reads=frozenset({Reg.RSP}), writes=frozenset({Reg.RSP}),
-            mem_access=MemAccess.STORE, raw=bytes(data[:7]),
-        )
+# Opcodes that can start an instruction once any REX prefix is consumed.
+_ONE_BYTE_OPS = frozenset(
+    [*_GROUP_RM_R, *_GROUP_R_RM, 0x88, 0x8A, 0x81, 0x83, 0x8D, 0xC1, 0xD3,
+     0xC2, 0xC3, 0xC7, 0xC9, 0xCD, 0xE8, 0xE9, 0xEB, 0xF7, 0xFF,
+     *range(0x50, 0x60), *range(0x70, 0x80), *range(0x90, 0x98),
+     *range(0xB8, 0xC0)]
+)
+# _FIRST_BYTE[b] is 1 exactly when some byte string starting with b decodes:
+# a one-byte opcode above, a REX prefix, 0x0F (two-byte opcodes) or 0x65
+# (the gs-relative call).
+_FIRST_BYTE = bytes(
+    int(b in _ONE_BYTE_OPS or 0x40 <= b <= 0x4F or b in (0x0F, 0x65))
+    for b in range(256)
+)
 
-    cur = _Cursor(data)
+
+def decode(data: bytes, addr: int, offset: int = 0) -> Instruction | None:
+    """Decode one instruction at addr from data[offset:], reading in place.
+
+    Returns None for anything outside the supported subset; the invalid
+    marker always consumes 1 byte."""
+    if offset >= len(data) or not _FIRST_BYTE[data[offset]]:
+        return None
     try:
-        return _decode_body(cur, addr, data)
+        return _decode_body(_Cursor(data, offset, addr))
     except (IndexError, struct.error):
         return None
 
 
-def _decode_body(cur: _Cursor, addr: int, data: bytes) -> Instruction | None:
+def _fin(
+    cur: _Cursor,
+    mnemonic: Mnemonic,
+    operands: tuple[Operand, ...] = (),
+    reads: Iterable[Reg] = (),
+    writes: Iterable[Reg] = (),
+    access: MemAccess = MemAccess.NONE,
+    branch_target: int | None = None,
+    cc: int | None = None,
+) -> Instruction:
+    """Build the instruction spanning the bytes the cursor has consumed."""
+    return Instruction(
+        addr=cur.addr, length=cur.pos - cur.start, mnemonic=mnemonic,
+        operands=operands, reads=frozenset(reads), writes=frozenset(writes),
+        mem_access=access, raw=bytes(cur.data[cur.start : cur.pos]),
+        branch_target=branch_target, cc=cc,
+    )
+
+
+def _fin_binary(
+    cur: _Cursor, mnemonic: Mnemonic, dst: Operand, src: Operand
+) -> Instruction:
+    reads, writes, access = _binary_effects(mnemonic, dst, src)
+    return _fin(cur, mnemonic, (dst, src), reads, writes, access)
+
+
+def _decode_body(cur: _Cursor) -> Instruction | None:
+    if cur.data.startswith(GS_CALL_BYTES, cur.start):
+        cur.pos += len(GS_CALL_BYTES)
+        mem = Operand.make_mem(MemRef(disp=0x10), 64)
+        return _fin(
+            cur, Mnemonic.CALL_GS, (mem,), {Reg.RSP}, {Reg.RSP}, MemAccess.STORE
+        )
     rex = 0
     op = cur.u8()
     if 0x40 <= op <= 0x4F:
@@ -455,43 +505,25 @@ def _decode_body(cur: _Cursor, addr: int, data: bytes) -> Instruction | None:
         op = cur.u8()
     width = 64 if rex & 0x8 else 32
 
-    def fin(
-        mnemonic: Mnemonic,
-        operands: tuple[Operand, ...] = (),
-        reads: Iterable[Reg] = (),
-        writes: Iterable[Reg] = (),
-        access: MemAccess = MemAccess.NONE,
-        branch_target: int | None = None,
-        cc: int | None = None,
-    ) -> Instruction:
-        length = cur.pos
-        return Instruction(
-            addr=addr, length=length, mnemonic=mnemonic, operands=operands,
-            reads=frozenset(reads), writes=frozenset(writes), mem_access=access,
-            raw=bytes(data[:length]), branch_target=branch_target, cc=cc,
-        )
-
-    def fin_binary(mnemonic: Mnemonic, dst: Operand, src: Operand) -> Instruction:
-        reads, writes, access = _binary_effects(mnemonic, dst, src)
-        return fin(mnemonic, (dst, src), reads, writes, access)
-
     # Two-byte opcodes.
     if op == 0x0F:
         op2 = cur.u8()
         if op2 == 0x05:
-            return fin(
-                Mnemonic.SYSCALL, (), {Reg.RAX}, {Reg.RAX, Reg.RCX, Reg.R11}
+            return _fin(
+                cur, Mnemonic.SYSCALL, (), {Reg.RAX}, {Reg.RAX, Reg.RCX, Reg.R11}
             )
         if op2 == 0x34:
-            return fin(Mnemonic.SYSENTER, (), {Reg.RAX}, {Reg.RAX})
+            return _fin(cur, Mnemonic.SYSENTER, (), {Reg.RAX}, {Reg.RAX})
         if 0x80 <= op2 <= 0x8F:
             disp = _s32(cur.u32())
-            target = (addr + cur.pos + disp) & MASK64
-            return fin(Mnemonic.JCC, (), branch_target=target, cc=op2 - 0x80)
+            target = cur.target(disp)
+            return _fin(
+                cur, Mnemonic.JCC, (), branch_target=target, cc=op2 - 0x80
+            )
         if op2 == 0xAF:
             rm, reg_bits = _parse_modrm(cur, rex, width)
             dst = _reg_op(reg_bits, width, rex != 0)
-            return fin_binary(Mnemonic.IMUL, dst, rm)
+            return _fin_binary(cur, Mnemonic.IMUL, dst, rm)
         return None
 
     # Register-to-r/m and r/m-to-register families.
@@ -502,7 +534,7 @@ def _decode_body(cur: _Cursor, addr: int, data: bytes) -> Instruction | None:
             mnemonic, w = _GROUP_RM_R[op], width
         rm, reg_bits = _parse_modrm(cur, rex, w)
         src = _reg_op(reg_bits, w, rex != 0)
-        return fin_binary(mnemonic, rm, src)
+        return _fin_binary(cur, mnemonic, rm, src)
     if op in _GROUP_R_RM or op == 0x8A:
         if op == 0x8A:
             mnemonic, w = Mnemonic.MOV, 8
@@ -510,25 +542,25 @@ def _decode_body(cur: _Cursor, addr: int, data: bytes) -> Instruction | None:
             mnemonic, w = _GROUP_R_RM[op], width
         rm, reg_bits = _parse_modrm(cur, rex, w)
         dst = _reg_op(reg_bits, w, rex != 0)
-        return fin_binary(mnemonic, dst, rm)
+        return _fin_binary(cur, mnemonic, dst, rm)
 
     if 0x50 <= op <= 0x57:
         reg = Reg((op & 7) | ((rex & 1) << 3))
-        return fin(
-            Mnemonic.PUSH, (Operand.make_reg(reg),), {reg, Reg.RSP}, {Reg.RSP},
-            MemAccess.STORE,
+        return _fin(
+            cur, Mnemonic.PUSH, (Operand.make_reg(reg),), {reg, Reg.RSP},
+            {Reg.RSP}, MemAccess.STORE,
         )
     if 0x58 <= op <= 0x5F:
         reg = Reg((op & 7) | ((rex & 1) << 3))
-        return fin(
-            Mnemonic.POP, (Operand.make_reg(reg),), {Reg.RSP}, {reg, Reg.RSP},
-            MemAccess.LOAD,
+        return _fin(
+            cur, Mnemonic.POP, (Operand.make_reg(reg),), {Reg.RSP},
+            {reg, Reg.RSP}, MemAccess.LOAD,
         )
 
     if 0x70 <= op <= 0x7F:
         disp = _s8(cur.u8())
-        target = (addr + cur.pos + disp) & MASK64
-        return fin(Mnemonic.JCC, (), branch_target=target, cc=op - 0x70)
+        target = cur.target(disp)
+        return _fin(cur, Mnemonic.JCC, (), branch_target=target, cc=op - 0x70)
 
     if op in (0x81, 0x83):
         rm, digit = _parse_modrm(cur, rex, width)
@@ -536,32 +568,33 @@ def _decode_body(cur: _Cursor, addr: int, data: bytes) -> Instruction | None:
         if mnemonic is None:
             return None
         imm = _s8(cur.u8()) if op == 0x83 else _s32(cur.u32())
-        return fin_binary(mnemonic, rm, Operand.make_imm(imm, width))
+        return _fin_binary(cur, mnemonic, rm, Operand.make_imm(imm, width))
 
     if op == 0x8D:
         rm, reg_bits = _parse_modrm(cur, rex, width)
         if not rm.is_mem:
             return None
         dst = _reg_op(reg_bits, width, rex != 0)
-        return fin(
-            Mnemonic.LEA, (dst, rm), rm.mem.regs(), {dst.reg}, MemAccess.NONE
+        return _fin(
+            cur, Mnemonic.LEA, (dst, rm), rm.mem.regs(), {dst.reg}, MemAccess.NONE
         )
 
     if 0x90 <= op <= 0x97:
         other = (op & 7) | ((rex & 1) << 3)
         if other == 0:
-            return fin(Mnemonic.NOP)
+            return _fin(cur, Mnemonic.NOP)
         a = Operand.make_reg(Reg.RAX, width)
         b = _reg_op(other, width, rex != 0)
-        return fin(
-            Mnemonic.XCHG, (a, b), {a.reg, b.reg}, {a.reg, b.reg}, MemAccess.NONE
+        return _fin(
+            cur, Mnemonic.XCHG, (a, b), {a.reg, b.reg}, {a.reg, b.reg},
+            MemAccess.NONE,
         )
 
     if 0xB8 <= op <= 0xBF:
         reg = Reg((op & 7) | ((rex & 1) << 3))
         imm = cur.u64() if rex & 0x8 else cur.u32()
-        return fin(
-            Mnemonic.MOV,
+        return _fin(
+            cur, Mnemonic.MOV,
             (Operand.make_reg(reg, width), Operand.make_imm(imm, width)),
             (), {reg},
         )
@@ -575,54 +608,50 @@ def _decode_body(cur: _Cursor, addr: int, data: bytes) -> Instruction | None:
             src = Operand.make_imm(cur.u8(), 8)
         else:
             src = Operand.make_reg(Reg.RCX, 8)
-        insn = fin_binary(mnemonic, rm, src)
+        insn = _fin_binary(cur, mnemonic, rm, src)
         return insn
 
     if op == 0xC2:
         imm = cur.u16()
-        return fin(
-            Mnemonic.RET_IMM, (Operand.make_imm(imm, 16),), {Reg.RSP}, {Reg.RSP},
-            MemAccess.LOAD,
+        return _fin(
+            cur, Mnemonic.RET_IMM, (Operand.make_imm(imm, 16),), {Reg.RSP},
+            {Reg.RSP}, MemAccess.LOAD,
         )
     if op == 0xC3:
-        return fin(Mnemonic.RET, (), {Reg.RSP}, {Reg.RSP}, MemAccess.LOAD)
+        return _fin(cur, Mnemonic.RET, (), {Reg.RSP}, {Reg.RSP}, MemAccess.LOAD)
 
     if op == 0xC7:
         rm, digit = _parse_modrm(cur, rex, width)
         if digit != 0:
             return None
         imm = _s32(cur.u32())
-        return fin_binary(Mnemonic.MOV, rm, Operand.make_imm(imm, width))
+        return _fin_binary(cur, Mnemonic.MOV, rm, Operand.make_imm(imm, width))
 
     if op == 0xC9:
-        return fin(
-            Mnemonic.LEAVE, (), {Reg.RBP, Reg.RSP}, {Reg.RBP, Reg.RSP},
+        return _fin(
+            cur, Mnemonic.LEAVE, (), {Reg.RBP, Reg.RSP}, {Reg.RBP, Reg.RSP},
             MemAccess.LOAD,
         )
 
     if op == 0xCD:
         imm = cur.u8()
-        return fin(
-            Mnemonic.INT, (Operand.make_imm(imm, 8),), {Reg.RAX}, {Reg.RAX}
+        return _fin(
+            cur, Mnemonic.INT, (Operand.make_imm(imm, 8),), {Reg.RAX}, {Reg.RAX}
         )
 
     if op == 0xE8:
         disp = _s32(cur.u32())
-        target = (addr + cur.pos + disp) & MASK64
-        return fin(
-            Mnemonic.CALL_REL, (), {Reg.RSP}, {Reg.RSP}, MemAccess.STORE,
+        target = cur.target(disp)
+        return _fin(
+            cur, Mnemonic.CALL_REL, (), {Reg.RSP}, {Reg.RSP}, MemAccess.STORE,
             branch_target=target,
         )
     if op == 0xE9:
         disp = _s32(cur.u32())
-        return fin(
-            Mnemonic.JMP_REL, (), branch_target=(addr + cur.pos + disp) & MASK64
-        )
+        return _fin(cur, Mnemonic.JMP_REL, (), branch_target=cur.target(disp))
     if op == 0xEB:
         disp = _s8(cur.u8())
-        return fin(
-            Mnemonic.JMP_REL, (), branch_target=(addr + cur.pos + disp) & MASK64
-        )
+        return _fin(cur, Mnemonic.JMP_REL, (), branch_target=cur.target(disp))
 
     if op == 0xF7:
         rm, digit = _parse_modrm(cur, rex, width)
@@ -633,27 +662,29 @@ def _decode_body(cur: _Cursor, addr: int, data: bytes) -> Instruction | None:
         else:
             return None
         if rm.is_reg:
-            return fin(mnemonic, (rm,), {rm.reg}, {rm.reg})
-        return fin(mnemonic, (rm,), rm.mem.regs(), (), MemAccess.STORE)
+            return _fin(cur, mnemonic, (rm,), {rm.reg}, {rm.reg})
+        return _fin(cur, mnemonic, (rm,), rm.mem.regs(), (), MemAccess.STORE)
 
     if op == 0xFF:
         rm, digit = _parse_modrm(cur, rex, width)
         if digit in (0, 1):
             mnemonic = Mnemonic.INC if digit == 0 else Mnemonic.DEC
             if rm.is_reg:
-                return fin(mnemonic, (rm,), {rm.reg}, {rm.reg})
-            return fin(mnemonic, (rm,), rm.mem.regs(), (), MemAccess.STORE)
+                return _fin(cur, mnemonic, (rm,), {rm.reg}, {rm.reg})
+            return _fin(cur, mnemonic, (rm,), rm.mem.regs(), (), MemAccess.STORE)
         if digit == 2:
             # Indirect call: operand size is fixed at 64 bits in long mode.
             rm64 = _widen(rm)
             reads = {Reg.RSP} | _operand_reads(rm64)
-            return fin(
-                Mnemonic.CALL_RM, (rm64,), reads, {Reg.RSP}, MemAccess.STORE
+            return _fin(
+                cur, Mnemonic.CALL_RM, (rm64,), reads, {Reg.RSP}, MemAccess.STORE
             )
         if digit == 4:
             rm64 = _widen(rm)
             access = MemAccess.LOAD if rm64.is_mem else MemAccess.NONE
-            return fin(Mnemonic.JMP_RM, (rm64,), _operand_reads(rm64), (), access)
+            return _fin(
+                cur, Mnemonic.JMP_RM, (rm64,), _operand_reads(rm64), (), access
+            )
         return None
 
     return None
@@ -673,19 +704,41 @@ def _operand_reads(op: Operand) -> set[Reg]:
     return set()
 
 
+class PageDecodes(dict):
+    """Decode results of one page keyed by in-page offset, each computed on
+    first lookup. They depend only on the page bytes, so any number of
+    traversals of the page may share one."""
+
+    def __init__(self, page: PageRecord):
+        super().__init__()
+        self.page = page
+
+    def __missing__(self, offset: int) -> Instruction | None:
+        insn = self[offset] = decode(
+            self.page.data, self.page.base + offset, offset
+        )
+        return insn
+
+
 class PageDisasm:
     """Incremental recursive-traversal disassembly state for one page.
 
     Byte ranges of accepted instructions are claimed; a later path that runs
     into claimed bytes at a non-instruction boundary stops there, so whichever
     entry was processed first keeps its stream. Entries are processed in
-    ascending address order within each batch.
+    ascending address order within each batch. Decoding goes through
+    `decodes`, which may be shared with other traversals of the same page.
     """
 
-    def __init__(self, page: PageRecord):
+    def __init__(self, page: PageRecord, decodes: PageDecodes | None = None):
         if not page.perms.executable:
             raise ValueError(f"page {page.base:#x} is not executable")
+        if decodes is None:
+            decodes = PageDecodes(page)
+        elif decodes.page is not page:
+            raise ValueError(f"decodes of another page for {page.base:#x}")
         self.page = page
+        self.decodes = decodes
         self.insns: dict[int, Instruction] = {}
         self.entries: set[int] = set()
         self._claimed = bytearray(PAGE_SIZE)
@@ -699,35 +752,37 @@ class PageDisasm:
                     f"entry {entry:#x} outside page {self.page.base:#x}"
                 )
         self.entries.update(fresh)
+        base, insns, decodes = self.page.base, self.insns, self.decodes
+        claimed = self._claimed
         work = deque(fresh)
         added = 0
         while work:
             addr = work.popleft()
-            while True:
-                if addr in self.insns:
+            while addr not in insns:
+                offset = addr - base
+                if not 0 <= offset < PAGE_SIZE or claimed[offset]:
                     break
-                offset = addr - self.page.base
-                if not 0 <= offset < PAGE_SIZE or self._claimed[offset]:
-                    break
-                insn = decode(self.page.data[offset:], addr)
+                insn = decodes[offset]
                 if insn is None:
                     break
                 end = offset + insn.length
-                if any(self._claimed[offset:end]):
+                if claimed.find(1, offset, end) != -1:
                     break
-                for i in range(offset, end):
-                    self._claimed[i] = 1
-                self.insns[addr] = insn
+                claimed[offset:end] = b"\x01" * insn.length
+                insns[addr] = insn
                 added += 1
                 target = insn.branch_target
-                if target is not None and self.page.contains(target):
-                    t_off = target - self.page.base
-                    if target not in self.insns and not self._claimed[t_off]:
+                if target is not None and 0 <= target - base < PAGE_SIZE:
+                    if target not in insns and not claimed[target - base]:
                         work.append(target)
                 if insn.is_terminator:
                     break
-                addr = insn.end
+                addr = base + end
         return added
+
+    def addresses(self) -> tuple[int, ...]:
+        """Sorted addresses of the instructions in the stream."""
+        return tuple(sorted(self.insns))
 
     def instructions(self) -> tuple[Instruction, ...]:
         return tuple(self.insns[a] for a in sorted(self.insns))

@@ -19,10 +19,11 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from ropscope.disasm import (
     Instruction,
+    PageDecodes,
     PageDisasm,
     decode,
     extract_chain_targets,
@@ -35,7 +36,7 @@ from ropscope.gadgets import (
     find_gadgets,
     leaked_types,
 )
-from ropscope.snapshot import PAGE_SIZE, MemoryImage, page_base
+from ropscope.snapshot import PAGE_SIZE, MemoryImage, PageRecord, page_base
 
 
 class StartPointerInvalid(ValueError):
@@ -148,6 +149,66 @@ class HarvestTrace:
         return "\n".join(lines) + "\n"
 
 
+class MinedStream(NamedTuple):
+    """What a page's instruction stream yields, independent of the harvest
+    that reached it: its gadgets, its chain targets in ascending order and
+    the gadget types they cover."""
+
+    gadgets: tuple[Gadget, ...]
+    targets: tuple[int, ...]
+    types: frozenset[GadgetType]
+
+
+class ImageAnalysis:
+    """Facts that depend only on the image and the mining options, computed
+    once and shared by every harvest over that image.
+
+    It holds each page's decode results by offset and, per page stream
+    (page base and the addresses of its instructions), what mining that
+    stream yields. A harvest still replays its own traversal, so its clock
+    counts exactly the instructions it decodes itself.
+    """
+
+    def __init__(
+        self, image: MemoryImage, opts: HarvestOptions = HarvestOptions()
+    ):
+        self.image = image
+        self.mining = opts.mining_options()
+        self.follow_cond_branches = opts.follow_cond_branches
+        self._decodes: dict[int, PageDecodes] = {}
+        self._mined: dict[tuple[int, tuple[int, ...]], MinedStream] = {}
+
+    def check(self, image: MemoryImage, opts: HarvestOptions) -> None:
+        """Raise ValueError unless built for this image and these options."""
+        if image is not self.image:
+            raise ValueError("analysis was built for another image")
+        if (
+            opts.mining_options() != self.mining
+            or opts.follow_cond_branches != self.follow_cond_branches
+        ):
+            raise ValueError("analysis was built for other mining options")
+
+    def decodes(self, page: PageRecord) -> PageDecodes:
+        if page.base not in self._decodes:
+            self._decodes[page.base] = PageDecodes(page)
+        return self._decodes[page.base]
+
+    def mine(self, disasm: PageDisasm) -> MinedStream:
+        """Mining results of the traversal's current stream."""
+        key = (disasm.page.base, disasm.addresses())
+        mined = self._mined.get(key)
+        if mined is None:
+            stream = disasm.instructions()
+            gadgets = find_gadgets(stream, self.mining)
+            targets = extract_chain_targets(
+                stream, self.image, include_cond=self.follow_cond_branches
+            )
+            mined = self._mined[key] = MinedStream(
+                gadgets, tuple(sorted(targets)), leaked_types(gadgets)
+            )
+        return mined
+
+
 @dataclass
 class _PageState:
     disasm: PageDisasm
@@ -155,15 +216,25 @@ class _PageState:
 
 
 def harvest(
-    image: MemoryImage, start: int, opts: HarvestOptions = HarvestOptions()
+    image: MemoryImage,
+    start: int,
+    opts: HarvestOptions = HarvestOptions(),
+    analysis: ImageAnalysis | None = None,
 ) -> HarvestTrace:
-    """Run the harvesting loop from one leaked code pointer."""
+    """Run the harvesting loop from one leaked code pointer.
+
+    Pass an analysis built for the same image and mining options to share
+    decoding and mining with other harvests; a fresh one is built otherwise.
+    """
     if not image.is_executable(start):
         raise StartPointerInvalid(
             f"start pointer {start:#x} is not in executable memory"
         )
+    if analysis is None:
+        analysis = ImageAnalysis(image, opts)
+    else:
+        analysis.check(image, opts)
 
-    mining = opts.mining_options()
     tracked = set(opts.track_set.required) if opts.track_set else None
 
     clock = 0
@@ -198,7 +269,10 @@ def harvest(
             return
         base = page_base(addr)
         if base not in states:
-            states[base] = _PageState(PageDisasm(image.page_at(addr)))
+            page = image.page_at(addr)
+            states[base] = _PageState(
+                PageDisasm(page, analysis.decodes(page))
+            )
         states[base].pending.add(addr)
         enqueue(base)
 
@@ -228,19 +302,15 @@ def harvest(
         clock += new_insns * opts.analysis_ticks_per_insn
         analysis_cost += new_insns * opts.analysis_ticks_per_insn
 
-        stream = state.disasm.instructions()
         if new_insns or base not in page_gadgets:
-            page_gadgets[base] = find_gadgets(stream, mining)
-            for target in sorted(
-                extract_chain_targets(
-                    stream, image, include_cond=opts.follow_cond_branches
-                )
-            ):
+            mined = analysis.mine(state.disasm)
+            page_gadgets[base] = mined.gadgets
+            for target in mined.targets:
                 add_target(target)
 
             # seen_types already holds the types of every other page, so
             # only the page just mined can add new ones.
-            new_types = leaked_types(page_gadgets[base]) - seen_types
+            new_types = mined.types - seen_types
             if tracked is not None:
                 new_types &= tracked
             for gtype in sorted(new_types, key=lambda t: t.value):
@@ -297,13 +367,13 @@ def harvest(
 _SWEEP_MIN_INSNS = 8
 
 
-def _sweep_accepts(data: bytes, base: int, offset: int) -> bool:
+def _sweep_accepts(decodes: PageDecodes, offset: int) -> bool:
     """Decode forward from an offset; accept streams that reach a control
     transfer, produce several valid instructions, or exit the page cleanly."""
     count = 0
     pos = offset
-    while pos < len(data):
-        insn = decode(data[pos:], base + pos)
+    while pos < PAGE_SIZE:
+        insn = decodes[pos]
         if insn is None:
             return False
         count += 1
@@ -324,7 +394,7 @@ def collect_branch_targets(image: MemoryImage) -> dict[int, set[int]]:
     for page in exec_pages:
         pos = 0
         while pos < PAGE_SIZE:
-            insn = decode(page.data[pos:], page.base + pos)
+            insn = decode(page.data, page.base + pos, pos)
             if insn is None:
                 pos += 1
                 continue
@@ -337,29 +407,36 @@ def collect_branch_targets(image: MemoryImage) -> dict[int, set[int]]:
 
 
 def page_start_pointers(
-    image: MemoryImage, opts: HarvestOptions = HarvestOptions()
+    image: MemoryImage,
+    opts: HarvestOptions = HarvestOptions(),
+    analysis: ImageAnalysis | None = None,
 ) -> dict[int, int]:
     """Pick one start pointer per executable page.
 
     Direct branch targets collected from a linear scan of all executable
     bytes are preferred (lowest in-page target that decodes acceptably);
     otherwise the first offset whose forward decode is accepted; otherwise
-    the page base.
+    the page base. An analysis passed in shares its decode results.
     """
-    return _choose_starts(image, collect_branch_targets(image), opts)
+    if analysis is None:
+        analysis = ImageAnalysis(image, opts)
+    else:
+        analysis.check(image, opts)
+    return _choose_starts(analysis, collect_branch_targets(image), opts)
 
 
 def _choose_starts(
-    image: MemoryImage,
+    analysis: ImageAnalysis,
     targets_by_page: dict[int, set[int]],
     opts: HarvestOptions,
 ) -> dict[int, int]:
     out: dict[int, int] = {}
-    for page in image.executable_pages():
+    for page in analysis.image.executable_pages():
+        decodes = analysis.decodes(page)
         candidates = sorted(
             t
             for t in targets_by_page[page.base]
-            if _sweep_accepts(page.data, page.base, t - page.base)
+            if _sweep_accepts(decodes, t - page.base)
         )
         if candidates:
             if opts.start_strategy == "seeded":
@@ -370,7 +447,7 @@ def _choose_starts(
             continue
         chosen = page.base
         for off in range(PAGE_SIZE):
-            if _sweep_accepts(page.data, page.base, off):
+            if _sweep_accepts(decodes, off):
                 chosen = page.base + off
                 break
         out[page.base] = chosen
@@ -380,10 +457,12 @@ def _choose_starts(
 def harvest_all_starts(
     image: MemoryImage, opts: HarvestOptions = HarvestOptions()
 ) -> dict[int, HarvestTrace]:
-    """Harvest once from each per-page start pointer."""
+    """Harvest once from each per-page start pointer, sharing one analysis."""
+    analysis = ImageAnalysis(image, opts)
+    starts = page_start_pointers(image, opts, analysis)
     return {
-        start: harvest(image, start, opts)
-        for _, start in sorted(page_start_pointers(image, opts).items())
+        start: harvest(image, start, opts, analysis)
+        for _, start in sorted(starts.items())
     }
 
 
@@ -397,7 +476,10 @@ def offline_disassemble(
     to closure. Used for whole-image mining when the memory image is
     already in hand rather than leaked page by page."""
     targets_by_page = collect_branch_targets(image)
-    seeds: set[int] = set(_choose_starts(image, targets_by_page, opts).values())
+    analysis = ImageAnalysis(image, opts)
+    seeds: set[int] = set(
+        _choose_starts(analysis, targets_by_page, opts).values()
+    )
     for targets in targets_by_page.values():
         seeds |= targets
     streams: dict[int, tuple[Instruction, ...]] = {}
@@ -413,7 +495,8 @@ def offline_disassemble(
             continue
         base = page_base(addr)
         if base not in states:
-            states[base] = PageDisasm(image.page_at(addr))
+            page = image.page_at(addr)
+            states[base] = PageDisasm(page, analysis.decodes(page))
         if states[base].add_entries([addr]):
             stream = states[base].instructions()
             for target in sorted(

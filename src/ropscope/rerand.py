@@ -24,6 +24,7 @@ from ropscope.gadgets import BUILTIN_SETS, GadgetSetSpec
 from ropscope.harvest import (
     EventKind,
     HarvestOptions,
+    ImageAnalysis,
     harvest,
     page_start_pointers,
 )
@@ -78,13 +79,15 @@ def converge(
     start: int,
     spec: GadgetSetSpec | None = None,
     opts: HarvestOptions = HarvestOptions(),
+    analysis: ImageAnalysis | None = None,
 ) -> ConvergenceRecord:
     """Harvest from one start until the tracked set is covered or the
-    reachable code is exhausted."""
+    reachable code is exhausted. An analysis shared across starts saves
+    repeated decoding and mining; see harvest."""
     if spec is None:
         spec = opts.track_set or BUILTIN_SETS["tc"]
     run_opts = replace(opts, track_set=spec, stop_on_convergence=True)
-    trace = harvest(image, start, run_opts)
+    trace = harvest(image, start, run_opts, analysis)
     timeline: list[tuple[int, int]] = []
     count = 0
     for event in trace.events:
@@ -188,11 +191,12 @@ def upper_bound(
     measured attack path."""
     if spec is None:
         spec = opts.track_set or BUILTIN_SETS["tc"]
+    analysis = ImageAnalysis(image, opts)
     records: dict[int, ConvergenceRecord] = {}
-    for _, start in sorted(page_start_pointers(image, opts).items()):
+    for _, start in sorted(page_start_pointers(image, opts, analysis).items()):
         if start in records:
             continue
-        records[start] = converge(image, start, spec, opts)
+        records[start] = converge(image, start, spec, opts, analysis)
 
     converged_clocks = [
         r.convergence_clock

@@ -731,9 +731,7 @@ def erase_plants(
         pos = addr
         for _ in range(n_items):
             page = image.page_at(pos)
-            insn = decode(
-                page.data[pos - page.base :], pos
-            )
+            insn = decode(page.data, pos, pos - page.base)
             if insn is None:
                 break
             new_pages[page.base][

@@ -1,13 +1,18 @@
 """Decoder truth tables, stream disassembly, and chain-target extraction."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import BASE, RO, RX, asm, code_image, decode_stream
+from ropscope import disasm
 from ropscope.disasm import (
+    GS_CALL_BYTES,
     MemAccess,
     Mnemonic,
+    PageDecodes,
     PageDisasm,
     Reg,
     decode,
@@ -191,6 +196,47 @@ def test_decode_total_and_bounded(data):
         assert insn.addr == 0x7000
 
 
+# Byte strings rich in decodable instructions, cut anywhere so that tails
+# can be truncated mid-instruction.
+_ENCODED = st.lists(
+    st.sampled_from([raw for raw, _ in RENDER_TABLE]), max_size=4
+).map(b"".join)
+
+
+@given(
+    st.data(),
+    st.one_of(st.binary(max_size=32), _ENCODED),
+    st.sampled_from([0, 0x7000, (1 << 64) - 3]),
+)
+@settings(max_examples=400)
+def test_decode_in_place_equals_decode_of_slice(draw, data, addr):
+    cut = draw.draw(st.integers(0, len(data)), label="cut")
+    data = data[:cut]
+    off = draw.draw(st.integers(0, len(data)), label="offset")
+    assert decode(data, addr, off) == decode(data[off:], addr)
+
+
+def _decode_unfiltered(data):
+    """The decoder without its first-byte table."""
+    try:
+        return disasm._decode_body(disasm._Cursor(data, 0, 0))
+    except (IndexError, struct.error):
+        return None
+
+
+def test_first_byte_table_is_exact():
+    # The decoder dispatches on its first one or two bytes, and the tail
+    # is long enough for any operand, so a byte whose 256 two-byte
+    # prefixes all fail starts no supported instruction.
+    tail = GS_CALL_BYTES[2:] + bytes(12)
+    for first in range(256):
+        starts = [bytes([first, second]) + tail for second in range(256)]
+        decodable = any(_decode_unfiltered(s) is not None for s in starts)
+        assert decodable == bool(disasm._FIRST_BYTE[first]), hex(first)
+        if not decodable:
+            assert all(decode(s, 0) is None for s in starts), hex(first)
+
+
 @given(st.binary(min_size=1, max_size=64))
 @settings(max_examples=200)
 def test_linear_walk_terminates(data):
@@ -243,6 +289,19 @@ def test_page_disasm_rejects_foreign_entries():
     pd = PageDisasm(_page_of(image))
     with pytest.raises(ValueError):
         pd.add_entries([BASE + 0x5000])
+
+
+def test_page_disasm_shares_decodes_of_its_own_page_only():
+    image = code_image(asm(nop(), ret()))
+    page = _page_of(image)
+    decodes = PageDecodes(page)
+    first, second = PageDisasm(page, decodes), PageDisasm(page, decodes)
+    assert first.add_entries([BASE]) == second.add_entries([BASE]) == 2
+    assert first.instructions() == second.instructions()
+    assert sorted(decodes) == [0, 1]
+    other = code_image(asm(ret()), base=BASE + 0x1000).page_at(BASE + 0x1000)
+    with pytest.raises(ValueError):
+        PageDisasm(other, decodes)
 
 
 def test_page_disasm_requires_executable_page():

@@ -26,6 +26,8 @@ GOLDEN = {
     "starts": "dc4f66472eb5526d757e958568450efa43d5ae9b00590ab122a1025a34c8e0b1",
     "upper_bound": "5cc1aec02068dde8772eaff81ce86b551ccf7b7590d3ea7195da606de6b4740e",
     "upper_bound_timeline": "86b4201ff5061cbc0ccd38d509abcdaa122895b266a5188610e0eb8b32e9d882",
+    "upper_bound_wide": "a4e9149af5ed6d931a0e62e42426753864104f128249f50a0528178cb3c0c66f",
+    "upper_bound_wide_timeline": "a6a714681e21ca228952c09d487e4ea65d24d07d4e3a0f2449cdc0bdfe1df5b4",
 }
 
 
@@ -50,6 +52,10 @@ def produce_outputs(root) -> dict[str, bytes]:
     sparse = root / "sparse"
     _generate(sparse, "--seed", "11", "--functions", "6",
               "--max-functions-per-page", "1")
+    # One function per page on 24 pages: starts share most of their pages.
+    wide = root / "wide"
+    _generate(wide, "--seed", "5", "--functions", "24",
+              "--max-functions-per-page", "1")
     packed_snap = packed / "baseline.rsnp"
     sparse_snap = sparse / "baseline.rsnp"
 
@@ -67,6 +73,12 @@ def produce_outputs(root) -> dict[str, bytes]:
         "--timeline-csv", timeline,
     ])
     out["upper_bound_timeline"] = timeline.read_bytes()
+    wide_timeline = root / "wide_timeline.csv"
+    out["upper_bound_wide"] = _run([
+        "upper-bound", wide / "baseline.rsnp", "--set", "tc", "--max-len", "10",
+        "--timeline-csv", wide_timeline,
+    ])
+    out["upper_bound_wide_timeline"] = wide_timeline.read_bytes()
     out["gadgets_tc"] = _run(["gadgets", packed_snap, "--set", "tc"])
     out["corrupt_verdicts"] = _run(
         ["corrupt", packed_snap, "--format", "verdicts"]
@@ -96,5 +108,7 @@ def test_pinned_outputs_are_not_trivial(outputs):
     assert summary["pages_found"] > 1 and summary["type_clocks"]
     bound = json.loads(outputs["upper_bound"])
     assert bound["converged_starts"] > 0
+    wide = json.loads(outputs["upper_bound_wide"])
+    assert wide["starts"] == 24 and wide["converged_starts"] > 0
     assert len(json.loads(outputs["starts"])) > 1
     assert outputs["corrupt_verdicts"].count(b"\n") > 10

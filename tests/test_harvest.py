@@ -17,10 +17,11 @@ from ropscope.encode import (
     ret,
     syscall,
 )
-from ropscope.gadgets import GadgetSetSpec, GadgetType, find_gadgets
+from ropscope.gadgets import BUILTIN_SETS, GadgetSetSpec, GadgetType, find_gadgets
 from ropscope.harvest import (
     EventKind,
     HarvestOptions,
+    ImageAnalysis,
     StartPointerInvalid,
     collect_branch_targets,
     harvest,
@@ -29,6 +30,7 @@ from ropscope.harvest import (
     offline_disassemble,
     page_start_pointers,
 )
+from ropscope.rerand import converge, upper_bound
 from ropscope.snapshot import PAGE_SIZE, ImageBuilder, SegmentTag, page_base
 from ropscope.synth import GenParams, generate, materialize
 
@@ -236,6 +238,76 @@ def test_harvest_all_starts_is_sorted_and_complete():
     assert set(traces) == set(starts.values())
     for s, trace in traces.items():
         assert trace.start == s
+
+
+# One function per page on 1, 24 and 60 pages, where every start reaches a
+# page with the same entries; and three functions per page without strong
+# connectivity, where starts reach the same page through different entries
+# and so mine several streams of it.
+SHARED_CORPORA = {
+    "1page": GenParams(n_functions=1, max_functions_per_page=1),
+    "24pages": GenParams(n_functions=24, max_functions_per_page=1),
+    "60pages": GenParams(n_functions=60, max_functions_per_page=1),
+    "8pages-sparse": GenParams(
+        n_functions=24,
+        connectivity=0.1,
+        ensure_strongly_connected=False,
+        max_functions_per_page=3,
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SHARED_CORPORA))
+def shared_corpus(request):
+    image, _ = materialize(generate(SHARED_CORPORA[request.param], seed=7))
+    return image
+
+
+def test_shared_analysis_matches_fresh_runs(shared_corpus):
+    # Each fresh run builds its own analysis, so it sees none of the
+    # decoding and mining the shared runs reuse across starts.
+    image = shared_corpus
+    tc = BUILTIN_SETS["tc"]
+    opts = HarvestOptions(max_gadget_len=10, track_set=tc)
+    starts = sorted(set(page_start_pointers(image, opts).values()))
+
+    report = upper_bound(image, tc, opts)
+    assert dict(report.per_start) == {
+        s: converge(image, s, tc, opts) for s in starts
+    }
+
+    traces = harvest_all_starts(image, opts)
+    assert list(traces) == starts
+    # Full closures from every start cost seconds at 60 pages; every
+    # fourth start still checks runs made with a well-filled analysis.
+    for s in starts[::4] if len(starts) > 24 else starts:
+        assert traces[s] == harvest(image, s, opts)
+
+
+def test_harvest_refuses_mismatched_analysis():
+    image, start, _ = topology_image()
+    other, _, _ = topology_image()
+    opts = HarvestOptions(max_gadget_len=10)
+    analysis = ImageAnalysis(image, opts)
+    for bad_image, bad_opts in (
+        (other, opts),
+        (image, HarvestOptions(max_gadget_len=5)),
+        (image, HarvestOptions(max_gadget_len=10, enable_heuristic_types=True)),
+        (image, HarvestOptions(max_gadget_len=10, follow_cond_branches=False)),
+    ):
+        with pytest.raises(ValueError):
+            harvest(bad_image, start, bad_opts, analysis)
+        with pytest.raises(ValueError):
+            page_start_pointers(bad_image, bad_opts, analysis)
+    # Tracking and stopping are not mining options: one analysis serves them.
+    tracked = HarvestOptions(
+        max_gadget_len=10,
+        track_set=BUILTIN_SETS["tc"],
+        stop_on_convergence=True,
+    )
+    assert harvest(image, start, tracked, analysis) == harvest(
+        image, start, tracked
+    )
 
 
 def test_page_start_pointer_strategies_deterministic():
