@@ -24,7 +24,6 @@ from pathlib import Path
 
 from ropscope.gadgets import (
     BUILTIN_SETS,
-    Footprint,
     GadgetSetSpec,
     GadgetType,
     category_counts,
@@ -34,6 +33,7 @@ from ropscope.gadgets import (
     load_set_spec,
     min_fp_labels,
     resolve_set,
+    type_counts,
 )
 from ropscope.harvest import (
     HarvestOptions,
@@ -177,10 +177,7 @@ def _cmd_gadgets(args) -> int:
     if args.out:
         Path(args.out).write_text(text if text.endswith("\n") else text + "\n")
     if args.pretty:
-        counts: dict[str, int] = {}
-        for g in gadgets:
-            for t in g.types:
-                counts[t.value] = counts.get(t.value, 0) + 1
+        counts = {t.value: c.total for t, c in type_counts(gadgets).items()}
         print(f"gadgets mined: {len(gadgets)}")
         for name in sorted(counts):
             print(f"  {name:10s} {counts[name]}")
@@ -370,20 +367,15 @@ def _cmd_synth_transform(args) -> int:
 
 def _entry_stats(image, opts) -> dict:
     gadgets = mine_image(image, opts)
-    per_type: dict[str, dict[str, int]] = {}
-    for g in gadgets:
-        for t in g.types:
-            slot = per_type.setdefault(t.value, {"min_fp": 0, "ex_fp": 0})
-            if g.footprints[t] is Footprint.MIN_FP:
-                slot["min_fp"] += 1
-            else:
-                slot["ex_fp"] += 1
     cats = category_counts(gadgets)
     tc = evaluate_set(gadgets, BUILTIN_SETS["tc"])
     return {
         "gadgets": len(gadgets),
         "min_fp_labels": min_fp_labels(gadgets),
-        "types": per_type,
+        "types": {
+            t.value: {"min_fp": c.min_fp, "ex_fp": c.ex_fp}
+            for t, c in type_counts(gadgets).items()
+        },
         "categories": {
             name: {"min_fp": c.min_fp, "ex_fp": c.ex_fp}
             for name, c in cats.items()

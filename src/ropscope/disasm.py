@@ -13,7 +13,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum, auto
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ropscope.snapshot import PAGE_SIZE, MemoryImage, PageRecord, UnmappedRead
 
@@ -725,9 +725,11 @@ class PageDisasm:
 
     Byte ranges of accepted instructions are claimed; a later path that runs
     into claimed bytes at a non-instruction boundary stops there, so whichever
-    entry was processed first keeps its stream. Entries are processed in
-    ascending address order within each batch. Decoding goes through
-    `decodes`, which may be shared with other traversals of the same page.
+    entry was processed first keeps its stream. A batch's new entries are
+    processed in ascending address order, each with its whole in-page branch
+    closure before the next, so a batch equals adding the same entries one at
+    a time in ascending order. Decoding goes through `decodes`, which may be
+    shared with other traversals of the same page.
     """
 
     def __init__(self, page: PageRecord, decodes: PageDecodes | None = None):
@@ -754,30 +756,31 @@ class PageDisasm:
         self.entries.update(fresh)
         base, insns, decodes = self.page.base, self.insns, self.decodes
         claimed = self._claimed
-        work = deque(fresh)
         added = 0
-        while work:
-            addr = work.popleft()
-            while addr not in insns:
-                offset = addr - base
-                if not 0 <= offset < PAGE_SIZE or claimed[offset]:
-                    break
-                insn = decodes[offset]
-                if insn is None:
-                    break
-                end = offset + insn.length
-                if claimed.find(1, offset, end) != -1:
-                    break
-                claimed[offset:end] = b"\x01" * insn.length
-                insns[addr] = insn
-                added += 1
-                target = insn.branch_target
-                if target is not None and 0 <= target - base < PAGE_SIZE:
-                    if target not in insns and not claimed[target - base]:
-                        work.append(target)
-                if insn.is_terminator:
-                    break
-                addr = base + end
+        for entry in fresh:
+            work = deque((entry,))
+            while work:
+                addr = work.popleft()
+                while addr not in insns:
+                    offset = addr - base
+                    if not 0 <= offset < PAGE_SIZE or claimed[offset]:
+                        break
+                    insn = decodes[offset]
+                    if insn is None:
+                        break
+                    end = offset + insn.length
+                    if claimed.find(1, offset, end) != -1:
+                        break
+                    claimed[offset:end] = b"\x01" * insn.length
+                    insns[addr] = insn
+                    added += 1
+                    target = insn.branch_target
+                    if target is not None and 0 <= target - base < PAGE_SIZE:
+                        if target not in insns and not claimed[target - base]:
+                            work.append(target)
+                    if insn.is_terminator:
+                        break
+                    addr = base + end
         return added
 
     def addresses(self) -> tuple[int, ...]:

@@ -635,17 +635,26 @@ class CoverageReport:
         }
 
 
+def type_counts(gadgets: Iterable[Gadget]) -> dict[GadgetType, TypeCount]:
+    """MIN/EX counts per gadget type present; a gadget counts once per type."""
+    counts: dict[GadgetType, TypeCount] = {}
+    for gadget in gadgets:
+        for gtype in gadget.types:
+            count = counts.setdefault(gtype, TypeCount())
+            if gadget.footprints[gtype] is Footprint.MIN_FP:
+                count.min_fp += 1
+            else:
+                count.ex_fp += 1
+    return counts
+
+
 def evaluate_set(
     gadgets: Iterable[Gadget], spec: GadgetSetSpec
 ) -> CoverageReport:
-    counts = {t: TypeCount() for t in spec.required}
-    for gadget in gadgets:
-        for gtype in gadget.types & set(spec.required):
-            if gadget.footprints[gtype] is Footprint.MIN_FP:
-                counts[gtype].min_fp += 1
-            else:
-                counts[gtype].ex_fp += 1
-    return CoverageReport(spec.name, counts)
+    counts = type_counts(gadgets)
+    return CoverageReport(
+        spec.name, {t: counts.get(t, TypeCount()) for t in spec.required}
+    )
 
 
 def min_fp_labels(gadgets: Iterable[Gadget]) -> int:

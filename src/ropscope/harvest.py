@@ -19,7 +19,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from ropscope.disasm import (
     Instruction,
@@ -113,12 +113,11 @@ class HarvestTrace:
 
     def type_clocks(self) -> dict[GadgetType, int]:
         """Clock value at which each gadget type first became available."""
-        out: dict[GadgetType, int] = {}
-        by_value = {t.value: t for t in GadgetType}
-        for e in self.events:
-            if e.kind is EventKind.TYPE_LEAKED:
-                out[by_value[str(e.payload["type"])]] = e.clock
-        return out
+        return {
+            GadgetType(e.payload["type"]): e.clock
+            for e in self.events
+            if e.kind is EventKind.TYPE_LEAKED
+        }
 
     def convergence_clock(self) -> int | None:
         for e in self.events:
@@ -209,10 +208,62 @@ class ImageAnalysis:
         return mined
 
 
-@dataclass
-class _PageState:
-    disasm: PageDisasm
-    pending: set[int] = field(default_factory=set)
+class _Traversal:
+    """The harvester's page loop, shared by the clocked harvest and offline
+    mining.
+
+    Seeds and every chain target found later become pending entries of
+    their page; a page is queued whenever it has pending entries, and each
+    visit adds them all as one batch. Iterating yields, per visit, the page
+    base, whether this is its first visit, the instructions the batch added
+    and, when the stream changed or on the first visit, its mining results
+    (None otherwise). A mined page's chain targets are queued before the
+    visit is yielded, so `skipped` counts them even if the caller stops.
+    """
+
+    def __init__(self, analysis: ImageAnalysis, seeds: Iterable[int]):
+        self.analysis = analysis
+        self.disasms: dict[int, PageDisasm] = {}
+        self.skipped = 0
+        self._pending: dict[int, set[int]] = {}
+        self._handled: set[int] = set()
+        self._queue: deque[int] = deque()
+        self._visited: set[int] = set()
+        for addr in seeds:
+            self._add_target(addr)
+
+    def _add_target(self, addr: int) -> None:
+        if addr in self._handled:
+            return
+        self._handled.add(addr)
+        image = self.analysis.image
+        if not image.is_executable(addr):
+            self.skipped += 1
+            return
+        base = page_base(addr)
+        if base not in self.disasms:
+            page = image.page_at(addr)
+            self.disasms[base] = PageDisasm(page, self.analysis.decodes(page))
+        if base not in self._pending:
+            self._pending[base] = set()
+            self._queue.append(base)
+        self._pending[base].add(addr)
+
+    def __iter__(
+        self,
+    ) -> Iterator[tuple[int, bool, int, MinedStream | None]]:
+        while self._queue:
+            base = self._queue.popleft()
+            first_visit = base not in self._visited
+            self._visited.add(base)
+            disasm = self.disasms[base]
+            new_insns = disasm.add_entries(self._pending.pop(base))
+            mined = None
+            if new_insns or first_visit:
+                mined = self.analysis.mine(disasm)
+                for target in mined.targets:
+                    self._add_target(target)
+            yield base, first_visit, new_insns, mined
 
 
 def harvest(
@@ -241,52 +292,15 @@ def harvest(
     leak_cost = 0
     analysis_cost = 0
     step = 0
-    skipped = 0
     converged = False
     events: list[HarvestEvent] = []
-    states: dict[int, _PageState] = {}
-    handled_targets: set[int] = set()
     seen_types: set[GadgetType] = set()
     page_gadgets: dict[int, tuple[Gadget, ...]] = {}
 
-    # Work items are page bases; a page is re-processed whenever new entry
-    # points into it are pending.
-    queue: deque[int] = deque()
-    queued: set[int] = set()
-
-    def enqueue(base: int) -> None:
-        if base not in queued:
-            queue.append(base)
-            queued.add(base)
-
-    def add_target(addr: int) -> None:
-        nonlocal skipped
-        if addr in handled_targets:
-            return
-        handled_targets.add(addr)
-        if not image.is_executable(addr):
-            skipped += 1
-            return
-        base = page_base(addr)
-        if base not in states:
-            page = image.page_at(addr)
-            states[base] = _PageState(
-                PageDisasm(page, analysis.decodes(page))
-            )
-        states[base].pending.add(addr)
-        enqueue(base)
-
-    add_target(start)
-
-    while queue:
-        base = queue.popleft()
-        queued.discard(base)
-        state = states[base]
-        if not state.pending and base in page_gadgets:
-            continue
-
-        if base not in page_gadgets:
-            # First visit: the page leak itself.
+    walk = _Traversal(analysis, (start,))
+    for base, first_visit, new_insns, mined in walk:
+        if first_visit:
+            # The page leak itself.
             clock += opts.leak_ticks_per_page
             leak_cost += opts.leak_ticks_per_page
             step += 1
@@ -295,53 +309,39 @@ def harvest(
                     step, clock, EventKind.PAGE_DISCOVERED, {"base": base}
                 )
             )
-
-        entries = sorted(state.pending)
-        state.pending.clear()
-        new_insns = state.disasm.add_entries(entries)
         clock += new_insns * opts.analysis_ticks_per_insn
         analysis_cost += new_insns * opts.analysis_ticks_per_insn
+        if mined is None:
+            continue
+        page_gadgets[base] = mined.gadgets
 
-        if new_insns or base not in page_gadgets:
-            mined = analysis.mine(state.disasm)
-            page_gadgets[base] = mined.gadgets
-            for target in mined.targets:
-                add_target(target)
-
-            # seen_types already holds the types of every other page, so
-            # only the page just mined can add new ones.
-            new_types = mined.types - seen_types
-            if tracked is not None:
-                new_types &= tracked
-            for gtype in sorted(new_types, key=lambda t: t.value):
-                step += 1
-                events.append(
-                    HarvestEvent(
-                        step,
-                        clock,
-                        EventKind.TYPE_LEAKED,
-                        {"type": gtype.value},
-                    )
+        # seen_types already holds the types of every other page, so only
+        # the page just mined can add new ones.
+        new_types = mined.types - seen_types
+        if tracked is not None:
+            new_types &= tracked
+        for gtype in sorted(new_types, key=lambda t: t.value):
+            step += 1
+            events.append(
+                HarvestEvent(
+                    step, clock, EventKind.TYPE_LEAKED, {"type": gtype.value}
                 )
-            seen_types |= new_types
+            )
+        seen_types |= new_types
 
-            if (
-                tracked is not None
-                and not converged
-                and tracked <= seen_types
-            ):
-                converged = True
-                step += 1
-                events.append(
-                    HarvestEvent(
-                        step,
-                        clock,
-                        EventKind.CONVERGED,
-                        {"set": opts.track_set.name},
-                    )
+        if tracked is not None and not converged and tracked <= seen_types:
+            converged = True
+            step += 1
+            events.append(
+                HarvestEvent(
+                    step,
+                    clock,
+                    EventKind.CONVERGED,
+                    {"set": opts.track_set.name},
                 )
-                if opts.stop_on_convergence:
-                    break
+            )
+            if opts.stop_on_convergence:
+                break
 
     all_gadgets: list[Gadget] = []
     for b in sorted(page_gadgets):
@@ -353,10 +353,10 @@ def harvest(
         leak_cost=leak_cost,
         analysis_cost=analysis_cost,
         pages_found=len(page_gadgets),
-        skipped_targets=skipped,
+        skipped_targets=walk.skipped,
         converged=converged if tracked is not None else False,
         streams={
-            b: states[b].disasm.instructions() for b in sorted(page_gadgets)
+            b: walk.disasms[b].instructions() for b in sorted(page_gadgets)
         },
         gadgets=tuple(all_gadgets),
     )
@@ -466,15 +466,9 @@ def harvest_all_starts(
     }
 
 
-def offline_disassemble(
-    image: MemoryImage, opts: HarvestOptions = HarvestOptions()
-) -> dict[int, tuple[Instruction, ...]]:
-    """Disassemble every executable page without the leak clock.
-
-    Seeds recursive traversal from every direct branch target the linear
-    scan finds plus one fallback start per page, then follows chain targets
-    to closure. Used for whole-image mining when the memory image is
-    already in hand rather than leaked page by page."""
+def _closure(image: MemoryImage, opts: HarvestOptions) -> _Traversal:
+    """Run the traversal to closure from every direct branch target the
+    linear scan finds plus the per-page start pointers."""
     targets_by_page = collect_branch_targets(image)
     analysis = ImageAnalysis(image, opts)
     seeds: set[int] = set(
@@ -482,41 +476,31 @@ def offline_disassemble(
     )
     for targets in targets_by_page.values():
         seeds |= targets
-    streams: dict[int, tuple[Instruction, ...]] = {}
-    states: dict[int, PageDisasm] = {}
-    pending: deque[int] = deque(sorted(seeds))
-    handled: set[int] = set()
-    while pending:
-        addr = pending.popleft()
-        if addr in handled:
-            continue
-        handled.add(addr)
-        if not image.is_executable(addr):
-            continue
-        base = page_base(addr)
-        if base not in states:
-            page = image.page_at(addr)
-            states[base] = PageDisasm(page, analysis.decodes(page))
-        if states[base].add_entries([addr]):
-            stream = states[base].instructions()
-            for target in sorted(
-                extract_chain_targets(
-                    stream, image, include_cond=opts.follow_cond_branches
-                )
-            ):
-                if target not in handled:
-                    pending.append(target)
-    for base, st in states.items():
-        streams[base] = st.instructions()
-    return streams
+    walk = _Traversal(analysis, sorted(seeds))
+    for _ in walk:
+        pass
+    return walk
+
+
+def offline_disassemble(
+    image: MemoryImage, opts: HarvestOptions = HarvestOptions()
+) -> dict[int, tuple[Instruction, ...]]:
+    """Disassemble every executable page without the leak clock.
+
+    Runs the harvest's traversal to closure from every direct branch target
+    the linear scan finds plus one start per page. Used for whole-image
+    mining when the memory image is already in hand rather than leaked page
+    by page."""
+    walk = _closure(image, opts)
+    return {base: d.instructions() for base, d in walk.disasms.items()}
 
 
 def mine_image(
     image: MemoryImage, opts: HarvestOptions = HarvestOptions()
 ) -> tuple[Gadget, ...]:
-    """Offline-disassemble the image and mine gadgets from every stream."""
-    mining = opts.mining_options()
+    """Gadgets of every offline-disassembled stream, in page order."""
+    walk = _closure(image, opts)
     out: list[Gadget] = []
-    for base in sorted(streams := offline_disassemble(image, opts)):
-        out.extend(find_gadgets(streams[base], mining))
+    for base in sorted(walk.disasms):
+        out.extend(walk.analysis.mine(walk.disasms[base]).gadgets)
     return tuple(out)

@@ -3,14 +3,26 @@
 from __future__ import annotations
 
 import struct
+from collections import deque
 
-from ropscope.disasm import Instruction, decode
+from ropscope.disasm import (
+    Instruction,
+    PageDisasm,
+    decode,
+    extract_chain_targets,
+)
+from ropscope.harvest import (
+    HarvestOptions,
+    collect_branch_targets,
+    page_start_pointers,
+)
 from ropscope.snapshot import (
     PAGE_SIZE,
     ImageBuilder,
     MemoryImage,
     Perms,
     SegmentTag,
+    page_base,
 )
 
 RX = Perms(True, False, True)
@@ -111,3 +123,37 @@ def gadget_multiset(gadgets) -> list[tuple]:
         )
         for g in gadgets
     )
+
+
+def reference_offline_disassemble(
+    image: MemoryImage, opts: HarvestOptions = HarvestOptions()
+) -> dict[int, tuple[Instruction, ...]]:
+    """Offline disassembly as a FIFO of single addresses: every start
+    pointer and linear-scan target, then each stream's chain targets
+    whenever an entry extends it. An oracle for the shared traversal."""
+    seeds = set(page_start_pointers(image, opts).values())
+    for targets in collect_branch_targets(image).values():
+        seeds |= targets
+    states: dict[int, PageDisasm] = {}
+    pending: deque[int] = deque(sorted(seeds))
+    handled: set[int] = set()
+    while pending:
+        addr = pending.popleft()
+        if addr in handled:
+            continue
+        handled.add(addr)
+        if not image.is_executable(addr):
+            continue
+        base = page_base(addr)
+        if base not in states:
+            states[base] = PageDisasm(image.page_at(addr))
+        if states[base].add_entries([addr]):
+            stream = states[base].instructions()
+            for target in sorted(
+                extract_chain_targets(
+                    stream, image, include_cond=opts.follow_cond_branches
+                )
+            ):
+                if target not in handled:
+                    pending.append(target)
+    return {base: st.instructions() for base, st in states.items()}

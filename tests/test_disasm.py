@@ -1,5 +1,6 @@
 """Decoder truth tables, stream disassembly, and chain-target extraction."""
 
+import functools
 import struct
 
 import pytest
@@ -66,7 +67,9 @@ from ropscope.encode import (
     xchg_rr,
 )
 from ropscope.encode import test_rr as enc_test_rr
-from ropscope.snapshot import ImageBuilder, SegmentTag
+from ropscope.harvest import collect_branch_targets
+from ropscope.snapshot import PAGE_SIZE, ImageBuilder, SegmentTag
+from ropscope.synth import GenParams, generate, materialize
 
 # encoding -> expected text, one row per operand shape the decoder handles
 RENDER_TABLE = [
@@ -302,6 +305,60 @@ def test_page_disasm_shares_decodes_of_its_own_page_only():
     other = code_image(asm(ret()), base=BASE + 0x1000).page_at(BASE + 0x1000)
     with pytest.raises(ValueError):
         PageDisasm(other, decodes)
+
+
+def _batch_and_singles(page, entries):
+    """(addresses, added) of one batch and of one call per ascending entry."""
+    batch = PageDisasm(page)
+    batch_added = batch.add_entries(entries)
+    single = PageDisasm(page)
+    single_added = sum(single.add_entries([e]) for e in sorted(set(entries)))
+    return (batch.addresses(), batch_added), (single.addresses(), single_added)
+
+
+def test_page_disasm_batch_finishes_each_entry_first():
+    # a: jmp to T; b: mov rax, imm64 whose first immediate byte T is c3.
+    # Entry a, taken alone first, claims T as a ret, so b's mov overlaps it.
+    a, b = BASE, BASE + 2
+    target = b + 2
+    code = asm(jmp_rel8(target - (a + 2)), mov_ri(Reg.RAX, 0xC3), ret())
+    assert code[target - BASE] == 0xC3
+    page = _page_of(code_image(code))
+    batch, singles = _batch_and_singles(page, [b, a])
+    assert batch == singles == ((a, target), 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _synth_pages(seed: int):
+    image, _ = materialize(
+        generate(GenParams(n_functions=8, max_functions_per_page=3), seed)
+    )
+    targets = collect_branch_targets(image)
+    return [
+        (page, sorted(targets[page.base])) for page in image.executable_pages()
+    ]
+
+
+@given(
+    seed=st.integers(0, 3),
+    pick=st.integers(0, 1 << 16),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_page_disasm_batch_equals_ascending_singles(seed, pick, data):
+    pages = _synth_pages(seed)
+    page, targets = pages[pick % len(pages)]
+    # Branch targets land on instruction starts; arbitrary offsets add
+    # misaligned paths that overlap them.
+    chosen = (
+        data.draw(st.lists(st.sampled_from(targets), max_size=8))
+        if targets
+        else []
+    )
+    offsets = data.draw(st.lists(st.integers(0, PAGE_SIZE - 1), max_size=6))
+    entries = chosen + [page.base + off for off in offsets]
+    batch, singles = _batch_and_singles(page, entries)
+    assert batch == singles
 
 
 def test_page_disasm_requires_executable_page():

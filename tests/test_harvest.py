@@ -1,11 +1,19 @@
 """Recursive code-page harvesting: closure, costs, events, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 import ropscope.harvest as harvest_module
-from helpers import RW, asm, code_image, gadget_multiset, multi_page_image
+from helpers import (
+    RW,
+    asm,
+    code_image,
+    gadget_multiset,
+    multi_page_image,
+    reference_offline_disassemble,
+)
 from ropscope.disasm import Reg
 from ropscope.encode import (
     call_rel32,
@@ -31,8 +39,21 @@ from ropscope.harvest import (
     page_start_pointers,
 )
 from ropscope.rerand import converge, upper_bound
-from ropscope.snapshot import PAGE_SIZE, ImageBuilder, SegmentTag, page_base
-from ropscope.synth import GenParams, generate, materialize
+from ropscope.snapshot import (
+    PAGE_SIZE,
+    ImageBuilder,
+    SegmentTag,
+    load_image,
+    page_base,
+)
+from ropscope.synth import (
+    GenParams,
+    RandomizationScheme,
+    SchemeKind,
+    apply_scheme,
+    generate,
+    materialize,
+)
 
 
 def call_to(src: int, dst: int) -> bytes:
@@ -361,3 +382,38 @@ def test_offline_mining_equals_stream_mining_on_linear_code():
     ]
     assert gadget_multiset(mined) == gadget_multiset(direct)
     assert gadget_multiset(mine_image(image)) == gadget_multiset(mined)
+
+
+@pytest.mark.parametrize("follow_cond", [True, False])
+@pytest.mark.parametrize("kind", [None, *SchemeKind])
+def test_offline_disassemble_matches_single_entry_reference(kind, follow_cond):
+    opts = HarvestOptions(follow_cond_branches=follow_cond, max_gadget_len=8)
+    for seed, per_page in ((1, 1), (2, 3), (3, None)):
+        program = generate(
+            GenParams(n_functions=10, max_functions_per_page=per_page), seed
+        )
+        if kind is None:
+            image, _ = materialize(program)
+        else:
+            image, _ = apply_scheme(
+                program, RandomizationScheme(kind, seed=seed)
+            )
+        streams = offline_disassemble(image, opts)
+        assert streams == reference_offline_disassemble(image, opts)
+        assert gadget_multiset(mine_image(image, opts)) == gadget_multiset(
+            g
+            for base in sorted(streams)
+            for g in find_gadgets(streams[base], opts.mining_options())
+        )
+
+
+@pytest.mark.parametrize("follow_cond", [True, False])
+def test_offline_disassemble_matches_reference_on_ls(follow_cond):
+    path = Path("/usr/bin/ls")
+    if not path.exists():
+        pytest.skip("/usr/bin/ls is not present")
+    image = load_image(path)
+    opts = HarvestOptions(follow_cond_branches=follow_cond)
+    assert offline_disassemble(image, opts) == reference_offline_disassemble(
+        image, opts
+    )
