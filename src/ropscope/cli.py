@@ -29,7 +29,7 @@ from ropscope.gadgets import (
     category_counts,
     evaluate_set,
     gadget_report_csv,
-    gadget_report_json,
+    gadget_report_rows,
     load_set_spec,
     min_fp_labels,
     resolve_set,
@@ -170,7 +170,7 @@ def _cmd_gadgets(args) -> int:
     if args.format == "csv":
         text = gadget_report_csv(gadgets)
     else:
-        payload = json.loads(gadget_report_json(gadgets))
+        payload = {"gadgets": gadget_report_rows(gadgets)}
         if spec is not None:
             payload["coverage"] = evaluate_set(gadgets, spec).to_dict()
         text = _canonical(payload)

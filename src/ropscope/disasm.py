@@ -443,10 +443,11 @@ _ONE_BYTE_OPS = frozenset(
      *range(0x50, 0x60), *range(0x70, 0x80), *range(0x90, 0x98),
      *range(0xB8, 0xC0)]
 )
-# _FIRST_BYTE[b] is 1 exactly when some byte string starting with b decodes:
-# a one-byte opcode above, a REX prefix, 0x0F (two-byte opcodes) or 0x65
-# (the gs-relative call).
-_FIRST_BYTE = bytes(
+# FIRST_BYTE_TABLE[b] is 1 exactly when some byte string starting with b
+# decodes: a one-byte opcode above, a REX prefix, 0x0F (two-byte opcodes) or
+# 0x65 (the gs-relative call). As a bytes.translate table it maps a page to a
+# mask whose zero bytes decode to None at once.
+FIRST_BYTE_TABLE = bytes(
     int(b in _ONE_BYTE_OPS or 0x40 <= b <= 0x4F or b in (0x0F, 0x65))
     for b in range(256)
 )
@@ -457,7 +458,7 @@ def decode(data: bytes, addr: int, offset: int = 0) -> Instruction | None:
 
     Returns None for anything outside the supported subset; the invalid
     marker always consumes 1 byte."""
-    if offset >= len(data) or not _FIRST_BYTE[data[offset]]:
+    if offset >= len(data) or not FIRST_BYTE_TABLE[data[offset]]:
         return None
     try:
         return _decode_body(_Cursor(data, offset, addr))

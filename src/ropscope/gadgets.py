@@ -18,13 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ropscope.disasm import (
-    GS_CALL_BYTES,
-    Instruction,
-    Mnemonic,
-    Operand,
-    Reg,
-)
+from ropscope.disasm import GS_CALL_BYTES, Instruction, Mnemonic, Reg
 
 
 class GadgetType(str, Enum):
@@ -166,10 +160,6 @@ class MiningOptions:
 # is in the type's minimal shape (register operands or a bare [reg] address).
 
 
-def _mem_of(op: Operand):
-    return op.mem
-
-
 def _insn_cores(insn: Instruction) -> list[tuple[GadgetType, bool]]:
     hits: list[tuple[GadgetType, bool]] = []
     m = insn.mnemonic
@@ -182,18 +172,18 @@ def _insn_cores(insn: Instruction) -> list[tuple[GadgetType, bool]]:
         elif dst.is_reg and (src.is_reg or src.is_imm):
             hits.append((GadgetType.MR, True))
         elif dst.is_reg and src.is_mem:
-            mem = _mem_of(src)
+            mem = src.mem
             hits.append((GadgetType.LM, mem.is_bare))
             if mem.base is not None and mem.index is None and mem.disp != 0:
                 hits.append((GadgetType.LMEX, True))
         elif dst.is_mem and src.is_reg:
-            mem = _mem_of(dst)
+            mem = dst.mem
             hits.append((GadgetType.SM, mem.is_bare))
             hits.append((GadgetType.ST, mem.is_bare))
             if mem.base is not None and mem.index is None and mem.disp != 0:
                 hits.append((GadgetType.STCONSTEX, True))
         elif dst.is_mem and src.is_imm:
-            mem = _mem_of(dst)
+            mem = dst.mem
             hits.append((GadgetType.STCONST, mem.is_bare))
             if mem.base is not None and mem.index is None and mem.disp != 0:
                 hits.append((GadgetType.STCONSTEX, True))
@@ -205,9 +195,9 @@ def _insn_cores(insn: Instruction) -> list[tuple[GadgetType, bool]]:
         elif dst.is_reg and (src.is_reg or src.is_imm):
             hits.append((GadgetType.AM, True))
         elif dst.is_reg and src.is_mem:
-            hits.append((GadgetType.AM_LD, _mem_of(src).is_bare))
+            hits.append((GadgetType.AM_LD, src.mem.is_bare))
         elif dst.is_mem and src.is_reg:
-            hits.append((GadgetType.AM_ST, _mem_of(dst).is_bare))
+            hits.append((GadgetType.AM_ST, dst.mem.is_bare))
 
     elif m in _LOGICAL and len(ops) == 2:
         dst, src = ops
@@ -216,7 +206,7 @@ def _insn_cores(insn: Instruction) -> list[tuple[GadgetType, bool]]:
         elif dst.is_reg:
             hits.append((GadgetType.LOGIC, True))
         elif dst.is_mem:
-            hits.append((GadgetType.LOGIC, _mem_of(dst).is_bare))
+            hits.append((GadgetType.LOGIC, dst.mem.is_bare))
 
     elif m is Mnemonic.POP and ops:
         reg = ops[0].reg
@@ -261,20 +251,14 @@ _RET_TERMINATED_TYPES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Classification:
-    types: frozenset[GadgetType]
-    footprints: Mapping[GadgetType, Footprint]
-    core_index: Mapping[GadgetType, int]
-
-
 def classify(
     insns: Sequence[Instruction], enable_heuristic_types: bool = False
-) -> Classification:
-    """Assign type labels to an instruction window.
+) -> Gadget:
+    """Classify an instruction window into the gadget it forms.
 
-    Classification is position-pure: it depends only on mnemonics, operands,
-    and branch offsets relative to the window, never on absolute addresses.
+    Types, footprints and core indices are position-pure: they depend only
+    on mnemonics, operands, and branch offsets relative to the window, never
+    on absolute addresses.
     """
     assert insns, "cannot classify an empty window"
     last = insns[-1]
@@ -305,11 +289,7 @@ def classify(
                 minimal = strict and n == 2 and idx == 0
             else:
                 continue
-        elif gtype is GadgetType.JMP:
-            if idx != n - 1:
-                continue
-            minimal = strict and n == 1
-        elif gtype is GadgetType.CALL:
+        elif gtype is GadgetType.JMP or gtype is GadgetType.CALL:
             if idx != n - 1:
                 continue
             minimal = strict and n == 1
@@ -417,53 +397,23 @@ def classify(
             cores[GadgetType.FS] = 0
             footprints[GadgetType.FS] = Footprint.EX_FP
 
-    return Classification(
-        types=frozenset(cores), footprints=footprints, core_index=cores
+    return Gadget(
+        addr=insns[0].addr,
+        insns=tuple(insns),
+        types=frozenset(cores),
+        footprints=footprints,
+        core_index=cores,
     )
 
 
-_SYS_SCAN_PATTERNS = (
-    bytes([0x0F, 0x05]),
-    bytes([0x0F, 0x34]),
-    bytes([0xCD, 0x80]),
-    GS_CALL_BYTES,
+# A system-entry instruction ends a window only in its plain encoding; a
+# prefixed one is still a SYS core mid-window.
+_SYS_ENTRY_OPCODES = (b"\x0f\x05", b"\x0f\x34", b"\xcd\x80", GS_CALL_BYTES)
+
+# Unconditional control transfers no window may span.
+_BLOCKERS = frozenset(
+    {Mnemonic.RET, Mnemonic.RET_IMM, Mnemonic.JMP_REL, Mnemonic.JMP_RM}
 )
-
-
-def locate_sys_anchors(insns: Sequence[Instruction]) -> list[int]:
-    """Scan raw stream bytes for system-entry opcode strings, keeping only
-    hits aligned to a legitimate instruction of the same kind. Misaligned
-    occurrences (immediates, displacements) are rejected."""
-    by_addr = {i.addr: i for i in insns}
-    anchors: list[int] = []
-    # Work over maximal byte-adjacent runs so patterns inside one instruction
-    # but spanning into the next are still visible to the scan.
-    runs: list[tuple[int, bytes]] = []
-    current_start: int | None = None
-    current = b""
-    prev_end: int | None = None
-    for insn in insns:
-        if prev_end is not None and insn.addr == prev_end:
-            current += insn.raw
-        else:
-            if current_start is not None:
-                runs.append((current_start, current))
-            current_start = insn.addr
-            current = insn.raw
-        prev_end = insn.end
-    if current_start is not None:
-        runs.append((current_start, current))
-
-    for start, blob in runs:
-        for pattern in _SYS_SCAN_PATTERNS:
-            pos = blob.find(pattern)
-            while pos != -1:
-                addr = start + pos
-                insn = by_addr.get(addr)
-                if insn is not None and insn.raw.startswith(pattern) and _is_sys_core(insn):
-                    anchors.append(addr)
-                pos = blob.find(pattern, pos + 1)
-    return sorted(set(anchors))
 
 
 def find_gadgets(
@@ -473,13 +423,11 @@ def find_gadgets(
 
     For each terminator, every byte-adjacent backward window up to
     opts.max_len instructions becomes a gadget, provided no unconditional
-    control-flow break sits mid-window. System-entry terminators are located
-    by the raw opcode scan with alignment verification.
+    control-flow break sits mid-window. A system-entry instruction is a
+    terminator only when its encoding starts with the plain opcode bytes.
     """
+    heuristic = opts.enable_heuristic_types
     stream = sorted(insns, key=lambda i: i.addr)
-    index_of = {insn.addr: pos for pos, insn in enumerate(stream)}
-
-    sys_anchor_addrs = set(locate_sys_anchors(stream))
     terminator_positions = []
     for pos, insn in enumerate(stream):
         if insn.mnemonic in _RET_CLASS or insn.mnemonic in (
@@ -488,12 +436,11 @@ def find_gadgets(
         ):
             terminator_positions.append(pos)
         elif _is_sys_core(insn):
-            if insn.addr in sys_anchor_addrs:
+            if insn.raw.startswith(_SYS_ENTRY_OPCODES):
                 terminator_positions.append(pos)
-        elif opts.enable_heuristic_types and insn.mnemonic is Mnemonic.JMP_REL:
+        elif heuristic and insn.mnemonic is Mnemonic.JMP_REL:
             terminator_positions.append(pos)
 
-    blockers = {Mnemonic.RET, Mnemonic.RET_IMM, Mnemonic.JMP_REL, Mnemonic.JMP_RM}
     gadgets: list[Gadget] = []
     for pos in terminator_positions:
         window: list[Instruction] = [stream[pos]]
@@ -502,31 +449,14 @@ def find_gadgets(
             if prev_pos < 0:
                 break
             prev = stream[prev_pos]
-            if prev.end != window[0].addr:
-                break
-            if prev.mnemonic in blockers:
+            if prev.end != window[0].addr or prev.mnemonic in _BLOCKERS:
                 break
             window.insert(0, prev)
-            _emit(gadgets, window, opts)
-        # The single-instruction window comes last so ordering by (addr, len)
-        # below is what callers see; emit it now regardless.
-        _emit(gadgets, [stream[pos]], opts)
+            gadgets.append(classify(window, heuristic))
+        gadgets.append(classify([stream[pos]], heuristic))
 
     gadgets.sort(key=lambda g: (g.addr, g.length))
     return tuple(gadgets)
-
-
-def _emit(out: list[Gadget], window: Sequence[Instruction], opts: MiningOptions) -> None:
-    cls = classify(window, enable_heuristic_types=opts.enable_heuristic_types)
-    out.append(
-        Gadget(
-            addr=window[0].addr,
-            insns=tuple(window),
-            types=cls.types,
-            footprints=dict(cls.footprints),
-            core_index=dict(cls.core_index),
-        )
-    )
 
 
 @dataclass(frozen=True)
@@ -710,14 +640,6 @@ def gadget_report_rows(gadgets: Iterable[Gadget]) -> list[dict]:
             }
         )
     return rows
-
-
-def gadget_report_json(gadgets: Iterable[Gadget]) -> str:
-    return json.dumps(
-        {"gadgets": gadget_report_rows(gadgets)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
 
 
 def gadget_report_csv(gadgets: Iterable[Gadget]) -> str:

@@ -22,6 +22,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from ropscope.disasm import (
+    FIRST_BYTE_TABLE,
     Instruction,
     PageDecodes,
     PageDisasm,
@@ -386,23 +387,28 @@ def _sweep_accepts(decodes: PageDecodes, offset: int) -> bool:
 
 
 def collect_branch_targets(image: MemoryImage) -> dict[int, set[int]]:
-    """Linear-scan every executable page, resynchronizing byte by byte on
-    invalid opcodes, and collect direct branch targets keyed by the page
-    they land in. Targets outside executable pages are dropped."""
+    """Linear-scan every executable page, resynchronizing on the next byte
+    that can start an instruction after an invalid decode, and collect
+    direct branch targets keyed by the page they land in. Targets outside
+    executable pages are dropped."""
     exec_pages = image.executable_pages()
     targets_by_page: dict[int, set[int]] = {p.base: set() for p in exec_pages}
     for page in exec_pages:
-        pos = 0
-        while pos < PAGE_SIZE:
+        # Bytes the mask marks 0 decode to None at once, so skipping them
+        # is the same walk as advancing one byte at a time.
+        mask = page.data.translate(FIRST_BYTE_TABLE)
+        pos = mask.find(1)
+        while pos != -1:
             insn = decode(page.data, page.base + pos, pos)
             if insn is None:
                 pos += 1
-                continue
-            if insn.branch_target is not None:
-                tbase = page_base(insn.branch_target)
-                if tbase in targets_by_page:
-                    targets_by_page[tbase].add(insn.branch_target)
-            pos += insn.length
+            else:
+                if insn.branch_target is not None:
+                    tbase = page_base(insn.branch_target)
+                    if tbase in targets_by_page:
+                        targets_by_page[tbase].add(insn.branch_target)
+                pos += insn.length
+            pos = mask.find(1, pos)
     return targets_by_page
 
 

@@ -6,7 +6,9 @@ import struct
 from collections import deque
 
 from ropscope.disasm import (
+    GS_CALL_BYTES,
     Instruction,
+    Mnemonic,
     PageDisasm,
     decode,
     extract_chain_targets,
@@ -157,3 +159,78 @@ def reference_offline_disassemble(
                 if target not in handled:
                     pending.append(target)
     return {base: st.instructions() for base, st in states.items()}
+
+
+def is_sys_entry(insn: Instruction) -> bool:
+    """syscall, sysenter, int 0x80 or the gs-relative call, in any encoding."""
+    if insn.mnemonic in (Mnemonic.SYSCALL, Mnemonic.SYSENTER, Mnemonic.CALL_GS):
+        return True
+    return (
+        insn.mnemonic is Mnemonic.INT
+        and bool(insn.operands)
+        and insn.operands[0].imm == 0x80
+    )
+
+
+_SYS_SCAN_PATTERNS = (
+    bytes([0x0F, 0x05]),
+    bytes([0x0F, 0x34]),
+    bytes([0xCD, 0x80]),
+    GS_CALL_BYTES,
+)
+
+
+def reference_sys_anchors(insns) -> list[int]:
+    """System-entry anchors found by scanning raw stream bytes for the
+    opcode strings, keeping only hits aligned to a system-entry instruction
+    whose encoding starts with the hit. An oracle for the per-instruction
+    terminator rule in find_gadgets."""
+    by_addr = {i.addr: i for i in insns}
+    anchors: list[int] = []
+    # Maximal byte-adjacent runs, so patterns spanning two instructions are
+    # visible to the scan too.
+    runs: list[tuple[int, bytes]] = []
+    current_start: int | None = None
+    current = b""
+    prev_end: int | None = None
+    for insn in insns:
+        if prev_end is not None and insn.addr == prev_end:
+            current += insn.raw
+        else:
+            if current_start is not None:
+                runs.append((current_start, current))
+            current_start = insn.addr
+            current = insn.raw
+        prev_end = insn.end
+    if current_start is not None:
+        runs.append((current_start, current))
+
+    for start, blob in runs:
+        for pattern in _SYS_SCAN_PATTERNS:
+            pos = blob.find(pattern)
+            while pos != -1:
+                insn = by_addr.get(start + pos)
+                if insn is not None and insn.raw.startswith(pattern) \
+                        and is_sys_entry(insn):
+                    anchors.append(start + pos)
+                pos = blob.find(pattern, pos + 1)
+    return sorted(set(anchors))
+
+
+def reference_branch_targets(image: MemoryImage) -> dict[int, set[int]]:
+    """Direct branch targets by page from a linear scan that resynchronizes
+    one byte at a time. An oracle for collect_branch_targets."""
+    exec_pages = image.executable_pages()
+    targets_by_page: dict[int, set[int]] = {p.base: set() for p in exec_pages}
+    for page in exec_pages:
+        pos = 0
+        while pos < PAGE_SIZE:
+            insn = decode(page.data[pos:], page.base + pos)
+            if insn is None:
+                pos += 1
+                continue
+            target = insn.branch_target
+            if target is not None and page_base(target) in targets_by_page:
+                targets_by_page[page_base(target)].add(target)
+            pos += insn.length
+    return targets_by_page

@@ -176,17 +176,6 @@ def _decode_all(data: bytes, base: int):
     return tuple(out)
 
 
-def _window(insns) -> Gadget:
-    cls = classify(insns)
-    return Gadget(
-        addr=insns[0].addr,
-        insns=tuple(insns),
-        types=cls.types,
-        footprints=dict(cls.footprints),
-        core_index=dict(cls.core_index),
-    )
-
-
 @pytest.mark.criterion(
     "4. checksum-style window judged corrupted at core 'mov eax, edx'; "
     "'pop rbx; ret' uncorrupted; nop padding never flips clean windows to "
@@ -195,7 +184,7 @@ def _window(insns) -> Gadget:
 def test_corruption_exemplar_and_padding_property():
     t0 = time.perf_counter()
 
-    checksum = _window(decode_stream(asm(
+    checksum = classify(decode_stream(asm(
         mov_rm(Reg.RDX, Reg.RDI, width=32),
         mov_rr(Reg.RAX, Reg.RDX, width=32),
         shr_ri(Reg.RAX, 0x10, width=32),
@@ -208,7 +197,7 @@ def test_corruption_exemplar_and_padding_property():
     assert verdict.corrupted
     assert verdict.shape is GadgetShape.TYPE1
 
-    plain = _window(decode_stream(asm(pop_r(Reg.RBX), ret())))
+    plain = classify(decode_stream(asm(pop_r(Reg.RBX), ret())))
     assert not analyze_corruption(plain, GadgetType.LR).corrupted
 
     # Property: a nop contributes no reads or writes, so extending any
@@ -231,7 +220,7 @@ def test_corruption_exemplar_and_padding_property():
             t: analyze_corruption(gadget, t).corrupted
             for t in gadget.core_index
         }
-        padded = _window(_decode_all(b"\x90" + gadget.raw, gadget.addr - 1))
+        padded = classify(_decode_all(b"\x90" + gadget.raw, gadget.addr - 1))
         for gtype, was_corrupted in before.items():
             if padded.core_index.get(gtype) != gadget.core_index[gtype] + 1:
                 continue

@@ -235,7 +235,7 @@ def test_first_byte_table_is_exact():
     for first in range(256):
         starts = [bytes([first, second]) + tail for second in range(256)]
         decodable = any(_decode_unfiltered(s) is not None for s in starts)
-        assert decodable == bool(disasm._FIRST_BYTE[first]), hex(first)
+        assert decodable == bool(disasm.FIRST_BYTE_TABLE[first]), hex(first)
         if not decodable:
             assert all(decode(s, 0) is None for s in starts), hex(first)
 

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import asm, decode_stream, gadget_multiset
+from helpers import (
+    asm,
+    decode_stream,
+    gadget_multiset,
+    is_sys_entry,
+    reference_sys_anchors,
+)
 from ropscope.disasm import Reg
 from ropscope.encode import (
     alu_mr,
@@ -17,6 +23,8 @@ from ropscope.encode import (
     call_r,
     call_rel32,
     gs_call,
+    int80,
+    int_n,
     jcc_rel8,
     jmp_m,
     jmp_r,
@@ -35,6 +43,7 @@ from ropscope.encode import (
     ret_imm,
     shl_cl,
     syscall,
+    sysenter,
     xchg_rr,
 )
 from ropscope.gadgets import (
@@ -51,11 +60,9 @@ from ropscope.gadgets import (
     evaluate_set,
     find_gadgets,
     gadget_report_csv,
-    gadget_report_json,
     gadget_report_rows,
     leaked_types,
     load_set_spec,
-    locate_sys_anchors,
     resolve_set,
 )
 
@@ -274,13 +281,22 @@ def test_jmp_rel_terminators_only_with_heuristics():
     assert any(GadgetType.STOP in g.types for g in fuzzy)
 
 
+def sys_terminators(insns, opts: MiningOptions = MiningOptions()) -> list[int]:
+    """Addresses of the system-entry instructions find_gadgets ends
+    windows at; every terminator yields at least its one-instruction
+    window."""
+    return sorted({
+        g.terminator.addr for g in find_gadgets(insns, opts)
+        if is_sys_entry(g.terminator)
+    })
+
+
 def test_sys_anchor_alignment_rejects_embedded_bytes():
     # The syscall opcode bytes sit inside a mov immediate; only the real
     # syscall instruction may anchor windows.
     code = asm(mov_ri(Reg.RAX, 0x050F), syscall(), ret())
     insns = decode_stream(code)
-    anchors = locate_sys_anchors(insns)
-    assert anchors == [insns[1].addr]
+    assert sys_terminators(insns) == [insns[1].addr]
     gadgets = find_gadgets(insns)
     sys_windows = [g for g in gadgets if GadgetType.SYS in g.types]
     assert sys_windows
@@ -288,15 +304,49 @@ def test_sys_anchor_alignment_rejects_embedded_bytes():
 
 
 def test_sys_anchors_cover_all_entry_kinds():
-    from ropscope.encode import int80, sysenter
-
     code = asm(syscall(), ret(), sysenter(), ret(), int80(), ret(),
                gs_call(), ret())
     insns = decode_stream(code)
     expected = [i.addr for i in insns
                 if i.render() in ("syscall", "sysenter", "int 0x80",
                                   "call gs:[0x10]")]
-    assert locate_sys_anchors(insns) == expected
+    assert sys_terminators(insns) == expected
+
+
+def test_prefixed_sys_entry_is_a_core_but_not_a_terminator():
+    code = asm(bytes.fromhex("480f05"), ret())
+    insns = decode_stream(code)
+    assert is_sys_entry(insns[0])
+    assert sys_terminators(insns) == []
+    (window,) = [g for g in find_gadgets(insns) if g.length == 2]
+    assert window.footprint(GadgetType.SYS) is MIN
+
+
+_SYS_STREAM_CHUNKS = st.sampled_from([
+    syscall(), sysenter(), int80(), gs_call(), int_n(0x03),
+    bytes.fromhex("480f05"), bytes.fromhex("410f34"), bytes.fromhex("41cd80"),
+    mov_ri(Reg.RAX, 0x050F), mov_ri(Reg.RAX, 0x80CD, width=32),
+    ret(), nop(), pop_r(Reg.RBX), mov_rr(Reg.RDI, Reg.RAX), jmp_r(Reg.RDX),
+    call_r(Reg.RSI), jmp_rel8(-2),
+])
+
+
+@given(
+    runs=st.lists(st.lists(_SYS_STREAM_CHUNKS, min_size=1, max_size=12),
+                  min_size=1, max_size=3),
+    gap=st.integers(0, 3),
+    heuristic=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_sys_terminators_equal_raw_scan_anchors(runs, gap, heuristic):
+    # Byte-adjacent runs, separated by gaps when gap > 0, form one stream.
+    insns, addr = [], 0x400000
+    for run in runs:
+        code = asm(*run)
+        insns += decode_stream(code, base=addr)
+        addr += len(code) + gap
+    opts = MiningOptions(enable_heuristic_types=heuristic)
+    assert sys_terminators(insns, opts) == reference_sys_anchors(insns)
 
 
 def test_gadget_accessors():
@@ -412,10 +462,6 @@ def test_gadget_reports():
     lines = csv_text.strip().splitlines()
     assert lines[0].startswith("addr,")
     assert len(lines) == len(gadgets) + 1
-
-    parsed = json.loads(gadget_report_json(gadgets))
-    assert len(parsed["gadgets"]) == len(gadgets)
-    assert parsed["gadgets"][0]["text"] == "pop rbx; ret"
 
 
 def test_gadget_multiset_helper_is_order_insensitive():

@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ropscope.harvest as harvest_module
 from helpers import (
@@ -12,6 +14,7 @@ from helpers import (
     code_image,
     gadget_multiset,
     multi_page_image,
+    reference_branch_targets,
     reference_offline_disassemble,
 )
 from ropscope.disasm import Reg
@@ -356,6 +359,36 @@ def test_collect_branch_targets_groups_by_page():
     assert 0x11FC020 in all_targets
     for target_page, targets in grouped.items():
         assert all(page_base(t) == target_page for t in targets)
+
+
+_REL = st.integers(-2 * PAGE_SIZE, 3 * PAGE_SIZE)
+_SCAN_CHUNKS = st.one_of(
+    st.binary(min_size=1, max_size=12),
+    st.builds(jmp_rel32, _REL),
+    st.builds(call_rel32, _REL),
+    st.builds(jcc_rel32, st.integers(0, 15), _REL),
+    st.sampled_from([nop(), ret(), syscall(), pop_r(Reg.RBX)]),
+)
+
+
+@given(
+    pages=st.lists(
+        st.tuples(st.lists(_SCAN_CHUNKS, min_size=1, max_size=40),
+                  st.integers(0, PAGE_SIZE)),
+        min_size=1, max_size=3,
+    ),
+    fill=st.sampled_from([0x06, 0x00, 0xCC, 0x90, 0x0F]),
+)
+@settings(max_examples=40, deadline=None)
+def test_collect_branch_targets_matches_byte_by_byte_scan(pages, fill):
+    # Each page's code sits at a drawn offset, cut at the page end, in a
+    # poison fill that may or may not decode.
+    contents = {}
+    for i, (chunks, offset) in enumerate(pages):
+        code = asm(*chunks)[: PAGE_SIZE - offset]
+        contents[0x400000 + i * PAGE_SIZE] = bytes([fill]) * offset + code
+    image = multi_page_image(contents, fill=fill)
+    assert collect_branch_targets(image) == reference_branch_targets(image)
 
 
 def test_mine_image_scans_branch_targets_once(monkeypatch):

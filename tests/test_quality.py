@@ -49,15 +49,7 @@ def gadget_of(code: bytes, length: int | None = None, max_len: int = 8):
 def classified_window(code: bytes) -> Gadget:
     """Classify a window directly; needed for pivot-terminated windows that
     mining never emits."""
-    insns = decode_stream(code)
-    cls = classify(insns)
-    return Gadget(
-        addr=insns[0].addr,
-        insns=tuple(insns),
-        types=cls.types,
-        footprints=dict(cls.footprints),
-        core_index=dict(cls.core_index),
-    )
+    return classify(decode_stream(code))
 
 
 def test_checksum_style_window_is_corrupted():
