@@ -104,6 +104,11 @@ class Mnemonic(Enum):
     SYSENTER = auto()
     INT = auto()
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash agrees with equality; Enum's own hashes the name in Python, on
+    # every set and dict lookup of the hot paths.
+    __hash__ = object.__hash__
+
 
 _MNEMONIC_TEXT = {
     Mnemonic.MOV: "mov", Mnemonic.LEA: "lea", Mnemonic.ADD: "add",

@@ -14,12 +14,13 @@ available, which is what rerandomization-interval analysis consumes.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ropscope.disasm import (
     FIRST_BYTE_TABLE,
@@ -97,8 +98,7 @@ class HarvestTrace:
     pages_found: int
     skipped_targets: int
     converged: bool
-    # Analysis products; not part of the serialized trace.
-    streams: dict[int, tuple[Instruction, ...]] = field(default_factory=dict)
+    # Analysis product; not part of the serialized trace.
     gadgets: tuple[Gadget, ...] = ()
 
     @property
@@ -159,14 +159,39 @@ class MinedStream(NamedTuple):
     types: frozenset[GadgetType]
 
 
+class _Node:
+    """One traversal state of a page in ImageAnalysis's tree: the stream
+    after a history of entry batches. `added` counts the instructions the
+    last batch added and `mined` is the stream's mining result. The root of
+    a page's tree stands for the page not yet visited and holds no state.
+    A node is never changed after it is built, except to gain children."""
+
+    __slots__ = ("disasm", "added", "mined", "children")
+
+    def __init__(
+        self,
+        disasm: PageDisasm | None = None,
+        added: int = 0,
+        mined: MinedStream | None = None,
+    ):
+        self.disasm = disasm
+        self.added = added
+        self.mined = mined
+        self.children: dict[tuple[int, ...], _Node] = {}
+
+
 class ImageAnalysis:
     """Facts that depend only on the image and the mining options, computed
     once and shared by every harvest over that image.
 
-    It holds each page's decode results by offset and, per page stream
-    (page base and the addresses of its instructions), what mining that
-    stream yields. A harvest still replays its own traversal, so its clock
-    counts exactly the instructions it decodes itself.
+    It holds each page's decode results by offset, what mining each page
+    stream (page base and the addresses of its instructions) yields, and a
+    tree of traversal states per page. A child in the tree is keyed by the
+    sorted entries of one batch and holds the state that batch leads to, so
+    a harvest replays its traversal as lookups: `PageDisasm.add_entries`
+    runs once per distinct batch history over all harvests. Clocks read the
+    instruction count stored in each node, which is what the harvest would
+    have decoded itself.
     """
 
     def __init__(
@@ -177,6 +202,7 @@ class ImageAnalysis:
         self.follow_cond_branches = opts.follow_cond_branches
         self._decodes: dict[int, PageDecodes] = {}
         self._mined: dict[tuple[int, tuple[int, ...]], MinedStream] = {}
+        self._roots: dict[int, _Node] = {}
 
     def check(self, image: MemoryImage, opts: HarvestOptions) -> None:
         """Raise ValueError unless built for this image and these options."""
@@ -208,6 +234,36 @@ class ImageAnalysis:
             )
         return mined
 
+    def root(self, base: int) -> _Node:
+        """The tree node of the page at `base` before its first visit."""
+        node = self._roots.get(base)
+        if node is None:
+            node = self._roots[base] = _Node()
+        return node
+
+    def advance(self, base: int, node: _Node, entries: Iterable[int]) -> _Node:
+        """The node reached from `node` of the page at `base` by adding one
+        batch of entries, built on first use."""
+        key = tuple(sorted(entries))
+        child = node.children.get(key)
+        if child is None:
+            parent = node.disasm
+            if parent is None:
+                page = self.image.page_at(base)
+                disasm = PageDisasm(page, self.decodes(page))
+            else:
+                disasm = copy.copy(parent)
+                disasm.insns = dict(parent.insns)
+                disasm.entries = set(parent.entries)
+                disasm._claimed = bytearray(parent._claimed)
+            added = disasm.add_entries(key)
+            if added or parent is None:
+                mined = self.mine(disasm)
+            else:  # the batch left the stream as it was
+                mined = node.mined
+            child = node.children[key] = _Node(disasm, added, mined)
+        return child
+
 
 class _Traversal:
     """The harvester's page loop, shared by the clocked harvest and offline
@@ -215,56 +271,60 @@ class _Traversal:
 
     Seeds and every chain target found later become pending entries of
     their page; a page is queued whenever it has pending entries, and each
-    visit adds them all as one batch. Iterating yields, per visit, the page
-    base, whether this is its first visit, the instructions the batch added
-    and, when the stream changed or on the first visit, its mining results
-    (None otherwise). A mined page's chain targets are queued before the
-    visit is yielded, so `skipped` counts them even if the caller stops.
+    visit adds them all as one batch, moving the page's node down the
+    analysis's tree. Iterating yields, per visit, the page base, whether
+    this is its first visit, the instructions the batch added and, when the
+    stream changed or on the first visit, its mining results (None
+    otherwise). A mined page's chain targets are queued before the visit is
+    yielded, so `skipped` counts them even if the caller stops.
     """
 
     def __init__(self, analysis: ImageAnalysis, seeds: Iterable[int]):
         self.analysis = analysis
-        self.disasms: dict[int, PageDisasm] = {}
+        self.nodes: dict[int, _Node] = {}
         self.skipped = 0
         self._pending: dict[int, set[int]] = {}
         self._handled: set[int] = set()
         self._queue: deque[int] = deque()
-        self._visited: set[int] = set()
-        for addr in seeds:
-            self._add_target(addr)
+        self._add_targets(sorted(set(seeds)))
 
-    def _add_target(self, addr: int) -> None:
-        if addr in self._handled:
+    def _add_targets(self, targets: Sequence[int]) -> None:
+        """Queue the ascending targets not handled before, in that order."""
+        handled = self._handled
+        if handled.issuperset(targets):
             return
-        self._handled.add(addr)
+        fresh = [t for t in targets if t not in handled]
+        handled.update(fresh)
         image = self.analysis.image
-        if not image.is_executable(addr):
-            self.skipped += 1
-            return
-        base = page_base(addr)
-        if base not in self.disasms:
-            page = image.page_at(addr)
-            self.disasms[base] = PageDisasm(page, self.analysis.decodes(page))
-        if base not in self._pending:
-            self._pending[base] = set()
-            self._queue.append(base)
-        self._pending[base].add(addr)
+        for addr in fresh:
+            if not image.is_executable(addr):
+                self.skipped += 1
+                continue
+            base = page_base(addr)
+            pending = self._pending.get(base)
+            if pending is None:
+                self._queue.append(base)
+                pending = self._pending[base] = set()
+            pending.add(addr)
 
     def __iter__(
         self,
     ) -> Iterator[tuple[int, bool, int, MinedStream | None]]:
+        analysis = self.analysis
         while self._queue:
             base = self._queue.popleft()
-            first_visit = base not in self._visited
-            self._visited.add(base)
-            disasm = self.disasms[base]
-            new_insns = disasm.add_entries(self._pending.pop(base))
+            node = self.nodes.get(base)
+            first_visit = node is None
+            if first_visit:
+                node = analysis.root(base)
+            node = self.nodes[base] = analysis.advance(
+                base, node, self._pending.pop(base)
+            )
             mined = None
-            if new_insns or first_visit:
-                mined = self.analysis.mine(disasm)
-                for target in mined.targets:
-                    self._add_target(target)
-            yield base, first_visit, new_insns, mined
+            if node.added or first_visit:
+                mined = node.mined
+                self._add_targets(mined.targets)
+            yield base, first_visit, node.added, mined
 
 
 def harvest(
@@ -356,9 +416,6 @@ def harvest(
         pages_found=len(page_gadgets),
         skipped_targets=walk.skipped,
         converged=converged if tracked is not None else False,
-        streams={
-            b: walk.disasms[b].instructions() for b in sorted(page_gadgets)
-        },
         gadgets=tuple(all_gadgets),
     )
 
@@ -498,7 +555,7 @@ def offline_disassemble(
     mining when the memory image is already in hand rather than leaked page
     by page."""
     walk = _closure(image, opts)
-    return {base: d.instructions() for base, d in walk.disasms.items()}
+    return {base: n.disasm.instructions() for base, n in walk.nodes.items()}
 
 
 def mine_image(
@@ -507,6 +564,6 @@ def mine_image(
     """Gadgets of every offline-disassembled stream, in page order."""
     walk = _closure(image, opts)
     out: list[Gadget] = []
-    for base in sorted(walk.disasms):
-        out.extend(walk.analysis.mine(walk.disasms[base]).gadgets)
+    for base in sorted(walk.nodes):
+        out.extend(walk.nodes[base].mined.gadgets)
     return tuple(out)

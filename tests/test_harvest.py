@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ropscope.harvest as harvest_module
+import ropscope.rerand as rerand_module
 from helpers import (
     RW,
     asm,
@@ -17,7 +18,7 @@ from helpers import (
     reference_branch_targets,
     reference_offline_disassemble,
 )
-from ropscope.disasm import Reg
+from ropscope.disasm import PageDisasm, Reg
 from ropscope.encode import (
     call_rel32,
     jcc_rel32,
@@ -97,9 +98,9 @@ def test_harvest_cost_accounting():
     image, start, _ = topology_image()
     trace = harvest(image, start)
     assert trace.leak_cost == 100 * trace.pages_found
-    assert trace.analysis_cost == sum(
-        len(stream) for stream in trace.streams.values()
-    )
+    # Page A runs call, call, ret from the start; pages B and C each run
+    # two instructions to their ret.
+    assert trace.analysis_cost == 3 + 2 + 2
     assert trace.leak_cost + trace.analysis_cost == trace.total_cost
 
 
@@ -265,9 +266,10 @@ def test_harvest_all_starts_is_sorted_and_complete():
 
 
 # One function per page on 1, 24 and 60 pages, where every start reaches a
-# page with the same entries; and three functions per page without strong
+# page with the same entries; three functions per page without strong
 # connectivity, where starts reach the same page through different entries
-# and so mine several streams of it.
+# and so mine several streams of it; and /usr/bin/ls, whose overlapping
+# real code paths also reach pages through different batch histories.
 SHARED_CORPORA = {
     "1page": GenParams(n_functions=1, max_functions_per_page=1),
     "24pages": GenParams(n_functions=24, max_functions_per_page=1),
@@ -281,8 +283,13 @@ SHARED_CORPORA = {
 }
 
 
-@pytest.fixture(scope="module", params=sorted(SHARED_CORPORA))
+@pytest.fixture(scope="module", params=[*sorted(SHARED_CORPORA), "ls"])
 def shared_corpus(request):
+    if request.param == "ls":
+        path = Path("/usr/bin/ls")
+        if not path.exists():
+            pytest.skip("/usr/bin/ls is not present")
+        return load_image(path)
     image, _ = materialize(generate(SHARED_CORPORA[request.param], seed=7))
     return image
 
@@ -295,10 +302,13 @@ def test_shared_analysis_matches_fresh_runs(shared_corpus):
     opts = HarvestOptions(max_gadget_len=10, track_set=tc)
     starts = sorted(set(page_start_pointers(image, opts).values()))
 
-    report = upper_bound(image, tc, opts)
-    assert dict(report.per_start) == {
-        s: converge(image, s, tc, opts) for s in starts
-    }
+    fresh = {s: converge(image, s, tc, opts) for s in starts}
+    assert dict(upper_bound(image, tc, opts).per_start) == fresh
+    # In reverse order, one analysis reaches pages through other batch
+    # histories than upper_bound's ascending starts do.
+    analysis = ImageAnalysis(image, opts)
+    for s in reversed(starts):
+        assert converge(image, s, tc, opts, analysis) == fresh[s]
 
     traces = harvest_all_starts(image, opts)
     assert list(traces) == starts
@@ -306,6 +316,81 @@ def test_shared_analysis_matches_fresh_runs(shared_corpus):
     # fourth start still checks runs made with a well-filled analysis.
     for s in starts[::4] if len(starts) > 24 else starts:
         assert traces[s] == harvest(image, s, opts)
+
+
+def tree_edges(analysis):
+    """(parent, batch, node) for every non-root node of an analysis's
+    traversal-state trees."""
+    stack = [
+        (root, batch, child)
+        for root in analysis._roots.values()
+        for batch, child in root.children.items()
+    ]
+    while stack:
+        edge = stack.pop()
+        yield edge
+        node = edge[2]
+        stack.extend((node, b, child) for b, child in node.children.items())
+
+
+def upper_bound_on(analysis, monkeypatch):
+    """Run upper_bound with `analysis` in place of the one it builds."""
+    monkeypatch.setattr(
+        rerand_module, "ImageAnalysis", lambda image, opts: analysis
+    )
+    tc = BUILTIN_SETS["tc"]
+    return upper_bound(analysis.image, tc, HarvestOptions(max_gadget_len=10))
+
+
+def test_tree_states_are_never_changed(shared_corpus, monkeypatch):
+    analysis = ImageAnalysis(shared_corpus, HarvestOptions(max_gadget_len=10))
+    first = upper_bound_on(analysis, monkeypatch)
+
+    def states():
+        return [
+            (
+                id(node),
+                dict(node.disasm.insns),
+                set(node.disasm.entries),
+                bytes(node.disasm._claimed),
+            )
+            for _, _, node in tree_edges(analysis)
+        ]
+
+    before = states()
+    assert upper_bound_on(analysis, monkeypatch) == first
+    assert states() == before
+    # Each node is its parent's state plus one batch, so building a child
+    # left its parent as it was.
+    for parent, batch, node in tree_edges(analysis):
+        old = parent.disasm
+        old_insns = old.insns if old else {}
+        old_entries = old.entries if old else set()
+        assert node.disasm is not old
+        assert old_entries == node.disasm.entries - set(batch)
+        assert len(node.disasm.insns) == len(old_insns) + node.added
+        assert old_insns.items() <= node.disasm.insns.items()
+
+
+def test_add_entries_runs_once_per_tree_node(shared_corpus, monkeypatch):
+    calls = []
+    add_entries = PageDisasm.add_entries
+
+    def counting_add_entries(self, entries):
+        calls.append(self)
+        return add_entries(self, entries)
+
+    monkeypatch.setattr(PageDisasm, "add_entries", counting_add_entries)
+    opts = HarvestOptions(max_gadget_len=10)
+    analysis = ImageAnalysis(shared_corpus, opts)
+    upper_bound_on(analysis, monkeypatch)
+    assert len(calls) == len(list(tree_edges(analysis)))
+    # Harvests from every start to closure, in reverse order, add nodes
+    # only for the batch histories upper_bound did not take.
+    starts = page_start_pointers(shared_corpus, opts, analysis)
+    for start in sorted(starts.values(), reverse=True):
+        harvest(shared_corpus, start, opts, analysis)
+    assert len(calls) == len(list(tree_edges(analysis)))
 
 
 def test_harvest_refuses_mismatched_analysis():
