@@ -30,6 +30,7 @@ from ropscope.gadgets import (
     evaluate_set,
     gadget_report_csv,
     gadget_report_rows,
+    gadget_type,
     load_set_spec,
     min_fp_labels,
     resolve_set,
@@ -66,9 +67,6 @@ from ropscope.synth import (
     materialize,
 )
 
-_TYPE_BY_VALUE = {t.value: t for t in GadgetType}
-
-
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -89,13 +87,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _parse_types(text: str) -> list[GadgetType]:
-    out = []
-    for name in text.split(","):
-        name = name.strip()
-        if name not in _TYPE_BY_VALUE:
-            raise ValueError(f"unknown gadget type {name!r}")
-        out.append(_TYPE_BY_VALUE[name])
-    return out
+    return [gadget_type(name.strip()) for name in text.split(",")]
 
 
 def _resolve_set(args) -> GadgetSetSpec | None:

@@ -75,7 +75,6 @@ class Mnemonic(Enum):
     ADD = auto()
     SUB = auto()
     IMUL = auto()
-    IDIV = auto()  # listed for completeness; the decoder never emits it
     POP = auto()
     PUSH = auto()
     INC = auto()
@@ -112,7 +111,7 @@ class Mnemonic(Enum):
 
 _MNEMONIC_TEXT = {
     Mnemonic.MOV: "mov", Mnemonic.LEA: "lea", Mnemonic.ADD: "add",
-    Mnemonic.SUB: "sub", Mnemonic.IMUL: "imul", Mnemonic.IDIV: "idiv",
+    Mnemonic.SUB: "sub", Mnemonic.IMUL: "imul",
     Mnemonic.POP: "pop", Mnemonic.PUSH: "push", Mnemonic.INC: "inc",
     Mnemonic.DEC: "dec", Mnemonic.XCHG: "xchg", Mnemonic.AND: "and",
     Mnemonic.OR: "or", Mnemonic.XOR: "xor", Mnemonic.NOT: "not",
@@ -142,12 +141,6 @@ _TERMINATORS = frozenset(
         Mnemonic.INT,
     }
 )
-
-
-class MemAccess(Enum):
-    NONE = auto()
-    LOAD = auto()
-    STORE = auto()
 
 
 @dataclass(frozen=True)
@@ -246,7 +239,6 @@ class Instruction:
     operands: tuple[Operand, ...]
     reads: frozenset[Reg]
     writes: frozenset[Reg]
-    mem_access: MemAccess
     raw: bytes
     branch_target: int | None = None
     cc: int | None = None
@@ -411,10 +403,9 @@ def _parse_modrm(
 
 def _binary_effects(
     mnemonic: Mnemonic, dst: Operand, src: Operand
-) -> tuple[frozenset[Reg], frozenset[Reg], MemAccess]:
+) -> tuple[frozenset[Reg], frozenset[Reg]]:
     reads: set[Reg] = set()
     writes: set[Reg] = set()
-    access = MemAccess.NONE
     reads_dest = mnemonic in _READS_DEST
     no_result = mnemonic in _NO_RESULT
 
@@ -422,7 +413,6 @@ def _binary_effects(
         reads.add(src.reg)
     elif src.is_mem:
         reads |= src.mem.regs()
-        access = MemAccess.LOAD
 
     if dst.is_reg:
         if reads_dest:
@@ -431,14 +421,13 @@ def _binary_effects(
             writes.add(dst.reg)
     elif dst.is_mem:
         reads |= dst.mem.regs()
-        access = MemAccess.LOAD if no_result else MemAccess.STORE
 
     if mnemonic is Mnemonic.XCHG:
         for op in (dst, src):
             if op.is_reg:
                 reads.add(op.reg)
                 writes.add(op.reg)
-    return frozenset(reads), frozenset(writes), access
+    return frozenset(reads), frozenset(writes)
 
 
 # Opcodes that can start an instruction once any REX prefix is consumed.
@@ -477,7 +466,6 @@ def _fin(
     operands: tuple[Operand, ...] = (),
     reads: Iterable[Reg] = (),
     writes: Iterable[Reg] = (),
-    access: MemAccess = MemAccess.NONE,
     branch_target: int | None = None,
     cc: int | None = None,
 ) -> Instruction:
@@ -485,7 +473,7 @@ def _fin(
     return Instruction(
         addr=cur.addr, length=cur.pos - cur.start, mnemonic=mnemonic,
         operands=operands, reads=frozenset(reads), writes=frozenset(writes),
-        mem_access=access, raw=bytes(cur.data[cur.start : cur.pos]),
+        raw=bytes(cur.data[cur.start : cur.pos]),
         branch_target=branch_target, cc=cc,
     )
 
@@ -493,17 +481,15 @@ def _fin(
 def _fin_binary(
     cur: _Cursor, mnemonic: Mnemonic, dst: Operand, src: Operand
 ) -> Instruction:
-    reads, writes, access = _binary_effects(mnemonic, dst, src)
-    return _fin(cur, mnemonic, (dst, src), reads, writes, access)
+    reads, writes = _binary_effects(mnemonic, dst, src)
+    return _fin(cur, mnemonic, (dst, src), reads, writes)
 
 
 def _decode_body(cur: _Cursor) -> Instruction | None:
     if cur.data.startswith(GS_CALL_BYTES, cur.start):
         cur.pos += len(GS_CALL_BYTES)
         mem = Operand.make_mem(MemRef(disp=0x10), 64)
-        return _fin(
-            cur, Mnemonic.CALL_GS, (mem,), {Reg.RSP}, {Reg.RSP}, MemAccess.STORE
-        )
+        return _fin(cur, Mnemonic.CALL_GS, (mem,), {Reg.RSP}, {Reg.RSP})
     rex = 0
     op = cur.u8()
     if 0x40 <= op <= 0x4F:
@@ -554,13 +540,13 @@ def _decode_body(cur: _Cursor) -> Instruction | None:
         reg = Reg((op & 7) | ((rex & 1) << 3))
         return _fin(
             cur, Mnemonic.PUSH, (Operand.make_reg(reg),), {reg, Reg.RSP},
-            {Reg.RSP}, MemAccess.STORE,
+            {Reg.RSP},
         )
     if 0x58 <= op <= 0x5F:
         reg = Reg((op & 7) | ((rex & 1) << 3))
         return _fin(
             cur, Mnemonic.POP, (Operand.make_reg(reg),), {Reg.RSP},
-            {reg, Reg.RSP}, MemAccess.LOAD,
+            {reg, Reg.RSP},
         )
 
     if 0x70 <= op <= 0x7F:
@@ -581,9 +567,7 @@ def _decode_body(cur: _Cursor) -> Instruction | None:
         if not rm.is_mem:
             return None
         dst = _reg_op(reg_bits, width, rex != 0)
-        return _fin(
-            cur, Mnemonic.LEA, (dst, rm), rm.mem.regs(), {dst.reg}, MemAccess.NONE
-        )
+        return _fin(cur, Mnemonic.LEA, (dst, rm), rm.mem.regs(), {dst.reg})
 
     if 0x90 <= op <= 0x97:
         other = (op & 7) | ((rex & 1) << 3)
@@ -592,8 +576,7 @@ def _decode_body(cur: _Cursor) -> Instruction | None:
         a = Operand.make_reg(Reg.RAX, width)
         b = _reg_op(other, width, rex != 0)
         return _fin(
-            cur, Mnemonic.XCHG, (a, b), {a.reg, b.reg}, {a.reg, b.reg},
-            MemAccess.NONE,
+            cur, Mnemonic.XCHG, (a, b), {a.reg, b.reg}, {a.reg, b.reg}
         )
 
     if 0xB8 <= op <= 0xBF:
@@ -621,10 +604,10 @@ def _decode_body(cur: _Cursor) -> Instruction | None:
         imm = cur.u16()
         return _fin(
             cur, Mnemonic.RET_IMM, (Operand.make_imm(imm, 16),), {Reg.RSP},
-            {Reg.RSP}, MemAccess.LOAD,
+            {Reg.RSP},
         )
     if op == 0xC3:
-        return _fin(cur, Mnemonic.RET, (), {Reg.RSP}, {Reg.RSP}, MemAccess.LOAD)
+        return _fin(cur, Mnemonic.RET, (), {Reg.RSP}, {Reg.RSP})
 
     if op == 0xC7:
         rm, digit = _parse_modrm(cur, rex, width)
@@ -635,8 +618,7 @@ def _decode_body(cur: _Cursor) -> Instruction | None:
 
     if op == 0xC9:
         return _fin(
-            cur, Mnemonic.LEAVE, (), {Reg.RBP, Reg.RSP}, {Reg.RBP, Reg.RSP},
-            MemAccess.LOAD,
+            cur, Mnemonic.LEAVE, (), {Reg.RBP, Reg.RSP}, {Reg.RBP, Reg.RSP}
         )
 
     if op == 0xCD:
@@ -649,7 +631,7 @@ def _decode_body(cur: _Cursor) -> Instruction | None:
         disp = _s32(cur.u32())
         target = cur.target(disp)
         return _fin(
-            cur, Mnemonic.CALL_REL, (), {Reg.RSP}, {Reg.RSP}, MemAccess.STORE,
+            cur, Mnemonic.CALL_REL, (), {Reg.RSP}, {Reg.RSP},
             branch_target=target,
         )
     if op == 0xE9:
@@ -669,7 +651,7 @@ def _decode_body(cur: _Cursor) -> Instruction | None:
             return None
         if rm.is_reg:
             return _fin(cur, mnemonic, (rm,), {rm.reg}, {rm.reg})
-        return _fin(cur, mnemonic, (rm,), rm.mem.regs(), (), MemAccess.STORE)
+        return _fin(cur, mnemonic, (rm,), rm.mem.regs())
 
     if op == 0xFF:
         rm, digit = _parse_modrm(cur, rex, width)
@@ -677,20 +659,15 @@ def _decode_body(cur: _Cursor) -> Instruction | None:
             mnemonic = Mnemonic.INC if digit == 0 else Mnemonic.DEC
             if rm.is_reg:
                 return _fin(cur, mnemonic, (rm,), {rm.reg}, {rm.reg})
-            return _fin(cur, mnemonic, (rm,), rm.mem.regs(), (), MemAccess.STORE)
+            return _fin(cur, mnemonic, (rm,), rm.mem.regs())
         if digit == 2:
             # Indirect call: operand size is fixed at 64 bits in long mode.
             rm64 = _widen(rm)
             reads = {Reg.RSP} | _operand_reads(rm64)
-            return _fin(
-                cur, Mnemonic.CALL_RM, (rm64,), reads, {Reg.RSP}, MemAccess.STORE
-            )
+            return _fin(cur, Mnemonic.CALL_RM, (rm64,), reads, {Reg.RSP})
         if digit == 4:
             rm64 = _widen(rm)
-            access = MemAccess.LOAD if rm64.is_mem else MemAccess.NONE
-            return _fin(
-                cur, Mnemonic.JMP_RM, (rm64,), _operand_reads(rm64), (), access
-            )
+            return _fin(cur, Mnemonic.JMP_RM, (rm64,), _operand_reads(rm64))
         return None
 
     return None
@@ -731,39 +708,38 @@ class PageDisasm:
 
     Byte ranges of accepted instructions are claimed; a later path that runs
     into claimed bytes at a non-instruction boundary stops there, so whichever
-    entry was processed first keeps its stream. A batch's new entries are
+    entry was processed first keeps its stream. A batch's entries are
     processed in ascending address order, each with its whole in-page branch
     closure before the next, so a batch equals adding the same entries one at
     a time in ascending order. Decoding goes through `decodes`, which may be
     shared with other traversals of the same page.
     """
 
-    def __init__(self, page: PageRecord, decodes: PageDecodes | None = None):
+    def __init__(self, page: PageRecord, decodes: PageDecodes):
         if not page.perms.executable:
             raise ValueError(f"page {page.base:#x} is not executable")
-        if decodes is None:
-            decodes = PageDecodes(page)
-        elif decodes.page is not page:
+        if decodes.page is not page:
             raise ValueError(f"decodes of another page for {page.base:#x}")
         self.page = page
         self.decodes = decodes
         self.insns: dict[int, Instruction] = {}
-        self.entries: set[int] = set()
         self._claimed = bytearray(PAGE_SIZE)
 
     def add_entries(self, entries: Iterable[int]) -> int:
-        """Extend the stream from new entry addresses; returns instructions added."""
-        fresh = sorted(set(entries) - self.entries)
-        for entry in fresh:
+        """Extend the stream from entry addresses; returns instructions added.
+
+        An entry added before adds nothing: its path stops at the same
+        instruction or claimed byte as it did then."""
+        entries = sorted(set(entries))
+        for entry in entries:
             if not self.page.contains(entry):
                 raise ValueError(
                     f"entry {entry:#x} outside page {self.page.base:#x}"
                 )
-        self.entries.update(fresh)
         base, insns, decodes = self.page.base, self.insns, self.decodes
         claimed = self._claimed
         added = 0
-        for entry in fresh:
+        for entry in entries:
             work = deque((entry,))
             while work:
                 addr = work.popleft()

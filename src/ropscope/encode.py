@@ -181,10 +181,6 @@ def dec_r(reg: Reg, width: int = 64) -> bytes:
     return _group_ff(1, reg, width)
 
 
-def inc_m(base: Reg, disp: int = 0, width: int = 64) -> bytes:
-    return _rex_w(width, 0, base >> 3) + bytes([0xFF]) + _mem_operand(0, base, disp)
-
-
 def dec_m(base: Reg, disp: int = 0, width: int = 64) -> bytes:
     return _rex_w(width, 0, base >> 3) + bytes([0xFF]) + _mem_operand(1, base, disp)
 

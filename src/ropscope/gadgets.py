@@ -53,20 +53,18 @@ class GadgetType(str, Enum):
         return self.value
 
 
+def gadget_type(name: object) -> GadgetType:
+    """The gadget type whose value is `name`; ValueError for any other."""
+    try:
+        return GadgetType(name)
+    except ValueError:
+        raise ValueError(f"unknown gadget type {name!r}") from None
+
+
 class Footprint(Enum):
     MIN_FP = "MIN"
     EX_FP = "EX"
 
-
-# The expressiveness core: types that together give load, store, move,
-# arithmetic, logic, control transfer, and system-call primitives.
-TC_TYPES: frozenset[GadgetType] = frozenset(
-    {
-        GadgetType.LM, GadgetType.SM, GadgetType.LR, GadgetType.MR,
-        GadgetType.AM, GadgetType.AM_LD, GadgetType.AM_ST, GadgetType.LOGIC,
-        GadgetType.JMP, GadgetType.CALL, GadgetType.SYS,
-    }
-)
 
 # Operation categories used by scheme-comparison reports.
 TC_CATEGORIES: dict[str, tuple[GadgetType, ...]] = {
@@ -78,12 +76,6 @@ TC_CATEGORIES: dict[str, tuple[GadgetType, ...]] = {
     "function_call": (GadgetType.CALL,),
     "system_call": (GadgetType.SYS,),
 }
-
-# Structurally fuzzy types; matched only when explicitly enabled and always
-# excluded from the built-in set specs.
-HEURISTIC_TYPES: frozenset[GadgetType] = frozenset(
-    {GadgetType.CS1, GadgetType.FS, GadgetType.TM}
-)
 
 _ARITH = frozenset({Mnemonic.ADD, Mnemonic.SUB, Mnemonic.IMUL})
 _LOGICAL = frozenset(
@@ -473,6 +465,8 @@ class GadgetSetSpec:
             raise ValueError("set spec requires at least one type")
 
 
+# The expressiveness core: types that together give load, store, move,
+# arithmetic, logic, control transfer, and system-call primitives.
 TC_SET = GadgetSetSpec(
     "tc",
     (
@@ -507,13 +501,8 @@ def load_set_spec(path: str | Path) -> GadgetSetSpec:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or "name" not in data or "types" not in data:
         raise ValueError("set spec must be an object with 'name' and 'types'")
-    by_value = {t.value: t for t in GadgetType}
-    types = []
-    for name in data["types"]:
-        if name not in by_value:
-            raise ValueError(f"unknown gadget type {name!r}")
-        types.append(by_value[name])
-    return GadgetSetSpec(str(data["name"]), tuple(types))
+    types = tuple(gadget_type(name) for name in data["types"])
+    return GadgetSetSpec(str(data["name"]), types)
 
 
 def resolve_set(name: str) -> GadgetSetSpec:

@@ -6,8 +6,9 @@ page, disassembles it by recursive traversal, extracts control-flow targets
 rip-relative indirect branch slots), and repeats for every newly revealed
 executable page until no new pages or instructions appear.
 
-Progress is measured on a deterministic clock: leaking a page costs a fixed
-number of ticks, analyzing one newly decoded instruction costs another.
+Progress is measured on a deterministic clock: leaking a page costs
+LEAK_TICKS_PER_PAGE ticks and analyzing one newly decoded instruction costs
+one tick.
 The trace records when each page and each gadget type first became
 available, which is what rerandomization-interval analysis consumes.
 """
@@ -41,6 +42,9 @@ from ropscope.gadgets import (
 from ropscope.snapshot import PAGE_SIZE, MemoryImage, PageRecord, page_base
 
 
+LEAK_TICKS_PER_PAGE = 100
+
+
 class StartPointerInvalid(ValueError):
     """The starting pointer does not land in mapped executable memory."""
 
@@ -48,8 +52,6 @@ class StartPointerInvalid(ValueError):
 @dataclass(frozen=True)
 class HarvestOptions:
     seed: int = 0
-    leak_ticks_per_page: int = 100
-    analysis_ticks_per_insn: int = 1
     follow_cond_branches: bool = True
     max_gadget_len: int = 5
     enable_heuristic_types: bool = False
@@ -254,7 +256,6 @@ class ImageAnalysis:
             else:
                 disasm = copy.copy(parent)
                 disasm.insns = dict(parent.insns)
-                disasm.entries = set(parent.entries)
                 disasm._claimed = bytearray(parent._claimed)
             added = disasm.add_entries(key)
             if added or parent is None:
@@ -362,16 +363,16 @@ def harvest(
     for base, first_visit, new_insns, mined in walk:
         if first_visit:
             # The page leak itself.
-            clock += opts.leak_ticks_per_page
-            leak_cost += opts.leak_ticks_per_page
+            clock += LEAK_TICKS_PER_PAGE
+            leak_cost += LEAK_TICKS_PER_PAGE
             step += 1
             events.append(
                 HarvestEvent(
                     step, clock, EventKind.PAGE_DISCOVERED, {"base": base}
                 )
             )
-        clock += new_insns * opts.analysis_ticks_per_insn
-        analysis_cost += new_insns * opts.analysis_ticks_per_insn
+        clock += new_insns
+        analysis_cost += new_insns
         if mined is None:
             continue
         page_gadgets[base] = mined.gadgets

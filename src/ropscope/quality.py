@@ -24,10 +24,9 @@ from ropscope.gadgets import Gadget, GadgetType
 MODIFIER_MNEMONICS: frozenset[Mnemonic] = frozenset(
     {
         Mnemonic.MOV, Mnemonic.LEA, Mnemonic.ADD, Mnemonic.SUB,
-        Mnemonic.IMUL, Mnemonic.IDIV, Mnemonic.POP, Mnemonic.INC,
-        Mnemonic.DEC, Mnemonic.XCHG, Mnemonic.AND, Mnemonic.OR,
-        Mnemonic.XOR, Mnemonic.NOT, Mnemonic.NEG, Mnemonic.SHL,
-        Mnemonic.SHR,
+        Mnemonic.IMUL, Mnemonic.POP, Mnemonic.INC, Mnemonic.DEC,
+        Mnemonic.XCHG, Mnemonic.AND, Mnemonic.OR, Mnemonic.XOR,
+        Mnemonic.NOT, Mnemonic.NEG, Mnemonic.SHL, Mnemonic.SHR,
     }
 )
 

@@ -58,9 +58,6 @@ class ConvergenceRecord:
                 return clock
         return None
 
-    def final_type_count(self) -> int:
-        return self.type_timeline[-1][1] if self.type_timeline else 0
-
     def to_dict(self) -> dict:
         return {
             "start": f"{self.start:#x}",
@@ -225,26 +222,15 @@ class IntervalSafety(str, Enum):
         return self.value
 
 
-def evaluate_interval(
-    interval: int,
-    image: MemoryImage | None = None,
-    spec: GadgetSetSpec | None = None,
-    opts: HarvestOptions = HarvestOptions(),
-    report: UpperBoundReport | None = None,
-) -> IntervalSafety:
+def evaluate_interval(interval: int, report: UpperBoundReport) -> IntervalSafety:
     """Judge a rerandomization interval against measured convergence.
 
     Unsafe exactly when the fastest converged run beats the interval
     strictly: rerandomizing at the same tick the attacker would finish
-    still defeats the attack. Passing a precomputed report skips the
-    harvesting sweep.
+    still defeats the attack.
     """
     if interval <= 0:
         raise ValueError("interval must be positive")
-    if report is None:
-        if image is None:
-            raise ValueError("need either a memory image or a report")
-        report = upper_bound(image, spec, opts)
     if report.minimum_clock is not None and report.minimum_clock < interval:
         return IntervalSafety.UNSAFE
     return IntervalSafety.SAFE

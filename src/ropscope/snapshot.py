@@ -179,9 +179,6 @@ class MemoryImage:
     def executable_pages(self) -> tuple[PageRecord, ...]:
         return tuple(p for p in self if p.perms.executable)
 
-    def pages_tagged(self, tag: SegmentTag) -> tuple[PageRecord, ...]:
-        return tuple(p for p in self if p.tag == tag)
-
     def read_bytes(self, addr: Pointer, length: int) -> bytes:
         """Read length bytes starting at addr, allowed to span adjacent pages."""
         out = bytearray()
@@ -292,9 +289,7 @@ _PF_W = 2
 _PF_R = 4
 
 
-def load_elf(
-    src: str | Path | bytes, kind: str = "exec_only", tag: SegmentTag = SegmentTag.CODE
-) -> MemoryImage:
+def load_elf(src: str | Path | bytes, kind: str = "exec_only") -> MemoryImage:
     """Map the PT_LOAD segments of a little-endian ELF64 file into an image.
 
     kind selects which segments to keep: "exec_only" takes only executable
@@ -353,7 +348,7 @@ def load_elf(
             )
 
         perms = Perms(bool(p_flags & _PF_R), writable, executable)
-        seg_tag = tag if executable else SegmentTag.DATA
+        seg_tag = SegmentTag.CODE if executable else SegmentTag.DATA
         content = raw[p_offset : p_offset + p_filesz]
         for j in range(p_memsz):
             addr = p_vaddr + j
@@ -378,7 +373,7 @@ def load_elf(
                 )
                 page_perms[base] = merged
                 if merged.executable:
-                    page_tags[base] = tag
+                    page_tags[base] = SegmentTag.CODE
 
     pages = [
         PageRecord(base, page_perms[base], page_tags[base], bytes(data))
@@ -405,8 +400,6 @@ def load_image(path: str | Path, kind: str = "exec_only") -> MemoryImage:
 class ImageBuilder:
     """Mutable staging area for composing images byte-by-byte in tests and synth."""
 
-    default_perms: Perms = RX
-    default_tag: SegmentTag = SegmentTag.CODE
     _pages: dict[int, bytearray] = field(default_factory=dict)
     _perms: dict[int, Perms] = field(default_factory=dict)
     _tags: dict[int, SegmentTag] = field(default_factory=dict)
@@ -415,12 +408,10 @@ class ImageBuilder:
         self,
         addr: int,
         data: bytes,
-        perms: Perms | None = None,
-        tag: SegmentTag | None = None,
+        perms: Perms = RX,
+        tag: SegmentTag = SegmentTag.CODE,
         fill: int = 0,
     ) -> None:
-        perms = perms if perms is not None else self.default_perms
-        tag = tag if tag is not None else self.default_tag
         for i, value in enumerate(data):
             base = page_base(addr + i)
             if base not in self._pages:
@@ -432,14 +423,14 @@ class ImageBuilder:
     def reserve(
         self,
         base: int,
-        perms: Perms | None = None,
-        tag: SegmentTag | None = None,
+        perms: Perms = RX,
+        tag: SegmentTag = SegmentTag.CODE,
         fill: int = 0,
     ) -> None:
         if base not in self._pages:
             self._pages[base] = bytearray([fill]) * PAGE_SIZE
-            self._perms[base] = perms if perms is not None else self.default_perms
-            self._tags[base] = tag if tag is not None else self.default_tag
+            self._perms[base] = perms
+            self._tags[base] = tag
 
     def build(self, metadata: dict[str, str] | None = None) -> MemoryImage:
         pages = [

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from ropscope import encode as enc
 from ropscope.disasm import POISON_BYTE, Reg, decode
-from ropscope.gadgets import GadgetType
+from ropscope.gadgets import GadgetType, gadget_type
 from ropscope.snapshot import (
     PAGE_SIZE,
     RX,
@@ -115,19 +115,25 @@ class GenParams:
 
     @staticmethod
     def from_dict(data: Mapping) -> "GenParams":
+        """Inverse of to_dict; a missing key or an unknown gadget type
+        raises ValueError."""
         mix = data.get("gadget_mix")
         if mix is not None:
-            by_value = {t.value: t for t in GadgetType}
-            mix = {by_value[k]: int(v) for k, v in mix.items()}
-        return GenParams(
-            n_functions=int(data["n_functions"]),
-            mean_fn_len=int(data["mean_fn_len"]),
-            connectivity=float(data["connectivity"]),
-            gadget_mix=mix,
-            ensure_strongly_connected=bool(data["ensure_strongly_connected"]),
-            max_functions_per_page=data.get("max_functions_per_page"),
-            base=int(data["base"]),
-        )
+            mix = {gadget_type(k): int(v) for k, v in mix.items()}
+        try:
+            return GenParams(
+                n_functions=int(data["n_functions"]),
+                mean_fn_len=int(data["mean_fn_len"]),
+                connectivity=float(data["connectivity"]),
+                gadget_mix=mix,
+                ensure_strongly_connected=bool(
+                    data["ensure_strongly_connected"]
+                ),
+                max_functions_per_page=data.get("max_functions_per_page"),
+                base=int(data["base"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"params lack {exc.args[0]!r}") from None
 
 
 class SchemeKind(str, Enum):

@@ -9,6 +9,7 @@ from ropscope.disasm import (
     GS_CALL_BYTES,
     Instruction,
     Mnemonic,
+    PageDecodes,
     PageDisasm,
     decode,
     extract_chain_targets,
@@ -148,7 +149,8 @@ def reference_offline_disassemble(
             continue
         base = page_base(addr)
         if base not in states:
-            states[base] = PageDisasm(image.page_at(addr))
+            page = image.page_at(addr)
+            states[base] = PageDisasm(page, PageDecodes(page))
         if states[base].add_entries([addr]):
             stream = states[base].instructions()
             for target in sorted(

@@ -245,3 +245,35 @@ def test_synth_generate_compare_transform(tmp_path):
 def test_unknown_builtin_set_exits_2(snap):
     code, _ = run(["gadgets", snap, "--set", "wat"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        ({"gadget_mix": {"NOPE": 1}}, "unknown gadget type 'NOPE'"),
+        ({"n_functions": None}, "params lack 'n_functions'"),
+    ],
+    ids=["unknown-mix-type", "missing-n-functions"],
+)
+def test_synth_transform_malformed_manifest_exits_2(
+    tmp_path, capsys, params, message
+):
+    out_dir = tmp_path / "corpus"
+    code, _ = run(["synth", "generate", "--out-dir", out_dir, "--seed", "5",
+                   "--functions", "4"])
+    assert code == 0
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for key, value in params.items():
+        if value is None:
+            del manifest["params"][key]
+        else:
+            manifest["params"][key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+
+    code, _ = run(["synth", "transform", "--manifest", manifest_path,
+                   "--scheme", "function"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert json.loads(manifest_path.read_text()) == manifest

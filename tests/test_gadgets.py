@@ -48,9 +48,7 @@ from ropscope.encode import (
 )
 from ropscope.gadgets import (
     BUILTIN_SETS,
-    HEURISTIC_TYPES,
     TC_CATEGORIES,
-    TC_TYPES,
     Footprint,
     GadgetSetSpec,
     GadgetType,
@@ -375,12 +373,13 @@ def test_untyped_windows_are_still_reported():
 
 def test_builtin_sets():
     assert set(BUILTIN_SETS) == {"tc", "priority", "movtc"}
-    assert frozenset(BUILTIN_SETS["tc"].required) == TC_TYPES
     assert len(BUILTIN_SETS["tc"].required) == 11
     assert len(BUILTIN_SETS["priority"].required) == 10
     assert len(BUILTIN_SETS["movtc"].required) == 7
     for spec in BUILTIN_SETS.values():
-        assert not set(spec.required) & HEURISTIC_TYPES
+        assert not set(spec.required) & {
+            GadgetType.CS1, GadgetType.FS, GadgetType.TM
+        }
     assert resolve_set("tc") is BUILTIN_SETS["tc"]
     with pytest.raises(ValueError):
         resolve_set("nope")
@@ -389,7 +388,7 @@ def test_builtin_sets():
 def test_tc_categories_partition_the_tc_set():
     members = [t for types in TC_CATEGORIES.values() for t in types]
     assert len(members) == len(set(members)) == 11
-    assert frozenset(members) == TC_TYPES
+    assert frozenset(members) == frozenset(BUILTIN_SETS["tc"].required)
     assert len(TC_CATEGORIES) == 7
 
 

@@ -351,7 +351,6 @@ def test_tree_states_are_never_changed(shared_corpus, monkeypatch):
             (
                 id(node),
                 dict(node.disasm.insns),
-                set(node.disasm.entries),
                 bytes(node.disasm._claimed),
             )
             for _, _, node in tree_edges(analysis)
@@ -365,9 +364,7 @@ def test_tree_states_are_never_changed(shared_corpus, monkeypatch):
     for parent, batch, node in tree_edges(analysis):
         old = parent.disasm
         old_insns = old.insns if old else {}
-        old_entries = old.entries if old else set()
         assert node.disasm is not old
-        assert old_entries == node.disasm.entries - set(batch)
         assert len(node.disasm.insns) == len(old_insns) + node.added
         assert old_insns.items() <= node.disasm.insns.items()
 

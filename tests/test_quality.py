@@ -168,7 +168,7 @@ def test_modifier_set_contents():
     assert Mnemonic.PUSH not in MODIFIER_MNEMONICS
     assert Mnemonic.MOV in MODIFIER_MNEMONICS
     assert Mnemonic.POP in MODIFIER_MNEMONICS
-    assert len(MODIFIER_MNEMONICS) == 17
+    assert len(MODIFIER_MNEMONICS) == 16
 
 
 def test_assess_gadgets_and_rates():

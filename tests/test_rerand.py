@@ -44,7 +44,7 @@ def test_converge_record_shape():
     clocks = [clock for clock, _ in record.type_timeline]
     assert counts == list(range(1, len(counts) + 1))
     assert clocks == sorted(clocks)
-    assert record.final_type_count() == len(BUILTIN_SETS["tc"].required)
+    assert record.type_timeline[-1][1] == len(BUILTIN_SETS["tc"].required)
     assert record.convergence_clock == record.type_timeline[-1][0]
 
 
@@ -56,7 +56,7 @@ def test_converge_stops_at_tracked_set():
     record = converge(image, start, spec, OPTS)
     assert record.set_name == "pair"
     assert record.converged
-    assert record.final_type_count() == 2
+    assert record.type_timeline[-1][1] == 2
 
 
 def test_time_to_k_types():
@@ -76,7 +76,7 @@ def test_unconverged_record():
     record = converge(image, 0x400000, spec, OPTS)
     assert not record.converged
     assert record.convergence_clock is None
-    assert record.final_type_count() == 1  # LR arrived, SYS never did
+    assert record.type_timeline[-1][1] == 1  # LR arrived, SYS never did
 
 
 def test_merged_time_to_types():
@@ -146,7 +146,8 @@ def test_interval_threshold_is_exactly_the_minimum_clock():
 def test_interval_always_safe_without_convergence():
     image = code_image(asm(pop_r(Reg.RBX), ret()))
     spec = GadgetSetSpec("wants-sys", (GadgetType.SYS,))
-    verdict = evaluate_interval(10 ** 9, image=image, spec=spec, opts=OPTS)
+    report = upper_bound(image, spec, OPTS)
+    verdict = evaluate_interval(10 ** 9, report=report)
     assert verdict is IntervalSafety.SAFE
 
 
@@ -157,8 +158,6 @@ def test_interval_validation():
         evaluate_interval(0, report=report)
     with pytest.raises(ValueError):
         evaluate_interval(-5, report=report)
-    with pytest.raises(ValueError):
-        evaluate_interval(100)  # neither image nor report
 
 
 def test_record_serialization():

@@ -71,7 +71,7 @@ def test_builder_composes_pages_and_reads():
     assert image.is_executable(0x400000)
     assert not image.is_executable(0x500000)
     assert [p.base for p in image.executable_pages()] == [0x400000, 0x401000]
-    assert [p.base for p in image.pages_tagged(SegmentTag.STACK)] == [0x500000]
+    assert [p.base for p in image if p.tag is SegmentTag.STACK] == [0x500000]
 
 
 def test_unmapped_reads_raise():
@@ -204,3 +204,36 @@ def test_elf_non_load_segments_skipped():
     ])
     image = load_elf(elf)
     assert [p.base for p in image.pages] == [0x400000]
+
+
+def test_elf_overlapping_code_segments_rejected():
+    elf = build_elf([
+        {"vaddr": 0x400000, "data": b"\x90" * 16, "flags": PF_R | PF_X},
+        {"vaddr": 0x400008, "data": b"\xc3" * 8, "flags": PF_R | PF_X},
+    ])
+    with pytest.raises(ElfFormatError) as info:
+        load_elf(elf)
+    assert str(info.value) == "overlapping PT_LOAD segments at 0x400008"
+
+
+@pytest.mark.parametrize("code_first", [False, True])
+def test_elf_data_and_code_share_one_code_page(code_first):
+    data = {"vaddr": 0x400000, "data": b"\x55" * 16, "flags": PF_R}
+    code = {"vaddr": 0x400010, "data": b"\xc3", "flags": PF_R | PF_X}
+    segments = [code, data] if code_first else [data, code]
+    image = load_elf(build_elf(segments), kind="all_load")
+    assert [(p.base, str(p.perms), p.tag) for p in image] == [
+        (0x400000, "r-x", SegmentTag.CODE)
+    ]
+    assert image.read_bytes(0x400000, 18) == b"\x55" * 16 + b"\xc3\x00"
+
+
+def test_elf_writable_and_code_segments_on_one_page_rejected():
+    elf = build_elf([
+        {"vaddr": 0x400000, "data": b"\x55" * 16, "flags": PF_R | PF_W},
+        {"vaddr": 0x400010, "data": b"\xc3", "flags": PF_R | PF_X},
+    ])
+    with pytest.raises(WritableExecutableError):
+        load_elf(elf, kind="all_load")
+    # exec_only never maps the writable segment, so the page is plain code.
+    assert str(load_elf(elf).pages[0].perms) == "r-x"
