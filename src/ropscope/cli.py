@@ -328,8 +328,18 @@ def _cmd_synth_generate(args) -> int:
 def _load_manifest(path: str) -> tuple[Path, dict]:
     manifest_path = Path(path)
     data = json.loads(manifest_path.read_text())
-    if "seed" not in data or "params" not in data or "entries" not in data:
+    if not isinstance(data, dict) or not {"seed", "params", "entries"} <= data.keys():
         raise ValueError("manifest needs seed, params, and entries")
+    entries = data["entries"]
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict)
+        and isinstance(e.get("name"), str)
+        and isinstance(e.get("snapshot_path"), str)
+        for e in entries
+    ):
+        raise ValueError(
+            "manifest entries must be objects with string name and snapshot_path"
+        )
     return manifest_path.parent, data
 
 

@@ -22,6 +22,11 @@ PAGE_MASK = ~(PAGE_SIZE - 1)
 SNAPSHOT_MAGIC = b"RSNP"
 SNAPSHOT_VERSION = 1
 
+# Most zero-fill (p_memsz beyond p_filesz, summed over the kept segments)
+# load_elf will allocate. No file backs these bytes, so without a cap a
+# few hundred bytes of ELF could ask for terabytes.
+MAX_ZERO_FILL = 64 << 20
+
 # Pointers are plain integers throughout; the alias is documentation.
 Pointer = int
 
@@ -138,6 +143,15 @@ def page_base(addr: int) -> int:
     return addr & PAGE_MASK
 
 
+def page_spans(start: int, end: int) -> Iterator[tuple[int, int, int]]:
+    """Split [start, end) by page: (page base, in-page lo, in-page hi), ascending."""
+    while start < end:
+        base = page_base(start)
+        hi = min(end - base, PAGE_SIZE)
+        yield base, start - base, hi
+        start = base + hi
+
+
 class MemoryImage:
     """An immutable collection of non-overlapping pages plus string metadata."""
 
@@ -181,15 +195,10 @@ class MemoryImage:
 
     def read_bytes(self, addr: Pointer, length: int) -> bytes:
         """Read length bytes starting at addr, allowed to span adjacent pages."""
-        out = bytearray()
-        cursor = addr
-        while len(out) < length:
-            page = self.page_at(cursor)
-            offset = cursor - page.base
-            take = min(length - len(out), PAGE_SIZE - offset)
-            out += page.data[offset : offset + take]
-            cursor += take
-        return bytes(out)
+        return b"".join(
+            self.page_at(base + lo).data[lo:hi]
+            for base, lo, hi in page_spans(addr, addr + length)
+        )
 
     def read_u64(self, addr: Pointer) -> int:
         return struct.unpack("<Q", self.read_bytes(addr, 8))[0]
@@ -256,6 +265,8 @@ def load_snapshot(src: str | Path | BinaryIO | bytes) -> MemoryImage:
                 raise OverlappingPagesError(f"duplicate page at {base:#x}")
             raise MalformedHeaderError("pages not sorted by base address")
         last_base = base
+        if base % PAGE_SIZE:
+            raise MalformedHeaderError(f"page base {base:#x} not {PAGE_SIZE}-aligned")
         try:
             tag = SegmentTag(tag_value)
         except ValueError as exc:
@@ -270,7 +281,9 @@ def load_snapshot(src: str | Path | BinaryIO | bytes) -> MemoryImage:
         raise TruncatedPageError("metadata extends past end of file")
     try:
         metadata = json.loads(raw[offset : offset + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integers too long to
+        # convert; RecursionError, nesting deeper than the parser allows.
         raise MalformedHeaderError("metadata is not a UTF-8 JSON object") from exc
     if not isinstance(metadata, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
@@ -295,7 +308,8 @@ def load_elf(src: str | Path | bytes, kind: str = "exec_only") -> MemoryImage:
     kind selects which segments to keep: "exec_only" takes only executable
     loads (tagged CODE); "all_load" takes every PT_LOAD, tagging
     non-executable ones DATA. File bytes short of memsz are zero-filled, as
-    is any slack to page granularity.
+    is any slack to page granularity; more than MAX_ZERO_FILL bytes of
+    zero-fill over the kept segments raises ElfFormatError.
     """
     if kind not in ("exec_only", "all_load"):
         raise ValueError(f"unknown load kind {kind!r}")
@@ -317,27 +331,30 @@ def load_elf(src: str | Path | bytes, kind: str = "exec_only") -> MemoryImage:
     if e_phoff + e_phnum * _PHDR.size > len(raw):
         raise ElfFormatError("program header table extends past end of file")
 
-    # Accumulate page contents; segments may land on the same page only if
-    # their byte ranges do not collide.
-    page_bytes: dict[int, bytearray] = {}
-    page_perms: dict[int, Perms] = {}
-    page_tags: dict[int, SegmentTag] = {}
-    claimed: dict[int, set[int]] = {}
-
+    segments = []
     for i in range(e_phnum):
         p_type, p_flags, p_offset, p_vaddr, _paddr, p_filesz, p_memsz, _align = (
             _PHDR.unpack_from(raw, e_phoff + i * _PHDR.size)
         )
-        if p_type != _PT_LOAD or p_memsz == 0:
-            continue
+        if p_type == _PT_LOAD and p_memsz and (kind == "all_load" or p_flags & _PF_X):
+            segments.append((p_flags, p_offset, p_vaddr, p_filesz, p_memsz))
+    if sum(max(memsz - filesz, 0) for *_, filesz, memsz in segments) > MAX_ZERO_FILL:
+        raise ElfFormatError(f"segments zero-fill more than {MAX_ZERO_FILL} bytes")
+
+    # Accumulate page contents; segments may land on the same page only if
+    # their byte ranges do not collide. A claim mask marks the bytes placed.
+    page_bytes: dict[int, bytearray] = {}
+    page_perms: dict[int, Perms] = {}
+    page_tags: dict[int, SegmentTag] = {}
+    claimed: dict[int, bytearray] = {}
+
+    for p_flags, p_offset, p_vaddr, p_filesz, p_memsz in segments:
         executable = bool(p_flags & _PF_X)
         writable = bool(p_flags & _PF_W)
         if executable and writable:
             raise WritableExecutableError(
                 f"segment at {p_vaddr:#x} is writable and executable"
             )
-        if kind == "exec_only" and not executable:
-            continue
         if p_offset + p_filesz > len(raw):
             raise ElfFormatError("segment file extent past end of file")
         if p_filesz > p_memsz:
@@ -350,30 +367,32 @@ def load_elf(src: str | Path | bytes, kind: str = "exec_only") -> MemoryImage:
         perms = Perms(bool(p_flags & _PF_R), writable, executable)
         seg_tag = SegmentTag.CODE if executable else SegmentTag.DATA
         content = raw[p_offset : p_offset + p_filesz]
-        for j in range(p_memsz):
-            addr = p_vaddr + j
-            base = page_base(addr)
+        for base, lo, hi in page_spans(p_vaddr, p_vaddr + p_memsz):
             if base not in page_bytes:
                 page_bytes[base] = bytearray(PAGE_SIZE)
                 page_perms[base] = perms
                 page_tags[base] = seg_tag
-                claimed[base] = set()
-            off = addr - base
-            if off in claimed[base]:
-                raise ElfFormatError(f"overlapping PT_LOAD segments at {addr:#x}")
-            claimed[base].add(off)
-            page_bytes[base][off] = content[j] if j < len(content) else 0
-            if perms != page_perms[base]:
-                # Two loads share a page with different permissions; take the union
-                # of readability and keep the stronger (executable) mapping.
-                merged = Perms(
-                    perms.readable or page_perms[base].readable,
-                    perms.writable or page_perms[base].writable,
-                    perms.executable or page_perms[base].executable,
+                claimed[base] = bytearray(PAGE_SIZE)
+            # A byte walk would test the span's first byte for overlap before
+            # merging permissions and the rest after, so this does too.
+            mask = claimed[base]
+            if not mask[lo] and perms != page_perms[base]:
+                # Two loads share a page: take the union of the permissions,
+                # which is code if either is.
+                page_perms[base] = Perms.from_bits(
+                    perms.to_bits() | page_perms[base].to_bits()
                 )
-                page_perms[base] = merged
-                if merged.executable:
+                if page_perms[base].executable:
                     page_tags[base] = SegmentTag.CODE
+            hit = mask.find(1, lo, hi)
+            if hit != -1:
+                raise ElfFormatError(
+                    f"overlapping PT_LOAD segments at {base + hit:#x}"
+                )
+            mask[lo:hi] = b"\x01" * (hi - lo)
+            # Bytes past the file extent were never claimed, so they are zero.
+            chunk = content[base + lo - p_vaddr : base + hi - p_vaddr]
+            page_bytes[base][lo : lo + len(chunk)] = chunk
 
     pages = [
         PageRecord(base, page_perms[base], page_tags[base], bytes(data))
@@ -412,13 +431,9 @@ class ImageBuilder:
         tag: SegmentTag = SegmentTag.CODE,
         fill: int = 0,
     ) -> None:
-        for i, value in enumerate(data):
-            base = page_base(addr + i)
-            if base not in self._pages:
-                self._pages[base] = bytearray([fill]) * PAGE_SIZE
-                self._perms[base] = perms
-                self._tags[base] = tag
-            self._pages[base][addr + i - base] = value
+        for base, lo, hi in page_spans(addr, addr + len(data)):
+            self.reserve(base, perms, tag, fill)
+            self._pages[base][lo:hi] = data[base + lo - addr : base + hi - addr]
 
     def reserve(
         self,

@@ -115,13 +115,14 @@ class GenParams:
 
     @staticmethod
     def from_dict(data: Mapping) -> "GenParams":
-        """Inverse of to_dict; a missing key or an unknown gadget type
-        raises ValueError."""
-        mix = data.get("gadget_mix")
-        if mix is not None:
-            mix = {gadget_type(k): int(v) for k, v in mix.items()}
+        """Inverse of to_dict; malformed params (a missing key, a value of
+        the wrong type, an unknown gadget type) raise ValueError."""
         try:
-            return GenParams(
+            mix = data.get("gadget_mix")
+            if mix is not None:
+                mix = {gadget_type(k): int(v) for k, v in mix.items()}
+            per_page = data.get("max_functions_per_page")
+            params = GenParams(
                 n_functions=int(data["n_functions"]),
                 mean_fn_len=int(data["mean_fn_len"]),
                 connectivity=float(data["connectivity"]),
@@ -129,11 +130,16 @@ class GenParams:
                 ensure_strongly_connected=bool(
                     data["ensure_strongly_connected"]
                 ),
-                max_functions_per_page=data.get("max_functions_per_page"),
+                max_functions_per_page=None if per_page is None else int(per_page),
                 base=int(data["base"]),
             )
         except KeyError as exc:
             raise ValueError(f"params lack {exc.args[0]!r}") from None
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(f"malformed params: {exc}") from None
+        if per_page is not None and params.max_functions_per_page < 1:
+            raise ValueError("params max_functions_per_page must be at least 1")
+        return params
 
 
 class SchemeKind(str, Enum):
@@ -479,14 +485,6 @@ class _Chunk:
 _BRANCH_SIZES = {"call_rel32": 5, "jmp_rel32": 5, "jcc_rel32": 6}
 
 
-def _item_size(item: AsmItem) -> int:
-    if item.target is not None or item.op in _BRANCH_SIZES:
-        return _BRANCH_SIZES.get(item.op) or len(
-            getattr(enc, item.op)(*item.args, 0)
-        )
-    return len(getattr(enc, item.op)(*item.args))
-
-
 def _rename_args(item: AsmItem, mapping: Mapping[Reg, Reg]) -> AsmItem:
     if item.pin:
         return item
@@ -502,11 +500,19 @@ def _layout(
     start_base: int,
     renames: Mapping[int, Mapping[Reg, Reg]] | None = None,
 ) -> tuple[MemoryImage, GroundTruth]:
-    def resolved_item(fn_idx: int, item_idx: int) -> AsmItem:
-        item = program.functions[fn_idx].items[item_idx]
-        if renames and fn_idx in renames:
-            item = _rename_args(item, renames[fn_idx])
-        return item
+    # Resolve renames and encode every untargeted item once. A targeted
+    # branch has a fixed size and is encoded once its target is placed.
+    resolved: dict[tuple[int, int], tuple[AsmItem, bytes | None]] = {}
+    size_of: dict[tuple[int, int], int] = {}
+    for f, fn in enumerate(program.functions):
+        for i, item in enumerate(fn.items):
+            if renames and f in renames:
+                item = _rename_args(item, renames[f])
+            code = None
+            if item.target is None:
+                code = getattr(enc, item.op)(*item.args)
+            resolved[(f, i)] = (item, code)
+            size_of[(f, i)] = _BRANCH_SIZES[item.op] if code is None else len(code)
 
     # Pass 1: place chunks, record every item's address.
     addr_of: dict[tuple[int, int], int] = {}
@@ -515,7 +521,7 @@ def _layout(
     placements: list[tuple[int, _Chunk]] = []
     last_used = start_base
     for chunk in chunks:
-        size = sum(_item_size(resolved_item(f, i)) for f, i in chunk.items)
+        size = sum(size_of[key] for key in chunk.items)
         if chunk.link_to is not None:
             size += _BRANCH_SIZES["jmp_rel32"]
         if size > PAGE_SIZE:
@@ -524,9 +530,9 @@ def _layout(
             cursor = page_base(cursor) + PAGE_SIZE
         placements.append((cursor, chunk))
         pos = cursor
-        for f, i in chunk.items:
-            addr_of[(f, i)] = pos
-            pos += _item_size(resolved_item(f, i))
+        for key in chunk.items:
+            addr_of[key] = pos
+            pos += size_of[key]
         link_addr.append(pos if chunk.link_to is not None else None)
         cursor = pos + (
             _BRANCH_SIZES["jmp_rel32"] if chunk.link_to is not None else 0
@@ -555,22 +561,17 @@ def _layout(
         blob[off : off + len(encoded)] = encoded
 
     for chunk_pos, (placed_at, chunk) in enumerate(placements):
-        for f, i in chunk.items:
-            item = resolved_item(f, i)
-            addr = addr_of[(f, i)]
-            if item.target is not None:
+        for key in chunk.items:
+            item, code = resolved[key]
+            addr = addr_of[key]
+            if code is None:
                 target_addr = addr_of[item.target]
-                size = _item_size(item)
-                disp = target_addr - (addr + size)
-                encoded = getattr(enc, item.op)(*item.args, disp)
+                disp = target_addr - (addr + size_of[key])
+                code = getattr(enc, item.op)(*item.args, disp)
                 note_edge(addr, target_addr)
-            else:
-                encoded = getattr(enc, item.op)(*item.args)
-                if item.op == "jmp_rel8":
-                    size = len(encoded)
-                    note_edge(addr, addr + size + item.args[0])
-            assert len(encoded) == _item_size(item)
-            emit(addr, encoded)
+            elif item.op == "jmp_rel8":
+                note_edge(addr, addr + len(code) + item.args[0])
+            emit(addr, code)
         la = link_addr[chunk_pos]
         if la is not None:
             assert chunk.link_to is not None
@@ -600,9 +601,8 @@ def _layout(
         touched: set[int] = set()
         for i in range(len(program.functions[f].items)):
             a = addr_of[(f, i)]
-            item = resolved_item(f, i)
             touched.add(page_base(a))
-            touched.add(page_base(a + _item_size(item) - 1))
+            touched.add(page_base(a + size_of[(f, i)] - 1))
         fn_pages.append(frozenset(touched))
 
     truth = GroundTruth(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import struct
 from collections import deque
+from dataclasses import dataclass, field
+from pathlib import Path
 
 from ropscope.disasm import (
     GS_CALL_BYTES,
@@ -21,10 +23,13 @@ from ropscope.harvest import (
 )
 from ropscope.snapshot import (
     PAGE_SIZE,
+    ElfFormatError,
     ImageBuilder,
     MemoryImage,
+    PageRecord,
     Perms,
     SegmentTag,
+    WritableExecutableError,
     page_base,
 )
 
@@ -111,6 +116,149 @@ def build_elf(segments: list[dict]) -> bytes:
         phoff, 0, 0, ehsize, _PHDR.size, phnum, 0, 0, 0,
     )
     return ehdr + phdrs + blobs
+
+
+_ELF_MAGIC = b"\x7fELF"
+_PT_LOAD = 1
+_PF_X = 1
+_PF_W = 2
+_PF_R = 4
+
+
+def reference_load_elf(
+    src: str | Path | bytes, kind: str = "exec_only"
+) -> MemoryImage:
+    """load_elf as a walk over every byte of every segment, with a set of
+    claimed offsets per page. An oracle for the page-span loader; it has
+    no zero-fill cap, so keep its inputs small."""
+    if kind not in ("exec_only", "all_load"):
+        raise ValueError(f"unknown load kind {kind!r}")
+    raw = Path(src).read_bytes() if isinstance(src, (str, Path)) else src
+
+    if len(raw) < _EHDR.size:
+        raise ElfFormatError("file shorter than ELF header")
+    ident = raw[:16]
+    if ident[:4] != _ELF_MAGIC:
+        raise ElfFormatError("bad ELF magic")
+    if ident[4] != 2:
+        raise ElfFormatError("not a 64-bit ELF object")
+    if ident[5] != 1:
+        raise ElfFormatError("not little-endian")
+    fields = _EHDR.unpack_from(raw, 0)
+    e_phoff, e_phentsize, e_phnum = fields[5], fields[9], fields[10]
+    if e_phentsize != _PHDR.size:
+        raise ElfFormatError(f"unexpected program header size {e_phentsize}")
+    if e_phoff + e_phnum * _PHDR.size > len(raw):
+        raise ElfFormatError("program header table extends past end of file")
+
+    # Accumulate page contents; segments may land on the same page only if
+    # their byte ranges do not collide.
+    page_bytes: dict[int, bytearray] = {}
+    page_perms: dict[int, Perms] = {}
+    page_tags: dict[int, SegmentTag] = {}
+    claimed: dict[int, set[int]] = {}
+
+    for i in range(e_phnum):
+        p_type, p_flags, p_offset, p_vaddr, _paddr, p_filesz, p_memsz, _align = (
+            _PHDR.unpack_from(raw, e_phoff + i * _PHDR.size)
+        )
+        if p_type != _PT_LOAD or p_memsz == 0:
+            continue
+        executable = bool(p_flags & _PF_X)
+        writable = bool(p_flags & _PF_W)
+        if executable and writable:
+            raise WritableExecutableError(
+                f"segment at {p_vaddr:#x} is writable and executable"
+            )
+        if kind == "exec_only" and not executable:
+            continue
+        if p_offset + p_filesz > len(raw):
+            raise ElfFormatError("segment file extent past end of file")
+        if p_filesz > p_memsz:
+            raise ElfFormatError("segment filesz exceeds memsz")
+        if p_vaddr + p_memsz > 1 << 64:
+            raise ElfFormatError(
+                f"segment at {p_vaddr:#x} runs past the end of the address space"
+            )
+
+        perms = Perms(bool(p_flags & _PF_R), writable, executable)
+        seg_tag = SegmentTag.CODE if executable else SegmentTag.DATA
+        content = raw[p_offset : p_offset + p_filesz]
+        for j in range(p_memsz):
+            addr = p_vaddr + j
+            base = page_base(addr)
+            if base not in page_bytes:
+                page_bytes[base] = bytearray(PAGE_SIZE)
+                page_perms[base] = perms
+                page_tags[base] = seg_tag
+                claimed[base] = set()
+            off = addr - base
+            if off in claimed[base]:
+                raise ElfFormatError(f"overlapping PT_LOAD segments at {addr:#x}")
+            claimed[base].add(off)
+            page_bytes[base][off] = content[j] if j < len(content) else 0
+            if perms != page_perms[base]:
+                # Two loads share a page with different permissions; take the union
+                # of readability and keep the stronger (executable) mapping.
+                merged = Perms(
+                    perms.readable or page_perms[base].readable,
+                    perms.writable or page_perms[base].writable,
+                    perms.executable or page_perms[base].executable,
+                )
+                page_perms[base] = merged
+                if merged.executable:
+                    page_tags[base] = SegmentTag.CODE
+
+    pages = [
+        PageRecord(base, page_perms[base], page_tags[base], bytes(data))
+        for base, data in sorted(page_bytes.items())
+    ]
+    return MemoryImage(pages, {"source": "elf", "load_kind": kind})
+
+
+@dataclass
+class ReferenceImageBuilder:
+    """ImageBuilder placing one byte at a time. An oracle for the
+    page-span put."""
+
+    _pages: dict[int, bytearray] = field(default_factory=dict)
+    _perms: dict[int, Perms] = field(default_factory=dict)
+    _tags: dict[int, SegmentTag] = field(default_factory=dict)
+
+    def put(
+        self,
+        addr: int,
+        data: bytes,
+        perms: Perms = RX,
+        tag: SegmentTag = SegmentTag.CODE,
+        fill: int = 0,
+    ) -> None:
+        for i, value in enumerate(data):
+            base = page_base(addr + i)
+            if base not in self._pages:
+                self._pages[base] = bytearray([fill]) * PAGE_SIZE
+                self._perms[base] = perms
+                self._tags[base] = tag
+            self._pages[base][addr + i - base] = value
+
+    def reserve(
+        self,
+        base: int,
+        perms: Perms = RX,
+        tag: SegmentTag = SegmentTag.CODE,
+        fill: int = 0,
+    ) -> None:
+        if base not in self._pages:
+            self._pages[base] = bytearray([fill]) * PAGE_SIZE
+            self._perms[base] = perms
+            self._tags[base] = tag
+
+    def build(self, metadata: dict[str, str] | None = None) -> MemoryImage:
+        pages = [
+            PageRecord(base, self._perms[base], self._tags[base], bytes(data))
+            for base, data in sorted(self._pages.items())
+        ]
+        return MemoryImage(pages, metadata)
 
 
 def gadget_multiset(gadgets) -> list[tuple]:

@@ -252,8 +252,16 @@ def test_unknown_builtin_set_exits_2(snap):
     [
         ({"gadget_mix": {"NOPE": 1}}, "unknown gadget type 'NOPE'"),
         ({"n_functions": None}, "params lack 'n_functions'"),
+        ({"gadget_mix": ["LM"]},
+         "malformed params: 'list' object has no attribute 'items'"),
+        ({"gadget_mix": {"LM": None}},
+         "malformed params: int() argument must be a string, a bytes-like "
+         "object or a real number, not 'NoneType'"),
+        ({"max_functions_per_page": 0},
+         "params max_functions_per_page must be at least 1"),
     ],
-    ids=["unknown-mix-type", "missing-n-functions"],
+    ids=["unknown-mix-type", "missing-n-functions", "mix-not-an-object",
+         "mix-count-null", "zero-functions-per-page"],
 )
 def test_synth_transform_malformed_manifest_exits_2(
     tmp_path, capsys, params, message
@@ -277,3 +285,35 @@ def test_synth_transform_malformed_manifest_exits_2(
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert json.loads(manifest_path.read_text()) == manifest
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[{"name": "x"}], [{"name": "x", "snapshot_path": 3}], ["x"], "x"],
+    ids=["no-snapshot-path", "path-not-a-string", "entry-not-an-object",
+         "entries-not-a-list"],
+)
+def test_compare_malformed_entries_exits_2(tmp_path, capsys, entries):
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(
+        {"seed": 1, "params": {}, "entries": entries}
+    ))
+    code, out = run(["compare", "--manifest", manifest_path])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: manifest entries must be objects with string name and "
+        "snapshot_path\n"
+    )
+
+
+def test_gadgets_on_hostile_snapshot_exits_1(tmp_path, capsys):
+    path = tmp_path / "x.rsnp"
+    save_snapshot(code_image(b"\xc3"), path)
+    blob = bytearray(path.read_bytes())
+    blob[16:24] = (0x1001).to_bytes(8, "little")  # first page's base
+    path.write_bytes(bytes(blob))
+    code, out = run(["gadgets", path])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: page base 0x1001 not 4096-aligned\n"
+    )

@@ -1,11 +1,26 @@
 """Memory image model, snapshot serialization, and ELF segment loading."""
 
 import io
+import os
+import struct
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import BASE, RO, RW, RX, build_elf, code_image
+from helpers import (
+    BASE,
+    RO,
+    RW,
+    RX,
+    ReferenceImageBuilder,
+    build_elf,
+    code_image,
+    reference_load_elf,
+)
 from ropscope.snapshot import (
+    MAX_ZERO_FILL,
     PAGE_SIZE,
     ElfFormatError,
     ImageBuilder,
@@ -15,12 +30,14 @@ from ropscope.snapshot import (
     PageRecord,
     Perms,
     SegmentTag,
+    SnapshotError,
     TruncatedPageError,
     UnmappedRead,
     WritableExecutableError,
     load_elf,
     load_snapshot,
     page_base,
+    page_spans,
     save_snapshot,
 )
 
@@ -76,14 +93,33 @@ def test_builder_composes_pages_and_reads():
 
 def test_unmapped_reads_raise():
     image = code_image(b"\xc3")
-    with pytest.raises(UnmappedRead):
+    # The error names the first byte that could not be read.
+    with pytest.raises(UnmappedRead) as info:
         image.read_bytes(BASE + PAGE_SIZE, 1)
-    with pytest.raises(UnmappedRead):
+    assert info.value.addr == BASE + PAGE_SIZE
+    with pytest.raises(UnmappedRead) as info:
+        image.read_bytes(BASE + PAGE_SIZE + 5, 2)
+    assert info.value.addr == BASE + PAGE_SIZE + 5
+    with pytest.raises(UnmappedRead) as info:
         # Crossing from a mapped page into a hole must not silently truncate.
         image.read_bytes(BASE + PAGE_SIZE - 4, 8)
+    assert info.value.addr == BASE + PAGE_SIZE
     with pytest.raises(UnmappedRead):
         image.page_at(0x123000)
     assert image.page_at(BASE + 17).base == BASE
+    assert image.read_bytes(BASE + PAGE_SIZE, 0) == b""
+
+
+def test_page_spans():
+    assert list(page_spans(0x1000, 0x1000)) == []
+    assert list(page_spans(0x1FFE, 0x3003)) == [
+        (0x1000, 0xFFE, 0x1000),
+        (0x2000, 0, 0x1000),
+        (0x3000, 0, 3),
+    ]
+    assert list(page_spans(0x1004, 0x1008)) == [(0x1000, 4, 8)]
+    top = 2**64 - PAGE_SIZE
+    assert list(page_spans(top + 1, 2**64)) == [(top, 1, PAGE_SIZE)]
 
 
 def test_snapshot_round_trip_bytes_exact():
@@ -237,3 +273,262 @@ def test_elf_writable_and_code_segments_on_one_page_rejected():
         load_elf(elf, kind="all_load")
     # exec_only never maps the writable segment, so the page is plain code.
     assert str(load_elf(elf).pages[0].perms) == "r-x"
+
+
+# A 4-page window in which generated segments and puts land, so they
+# share pages, straddle page boundaries and collide.
+_WINDOW = 4 * PAGE_SIZE
+
+
+# Writable plus executable is refused outright, so it is drawn rarely.
+_FLAGS = st.sampled_from([PF_R | PF_X, PF_R | PF_X, PF_R, PF_R, PF_R | PF_W,
+                          PF_R | PF_W, PF_X, 0, PF_R | PF_W | PF_X])
+
+
+@st.composite
+def _elf_segments(draw):
+    packed = draw(st.booleans())
+    cursor = BASE + draw(st.integers(0, PAGE_SIZE))
+    segments = []
+    for _ in range(draw(st.integers(1, 4))):
+        if packed:
+            # Back to back with small gaps: pages shared, no collisions.
+            vaddr = cursor + draw(st.integers(0, 64))
+        else:
+            vaddr = BASE + draw(st.integers(0, _WINDOW - 1))
+        memsz = draw(st.integers(0, max(1, min(2 * PAGE_SIZE,
+                                               BASE + _WINDOW - vaddr))))
+        filesz = draw(st.integers(0, memsz))
+        segments.append({
+            "vaddr": vaddr,
+            "data": bytes((vaddr + k) % 251 + 1 for k in range(filesz)),
+            "memsz": memsz,
+            "flags": draw(_FLAGS),
+        })
+        cursor = vaddr + memsz
+    return segments
+
+
+def _load_outcome(loader, raw, kind):
+    try:
+        buf = io.BytesIO()
+        save_snapshot(loader(raw, kind), buf)
+        return buf.getvalue()
+    except SnapshotError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_elf_segments(), st.sampled_from(["exec_only", "all_load"]))
+def test_load_elf_matches_byte_walk(segments, kind):
+    """Same .rsnp bytes as the per-byte loader, or the same refusal."""
+    raw = build_elf(segments)
+    assert _load_outcome(load_elf, raw, kind) == _load_outcome(
+        reference_load_elf, raw, kind
+    )
+
+
+@pytest.mark.parametrize(
+    "code_vaddr,error",
+    [
+        # The code segment's first byte lands on a data byte: overlap wins.
+        (BASE + 0x10, ElfFormatError),
+        # Its first byte is free and a later one collides: the permission
+        # merge of writable data with code fails first.
+        (BASE, WritableExecutableError),
+    ],
+)
+def test_elf_refusal_precedence_on_a_shared_page(code_vaddr, error):
+    elf = build_elf([
+        {"vaddr": BASE + 0x10, "data": b"\x55" * 32, "flags": PF_R | PF_W},
+        {"vaddr": code_vaddr, "data": b"\x90" * 32, "flags": PF_R | PF_X},
+    ])
+    outcome = _load_outcome(load_elf, elf, "all_load")
+    assert outcome[0] is error
+    assert outcome == _load_outcome(reference_load_elf, elf, "all_load")
+
+
+_PERMS = [RX, RW, RO]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.booleans(),
+        st.integers(0, _WINDOW - 1),
+        st.integers(0, PAGE_SIZE + 300),
+        st.sampled_from(_PERMS),
+        st.sampled_from(list(SegmentTag)),
+        st.integers(0, 255),
+    ),
+    min_size=1,
+    max_size=6,
+))
+def test_builder_matches_byte_walk(ops):
+    """put and reserve build the same pages as a builder that places one
+    byte at a time."""
+    builder, reference = ImageBuilder(), ReferenceImageBuilder()
+    for is_put, offset, length, perms, tag, fill in ops:
+        for target in (builder, reference):
+            if is_put:
+                data = bytes((offset + k) % 256 for k in range(length))
+                target.put(BASE + offset, data, perms=perms, tag=tag, fill=fill)
+            else:
+                target.reserve(page_base(BASE + offset), perms, tag, fill)
+    assert builder.build().pages == reference.build().pages
+
+
+@pytest.mark.parametrize("kind", ["exec_only", "all_load"])
+def test_load_elf_matches_byte_walk_on_real_binary(kind):
+    # The byte walk takes seconds and hundreds of MiB on larger binaries
+    # such as python3, so the oracle runs on ls only.
+    if not os.path.exists("/usr/bin/ls"):
+        pytest.skip("/usr/bin/ls not present")
+    raw = open("/usr/bin/ls", "rb").read()
+    assert load_elf(raw, kind).pages == reference_load_elf(raw, kind).pages
+
+
+def _timed(call, *args):
+    """Run call; return the SnapshotError it raised, or None, and insist
+    it returned within a second."""
+    start = time.perf_counter()
+    try:
+        call(*args)
+        error = None
+    except SnapshotError as exc:
+        error = exc
+    assert time.perf_counter() - start < 1.0
+    return error
+
+
+@pytest.mark.parametrize("kind", ["exec_only", "all_load"])
+def test_elf_zero_fill_cap(kind):
+    # 376 bytes of ELF asking for a terabyte of zero-fill.
+    huge = build_elf([
+        {"vaddr": BASE, "data": bytes(256), "memsz": 2**40,
+         "flags": PF_R | PF_X},
+    ])
+    assert len(huge) == 376
+    error = _timed(load_elf, huge, kind)
+    assert isinstance(error, ElfFormatError)
+    assert str(error) == f"segments zero-fill more than {MAX_ZERO_FILL} bytes"
+    # The cap is on the sum over the kept segments.
+    half = MAX_ZERO_FILL // 2 + 1
+    split = build_elf([
+        {"vaddr": BASE, "data": b"\xc3", "memsz": 1 + half,
+         "flags": PF_R | PF_X},
+        {"vaddr": 0x40000000, "data": b"", "memsz": half,
+         "flags": PF_R | PF_X},
+    ])
+    assert isinstance(_timed(load_elf, split, kind), ElfFormatError)
+
+
+def test_elf_zero_fill_cap_skips_unmapped_segments():
+    elf = build_elf([
+        {"vaddr": BASE, "data": b"\xc3", "flags": PF_R | PF_X},
+        {"vaddr": 0x40000000, "data": b"", "memsz": 2**40, "flags": PF_R},
+    ])
+    assert [p.base for p in load_elf(elf).pages] == [BASE]
+    with pytest.raises(ElfFormatError):
+        load_elf(elf, kind="all_load")
+
+
+def _snapshot_blob(metadata=None):
+    builder = ImageBuilder()
+    builder.put(BASE, b"\x90\xc3", perms=RX, tag=SegmentTag.CODE)
+    builder.put(0x7FF000, b"\x01" * 8, perms=RW, tag=SegmentTag.HEAP)
+    buf = io.BytesIO()
+    save_snapshot(builder.build(metadata or {"source": "unit-test"}), buf)
+    return buf.getvalue()
+
+
+# Container sizes: the file header, and each page record's header.
+_HEADER_SIZE, _RECORD_SIZE = 16, 12
+
+
+def _with_metadata(blob, meta: bytes) -> bytes:
+    end = _HEADER_SIZE + 2 * (_RECORD_SIZE + PAGE_SIZE)
+    return blob[:end] + struct.pack("<I", len(meta)) + meta
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        # A page base off the page grid.
+        lambda blob: blob[:16] + struct.pack("<Q", BASE + 1) + blob[24:],
+        lambda blob: _with_metadata(blob, b"[" * 20000),
+        lambda blob: _with_metadata(blob, b'{"a": ' + b"1" * 5000 + b"}"),
+    ],
+    ids=["unaligned-base", "deep-nesting", "long-integer"],
+)
+def test_snapshot_hostile_bytes_raise_malformed_header(mutate):
+    with pytest.raises(MalformedHeaderError):
+        load_snapshot(mutate(_snapshot_blob()))
+
+
+def test_snapshot_truncated_at_every_record_boundary():
+    blob = _snapshot_blob()
+    record = _RECORD_SIZE + PAGE_SIZE
+    cuts = [0, 8, _HEADER_SIZE, _HEADER_SIZE + _RECORD_SIZE,
+            _HEADER_SIZE + record, _HEADER_SIZE + record + _RECORD_SIZE,
+            _HEADER_SIZE + 2 * record, _HEADER_SIZE + 2 * record + 2,
+            len(blob) - 1]
+    for cut in cuts:
+        assert _timed(load_snapshot, blob[:cut]) is not None
+
+
+_HUGE = st.sampled_from([2**31, 2**32 - 1, 2**40, 2**63, 2**64 - 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, _HEADER_SIZE + _RECORD_SIZE + 40),
+                       st.integers(1, 255)),
+             max_size=4),
+    st.one_of(st.none(), _HUGE, st.integers(0, 5)),
+    st.data(),
+)
+def test_snapshot_fuzzed_bytes_raise_only_snapshot_errors(flips, count, data):
+    blob = bytearray(_snapshot_blob())
+    # Byte flips in the header, the first page record header and the start
+    # of its page.
+    for pos, mask in flips:
+        blob[pos] ^= mask
+    if count is not None:
+        blob[8:16] = struct.pack("<Q", count)
+    cut = data.draw(st.integers(0, len(blob)))
+    _timed(load_snapshot, bytes(blob[:cut]))
+
+
+_PHDR_FIELDS = {"p_offset": 8, "p_filesz": 32, "p_memsz": 40}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 64 + 3 * 56 - 1), st.integers(1, 255)),
+             max_size=4),
+    st.lists(
+        st.tuples(st.sampled_from(["e_phnum", *_PHDR_FIELDS]),
+                  st.integers(0, 2), _HUGE),
+        max_size=2,
+    ),
+    st.sampled_from(["exec_only", "all_load"]),
+    st.data(),
+)
+def test_elf_fuzzed_bytes_raise_only_snapshot_errors(flips, fields, kind, data):
+    elf = bytearray(build_elf([
+        {"vaddr": BASE, "data": b"\x90" * 64 + b"\xc3", "flags": PF_R | PF_X},
+        {"vaddr": BASE + 0x1040, "data": b"\x01" * 32, "memsz": 0x100,
+         "flags": PF_R | PF_W},
+        {"vaddr": BASE + 0x2000, "data": b"\xc3", "flags": PF_R},
+    ]))
+    for pos, mask in flips:
+        elf[pos] ^= mask
+    for name, index, value in fields:
+        if name == "e_phnum":
+            elf[56:58] = struct.pack("<H", value & 0xFFFF)
+        else:
+            at = 64 + index * 56 + _PHDR_FIELDS[name]
+            elf[at : at + 8] = struct.pack("<Q", value)
+    cut = data.draw(st.integers(0, len(elf)))
+    _timed(load_elf, bytes(elf[:cut]), kind)
