@@ -330,6 +330,9 @@ def _load_manifest(path: str) -> tuple[Path, dict]:
     data = json.loads(manifest_path.read_text())
     if not isinstance(data, dict) or not {"seed", "params", "entries"} <= data.keys():
         raise ValueError("manifest needs seed, params, and entries")
+    seed = data["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"manifest seed must be an integer, not {seed!r}")
     entries = data["entries"]
     if not isinstance(entries, list) or not all(
         isinstance(e, dict)
@@ -346,7 +349,7 @@ def _load_manifest(path: str) -> tuple[Path, dict]:
 def _cmd_synth_transform(args) -> int:
     base_dir, manifest = _load_manifest(args.manifest)
     params = GenParams.from_dict(manifest["params"])
-    program = generate(params, int(manifest["seed"]))
+    program = generate(params, manifest["seed"])
     kind = SchemeKind(args.scheme)
     scheme = RandomizationScheme(
         kind=kind,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum, auto
 from typing import Iterable
 
@@ -143,7 +143,7 @@ _TERMINATORS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemRef:
     """A decoded memory addressing expression."""
 
@@ -187,7 +187,7 @@ class MemRef:
         return f"[{inner}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operand:
     kind: str  # "reg" | "imm" | "mem"
     reg: Reg | None = None
@@ -231,7 +231,7 @@ class Operand:
         return self.mem.render()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     addr: int
     length: int
@@ -460,6 +460,16 @@ def decode(data: bytes, addr: int, offset: int = 0) -> Instruction | None:
         return None
 
 
+# One frozenset object per distinct register set: only a few dozen occur,
+# and every retained instruction would otherwise hold two sets of its own.
+_REG_SETS: dict[frozenset[Reg], frozenset[Reg]] = {}
+
+
+def _interned(regs: Iterable[Reg]) -> frozenset[Reg]:
+    key = frozenset(regs)
+    return _REG_SETS.setdefault(key, key)
+
+
 def _fin(
     cur: _Cursor,
     mnemonic: Mnemonic,
@@ -472,7 +482,7 @@ def _fin(
     """Build the instruction spanning the bytes the cursor has consumed."""
     return Instruction(
         addr=cur.addr, length=cur.pos - cur.start, mnemonic=mnemonic,
-        operands=operands, reads=frozenset(reads), writes=frozenset(writes),
+        operands=operands, reads=_interned(reads), writes=_interned(writes),
         raw=bytes(cur.data[cur.start : cur.pos]),
         branch_target=branch_target, cc=cc,
     )
@@ -689,8 +699,9 @@ def _operand_reads(op: Operand) -> set[Reg]:
 
 class PageDecodes(dict):
     """Decode results of one page keyed by in-page offset, each computed on
-    first lookup. They depend only on the page bytes, so any number of
-    traversals of the page may share one."""
+    first lookup. They depend only on the page bytes, so the linear branch
+    scan and any number of traversals of the page share one, and each
+    offset is decoded once."""
 
     def __init__(self, page: PageRecord):
         super().__init__()

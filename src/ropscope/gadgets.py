@@ -253,6 +253,17 @@ def classify(
     on absolute addresses.
     """
     assert insns, "cannot classify an empty window"
+    return _classify(
+        insns, [_insn_cores(insn) for insn in insns], enable_heuristic_types
+    )
+
+
+def _classify(
+    insns: Sequence[Instruction],
+    matches: Sequence[list[tuple[GadgetType, bool]]],
+    enable_heuristic_types: bool,
+) -> Gadget:
+    """classify, given the `_insn_cores` of each instruction of the window."""
     last = insns[-1]
     n = len(insns)
     footprints: dict[GadgetType, Footprint] = {}
@@ -263,8 +274,8 @@ def classify(
     # Single-instruction core matches; the match closest to the terminator
     # wins the core slot for its type.
     per_insn: dict[GadgetType, tuple[int, bool]] = {}
-    for idx, insn in enumerate(insns):
-        for gtype, strict in _insn_cores(insn):
+    for idx, hits in enumerate(matches):
+        for gtype, strict in hits:
             per_insn[gtype] = (idx, strict)
 
     for gtype, (idx, strict) in per_insn.items():
@@ -433,19 +444,24 @@ def find_gadgets(
         elif heuristic and insn.mnemonic is Mnemonic.JMP_REL:
             terminator_positions.append(pos)
 
+    # Core matches by stream position, computed the first time a window
+    # takes the position in; windows of nearby terminators share them.
+    matches: list[list[tuple[GadgetType, bool]] | None] = [None] * len(stream)
     gadgets: list[Gadget] = []
     for pos in terminator_positions:
-        window: list[Instruction] = [stream[pos]]
-        for back in range(1, opts.max_len):
-            prev_pos = pos - back
-            if prev_pos < 0:
+        low = pos
+        while pos - low + 1 < opts.max_len and low > 0:
+            prev = stream[low - 1]
+            if prev.end != stream[low].addr or prev.mnemonic in _BLOCKERS:
                 break
-            prev = stream[prev_pos]
-            if prev.end != window[0].addr or prev.mnemonic in _BLOCKERS:
-                break
-            window.insert(0, prev)
-            gadgets.append(classify(window, heuristic))
-        gadgets.append(classify([stream[pos]], heuristic))
+            low -= 1
+        for i in range(low, pos + 1):
+            if matches[i] is None:
+                matches[i] = _insn_cores(stream[i])
+        for start in range(low, pos + 1):
+            gadgets.append(_classify(
+                stream[start : pos + 1], matches[start : pos + 1], heuristic
+            ))
 
     gadgets.sort(key=lambda g: (g.addr, g.length))
     return tuple(gadgets)

@@ -28,7 +28,6 @@ from ropscope.disasm import (
     Instruction,
     PageDecodes,
     PageDisasm,
-    decode,
     extract_chain_targets,
 )
 from ropscope.gadgets import (
@@ -186,14 +185,15 @@ class ImageAnalysis:
     """Facts that depend only on the image and the mining options, computed
     once and shared by every harvest over that image.
 
-    It holds each page's decode results by offset, what mining each page
-    stream (page base and the addresses of its instructions) yields, and a
-    tree of traversal states per page. A child in the tree is keyed by the
-    sorted entries of one batch and holds the state that batch leads to, so
-    a harvest replays its traversal as lookups: `PageDisasm.add_entries`
-    runs once per distinct batch history over all harvests. Clocks read the
-    instruction count stored in each node, which is what the harvest would
-    have decoded itself.
+    It holds each page's decode results by offset, which the linear branch
+    scan and every traversal share, so each offset is decoded once per
+    image; what mining each page stream (page base and the addresses of its
+    instructions) yields; and a tree of traversal states per page. A child
+    in the tree is keyed by the sorted entries of one batch and holds the
+    state that batch leads to, so a harvest replays its traversal as
+    lookups: `PageDisasm.add_entries` runs once per distinct batch history
+    over all harvests. Clocks read the instruction count stored in each
+    node, which is what the harvest would have decoded itself.
     """
 
     def __init__(
@@ -206,10 +206,14 @@ class ImageAnalysis:
         self._mined: dict[tuple[int, tuple[int, ...]], MinedStream] = {}
         self._roots: dict[int, _Node] = {}
 
-    def check(self, image: MemoryImage, opts: HarvestOptions) -> None:
-        """Raise ValueError unless built for this image and these options."""
+    def check_image(self, image: MemoryImage) -> None:
+        """Raise ValueError unless built for this image."""
         if image is not self.image:
             raise ValueError("analysis was built for another image")
+
+    def check(self, image: MemoryImage, opts: HarvestOptions) -> None:
+        """Raise ValueError unless built for this image and these options."""
+        self.check_image(image)
         if (
             opts.mining_options() != self.mining
             or opts.follow_cond_branches != self.follow_cond_branches
@@ -444,20 +448,31 @@ def _sweep_accepts(decodes: PageDecodes, offset: int) -> bool:
     return True
 
 
-def collect_branch_targets(image: MemoryImage) -> dict[int, set[int]]:
+def collect_branch_targets(
+    image: MemoryImage, analysis: ImageAnalysis | None = None
+) -> dict[int, set[int]]:
     """Linear-scan every executable page, resynchronizing on the next byte
     that can start an instruction after an invalid decode, and collect
     direct branch targets keyed by the page they land in. Targets outside
-    executable pages are dropped."""
+    executable pages are dropped.
+
+    The scan reads through the analysis's decode results, so the
+    traversals that share the analysis find every scanned offset already
+    decoded; a fresh analysis is built when none is passed."""
+    if analysis is None:
+        analysis = ImageAnalysis(image)
+    else:
+        analysis.check_image(image)
     exec_pages = image.executable_pages()
     targets_by_page: dict[int, set[int]] = {p.base: set() for p in exec_pages}
     for page in exec_pages:
+        decodes = analysis.decodes(page)
         # Bytes the mask marks 0 decode to None at once, so skipping them
         # is the same walk as advancing one byte at a time.
         mask = page.data.translate(FIRST_BYTE_TABLE)
         pos = mask.find(1)
         while pos != -1:
-            insn = decode(page.data, page.base + pos, pos)
+            insn = decodes[pos]
             if insn is None:
                 pos += 1
             else:
@@ -486,7 +501,9 @@ def page_start_pointers(
         analysis = ImageAnalysis(image, opts)
     else:
         analysis.check(image, opts)
-    return _choose_starts(analysis, collect_branch_targets(image), opts)
+    return _choose_starts(
+        analysis, collect_branch_targets(image, analysis), opts
+    )
 
 
 def _choose_starts(
@@ -533,8 +550,8 @@ def harvest_all_starts(
 def _closure(image: MemoryImage, opts: HarvestOptions) -> _Traversal:
     """Run the traversal to closure from every direct branch target the
     linear scan finds plus the per-page start pointers."""
-    targets_by_page = collect_branch_targets(image)
     analysis = ImageAnalysis(image, opts)
+    targets_by_page = collect_branch_targets(image, analysis)
     seeds: set[int] = set(
         _choose_starts(analysis, targets_by_page, opts).values()
     )

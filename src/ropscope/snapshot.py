@@ -309,7 +309,9 @@ def load_elf(src: str | Path | bytes, kind: str = "exec_only") -> MemoryImage:
     loads (tagged CODE); "all_load" takes every PT_LOAD, tagging
     non-executable ones DATA. File bytes short of memsz are zero-filled, as
     is any slack to page granularity; more than MAX_ZERO_FILL bytes of
-    zero-fill over the kept segments raises ElfFormatError.
+    zero-fill over the kept segments raises ElfFormatError. So does mapping
+    more file bytes than the file holds plus a page per kept segment, which
+    only segments sharing file bytes can do.
     """
     if kind not in ("exec_only", "all_load"):
         raise ValueError(f"unknown load kind {kind!r}")
@@ -340,6 +342,18 @@ def load_elf(src: str | Path | bytes, kind: str = "exec_only") -> MemoryImage:
             segments.append((p_flags, p_offset, p_vaddr, p_filesz, p_memsz))
     if sum(max(memsz - filesz, 0) for *_, filesz, memsz in segments) > MAX_ZERO_FILL:
         raise ElfFormatError(f"segments zero-fill more than {MAX_ZERO_FILL} bytes")
+    # Segments may share file bytes (neighbours share a partial page), but
+    # without a bound a file with n headers maps n times its size. Each
+    # segment counts only the bytes the file holds, so a segment running
+    # past the end of the file is still refused for that below.
+    mapped = sum(
+        min(filesz, max(len(raw) - offset, 0))
+        for _, offset, _, filesz, _ in segments
+    )
+    if mapped > len(raw) + PAGE_SIZE * len(segments):
+        raise ElfFormatError(
+            f"segments map {mapped} file bytes from a {len(raw)}-byte file"
+        )
 
     # Accumulate page contents; segments may land on the same page only if
     # their byte ranges do not collide. A claim mask marks the bytes placed.

@@ -16,6 +16,7 @@ from ropscope.disasm import (
     decode,
     extract_chain_targets,
 )
+from ropscope.gadgets import Gadget, classify
 from ropscope.harvest import (
     HarvestOptions,
     collect_branch_targets,
@@ -365,6 +366,38 @@ def reference_sys_anchors(insns) -> list[int]:
                     anchors.append(start + pos)
                 pos = blob.find(pattern, pos + 1)
     return sorted(set(anchors))
+
+
+def reference_find_gadgets(
+    insns, max_len: int, heuristic: bool
+) -> tuple[Gadget, ...]:
+    """Every window of up to max_len byte-adjacent stream instructions that
+    ends at a terminator and holds no unconditional transfer before it,
+    each rebuilt from scratch and passed to the public classify. An oracle
+    for find_gadgets."""
+    stream = sorted(insns, key=lambda i: i.addr)
+    terminators = {
+        Mnemonic.RET, Mnemonic.RET_IMM, Mnemonic.JMP_RM, Mnemonic.CALL_RM,
+    }
+    blockers = {
+        Mnemonic.RET, Mnemonic.RET_IMM, Mnemonic.JMP_REL, Mnemonic.JMP_RM,
+    }
+    out = []
+    for end, last in enumerate(stream):
+        if not (
+            last.mnemonic in terminators
+            or (is_sys_entry(last) and last.raw.startswith(_SYS_SCAN_PATTERNS))
+            or (heuristic and last.mnemonic is Mnemonic.JMP_REL)
+        ):
+            continue
+        for length in range(1, min(max_len, end + 1) + 1):
+            window = stream[end - length + 1 : end + 1]
+            adjacent = all(
+                a.end == b.addr for a, b in zip(window, window[1:])
+            )
+            if adjacent and not any(i.mnemonic in blockers for i in window[:-1]):
+                out.append(classify(window, heuristic))
+    return tuple(sorted(out, key=lambda g: (g.addr, g.length)))
 
 
 def reference_branch_targets(image: MemoryImage) -> dict[int, set[int]]:

@@ -288,6 +288,29 @@ def test_synth_transform_malformed_manifest_exits_2(
 
 
 @pytest.mark.parametrize(
+    "seed", [None, "5", 5.0, True], ids=["null", "string", "float", "bool"]
+)
+def test_synth_transform_non_integer_seed_exits_2(tmp_path, capsys, seed):
+    out_dir = tmp_path / "corpus"
+    code, _ = run(["synth", "generate", "--out-dir", out_dir, "--seed", "5",
+                   "--functions", "4"])
+    assert code == 0
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["seed"] = seed
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+
+    code, out = run(["synth", "transform", "--manifest", manifest_path,
+                     "--scheme", "function"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: manifest seed must be an integer, not {seed!r}\n"
+    )
+    assert json.loads(manifest_path.read_text()) == manifest
+
+
+@pytest.mark.parametrize(
     "entries",
     [[{"name": "x"}], [{"name": "x", "snapshot_path": 3}], ["x"], "x"],
     ids=["no-snapshot-path", "path-not-a-string", "entry-not-an-object",

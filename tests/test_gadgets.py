@@ -11,6 +11,7 @@ from helpers import (
     decode_stream,
     gadget_multiset,
     is_sys_entry,
+    reference_find_gadgets,
     reference_sys_anchors,
 )
 from ropscope.disasm import Reg
@@ -63,6 +64,8 @@ from ropscope.gadgets import (
     load_set_spec,
     resolve_set,
 )
+from ropscope.harvest import offline_disassemble
+from ropscope.synth import GenParams, generate, materialize
 
 MIN = Footprint.MIN_FP
 EX = Footprint.EX_FP
@@ -345,6 +348,57 @@ def test_sys_terminators_equal_raw_scan_anchors(runs, gap, heuristic):
         addr += len(code) + gap
     opts = MiningOptions(enable_heuristic_types=heuristic)
     assert sys_terminators(insns, opts) == reference_sys_anchors(insns)
+
+
+_ORACLE_CHUNKS = st.sampled_from([
+    ret(), ret_imm(8), nop(), pop_r(Reg.RBX), pop_r(Reg.RBP), pop_r(Reg.RSP),
+    push_r(Reg.RAX), mov_rr(Reg.RDI, Reg.RAX), mov_ri(Reg.RAX, 7),
+    mov_rm(Reg.RAX, Reg.RDX), mov_rm(Reg.RAX, Reg.RDX, disp=8),
+    mov_mr(Reg.RDI, Reg.RAX), mov_mr(Reg.RSP, Reg.RSI), mov_mi(Reg.RDI, 5),
+    alu_rr("add", Reg.RCX, Reg.RBX), alu_rm("sub", Reg.RSI, Reg.RBP),
+    alu_mr("xor", Reg.RBX, Reg.RAX), alu_ri("add", Reg.RSP, 0x18),
+    shl_cl(Reg.RAX), xchg_rr(Reg.RSP, Reg.RAX), lea(Reg.RSP, Reg.RBP, 8),
+    jmp_r(Reg.RDI), jmp_m(Reg.RAX), call_r(Reg.RDI), call_m(Reg.RBX, 8),
+    call_rel32(0x40), jmp_rel8(-2), jmp_rel32(0x10), jcc_rel8(0x4, -6),
+    syscall(), sysenter(), int80(), int_n(0x03), gs_call(),
+    bytes.fromhex("480f05"),
+])
+
+
+@given(
+    runs=st.lists(st.lists(_ORACLE_CHUNKS, min_size=1, max_size=14),
+                  min_size=1, max_size=3),
+    gap=st.integers(0, 2),
+    max_len=st.sampled_from([1, 5, 10]),
+    heuristic=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_mining_matches_naive_windows_on_random_streams(
+    runs, gap, max_len, heuristic
+):
+    insns, addr = [], 0x400000
+    for run in runs:
+        code = asm(*run)
+        insns += decode_stream(code, base=addr)
+        addr += len(code) + gap
+    opts = MiningOptions(max_len=max_len, enable_heuristic_types=heuristic)
+    assert find_gadgets(insns, opts) == reference_find_gadgets(
+        insns, max_len, heuristic
+    )
+
+
+@pytest.mark.parametrize("heuristic", [False, True])
+@pytest.mark.parametrize("max_len", [1, 5, 10])
+def test_mining_matches_naive_windows_on_synth_streams(max_len, heuristic):
+    opts = MiningOptions(max_len=max_len, enable_heuristic_types=heuristic)
+    for seed in (3, 4):
+        image, _ = materialize(generate(
+            GenParams(n_functions=12, max_functions_per_page=3), seed=seed
+        ))
+        for stream in offline_disassemble(image).values():
+            assert find_gadgets(stream, opts) == reference_find_gadgets(
+                stream, max_len, heuristic
+            )
 
 
 def test_gadget_accessors():

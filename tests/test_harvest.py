@@ -1,12 +1,14 @@
 """Recursive code-page harvesting: closure, costs, events, determinism."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ropscope.disasm as disasm_module
 import ropscope.harvest as harvest_module
 import ropscope.rerand as rerand_module
 from helpers import (
@@ -477,14 +479,48 @@ def test_mine_image_scans_branch_targets_once(monkeypatch):
     calls = []
     scan = harvest_module.collect_branch_targets
 
-    def counting_scan(image):
+    def counting_scan(image, *rest):
         calls.append(image)
-        return scan(image)
+        return scan(image, *rest)
 
     monkeypatch.setattr(harvest_module, "collect_branch_targets", counting_scan)
     image, _, _ = topology_image()
     mine_image(image)
     assert calls == [image]
+
+
+def decoded_addrs(monkeypatch, run):
+    """Addresses passed to decode while run() executes, in call order."""
+    addrs = []
+    decode = disasm_module.decode
+
+    def counting_decode(data, addr, offset=0):
+        addrs.append(addr)
+        return decode(data, addr, offset)
+
+    # `from ropscope.disasm import decode` copies the binding, so replace
+    # it in every module that holds one.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ropscope") and vars(module).get("decode") is decode:
+            monkeypatch.setattr(module, "decode", counting_decode)
+    run()
+    monkeypatch.undo()
+    return addrs
+
+
+@pytest.mark.parametrize("corpus", ["24pages", "8pages-sparse"])
+def test_each_offset_is_decoded_once_per_analysis(corpus, monkeypatch):
+    # The linear branch scan, the start sweep and every traversal share one
+    # analysis, so none decodes an offset another already did.
+    image, _ = materialize(generate(SHARED_CORPORA[corpus], seed=7))
+    opts = HarvestOptions(max_gadget_len=10)
+    mined = decoded_addrs(monkeypatch, lambda: mine_image(image, opts))
+    bounded = decoded_addrs(
+        monkeypatch, lambda: upper_bound(image, BUILTIN_SETS["tc"], opts)
+    )
+    for addrs in (mined, bounded):
+        assert addrs
+        assert len(addrs) == len(set(addrs))
 
 
 def test_offline_mining_equals_stream_mining_on_linear_code():

@@ -433,6 +433,40 @@ def test_elf_zero_fill_cap_skips_unmapped_segments():
         load_elf(elf, kind="all_load")
 
 
+@pytest.mark.parametrize("kind", ["exec_only", "all_load"])
+def test_elf_segments_sharing_file_bytes_are_refused(kind):
+    # 400 code segments at distinct addresses all map the same 32 KiB, so
+    # 55 KiB of file would map 12.5 MiB.
+    blob = b"\x90" * (8 * PAGE_SIZE - 1) + b"\xc3"
+    elf = bytearray(build_elf([
+        {"vaddr": BASE + i * len(blob), "data": blob if i == 0 else b"",
+         "flags": PF_R | PF_X}
+        for i in range(400)
+    ]))
+    phdr = struct.Struct("<IIQQQQQQ")
+    for i in range(1, 400):
+        at = 64 + i * phdr.size
+        fields = list(phdr.unpack_from(elf, at))
+        fields[2] = 64 + 400 * phdr.size  # p_offset of the shared blob
+        fields[5] = fields[6] = len(blob)  # p_filesz, p_memsz
+        phdr.pack_into(elf, at, *fields)
+    assert len(elf) == 55232
+    error = _timed(load_elf, bytes(elf), kind)
+    assert isinstance(error, ElfFormatError)
+    assert str(error) == "segments map 13107200 file bytes from a 55232-byte file"
+    # Up to a page per segment may be shared, as neighbouring segments of
+    # real files share a partial page.
+    shared = bytearray(build_elf([
+        {"vaddr": BASE, "data": b"\xc3" * 100, "flags": PF_R | PF_X},
+        {"vaddr": BASE + 0x10000, "data": b"\x01" * 100, "flags": PF_R},
+    ]))
+    fields = list(phdr.unpack_from(shared, 64 + phdr.size))
+    fields[2] = 0
+    fields[5] = fields[6] = len(shared)
+    phdr.pack_into(shared, 64 + phdr.size, *fields)
+    assert len(load_elf(bytes(shared), "all_load").pages) == 2
+
+
 def _snapshot_blob(metadata=None):
     builder = ImageBuilder()
     builder.put(BASE, b"\x90\xc3", perms=RX, tag=SegmentTag.CODE)
