@@ -407,6 +407,12 @@ def test_harvest_refuses_mismatched_analysis():
             harvest(bad_image, start, bad_opts, analysis)
         with pytest.raises(ValueError):
             page_start_pointers(bad_image, bad_opts, analysis)
+    with pytest.raises(ValueError):
+        collect_branch_targets(other, analysis)
+    # The scan needs only the image to match, not the mining options.
+    assert collect_branch_targets(image, analysis) == collect_branch_targets(
+        image
+    )
     # Tracking and stopping are not mining options: one analysis serves them.
     tracked = HarvestOptions(
         max_gadget_len=10,
