@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -69,10 +68,6 @@ from ropscope.synth import (
 
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("ROPSCOPE_SEED", "0"))
 
 
 def _parse_int(text: str) -> int:
@@ -289,8 +284,6 @@ def _write_corpus_entry(
 
 
 def _cmd_synth_generate(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params = GenParams(
         n_functions=args.functions,
         mean_fn_len=args.mean_len,
@@ -299,6 +292,8 @@ def _cmd_synth_generate(args) -> int:
         max_functions_per_page=args.max_functions_per_page,
         base=args.base,
     )
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     program = generate(params, args.seed)
     entries = []
     image, truth = materialize(program)
@@ -449,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_set=True):
-        p.add_argument("--seed", type=_parse_int, default=_default_seed())
+        p.add_argument("--seed", type=_parse_int, default=0)
         p.add_argument("--max-len", type=int, default=5,
                        help="max instructions per gadget window")
         p.add_argument("--heuristic-types", action="store_true",
@@ -530,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = synth_sub.add_parser("generate", help="generate a corpus")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=_parse_int, default=_default_seed())
+    p.add_argument("--seed", type=_parse_int, default=0)
     p.add_argument("--functions", type=int, default=12)
     p.add_argument("--mean-len", type=int, default=10)
     p.add_argument("--connectivity", type=float, default=0.25)

@@ -147,6 +147,10 @@ class MiningOptions:
     max_len: int = 5
     enable_heuristic_types: bool = False
 
+    def __post_init__(self) -> None:
+        if self.max_len < 1:
+            raise ValueError("max_len must be at least 1")
+
 
 # Per-instruction core matching. Each hit names a type and whether the match
 # is in the type's minimal shape (register operands or a bare [reg] address).

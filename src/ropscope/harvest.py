@@ -21,6 +21,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ropscope.disasm import (
@@ -331,6 +332,13 @@ class _Traversal:
                 self._add_targets(mined.targets)
             yield base, first_visit, node.added, mined
 
+    def gadgets(self) -> tuple[Gadget, ...]:
+        """Gadgets of every visited page's current stream, in page order."""
+        nodes = self.nodes
+        return tuple(chain.from_iterable(
+            nodes[base].mined.gadgets for base in sorted(nodes)
+        ))
+
 
 def harvest(
     image: MemoryImage,
@@ -354,32 +362,26 @@ def harvest(
 
     tracked = set(opts.track_set.required) if opts.track_set else None
 
-    clock = 0
     leak_cost = 0
     analysis_cost = 0
-    step = 0
     converged = False
     events: list[HarvestEvent] = []
     seen_types: set[GadgetType] = set()
-    page_gadgets: dict[int, tuple[Gadget, ...]] = {}
+
+    def stamp(kind: EventKind, payload: Mapping[str, object]) -> None:
+        events.append(HarvestEvent(
+            len(events) + 1, leak_cost + analysis_cost, kind, payload
+        ))
 
     walk = _Traversal(analysis, (start,))
     for base, first_visit, new_insns, mined in walk:
         if first_visit:
             # The page leak itself.
-            clock += LEAK_TICKS_PER_PAGE
             leak_cost += LEAK_TICKS_PER_PAGE
-            step += 1
-            events.append(
-                HarvestEvent(
-                    step, clock, EventKind.PAGE_DISCOVERED, {"base": base}
-                )
-            )
-        clock += new_insns
+            stamp(EventKind.PAGE_DISCOVERED, {"base": base})
         analysis_cost += new_insns
         if mined is None:
             continue
-        page_gadgets[base] = mined.gadgets
 
         # seen_types already holds the types of every other page, so only
         # the page just mined can add new ones.
@@ -387,41 +389,24 @@ def harvest(
         if tracked is not None:
             new_types &= tracked
         for gtype in sorted(new_types, key=lambda t: t.value):
-            step += 1
-            events.append(
-                HarvestEvent(
-                    step, clock, EventKind.TYPE_LEAKED, {"type": gtype.value}
-                )
-            )
+            stamp(EventKind.TYPE_LEAKED, {"type": gtype.value})
         seen_types |= new_types
 
         if tracked is not None and not converged and tracked <= seen_types:
             converged = True
-            step += 1
-            events.append(
-                HarvestEvent(
-                    step,
-                    clock,
-                    EventKind.CONVERGED,
-                    {"set": opts.track_set.name},
-                )
-            )
+            stamp(EventKind.CONVERGED, {"set": opts.track_set.name})
             if opts.stop_on_convergence:
                 break
-
-    all_gadgets: list[Gadget] = []
-    for b in sorted(page_gadgets):
-        all_gadgets.extend(page_gadgets[b])
 
     return HarvestTrace(
         start=start,
         events=events,
         leak_cost=leak_cost,
         analysis_cost=analysis_cost,
-        pages_found=len(page_gadgets),
+        pages_found=len(walk.nodes),
         skipped_targets=walk.skipped,
-        converged=converged if tracked is not None else False,
-        gadgets=tuple(all_gadgets),
+        converged=converged,
+        gadgets=walk.gadgets(),
     )
 
 
@@ -580,8 +565,4 @@ def mine_image(
     image: MemoryImage, opts: HarvestOptions = HarvestOptions()
 ) -> tuple[Gadget, ...]:
     """Gadgets of every offline-disassembled stream, in page order."""
-    walk = _closure(image, opts)
-    out: list[Gadget] = []
-    for base in sorted(walk.nodes):
-        out.extend(walk.nodes[base].mined.gadgets)
-    return tuple(out)
+    return _closure(image, opts).gadgets()

@@ -189,11 +189,12 @@ def upper_bound(
     if spec is None:
         spec = opts.track_set or BUILTIN_SETS["tc"]
     analysis = ImageAnalysis(image, opts)
-    records: dict[int, ConvergenceRecord] = {}
-    for _, start in sorted(page_start_pointers(image, opts, analysis).items()):
-        if start in records:
-            continue
-        records[start] = converge(image, start, spec, opts, analysis)
+    # Each start lies in its own page, so no start repeats.
+    starts = page_start_pointers(image, opts, analysis)
+    records = {
+        start: converge(image, start, spec, opts, analysis)
+        for _, start in sorted(starts.items())
+    }
 
     converged_clocks = [
         r.convergence_clock

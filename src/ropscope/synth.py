@@ -90,6 +90,10 @@ class SynthFunction:
 
 @dataclass(frozen=True)
 class GenParams:
+    """Generator parameters. Construction raises ValueError when
+    max_functions_per_page is below 1, n_functions is below 1, or
+    gadget_mix names a type with no plant template."""
+
     n_functions: int = 12
     mean_fn_len: int = 10
     connectivity: float = 0.25
@@ -97,6 +101,16 @@ class GenParams:
     ensure_strongly_connected: bool = True
     max_functions_per_page: int | None = None
     base: int = 0x400000
+
+    def __post_init__(self) -> None:
+        per_page = self.max_functions_per_page
+        if per_page is not None and per_page < 1:
+            raise ValueError("params max_functions_per_page must be at least 1")
+        if self.n_functions < 1:
+            raise ValueError("need at least one function")
+        for gtype in self.gadget_mix or ():
+            if gtype not in _PLANTS:
+                raise ValueError(f"gadget type {gtype.value} is not plantable")
 
     def to_dict(self) -> dict:
         return {
@@ -122,7 +136,7 @@ class GenParams:
             if mix is not None:
                 mix = {gadget_type(k): int(v) for k, v in mix.items()}
             per_page = data.get("max_functions_per_page")
-            params = GenParams(
+            return GenParams(
                 n_functions=int(data["n_functions"]),
                 mean_fn_len=int(data["mean_fn_len"]),
                 connectivity=float(data["connectivity"]),
@@ -137,9 +151,6 @@ class GenParams:
             raise ValueError(f"params lack {exc.args[0]!r}") from None
         except (AttributeError, TypeError) as exc:
             raise ValueError(f"malformed params: {exc}") from None
-        if per_page is not None and params.max_functions_per_page < 1:
-            raise ValueError("params max_functions_per_page must be at least 1")
-        return params
 
 
 class SchemeKind(str, Enum):
@@ -164,14 +175,6 @@ class RandomizationScheme:
             "seed": self.seed,
             "rename_registers": self.rename_registers,
         }
-
-    @staticmethod
-    def from_dict(data: Mapping) -> "RandomizationScheme":
-        return RandomizationScheme(
-            kind=SchemeKind(data["kind"]),
-            seed=int(data.get("seed", 0)),
-            rename_registers=bool(data.get("rename_registers", False)),
-        )
 
 
 @dataclass(frozen=True)
@@ -237,88 +240,80 @@ class SynthProgram:
     call_graph: tuple[tuple[int, int], ...]
 
 
-# Plant templates. Each returns IR items whose leading instructions form the
-# named gadget in minimal footprint once a return or indirect branch closes
-# the window.
-
-
 def _pick(rng: random.Random, exclude: Iterable[Reg] = ()) -> Reg:
     pool = [r for r in RENAME_DOMAIN if r not in set(exclude)]
     return rng.choice(pool)
 
 
-def _plant_items(
-    gtype: GadgetType, rng: random.Random
-) -> list[AsmItem] | None:
+# Plant templates, keyed by the gadget type they plant. Each takes three
+# distinct registers and returns IR items whose leading instructions form the
+# named gadget in minimal footprint once a return or indirect branch closes
+# the window. A type is plantable exactly when it has a template here.
+# BROP is classified by its exact pop order.
+_BROP_POPS = (
+    Reg.RBX, Reg.RBP, Reg.R12, Reg.R13, Reg.R14, Reg.RSI, Reg.R15, Reg.RDI,
+)
+_PLANTS: dict[GadgetType, Callable[[Reg, Reg, Reg], list[AsmItem]]] = {
+    GadgetType.MR: lambda a, b, c: [AsmItem("mov_rr", (a, b)), AsmItem("ret")],
+    GadgetType.LR: lambda a, b, c: [AsmItem("pop_r", (a,)), AsmItem("ret")],
+    GadgetType.AM: lambda a, b, c: [
+        AsmItem("alu_rr", ("add", a, b)), AsmItem("ret"),
+    ],
+    GadgetType.LM: lambda a, b, c: [AsmItem("mov_rm", (a, b)), AsmItem("ret")],
+    GadgetType.AM_LD: lambda a, b, c: [
+        AsmItem("alu_rm", ("add", a, b)), AsmItem("ret"),
+    ],
+    GadgetType.SM: lambda a, b, c: [AsmItem("mov_mr", (a, b)), AsmItem("ret")],
+    GadgetType.ST: lambda a, b, c: [AsmItem("mov_mr", (a, b)), AsmItem("ret")],
+    GadgetType.AM_ST: lambda a, b, c: [
+        AsmItem("alu_mr", ("sub", a, b)), AsmItem("ret"),
+    ],
+    GadgetType.LOGIC: lambda a, b, c: [
+        AsmItem("alu_rr", ("xor", a, b)), AsmItem("ret"),
+    ],
+    GadgetType.SP: lambda a, b, c: [
+        AsmItem("mov_rr", (Reg.RSP, b)), AsmItem("ret"),
+    ],
+    GadgetType.JMP: lambda a, b, c: [AsmItem("jmp_r", (a,))],
+    GadgetType.CALL: lambda a, b, c: [AsmItem("call_r", (a,))],
+    GadgetType.SYS: lambda a, b, c: [AsmItem("syscall"), AsmItem("ret")],
+    GadgetType.STCONST: lambda a, b, c: [
+        AsmItem("mov_mi", (a, 0x11)), AsmItem("ret"),
+    ],
+    GadgetType.STCONSTEX: lambda a, b, c: [
+        AsmItem("mov_mr", (a, b, 8)), AsmItem("ret"),
+    ],
+    GadgetType.LMEX: lambda a, b, c: [
+        AsmItem("mov_rm", (a, b, 16)), AsmItem("ret"),
+    ],
+    GadgetType.CP: lambda a, b, c: [
+        AsmItem("mov_mr", (a, b)), AsmItem("call_r", (c,)),
+    ],
+    GadgetType.CS2: lambda a, b, c: [AsmItem("call_r", (a,)), AsmItem("ret")],
+    GadgetType.RF: lambda a, b, c: [
+        AsmItem("mov_mr", (a, b)),
+        AsmItem("call_r", (c,)),
+        AsmItem("jmp_r", (a,)),
+    ],
+    GadgetType.EP: lambda a, b, c: [
+        AsmItem("pop_r", (Reg.RBP,), None, True), AsmItem("call_r", (a,)),
+    ],
+    GadgetType.BROP: lambda a, b, c: [
+        AsmItem("pop_r", (r,), None, True) for r in _BROP_POPS
+    ] + [AsmItem("ret")],
+    GadgetType.STOP: lambda a, b, c: [AsmItem("jmp_rel8", (-2,))],
+}
+
+PLANTABLE_TYPES: tuple[GadgetType, ...] = tuple(
+    t for t in GadgetType if t in _PLANTS
+)
+
+
+def _plant_items(gtype: GadgetType, rng: random.Random) -> list[AsmItem]:
     a = _pick(rng)
     b = _pick(rng, exclude=(a,))
     c = _pick(rng, exclude=(a, b))
-    if gtype is GadgetType.MR:
-        return [AsmItem("mov_rr", (a, b)), AsmItem("ret")]
-    if gtype is GadgetType.LR:
-        return [AsmItem("pop_r", (a,)), AsmItem("ret")]
-    if gtype is GadgetType.AM:
-        return [AsmItem("alu_rr", ("add", a, b)), AsmItem("ret")]
-    if gtype is GadgetType.LM:
-        return [AsmItem("mov_rm", (a, b)), AsmItem("ret")]
-    if gtype is GadgetType.AM_LD:
-        return [AsmItem("alu_rm", ("add", a, b)), AsmItem("ret")]
-    if gtype is GadgetType.SM:
-        return [AsmItem("mov_mr", (a, b)), AsmItem("ret")]
-    if gtype is GadgetType.ST:
-        return [AsmItem("mov_mr", (a, b)), AsmItem("ret")]
-    if gtype is GadgetType.AM_ST:
-        return [AsmItem("alu_mr", ("sub", a, b)), AsmItem("ret")]
-    if gtype is GadgetType.LOGIC:
-        return [AsmItem("alu_rr", ("xor", a, b)), AsmItem("ret")]
-    if gtype is GadgetType.SP:
-        return [AsmItem("mov_rr", (Reg.RSP, b)), AsmItem("ret")]
-    if gtype is GadgetType.JMP:
-        return [AsmItem("jmp_r", (a,))]
-    if gtype is GadgetType.CALL:
-        return [AsmItem("call_r", (a,))]
-    if gtype is GadgetType.SYS:
-        return [AsmItem("syscall"), AsmItem("ret")]
-    if gtype is GadgetType.STCONST:
-        return [AsmItem("mov_mi", (a, 0x11)), AsmItem("ret")]
-    if gtype is GadgetType.STCONSTEX:
-        return [AsmItem("mov_mr", (a, b, 8)), AsmItem("ret")]
-    if gtype is GadgetType.LMEX:
-        return [AsmItem("mov_rm", (a, b, 16)), AsmItem("ret")]
-    if gtype is GadgetType.CP:
-        return [AsmItem("mov_mr", (a, b)), AsmItem("call_r", (c,))]
-    if gtype is GadgetType.CS2:
-        return [AsmItem("call_r", (a,)), AsmItem("ret")]
-    if gtype is GadgetType.RF:
-        return [
-            AsmItem("mov_mr", (a, b)),
-            AsmItem("call_r", (c,)),
-            AsmItem("jmp_r", (a,)),
-        ]
-    if gtype is GadgetType.EP:
-        return [
-            AsmItem("pop_r", (Reg.RBP,), None, True),
-            AsmItem("call_r", (a,)),
-        ]
-    if gtype is GadgetType.BROP:
-        pops = [
-            AsmItem("pop_r", (r,), None, True)
-            for r in (
-                Reg.RBX, Reg.RBP, Reg.R12, Reg.R13,
-                Reg.R14, Reg.RSI, Reg.R15, Reg.RDI,
-            )
-        ]
-        return pops + [AsmItem("ret")]
-    if gtype is GadgetType.STOP:
-        return [AsmItem("jmp_rel8", (-2,))]
-    return None
-
-
-PLANTABLE_TYPES: tuple[GadgetType, ...] = tuple(
-    t
-    for t in GadgetType
-    if _plant_items(t, random.Random(0)) is not None
-)
+    return _PLANTS[gtype](a, b, c)
 
 
 def default_gadget_mix() -> dict[GadgetType, int]:
@@ -356,16 +351,11 @@ def generate(params: GenParams, seed: int) -> SynthProgram:
     """Build a program: functions of filler runs, cross-calls, and plants."""
     rng = random.Random(seed)
     n = params.n_functions
-    if n < 1:
-        raise ValueError("need at least one function")
     mix = dict(
         params.gadget_mix
         if params.gadget_mix is not None
         else default_gadget_mix()
     )
-    for gtype in mix:
-        if _plant_items(gtype, random.Random(0)) is None:
-            raise ValueError(f"gadget type {gtype.value} is not plantable")
 
     # Call graph: independent coin per ordered pair, plus a ring when the
     # harvest-from-anywhere property is required.
@@ -407,50 +397,36 @@ def generate(params: GenParams, seed: int) -> SynthProgram:
             for _ in range(count):
                 items.append(_filler(rng, allow_core=True))
 
+        def plant(gtype: GadgetType, guard: bool) -> None:
+            body = _plant_items(gtype, rng)
+            # A return closes a plant that falls through, so its window
+            # cannot run on into the next filler run.
+            closed = body + [AsmItem("ret")] if body[-1].falls_through else body
+            block_starts.append(len(items))
+            if guard:
+                # A conditional hop over the plant keeps the function
+                # decodable end to end while the plant still closes a window.
+                skip_idx = len(items) + 1 + len(closed)
+                items.append(AsmItem(
+                    "jcc_rel32", (rng.randrange(16),), (fn_idx, skip_idx)
+                ))
+            plant_specs.append(PlantSpec(gtype, fn_idx, len(items), len(body)))
+            items.extend(closed)
+
         fill_run(per_seg)
         for callee in calls_per_fn[fn_idx]:
             items.append(AsmItem("call_rel32", (), (callee, 0)))
             fill_run(per_seg)
 
         for gtype in guarded:
-            # Guard: a conditional hop over the plant keeps the function
-            # decodable end to end while the plant still closes a window.
-            body = _plant_items(gtype, rng)
-            assert body is not None
-            skip_idx = len(items) + 1 + len(body)
-            block_starts.append(len(items))
-            items.append(
-                AsmItem("jcc_rel32", (rng.randrange(16),), (fn_idx, skip_idx))
-            )
-            start = len(items)
-            items.extend(body)
-            plant_specs.append(
-                PlantSpec(gtype, fn_idx, start, len(body))
-            )
-            if body[-1].falls_through:
-                # Close the guarded segment; fall-through would otherwise
-                # leak the plant window into the next filler run.
-                items.append(AsmItem("ret"))
-                skip_idx += 1
-                items[block_starts[-1]] = AsmItem(
-                    "jcc_rel32",
-                    items[block_starts[-1]].args,
-                    (fn_idx, skip_idx),
-                )
+            plant(gtype, guard=True)
             block_starts.append(len(items))
             fill_run(max(1, per_seg // 2))
 
         # Function tail: a plant in closing position, or a plain return
         # behind a coreless filler so no accidental window forms.
         if tail_type is not None:
-            body = _plant_items(tail_type, rng)
-            assert body is not None
-            block_starts.append(len(items))
-            start = len(items)
-            items.extend(body)
-            plant_specs.append(PlantSpec(tail_type, fn_idx, start, len(body)))
-            if body[-1].falls_through:
-                items.append(AsmItem("ret"))
+            plant(tail_type, guard=False)
         else:
             if items and items[-1].op == "mov_ri":
                 items.append(AsmItem("nop"))
@@ -699,25 +675,19 @@ def apply_scheme(
             rng.shuffle(perm)
             renames[f] = dict(zip(RENAME_DOMAIN, perm))
 
+    base = params.base
     if scheme.kind is SchemeKind.COARSE:
-        delta_pages = 1 + rng.randrange(63)
-        order = list(range(n))
-        chunks = _function_chunks(program, order, params)
-        return _layout(
-            program, chunks, params.base + delta_pages * PAGE_SIZE
-        )
-    if scheme.kind is SchemeKind.FUNCTION:
+        base += (1 + rng.randrange(63)) * PAGE_SIZE
+        chunks = _function_chunks(program, list(range(n)), params)
+    elif scheme.kind is SchemeKind.FUNCTION:
         order = list(range(n))
         rng.shuffle(order)
         chunks = _function_chunks(program, order, params)
-        return _layout(program, chunks, params.base, renames)
-    if scheme.kind is SchemeKind.BLOCK:
+    elif scheme.kind is SchemeKind.BLOCK:
         chunks = _block_chunks(program, rng)
-        return _layout(program, chunks, params.base)
-    if scheme.kind is SchemeKind.INSTRUCTION:
+    else:
         chunks = _instruction_chunks(program, rng)
-        return _layout(program, chunks, params.base)
-    raise ValueError(f"unknown scheme kind {scheme.kind!r}")
+    return _layout(program, chunks, base, renames)
 
 
 def erase_plants(

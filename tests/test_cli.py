@@ -340,3 +340,51 @@ def test_gadgets_on_hostile_snapshot_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: page base 0x1001 not 4096-aligned\n"
     )
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("corpus")
+    code, _ = run(["synth", "generate", "--out-dir", out_dir, "--seed", "0",
+                   "--functions", "4"])
+    assert code == 0
+    return out_dir
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_synth_generate_invalid_functions_per_page_exits_2(
+    tmp_path, capsys, value
+):
+    out_dir = tmp_path / "corpus"
+    code, out = run(["synth", "generate", "--out-dir", out_dir,
+                     "--functions", "4", "--max-functions-per-page", value])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: params max_functions_per_page must be at least 1\n"
+    )
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("max_len", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command",
+    [["gadgets"], ["harvest", "--start", "0x400000"], ["upper-bound"],
+     ["corrupt"], ["starts"], ["compare"]],
+    ids=["gadgets", "harvest", "upper-bound", "corrupt", "starts", "compare"],
+)
+def test_max_len_below_one_exits_2(corpus, capsys, command, max_len):
+    if command == ["compare"]:
+        argv = ["compare", "--manifest", corpus / "manifest.json"]
+    else:
+        argv = [command[0], corpus / "baseline.rsnp", *command[1:]]
+    code, out = run([*argv, "--max-len", max_len])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: max_len must be at least 1\n"
+
+
+def test_seed_ignores_environment(corpus, monkeypatch):
+    argv = ["starts", corpus / "baseline.rsnp", "--start-strategy", "seeded"]
+    plain = run(argv)
+    monkeypatch.setenv("ROPSCOPE_SEED", "0x10")
+    assert run(argv) == plain == run([*argv, "--seed", "0"])
+    assert plain[0] == 0

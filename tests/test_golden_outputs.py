@@ -24,6 +24,20 @@ GOLDEN = {
     "harvest_tc_trace": "f013d16a17b344c7229758ff88a59aec113121d976251d169795f70bec238150",
     "harvest_trace": "0b3e9caa1919d59d156918fb265d546d31a606a11a3116d8f1141df6aa0e8aed",
     "starts": "dc4f66472eb5526d757e958568450efa43d5ae9b00590ab122a1025a34c8e0b1",
+    "synth/baseline.rsnp": "a25dbcac4c65118a5b7e538b5d8c834733d283af36c278262d8a2611917e8e2f",
+    "synth/baseline.truth.json": "ae971222ec2bddebf7024054b23c399263f36d49804b65c11283be387edb308f",
+    "synth/block.rsnp": "bcf18b3f9f412fcda1f25d2bb17080b1d6adfc54130c0f0da8355b2cb65c02ed",
+    "synth/block.truth.json": "8aed2542245317f5e661c1d563904744ea96f12109aa7d9f0fe154889a28f19c",
+    "synth/coarse.rsnp": "70b01edc9fe4f46b188a0f30e68e77381081c4ae61616e238957933e81e81934",
+    "synth/coarse.truth.json": "be4089d8267800b14d70b7aeb68e80404f35a23dc043390c07335005202ac9b7",
+    "synth/function.rsnp": "6ebb9af1e36478427a8a95f991c8488f8507c61f34f50589be0b3fb634147408",
+    "synth/function.truth.json": "96c8c1609bbea45b7481227efd05ea357fa70da42f67f149425682c2b7d9f344",
+    "synth/instruction.rsnp": "0cc96410e395de1f1b090f3092c28be9bda0f06a4ce7f7c681d9aa5b8d801ce6",
+    "synth/instruction.truth.json": "acbb32590664dbb4c5da1a40af2dfb6959300391cc81ac55f0a0568f3d687eae",
+    "synth/manifest.json": "3abfc3c518e29a4dd6eaecc8f0f947ec7fb56f3953f0a37066330f118fa0612a",
+    "synth_transform/function-s5-renamed.rsnp": "02611d690dc3431c2cb7a0ec76481a46e857ca21ad80e3f2a0421091596f04be",
+    "synth_transform/function-s5-renamed.truth.json": "d6682ca5e31c3415118336e6e51b0c1250597bae21c1bf265961a6df0275679f",
+    "synth_transform/manifest.json": "4a558f62381eae9b62e7de45d6a0405aed1a198be02ea0282b56c3d4d6e1f666",
     "upper_bound": "5cc1aec02068dde8772eaff81ce86b551ccf7b7590d3ea7195da606de6b4740e",
     "upper_bound_timeline": "86b4201ff5061cbc0ccd38d509abcdaa122895b266a5188610e0eb8b32e9d882",
     "upper_bound_wide": "a4e9149af5ed6d931a0e62e42426753864104f128249f50a0528178cb3c0c66f",
@@ -58,8 +72,22 @@ def produce_outputs(root) -> dict[str, bytes]:
               "--max-functions-per-page", "1")
     packed_snap = packed / "baseline.rsnp"
     sparse_snap = sparse / "baseline.rsnp"
-
     out: dict[str, bytes] = {}
+    # The generator's own files: every layout, truth and the manifest, plus
+    # one entry that synth transform adds to the manifest.
+    layouts = root / "layouts"
+    _generate(layouts, "--seed", "7", "--functions", "12",
+              "--max-functions-per-page", "3",
+              "--schemes", "coarse,function,block,instruction",
+              "--rename-registers")
+    for path in sorted(layouts.iterdir()):
+        out[f"synth/{path.name}"] = path.read_bytes()
+    _run(["synth", "transform", "--manifest", layouts / "manifest.json",
+          "--scheme", "function", "--scheme-seed", "5", "--rename-registers"])
+    for name in ("function-s5-renamed.rsnp", "function-s5-renamed.truth.json",
+                 "manifest.json"):
+        out[f"synth_transform/{name}"] = (layouts / name).read_bytes()
+
     for key, extra in (("harvest", []), ("harvest_tc", ["--set", "tc"])):
         trace = root / f"{key}.jsonl"
         out[f"{key}_summary"] = _run([
@@ -112,3 +140,10 @@ def test_pinned_outputs_are_not_trivial(outputs):
     assert wide["starts"] == 24 and wide["converged_starts"] > 0
     assert len(json.loads(outputs["starts"])) > 1
     assert outputs["corrupt_verdicts"].count(b"\n") > 10
+    manifest = json.loads(outputs["synth_transform/manifest.json"])
+    assert [e["name"] for e in manifest["entries"]] == [
+        "baseline", "coarse", "function", "block", "instruction",
+        "function-s5-renamed",
+    ]
+    truth = json.loads(outputs["synth/instruction.truth.json"])
+    assert truth["planted"] and truth["page_edges"]

@@ -234,7 +234,22 @@ def test_params_round_trip():
         gadget_mix={GadgetType.LR: 1},
     )
     assert GenParams.from_dict(params.to_dict()) == params
-    scheme = RandomizationScheme(
-        kind=SchemeKind.BLOCK, seed=77, rename_registers=False
-    )
-    assert RandomizationScheme.from_dict(scheme.to_dict()) == scheme
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"max_functions_per_page": 0},
+         "params max_functions_per_page must be at least 1"),
+        ({"max_functions_per_page": -1},
+         "params max_functions_per_page must be at least 1"),
+        ({"n_functions": 0}, "need at least one function"),
+        ({"gadget_mix": {GadgetType.LR: 1, GadgetType.FS: 2}},
+         "gadget type FS is not plantable"),
+    ],
+    ids=["zero-per-page", "negative-per-page", "no-functions", "unplantable"],
+)
+def test_params_refuse_invalid_values(fields, message):
+    with pytest.raises(ValueError) as exc:
+        GenParams(**fields)
+    assert str(exc.value) == message
