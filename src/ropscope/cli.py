@@ -95,7 +95,7 @@ def _resolve_set(args) -> GadgetSetSpec | None:
 
 def _harvest_options(args, track: GadgetSetSpec | None) -> HarvestOptions:
     return HarvestOptions(
-        seed=args.seed,
+        seed=getattr(args, "seed", 0),
         follow_cond_branches=not getattr(args, "no_cond", False),
         max_gadget_len=getattr(args, "max_len", 5),
         enable_heuristic_types=getattr(args, "heuristic_types", False),
@@ -292,14 +292,15 @@ def _cmd_synth_generate(args) -> int:
         max_functions_per_page=args.max_functions_per_page,
         base=args.base,
     )
+    names = args.schemes.split(",") if args.schemes else []
+    kinds = [SchemeKind(name.strip()) for name in names]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     program = generate(params, args.seed)
     entries = []
     image, truth = materialize(program)
     entries.append(_write_corpus_entry(out_dir, "baseline", image, truth, None))
-    for kind_name in (args.schemes.split(",") if args.schemes else []):
-        kind = SchemeKind(kind_name.strip())
+    for kind in kinds:
         scheme = RandomizationScheme(
             kind=kind,
             seed=args.scheme_seed,
@@ -444,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_set=True):
-        p.add_argument("--seed", type=_parse_int, default=0)
         p.add_argument("--max-len", type=int, default=5,
                        help="max instructions per gadget window")
         p.add_argument("--heuristic-types", action="store_true",
@@ -455,6 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="built-in gadget set: tc, priority, movtc")
             g.add_argument("--set-file", metavar="PATH",
                            help="JSON file with a custom gadget set")
+
+    def add_start_strategy(p):
+        p.add_argument("--start-strategy", choices=("lowest", "seeded"),
+                       default="lowest")
+        p.add_argument("--seed", type=_parse_int, default=0,
+                       help="seed of the seeded start strategy")
 
     p = sub.add_parser("harvest", help="recursively harvest from a pointer")
     p.add_argument("snapshot")
@@ -486,8 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="judge this rerandomization interval (clock ticks)")
     p.add_argument("--timeline-csv", default=None, metavar="PATH",
                    help="write per-start (clock, types) timeline rows here")
-    p.add_argument("--start-strategy", choices=("lowest", "seeded"),
-                   default="lowest")
+    add_start_strategy(p)
     p.add_argument("--pretty", action="store_true")
     add_common(p)
     p.set_defaults(func=_cmd_upper_bound)
@@ -515,8 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("starts", help="chosen start pointer per page")
     p.add_argument("snapshot")
-    p.add_argument("--start-strategy", choices=("lowest", "seeded"),
-                   default="lowest")
+    add_start_strategy(p)
     add_common(p, with_set=False)
     p.set_defaults(func=_cmd_starts)
 

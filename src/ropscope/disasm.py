@@ -1,4 +1,8 @@
-"""Table-driven decoder for the x86-64 subset plus recursive page disassembly.
+"""Decoder for the x86-64 subset plus recursive page disassembly.
+
+One opcode map, `_OPCODE_MAP`, is the one place that lists the modelled
+opcodes: `_decode_body` reads an optional REX byte and dispatches through it,
+and `FIRST_BYTE_TABLE` is computed from its keys.
 
 The decoder is total: any byte string yields either an Instruction or None
 (the invalid marker, always consuming one byte). Register effects are kept at
@@ -13,7 +17,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum, IntEnum, auto
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ropscope.snapshot import PAGE_SIZE, MemoryImage, PageRecord, UnmappedRead
 
@@ -275,16 +279,6 @@ class Instruction:
 
 GS_CALL_BYTES = bytes([0x65, 0xFF, 0x15, 0x10, 0x00, 0x00, 0x00])
 
-_GROUP_RM_R = {
-    0x01: Mnemonic.ADD, 0x09: Mnemonic.OR, 0x21: Mnemonic.AND,
-    0x29: Mnemonic.SUB, 0x31: Mnemonic.XOR, 0x39: Mnemonic.CMP,
-    0x89: Mnemonic.MOV, 0x85: Mnemonic.TEST, 0x87: Mnemonic.XCHG,
-}
-_GROUP_R_RM = {
-    0x03: Mnemonic.ADD, 0x0B: Mnemonic.OR, 0x23: Mnemonic.AND,
-    0x2B: Mnemonic.SUB, 0x33: Mnemonic.XOR, 0x3B: Mnemonic.CMP,
-    0x8B: Mnemonic.MOV,
-}
 _GROUP1_DIGIT = {
     0: Mnemonic.ADD, 1: Mnemonic.OR, 4: Mnemonic.AND,
     5: Mnemonic.SUB, 6: Mnemonic.XOR, 7: Mnemonic.CMP,
@@ -430,23 +424,6 @@ def _binary_effects(
     return frozenset(reads), frozenset(writes)
 
 
-# Opcodes that can start an instruction once any REX prefix is consumed.
-_ONE_BYTE_OPS = frozenset(
-    [*_GROUP_RM_R, *_GROUP_R_RM, 0x88, 0x8A, 0x81, 0x83, 0x8D, 0xC1, 0xD3,
-     0xC2, 0xC3, 0xC7, 0xC9, 0xCD, 0xE8, 0xE9, 0xEB, 0xF7, 0xFF,
-     *range(0x50, 0x60), *range(0x70, 0x80), *range(0x90, 0x98),
-     *range(0xB8, 0xC0)]
-)
-# FIRST_BYTE_TABLE[b] is 1 exactly when some byte string starting with b
-# decodes: a one-byte opcode above, a REX prefix, 0x0F (two-byte opcodes) or
-# 0x65 (the gs-relative call). As a bytes.translate table it maps a page to a
-# mask whose zero bytes decode to None at once.
-FIRST_BYTE_TABLE = bytes(
-    int(b in _ONE_BYTE_OPS or 0x40 <= b <= 0x4F or b in (0x0F, 0x65))
-    for b in range(256)
-)
-
-
 def decode(data: bytes, addr: int, offset: int = 0) -> Instruction | None:
     """Decode one instruction at addr from data[offset:], reading in place.
 
@@ -495,206 +472,213 @@ def _fin_binary(
     return _fin(cur, mnemonic, (dst, src), reads, writes)
 
 
+# Source operand readers, called after the ModRM bytes with the operand size.
+
+
+def _simm8(cur: _Cursor, width: int) -> Operand:
+    return Operand.make_imm(_s8(cur.u8()), width)
+
+
+def _simm32(cur: _Cursor, width: int) -> Operand:
+    return Operand.make_imm(_s32(cur.u32()), width)
+
+
+def _uimm8(cur: _Cursor, width: int) -> Operand:
+    return Operand.make_imm(cur.u8(), 8)
+
+
+def _uimm16(cur: _Cursor, width: int) -> Operand:
+    return Operand.make_imm(cur.u16(), 16)
+
+
+def _cl(cur: _Cursor, width: int) -> Operand:
+    return Operand.make_reg(Reg.RCX, 8)
+
+
+# Opcode-map handlers. Each takes the cursor past the opcode, the REX byte
+# (0 if none), the operand size, the opcode key and its map argument.
+
+
+def _mr(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+    """op r/m, reg. arg: (mnemonic, fixed width or None for operand size)."""
+    mnemonic, w = arg
+    w = w or width
+    rm, reg_bits = _parse_modrm(cur, rex, w)
+    return _fin_binary(cur, mnemonic, rm, _reg_op(reg_bits, w, rex != 0))
+
+
+def _rm(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+    """op reg, r/m. arg: (mnemonic, fixed width or None for operand size)."""
+    mnemonic, w = arg
+    w = w or width
+    rm, reg_bits = _parse_modrm(cur, rex, w)
+    return _fin_binary(cur, mnemonic, _reg_op(reg_bits, w, rex != 0), rm)
+
+
+def _lea(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction | None:
+    rm, reg_bits = _parse_modrm(cur, rex, width)
+    if not rm.is_mem:
+        return None
+    dst = _reg_op(reg_bits, width, rex != 0)
+    return _fin(cur, Mnemonic.LEA, (dst, rm), rm.mem.regs(), {dst.reg})
+
+
+def _group(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction | None:
+    """op r/m[, source], the ModRM reg field (/digit) picking the mnemonic.
+
+    arg: (digit -> mnemonic, source reader or None for one operand)."""
+    digits, source = arg
+    rm, digit = _parse_modrm(cur, rex, width)
+    mnemonic = digits.get(digit)
+    if mnemonic is None:
+        return None
+    if source is not None:
+        return _fin_binary(cur, mnemonic, rm, source(cur, width))
+    if mnemonic is Mnemonic.CALL_RM or mnemonic is Mnemonic.JMP_RM:
+        # Indirect branches: operand size is fixed at 64 bits in long mode.
+        if rm.is_reg:
+            rm, regs = Operand.make_reg(rm.reg), {rm.reg}
+        else:
+            rm, regs = Operand.make_mem(rm.mem), set(rm.mem.regs())
+        stack = {Reg.RSP} if mnemonic is Mnemonic.CALL_RM else set()
+        return _fin(cur, mnemonic, (rm,), stack | regs, stack)
+    if rm.is_reg:
+        return _fin(cur, mnemonic, (rm,), {rm.reg}, {rm.reg})
+    return _fin(cur, mnemonic, (rm,), rm.mem.regs())
+
+
+def _push(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+    reg = Reg((op & 7) | ((rex & 1) << 3))
+    return _fin(
+        cur, Mnemonic.PUSH, (Operand.make_reg(reg),), {reg, Reg.RSP}, {Reg.RSP}
+    )
+
+
+def _pop(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+    reg = Reg((op & 7) | ((rex & 1) << 3))
+    return _fin(
+        cur, Mnemonic.POP, (Operand.make_reg(reg),), {Reg.RSP}, {reg, Reg.RSP}
+    )
+
+
+def _xchg_rax(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+    other = (op & 7) | ((rex & 1) << 3)
+    if other == 0:
+        return _fin(cur, Mnemonic.NOP)
+    a = Operand.make_reg(Reg.RAX, width)
+    b = _reg_op(other, width, rex != 0)
+    return _fin(cur, Mnemonic.XCHG, (a, b), {a.reg, b.reg}, {a.reg, b.reg})
+
+
+def _mov_imm(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+    reg = Reg((op & 7) | ((rex & 1) << 3))
+    imm = cur.u64() if rex & 0x8 else cur.u32()
+    return _fin(
+        cur, Mnemonic.MOV,
+        (Operand.make_reg(reg, width), Operand.make_imm(imm, width)), (), {reg},
+    )
+
+
+def _rel(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+    """Direct branch. arg: (mnemonic, displacement bytes, stack registers);
+    a Jcc's condition is the opcode's low nibble."""
+    mnemonic, size, stack = arg
+    disp = _s8(cur.u8()) if size == 1 else _s32(cur.u32())
+    return _fin(
+        cur, mnemonic, (), stack, stack, branch_target=cur.target(disp),
+        cc=op & 0xF if mnemonic is Mnemonic.JCC else None,
+    )
+
+
+def _fixed(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+    """Fixed register effects. arg: (mnemonic, reads, writes, immediate
+    reader or None)."""
+    mnemonic, reads, writes, imm = arg
+    operands = () if imm is None else (imm(cur, width),)
+    return _fin(cur, mnemonic, operands, reads, writes)
+
+
+_RSP = frozenset({Reg.RSP})
+_RAX = frozenset({Reg.RAX})
+
+# The opcode map, in the manner of SDM Vol. 2 Appendix A: one entry per
+# modelled opcode, two-byte opcodes keyed 0x0F00 | second byte. It is the one
+# place that lists what the decoder models; every other opcode decodes to None.
+_OPCODE_MAP: dict[int, tuple[Callable[..., Instruction | None], object]] = {
+    0x01: (_mr, (Mnemonic.ADD, None)),
+    0x03: (_rm, (Mnemonic.ADD, None)),
+    0x09: (_mr, (Mnemonic.OR, None)),
+    0x0B: (_rm, (Mnemonic.OR, None)),
+    0x21: (_mr, (Mnemonic.AND, None)),
+    0x23: (_rm, (Mnemonic.AND, None)),
+    0x29: (_mr, (Mnemonic.SUB, None)),
+    0x2B: (_rm, (Mnemonic.SUB, None)),
+    0x31: (_mr, (Mnemonic.XOR, None)),
+    0x33: (_rm, (Mnemonic.XOR, None)),
+    0x39: (_mr, (Mnemonic.CMP, None)),
+    0x3B: (_rm, (Mnemonic.CMP, None)),
+    **dict.fromkeys(range(0x50, 0x58), (_push, None)),
+    **dict.fromkeys(range(0x58, 0x60), (_pop, None)),
+    **dict.fromkeys(range(0x70, 0x80), (_rel, (Mnemonic.JCC, 1, ()))),
+    0x81: (_group, (_GROUP1_DIGIT, _simm32)),
+    0x83: (_group, (_GROUP1_DIGIT, _simm8)),
+    0x85: (_mr, (Mnemonic.TEST, None)),
+    0x87: (_mr, (Mnemonic.XCHG, None)),
+    0x88: (_mr, (Mnemonic.MOV, 8)),
+    0x89: (_mr, (Mnemonic.MOV, None)),
+    0x8A: (_rm, (Mnemonic.MOV, 8)),
+    0x8B: (_rm, (Mnemonic.MOV, None)),
+    0x8D: (_lea, None),
+    **dict.fromkeys(range(0x90, 0x98), (_xchg_rax, None)),
+    **dict.fromkeys(range(0xB8, 0xC0), (_mov_imm, None)),
+    0xC1: (_group, (_SHIFT_DIGIT, _uimm8)),
+    0xC2: (_fixed, (Mnemonic.RET_IMM, _RSP, _RSP, _uimm16)),
+    0xC3: (_fixed, (Mnemonic.RET, _RSP, _RSP, None)),
+    0xC7: (_group, ({0: Mnemonic.MOV}, _simm32)),
+    0xC9: (_fixed,
+           (Mnemonic.LEAVE, {Reg.RBP, Reg.RSP}, {Reg.RBP, Reg.RSP}, None)),
+    0xCD: (_fixed, (Mnemonic.INT, _RAX, _RAX, _uimm8)),
+    0xD3: (_group, (_SHIFT_DIGIT, _cl)),
+    0xE8: (_rel, (Mnemonic.CALL_REL, 4, _RSP)),
+    0xE9: (_rel, (Mnemonic.JMP_REL, 4, ())),
+    0xEB: (_rel, (Mnemonic.JMP_REL, 1, ())),
+    0xF7: (_group, ({2: Mnemonic.NOT, 3: Mnemonic.NEG}, None)),
+    0xFF: (_group, ({0: Mnemonic.INC, 1: Mnemonic.DEC,
+                     2: Mnemonic.CALL_RM, 4: Mnemonic.JMP_RM}, None)),
+    0x0F05: (_fixed,
+             (Mnemonic.SYSCALL, _RAX, {Reg.RAX, Reg.RCX, Reg.R11}, None)),
+    0x0F34: (_fixed, (Mnemonic.SYSENTER, _RAX, _RAX, None)),
+    **dict.fromkeys(range(0x0F80, 0x0F90), (_rel, (Mnemonic.JCC, 4, ()))),
+    0x0FAF: (_rm, (Mnemonic.IMUL, None)),
+}
+
+# FIRST_BYTE_TABLE[b] is 1 exactly when some byte string starting with b
+# decodes: a one-byte opcode of the map, a REX prefix, 0x0F (two-byte
+# opcodes) or 0x65 (the gs-relative call). As a bytes.translate table it maps
+# a page to a mask whose zero bytes decode to None at once.
+FIRST_BYTE_TABLE = bytes(
+    int(b in _OPCODE_MAP or 0x40 <= b <= 0x4F or b in (0x0F, 0x65))
+    for b in range(256)
+)
+
+
 def _decode_body(cur: _Cursor) -> Instruction | None:
     if cur.data.startswith(GS_CALL_BYTES, cur.start):
         cur.pos += len(GS_CALL_BYTES)
         mem = Operand.make_mem(MemRef(disp=0x10), 64)
-        return _fin(cur, Mnemonic.CALL_GS, (mem,), {Reg.RSP}, {Reg.RSP})
+        return _fin(cur, Mnemonic.CALL_GS, (mem,), _RSP, _RSP)
     rex = 0
     op = cur.u8()
     if 0x40 <= op <= 0x4F:
         rex = op
         op = cur.u8()
-    width = 64 if rex & 0x8 else 32
-
-    # Two-byte opcodes.
     if op == 0x0F:
-        op2 = cur.u8()
-        if op2 == 0x05:
-            return _fin(
-                cur, Mnemonic.SYSCALL, (), {Reg.RAX}, {Reg.RAX, Reg.RCX, Reg.R11}
-            )
-        if op2 == 0x34:
-            return _fin(cur, Mnemonic.SYSENTER, (), {Reg.RAX}, {Reg.RAX})
-        if 0x80 <= op2 <= 0x8F:
-            disp = _s32(cur.u32())
-            target = cur.target(disp)
-            return _fin(
-                cur, Mnemonic.JCC, (), branch_target=target, cc=op2 - 0x80
-            )
-        if op2 == 0xAF:
-            rm, reg_bits = _parse_modrm(cur, rex, width)
-            dst = _reg_op(reg_bits, width, rex != 0)
-            return _fin_binary(cur, Mnemonic.IMUL, dst, rm)
+        op = 0x0F00 | cur.u8()
+    entry = _OPCODE_MAP.get(op)
+    if entry is None:
         return None
-
-    # Register-to-r/m and r/m-to-register families.
-    if op in _GROUP_RM_R or op in (0x88, 0x85, 0x87):
-        if op == 0x88:
-            mnemonic, w = Mnemonic.MOV, 8
-        else:
-            mnemonic, w = _GROUP_RM_R[op], width
-        rm, reg_bits = _parse_modrm(cur, rex, w)
-        src = _reg_op(reg_bits, w, rex != 0)
-        return _fin_binary(cur, mnemonic, rm, src)
-    if op in _GROUP_R_RM or op == 0x8A:
-        if op == 0x8A:
-            mnemonic, w = Mnemonic.MOV, 8
-        else:
-            mnemonic, w = _GROUP_R_RM[op], width
-        rm, reg_bits = _parse_modrm(cur, rex, w)
-        dst = _reg_op(reg_bits, w, rex != 0)
-        return _fin_binary(cur, mnemonic, dst, rm)
-
-    if 0x50 <= op <= 0x57:
-        reg = Reg((op & 7) | ((rex & 1) << 3))
-        return _fin(
-            cur, Mnemonic.PUSH, (Operand.make_reg(reg),), {reg, Reg.RSP},
-            {Reg.RSP},
-        )
-    if 0x58 <= op <= 0x5F:
-        reg = Reg((op & 7) | ((rex & 1) << 3))
-        return _fin(
-            cur, Mnemonic.POP, (Operand.make_reg(reg),), {Reg.RSP},
-            {reg, Reg.RSP},
-        )
-
-    if 0x70 <= op <= 0x7F:
-        disp = _s8(cur.u8())
-        target = cur.target(disp)
-        return _fin(cur, Mnemonic.JCC, (), branch_target=target, cc=op - 0x70)
-
-    if op in (0x81, 0x83):
-        rm, digit = _parse_modrm(cur, rex, width)
-        mnemonic = _GROUP1_DIGIT.get(digit)
-        if mnemonic is None:
-            return None
-        imm = _s8(cur.u8()) if op == 0x83 else _s32(cur.u32())
-        return _fin_binary(cur, mnemonic, rm, Operand.make_imm(imm, width))
-
-    if op == 0x8D:
-        rm, reg_bits = _parse_modrm(cur, rex, width)
-        if not rm.is_mem:
-            return None
-        dst = _reg_op(reg_bits, width, rex != 0)
-        return _fin(cur, Mnemonic.LEA, (dst, rm), rm.mem.regs(), {dst.reg})
-
-    if 0x90 <= op <= 0x97:
-        other = (op & 7) | ((rex & 1) << 3)
-        if other == 0:
-            return _fin(cur, Mnemonic.NOP)
-        a = Operand.make_reg(Reg.RAX, width)
-        b = _reg_op(other, width, rex != 0)
-        return _fin(
-            cur, Mnemonic.XCHG, (a, b), {a.reg, b.reg}, {a.reg, b.reg}
-        )
-
-    if 0xB8 <= op <= 0xBF:
-        reg = Reg((op & 7) | ((rex & 1) << 3))
-        imm = cur.u64() if rex & 0x8 else cur.u32()
-        return _fin(
-            cur, Mnemonic.MOV,
-            (Operand.make_reg(reg, width), Operand.make_imm(imm, width)),
-            (), {reg},
-        )
-
-    if op in (0xC1, 0xD3):
-        rm, digit = _parse_modrm(cur, rex, width)
-        mnemonic = _SHIFT_DIGIT.get(digit)
-        if mnemonic is None:
-            return None
-        if op == 0xC1:
-            src = Operand.make_imm(cur.u8(), 8)
-        else:
-            src = Operand.make_reg(Reg.RCX, 8)
-        insn = _fin_binary(cur, mnemonic, rm, src)
-        return insn
-
-    if op == 0xC2:
-        imm = cur.u16()
-        return _fin(
-            cur, Mnemonic.RET_IMM, (Operand.make_imm(imm, 16),), {Reg.RSP},
-            {Reg.RSP},
-        )
-    if op == 0xC3:
-        return _fin(cur, Mnemonic.RET, (), {Reg.RSP}, {Reg.RSP})
-
-    if op == 0xC7:
-        rm, digit = _parse_modrm(cur, rex, width)
-        if digit != 0:
-            return None
-        imm = _s32(cur.u32())
-        return _fin_binary(cur, Mnemonic.MOV, rm, Operand.make_imm(imm, width))
-
-    if op == 0xC9:
-        return _fin(
-            cur, Mnemonic.LEAVE, (), {Reg.RBP, Reg.RSP}, {Reg.RBP, Reg.RSP}
-        )
-
-    if op == 0xCD:
-        imm = cur.u8()
-        return _fin(
-            cur, Mnemonic.INT, (Operand.make_imm(imm, 8),), {Reg.RAX}, {Reg.RAX}
-        )
-
-    if op == 0xE8:
-        disp = _s32(cur.u32())
-        target = cur.target(disp)
-        return _fin(
-            cur, Mnemonic.CALL_REL, (), {Reg.RSP}, {Reg.RSP},
-            branch_target=target,
-        )
-    if op == 0xE9:
-        disp = _s32(cur.u32())
-        return _fin(cur, Mnemonic.JMP_REL, (), branch_target=cur.target(disp))
-    if op == 0xEB:
-        disp = _s8(cur.u8())
-        return _fin(cur, Mnemonic.JMP_REL, (), branch_target=cur.target(disp))
-
-    if op == 0xF7:
-        rm, digit = _parse_modrm(cur, rex, width)
-        if digit == 2:
-            mnemonic = Mnemonic.NOT
-        elif digit == 3:
-            mnemonic = Mnemonic.NEG
-        else:
-            return None
-        if rm.is_reg:
-            return _fin(cur, mnemonic, (rm,), {rm.reg}, {rm.reg})
-        return _fin(cur, mnemonic, (rm,), rm.mem.regs())
-
-    if op == 0xFF:
-        rm, digit = _parse_modrm(cur, rex, width)
-        if digit in (0, 1):
-            mnemonic = Mnemonic.INC if digit == 0 else Mnemonic.DEC
-            if rm.is_reg:
-                return _fin(cur, mnemonic, (rm,), {rm.reg}, {rm.reg})
-            return _fin(cur, mnemonic, (rm,), rm.mem.regs())
-        if digit == 2:
-            # Indirect call: operand size is fixed at 64 bits in long mode.
-            rm64 = _widen(rm)
-            reads = {Reg.RSP} | _operand_reads(rm64)
-            return _fin(cur, Mnemonic.CALL_RM, (rm64,), reads, {Reg.RSP})
-        if digit == 4:
-            rm64 = _widen(rm)
-            return _fin(cur, Mnemonic.JMP_RM, (rm64,), _operand_reads(rm64))
-        return None
-
-    return None
-
-
-def _widen(op: Operand) -> Operand:
-    if op.is_reg:
-        return Operand.make_reg(op.reg, 64, op.high8)
-    return Operand.make_mem(op.mem, 64)
-
-
-def _operand_reads(op: Operand) -> set[Reg]:
-    if op.is_reg:
-        return {op.reg}
-    if op.is_mem:
-        return set(op.mem.regs())
-    return set()
+    handler, arg = entry
+    return handler(cur, rex, 64 if rex & 0x8 else 32, op, arg)
 
 
 class PageDecodes(dict):

@@ -91,8 +91,8 @@ class SynthFunction:
 @dataclass(frozen=True)
 class GenParams:
     """Generator parameters. Construction raises ValueError when
-    max_functions_per_page is below 1, n_functions is below 1, or
-    gadget_mix names a type with no plant template."""
+    max_functions_per_page is below 1, n_functions is below 1, base is
+    negative, or gadget_mix names a type with no plant template."""
 
     n_functions: int = 12
     mean_fn_len: int = 10
@@ -108,6 +108,8 @@ class GenParams:
             raise ValueError("params max_functions_per_page must be at least 1")
         if self.n_functions < 1:
             raise ValueError("need at least one function")
+        if self.base < 0:
+            raise ValueError("params base must be non-negative")
         for gtype in self.gadget_mix or ():
             if gtype not in _PLANTS:
                 raise ValueError(f"gadget type {gtype.value} is not plantable")

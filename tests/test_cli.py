@@ -365,6 +365,46 @@ def test_synth_generate_invalid_functions_per_page_exits_2(
     assert not out_dir.exists()
 
 
+def test_synth_generate_negative_base_creates_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "corpus"
+    code, out = run(["synth", "generate", "--out-dir", out_dir,
+                     "--functions", "4", "--base", "-4096"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: params base must be non-negative\n"
+    )
+    assert not out_dir.exists()
+
+
+def test_synth_generate_unknown_scheme_writes_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "corpus"
+    out_dir.mkdir()
+    code, out = run(["synth", "generate", "--out-dir", out_dir,
+                     "--functions", "4", "--schemes", "coarse,bogus"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: 'bogus' is not a valid SchemeKind\n"
+    )
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command,accepted",
+    [(["harvest", "--start", "0x400000"], False), (["gadgets"], False),
+     (["corrupt"], False), (["upper-bound"], True), (["starts"], True)],
+    ids=["harvest", "gadgets", "corrupt", "upper-bound", "starts"],
+)
+def test_seed_only_where_start_strategy_is(corpus, capsys, command, accepted):
+    argv = [command[0], corpus / "baseline.rsnp", *command[1:], "--seed", "3"]
+    if accepted:
+        assert run(argv)[0] == 0
+    else:
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("max_len", ["0", "-3"])
 @pytest.mark.parametrize(
     "command",

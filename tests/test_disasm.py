@@ -1,7 +1,13 @@
 """Decoder truth tables, stream disassembly, and chain-target extraction."""
 
 import functools
+import hashlib
+import os
+import random
+import re
+import shutil
 import struct
+import subprocess
 
 import pytest
 from hypothesis import given, settings
@@ -67,7 +73,7 @@ from ropscope.encode import (
 )
 from ropscope.encode import test_rr as enc_test_rr
 from ropscope.harvest import collect_branch_targets
-from ropscope.snapshot import PAGE_SIZE, ImageBuilder, SegmentTag
+from ropscope.snapshot import PAGE_SIZE, ImageBuilder, SegmentTag, load_elf
 from ropscope.synth import GenParams, generate, materialize
 
 # encoding -> expected text, one row per operand shape the decoder handles
@@ -245,6 +251,89 @@ def test_first_byte_table_is_exact():
         assert decodable == bool(disasm.FIRST_BYTE_TABLE[first]), hex(first)
         if not decodable:
             assert all(decode(s, 0) is None for s in starts), hex(first)
+
+
+def _digest_inputs():
+    """Every first/second-byte pair with two seeded tails, then every REX
+    byte and opcode with one seeded ModRM byte and tail."""
+    rng = random.Random(20261018)
+    for first in range(256):
+        for second in range(256):
+            for _ in range(2):
+                yield bytes([first, second]) + rng.randbytes(14)
+    for rex in range(0x40, 0x50):
+        for op in range(256):
+            yield bytes([rex, op]) + rng.randbytes(15)
+
+
+def _decode_record(data):
+    insn = decode(data, 0x7FFF_F000)
+    if insn is None:
+        return None
+    # Register sets are sorted: frozenset order depends on insertion history.
+    return (
+        insn.length, insn.render(),
+        sorted(map(int, insn.reads)), sorted(map(int, insn.writes)),
+        insn.branch_target, insn.cc,
+        [(op.kind, op.width) for op in insn.operands],
+    )
+
+
+# sha256 of the decoder's output on _digest_inputs. A change that is meant
+# to alter what the decoder returns must update it and say why.
+DECODER_DIGEST = "555d79ed996783154c406bc971c0c0d62a88a521ae2daf6948ce1dc9ece1f98e"
+
+
+def test_decoder_digest_is_pinned():
+    digest = hashlib.sha256()
+    for data in _digest_inputs():
+        digest.update(repr(_decode_record(data)).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == DECODER_DIGEST
+
+
+_LS = "/usr/bin/ls"
+# "  addr:\tbytes\ttext", the text cut at objdump's "# ..." comment.
+_OBJDUMP_LINE = re.compile(r"\s*([0-9a-f]+):\t([0-9a-f ]+)\t([^#]*)")
+# A direct branch prints its target as bare hex; indirect ones start "*".
+_OBJDUMP_DIRECT = re.compile(r"(?:call|jmp|j[a-z]+)\s+([0-9a-f]+)\b")
+
+
+@pytest.mark.skipif(
+    shutil.which("objdump") is None or not os.path.exists(_LS),
+    reason="needs GNU objdump and /usr/bin/ls",
+)
+def test_decode_matches_objdump_lengths_and_targets():
+    """At every instruction boundary objdump finds in an executable page,
+    a decode that is not None has objdump's length and direct target."""
+    image = load_elf(_LS)
+    listing = subprocess.run(
+        ["objdump", "-d", "-w", "--insn-width=15", _LS],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    decodes: dict[int, PageDecodes] = {}
+    boundaries = decoded = 0
+    for line in listing.splitlines():
+        m = _OBJDUMP_LINE.match(line)
+        if m is None:
+            continue
+        addr = int(m[1], 16)
+        if not image.is_executable(addr):
+            continue
+        page = image.page_at(addr)
+        if page.base not in decodes:
+            decodes[page.base] = PageDecodes(page)
+        insn = decodes[page.base][addr - page.base]
+        boundaries += 1
+        if insn is None:
+            continue
+        decoded += 1
+        direct = _OBJDUMP_DIRECT.match(m[3])
+        expected = (len(m[2].split()), int(direct[1], 16) if direct else None)
+        assert (insn.length, insn.branch_target) == expected, line
+    # Most of ls is inside the subset; a listing that parsed to nothing
+    # would pass the loop vacuously.
+    assert decoded > boundaries // 2 > 0
 
 
 @given(st.binary(min_size=1, max_size=64))

@@ -244,10 +244,12 @@ def test_params_round_trip():
         ({"max_functions_per_page": -1},
          "params max_functions_per_page must be at least 1"),
         ({"n_functions": 0}, "need at least one function"),
+        ({"base": -4096}, "params base must be non-negative"),
         ({"gadget_mix": {GadgetType.LR: 1, GadgetType.FS: 2}},
          "gadget type FS is not plantable"),
     ],
-    ids=["zero-per-page", "negative-per-page", "no-functions", "unplantable"],
+    ids=["zero-per-page", "negative-per-page", "no-functions",
+         "negative-base", "unplantable"],
 )
 def test_params_refuse_invalid_values(fields, message):
     with pytest.raises(ValueError) as exc:
