@@ -524,27 +524,31 @@ def _lea(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction | None
 
 
 def _group(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction | None:
-    """op r/m[, source], the ModRM reg field (/digit) picking the mnemonic.
+    """op r/m, source, the ModRM reg field (/digit) picking the mnemonic.
 
-    arg: (digit -> mnemonic, source reader or None for one operand)."""
+    arg: (digit -> mnemonic, source reader)."""
     digits, source = arg
     rm, digit = _parse_modrm(cur, rex, width)
     mnemonic = digits.get(digit)
     if mnemonic is None:
         return None
-    if source is not None:
-        return _fin_binary(cur, mnemonic, rm, source(cur, width))
-    if mnemonic is Mnemonic.CALL_RM or mnemonic is Mnemonic.JMP_RM:
-        # Indirect branches: operand size is fixed at 64 bits in long mode.
-        if rm.is_reg:
-            rm, regs = Operand.make_reg(rm.reg), {rm.reg}
-        else:
-            rm, regs = Operand.make_mem(rm.mem), set(rm.mem.regs())
-        stack = {Reg.RSP} if mnemonic is Mnemonic.CALL_RM else set()
-        return _fin(cur, mnemonic, (rm,), stack | regs, stack)
-    if rm.is_reg:
-        return _fin(cur, mnemonic, (rm,), {rm.reg}, {rm.reg})
-    return _fin(cur, mnemonic, (rm,), rm.mem.regs())
+    return _fin_binary(cur, mnemonic, rm, source(cur, width))
+
+
+def _unary(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction | None:
+    """op r/m, the ModRM reg field (/digit) picking the form. arg: digit ->
+    (mnemonic, stack); a stack set marks an indirect branch, whose operand is
+    64 bits in long mode and only read, and which reads and writes stack."""
+    rm, digit = _parse_modrm(cur, rex, width)
+    form = arg.get(digit)
+    if form is None:
+        return None
+    mnemonic, stack = form
+    used = {rm.reg} if rm.is_reg else rm.mem.regs()
+    if stack is None:
+        return _fin(cur, mnemonic, (rm,), used, used if rm.is_reg else ())
+    rm = Operand.make_reg(rm.reg) if rm.is_reg else Operand.make_mem(rm.mem)
+    return _fin(cur, mnemonic, (rm,), stack | used, stack)
 
 
 def _push(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
@@ -642,9 +646,10 @@ _OPCODE_MAP: dict[int, tuple[Callable[..., Instruction | None], object]] = {
     0xE8: (_rel, (Mnemonic.CALL_REL, 4, _RSP)),
     0xE9: (_rel, (Mnemonic.JMP_REL, 4, ())),
     0xEB: (_rel, (Mnemonic.JMP_REL, 1, ())),
-    0xF7: (_group, ({2: Mnemonic.NOT, 3: Mnemonic.NEG}, None)),
-    0xFF: (_group, ({0: Mnemonic.INC, 1: Mnemonic.DEC,
-                     2: Mnemonic.CALL_RM, 4: Mnemonic.JMP_RM}, None)),
+    0xF7: (_unary, {2: (Mnemonic.NOT, None), 3: (Mnemonic.NEG, None)}),
+    0xFF: (_unary, {0: (Mnemonic.INC, None), 1: (Mnemonic.DEC, None),
+                    2: (Mnemonic.CALL_RM, _RSP),
+                    4: (Mnemonic.JMP_RM, frozenset())}),
     0x0F05: (_fixed,
              (Mnemonic.SYSCALL, _RAX, {Reg.RAX, Reg.RCX, Reg.R11}, None)),
     0x0F34: (_fixed, (Mnemonic.SYSENTER, _RAX, _RAX, None)),

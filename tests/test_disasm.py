@@ -296,7 +296,7 @@ _LS = "/usr/bin/ls"
 # "  addr:\tbytes\ttext", the text cut at objdump's "# ..." comment.
 _OBJDUMP_LINE = re.compile(r"\s*([0-9a-f]+):\t([0-9a-f ]+)\t([^#]*)")
 # A direct branch prints its target as bare hex; indirect ones start "*".
-_OBJDUMP_DIRECT = re.compile(r"(?:call|jmp|j[a-z]+)\s+([0-9a-f]+)\b")
+_OBJDUMP_DIRECT = re.compile(r"(?:callq?|jmpq?|j[a-z]+)\s+([0-9a-f]+)\b")
 
 
 @pytest.mark.skipif(
