@@ -521,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("starts", help="chosen start pointer per page")
     p.add_argument("snapshot")
     add_start_strategy(p)
-    add_common(p, with_set=False)
     p.set_defaults(func=_cmd_starts)
 
     p_synth = sub.add_parser("synth", help="synthetic corpus tools")

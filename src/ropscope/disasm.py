@@ -9,15 +9,17 @@ The decoder is total: any byte string yields either an Instruction or None
 full 64-bit register granularity: sub-register operands alias their parent,
 and 32-bit destination writes count as full-register writes because the
 hardware zero-extends them.
+
+The decoded records (`MemRef`, `Operand`, `Instruction`) are immutable
+NamedTuples: one page's decodes are shared by every traversal of it.
 """
 
 from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum, IntEnum, auto
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from ropscope.snapshot import PAGE_SIZE, MemoryImage, PageRecord, UnmappedRead
 
@@ -47,6 +49,9 @@ class Reg(IntEnum):
     R14 = 14
     R15 = 15
 
+
+# Reg by encoding number: a tuple index, where Reg(i) runs Enum's lookup.
+_REGS = tuple(Reg)
 
 _NAME64 = [
     "rax", "rcx", "rdx", "rbx", "rsp", "rbp", "rsi", "rdi",
@@ -147,8 +152,7 @@ _TERMINATORS = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class MemRef:
+class MemRef(NamedTuple):
     """A decoded memory addressing expression."""
 
     base: Reg | None = None
@@ -191,8 +195,7 @@ class MemRef:
         return f"[{inner}]"
 
 
-@dataclass(frozen=True, slots=True)
-class Operand:
+class Operand(NamedTuple):
     kind: str  # "reg" | "imm" | "mem"
     reg: Reg | None = None
     width: int = 64
@@ -202,15 +205,16 @@ class Operand:
 
     @staticmethod
     def make_reg(reg: Reg, width: int = 64, high8: bool = False) -> Operand:
-        return Operand(kind="reg", reg=reg, width=width, high8=high8)
+        """The shared record of a register operand."""
+        return _REG_OPERANDS[reg, width, high8]
 
     @staticmethod
     def make_imm(value: int, width: int = 64) -> Operand:
-        return Operand(kind="imm", imm=value, width=width)
+        return Operand("imm", None, width, False, value)
 
     @staticmethod
     def make_mem(mem: MemRef, width: int = 64) -> Operand:
-        return Operand(kind="mem", mem=mem, width=width)
+        return Operand("mem", None, width, False, None, mem)
 
     @property
     def is_reg(self) -> bool:
@@ -235,8 +239,17 @@ class Operand:
         return self.mem.render()
 
 
-@dataclass(frozen=True, slots=True)
-class Instruction:
+# Register operands repeat everywhere, and records are immutable, so every
+# register operand is one of these.
+_REG_OPERANDS = {
+    (reg, width, high8): Operand("reg", reg, width, high8)
+    for reg in Reg
+    for width in (8, 16, 32, 64)
+    for high8 in (False, True)
+}
+
+
+class Instruction(NamedTuple):
     addr: int
     length: int
     mnemonic: Mnemonic
@@ -350,8 +363,8 @@ class _Cursor:
 
 def _reg_op(index: int, width: int, rex_present: bool) -> Operand:
     if width == 8 and not rex_present and 4 <= index <= 7:
-        return Operand.make_reg(Reg(index - 4), 8, high8=True)
-    return Operand.make_reg(Reg(index), width)
+        return _REG_OPERANDS[_REGS[index - 4], 8, True]
+    return _REG_OPERANDS[_REGS[index], width, False]
 
 
 def _parse_modrm(
@@ -375,23 +388,23 @@ def _parse_modrm(
         scale = 1 << (sib >> 6)
         index_bits = ((sib >> 3) & 7) | ((rex & 0x2) << 2)
         if index_bits != 4:
-            index = Reg(index_bits)
+            index = _REGS[index_bits]
         base_bits = sib & 7
         if base_bits == 5 and mod == 0:
             disp = _s32(cur.u32())
         else:
-            base = Reg(base_bits | ((rex & 1) << 3))
+            base = _REGS[base_bits | ((rex & 1) << 3)]
     elif rm == 5 and mod == 0:
         rip = True
         disp = _s32(cur.u32())
     else:
-        base = Reg(rm | ((rex & 1) << 3))
+        base = _REGS[rm | ((rex & 1) << 3)]
 
     if mod == 1:
         disp = _s8(cur.u8())
     elif mod == 2:
         disp = _s32(cur.u32())
-    mem = MemRef(base=base, index=index, scale=scale, disp=disp, rip_relative=rip)
+    mem = MemRef(base, index, scale, disp, rip)
     return Operand.make_mem(mem, width), reg
 
 
@@ -458,10 +471,9 @@ def _fin(
 ) -> Instruction:
     """Build the instruction spanning the bytes the cursor has consumed."""
     return Instruction(
-        addr=cur.addr, length=cur.pos - cur.start, mnemonic=mnemonic,
-        operands=operands, reads=_interned(reads), writes=_interned(writes),
-        raw=bytes(cur.data[cur.start : cur.pos]),
-        branch_target=branch_target, cc=cc,
+        cur.addr, cur.pos - cur.start, mnemonic, operands,
+        _interned(reads), _interned(writes),
+        bytes(cur.data[cur.start : cur.pos]), branch_target, cc,
     )
 
 
@@ -552,14 +564,14 @@ def _unary(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction | No
 
 
 def _push(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
-    reg = Reg((op & 7) | ((rex & 1) << 3))
+    reg = _REGS[(op & 7) | ((rex & 1) << 3)]
     return _fin(
         cur, Mnemonic.PUSH, (Operand.make_reg(reg),), {reg, Reg.RSP}, {Reg.RSP}
     )
 
 
 def _pop(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
-    reg = Reg((op & 7) | ((rex & 1) << 3))
+    reg = _REGS[(op & 7) | ((rex & 1) << 3)]
     return _fin(
         cur, Mnemonic.POP, (Operand.make_reg(reg),), {Reg.RSP}, {reg, Reg.RSP}
     )
@@ -575,7 +587,7 @@ def _xchg_rax(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
 
 
 def _mov_imm(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
-    reg = Reg((op & 7) | ((rex & 1) << 3))
+    reg = _REGS[(op & 7) | ((rex & 1) << 3)]
     imm = cur.u64() if rex & 0x8 else cur.u32()
     return _fin(
         cur, Mnemonic.MOV,

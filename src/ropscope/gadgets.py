@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ropscope.disasm import GS_CALL_BYTES, Instruction, Mnemonic, Reg
 
@@ -109,9 +109,9 @@ def _is_store_mov(insn: Instruction) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Gadget:
-    """A classified instruction window ending at a terminator."""
+class Gadget(NamedTuple):
+    """A classified instruction window ending at a terminator; an
+    immutable record, as the instructions it holds are."""
 
     addr: int
     insns: tuple[Instruction, ...]
@@ -405,11 +405,7 @@ def _classify(
             footprints[GadgetType.FS] = Footprint.EX_FP
 
     return Gadget(
-        addr=insns[0].addr,
-        insns=tuple(insns),
-        types=frozenset(cores),
-        footprints=footprints,
-        core_index=cores,
+        insns[0].addr, tuple(insns), frozenset(cores), footprints, cores
     )
 
 

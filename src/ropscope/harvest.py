@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from ropscope.disasm import (
     FIRST_BYTE_TABLE,
@@ -153,11 +153,11 @@ class HarvestTrace:
 
 class MinedStream(NamedTuple):
     """What a page's instruction stream yields, independent of the harvest
-    that reached it: its gadgets, its chain targets in ascending order and
-    the gadget types they cover."""
+    that reached it: its gadgets, its chain targets as a mask over the
+    analysis's target index and the gadget types they cover."""
 
     gadgets: tuple[Gadget, ...]
-    targets: tuple[int, ...]
+    targets: int
     types: frozenset[GadgetType]
 
 
@@ -195,6 +195,13 @@ class ImageAnalysis:
     lookups: `PageDisasm.add_entries` runs once per distinct batch history
     over all harvests. Clocks read the instruction count stored in each
     node, which is what the harvest would have decoded itself.
+
+    It also owns the target index: every chain target and seed address any
+    traversal meets gets one bit, which records the address and its page
+    base, or None when the address is not executable. A stream's chain
+    targets are an `int` mask over these bits, and so is the set a
+    traversal has handled, so a visit finds its new targets with one
+    `mask & ~handled` and reads bits only when that is not zero.
     """
 
     def __init__(
@@ -206,6 +213,8 @@ class ImageAnalysis:
         self._decodes: dict[int, PageDecodes] = {}
         self._mined: dict[tuple[int, tuple[int, ...]], MinedStream] = {}
         self._roots: dict[int, _Node] = {}
+        self._target_bits: dict[int, int] = {}
+        self._targets: list[tuple[int, int | None]] = []
 
     def check_image(self, image: MemoryImage) -> None:
         """Raise ValueError unless built for this image."""
@@ -237,9 +246,39 @@ class ImageAnalysis:
                 stream, self.image, include_cond=self.follow_cond_branches
             )
             mined = self._mined[key] = MinedStream(
-                gadgets, tuple(sorted(targets)), leaked_types(gadgets)
+                gadgets, self.target_mask(targets), leaked_types(gadgets)
             )
         return mined
+
+    def target_mask(self, addrs: Iterable[int]) -> int:
+        """The mask of these addresses in the target index, which gains a
+        bit for each address it has not met before."""
+        bits = self._target_bits
+        targets = self._targets
+        mask = 0
+        for addr in addrs:
+            bit = bits.get(addr)
+            if bit is None:
+                bit = bits[addr] = len(targets)
+                executable = self.image.is_executable(addr)
+                targets.append((addr, page_base(addr) if executable else None))
+            mask |= 1 << bit
+        return mask
+
+    def targets(self, mask: int) -> list[tuple[int, int | None]]:
+        """(address, page base or None) of each target in the mask, in
+        ascending address order. The bits are read off the mask's binary
+        text, in time linear in its length however many bits are set."""
+        targets = self._targets
+        digits = bin(mask)
+        top = len(digits) - 1  # bit i is digits[top - i]
+        out = []
+        pos = digits.find("1", 2)
+        while pos != -1:
+            out.append(targets[top - pos])
+            pos = digits.find("1", pos + 1)
+        out.sort()
+        return out
 
     def root(self, base: int) -> _Node:
         """The tree node of the page at `base` before its first visit."""
@@ -289,29 +328,27 @@ class _Traversal:
         self.analysis = analysis
         self.nodes: dict[int, _Node] = {}
         self.skipped = 0
-        self._pending: dict[int, set[int]] = {}
-        self._handled: set[int] = set()
+        self._pending: dict[int, list[int]] = {}
+        self._handled = 0
         self._queue: deque[int] = deque()
-        self._add_targets(sorted(set(seeds)))
+        self._add_targets(analysis.target_mask(seeds))
 
-    def _add_targets(self, targets: Sequence[int]) -> None:
-        """Queue the ascending targets not handled before, in that order."""
-        handled = self._handled
-        if handled.issuperset(targets):
+    def _add_targets(self, mask: int) -> None:
+        """Queue the targets of the mask not handled before, in ascending
+        address order."""
+        fresh = mask & ~self._handled
+        if not fresh:
             return
-        fresh = [t for t in targets if t not in handled]
-        handled.update(fresh)
-        image = self.analysis.image
-        for addr in fresh:
-            if not image.is_executable(addr):
+        self._handled |= fresh
+        for addr, base in self.analysis.targets(fresh):
+            if base is None:
                 self.skipped += 1
                 continue
-            base = page_base(addr)
             pending = self._pending.get(base)
             if pending is None:
                 self._queue.append(base)
-                pending = self._pending[base] = set()
-            pending.add(addr)
+                pending = self._pending[base] = []
+            pending.append(addr)
 
     def __iter__(
         self,
@@ -340,17 +377,27 @@ class _Traversal:
         ))
 
 
-def harvest(
+class _Clocked(NamedTuple):
+    """One clocked run: its traversal, costs and (clock, kind, payload)
+    events."""
+
+    walk: _Traversal
+    leak_cost: int
+    analysis_cost: int
+    converged: bool
+    events: list[tuple[int, EventKind, Mapping[str, object]]]
+
+
+def _clocked(
     image: MemoryImage,
     start: int,
-    opts: HarvestOptions = HarvestOptions(),
-    analysis: ImageAnalysis | None = None,
-) -> HarvestTrace:
-    """Run the harvesting loop from one leaked code pointer.
-
-    Pass an analysis built for the same image and mining options to share
-    decoding and mining with other harvests; a fresh one is built otherwise.
-    """
+    opts: HarvestOptions,
+    analysis: ImageAnalysis | None,
+    page_events: bool,
+) -> _Clocked:
+    """The harvesting loop on the clock, shared by harvest and
+    rerand.converge. Page discoveries are events only with `page_events`;
+    the clocks are the same either way."""
     if not image.is_executable(start):
         raise StartPointerInvalid(
             f"start pointer {start:#x} is not in executable memory"
@@ -365,20 +412,20 @@ def harvest(
     leak_cost = 0
     analysis_cost = 0
     converged = False
-    events: list[HarvestEvent] = []
+    events: list[tuple[int, EventKind, Mapping[str, object]]] = []
     seen_types: set[GadgetType] = set()
-
-    def stamp(kind: EventKind, payload: Mapping[str, object]) -> None:
-        events.append(HarvestEvent(
-            len(events) + 1, leak_cost + analysis_cost, kind, payload
-        ))
 
     walk = _Traversal(analysis, (start,))
     for base, first_visit, new_insns, mined in walk:
         if first_visit:
             # The page leak itself.
             leak_cost += LEAK_TICKS_PER_PAGE
-            stamp(EventKind.PAGE_DISCOVERED, {"base": base})
+            if page_events:
+                events.append((
+                    leak_cost + analysis_cost,
+                    EventKind.PAGE_DISCOVERED,
+                    {"base": base},
+                ))
         analysis_cost += new_insns
         if mined is None:
             continue
@@ -388,25 +435,46 @@ def harvest(
         new_types = mined.types - seen_types
         if tracked is not None:
             new_types &= tracked
+        clock = leak_cost + analysis_cost
         for gtype in sorted(new_types, key=lambda t: t.value):
-            stamp(EventKind.TYPE_LEAKED, {"type": gtype.value})
+            events.append((clock, EventKind.TYPE_LEAKED, {"type": gtype.value}))
         seen_types |= new_types
 
         if tracked is not None and not converged and tracked <= seen_types:
             converged = True
-            stamp(EventKind.CONVERGED, {"set": opts.track_set.name})
+            events.append(
+                (clock, EventKind.CONVERGED, {"set": opts.track_set.name})
+            )
             if opts.stop_on_convergence:
                 break
 
+    return _Clocked(walk, leak_cost, analysis_cost, converged, events)
+
+
+def harvest(
+    image: MemoryImage,
+    start: int,
+    opts: HarvestOptions = HarvestOptions(),
+    analysis: ImageAnalysis | None = None,
+) -> HarvestTrace:
+    """Run the harvesting loop from one leaked code pointer.
+
+    Pass an analysis built for the same image and mining options to share
+    decoding and mining with other harvests; a fresh one is built otherwise.
+    """
+    run = _clocked(image, start, opts, analysis, page_events=True)
     return HarvestTrace(
         start=start,
-        events=events,
-        leak_cost=leak_cost,
-        analysis_cost=analysis_cost,
-        pages_found=len(walk.nodes),
-        skipped_targets=walk.skipped,
-        converged=converged,
-        gadgets=walk.gadgets(),
+        events=[
+            HarvestEvent(step, clock, kind, payload)
+            for step, (clock, kind, payload) in enumerate(run.events, 1)
+        ],
+        leak_cost=run.leak_cost,
+        analysis_cost=run.analysis_cost,
+        pages_found=len(run.walk.nodes),
+        skipped_targets=run.walk.skipped,
+        converged=run.converged,
+        gadgets=run.walk.gadgets(),
     )
 
 

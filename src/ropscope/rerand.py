@@ -25,7 +25,7 @@ from ropscope.harvest import (
     EventKind,
     HarvestOptions,
     ImageAnalysis,
-    harvest,
+    _clocked,
     page_start_pointers,
 )
 from ropscope.snapshot import MemoryImage
@@ -80,29 +80,29 @@ def converge(
 ) -> ConvergenceRecord:
     """Harvest from one start until the tracked set is covered or the
     reachable code is exhausted. An analysis shared across starts saves
-    repeated decoding and mining; see harvest."""
+    repeated decoding and mining; see harvest. It runs harvest's clocked
+    loop but keeps only the clocks: no page events and no gadgets."""
     if spec is None:
         spec = opts.track_set or BUILTIN_SETS["tc"]
     run_opts = replace(opts, track_set=spec, stop_on_convergence=True)
-    trace = harvest(image, start, run_opts, analysis)
+    run = _clocked(image, start, run_opts, analysis, page_events=False)
     timeline: list[tuple[int, int]] = []
-    count = 0
-    for event in trace.events:
-        if event.kind is EventKind.TYPE_LEAKED:
-            count += 1
-            timeline.append((event.clock, count))
-    fraction = (
-        trace.leak_cost / trace.total_cost if trace.total_cost else 0.0
-    )
+    convergence_clock = None
+    for clock, kind, _ in run.events:
+        if kind is EventKind.TYPE_LEAKED:
+            timeline.append((clock, len(timeline) + 1))
+        elif kind is EventKind.CONVERGED:
+            convergence_clock = clock
+    total = run.leak_cost + run.analysis_cost
     return ConvergenceRecord(
         start=start,
         set_name=spec.name,
-        converged=trace.converged,
-        convergence_clock=trace.convergence_clock(),
+        converged=run.converged,
+        convergence_clock=convergence_clock,
         type_timeline=tuple(timeline),
-        leak_fraction=fraction,
-        total_cost=trace.total_cost,
-        pages_found=trace.pages_found,
+        leak_fraction=run.leak_cost / total if total else 0.0,
+        total_cost=total,
+        pages_found=len(run.walk.nodes),
     )
 
 

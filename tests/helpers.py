@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ropscope.disasm import (
@@ -16,12 +16,25 @@ from ropscope.disasm import (
     decode,
     extract_chain_targets,
 )
-from ropscope.gadgets import Gadget, classify
+from ropscope.gadgets import (
+    BUILTIN_SETS,
+    Gadget,
+    GadgetSetSpec,
+    classify,
+    find_gadgets,
+    leaked_types,
+)
 from ropscope.harvest import (
+    LEAK_TICKS_PER_PAGE,
+    EventKind,
+    HarvestEvent,
     HarvestOptions,
+    HarvestTrace,
+    StartPointerInvalid,
     collect_branch_targets,
     page_start_pointers,
 )
+from ropscope.rerand import ConvergenceRecord
 from ropscope.snapshot import (
     PAGE_SIZE,
     ElfFormatError,
@@ -417,3 +430,145 @@ def reference_branch_targets(image: MemoryImage) -> dict[int, set[int]]:
                 targets_by_page[page_base(target)].add(target)
             pos += insn.length
     return targets_by_page
+
+
+class ReferenceTraversal:
+    """The harvest's page loop with a set of handled targets, a fresh
+    PageDisasm per page and every stream mined where it changes: no shared
+    analysis, no tree and no target masks. An oracle for the traversal.
+
+    Yields, per visit, the page base, whether it is the first visit, the
+    instructions the batch added and, when the stream changed or on the
+    first visit, its (gadgets, ascending chain targets, types)."""
+
+    def __init__(self, image: MemoryImage, opts: HarvestOptions, seeds):
+        self.image = image
+        self.opts = opts
+        self.states: dict[int, PageDisasm] = {}
+        self.mined: dict[int, tuple] = {}
+        self.skipped = 0
+        self._pending: dict[int, set[int]] = {}
+        self._handled: set[int] = set()
+        self._queue: deque[int] = deque()
+        self._add_targets(sorted(set(seeds)))
+
+    def _add_targets(self, targets) -> None:
+        handled = self._handled
+        fresh = [t for t in targets if t not in handled]
+        handled.update(fresh)
+        for addr in fresh:
+            if not self.image.is_executable(addr):
+                self.skipped += 1
+                continue
+            base = page_base(addr)
+            if base not in self._pending:
+                self._queue.append(base)
+                self._pending[base] = set()
+            self._pending[base].add(addr)
+
+    def __iter__(self):
+        image, opts = self.image, self.opts
+        while self._queue:
+            base = self._queue.popleft()
+            first_visit = base not in self.states
+            if first_visit:
+                page = image.page_at(base)
+                self.states[base] = PageDisasm(page, PageDecodes(page))
+            added = self.states[base].add_entries(self._pending.pop(base))
+            mined = None
+            if added or first_visit:
+                stream = self.states[base].instructions()
+                gadgets = find_gadgets(stream, opts.mining_options())
+                targets = sorted(extract_chain_targets(
+                    stream, image, include_cond=opts.follow_cond_branches
+                ))
+                mined = self.mined[base] = (
+                    gadgets, targets, leaked_types(gadgets)
+                )
+                self._add_targets(targets)
+            yield base, first_visit, added, mined
+
+    def gadgets(self) -> tuple[Gadget, ...]:
+        return tuple(
+            g for base in sorted(self.mined) for g in self.mined[base][0]
+        )
+
+
+def reference_harvest(
+    image: MemoryImage, start: int, opts: HarvestOptions = HarvestOptions()
+) -> HarvestTrace:
+    """The clocked harvest over ReferenceTraversal, stamping every event as
+    it happens. An oracle for harvest."""
+    if not image.is_executable(start):
+        raise StartPointerInvalid(f"start pointer {start:#x}")
+    tracked = set(opts.track_set.required) if opts.track_set else None
+    leak_cost = analysis_cost = 0
+    converged = False
+    events: list[HarvestEvent] = []
+    seen_types: set = set()
+
+    def stamp(kind, payload):
+        events.append(HarvestEvent(
+            len(events) + 1, leak_cost + analysis_cost, kind, payload
+        ))
+
+    walk = ReferenceTraversal(image, opts, (start,))
+    for base, first_visit, added, mined in walk:
+        if first_visit:
+            leak_cost += LEAK_TICKS_PER_PAGE
+            stamp(EventKind.PAGE_DISCOVERED, {"base": base})
+        analysis_cost += added
+        if mined is None:
+            continue
+        new_types = mined[2] - seen_types
+        if tracked is not None:
+            new_types &= tracked
+        for gtype in sorted(new_types, key=lambda t: t.value):
+            stamp(EventKind.TYPE_LEAKED, {"type": gtype.value})
+        seen_types |= new_types
+        if tracked is not None and not converged and tracked <= seen_types:
+            converged = True
+            stamp(EventKind.CONVERGED, {"set": opts.track_set.name})
+            if opts.stop_on_convergence:
+                break
+    return HarvestTrace(
+        start=start,
+        events=events,
+        leak_cost=leak_cost,
+        analysis_cost=analysis_cost,
+        pages_found=len(walk.states),
+        skipped_targets=walk.skipped,
+        converged=converged,
+        gadgets=walk.gadgets(),
+    )
+
+
+def reference_converge(
+    image: MemoryImage,
+    start: int,
+    spec: GadgetSetSpec | None = None,
+    opts: HarvestOptions = HarvestOptions(),
+) -> ConvergenceRecord:
+    """converge read off a full reference_harvest trace. An oracle for
+    converge."""
+    spec = spec or opts.track_set or BUILTIN_SETS["tc"]
+    trace = reference_harvest(image, start, replace(
+        opts, track_set=spec, stop_on_convergence=True
+    ))
+    leaked = [
+        e.clock for e in trace.events if e.kind is EventKind.TYPE_LEAKED
+    ]
+    return ConvergenceRecord(
+        start=start,
+        set_name=spec.name,
+        converged=trace.converged,
+        convergence_clock=trace.convergence_clock(),
+        type_timeline=tuple(
+            (clock, k) for k, clock in enumerate(leaked, 1)
+        ),
+        leak_fraction=(
+            trace.leak_cost / trace.total_cost if trace.total_cost else 0.0
+        ),
+        total_cost=trace.total_cost,
+        pages_found=trace.pages_found,
+    )

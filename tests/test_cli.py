@@ -409,8 +409,8 @@ def test_seed_only_where_start_strategy_is(corpus, capsys, command, accepted):
 @pytest.mark.parametrize(
     "command",
     [["gadgets"], ["harvest", "--start", "0x400000"], ["upper-bound"],
-     ["corrupt"], ["starts"], ["compare"]],
-    ids=["gadgets", "harvest", "upper-bound", "corrupt", "starts", "compare"],
+     ["corrupt"], ["compare"]],
+    ids=["gadgets", "harvest", "upper-bound", "corrupt", "compare"],
 )
 def test_max_len_below_one_exits_2(corpus, capsys, command, max_len):
     if command == ["compare"]:
@@ -420,6 +420,18 @@ def test_max_len_below_one_exits_2(corpus, capsys, command, max_len):
     code, out = run([*argv, "--max-len", max_len])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == "error: max_len must be at least 1\n"
+
+
+@pytest.mark.parametrize("flag", [["--max-len", "3"], ["--heuristic-types"]])
+def test_starts_takes_no_mining_options(corpus, capsys, flag):
+    # Start pointers come from the linear scan and the forward sweep, which
+    # never mine, so starts has no mining knobs.
+    with pytest.raises(SystemExit) as exc:
+        run(["starts", corpus / "baseline.rsnp", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in (
+        capsys.readouterr().err
+    )
 
 
 def test_seed_ignores_environment(corpus, monkeypatch):

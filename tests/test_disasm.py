@@ -18,6 +18,7 @@ from ropscope import disasm
 from ropscope.disasm import (
     GS_CALL_BYTES,
     Mnemonic,
+    Operand,
     PageDecodes,
     PageDisasm,
     Reg,
@@ -290,6 +291,49 @@ def test_decoder_digest_is_pinned():
         digest.update(repr(_decode_record(data)).encode())
         digest.update(b"\n")
     assert digest.hexdigest() == DECODER_DIGEST
+
+
+def test_decoded_records_are_immutable():
+    # One page's decodes are shared by every traversal of it, so no holder
+    # may change a record.
+    insn = decode(mov_rm(Reg.RAX, Reg.RBX, 8), BASE)
+    dst, src = insn.operands
+    for record, field in (
+        (insn, "addr"), (insn, "operands"), (dst, "reg"), (src, "mem"),
+        (src.mem, "disp"), (src.mem, "base"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+def test_register_operands_are_shared(width):
+    for reg in Reg:
+        for high8 in (False, True):
+            first = Operand.make_reg(reg, width, high8)
+            assert Operand.make_reg(reg, width, high8) is first
+            assert (first.kind, first.reg, first.width, first.high8) == (
+                "reg", reg, width, high8
+            )
+    assert Operand.make_reg(Reg.RDI) is Operand.make_reg(Reg.RDI, 64, False)
+    # The decoder hands out the same records.
+    insn = decode(mov_rr(Reg.RDI, Reg.RAX), BASE)
+    assert insn.operands[0] is Operand.make_reg(Reg.RDI)
+
+
+def test_decoded_instructions_hash_and_compare_by_value():
+    code = asm(mov_rr(Reg.RDI, Reg.RAX), pop_r(Reg.RBX), ret())
+    first = decode_stream(code)
+    again = decode_stream(code)
+    assert first == again
+    assert all(a is not b for a, b in zip(first, again))
+    assert set(first) == set(again)
+    assert len(set(first + again)) == 3
+    # Equal bytes at another address are another instruction.
+    moved = decode_stream(code, BASE + 0x100)
+    assert not set(moved) & set(first)
 
 
 _LS = "/usr/bin/ls"

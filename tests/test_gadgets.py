@@ -199,6 +199,18 @@ def test_heuristic_types_are_gated():
         assert enabled.footprints[gtype] is EX
 
 
+def test_gadgets_are_immutable_records():
+    gadget = classify(decode_stream(asm(pop_r(Reg.RBX), ret())))
+    for field in ("addr", "insns", "types", "footprints", "core_index"):
+        with pytest.raises(AttributeError):
+            setattr(gadget, field, None)
+    with pytest.raises(AttributeError):
+        gadget.extra = 1
+    # A record equals the plain tuple of its values.
+    assert gadget == tuple(gadget)
+    assert gadget == classify(gadget.insns)
+
+
 def test_classification_is_address_invariant():
     for code, gtype, _fp in EXEMPLARS:
         a = classify(decode_stream(code, base=0x400000))

@@ -18,6 +18,8 @@ from helpers import (
     gadget_multiset,
     multi_page_image,
     reference_branch_targets,
+    reference_converge,
+    reference_harvest,
     reference_offline_disassemble,
 )
 from ropscope.disasm import PageDisasm, Reg
@@ -424,6 +426,22 @@ def test_harvest_refuses_mismatched_analysis():
     )
 
 
+def test_converge_checks_like_harvest():
+    # converge runs harvest's loop without building a trace; it refuses the
+    # same starts and analyses.
+    image, start, _ = topology_image()
+    tc = BUILTIN_SETS["tc"]
+    opts = HarvestOptions(max_gadget_len=10)
+    analysis = ImageAnalysis(image, opts)
+    with pytest.raises(StartPointerInvalid):
+        converge(image, 0x11FA000, tc, opts, analysis)
+    with pytest.raises(ValueError):
+        converge(image, start, tc, HarvestOptions(), analysis)
+    other, _, _ = topology_image()
+    with pytest.raises(ValueError):
+        converge(other, start, tc, opts, analysis)
+
+
 def test_page_start_pointer_strategies_deterministic():
     image, _, _ = topology_image()
     lowest = page_start_pointers(image, HarvestOptions())
@@ -574,3 +592,81 @@ def test_offline_disassemble_matches_reference_on_ls(follow_cond):
     assert offline_disassemble(image, opts) == reference_offline_disassemble(
         image, opts
     )
+
+
+# The traversal against ReferenceTraversal, a set-based loop with no shared
+# analysis: dense and sparse seeded corpora and /usr/bin/ls, each option
+# that changes which pages a run reaches or when it stops, and the seeded
+# start strategy.
+ORACLE_CORPORA = {
+    "24pages": GenParams(n_functions=24, max_functions_per_page=1),
+    "dense": GenParams(
+        n_functions=30, connectivity=0.6, max_functions_per_page=2
+    ),
+    "sparse": SHARED_CORPORA["8pages-sparse"],
+}
+ORACLE_OPTIONS = {
+    "default": HarvestOptions(max_gadget_len=10),
+    "no-cond": HarvestOptions(max_gadget_len=10, follow_cond_branches=False),
+    "stop": HarvestOptions(
+        max_gadget_len=10,
+        track_set=BUILTIN_SETS["priority"],
+        stop_on_convergence=True,
+    ),
+    "seeded": HarvestOptions(
+        max_gadget_len=6, seed=11, start_strategy="seeded"
+    ),
+}
+
+
+def assert_matches_reference(image, opts):
+    """From every start, one shared analysis gives the reference's trace,
+    gadgets and convergence records."""
+    analysis = ImageAnalysis(image, opts)
+    starts = sorted(page_start_pointers(image, opts, analysis).values())
+    assert starts
+    for start in starts:
+        trace = harvest(image, start, opts, analysis)
+        expected = reference_harvest(image, start, opts)
+        assert trace.to_jsonl() == expected.to_jsonl()
+        assert trace.gadgets == expected.gadgets
+        for name in ("tc", "movtc"):
+            spec = BUILTIN_SETS[name]
+            assert converge(image, start, spec, opts, analysis) == (
+                reference_converge(image, start, spec, opts)
+            )
+
+
+@pytest.mark.parametrize("options", sorted(ORACLE_OPTIONS))
+@pytest.mark.parametrize("corpus", [*sorted(ORACLE_CORPORA), "ls"])
+def test_traversal_matches_set_based_reference(corpus, options):
+    if corpus == "ls":
+        if not Path("/usr/bin/ls").exists():
+            pytest.skip("/usr/bin/ls is not present")
+        image = load_image("/usr/bin/ls")
+    else:
+        image, _ = materialize(generate(ORACLE_CORPORA[corpus], seed=7))
+    assert_matches_reference(image, ORACLE_OPTIONS[options])
+
+
+@given(
+    n_functions=st.integers(1, 14),
+    connectivity=st.sampled_from([0.0, 0.1, 0.3, 0.7]),
+    per_page=st.sampled_from([None, 1, 2, 4]),
+    strongly_connected=st.booleans(),
+    seed=st.integers(0, 2**16),
+    options=st.sampled_from(sorted(ORACLE_OPTIONS)),
+)
+@settings(max_examples=25, deadline=None)
+def test_traversal_matches_reference_on_drawn_params(
+    n_functions, connectivity, per_page, strongly_connected, seed, options
+):
+    params = GenParams(
+        n_functions=n_functions,
+        mean_fn_len=8,
+        connectivity=connectivity,
+        ensure_strongly_connected=strongly_connected,
+        max_functions_per_page=per_page,
+    )
+    image, _ = materialize(generate(params, seed))
+    assert_matches_reference(image, ORACLE_OPTIONS[options])
