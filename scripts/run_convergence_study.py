@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from ropscope.gadgets import BUILTIN_SETS, load_set_spec
-from ropscope.harvest import HarvestOptions
+from ropscope.harvest import START_STRATEGIES, HarvestOptions
 from ropscope.rerand import evaluate_interval, upper_bound
 from ropscope.snapshot import load_image
 from ropscope.synth import GenParams, generate, materialize
@@ -35,7 +35,7 @@ def main(argv=None) -> int:
                     help="candidate rerandomization intervals to judge")
     ap.add_argument("--max-len", type=int, default=10)
     ap.add_argument("--start-strategy", default="lowest",
-                    choices=["lowest", "seeded"])
+                    choices=START_STRATEGIES)
     ap.add_argument("--timeline-csv", default=None)
     args = ap.parse_args(argv)
 

@@ -17,6 +17,7 @@ domain errors such as invalid start pointers or malformed options.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -36,6 +37,7 @@ from ropscope.gadgets import (
     type_counts,
 )
 from ropscope.harvest import (
+    START_STRATEGIES,
     HarvestOptions,
     StartPointerInvalid,
     harvest,
@@ -457,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="JSON file with a custom gadget set")
 
     def add_start_strategy(p):
-        p.add_argument("--start-strategy", choices=("lowest", "seeded"),
+        p.add_argument("--start-strategy", choices=START_STRATEGIES,
                        default="lowest")
         p.add_argument("--seed", type=_parse_int, default=0,
                        help="seed of the seeded start strategy")
@@ -566,9 +568,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: building it costs far more than a
+    parse, and callers such as benchmarks run `main` many times."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SnapshotError, OSError, json.JSONDecodeError) as exc:

@@ -81,11 +81,13 @@ _ARITH = frozenset({Mnemonic.ADD, Mnemonic.SUB, Mnemonic.IMUL})
 _LOGICAL = frozenset(
     {Mnemonic.AND, Mnemonic.OR, Mnemonic.XOR, Mnemonic.SHL, Mnemonic.SHR}
 )
+_PIVOT_WRITERS = _ARITH | _LOGICAL | {Mnemonic.MOV}
 _RET_CLASS = frozenset({Mnemonic.RET, Mnemonic.RET_IMM})
 _SYS_CORES = frozenset(
     {Mnemonic.SYSCALL, Mnemonic.SYSENTER, Mnemonic.CALL_GS}
 )
-_BROP_REGS = (
+# The exact register order of the eight pops before a BROP gadget's return.
+BROP_REGS = (
     Reg.RBX, Reg.RBP, Reg.R12, Reg.R13, Reg.R14, Reg.RSI, Reg.R15, Reg.RDI,
 )
 
@@ -161,11 +163,13 @@ def _insn_cores(insn: Instruction) -> list[tuple[GadgetType, bool]]:
     m = insn.mnemonic
     ops = insn.operands
 
-    if m is Mnemonic.MOV and len(ops) == 2:
+    if m in _PIVOT_WRITERS and len(ops) == 2 and ops[0].reg is Reg.RSP:
+        # A two-operand write to rsp is a stack pivot, whatever it computes.
+        hits.append((GadgetType.SP, ops[1].is_reg))
+
+    elif m is Mnemonic.MOV and len(ops) == 2:
         dst, src = ops
-        if dst.is_reg and dst.reg is Reg.RSP:
-            hits.append((GadgetType.SP, src.is_reg))
-        elif dst.is_reg and (src.is_reg or src.is_imm):
+        if dst.is_reg and (src.is_reg or src.is_imm):
             hits.append((GadgetType.MR, True))
         elif dst.is_reg and src.is_mem:
             mem = src.mem
@@ -186,9 +190,7 @@ def _insn_cores(insn: Instruction) -> list[tuple[GadgetType, bool]]:
 
     elif m in _ARITH and len(ops) == 2:
         dst, src = ops
-        if dst.is_reg and dst.reg is Reg.RSP:
-            hits.append((GadgetType.SP, src.is_reg))
-        elif dst.is_reg and (src.is_reg or src.is_imm):
+        if dst.is_reg and (src.is_reg or src.is_imm):
             hits.append((GadgetType.AM, True))
         elif dst.is_reg and src.is_mem:
             hits.append((GadgetType.AM_LD, src.mem.is_bare))
@@ -196,10 +198,8 @@ def _insn_cores(insn: Instruction) -> list[tuple[GadgetType, bool]]:
             hits.append((GadgetType.AM_ST, dst.mem.is_bare))
 
     elif m in _LOGICAL and len(ops) == 2:
-        dst, src = ops
-        if dst.is_reg and dst.reg is Reg.RSP:
-            hits.append((GadgetType.SP, src.is_reg))
-        elif dst.is_reg:
+        dst = ops[0]
+        if dst.is_reg:
             hits.append((GadgetType.LOGIC, True))
         elif dst.is_mem:
             hits.append((GadgetType.LOGIC, dst.mem.is_bare))
@@ -237,37 +237,40 @@ def _insn_cores(insn: Instruction) -> list[tuple[GadgetType, bool]]:
     return hits
 
 
-_RET_TERMINATED_TYPES = frozenset(
+# The two places a single-instruction core may sit. A core that is the
+# window's last instruction acts by itself (a pivot redirects control
+# through the new stack, so its minimum footprint has no closing return);
+# it is minimal when it is the whole window. A core before a closing return
+# is minimal when the return alone follows it.
+_LAST_CORE_TYPES = frozenset(
+    {GadgetType.SP, GadgetType.JMP, GadgetType.CALL, GadgetType.SYS}
+)
+_RET_CORE_TYPES = frozenset(
     {
         GadgetType.MR, GadgetType.LR, GadgetType.AM, GadgetType.LM,
         GadgetType.AM_LD, GadgetType.SM, GadgetType.AM_ST, GadgetType.LOGIC,
         GadgetType.ST, GadgetType.STCONST,
         GadgetType.STCONSTEX, GadgetType.LMEX,
+        GadgetType.SP, GadgetType.SYS,
     }
 )
 
 
 def classify(
-    insns: Sequence[Instruction], enable_heuristic_types: bool = False
+    insns: Sequence[Instruction],
+    enable_heuristic_types: bool = False,
+    matches: Sequence[list[tuple[GadgetType, bool]]] | None = None,
 ) -> Gadget:
     """Classify an instruction window into the gadget it forms.
 
     Types, footprints and core indices are position-pure: they depend only
     on mnemonics, operands, and branch offsets relative to the window, never
-    on absolute addresses.
+    on absolute addresses. `matches`, when given, holds the core matches of
+    each instruction of the window as `find_gadgets` caches them.
     """
     assert insns, "cannot classify an empty window"
-    return _classify(
-        insns, [_insn_cores(insn) for insn in insns], enable_heuristic_types
-    )
-
-
-def _classify(
-    insns: Sequence[Instruction],
-    matches: Sequence[list[tuple[GadgetType, bool]]],
-    enable_heuristic_types: bool,
-) -> Gadget:
-    """classify, given the `_insn_cores` of each instruction of the window."""
+    if matches is None:
+        matches = [_insn_cores(insn) for insn in insns]
     last = insns[-1]
     n = len(insns)
     footprints: dict[GadgetType, Footprint] = {}
@@ -283,32 +286,12 @@ def _classify(
             per_insn[gtype] = (idx, strict)
 
     for gtype, (idx, strict) in per_insn.items():
-        if gtype in _RET_TERMINATED_TYPES:
-            if not ret_end or idx == n - 1:
-                continue
-            minimal = strict and n == 2 and idx == 0
-        elif gtype is GadgetType.SP:
-            # A pivot redirects control through the new stack by itself, so
-            # its minimum footprint has no closing return.
-            if idx == n - 1:
-                minimal = strict and n == 1
-            elif ret_end:
-                minimal = strict and n == 2 and idx == 0
-            else:
-                continue
-        elif gtype is GadgetType.JMP or gtype is GadgetType.CALL:
-            if idx != n - 1:
+        if idx == n - 1:
+            if gtype not in _LAST_CORE_TYPES:
                 continue
             minimal = strict and n == 1
-        elif gtype is GadgetType.SYS:
-            if idx == n - 1:
-                minimal = n == 1
-            elif idx == 0 and n == 2 and ret_end:
-                minimal = True
-            elif ret_end:
-                minimal = False
-            else:
-                continue
+        elif ret_end and gtype in _RET_CORE_TYPES:
+            minimal = strict and n == 2
         else:
             continue
         cores[gtype] = idx
@@ -365,7 +348,7 @@ def _classify(
         and ret_end
         and all(
             insns[i].mnemonic is Mnemonic.POP
-            and insns[i].operands[0].reg is _BROP_REGS[i]
+            and insns[i].operands[0].reg is BROP_REGS[i]
             for i in range(8)
         )
     ):
@@ -459,8 +442,8 @@ def find_gadgets(
             if matches[i] is None:
                 matches[i] = _insn_cores(stream[i])
         for start in range(low, pos + 1):
-            gadgets.append(_classify(
-                stream[start : pos + 1], matches[start : pos + 1], heuristic
+            gadgets.append(classify(
+                stream[start : pos + 1], heuristic, matches[start : pos + 1]
             ))
 
     gadgets.sort(key=lambda g: (g.addr, g.length))

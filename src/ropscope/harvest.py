@@ -44,6 +44,10 @@ from ropscope.snapshot import PAGE_SIZE, MemoryImage, PageRecord, page_base
 
 LEAK_TICKS_PER_PAGE = 100
 
+# How each page's start pointer is picked from its candidates: the lowest
+# one, or one chosen by a generator seeded with the run seed and page base.
+START_STRATEGIES = ("lowest", "seeded")
+
 
 class StartPointerInvalid(ValueError):
     """The starting pointer does not land in mapped executable memory."""
@@ -58,6 +62,13 @@ class HarvestOptions:
     track_set: GadgetSetSpec | None = None
     stop_on_convergence: bool = False
     start_strategy: str = "lowest"
+
+    def __post_init__(self) -> None:
+        if self.start_strategy not in START_STRATEGIES:
+            raise ValueError(
+                f"unknown start strategy {self.start_strategy!r}; "
+                f"choose one of {', '.join(START_STRATEGIES)}"
+            )
 
     def mining_options(self) -> MiningOptions:
         return MiningOptions(

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from ropscope import encode as enc
 from ropscope.disasm import POISON_BYTE, Reg, decode
-from ropscope.gadgets import GadgetType, gadget_type
+from ropscope.gadgets import BROP_REGS, GadgetType, gadget_type
 from ropscope.snapshot import (
     PAGE_SIZE,
     RX,
@@ -251,10 +251,6 @@ def _pick(rng: random.Random, exclude: Iterable[Reg] = ()) -> Reg:
 # distinct registers and returns IR items whose leading instructions form the
 # named gadget in minimal footprint once a return or indirect branch closes
 # the window. A type is plantable exactly when it has a template here.
-# BROP is classified by its exact pop order.
-_BROP_POPS = (
-    Reg.RBX, Reg.RBP, Reg.R12, Reg.R13, Reg.R14, Reg.RSI, Reg.R15, Reg.RDI,
-)
 _PLANTS: dict[GadgetType, Callable[[Reg, Reg, Reg], list[AsmItem]]] = {
     GadgetType.MR: lambda a, b, c: [AsmItem("mov_rr", (a, b)), AsmItem("ret")],
     GadgetType.LR: lambda a, b, c: [AsmItem("pop_r", (a,)), AsmItem("ret")],
@@ -301,7 +297,7 @@ _PLANTS: dict[GadgetType, Callable[[Reg, Reg, Reg], list[AsmItem]]] = {
         AsmItem("pop_r", (Reg.RBP,), None, True), AsmItem("call_r", (a,)),
     ],
     GadgetType.BROP: lambda a, b, c: [
-        AsmItem("pop_r", (r,), None, True) for r in _BROP_POPS
+        AsmItem("pop_r", (r,), None, True) for r in BROP_REGS
     ] + [AsmItem("ret")],
     GadgetType.STOP: lambda a, b, c: [AsmItem("jmp_rel8", (-2,))],
 }

@@ -2,11 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from helpers import RW, asm, build_elf, code_image
+from ropscope import cli
 from ropscope.cli import main
 from ropscope.disasm import Reg
 from ropscope.encode import call_rel32, mov_rr, pop_r, ret, syscall
@@ -209,6 +214,34 @@ def test_starts_listing(snap):
     assert list(listing) == ["0x400000"]
     start = int(listing["0x400000"], 16)
     assert 0x400000 <= start < 0x401000
+
+
+def test_one_parser_serves_every_call(snap, monkeypatch):
+    """main builds its argument parser once per process, and a call with
+    another subcommand after the first prints what a fresh process prints."""
+    commands = [
+        ["gadgets", snap, "--set", "tc", "--max-len", "3"],
+        ["starts", snap],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    separate = [
+        subprocess.run(
+            [sys.executable, "-m", "ropscope.cli", *map(str, argv)],
+            capture_output=True, text=True, check=True, env=env, timeout=60,
+        ).stdout
+        for argv in commands
+    ]
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in commands] == [(0, out) for out in separate]
+    assert len(builds) == 1
 
 
 def test_synth_generate_compare_transform(tmp_path):

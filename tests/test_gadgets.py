@@ -1,6 +1,8 @@
 """Window classification, footprints, mining policy, and set coverage."""
 
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,8 @@ from helpers import (
     reference_find_gadgets,
     reference_sys_anchors,
 )
-from ropscope.disasm import Reg
+import ropscope.gadgets as gadgets_module
+from ropscope.disasm import Reg, decode
 from ropscope.encode import (
     alu_mr,
     alu_ri,
@@ -65,7 +68,14 @@ from ropscope.gadgets import (
     resolve_set,
 )
 from ropscope.harvest import offline_disassemble
-from ropscope.synth import GenParams, generate, materialize
+from ropscope.synth import (
+    GenParams,
+    RandomizationScheme,
+    SchemeKind,
+    apply_scheme,
+    generate,
+    materialize,
+)
 
 MIN = Footprint.MIN_FP
 EX = Footprint.EX_FP
@@ -413,6 +423,24 @@ def test_mining_matches_naive_windows_on_synth_streams(max_len, heuristic):
             )
 
 
+def test_find_gadgets_classifies_through_classify(monkeypatch):
+    """Every window find_gadgets returns goes through the module's classify,
+    so a wrapper bound there (as a tracer binds one) sees each window."""
+    image, _ = materialize(generate(GenParams(n_functions=6), seed=3))
+    streams = offline_disassemble(image).values()
+    calls = []
+    real_classify = gadgets_module.classify
+
+    def counting_classify(*args, **kwargs):
+        calls.append(1)
+        return real_classify(*args, **kwargs)
+
+    monkeypatch.setattr(gadgets_module, "classify", counting_classify)
+    opts = MiningOptions(max_len=5)
+    found = [g for stream in streams for g in find_gadgets(stream, opts)]
+    assert found and len(calls) == len(found)
+
+
 def test_gadget_accessors():
     code = asm(pop_r(Reg.RBX), ret())
     insns = decode_stream(code)
@@ -533,3 +561,95 @@ def test_gadget_multiset_helper_is_order_insensitive():
     code = asm(pop_r(Reg.RBX), ret())
     gadgets = find_gadgets(decode_stream(code))
     assert gadget_multiset(gadgets) == gadget_multiset(reversed(gadgets))
+
+
+# --- pinned classification digest ---
+
+_DIGEST_REGS = (Reg.RAX, Reg.RBX, Reg.RBP, Reg.RSP, Reg.RSI, Reg.RDI, Reg.R12)
+
+
+def _random_insn(rng) -> bytes:
+    """One encoded instruction of a random modelled shape; rsp is as likely
+    as any other register, so pivots are common."""
+    a, b = rng.choice(_DIGEST_REGS), rng.choice(_DIGEST_REGS)
+    disp = rng.choice((0, 0, 8, -16))
+    op = rng.choice(("add", "sub", "and", "or", "xor"))
+    return rng.choice((
+        lambda: mov_rr(a, b), lambda: mov_ri(a, 7),
+        lambda: mov_rm(a, b, disp), lambda: mov_mr(a, b, disp),
+        lambda: mov_mi(a, 5, disp), lambda: alu_rr(op, a, b),
+        lambda: alu_rm(op, a, b, disp), lambda: alu_mr(op, a, b, disp),
+        lambda: alu_ri(op, a, 0x18), lambda: shl_cl(a),
+        lambda: xchg_rr(a, b), lambda: lea(a, b, disp), lambda: pop_r(a),
+        lambda: push_r(a), lambda: nop(), lambda: ret(), lambda: ret_imm(8),
+        lambda: jmp_r(a), lambda: jmp_m(a, disp), lambda: call_r(a),
+        lambda: call_m(a, disp), lambda: call_rel32(0x40),
+        lambda: jmp_rel8(rng.choice((-2, -6, 4))),
+        lambda: jcc_rel8(0x4, rng.choice((-6, 4))), lambda: syscall(),
+        lambda: sysenter(), lambda: int80(), lambda: int_n(0x03),
+        lambda: gs_call(), lambda: bytes.fromhex("480f05"),
+    ))()
+
+
+def _random_decodable_stream(seed: int, size: int) -> list:
+    """Every instruction a linear sweep decodes from seeded bytes that mix
+    encoded instructions with random noise; undecodable bytes are skipped."""
+    rng = random.Random(seed)
+    parts = []
+    while sum(map(len, parts)) < size:
+        if rng.random() < 0.8:
+            parts.append(_random_insn(rng))
+        else:
+            parts.append(rng.randbytes(rng.randint(1, 4)))
+    data = b"".join(parts)
+    out, off = [], 0
+    while off < len(data):
+        insn = decode(data, 0x400000 + off, off)
+        if insn is None:
+            off += 1
+        else:
+            out.append(insn)
+            off += insn.length
+    return out
+
+
+def _classification_digest() -> tuple[int, str]:
+    digest = hashlib.sha256()
+    count = 0
+
+    def add(g) -> None:
+        nonlocal count
+        count += 1
+        digest.update(repr((
+            g.addr,
+            tuple(sorted(t.value for t in g.types)),
+            tuple(sorted((t.value, f.value) for t, f in g.footprints.items())),
+            tuple(sorted((t.value, i) for t, i in g.core_index.items())),
+        )).encode())
+
+    program = generate(GenParams(n_functions=40, max_functions_per_page=4), seed=13)
+    for kind in SchemeKind:
+        image, _ = apply_scheme(program, RandomizationScheme(kind, seed=5))
+        streams = sorted(offline_disassemble(image).items())
+        for heuristic in (False, True):
+            opts = MiningOptions(max_len=10, enable_heuristic_types=heuristic)
+            for _base, stream in streams:
+                for g in find_gadgets(stream, opts):
+                    add(g)
+    for seed in range(3):
+        stream = _random_decodable_stream(seed, 4096)
+        for heuristic in (False, True):
+            for end in range(1, len(stream) + 1):
+                for length in range(1, min(6, end) + 1):
+                    add(classify(stream[end - length : end], heuristic))
+    return count, digest.hexdigest()
+
+
+def test_classification_digest_is_pinned():
+    """Types, footprints and core indices of every mined window of a seeded
+    corpus under all four schemes, and of every short window of random
+    decodable streams, as the per-type classifier computed them."""
+    assert _classification_digest() == (
+        46054,
+        "8006cd0b4db6fadbe0e7c950fb8db86f5f6e4665522adeb61fb69a968e6f1411",
+    )

@@ -670,3 +670,9 @@ def test_traversal_matches_reference_on_drawn_params(
     )
     image, _ = materialize(generate(params, seed))
     assert_matches_reference(image, ORACLE_OPTIONS[options])
+
+
+@pytest.mark.parametrize("strategy", ["seded", "", "Lowest", None])
+def test_unknown_start_strategy_is_refused(strategy):
+    with pytest.raises(ValueError, match="start strategy"):
+        HarvestOptions(start_strategy=strategy)
