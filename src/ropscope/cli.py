@@ -78,9 +78,12 @@ def _parse_int(text: str) -> int:
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
-    if not sep:
-        raise ValueError(f"range must look like LO:HI, got {text!r}")
-    return _parse_int(lo), _parse_int(hi)
+    try:
+        if not sep:
+            raise ValueError
+        return _parse_int(lo), _parse_int(hi)
+    except ValueError:
+        raise ValueError(f"range must look like LO:HI, got {text!r}") from None
 
 
 def _parse_types(text: str) -> list[GadgetType]:
@@ -511,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="scan data memory for code pointers")
     p.add_argument("snapshot")
     p.add_argument("--segment", metavar="TAG,...",
-                   help="segments to scan: stack, heap, data, other")
+                   help="segments to scan: stack, heap, data, other, code "
+                   "(non-executable pages tagged code)")
     p.add_argument("--lib-range", metavar="LO:HI",
                    help="count only pointers into this address range")
     p.add_argument("--alignment", type=int, default=8)

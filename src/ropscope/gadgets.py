@@ -613,13 +613,24 @@ def category_counts(
 
 
 def gadget_report_rows(gadgets: Iterable[Gadget]) -> list[dict]:
+    # Windows that end at one terminator share their tail instructions, so
+    # each instruction is rendered once per report. The memo holds every
+    # instruction it names, so no id is reused while it lives.
+    rendered: dict[int, tuple[Instruction, str]] = {}
+
+    def render(insn: Instruction) -> str:
+        memo = rendered.get(id(insn))
+        if memo is None:
+            memo = rendered[id(insn)] = (insn, insn.render())
+        return memo[1]
+
     rows = []
     for g in gadgets:
         rows.append(
             {
                 "addr": f"{g.addr:#x}",
                 "bytes_hex": g.raw.hex(),
-                "text": g.render(),
+                "text": "; ".join(map(render, g.insns)),
                 "types": "|".join(sorted(t.value for t in g.types)),
                 "footprints": "|".join(
                     f"{t.value}={g.footprints[t].value}"

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
+import struct
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
-from ropscope.snapshot import MemoryImage, SegmentTag
+from ropscope.snapshot import PAGE_MASK, PAGE_SIZE, MemoryImage, SegmentTag
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,27 @@ class PointerScanReport:
         return buf.getvalue()
 
 
+def _word_plans(alignment: int) -> list[tuple[struct.Struct, int, int, int]]:
+    """How to read one page's words at offsets that are multiples of alignment.
+
+    Offsets fall into residue classes r mod 8. Class r is read with one
+    unpack of every 8-byte word from offset r; the wanted words are then the
+    slice [first::step] of it, where word j sits at offset r + 8j. One plan
+    (unpacker, r, first, step) per class that has an offset in the page.
+    """
+    step = alignment // gcd(alignment, 8)
+    plans = []
+    for r in range(8):
+        count = (PAGE_SIZE - r) // 8
+        first = next(
+            (j for j in range(min(step, count)) if (r + 8 * j) % alignment == 0),
+            None,
+        )
+        if first is not None:
+            plans.append((struct.Struct(f"<{count}Q"), r, first, step))
+    return plans
+
+
 def scan_pointers(
     image: MemoryImage,
     tags: Sequence[SegmentTag] | None = None,
@@ -98,27 +121,40 @@ def scan_pointers(
         raise ValueError("empty library range")
 
     wanted = None if tags is None else set(tags)
+    # Executability of every mapped page: one lookup per candidate answers
+    # both the mapped and the executable test.
+    executable = {page.base: page.perms.executable for page in image}
+    # Only values inside the library range and the mapped extent can hit.
+    lo, hi = 0, 0
+    if executable:
+        lo, hi = min(executable), max(executable) + PAGE_SIZE
+    if lib_range is not None:
+        lo, hi = max(lo, lib_range[0]), min(hi, lib_range[1])
+    plans = _word_plans(alignment)
+    words_per_page = len(range(0, PAGE_SIZE - 7, alignment))
+
     hits: list[PointerHit] = []
     scanned_pages = 0
-    scanned_words = 0
-    for page in image.pages:
+    for page in image:
         if page.perms.executable:
             continue
         if wanted is not None and page.tag not in wanted:
             continue
         scanned_pages += 1
         data = page.data
-        for off in range(0, len(data) - 7, alignment):
-            scanned_words += 1
-            value = int.from_bytes(data[off : off + 8], "little")
-            if lib_range is not None and not (
-                lib_range[0] <= value < lib_range[1]
-            ):
-                continue
-            if not image.is_mapped(value):
-                continue
-            is_exec = image.is_executable(value)
-            if require_executable_target and not is_exec:
+        found: list[tuple[int, int]] = []
+        for word, r, first, step in plans:
+            words = word.unpack_from(data, r)[first::step]
+            off, stride = r + 8 * first, 8 * step
+            found += [
+                (off + stride * i, value)
+                for i, value in enumerate(words)
+                if lo <= value < hi
+            ]
+        found.sort()
+        for off, value in found:
+            is_exec = executable.get(value & PAGE_MASK)
+            if is_exec is None or (require_executable_target and not is_exec):
                 continue
             hits.append(
                 PointerHit(
@@ -132,5 +168,5 @@ def scan_pointers(
         hits=tuple(hits),
         lib_range=lib_range,
         scanned_pages=scanned_pages,
-        scanned_words=scanned_words,
+        scanned_words=scanned_pages * words_per_page,
     )

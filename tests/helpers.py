@@ -6,6 +6,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Sequence
 
 from ropscope.disasm import (
     GS_CALL_BYTES,
@@ -34,6 +35,7 @@ from ropscope.harvest import (
     collect_branch_targets,
     page_start_pointers,
 )
+from ropscope.ptrscan import PointerHit, PointerScanReport
 from ropscope.rerand import ConvergenceRecord
 from ropscope.snapshot import (
     PAGE_SIZE,
@@ -571,4 +573,63 @@ def reference_converge(
         ),
         total_cost=trace.total_cost,
         pages_found=trace.pages_found,
+    )
+
+
+def reference_scan_pointers(
+    image: MemoryImage,
+    tags: Sequence[SegmentTag] | None = None,
+    lib_range: tuple[int, int] | None = None,
+    alignment: int = 8,
+    require_executable_target: bool = True,
+) -> PointerScanReport:
+    """Scan aligned words in data pages for code addresses, one word at a
+    time. An oracle for ptrscan.scan_pointers.
+
+    tags restricts which segments are scanned (default: everything that is
+    not executable). lib_range keeps only values in [lo, hi). Values must
+    point at mapped memory; by default they must point at executable
+    memory, since only those can seed code harvesting.
+    """
+    if alignment < 1:
+        raise ValueError("alignment must be positive")
+    if lib_range is not None and lib_range[0] >= lib_range[1]:
+        raise ValueError("empty library range")
+
+    wanted = None if tags is None else set(tags)
+    hits: list[PointerHit] = []
+    scanned_pages = 0
+    scanned_words = 0
+    for page in image.pages:
+        if page.perms.executable:
+            continue
+        if wanted is not None and page.tag not in wanted:
+            continue
+        scanned_pages += 1
+        data = page.data
+        for off in range(0, len(data) - 7, alignment):
+            scanned_words += 1
+            value = int.from_bytes(data[off : off + 8], "little")
+            if lib_range is not None and not (
+                lib_range[0] <= value < lib_range[1]
+            ):
+                continue
+            if not image.is_mapped(value):
+                continue
+            is_exec = image.is_executable(value)
+            if require_executable_target and not is_exec:
+                continue
+            hits.append(
+                PointerHit(
+                    addr=page.base + off,
+                    value=value,
+                    tag=page.tag,
+                    target_executable=is_exec,
+                )
+            )
+    return PointerScanReport(
+        hits=tuple(hits),
+        lib_range=lib_range,
+        scanned_pages=scanned_pages,
+        scanned_words=scanned_words,
     )

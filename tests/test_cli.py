@@ -181,6 +181,19 @@ def test_scan_segments(tmp_path):
     assert json.loads(out)["occurrences"] == 0
 
 
+@pytest.mark.parametrize(
+    "text", ["0x400000:", ":0x500000", "0x400000", "lo:0x500000", "1:2:3"]
+)
+def test_scan_malformed_lib_range_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "scan.rsnp"
+    save_snapshot(ImageBuilder().build(), path)
+    code, _ = run(["scan", path, f"--lib-range={text}"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: range must look like LO:HI, got {text!r}\n"
+    )
+
+
 def test_scan_elf_maps_data_segments(tmp_path):
     # Two code pages (RX) and two data pages (RW) holding pointers into the
     # second code page, which is the library range, plus one into the first.
