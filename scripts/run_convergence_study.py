@@ -53,8 +53,9 @@ def main(argv=None) -> int:
         seed=args.seed,
         max_gadget_len=args.max_len,
         start_strategy=args.start_strategy,
+        track_set=spec,
     )
-    report = upper_bound(image, spec, opts)
+    report = upper_bound(image, opts)
 
     print(f"tracked set: {report.spec_name} "
           f"({len(spec.required)} types)")

@@ -186,9 +186,7 @@ def _cmd_gadgets(args) -> int:
 
 def _cmd_upper_bound(args) -> int:
     image = load_image(args.snapshot)
-    spec = _resolve_set(args) or BUILTIN_SETS["tc"]
-    opts = _harvest_options(args, spec)
-    report = upper_bound(image, spec, opts)
+    report = upper_bound(image, _harvest_options(args, _resolve_set(args)))
     payload = report.to_dict()
     if args.interval is not None:
         verdict = evaluate_interval(args.interval, report=report)

@@ -735,7 +735,9 @@ class PageDisasm:
         self.page = page
         self.decodes = decodes
         self.insns: dict[int, Instruction] = {}
-        self._claimed = bytearray(PAGE_SIZE)
+        # One flag per page byte, made by the first add_entries: a state
+        # that never grows, such as an analysis's empty root, holds none.
+        self._claimed = bytearray()
 
     def add_entries(self, entries: Iterable[int]) -> int:
         """Extend the stream from entry addresses; returns instructions added.
@@ -750,6 +752,8 @@ class PageDisasm:
                 )
         base, insns, decodes = self.page.base, self.insns, self.decodes
         claimed = self._claimed
+        if not claimed:
+            claimed = self._claimed = bytearray(PAGE_SIZE)
         added = 0
         for entry in entries:
             work = deque((entry,))
@@ -776,6 +780,14 @@ class PageDisasm:
                         break
                     addr = base + end
         return added
+
+    def extended(self, entries: Iterable[int]) -> PageDisasm:
+        """A copy of this state with the entries added; this one is kept."""
+        new = PageDisasm(self.page, self.decodes)
+        new.insns = dict(self.insns)
+        new._claimed = bytearray(self._claimed)
+        new.add_entries(entries)
+        return new
 
     def addresses(self) -> tuple[int, ...]:
         """Sorted addresses of the instructions in the stream."""

@@ -15,7 +15,6 @@ available, which is what rerandomization-interval analysis consumes.
 
 from __future__ import annotations
 
-import copy
 import json
 import random
 from collections import deque
@@ -162,35 +161,31 @@ class HarvestTrace:
         return "\n".join(lines) + "\n"
 
 
-class MinedStream(NamedTuple):
-    """What a page's instruction stream yields, independent of the harvest
-    that reached it: its gadgets, its chain targets as a mask over the
-    analysis's target index and the gadget types they cover."""
-
-    gadgets: tuple[Gadget, ...]
-    targets: int
-    types: frozenset[GadgetType]
-
-
 class _Node:
-    """One traversal state of a page in ImageAnalysis's tree: the stream
-    after a history of entry batches. `added` counts the instructions the
-    last batch added and `mined` is the stream's mining result. The root of
-    a page's tree stands for the page not yet visited and holds no state.
-    A node is never changed after it is built, except to gain children."""
+    """A page's traversal state in ImageAnalysis's node map: its stream,
+    what mining the stream yields (gadgets, chain targets as a mask over the
+    target index, their gadget types) and `children`, the node each batch
+    met so far leads to, or None for a batch that adds nothing, so no node
+    refers to itself and reference counting frees the map. A node never
+    changes after it is built, except to gain children."""
 
-    __slots__ = ("disasm", "added", "mined", "children")
+    __slots__ = ("disasm", "gadgets", "targets", "types", "children")
 
     def __init__(
         self,
-        disasm: PageDisasm | None = None,
-        added: int = 0,
-        mined: MinedStream | None = None,
+        disasm: PageDisasm,
+        gadgets: tuple[Gadget, ...] = (),
+        targets: int = 0,
+        types: frozenset[GadgetType] = frozenset(),
     ):
         self.disasm = disasm
-        self.added = added
-        self.mined = mined
-        self.children: dict[tuple[int, ...], _Node] = {}
+        self.gadgets = gadgets
+        self.targets = targets
+        self.types = types
+        self.children: dict[tuple[int, ...], _Node | None] = {}
+
+
+_UNSEEN = object()  # a batch not yet added to a node
 
 
 class ImageAnalysis:
@@ -199,13 +194,14 @@ class ImageAnalysis:
 
     It holds each page's decode results by offset, which the linear branch
     scan and every traversal share, so each offset is decoded once per
-    image; what mining each page stream (page base and the addresses of its
-    instructions) yields; and a tree of traversal states per page. A child
-    in the tree is keyed by the sorted entries of one batch and holds the
-    state that batch leads to, so a harvest replays its traversal as
-    lookups: `PageDisasm.add_entries` runs once per distinct batch history
-    over all harvests. Clocks read the instruction count stored in each
-    node, which is what the harvest would have decoded itself.
+    image, and one node per traversal state, keyed by page base and stream
+    addresses. The addresses determine the state: its claimed bytes are
+    its instructions' spans, each the page's shared decode at its offset.
+    So a stream is mined once however many batch histories reach it, and
+    a harvest replays its traversal as lookups of children keyed by sorted
+    batch: `PageDisasm.add_entries` runs once per (node, batch) edge over
+    all harvests. Clocks read the difference in stream length between a
+    node and its child, which is what the harvest would have decoded.
 
     It also owns the target index: every chain target and seed address any
     traversal meets gets one bit, which records the address and its page
@@ -222,8 +218,7 @@ class ImageAnalysis:
         self.mining = opts.mining_options()
         self.follow_cond_branches = opts.follow_cond_branches
         self._decodes: dict[int, PageDecodes] = {}
-        self._mined: dict[tuple[int, tuple[int, ...]], MinedStream] = {}
-        self._roots: dict[int, _Node] = {}
+        self._nodes: dict[tuple[int, tuple[int, ...]], _Node] = {}
         self._target_bits: dict[int, int] = {}
         self._targets: list[tuple[int, int | None]] = []
 
@@ -245,21 +240,6 @@ class ImageAnalysis:
         if page.base not in self._decodes:
             self._decodes[page.base] = PageDecodes(page)
         return self._decodes[page.base]
-
-    def mine(self, disasm: PageDisasm) -> MinedStream:
-        """Mining results of the traversal's current stream."""
-        key = (disasm.page.base, disasm.addresses())
-        mined = self._mined.get(key)
-        if mined is None:
-            stream = disasm.instructions()
-            gadgets = find_gadgets(stream, self.mining)
-            targets = extract_chain_targets(
-                stream, self.image, include_cond=self.follow_cond_branches
-            )
-            mined = self._mined[key] = MinedStream(
-                gadgets, self.target_mask(targets), leaked_types(gadgets)
-            )
-        return mined
 
     def target_mask(self, addrs: Iterable[int]) -> int:
         """The mask of these addresses in the target index, which gains a
@@ -292,33 +272,38 @@ class ImageAnalysis:
         return out
 
     def root(self, base: int) -> _Node:
-        """The tree node of the page at `base` before its first visit."""
-        node = self._roots.get(base)
+        """The empty-stream node of the page at `base`, where each of its
+        traversals starts; it yields nothing and is never mined."""
+        node = self._nodes.get((base, ()))
         if node is None:
-            node = self._roots[base] = _Node()
+            page = self.image.page_at(base)
+            node = self._nodes[base, ()] = _Node(
+                PageDisasm(page, self.decodes(page))
+            )
         return node
 
     def advance(self, base: int, node: _Node, entries: Iterable[int]) -> _Node:
         """The node reached from `node` of the page at `base` by adding one
-        batch of entries, built on first use."""
-        key = tuple(sorted(entries))
-        child = node.children.get(key)
-        if child is None:
-            parent = node.disasm
-            if parent is None:
-                page = self.image.page_at(base)
-                disasm = PageDisasm(page, self.decodes(page))
-            else:
-                disasm = copy.copy(parent)
-                disasm.insns = dict(parent.insns)
-                disasm._claimed = bytearray(parent._claimed)
-            added = disasm.add_entries(key)
-            if added or parent is None:
-                mined = self.mine(disasm)
-            else:  # the batch left the stream as it was
-                mined = node.mined
-            child = node.children[key] = _Node(disasm, added, mined)
-        return child
+        batch of entries: `node` itself when the batch adds nothing, and
+        built and mined on the first visit to its stream."""
+        batch = tuple(sorted(entries))
+        child = node.children.get(batch, _UNSEEN)
+        if child is _UNSEEN:
+            disasm = node.disasm.extended(batch)
+            key = (base, disasm.addresses())
+            child = self._nodes.get(key)
+            if child is None:
+                stream = disasm.instructions()
+                gadgets = find_gadgets(stream, self.mining)
+                targets = extract_chain_targets(
+                    stream, self.image, include_cond=self.follow_cond_branches
+                )
+                child = self._nodes[key] = _Node(
+                    disasm, gadgets, self.target_mask(targets),
+                    leaked_types(gadgets),
+                )
+            node.children[batch] = None if child is node else child
+        return child or node
 
 
 class _Traversal:
@@ -327,12 +312,12 @@ class _Traversal:
 
     Seeds and every chain target found later become pending entries of
     their page; a page is queued whenever it has pending entries, and each
-    visit adds them all as one batch, moving the page's node down the
-    analysis's tree. Iterating yields, per visit, the page base, whether
-    this is its first visit, the instructions the batch added and, when the
-    stream changed or on the first visit, its mining results (None
-    otherwise). A mined page's chain targets are queued before the visit is
-    yielded, so `skipped` counts them even if the caller stops.
+    visit adds them all as one batch, moving the page's node along the
+    analysis's node map. Iterating yields, per visit, the page base,
+    whether this is its first visit, the instructions the batch added and,
+    when the stream changed or on the first visit, the page's new node
+    (None otherwise). A yielded node's chain targets are queued before the
+    visit is yielded, so `skipped` counts them even if the caller stops.
     """
 
     def __init__(self, analysis: ImageAnalysis, seeds: Iterable[int]):
@@ -361,9 +346,7 @@ class _Traversal:
                 pending = self._pending[base] = []
             pending.append(addr)
 
-    def __iter__(
-        self,
-    ) -> Iterator[tuple[int, bool, int, MinedStream | None]]:
+    def __iter__(self) -> Iterator[tuple[int, bool, int, _Node | None]]:
         analysis = self.analysis
         while self._queue:
             base = self._queue.popleft()
@@ -371,20 +354,22 @@ class _Traversal:
             first_visit = node is None
             if first_visit:
                 node = analysis.root(base)
-            node = self.nodes[base] = analysis.advance(
+            child = self.nodes[base] = analysis.advance(
                 base, node, self._pending.pop(base)
             )
-            mined = None
-            if node.added or first_visit:
-                mined = node.mined
-                self._add_targets(mined.targets)
-            yield base, first_visit, node.added, mined
+            if child is node and not first_visit:
+                yield base, False, 0, None
+                continue
+            self._add_targets(child.targets)
+            # add_entries only adds, so the lengths differ by what it added.
+            added = len(child.disasm.insns) - len(node.disasm.insns)
+            yield base, first_visit, added, child
 
     def gadgets(self) -> tuple[Gadget, ...]:
         """Gadgets of every visited page's current stream, in page order."""
         nodes = self.nodes
         return tuple(chain.from_iterable(
-            nodes[base].mined.gadgets for base in sorted(nodes)
+            nodes[base].gadgets for base in sorted(nodes)
         ))
 
 
@@ -427,7 +412,7 @@ def _clocked(
     seen_types: set[GadgetType] = set()
 
     walk = _Traversal(analysis, (start,))
-    for base, first_visit, new_insns, mined in walk:
+    for base, first_visit, new_insns, node in walk:
         if first_visit:
             # The page leak itself.
             leak_cost += LEAK_TICKS_PER_PAGE
@@ -438,12 +423,12 @@ def _clocked(
                     {"base": base},
                 ))
         analysis_cost += new_insns
-        if mined is None:
+        if node is None:
             continue
 
         # seen_types already holds the types of every other page, so only
         # the page just mined can add new ones.
-        new_types = mined.types - seen_types
+        new_types = node.types - seen_types
         if tracked is not None:
             new_types &= tracked
         clock = leak_cost + analysis_cost

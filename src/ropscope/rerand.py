@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
-from ropscope.gadgets import BUILTIN_SETS, GadgetSetSpec
+from ropscope.gadgets import BUILTIN_SETS
 from ropscope.harvest import (
     EventKind,
     HarvestOptions,
@@ -74,16 +74,15 @@ class ConvergenceRecord:
 def converge(
     image: MemoryImage,
     start: int,
-    spec: GadgetSetSpec | None = None,
     opts: HarvestOptions = HarvestOptions(),
     analysis: ImageAnalysis | None = None,
 ) -> ConvergenceRecord:
-    """Harvest from one start until the tracked set is covered or the
-    reachable code is exhausted. An analysis shared across starts saves
-    repeated decoding and mining; see harvest. It runs harvest's clocked
-    loop but keeps only the clocks: no page events and no gadgets."""
-    if spec is None:
-        spec = opts.track_set or BUILTIN_SETS["tc"]
+    """Harvest from one start until the tracked set (`opts.track_set`, the
+    `tc` set when None) is covered or the reachable code is exhausted. An
+    analysis shared across starts saves repeated decoding and mining; see
+    harvest. It runs harvest's clocked loop but keeps only the clocks: no
+    page events and no gadgets."""
+    spec = opts.track_set or BUILTIN_SETS["tc"]
     run_opts = replace(opts, track_set=spec, stop_on_convergence=True)
     run = _clocked(image, start, run_opts, analysis, page_events=False)
     timeline: list[tuple[int, int]] = []
@@ -179,20 +178,18 @@ class UpperBoundReport:
 
 
 def upper_bound(
-    image: MemoryImage,
-    spec: GadgetSetSpec | None = None,
-    opts: HarvestOptions = HarvestOptions(),
+    image: MemoryImage, opts: HarvestOptions = HarvestOptions()
 ) -> UpperBoundReport:
-    """Converge from one deterministic pointer per code page; the minimum
-    over converged runs is the largest interval that still defeats every
-    measured attack path."""
-    if spec is None:
-        spec = opts.track_set or BUILTIN_SETS["tc"]
+    """Converge from one deterministic pointer per code page, tracking
+    `opts.track_set` (the `tc` set when None); the minimum over converged
+    runs is the largest interval that still defeats every measured attack
+    path."""
+    spec = opts.track_set or BUILTIN_SETS["tc"]
     analysis = ImageAnalysis(image, opts)
     # Each start lies in its own page, so no start repeats.
     starts = page_start_pointers(image, opts, analysis)
     records = {
-        start: converge(image, start, spec, opts, analysis)
+        start: converge(image, start, opts, analysis)
         for _, start in sorted(starts.items())
     }
 

@@ -73,6 +73,10 @@ class SegmentTag(IntEnum):
     OTHER = 4
 
 
+# The tags by wire value, which runs 0, 1, 2, ... with no gaps.
+_SEGMENT_TAGS = tuple(SegmentTag)
+
+
 @dataclass(frozen=True)
 class Perms:
     """Page permission flags. Writable and executable never combine."""
@@ -94,11 +98,14 @@ class Perms:
 
     @staticmethod
     def from_bits(bits: int) -> Perms:
-        return Perms(
-            readable=bool(bits & 1),
-            writable=bool(bits & 2),
-            executable=bool(bits & 4),
-        )
+        """The shared Perms of the low three bits; write and execute
+        together raise WritableExecutableError, as the constructor does."""
+        perms = _PERMS_BY_BITS[bits & 7]
+        if perms is None:
+            raise WritableExecutableError(
+                "page cannot be writable and executable"
+            )
+        return perms
 
     def __str__(self) -> str:
         return (
@@ -108,6 +115,14 @@ class Perms:
         )
 
 
+_PERMS_BY_BITS = tuple(
+    None if bits & 6 == 6 else Perms(
+        readable=bool(bits & 1),
+        writable=bool(bits & 2),
+        executable=bool(bits & 4),
+    )
+    for bits in range(8)
+)
 RX = Perms(readable=True, writable=False, executable=True)
 RW = Perms(readable=True, writable=True, executable=False)
 RO = Perms(readable=True, writable=False, executable=False)
@@ -267,10 +282,9 @@ def load_snapshot(src: str | Path | BinaryIO | bytes) -> MemoryImage:
         last_base = base
         if base % PAGE_SIZE:
             raise MalformedHeaderError(f"page base {base:#x} not {PAGE_SIZE}-aligned")
-        try:
-            tag = SegmentTag(tag_value)
-        except ValueError as exc:
-            raise MalformedHeaderError(f"unknown segment tag {tag_value}") from exc
+        if tag_value >= len(_SEGMENT_TAGS):
+            raise MalformedHeaderError(f"unknown segment tag {tag_value}")
+        tag = _SEGMENT_TAGS[tag_value]
         pages.append(PageRecord(base, Perms.from_bits(perm_bits), tag, data))
 
     if offset + 4 > len(raw):

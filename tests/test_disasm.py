@@ -515,21 +515,21 @@ _RUN_FORMS = [
 ]
 
 
-@given(
-    chunks=st.lists(
-        st.one_of(
-            st.lists(st.sampled_from(_RUN_FORMS), min_size=1, max_size=6)
-            .map(b"".join),
-            st.binary(min_size=1, max_size=12),
-        ),
-        min_size=1,
-        max_size=10,
+# Runs of encoded forms between random bytes.
+_RUN_CODE = st.lists(
+    st.one_of(
+        st.lists(st.sampled_from(_RUN_FORMS), min_size=1, max_size=6)
+        .map(b"".join),
+        st.binary(min_size=1, max_size=12),
     ),
-    data=st.data(),
-)
+    min_size=1,
+    max_size=10,
+).map(b"".join)
+
+
+@given(code=_RUN_CODE, data=st.data())
 @settings(max_examples=200, deadline=None)
-def test_page_disasm_readding_entries_changes_nothing(chunks, data):
-    code = b"".join(chunks)
+def test_page_disasm_readding_entries_changes_nothing(code, data):
     page = _page_of(code_image(code))
     first = data.draw(
         st.lists(st.integers(0, len(code) + 8), min_size=1, max_size=10)
@@ -541,6 +541,33 @@ def test_page_disasm_readding_entries_changes_nothing(chunks, data):
     assert pd.add_entries([BASE + off for off in again]) == 0
     assert pd.insns == insns
     assert bytes(pd._claimed) == claimed
+
+
+@given(code=_RUN_CODE, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_page_disasm_claims_its_spans_and_extended_copies(code, data):
+    # A state is its instruction addresses: the claimed bytes are exactly
+    # the instructions' spans, whatever batches built it.
+    page = _page_of(code_image(code))
+    batches = data.draw(st.lists(
+        st.lists(st.integers(0, len(code) + 8), max_size=6), max_size=4
+    ))
+    pd = PageDisasm(page, PageDecodes(page))
+    in_place = PageDisasm(page, PageDecodes(page))
+    for batch in batches:
+        entries = [BASE + off for off in batch]
+        insns, claimed = dict(pd.insns), bytes(pd._claimed)
+        new = pd.extended(entries)
+        assert (pd.insns, bytes(pd._claimed)) == (insns, claimed)
+        in_place.add_entries(entries)
+        assert new.insns == in_place.insns
+        spans = bytearray(PAGE_SIZE)
+        for addr, insn in new.insns.items():
+            spans[addr - BASE : addr - BASE + insn.length] = (
+                b"\x01" * insn.length
+            )
+        assert new._claimed == spans
+        pd = new
 
 
 def test_page_disasm_requires_executable_page():

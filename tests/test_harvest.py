@@ -2,6 +2,7 @@
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -306,13 +307,13 @@ def test_shared_analysis_matches_fresh_runs(shared_corpus):
     opts = HarvestOptions(max_gadget_len=10, track_set=tc)
     starts = sorted(set(page_start_pointers(image, opts).values()))
 
-    fresh = {s: converge(image, s, tc, opts) for s in starts}
-    assert dict(upper_bound(image, tc, opts).per_start) == fresh
+    fresh = {s: converge(image, s, opts) for s in starts}
+    assert dict(upper_bound(image, opts).per_start) == fresh
     # In reverse order, one analysis reaches pages through other batch
     # histories than upper_bound's ascending starts do.
     analysis = ImageAnalysis(image, opts)
     for s in reversed(starts):
-        assert converge(image, s, tc, opts, analysis) == fresh[s]
+        assert converge(image, s, opts, analysis) == fresh[s]
 
     traces = harvest_all_starts(image, opts)
     assert list(traces) == starts
@@ -322,19 +323,14 @@ def test_shared_analysis_matches_fresh_runs(shared_corpus):
         assert traces[s] == harvest(image, s, opts)
 
 
-def tree_edges(analysis):
-    """(parent, batch, node) for every non-root node of an analysis's
-    traversal-state trees."""
-    stack = [
-        (root, batch, child)
-        for root in analysis._roots.values()
-        for batch, child in root.children.items()
+def graph_edges(analysis):
+    """(node, batch, child) for every edge of an analysis's node map; a
+    batch that adds nothing leads back to its node."""
+    return [
+        (node, batch, child or node)
+        for node in analysis._nodes.values()
+        for batch, child in node.children.items()
     ]
-    while stack:
-        edge = stack.pop()
-        yield edge
-        node = edge[2]
-        stack.extend((node, b, child) for b, child in node.children.items())
 
 
 def upper_bound_on(analysis, monkeypatch):
@@ -342,38 +338,39 @@ def upper_bound_on(analysis, monkeypatch):
     monkeypatch.setattr(
         rerand_module, "ImageAnalysis", lambda image, opts: analysis
     )
-    tc = BUILTIN_SETS["tc"]
-    return upper_bound(analysis.image, tc, HarvestOptions(max_gadget_len=10))
+    return upper_bound(analysis.image, HarvestOptions(max_gadget_len=10))
 
 
 def test_tree_states_are_never_changed(shared_corpus, monkeypatch):
+    # Named for the per-page trees the node map replaced.
     analysis = ImageAnalysis(shared_corpus, HarvestOptions(max_gadget_len=10))
     first = upper_bound_on(analysis, monkeypatch)
 
     def states():
-        return [
-            (
-                id(node),
-                dict(node.disasm.insns),
-                bytes(node.disasm._claimed),
-            )
-            for _, _, node in tree_edges(analysis)
-        ]
+        return {
+            key: (id(node), dict(node.disasm.insns), bytes(node.disasm._claimed))
+            for key, node in analysis._nodes.items()
+        }
 
     before = states()
     assert upper_bound_on(analysis, monkeypatch) == first
     assert states() == before
-    # Each node is its parent's state plus one batch, so building a child
-    # left its parent as it was.
-    for parent, batch, node in tree_edges(analysis):
-        old = parent.disasm
-        old_insns = old.insns if old else {}
-        assert node.disasm is not old
-        assert len(node.disasm.insns) == len(old_insns) + node.added
-        assert old_insns.items() <= node.disasm.insns.items()
+    # A node is keyed by its page and its stream, and a child is its
+    # node's state plus one batch, so building it left the node as it was.
+    for (base, addresses), node in analysis._nodes.items():
+        assert node.disasm.page.base == base
+        assert node.disasm.addresses() == addresses
+        # No node refers to itself, so reference counting frees the map.
+        assert all(child is not node for child in node.children.values())
+    for node, batch, child in graph_edges(analysis):
+        assert child.disasm.page is node.disasm.page
+        assert node.disasm.insns.items() <= child.disasm.insns.items()
+        assert child.disasm.insns == node.disasm.extended(batch).insns
 
 
 def test_add_entries_runs_once_per_tree_node(shared_corpus, monkeypatch):
+    # add_entries runs once per edge of the node map and find_gadgets once
+    # per distinct non-empty stream (named for the trees the map replaced).
     calls = []
     add_entries = PageDisasm.add_entries
 
@@ -381,17 +378,52 @@ def test_add_entries_runs_once_per_tree_node(shared_corpus, monkeypatch):
         calls.append(self)
         return add_entries(self, entries)
 
+    mined = []
+
+    def counting_find_gadgets(stream, mining):
+        mined.append(stream)
+        return find_gadgets(stream, mining)
+
     monkeypatch.setattr(PageDisasm, "add_entries", counting_add_entries)
+    monkeypatch.setattr(harvest_module, "find_gadgets", counting_find_gadgets)
     opts = HarvestOptions(max_gadget_len=10)
     analysis = ImageAnalysis(shared_corpus, opts)
+
+    def check_counts():
+        assert len(calls) == len(graph_edges(analysis))
+        streams = [key for key in analysis._nodes if key[1]]
+        assert len(mined) == len(streams)
+        assert len(set(mined)) == len(mined)
+
     upper_bound_on(analysis, monkeypatch)
-    assert len(calls) == len(list(tree_edges(analysis)))
-    # Harvests from every start to closure, in reverse order, add nodes
-    # only for the batch histories upper_bound did not take.
+    check_counts()
+    # Harvests from every start to closure, in reverse order, add edges
+    # only for the batches upper_bound did not take.
     starts = page_start_pointers(shared_corpus, opts, analysis)
     for start in sorted(starts.values(), reverse=True):
         harvest(shared_corpus, start, opts, analysis)
-    assert len(calls) == len(list(tree_edges(analysis)))
+    check_counts()
+
+
+def test_batch_histories_with_one_stream_share_a_node():
+    # Two paths that never meet: both orders of the batches end with both
+    # streams on the page, and so at one node.
+    first = asm(pop_r(Reg.RAX), ret())
+    image = code_image(first + asm(pop_r(Reg.RBX), ret()))
+    base = image.executable_pages()[0].base
+    a, b = base, base + len(first)
+    analysis = ImageAnalysis(image, HarvestOptions())
+    root = analysis.root(base)
+    assert analysis.root(base) is root
+    ab = analysis.advance(base, analysis.advance(base, root, [a]), [b])
+    ba = analysis.advance(base, analysis.advance(base, root, [b]), [a])
+    assert ab is ba
+    assert analysis.advance(base, root, [b, a]) is ab
+    assert ab.disasm.addresses() == (a, a + 1, b, b + 1)
+    # A batch that adds nothing leads back to its own node.
+    assert analysis.advance(base, ab, [a]) is ab
+    assert analysis.advance(base, root, [base + PAGE_SIZE - 1]) is root
+    assert len(analysis._nodes) == 4  # the empty stream, a, b and both
 
 
 def test_harvest_refuses_mismatched_analysis():
@@ -430,16 +462,15 @@ def test_converge_checks_like_harvest():
     # converge runs harvest's loop without building a trace; it refuses the
     # same starts and analyses.
     image, start, _ = topology_image()
-    tc = BUILTIN_SETS["tc"]
     opts = HarvestOptions(max_gadget_len=10)
     analysis = ImageAnalysis(image, opts)
     with pytest.raises(StartPointerInvalid):
-        converge(image, 0x11FA000, tc, opts, analysis)
+        converge(image, 0x11FA000, opts, analysis)
     with pytest.raises(ValueError):
-        converge(image, start, tc, HarvestOptions(), analysis)
+        converge(image, start, HarvestOptions(), analysis)
     other, _, _ = topology_image()
     with pytest.raises(ValueError):
-        converge(other, start, tc, opts, analysis)
+        converge(other, start, opts, analysis)
 
 
 def test_page_start_pointer_strategies_deterministic():
@@ -539,9 +570,7 @@ def test_each_offset_is_decoded_once_per_analysis(corpus, monkeypatch):
     image, _ = materialize(generate(SHARED_CORPORA[corpus], seed=7))
     opts = HarvestOptions(max_gadget_len=10)
     mined = decoded_addrs(monkeypatch, lambda: mine_image(image, opts))
-    bounded = decoded_addrs(
-        monkeypatch, lambda: upper_bound(image, BUILTIN_SETS["tc"], opts)
-    )
+    bounded = decoded_addrs(monkeypatch, lambda: upper_bound(image, opts))
     for addrs in (mined, bounded):
         assert addrs
         assert len(addrs) == len(set(addrs))
@@ -632,7 +661,8 @@ def assert_matches_reference(image, opts):
         assert trace.gadgets == expected.gadgets
         for name in ("tc", "movtc"):
             spec = BUILTIN_SETS[name]
-            assert converge(image, start, spec, opts, analysis) == (
+            tracked = replace(opts, track_set=spec)
+            assert converge(image, start, tracked, analysis) == (
                 reference_converge(image, start, spec, opts)
             )
 

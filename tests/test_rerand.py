@@ -1,5 +1,7 @@
 """Convergence records, interval safety, and the per-start upper bound."""
 
+from dataclasses import replace
+
 import pytest
 
 from helpers import asm, code_image
@@ -31,7 +33,7 @@ def corpus_image(seed=7, n_functions=8):
 def test_converge_record_shape():
     image = corpus_image()
     start = sorted(page_start_pointers(image, OPTS).values())[0]
-    record = converge(image, start, BUILTIN_SETS["tc"], OPTS)
+    record = converge(image, start, OPTS)
 
     assert record.start == start
     assert record.set_name == "tc"
@@ -53,7 +55,7 @@ def test_converge_stops_at_tracked_set():
     image = corpus_image()
     start = sorted(page_start_pointers(image, OPTS).values())[0]
     spec = GadgetSetSpec("pair", (GadgetType.LR, GadgetType.MR))
-    record = converge(image, start, spec, OPTS)
+    record = converge(image, start, replace(OPTS, track_set=spec))
     assert record.set_name == "pair"
     assert record.converged
     assert record.type_timeline[-1][1] == 2
@@ -62,7 +64,7 @@ def test_converge_stops_at_tracked_set():
 def test_time_to_k_types():
     image = corpus_image()
     start = sorted(page_start_pointers(image, OPTS).values())[0]
-    record = converge(image, start, BUILTIN_SETS["tc"], OPTS)
+    record = converge(image, start, OPTS)
     assert record.time_to_k_types(0) == 0
     assert record.time_to_k_types(1) == record.type_timeline[0][0]
     n = len(record.type_timeline)
@@ -73,7 +75,7 @@ def test_time_to_k_types():
 def test_unconverged_record():
     image = code_image(asm(pop_r(Reg.RBX), ret()))
     spec = GadgetSetSpec("wants-sys", (GadgetType.SYS, GadgetType.LR))
-    record = converge(image, 0x400000, spec, OPTS)
+    record = converge(image, 0x400000, replace(OPTS, track_set=spec))
     assert not record.converged
     assert record.convergence_clock is None
     assert record.type_timeline[-1][1] == 1  # LR arrived, SYS never did
@@ -81,7 +83,7 @@ def test_unconverged_record():
 
 def test_merged_time_to_types():
     image = corpus_image()
-    report = upper_bound(image, BUILTIN_SETS["tc"], OPTS)
+    report = upper_bound(image, OPTS)
     records = list(report.per_start.values())
     merged = merged_time_to_types(records, len(BUILTIN_SETS["tc"].required))
     for k, clock in enumerate(merged, start=1):
@@ -96,7 +98,7 @@ def test_merged_time_to_types():
 
 def test_upper_bound_report():
     image = corpus_image()
-    report = upper_bound(image, BUILTIN_SETS["tc"], OPTS)
+    report = upper_bound(image, OPTS)
     assert report.spec_name == "tc"
     assert report.converged_count == len(report.per_start)
     clocks = [
@@ -112,15 +114,15 @@ def test_upper_bound_report():
 
 def test_upper_bound_deterministic():
     image = corpus_image()
-    a = upper_bound(image, BUILTIN_SETS["tc"], OPTS)
-    b = upper_bound(image, BUILTIN_SETS["tc"], OPTS)
+    a = upper_bound(image, OPTS)
+    b = upper_bound(image, OPTS)
     assert a.to_json() == b.to_json()
     assert a.timeline_csv() == b.timeline_csv()
 
 
 def test_timeline_csv_rows():
     image = corpus_image()
-    report = upper_bound(image, BUILTIN_SETS["tc"], OPTS)
+    report = upper_bound(image, OPTS)
     lines = report.timeline_csv().strip().splitlines()
     assert lines[0] == "start,clock,types_available"
     expected_rows = sum(
@@ -131,7 +133,7 @@ def test_timeline_csv_rows():
 
 def test_interval_threshold_is_exactly_the_minimum_clock():
     image = corpus_image()
-    report = upper_bound(image, BUILTIN_SETS["tc"], OPTS)
+    report = upper_bound(image, OPTS)
     mc = report.minimum_clock
     assert mc is not None
     # Safe up to and including the fastest convergence, unsafe beyond it.
@@ -146,14 +148,14 @@ def test_interval_threshold_is_exactly_the_minimum_clock():
 def test_interval_always_safe_without_convergence():
     image = code_image(asm(pop_r(Reg.RBX), ret()))
     spec = GadgetSetSpec("wants-sys", (GadgetType.SYS,))
-    report = upper_bound(image, spec, OPTS)
+    report = upper_bound(image, replace(OPTS, track_set=spec))
     verdict = evaluate_interval(10 ** 9, report=report)
     assert verdict is IntervalSafety.SAFE
 
 
 def test_interval_validation():
     image = corpus_image()
-    report = upper_bound(image, BUILTIN_SETS["tc"], OPTS)
+    report = upper_bound(image, OPTS)
     with pytest.raises(ValueError):
         evaluate_interval(0, report=report)
     with pytest.raises(ValueError):
@@ -163,7 +165,7 @@ def test_interval_validation():
 def test_record_serialization():
     image = corpus_image()
     start = sorted(page_start_pointers(image, OPTS).values())[0]
-    record = converge(image, start, BUILTIN_SETS["tc"], OPTS)
+    record = converge(image, start, OPTS)
     d = record.to_dict()
     assert d["start"] == hex(start)
     assert d["set"] == "tc"

@@ -55,6 +55,21 @@ def test_writable_executable_rejected():
         Perms(True, True, True)
 
 
+def test_perms_from_bits_matches_the_constructor_on_every_byte():
+    # A .rsnp page record stores its perms in one byte; only the low three
+    # bits count, and each valid pattern reads as one shared Perms.
+    for bits in range(256):
+        flags = (bool(bits & 1), bool(bits & 2), bool(bits & 4))
+        if flags[1] and flags[2]:
+            with pytest.raises(WritableExecutableError):
+                Perms(*flags)
+            with pytest.raises(WritableExecutableError):
+                Perms.from_bits(bits)
+            continue
+        assert Perms.from_bits(bits) == Perms(*flags)
+        assert Perms.from_bits(bits) is Perms.from_bits(bits & 7)
+
+
 def test_page_record_validation():
     with pytest.raises(ValueError):
         PageRecord(0x1000, RX, SegmentTag.CODE, b"\x90" * 100)
@@ -498,6 +513,18 @@ def _with_metadata(blob, meta: bytes) -> bytes:
 def test_snapshot_hostile_bytes_raise_malformed_header(mutate):
     with pytest.raises(MalformedHeaderError):
         load_snapshot(mutate(_snapshot_blob()))
+
+
+def test_snapshot_reads_every_tag_byte_by_its_wire_value():
+    blob = bytearray(_snapshot_blob())
+    tag_at = _HEADER_SIZE + 9  # after the first record's base and perms
+    for value in range(256):
+        blob[tag_at] = value
+        if value in {tag.value for tag in SegmentTag}:
+            assert load_snapshot(bytes(blob)).pages[0].tag is SegmentTag(value)
+        else:
+            with pytest.raises(MalformedHeaderError):
+                load_snapshot(bytes(blob))
 
 
 def test_snapshot_truncated_at_every_record_boundary():
