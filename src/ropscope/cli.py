@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from ropscope.gadgets import (
@@ -98,16 +99,22 @@ def _resolve_set(args) -> GadgetSetSpec | None:
     return None
 
 
-def _harvest_options(args, track: GadgetSetSpec | None) -> HarvestOptions:
-    return HarvestOptions(
-        seed=getattr(args, "seed", 0),
-        follow_cond_branches=not getattr(args, "no_cond", False),
-        max_gadget_len=getattr(args, "max_len", 5),
-        enable_heuristic_types=getattr(args, "heuristic_types", False),
-        track_set=track,
-        stop_on_convergence=getattr(args, "stop_on_convergence", False),
-        start_strategy=getattr(args, "start_strategy", "lowest"),
-    )
+def _defaults(cls) -> dict:
+    """The field defaults of the options dataclass `cls`, for the
+    set_defaults of a command that builds it: the command's arguments are
+    named (dest) after the fields they set, and the fields it has no
+    argument for keep their defaults."""
+    return {f.name: f.default for f in fields(cls)}
+
+
+def _options(cls, args, **given):
+    """`cls` built from the parsed arguments named after its fields, with
+    the `given` fields passed in instead."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)} | given)
+
+
+def _harvest_options(args) -> HarvestOptions:
+    return _options(HarvestOptions, args, track_set=_resolve_set(args))
 
 
 # Subcommand handlers. Each returns a process exit code.
@@ -115,9 +122,7 @@ def _harvest_options(args, track: GadgetSetSpec | None) -> HarvestOptions:
 
 def _cmd_harvest(args) -> int:
     image = load_image(args.snapshot)
-    spec = _resolve_set(args)
-    opts = _harvest_options(args, spec)
-    trace = harvest(image, args.start, opts)
+    trace = harvest(image, args.start, _harvest_options(args))
     if args.trace:
         Path(args.trace).write_text(trace.to_jsonl())
     summary = {
@@ -156,8 +161,8 @@ def _cmd_harvest(args) -> int:
 
 def _cmd_gadgets(args) -> int:
     image = load_image(args.snapshot)
-    spec = _resolve_set(args)
-    opts = _harvest_options(args, spec)
+    opts = _harvest_options(args)
+    spec = opts.track_set
     gadgets = mine_image(image, opts)
     if args.format == "csv":
         text = gadget_report_csv(gadgets)
@@ -186,7 +191,7 @@ def _cmd_gadgets(args) -> int:
 
 def _cmd_upper_bound(args) -> int:
     image = load_image(args.snapshot)
-    report = upper_bound(image, _harvest_options(args, _resolve_set(args)))
+    report = upper_bound(image, _harvest_options(args))
     payload = report.to_dict()
     if args.interval is not None:
         verdict = evaluate_interval(args.interval, report=report)
@@ -214,8 +219,7 @@ def _cmd_upper_bound(args) -> int:
 
 def _cmd_corrupt(args) -> int:
     image = load_image(args.snapshot)
-    opts = _harvest_options(args, None)
-    gadgets = mine_image(image, opts)
+    gadgets = mine_image(image, _harvest_options(args))
     types = _parse_types(args.types) if args.types else None
     verdicts = assess_gadgets(gadgets, types)
     if args.format == "verdicts":
@@ -287,14 +291,7 @@ def _write_corpus_entry(
 
 
 def _cmd_synth_generate(args) -> int:
-    params = GenParams(
-        n_functions=args.functions,
-        mean_fn_len=args.mean_len,
-        connectivity=args.connectivity,
-        ensure_strongly_connected=not args.no_strongly_connected,
-        max_functions_per_page=args.max_functions_per_page,
-        base=args.base,
-    )
+    params = _options(GenParams, args)
     names = args.schemes.split(",") if args.schemes else []
     kinds = [SchemeKind(name.strip()) for name in names]
     out_dir = Path(args.out_dir)
@@ -394,7 +391,7 @@ def _cmd_compare(args) -> int:
     wanted = (
         {n.strip() for n in args.schemes.split(",")} if args.schemes else None
     )
-    opts = HarvestOptions(max_gadget_len=args.max_len)
+    opts = _harvest_options(args)
     results: dict[str, dict] = {}
     baseline: dict | None = None
     for entry in manifest["entries"]:
@@ -430,8 +427,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_starts(args) -> int:
     image = load_image(args.snapshot)
-    opts = _harvest_options(args, None)
-    starts = page_start_pointers(image, opts)
+    starts = page_start_pointers(image, _harvest_options(args))
     payload = {f"{base:#x}": f"{ptr:#x}" for base, ptr in sorted(starts.items())}
     print(_canonical(payload))
     return 0
@@ -447,10 +443,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_set=True):
-        p.add_argument("--max-len", type=int, default=5,
+    harvest_defaults = _defaults(HarvestOptions)
+
+    def add_max_len(p):
+        p.add_argument("--max-len", dest="max_gadget_len", type=int,
                        help="max instructions per gadget window")
-        p.add_argument("--heuristic-types", action="store_true",
+
+    def add_common(p, with_set=True):
+        add_max_len(p)
+        p.add_argument("--heuristic-types", dest="enable_heuristic_types",
+                       action="store_true",
                        help="also match structurally fuzzy gadget types")
         if with_set:
             g = p.add_mutually_exclusive_group()
@@ -460,23 +462,23 @@ def build_parser() -> argparse.ArgumentParser:
                            help="JSON file with a custom gadget set")
 
     def add_start_strategy(p):
-        p.add_argument("--start-strategy", choices=START_STRATEGIES,
-                       default="lowest")
-        p.add_argument("--seed", type=_parse_int, default=0,
+        p.add_argument("--start-strategy", choices=START_STRATEGIES)
+        p.add_argument("--seed", type=_parse_int,
                        help="seed of the seeded start strategy")
 
     p = sub.add_parser("harvest", help="recursively harvest from a pointer")
     p.add_argument("snapshot")
     p.add_argument("--start", type=_parse_int, required=True,
                    help="leaked code pointer to start from")
-    p.add_argument("--no-cond", action="store_true",
+    p.add_argument("--no-cond", dest="follow_cond_branches",
+                   action="store_false",
                    help="do not follow conditional branch targets")
     p.add_argument("--stop-on-convergence", action="store_true")
     p.add_argument("--trace", metavar="PATH",
                    help="write the event trace as JSON lines")
     p.add_argument("--pretty", action="store_true")
     add_common(p)
-    p.set_defaults(func=_cmd_harvest)
+    p.set_defaults(func=_cmd_harvest, **harvest_defaults)
 
     p = sub.add_parser("gadgets", help="mine and classify a whole image")
     p.add_argument("snapshot")
@@ -484,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", help="write report to a file")
     p.add_argument("--pretty", action="store_true")
     add_common(p)
-    p.set_defaults(func=_cmd_gadgets)
+    p.set_defaults(func=_cmd_gadgets, **harvest_defaults)
 
     p = sub.add_parser(
         "upper-bound",
@@ -498,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_start_strategy(p)
     p.add_argument("--pretty", action="store_true")
     add_common(p)
-    p.set_defaults(func=_cmd_upper_bound)
+    p.set_defaults(func=_cmd_upper_bound, **harvest_defaults)
 
     p = sub.add_parser("corrupt", help="register corruption analysis")
     p.add_argument("snapshot")
@@ -507,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json", "verdicts"),
                    default="csv")
     add_common(p, with_set=False)
-    p.set_defaults(func=_cmd_corrupt)
+    p.set_defaults(func=_cmd_corrupt, **harvest_defaults)
 
     p = sub.add_parser("scan", help="scan data memory for code pointers")
     p.add_argument("snapshot")
@@ -525,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("starts", help="chosen start pointer per page")
     p.add_argument("snapshot")
     add_start_strategy(p)
-    p.set_defaults(func=_cmd_starts)
+    p.set_defaults(func=_cmd_starts, **harvest_defaults)
 
     p_synth = sub.add_parser("synth", help="synthetic corpus tools")
     synth_sub = p_synth.add_subparsers(dest="synth_command", required=True)
@@ -533,19 +535,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = synth_sub.add_parser("generate", help="generate a corpus")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=_parse_int, default=0)
-    p.add_argument("--functions", type=int, default=12)
-    p.add_argument("--mean-len", type=int, default=10)
-    p.add_argument("--connectivity", type=float, default=0.25)
-    p.add_argument("--max-functions-per-page", type=int, default=None)
-    p.add_argument("--no-strongly-connected", action="store_true")
-    p.add_argument("--base", type=_parse_int, default=0x400000)
+    p.add_argument("--functions", dest="n_functions", type=int)
+    p.add_argument("--mean-len", dest="mean_fn_len", type=int)
+    p.add_argument("--connectivity", type=float)
+    p.add_argument("--max-functions-per-page", type=int)
+    p.add_argument("--no-strongly-connected", dest="ensure_strongly_connected",
+                   action="store_false")
+    p.add_argument("--base", type=_parse_int)
     p.add_argument("--schemes", metavar="KIND,...",
                    help="also emit these layouts: coarse, function, "
                         "block, instruction")
     p.add_argument("--scheme-seed", type=_parse_int, default=1)
     p.add_argument("--rename-registers", action="store_true",
                    help="rename registers under the function scheme")
-    p.set_defaults(func=_cmd_synth_generate)
+    p.set_defaults(func=_cmd_synth_generate, **_defaults(GenParams))
 
     p = synth_sub.add_parser(
         "transform",
@@ -563,9 +566,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--schemes", metavar="NAME,...",
                    help="manifest entries to include (baseline always)")
-    p.add_argument("--max-len", type=int, default=5)
+    add_max_len(p)
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=_cmd_compare)
+    p.set_defaults(func=_cmd_compare, **harvest_defaults)
 
     return parser
 

@@ -724,14 +724,13 @@ class PageDisasm:
     processed in ascending address order, each with its whole in-page branch
     closure before the next, so a batch equals adding the same entries one at
     a time in ascending order. Decoding goes through `decodes`, which may be
-    shared with other traversals of the same page.
+    shared with other traversals of its page, the page this state covers.
     """
 
-    def __init__(self, page: PageRecord, decodes: PageDecodes):
+    def __init__(self, decodes: PageDecodes):
+        page = decodes.page
         if not page.perms.executable:
             raise ValueError(f"page {page.base:#x} is not executable")
-        if decodes.page is not page:
-            raise ValueError(f"decodes of another page for {page.base:#x}")
         self.page = page
         self.decodes = decodes
         self.insns: dict[int, Instruction] = {}
@@ -783,7 +782,7 @@ class PageDisasm:
 
     def extended(self, entries: Iterable[int]) -> PageDisasm:
         """A copy of this state with the entries added; this one is kept."""
-        new = PageDisasm(self.page, self.decodes)
+        new = PageDisasm(self.decodes)
         new.insns = dict(self.insns)
         new._claimed = bytearray(self._claimed)
         new.add_entries(entries)
@@ -806,8 +805,8 @@ def extract_chain_targets(
 
     Direct call/jmp targets always count, conditional-branch targets count
     unless disabled, and rip-relative indirect call/jmp sites contribute the
-    pointed-to word when the slot is mapped readable and the pointee lands in
-    an executable page.
+    pointed-to word when every page its 8-byte slot touches is mapped
+    readable and the pointee lands in an executable page.
     """
     targets: set[int] = set()
     for insn in insns:
@@ -821,8 +820,11 @@ def extract_chain_targets(
                 continue
             slot = (insn.end + op.mem.disp) & MASK64
             try:
-                page = image.page_at(slot)
-                if not page.perms.readable:
+                # A slot spans at most two pages: its first and last byte's.
+                if not (
+                    image.page_at(slot).perms.readable
+                    and image.page_at(slot + 7).perms.readable
+                ):
                     continue
                 value = image.read_u64(slot)
             except UnmappedRead:

@@ -144,16 +144,6 @@ class Gadget(NamedTuple):
         return "; ".join(i.render() for i in self.insns)
 
 
-@dataclass(frozen=True)
-class MiningOptions:
-    max_len: int = 5
-    enable_heuristic_types: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_len < 1:
-            raise ValueError("max_len must be at least 1")
-
-
 # Per-instruction core matching. Each hit names a type and whether the match
 # is in the type's minimal shape (register operands or a bare [reg] address).
 
@@ -403,16 +393,17 @@ _BLOCKERS = frozenset(
 
 
 def find_gadgets(
-    insns: Sequence[Instruction], opts: MiningOptions = MiningOptions()
+    insns: Sequence[Instruction],
+    max_len: int = 5,
+    enable_heuristic_types: bool = False,
 ) -> tuple[Gadget, ...]:
     """Mine gadget windows from a decoded stream.
 
-    For each terminator, every byte-adjacent backward window up to
-    opts.max_len instructions becomes a gadget, provided no unconditional
-    control-flow break sits mid-window. A system-entry instruction is a
-    terminator only when its encoding starts with the plain opcode bytes.
+    For each terminator, every byte-adjacent backward window up to max_len
+    instructions becomes a gadget, provided no unconditional control-flow
+    break sits mid-window. A system-entry instruction is a terminator only
+    when its encoding starts with the plain opcode bytes.
     """
-    heuristic = opts.enable_heuristic_types
     stream = sorted(insns, key=lambda i: i.addr)
     terminator_positions = []
     for pos, insn in enumerate(stream):
@@ -424,7 +415,7 @@ def find_gadgets(
         elif _is_sys_core(insn):
             if insn.raw.startswith(_SYS_ENTRY_OPCODES):
                 terminator_positions.append(pos)
-        elif heuristic and insn.mnemonic is Mnemonic.JMP_REL:
+        elif enable_heuristic_types and insn.mnemonic is Mnemonic.JMP_REL:
             terminator_positions.append(pos)
 
     # Core matches by stream position, computed the first time a window
@@ -433,7 +424,7 @@ def find_gadgets(
     gadgets: list[Gadget] = []
     for pos in terminator_positions:
         low = pos
-        while pos - low + 1 < opts.max_len and low > 0:
+        while pos - low + 1 < max_len and low > 0:
             prev = stream[low - 1]
             if prev.end != stream[low].addr or prev.mnemonic in _BLOCKERS:
                 break
@@ -443,7 +434,9 @@ def find_gadgets(
                 matches[i] = _insn_cores(stream[i])
         for start in range(low, pos + 1):
             gadgets.append(classify(
-                stream[start : pos + 1], heuristic, matches[start : pos + 1]
+                stream[start : pos + 1],
+                enable_heuristic_types,
+                matches[start : pos + 1],
             ))
 
     gadgets.sort(key=lambda g: (g.addr, g.length))
@@ -498,10 +491,17 @@ BUILTIN_SETS: dict[str, GadgetSetSpec] = {
 def load_set_spec(path: str | Path) -> GadgetSetSpec:
     """Load a user-defined set spec: {"name": ..., "types": ["LM", ...]}."""
     data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict) or "name" not in data or "types" not in data:
-        raise ValueError("set spec must be an object with 'name' and 'types'")
-    types = tuple(gadget_type(name) for name in data["types"])
-    return GadgetSetSpec(str(data["name"]), types)
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("name"), str)
+        and isinstance(data.get("types"), list)
+        and all(isinstance(name, str) for name in data["types"])
+    ):
+        raise ValueError(
+            "set spec must be an object with a string 'name' and a list of "
+            "strings 'types'"
+        )
+    return GadgetSetSpec(data["name"], tuple(map(gadget_type, data["types"])))
 
 
 def resolve_set(name: str) -> GadgetSetSpec:

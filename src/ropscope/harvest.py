@@ -34,7 +34,6 @@ from ropscope.gadgets import (
     Gadget,
     GadgetSetSpec,
     GadgetType,
-    MiningOptions,
     find_gadgets,
     leaked_types,
 )
@@ -68,12 +67,8 @@ class HarvestOptions:
                 f"unknown start strategy {self.start_strategy!r}; "
                 f"choose one of {', '.join(START_STRATEGIES)}"
             )
-
-    def mining_options(self) -> MiningOptions:
-        return MiningOptions(
-            max_len=self.max_gadget_len,
-            enable_heuristic_types=self.enable_heuristic_types,
-        )
+        if self.max_gadget_len < 1:
+            raise ValueError("max_len must be at least 1")
 
 
 class EventKind(str, Enum):
@@ -215,24 +210,22 @@ class ImageAnalysis:
         self, image: MemoryImage, opts: HarvestOptions = HarvestOptions()
     ):
         self.image = image
-        self.mining = opts.mining_options()
-        self.follow_cond_branches = opts.follow_cond_branches
+        self.opts = opts
         self._decodes: dict[int, PageDecodes] = {}
         self._nodes: dict[tuple[int, tuple[int, ...]], _Node] = {}
         self._target_bits: dict[int, int] = {}
         self._targets: list[tuple[int, int | None]] = []
 
-    def check_image(self, image: MemoryImage) -> None:
-        """Raise ValueError unless built for this image."""
+    def check(self, image: MemoryImage, opts: HarvestOptions) -> None:
+        """Raise ValueError unless built for this image and options that
+        mine the same: gadget length, heuristic types and branch following."""
         if image is not self.image:
             raise ValueError("analysis was built for another image")
-
-    def check(self, image: MemoryImage, opts: HarvestOptions) -> None:
-        """Raise ValueError unless built for this image and these options."""
-        self.check_image(image)
+        built = self.opts
         if (
-            opts.mining_options() != self.mining
-            or opts.follow_cond_branches != self.follow_cond_branches
+            opts.max_gadget_len != built.max_gadget_len
+            or opts.enable_heuristic_types != built.enable_heuristic_types
+            or opts.follow_cond_branches != built.follow_cond_branches
         ):
             raise ValueError("analysis was built for other mining options")
 
@@ -277,9 +270,7 @@ class ImageAnalysis:
         node = self._nodes.get((base, ()))
         if node is None:
             page = self.image.page_at(base)
-            node = self._nodes[base, ()] = _Node(
-                PageDisasm(page, self.decodes(page))
-            )
+            node = self._nodes[base, ()] = _Node(PageDisasm(self.decodes(page)))
         return node
 
     def advance(self, base: int, node: _Node, entries: Iterable[int]) -> _Node:
@@ -294,9 +285,12 @@ class ImageAnalysis:
             child = self._nodes.get(key)
             if child is None:
                 stream = disasm.instructions()
-                gadgets = find_gadgets(stream, self.mining)
+                opts = self.opts
+                gadgets = find_gadgets(
+                    stream, opts.max_gadget_len, opts.enable_heuristic_types
+                )
                 targets = extract_chain_targets(
-                    stream, self.image, include_cond=self.follow_cond_branches
+                    stream, self.image, include_cond=opts.follow_cond_branches
                 )
                 child = self._nodes[key] = _Node(
                     disasm, gadgets, self.target_mask(targets),
@@ -497,22 +491,16 @@ def _sweep_accepts(decodes: PageDecodes, offset: int) -> bool:
     return True
 
 
-def collect_branch_targets(
-    image: MemoryImage, analysis: ImageAnalysis | None = None
-) -> dict[int, set[int]]:
-    """Linear-scan every executable page, resynchronizing on the next byte
-    that can start an instruction after an invalid decode, and collect
-    direct branch targets keyed by the page they land in. Targets outside
-    executable pages are dropped.
+def collect_branch_targets(analysis: ImageAnalysis) -> dict[int, set[int]]:
+    """Linear-scan every executable page of the analysis's image,
+    resynchronizing on the next byte that can start an instruction after an
+    invalid decode, and collect direct branch targets keyed by the page they
+    land in. Targets outside executable pages are dropped.
 
     The scan reads through the analysis's decode results, so the
     traversals that share the analysis find every scanned offset already
-    decoded; a fresh analysis is built when none is passed."""
-    if analysis is None:
-        analysis = ImageAnalysis(image)
-    else:
-        analysis.check_image(image)
-    exec_pages = image.executable_pages()
+    decoded."""
+    exec_pages = analysis.image.executable_pages()
     targets_by_page: dict[int, set[int]] = {p.base: set() for p in exec_pages}
     for page in exec_pages:
         decodes = analysis.decodes(page)
@@ -550,9 +538,7 @@ def page_start_pointers(
         analysis = ImageAnalysis(image, opts)
     else:
         analysis.check(image, opts)
-    return _choose_starts(
-        analysis, collect_branch_targets(image, analysis), opts
-    )
+    return _choose_starts(analysis, collect_branch_targets(analysis), opts)
 
 
 def _choose_starts(
@@ -600,7 +586,7 @@ def _closure(image: MemoryImage, opts: HarvestOptions) -> _Traversal:
     """Run the traversal to closure from every direct branch target the
     linear scan finds plus the per-page start pointers."""
     analysis = ImageAnalysis(image, opts)
-    targets_by_page = collect_branch_targets(image, analysis)
+    targets_by_page = collect_branch_targets(analysis)
     seeds: set[int] = set(
         _choose_starts(analysis, targets_by_page, opts).values()
     )

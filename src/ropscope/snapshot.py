@@ -445,7 +445,8 @@ def load_image(path: str | Path, kind: str = "exec_only") -> MemoryImage:
 
 @dataclass
 class ImageBuilder:
-    """Mutable staging area for composing images byte-by-byte in tests and synth."""
+    """Mutable staging area for composing images byte by byte, as the test
+    fixtures do; synth lays out its pages itself."""
 
     _pages: dict[int, bytearray] = field(default_factory=dict)
     _perms: dict[int, Perms] = field(default_factory=dict)

@@ -31,6 +31,7 @@ from ropscope.harvest import (
     HarvestEvent,
     HarvestOptions,
     HarvestTrace,
+    ImageAnalysis,
     StartPointerInvalid,
     collect_branch_targets,
     page_start_pointers,
@@ -299,7 +300,7 @@ def reference_offline_disassemble(
     pointer and linear-scan target, then each stream's chain targets
     whenever an entry extends it. An oracle for the shared traversal."""
     seeds = set(page_start_pointers(image, opts).values())
-    for targets in collect_branch_targets(image).values():
+    for targets in collect_branch_targets(ImageAnalysis(image)).values():
         seeds |= targets
     states: dict[int, PageDisasm] = {}
     pending: deque[int] = deque(sorted(seeds))
@@ -313,8 +314,7 @@ def reference_offline_disassemble(
             continue
         base = page_base(addr)
         if base not in states:
-            page = image.page_at(addr)
-            states[base] = PageDisasm(page, PageDecodes(page))
+            states[base] = PageDisasm(PageDecodes(image.page_at(addr)))
         if states[base].add_entries([addr]):
             stream = states[base].instructions()
             for target in sorted(
@@ -474,13 +474,14 @@ class ReferenceTraversal:
             base = self._queue.popleft()
             first_visit = base not in self.states
             if first_visit:
-                page = image.page_at(base)
-                self.states[base] = PageDisasm(page, PageDecodes(page))
+                self.states[base] = PageDisasm(PageDecodes(image.page_at(base)))
             added = self.states[base].add_entries(self._pending.pop(base))
             mined = None
             if added or first_visit:
                 stream = self.states[base].instructions()
-                gadgets = find_gadgets(stream, opts.mining_options())
+                gadgets = find_gadgets(
+                    stream, opts.max_gadget_len, opts.enable_heuristic_types
+                )
                 targets = sorted(extract_chain_targets(
                     stream, image, include_cond=opts.follow_cond_branches
                 ))

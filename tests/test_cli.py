@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,10 @@ from ropscope import cli
 from ropscope.cli import main
 from ropscope.disasm import Reg
 from ropscope.encode import call_rel32, mov_rr, pop_r, ret, syscall
+from ropscope.gadgets import BUILTIN_SETS
+from ropscope.harvest import HarvestOptions
 from ropscope.snapshot import ImageBuilder, SegmentTag, save_snapshot
+from ropscope.synth import GenParams
 
 
 def run(argv):
@@ -124,6 +128,25 @@ def test_gadgets_custom_set_file(snap, tmp_path):
     spec.write_text(json.dumps({"name": "bad", "types": ["XX"]}))
     code, _ = run(["gadgets", snap, "--set-file", spec])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"name": "n", "types": 5}, {"name": "n", "types": None},
+     {"name": "n", "types": {"LM": 1}}, {"name": "n", "types": ["LM", 1]},
+     {"name": 5, "types": ["LM"]}, {"name": None, "types": ["LM"]}],
+    ids=["types-int", "types-null", "types-object", "types-non-string",
+         "name-int", "name-null"],
+)
+def test_gadgets_malformed_set_file_exits_2(snap, tmp_path, capsys, spec):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(spec))
+    code, out = run(["gadgets", snap, "--set-file", path])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: set spec must be an object with a string 'name' and a list "
+        "of strings 'types'\n"
+    )
 
 
 def test_upper_bound_interval_and_timeline(snap, tmp_path):
@@ -486,3 +509,83 @@ def test_seed_ignores_environment(corpus, monkeypatch):
     monkeypatch.setenv("ROPSCOPE_SEED", "0x10")
     assert run(argv) == plain == run([*argv, "--seed", "0"])
     assert plain[0] == 0
+
+
+class _Options(Exception):
+    """Raised in place of the call that takes a command's options."""
+
+
+# Each command that builds an options object: its argv, with SNAP, MANIFEST
+# and OUT standing for paths, and the function of cli it passes the options
+# to.
+_OPTION_COMMANDS = {
+    "harvest": (["harvest", "SNAP", "--start", "0x400000"], "harvest"),
+    "gadgets": (["gadgets", "SNAP"], "mine_image"),
+    "upper-bound": (["upper-bound", "SNAP"], "upper_bound"),
+    "corrupt": (["corrupt", "SNAP"], "mine_image"),
+    "starts": (["starts", "SNAP"], "page_start_pointers"),
+    "compare": (["compare", "--manifest", "MANIFEST"], "mine_image"),
+    "synth generate": (["synth", "generate", "--out-dir", "OUT"], "generate"),
+}
+
+
+def _parsed_options(monkeypatch, corpus, tmp_path, command, flags=()):
+    """The options object `command` with `flags` builds and passes on."""
+    argv, consumer = _OPTION_COMMANDS[command]
+    paths = {"SNAP": corpus / "baseline.rsnp",
+             "MANIFEST": corpus / "manifest.json", "OUT": tmp_path / "out"}
+
+    def capture(*args):
+        (opts,) = [a for a in args if isinstance(a, (HarvestOptions, GenParams))]
+        raise _Options(opts)
+
+    monkeypatch.setattr(cli, consumer, capture)
+    with pytest.raises(_Options) as exc:
+        run([paths.get(a, a) for a in argv] + list(flags))
+    return exc.value.args[0]
+
+
+@pytest.mark.parametrize("command", list(_OPTION_COMMANDS))
+def test_bare_command_builds_default_options(
+    monkeypatch, corpus, tmp_path, command
+):
+    expected = GenParams() if command == "synth generate" else HarvestOptions()
+    assert _parsed_options(monkeypatch, corpus, tmp_path, command) == expected
+
+
+_FLAG_CASES = [
+    ("harvest", ["--no-cond"], {"follow_cond_branches": False}),
+    ("harvest", ["--stop-on-convergence"], {"stop_on_convergence": True}),
+    ("harvest", ["--max-len", "7"], {"max_gadget_len": 7}),
+    ("harvest", ["--set", "movtc"], {"track_set": BUILTIN_SETS["movtc"]}),
+    ("gadgets", ["--heuristic-types"], {"enable_heuristic_types": True}),
+    ("gadgets", ["--set", "tc"], {"track_set": BUILTIN_SETS["tc"]}),
+    ("upper-bound", ["--start-strategy", "seeded"],
+     {"start_strategy": "seeded"}),
+    ("upper-bound", ["--seed", "0x10"], {"seed": 16}),
+    ("corrupt", ["--max-len", "2"], {"max_gadget_len": 2}),
+    ("starts", ["--seed", "3"], {"seed": 3}),
+    ("compare", ["--max-len", "10"], {"max_gadget_len": 10}),
+    ("synth generate", ["--functions", "4"], {"n_functions": 4}),
+    ("synth generate", ["--mean-len", "7"], {"mean_fn_len": 7}),
+    ("synth generate", ["--connectivity", "0.5"], {"connectivity": 0.5}),
+    ("synth generate", ["--max-functions-per-page", "2"],
+     {"max_functions_per_page": 2}),
+    ("synth generate", ["--no-strongly-connected"],
+     {"ensure_strongly_connected": False}),
+    ("synth generate", ["--base", "0x500000"], {"base": 0x500000}),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flags,changed",
+    _FLAG_CASES,
+    ids=[" ".join([command, *flags]) for command, flags, _ in _FLAG_CASES],
+)
+def test_each_flag_sets_only_its_field(
+    monkeypatch, corpus, tmp_path, command, flags, changed
+):
+    default = GenParams() if command == "synth generate" else HarvestOptions()
+    assert _parsed_options(monkeypatch, corpus, tmp_path, command, flags) == (
+        replace(default, **changed)
+    )

@@ -73,8 +73,14 @@ from ropscope.encode import (
     xchg_rr,
 )
 from ropscope.encode import test_rr as enc_test_rr
-from ropscope.harvest import collect_branch_targets
-from ropscope.snapshot import PAGE_SIZE, ImageBuilder, SegmentTag, load_elf
+from ropscope.harvest import ImageAnalysis, collect_branch_targets
+from ropscope.snapshot import (
+    PAGE_SIZE,
+    ImageBuilder,
+    Perms,
+    SegmentTag,
+    load_elf,
+)
 from ropscope.synth import GenParams, generate, materialize
 
 # encoding -> expected text, one row per operand shape the decoder handles
@@ -396,7 +402,7 @@ def _page_of(image, base=BASE):
 
 def _disasm_of(image, base=BASE):
     page = image.page_at(base)
-    return PageDisasm(page, PageDecodes(page))
+    return PageDisasm(PageDecodes(page))
 
 
 def test_page_disasm_follows_fallthrough_and_stops_at_ret():
@@ -443,20 +449,19 @@ def test_page_disasm_shares_decodes_of_its_own_page_only():
     image = code_image(asm(nop(), ret()))
     page = _page_of(image)
     decodes = PageDecodes(page)
-    first, second = PageDisasm(page, decodes), PageDisasm(page, decodes)
+    first, second = PageDisasm(decodes), PageDisasm(decodes)
+    # A state covers the page of its decodes, so it cannot be given another.
+    assert first.page is second.page is page
     assert first.add_entries([BASE]) == second.add_entries([BASE]) == 2
     assert first.instructions() == second.instructions()
     assert sorted(decodes) == [0, 1]
-    other = code_image(asm(ret()), base=BASE + 0x1000).page_at(BASE + 0x1000)
-    with pytest.raises(ValueError):
-        PageDisasm(other, decodes)
 
 
 def _batch_and_singles(page, entries):
     """(addresses, added) of one batch and of one call per ascending entry."""
-    batch = PageDisasm(page, PageDecodes(page))
+    batch = PageDisasm(PageDecodes(page))
     batch_added = batch.add_entries(entries)
-    single = PageDisasm(page, PageDecodes(page))
+    single = PageDisasm(PageDecodes(page))
     single_added = sum(single.add_entries([e]) for e in sorted(set(entries)))
     return (batch.addresses(), batch_added), (single.addresses(), single_added)
 
@@ -478,7 +483,7 @@ def _synth_pages(seed: int):
     image, _ = materialize(
         generate(GenParams(n_functions=8, max_functions_per_page=3), seed)
     )
-    targets = collect_branch_targets(image)
+    targets = collect_branch_targets(ImageAnalysis(image))
     return [
         (page, sorted(targets[page.base])) for page in image.executable_pages()
     ]
@@ -535,7 +540,7 @@ def test_page_disasm_readding_entries_changes_nothing(code, data):
         st.lists(st.integers(0, len(code) + 8), min_size=1, max_size=10)
     )
     again = data.draw(st.lists(st.sampled_from(first), max_size=10))
-    pd = PageDisasm(page, PageDecodes(page))
+    pd = PageDisasm(PageDecodes(page))
     pd.add_entries([BASE + off for off in first])
     insns, claimed = dict(pd.insns), bytes(pd._claimed)
     assert pd.add_entries([BASE + off for off in again]) == 0
@@ -552,8 +557,8 @@ def test_page_disasm_claims_its_spans_and_extended_copies(code, data):
     batches = data.draw(st.lists(
         st.lists(st.integers(0, len(code) + 8), max_size=6), max_size=4
     ))
-    pd = PageDisasm(page, PageDecodes(page))
-    in_place = PageDisasm(page, PageDecodes(page))
+    pd = PageDisasm(PageDecodes(page))
+    in_place = PageDisasm(PageDecodes(page))
     for batch in batches:
         entries = [BASE + off for off in batch]
         insns, claimed = dict(pd.insns), bytes(pd._claimed)
@@ -575,7 +580,7 @@ def test_page_disasm_requires_executable_page():
     builder.put(0x900000, b"\xc3", perms=RO, tag=SegmentTag.DATA)
     page = builder.build().page_at(0x900000)
     with pytest.raises(ValueError):
-        PageDisasm(page, PageDecodes(page))
+        PageDisasm(PageDecodes(page))
 
 
 def test_chain_targets_direct_and_conditional():
@@ -623,3 +628,20 @@ def test_chain_targets_skip_unmapped_slot():
     image = code_image(code)
     targets = extract_chain_targets(decode_stream(code), image)
     assert targets == frozenset()
+
+
+@pytest.mark.parametrize("readable", [True, False])
+def test_chain_targets_need_every_slot_byte_readable(readable):
+    # The 8-byte slot at 0x401ffc ends in the page at 0x402000, which is
+    # readable or mapped with no permissions at all.
+    slot_addr, fn_target = BASE + 0x1FFC, BASE + 0x10
+    code = asm(call_rip(slot_addr - (BASE + len(call_rip(0)))), ret())
+    builder = ImageBuilder()
+    builder.put(BASE, code, perms=RX, tag=SegmentTag.CODE, fill=0x06)
+    builder.put(slot_addr, fn_target.to_bytes(8, "little")[:4], perms=RO,
+                tag=SegmentTag.DATA)
+    builder.put(slot_addr + 4, bytes(4), perms=RO if readable else Perms(
+        readable=False), tag=SegmentTag.DATA)
+    image = builder.build()
+    targets = extract_chain_targets(decode_stream(code), image)
+    assert targets == (frozenset({fn_target}) if readable else frozenset())

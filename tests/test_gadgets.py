@@ -56,7 +56,6 @@ from ropscope.gadgets import (
     Footprint,
     GadgetSetSpec,
     GadgetType,
-    MiningOptions,
     category_counts,
     classify,
     evaluate_set,
@@ -256,10 +255,8 @@ def test_mining_emits_every_suffix_window():
 def test_mining_respects_max_len_and_is_monotone():
     code = asm(*[nop()] * 6, ret())
     insns = decode_stream(code)
-    short = {(g.addr, g.length) for g in
-             find_gadgets(insns, MiningOptions(max_len=3))}
-    full = {(g.addr, g.length) for g in
-            find_gadgets(insns, MiningOptions(max_len=8))}
+    short = {(g.addr, g.length) for g in find_gadgets(insns, max_len=3)}
+    full = {(g.addr, g.length) for g in find_gadgets(insns, max_len=8)}
     assert max(length for _, length in short) == 3
     assert short <= full
     assert len(full) == 7
@@ -300,16 +297,17 @@ def test_jmp_rel_terminators_only_with_heuristics():
     insns = decode_stream(code)
     plain = find_gadgets(insns)
     assert plain == ()
-    fuzzy = find_gadgets(insns, MiningOptions(enable_heuristic_types=True))
+    fuzzy = find_gadgets(insns, enable_heuristic_types=True)
     assert any(GadgetType.STOP in g.types for g in fuzzy)
 
 
-def sys_terminators(insns, opts: MiningOptions = MiningOptions()) -> list[int]:
+def sys_terminators(insns, heuristic: bool = False) -> list[int]:
     """Addresses of the system-entry instructions find_gadgets ends
     windows at; every terminator yields at least its one-instruction
     window."""
     return sorted({
-        g.terminator.addr for g in find_gadgets(insns, opts)
+        g.terminator.addr
+        for g in find_gadgets(insns, enable_heuristic_types=heuristic)
         if is_sys_entry(g.terminator)
     })
 
@@ -368,8 +366,7 @@ def test_sys_terminators_equal_raw_scan_anchors(runs, gap, heuristic):
         code = asm(*run)
         insns += decode_stream(code, base=addr)
         addr += len(code) + gap
-    opts = MiningOptions(enable_heuristic_types=heuristic)
-    assert sys_terminators(insns, opts) == reference_sys_anchors(insns)
+    assert sys_terminators(insns, heuristic) == reference_sys_anchors(insns)
 
 
 _ORACLE_CHUNKS = st.sampled_from([
@@ -403,8 +400,7 @@ def test_mining_matches_naive_windows_on_random_streams(
         code = asm(*run)
         insns += decode_stream(code, base=addr)
         addr += len(code) + gap
-    opts = MiningOptions(max_len=max_len, enable_heuristic_types=heuristic)
-    assert find_gadgets(insns, opts) == reference_find_gadgets(
+    assert find_gadgets(insns, max_len, heuristic) == reference_find_gadgets(
         insns, max_len, heuristic
     )
 
@@ -412,15 +408,14 @@ def test_mining_matches_naive_windows_on_random_streams(
 @pytest.mark.parametrize("heuristic", [False, True])
 @pytest.mark.parametrize("max_len", [1, 5, 10])
 def test_mining_matches_naive_windows_on_synth_streams(max_len, heuristic):
-    opts = MiningOptions(max_len=max_len, enable_heuristic_types=heuristic)
     for seed in (3, 4):
         image, _ = materialize(generate(
             GenParams(n_functions=12, max_functions_per_page=3), seed=seed
         ))
         for stream in offline_disassemble(image).values():
-            assert find_gadgets(stream, opts) == reference_find_gadgets(
+            assert find_gadgets(
                 stream, max_len, heuristic
-            )
+            ) == reference_find_gadgets(stream, max_len, heuristic)
 
 
 def test_find_gadgets_classifies_through_classify(monkeypatch):
@@ -436,8 +431,7 @@ def test_find_gadgets_classifies_through_classify(monkeypatch):
         return real_classify(*args, **kwargs)
 
     monkeypatch.setattr(gadgets_module, "classify", counting_classify)
-    opts = MiningOptions(max_len=5)
-    found = [g for stream in streams for g in find_gadgets(stream, opts)]
+    found = [g for stream in streams for g in find_gadgets(stream, max_len=5)]
     assert found and len(calls) == len(found)
 
 
@@ -632,9 +626,8 @@ def _classification_digest() -> tuple[int, str]:
         image, _ = apply_scheme(program, RandomizationScheme(kind, seed=5))
         streams = sorted(offline_disassemble(image).items())
         for heuristic in (False, True):
-            opts = MiningOptions(max_len=10, enable_heuristic_types=heuristic)
             for _base, stream in streams:
-                for g in find_gadgets(stream, opts):
+                for g in find_gadgets(stream, 10, heuristic):
                     add(g)
     for seed in range(3):
         stream = _random_decodable_stream(seed, 4096)

@@ -380,9 +380,9 @@ def test_add_entries_runs_once_per_tree_node(shared_corpus, monkeypatch):
 
     mined = []
 
-    def counting_find_gadgets(stream, mining):
+    def counting_find_gadgets(stream, *rest):
         mined.append(stream)
-        return find_gadgets(stream, mining)
+        return find_gadgets(stream, *rest)
 
     monkeypatch.setattr(PageDisasm, "add_entries", counting_add_entries)
     monkeypatch.setattr(harvest_module, "find_gadgets", counting_find_gadgets)
@@ -441,11 +441,9 @@ def test_harvest_refuses_mismatched_analysis():
             harvest(bad_image, start, bad_opts, analysis)
         with pytest.raises(ValueError):
             page_start_pointers(bad_image, bad_opts, analysis)
-    with pytest.raises(ValueError):
-        collect_branch_targets(other, analysis)
-    # The scan needs only the image to match, not the mining options.
-    assert collect_branch_targets(image, analysis) == collect_branch_targets(
-        image
+    # The scan reads only the analysis's image, not its mining options.
+    assert collect_branch_targets(analysis) == collect_branch_targets(
+        ImageAnalysis(image)
     )
     # Tracking and stopping are not mining options: one analysis serves them.
     tracked = HarvestOptions(
@@ -492,7 +490,7 @@ def test_page_start_pointer_strategies_deterministic():
 
 def test_collect_branch_targets_groups_by_page():
     image, start, _ = topology_image()
-    grouped = collect_branch_targets(image)
+    grouped = collect_branch_targets(ImageAnalysis(image))
     all_targets = set().union(*grouped.values()) if grouped else set()
     assert 0x11FB010 in all_targets
     assert 0x11FC020 in all_targets
@@ -527,16 +525,18 @@ def test_collect_branch_targets_matches_byte_by_byte_scan(pages, fill):
         code = asm(*chunks)[: PAGE_SIZE - offset]
         contents[0x400000 + i * PAGE_SIZE] = bytes([fill]) * offset + code
     image = multi_page_image(contents, fill=fill)
-    assert collect_branch_targets(image) == reference_branch_targets(image)
+    assert collect_branch_targets(ImageAnalysis(image)) == (
+        reference_branch_targets(image)
+    )
 
 
 def test_mine_image_scans_branch_targets_once(monkeypatch):
     calls = []
     scan = harvest_module.collect_branch_targets
 
-    def counting_scan(image, *rest):
-        calls.append(image)
-        return scan(image, *rest)
+    def counting_scan(analysis):
+        calls.append(analysis.image)
+        return scan(analysis)
 
     monkeypatch.setattr(harvest_module, "collect_branch_targets", counting_scan)
     image, _, _ = topology_image()
@@ -607,7 +607,9 @@ def test_offline_disassemble_matches_single_entry_reference(kind, follow_cond):
         assert gadget_multiset(mine_image(image, opts)) == gadget_multiset(
             g
             for base in sorted(streams)
-            for g in find_gadgets(streams[base], opts.mining_options())
+            for g in find_gadgets(
+                streams[base], opts.max_gadget_len, opts.enable_heuristic_types
+            )
         )
 
 

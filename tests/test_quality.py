@@ -35,10 +35,8 @@ from ropscope.quality import (
 
 def gadget_of(code: bytes, length: int | None = None, max_len: int = 8):
     """The full-length mined window ending at the last terminator."""
-    from ropscope.gadgets import MiningOptions
-
     insns = decode_stream(code)
-    gadgets = find_gadgets(insns, MiningOptions(max_len=max_len))
+    gadgets = find_gadgets(insns, max_len=max_len)
     want = length if length is not None else len(insns)
     for g in gadgets:
         if g.length == want:

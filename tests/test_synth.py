@@ -6,7 +6,12 @@ import pytest
 
 from ropscope.disasm import decode
 from ropscope.gadgets import Footprint, GadgetType, leaked_types
-from ropscope.harvest import HarvestOptions, collect_branch_targets, mine_image
+from ropscope.harvest import (
+    HarvestOptions,
+    ImageAnalysis,
+    collect_branch_targets,
+    mine_image,
+)
 from ropscope.snapshot import PAGE_SIZE, page_base
 from ropscope.synth import (
     PLANTABLE_TYPES,
@@ -101,7 +106,7 @@ def test_ground_truth_structure(baseline, program):
 
 def test_page_edges_match_disassembly(baseline):
     image, truth = baseline
-    observed = collect_branch_targets(image)
+    observed = collect_branch_targets(ImageAnalysis(image))
     # grouping key is the destination page of each collected target
     for page, targets in observed.items():
         assert {page_base(t) for t in targets} == {page}
