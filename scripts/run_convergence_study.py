@@ -26,14 +26,16 @@ def main(argv=None) -> int:
     ap.add_argument("--generate", action="store_true",
                     help="study a generated program instead of a file")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--functions", type=int, default=12)
+    ap.add_argument("--functions", type=int, default=GenParams.n_functions)
     ap.add_argument("--set", default="tc",
                     choices=sorted(BUILTIN_SETS))
     ap.add_argument("--set-file", default=None,
                     help="JSON gadget-set spec; overrides --set")
     ap.add_argument("--intervals", type=int, nargs="*", default=[],
                     help="candidate rerandomization intervals to judge")
-    ap.add_argument("--max-len", type=int, default=10)
+    ap.add_argument("--max-len", type=int, default=10,
+                    help="mining window size; 10 covers the longest plant, "
+                         "BROP's 8 pops plus ret")
     ap.add_argument("--start-strategy", default="lowest",
                     choices=START_STRATEGIES)
     ap.add_argument("--timeline-csv", default=None)

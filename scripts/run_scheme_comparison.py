@@ -59,8 +59,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--programs", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--functions", type=int, default=12)
-    ap.add_argument("--mean-len", type=int, default=10)
+    ap.add_argument("--functions", type=int, default=GenParams.n_functions)
+    ap.add_argument("--mean-len", type=int, default=GenParams.mean_fn_len)
     ap.add_argument("--mix-scale", type=int, default=2,
                     help="repeat the default plant mix this many times")
     ap.add_argument(
@@ -69,7 +69,8 @@ def main(argv=None) -> int:
         choices=[k.value for k in SchemeKind],
     )
     ap.add_argument("--max-len", type=int, default=10,
-                    help="mining window size; must cover the longest plant")
+                    help="mining window size; 10 covers the longest plant, "
+                         "BROP's 8 pops plus ret")
     ap.add_argument("--json", default=None, help="write full results here")
     args = ap.parse_args(argv)
 

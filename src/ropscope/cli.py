@@ -164,28 +164,34 @@ def _cmd_gadgets(args) -> int:
     opts = _harvest_options(args)
     spec = opts.track_set
     gadgets = mine_image(image, opts)
-    if args.format == "csv":
-        text = gadget_report_csv(gadgets)
-    else:
-        payload = {"gadgets": gadget_report_rows(gadgets)}
-        if spec is not None:
-            payload["coverage"] = evaluate_set(gadgets, spec).to_dict()
-        text = _canonical(payload)
-    if args.out:
-        Path(args.out).write_text(text if text.endswith("\n") else text + "\n")
+    coverage = None
+    if spec is not None and (args.pretty or args.format == "json"):
+        coverage = evaluate_set(gadgets, spec)
+    # The report is rendered only where it is written: to --out, or to
+    # stdout unless --pretty prints the summary in its place.
+    if args.out or not args.pretty:
+        if args.format == "csv":
+            text = gadget_report_csv(gadgets)
+        else:
+            payload = {"gadgets": gadget_report_rows(gadgets)}
+            if coverage is not None:
+                payload["coverage"] = coverage.to_dict()
+            text = _canonical(payload)
+        text = text if text.endswith("\n") else text + "\n"
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
     if args.pretty:
         counts = {t.value: c.total for t, c in type_counts(gadgets).items()}
         print(f"gadgets mined: {len(gadgets)}")
         for name in sorted(counts):
             print(f"  {name:10s} {counts[name]}")
-        if spec is not None:
-            report = evaluate_set(gadgets, spec)
+        if coverage is not None:
             print(
-                f"set {spec.name}: converged={report.converged} "
-                f"min-footprint-only={report.converged_min_fp}"
+                f"set {spec.name}: converged={coverage.converged} "
+                f"min-footprint-only={coverage.converged_min_fp}"
             )
-    elif not args.out:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return 0
 
 

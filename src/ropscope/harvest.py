@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from ropscope.disasm import (
     FIRST_BYTE_TABLE,
@@ -300,64 +300,110 @@ class ImageAnalysis:
         return child or node
 
 
-class _Traversal:
-    """The harvester's page loop, shared by the clocked harvest and offline
-    mining.
+class _Walk:
+    """The harvester's page loop on the clock, shared by harvest,
+    rerand.converge and offline mining. Building a walk runs it.
 
-    Seeds and every chain target found later become pending entries of
-    their page; a page is queued whenever it has pending entries, and each
-    visit adds them all as one batch, moving the page's node along the
-    analysis's node map. Iterating yields, per visit, the page base,
-    whether this is its first visit, the instructions the batch added and,
-    when the stream changed or on the first visit, the page's new node
-    (None otherwise). A yielded node's chain targets are queued before the
-    visit is yielded, so `skipped` counts them even if the caller stops.
+    Seeds, which must be executable, and every chain target found later
+    become pending entries of their page; a page is queued whenever it has
+    pending entries, and each visit adds them all as one batch, moving the
+    page's node along the analysis's node map. A page's first visit costs
+    LEAK_TICKS_PER_PAGE and every instruction a batch adds one tick. When
+    a visit changes the page's stream, or is its first, the new node's
+    chain targets are queued and its gadget types not seen before (only
+    those in `track_set`, when one is given) become events; covering
+    `track_set` converges the walk, and ends it with
+    `stop_on_convergence`. Page discoveries are events only with
+    `page_events`; the clocks are the same either way. Events are
+    (clock, kind, payload) tuples.
     """
 
-    def __init__(self, analysis: ImageAnalysis, seeds: Iterable[int]):
-        self.analysis = analysis
-        self.nodes: dict[int, _Node] = {}
-        self.skipped = 0
-        self._pending: dict[int, list[int]] = {}
-        self._handled = 0
-        self._queue: deque[int] = deque()
-        self._add_targets(analysis.target_mask(seeds))
+    def __init__(
+        self,
+        analysis: ImageAnalysis,
+        seeds: Iterable[int],
+        track_set: GadgetSetSpec | None = None,
+        stop_on_convergence: bool = False,
+        page_events: bool = False,
+    ):
+        tracked = set(track_set.required) if track_set else None
+        nodes: dict[int, _Node] = {}
+        pending: dict[int, list[int]] = {}
+        # Targets handled so far, as a mask over the analysis's index.
+        handled = analysis.target_mask(seeds)
+        for addr, base in analysis.targets(handled):
+            pending.setdefault(base, []).append(addr)
+        queue = deque(pending)
+        skipped = 0
+        leak_cost = 0
+        analysis_cost = 0
+        converged = False
+        events: list[tuple[int, EventKind, Mapping[str, object]]] = []
+        seen_types: set[GadgetType] = set()
 
-    def _add_targets(self, mask: int) -> None:
-        """Queue the targets of the mask not handled before, in ascending
-        address order."""
-        fresh = mask & ~self._handled
-        if not fresh:
-            return
-        self._handled |= fresh
-        for addr, base in self.analysis.targets(fresh):
-            if base is None:
-                self.skipped += 1
-                continue
-            pending = self._pending.get(base)
-            if pending is None:
-                self._queue.append(base)
-                pending = self._pending[base] = []
-            pending.append(addr)
-
-    def __iter__(self) -> Iterator[tuple[int, bool, int, _Node | None]]:
-        analysis = self.analysis
-        while self._queue:
-            base = self._queue.popleft()
-            node = self.nodes.get(base)
+        while queue:
+            base = queue.popleft()
+            node = nodes.get(base)
             first_visit = node is None
             if first_visit:
                 node = analysis.root(base)
-            child = self.nodes[base] = analysis.advance(
-                base, node, self._pending.pop(base)
+                leak_cost += LEAK_TICKS_PER_PAGE
+                if page_events:
+                    events.append((
+                        leak_cost + analysis_cost,
+                        EventKind.PAGE_DISCOVERED,
+                        {"base": base},
+                    ))
+            child = nodes[base] = analysis.advance(
+                base, node, pending.pop(base)
             )
             if child is node and not first_visit:
-                yield base, False, 0, None
                 continue
-            self._add_targets(child.targets)
+            fresh = child.targets & ~handled
+            if fresh:
+                handled |= fresh
+                for addr, tbase in analysis.targets(fresh):
+                    if tbase is None:
+                        skipped += 1
+                        continue
+                    entries = pending.get(tbase)
+                    if entries is None:
+                        queue.append(tbase)
+                        entries = pending[tbase] = []
+                    entries.append(addr)
             # add_entries only adds, so the lengths differ by what it added.
-            added = len(child.disasm.insns) - len(node.disasm.insns)
-            yield base, first_visit, added, child
+            analysis_cost += len(child.disasm.insns) - len(node.disasm.insns)
+
+            # seen_types already holds the types of every other page, so
+            # only the page just mined can add new ones.
+            new_types = child.types - seen_types
+            if tracked is not None:
+                new_types &= tracked
+            if not new_types:
+                continue
+            clock = leak_cost + analysis_cost
+            # A GadgetType is a str, so they sort by value.
+            for gtype in sorted(new_types):
+                events.append(
+                    (clock, EventKind.TYPE_LEAKED, {"type": gtype.value})
+                )
+            seen_types |= new_types
+            # A set spec is never empty, so the walk converges on the visit
+            # that brings its last missing type.
+            if tracked is not None and tracked <= seen_types:
+                converged = True
+                events.append(
+                    (clock, EventKind.CONVERGED, {"set": track_set.name})
+                )
+                if stop_on_convergence:
+                    break
+
+        self.nodes = nodes
+        self.skipped = skipped
+        self.leak_cost = leak_cost
+        self.analysis_cost = analysis_cost
+        self.converged = converged
+        self.events = events
 
     def gadgets(self) -> tuple[Gadget, ...]:
         """Gadgets of every visited page's current stream, in page order."""
@@ -367,27 +413,15 @@ class _Traversal:
         ))
 
 
-class _Clocked(NamedTuple):
-    """One clocked run: its traversal, costs and (clock, kind, payload)
-    events."""
-
-    walk: _Traversal
-    leak_cost: int
-    analysis_cost: int
-    converged: bool
-    events: list[tuple[int, EventKind, Mapping[str, object]]]
-
-
-def _clocked(
+def _walk_from(
     image: MemoryImage,
     start: int,
     opts: HarvestOptions,
     analysis: ImageAnalysis | None,
     page_events: bool,
-) -> _Clocked:
-    """The harvesting loop on the clock, shared by harvest and
-    rerand.converge. Page discoveries are events only with `page_events`;
-    the clocks are the same either way."""
+) -> _Walk:
+    """The walk from one start pointer that harvest and rerand.converge
+    clock, tracking `opts.track_set`."""
     if not image.is_executable(start):
         raise StartPointerInvalid(
             f"start pointer {start:#x} is not in executable memory"
@@ -396,49 +430,10 @@ def _clocked(
         analysis = ImageAnalysis(image, opts)
     else:
         analysis.check(image, opts)
-
-    tracked = set(opts.track_set.required) if opts.track_set else None
-
-    leak_cost = 0
-    analysis_cost = 0
-    converged = False
-    events: list[tuple[int, EventKind, Mapping[str, object]]] = []
-    seen_types: set[GadgetType] = set()
-
-    walk = _Traversal(analysis, (start,))
-    for base, first_visit, new_insns, node in walk:
-        if first_visit:
-            # The page leak itself.
-            leak_cost += LEAK_TICKS_PER_PAGE
-            if page_events:
-                events.append((
-                    leak_cost + analysis_cost,
-                    EventKind.PAGE_DISCOVERED,
-                    {"base": base},
-                ))
-        analysis_cost += new_insns
-        if node is None:
-            continue
-
-        # seen_types already holds the types of every other page, so only
-        # the page just mined can add new ones.
-        new_types = node.types - seen_types
-        if tracked is not None:
-            new_types &= tracked
-        clock = leak_cost + analysis_cost
-        for gtype in sorted(new_types, key=lambda t: t.value):
-            events.append((clock, EventKind.TYPE_LEAKED, {"type": gtype.value}))
-        seen_types |= new_types
-
-        if tracked is not None and not converged and tracked <= seen_types:
-            converged = True
-            events.append(
-                (clock, EventKind.CONVERGED, {"set": opts.track_set.name})
-            )
-            if opts.stop_on_convergence:
-                break
-
-    return _Clocked(walk, leak_cost, analysis_cost, converged, events)
+    return _Walk(
+        analysis, (start,), opts.track_set, opts.stop_on_convergence,
+        page_events,
+    )
 
 
 def harvest(
@@ -452,19 +447,19 @@ def harvest(
     Pass an analysis built for the same image and mining options to share
     decoding and mining with other harvests; a fresh one is built otherwise.
     """
-    run = _clocked(image, start, opts, analysis, page_events=True)
+    walk = _walk_from(image, start, opts, analysis, page_events=True)
     return HarvestTrace(
         start=start,
         events=[
             HarvestEvent(step, clock, kind, payload)
-            for step, (clock, kind, payload) in enumerate(run.events, 1)
+            for step, (clock, kind, payload) in enumerate(walk.events, 1)
         ],
-        leak_cost=run.leak_cost,
-        analysis_cost=run.analysis_cost,
-        pages_found=len(run.walk.nodes),
-        skipped_targets=run.walk.skipped,
-        converged=run.converged,
-        gadgets=run.walk.gadgets(),
+        leak_cost=walk.leak_cost,
+        analysis_cost=walk.analysis_cost,
+        pages_found=len(walk.nodes),
+        skipped_targets=walk.skipped,
+        converged=walk.converged,
+        gadgets=walk.gadgets(),
     )
 
 
@@ -582,9 +577,10 @@ def harvest_all_starts(
     }
 
 
-def _closure(image: MemoryImage, opts: HarvestOptions) -> _Traversal:
-    """Run the traversal to closure from every direct branch target the
-    linear scan finds plus the per-page start pointers."""
+def _closure(image: MemoryImage, opts: HarvestOptions) -> _Walk:
+    """The walk to closure, tracking no set, from every direct branch
+    target the linear scan finds plus the per-page start pointers; offline
+    mining reads its nodes and leaves its clock unread."""
     analysis = ImageAnalysis(image, opts)
     targets_by_page = collect_branch_targets(analysis)
     seeds: set[int] = set(
@@ -592,10 +588,7 @@ def _closure(image: MemoryImage, opts: HarvestOptions) -> _Traversal:
     )
     for targets in targets_by_page.values():
         seeds |= targets
-    walk = _Traversal(analysis, sorted(seeds))
-    for _ in walk:
-        pass
-    return walk
+    return _Walk(analysis, sorted(seeds))
 
 
 def offline_disassemble(

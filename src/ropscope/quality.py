@@ -95,13 +95,6 @@ def analyze_corruption(gadget: Gadget, gtype: GadgetType) -> CorruptionVerdict:
     regset1 = frozenset(_filtered(frozenset(pre_writes), keep_rsp) & sources)
     regset2 = frozenset(_filtered(frozenset(post_writes), keep_rsp) & dests)
 
-    if shape is GadgetShape.TYPE2:
-        corrupted = bool(regset2)
-    elif shape is GadgetShape.TYPE3:
-        corrupted = bool(regset1)
-    else:
-        corrupted = bool(regset1) or bool(regset2)
-
     touched: set[Reg] = set()
     for insn in gadget.insns:
         touched |= insn.reads | insn.writes
@@ -111,7 +104,9 @@ def analyze_corruption(gadget: Gadget, gtype: GadgetType) -> CorruptionVerdict:
         shape=shape,
         regset1=regset1,
         regset2=regset2,
-        corrupted=corrupted,
+        # A TYPE2 core has no sources and a TYPE3 core no destinations, so
+        # the regset its shape cannot corrupt is empty.
+        corrupted=bool(regset1 or regset2),
         unique_registers=len(touched),
     )
 

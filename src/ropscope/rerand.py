@@ -25,7 +25,7 @@ from ropscope.harvest import (
     EventKind,
     HarvestOptions,
     ImageAnalysis,
-    _clocked,
+    _walk_from,
     page_start_pointers,
 )
 from ropscope.snapshot import MemoryImage
@@ -84,24 +84,21 @@ def converge(
     page events and no gadgets."""
     spec = opts.track_set or BUILTIN_SETS["tc"]
     run_opts = replace(opts, track_set=spec, stop_on_convergence=True)
-    run = _clocked(image, start, run_opts, analysis, page_events=False)
-    timeline: list[tuple[int, int]] = []
-    convergence_clock = None
-    for clock, kind, _ in run.events:
-        if kind is EventKind.TYPE_LEAKED:
-            timeline.append((clock, len(timeline) + 1))
-        elif kind is EventKind.CONVERGED:
-            convergence_clock = clock
-    total = run.leak_cost + run.analysis_cost
+    walk = _walk_from(image, start, run_opts, analysis, page_events=False)
+    # The walk stops on convergence, so its event is the last one.
+    leaks = [c for c, kind, _ in walk.events if kind is EventKind.TYPE_LEAKED]
+    total = walk.leak_cost + walk.analysis_cost
     return ConvergenceRecord(
         start=start,
         set_name=spec.name,
-        converged=run.converged,
-        convergence_clock=convergence_clock,
-        type_timeline=tuple(timeline),
-        leak_fraction=run.leak_cost / total if total else 0.0,
+        converged=walk.converged,
+        convergence_clock=walk.events[-1][0] if walk.converged else None,
+        type_timeline=tuple(
+            (clock, k) for k, clock in enumerate(leaks, 1)
+        ),
+        leak_fraction=walk.leak_cost / total if total else 0.0,
         total_cost=total,
-        pages_found=len(run.walk.nodes),
+        pages_found=len(walk.nodes),
     )
 
 

@@ -130,6 +130,46 @@ def test_gadgets_custom_set_file(snap, tmp_path):
     assert code == 2
 
 
+def test_gadgets_pretty_renders_no_report(snap, monkeypatch):
+    """--pretty without --out prints only the summary, so no report rows
+    are rendered, and the set is evaluated once."""
+    calls = {"rows": 0, "evaluate": 0}
+    report_rows, evaluate_set = cli.gadget_report_rows, cli.evaluate_set
+
+    def counting_rows(*args, **kwargs):
+        calls["rows"] += 1
+        return report_rows(*args, **kwargs)
+
+    def counting_evaluate(*args, **kwargs):
+        calls["evaluate"] += 1
+        return evaluate_set(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "gadget_report_rows", counting_rows)
+    monkeypatch.setattr(cli, "evaluate_set", counting_evaluate)
+    code, out = run(["gadgets", snap, "--pretty", "--set", "tc"])
+    assert code == 0
+    assert "set tc: converged=" in out
+    assert calls == {"rows": 0, "evaluate": 1}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "set_args", [[], ["--set", "tc"]], ids=["noset", "tc"]
+)
+def test_gadgets_out_file_holds_the_stdout_report(
+    snap, tmp_path, fmt, set_args
+):
+    argv = ["gadgets", snap, "--format", fmt, *set_args]
+    code, plain = run(argv)
+    assert code == 0 and plain.endswith("\n")
+    assert run([*argv, "--out", tmp_path / "plain"]) == (0, "")
+    assert (tmp_path / "plain").read_text() == plain
+    code, pretty = run([*argv, "--pretty", "--out", tmp_path / "pretty"])
+    assert (tmp_path / "pretty").read_text() == plain
+    assert (code, pretty) == run([*argv, "--pretty"])
+    assert pretty.startswith("gadgets mined: ")
+
+
 @pytest.mark.parametrize(
     "spec",
     [{"name": "n", "types": 5}, {"name": "n", "types": None},
