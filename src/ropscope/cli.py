@@ -33,8 +33,8 @@ from ropscope.gadgets import (
     gadget_report_rows,
     gadget_type,
     load_set_spec,
-    min_fp_labels,
     resolve_set,
+    set_coverage,
     type_counts,
 )
 from ropscope.harvest import (
@@ -374,14 +374,16 @@ def _cmd_synth_transform(args) -> int:
 
 def _entry_stats(image, opts) -> dict:
     gadgets = mine_image(image, opts)
+    counts = type_counts(gadgets)
     cats = category_counts(gadgets)
-    tc = evaluate_set(gadgets, BUILTIN_SETS["tc"])
+    tc = set_coverage(counts, BUILTIN_SETS["tc"])
     return {
         "gadgets": len(gadgets),
-        "min_fp_labels": min_fp_labels(gadgets),
+        # A label is one (gadget, type) pair, counted once in its type.
+        "min_fp_labels": sum(c.min_fp for c in counts.values()),
         "types": {
             t.value: {"min_fp": c.min_fp, "ex_fp": c.ex_fp}
-            for t, c in type_counts(gadgets).items()
+            for t, c in counts.items()
         },
         "categories": {
             name: {"min_fp": c.min_fp, "ex_fp": c.ex_fp}

@@ -715,6 +715,10 @@ class PageDecodes(dict):
         return insn
 
 
+# The claim flags of an instruction of each length; x86 allows 15 bytes.
+_CLAIMS = tuple(b"\x01" * length for length in range(16))
+
+
 class PageDisasm:
     """Incremental recursive-traversal disassembly state for one page.
 
@@ -768,14 +772,14 @@ class PageDisasm:
                     end = offset + insn.length
                     if claimed.find(1, offset, end) != -1:
                         break
-                    claimed[offset:end] = b"\x01" * insn.length
+                    claimed[offset:end] = _CLAIMS[insn.length]
                     insns[addr] = insn
                     added += 1
                     target = insn.branch_target
                     if target is not None and 0 <= target - base < PAGE_SIZE:
                         if target not in insns and not claimed[target - base]:
                             work.append(target)
-                    if insn.is_terminator:
+                    if insn.mnemonic in _TERMINATORS:
                         break
                     addr = base + end
         return added

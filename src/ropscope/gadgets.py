@@ -15,6 +15,7 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -76,6 +77,10 @@ TC_CATEGORIES: dict[str, tuple[GadgetType, ...]] = {
     "function_call": (GadgetType.CALL,),
     "system_call": (GadgetType.SYS,),
 }
+# The category of each type in TC_CATEGORIES; no type is in two.
+_CATEGORY_OF = {
+    gtype: name for name, members in TC_CATEGORIES.items() for gtype in members
+}
 
 _ARITH = frozenset({Mnemonic.ADD, Mnemonic.SUB, Mnemonic.IMUL})
 _LOGICAL = frozenset(
@@ -92,22 +97,13 @@ BROP_REGS = (
 )
 
 
-def _is_sys_core(insn: Instruction) -> bool:
-    if insn.mnemonic in _SYS_CORES:
-        return True
-    return (
-        insn.mnemonic is Mnemonic.INT
-        and insn.operands
-        and insn.operands[0].imm == 0x80
-    )
-
-
 def _is_store_mov(insn: Instruction) -> bool:
+    ops = insn.operands
     return (
         insn.mnemonic is Mnemonic.MOV
-        and len(insn.operands) == 2
-        and insn.operands[0].is_mem
-        and insn.operands[1].is_reg
+        and len(ops) == 2
+        and ops[0].kind == "mem"
+        and ops[1].kind == "reg"
     )
 
 
@@ -147,32 +143,47 @@ class Gadget(NamedTuple):
 # Per-instruction core matching. Each hit names a type and whether the match
 # is in the type's minimal shape (register operands or a bare [reg] address).
 
+_CoreHits = Sequence[tuple[GadgetType, bool]]
 
-def _insn_cores(insn: Instruction) -> list[tuple[GadgetType, bool]]:
-    hits: list[tuple[GadgetType, bool]] = []
+# Mnemonics that can be a single-instruction core. Any other instruction (a
+# call rel32, a jcc, a return, filler) matches nothing.
+_CORE_MNEMONICS = _PIVOT_WRITERS | _SYS_CORES | {
+    Mnemonic.POP, Mnemonic.XCHG, Mnemonic.LEA, Mnemonic.JMP_RM,
+    Mnemonic.CALL_RM, Mnemonic.INT,
+}
+
+
+def _insn_cores(insn: Instruction) -> _CoreHits:
+    """The core matches of one instruction, () at once for a mnemonic that
+    can never be a core. They depend only on the mnemonic and operands, so
+    every window that holds the instruction can share them."""
     m = insn.mnemonic
+    if m not in _CORE_MNEMONICS:
+        return ()
+    hits: list[tuple[GadgetType, bool]] = []
     ops = insn.operands
 
     if m in _PIVOT_WRITERS and len(ops) == 2 and ops[0].reg is Reg.RSP:
         # A two-operand write to rsp is a stack pivot, whatever it computes.
-        hits.append((GadgetType.SP, ops[1].is_reg))
+        hits.append((GadgetType.SP, ops[1].kind == "reg"))
 
     elif m is Mnemonic.MOV and len(ops) == 2:
         dst, src = ops
-        if dst.is_reg and (src.is_reg or src.is_imm):
+        # An operand that is not in memory is a register or an immediate.
+        if dst.kind == "reg" and src.kind != "mem":
             hits.append((GadgetType.MR, True))
-        elif dst.is_reg and src.is_mem:
+        elif dst.kind == "reg":
             mem = src.mem
             hits.append((GadgetType.LM, mem.is_bare))
             if mem.base is not None and mem.index is None and mem.disp != 0:
                 hits.append((GadgetType.LMEX, True))
-        elif dst.is_mem and src.is_reg:
+        elif dst.kind == "mem" and src.kind == "reg":
             mem = dst.mem
             hits.append((GadgetType.SM, mem.is_bare))
             hits.append((GadgetType.ST, mem.is_bare))
             if mem.base is not None and mem.index is None and mem.disp != 0:
                 hits.append((GadgetType.STCONSTEX, True))
-        elif dst.is_mem and src.is_imm:
+        elif dst.kind == "mem" and src.kind == "imm":
             mem = dst.mem
             hits.append((GadgetType.STCONST, mem.is_bare))
             if mem.base is not None and mem.index is None and mem.disp != 0:
@@ -180,18 +191,18 @@ def _insn_cores(insn: Instruction) -> list[tuple[GadgetType, bool]]:
 
     elif m in _ARITH and len(ops) == 2:
         dst, src = ops
-        if dst.is_reg and (src.is_reg or src.is_imm):
+        if dst.kind == "reg" and src.kind != "mem":
             hits.append((GadgetType.AM, True))
-        elif dst.is_reg and src.is_mem:
+        elif dst.kind == "reg":
             hits.append((GadgetType.AM_LD, src.mem.is_bare))
-        elif dst.is_mem and src.is_reg:
+        elif dst.kind == "mem" and src.kind == "reg":
             hits.append((GadgetType.AM_ST, dst.mem.is_bare))
 
     elif m in _LOGICAL and len(ops) == 2:
         dst = ops[0]
-        if dst.is_reg:
+        if dst.kind == "reg":
             hits.append((GadgetType.LOGIC, True))
-        elif dst.is_mem:
+        elif dst.kind == "mem":
             hits.append((GadgetType.LOGIC, dst.mem.is_bare))
 
     elif m is Mnemonic.POP and ops:
@@ -202,7 +213,7 @@ def _insn_cores(insn: Instruction) -> list[tuple[GadgetType, bool]]:
             hits.append((GadgetType.LR, True))
 
     elif m is Mnemonic.XCHG and len(ops) == 2:
-        regs = {o.reg for o in ops if o.is_reg}
+        regs = {o.reg for o in ops if o.kind == "reg"}
         if Reg.RSP in regs and len(regs) == 2:
             hits.append((GadgetType.SP, True))
 
@@ -210,18 +221,20 @@ def _insn_cores(insn: Instruction) -> list[tuple[GadgetType, bool]]:
         hits.append((GadgetType.SP, False))
 
     elif m is Mnemonic.JMP_RM:
-        hits.append((GadgetType.JMP, ops[0].is_reg))
+        hits.append((GadgetType.JMP, ops[0].kind == "reg"))
 
     elif m is Mnemonic.CALL_RM:
         op = ops[0]
-        bare = op.is_reg or (op.is_mem and op.mem.is_bare)
+        bare = op.kind == "reg" or (op.kind == "mem" and op.mem.is_bare)
         hits.append((GadgetType.CALL, bare))
 
     elif m is Mnemonic.CALL_GS:
         hits.append((GadgetType.SYS, True))
         hits.append((GadgetType.CALL, False))
 
-    elif _is_sys_core(insn):
+    elif m in _SYS_CORES or (
+        m is Mnemonic.INT and ops and ops[0].imm == 0x80
+    ):
         hits.append((GadgetType.SYS, True))
 
     return hits
@@ -245,151 +258,159 @@ _RET_CORE_TYPES = frozenset(
     }
 )
 
+_MIN, _EX = Footprint.MIN_FP, Footprint.EX_FP
+
+
+def _backward_branch(insn: Instruction, first: int) -> bool:
+    """A branch whose target lies in the window from `first` to the branch."""
+    target = insn.branch_target
+    return target is not None and first <= target <= insn.addr
+
 
 def classify(
     insns: Sequence[Instruction],
     enable_heuristic_types: bool = False,
-    matches: Sequence[list[tuple[GadgetType, bool]]] | None = None,
+    matches: Sequence[_CoreHits] | None = None,
 ) -> Gadget:
     """Classify an instruction window into the gadget it forms.
 
     Types, footprints and core indices are position-pure: they depend only
     on mnemonics, operands, and branch offsets relative to the window, never
-    on absolute addresses. `matches`, when given, holds the core matches of
-    each instruction of the window as `find_gadgets` caches them.
+    on absolute addresses. `matches`, when given, holds `_insn_cores` of
+    each instruction of the window, as `find_gadgets` caches them.
+
+    The single-instruction cores come from one backward scan from the
+    terminator. The first hit of a type the scan meets, the one closest to
+    the terminator, takes the type's core slot when the type may sit there
+    and drops the type when it may not: before a closing return only the
+    `_RET_CORE_TYPES` may sit, and in any other window only the last
+    instruction's `_LAST_CORE_TYPES`. The scan of a return-ended window
+    also finds the CS2 call site, and with heuristic types the CS1 branch.
+    The CP, EP and RF shapes are looked for only in windows that end in an
+    indirect call or jmp, and BROP only in 9-instruction return windows.
     """
     assert insns, "cannot classify an empty window"
     if matches is None:
         matches = [_insn_cores(insn) for insn in insns]
-    last = insns[-1]
     n = len(insns)
+    last = insns[-1].mnemonic
     footprints: dict[GadgetType, Footprint] = {}
     cores: dict[GadgetType, int] = {}
 
-    ret_end = last.mnemonic in _RET_CLASS
-
-    # Single-instruction core matches; the match closest to the terminator
-    # wins the core slot for its type.
-    per_insn: dict[GadgetType, tuple[int, bool]] = {}
-    for idx, hits in enumerate(matches):
-        for gtype, strict in hits:
-            per_insn[gtype] = (idx, strict)
-
-    for gtype, (idx, strict) in per_insn.items():
-        if idx == n - 1:
-            if gtype not in _LAST_CORE_TYPES:
-                continue
-            minimal = strict and n == 1
-        elif ret_end and gtype in _RET_CORE_TYPES:
-            minimal = strict and n == 2
-        else:
-            continue
-        cores[gtype] = idx
-        footprints[gtype] = Footprint.MIN_FP if minimal else Footprint.EX_FP
-
-    # Sequence-shaped types.
-    if last.mnemonic is Mnemonic.CALL_RM and n >= 2 and _is_store_mov(insns[-2]):
-        strict = (
-            n == 2
-            and insns[-2].operands[0].mem.is_bare
-            and last.operands[0].is_reg
-        )
-        cores[GadgetType.CP] = n - 2
-        footprints[GadgetType.CP] = (
-            Footprint.MIN_FP if strict else Footprint.EX_FP
-        )
-
-    if ret_end:
-        call_sites = [
-            i for i in range(n - 1) if insns[i].mnemonic is Mnemonic.CALL_RM
-        ]
-        if call_sites:
-            cores[GadgetType.CS2] = call_sites[-1]
-            footprints[GadgetType.CS2] = (
-                Footprint.MIN_FP if n == 2 else Footprint.EX_FP
-            )
-
-    if last.mnemonic in (Mnemonic.CALL_RM, Mnemonic.JMP_RM):
-        pops = [
-            i
-            for i in range(n - 1)
-            if insns[i].mnemonic is Mnemonic.POP
-            and insns[i].operands[0].reg is Reg.RBP
-        ]
-        if pops:
-            cores[GadgetType.EP] = pops[-1]
-            footprints[GadgetType.EP] = (
-                Footprint.MIN_FP if n == 2 else Footprint.EX_FP
-            )
-
-    if last.mnemonic is Mnemonic.JMP_RM:
-        for i in range(1, n - 1):
-            if insns[i].mnemonic is Mnemonic.CALL_RM and _is_store_mov(
-                insns[i - 1]
-            ):
-                cores[GadgetType.RF] = i - 1
-                footprints[GadgetType.RF] = (
-                    Footprint.MIN_FP if n == 3 else Footprint.EX_FP
-                )
-                break
-
-    if (
-        n == 9
-        and ret_end
-        and all(
+    if last in _RET_CLASS:
+        two = n == 2
+        call_site = -1
+        want_cs1 = enable_heuristic_types
+        for idx in range(n - 2, -1, -1):
+            hits = matches[idx]
+            if hits:
+                for gtype, strict in hits:
+                    if gtype not in cores and gtype in _RET_CORE_TYPES:
+                        cores[gtype] = idx
+                        footprints[gtype] = _MIN if strict and two else _EX
+                # An indirect call always matches a CALL core; a jcc never
+                # matches one.
+                if call_site < 0 and insns[idx].mnemonic is Mnemonic.CALL_RM:
+                    call_site = idx
+            elif want_cs1:
+                insn = insns[idx]
+                if insn.mnemonic is Mnemonic.JCC and _backward_branch(
+                    insn, insns[0].addr
+                ):
+                    cores[GadgetType.CS1] = idx
+                    footprints[GadgetType.CS1] = _EX
+                    want_cs1 = False
+        if call_site >= 0:
+            cores[GadgetType.CS2] = call_site
+            footprints[GadgetType.CS2] = _MIN if two else _EX
+        if n == 9 and all(
             insns[i].mnemonic is Mnemonic.POP
             and insns[i].operands[0].reg is BROP_REGS[i]
             for i in range(8)
-        )
-    ):
-        cores[GadgetType.BROP] = 7
-        footprints[GadgetType.BROP] = Footprint.MIN_FP
-
-    if (
-        last.mnemonic is Mnemonic.JMP_REL
-        and last.branch_target is not None
-        and insns[0].addr <= last.branch_target <= last.addr
-    ):
-        cores[GadgetType.STOP] = n - 1
-        footprints[GadgetType.STOP] = (
-            Footprint.MIN_FP if n <= 2 else Footprint.EX_FP
-        )
-
-    if enable_heuristic_types:
-        if n >= 20:
-            cores[GadgetType.TM] = n - 1
-            footprints[GadgetType.TM] = Footprint.EX_FP
-        backward_jcc = [
-            i
-            for i in range(n)
-            if insns[i].mnemonic is Mnemonic.JCC
-            and insns[i].branch_target is not None
-            and insns[0].addr <= insns[i].branch_target <= insns[i].addr
-        ]
-        if backward_jcc and ret_end:
-            cores[GadgetType.CS1] = backward_jcc[-1]
-            footprints[GadgetType.CS1] = Footprint.EX_FP
+        ):
+            cores[GadgetType.BROP] = 7
+            footprints[GadgetType.BROP] = _MIN
         if (
-            ret_end
+            enable_heuristic_types
             and n >= 2
             and insns[0].mnemonic in (Mnemonic.CALL_REL, Mnemonic.CALL_RM)
         ):
             cores[GadgetType.FS] = 0
-            footprints[GadgetType.FS] = Footprint.EX_FP
+            footprints[GadgetType.FS] = _EX
+    else:
+        one = n == 1
+        for gtype, strict in matches[-1]:
+            if gtype in _LAST_CORE_TYPES:
+                cores[gtype] = n - 1
+                footprints[gtype] = _MIN if strict and one else _EX
+        if n >= 2 and (last is Mnemonic.CALL_RM or last is Mnemonic.JMP_RM):
+            _indirect_shapes(insns, last, cores, footprints)
+        elif last is Mnemonic.JMP_REL and _backward_branch(
+            insns[-1], insns[0].addr
+        ):
+            cores[GadgetType.STOP] = n - 1
+            footprints[GadgetType.STOP] = _MIN if n <= 2 else _EX
+
+    if enable_heuristic_types and n >= 20:
+        cores[GadgetType.TM] = n - 1
+        footprints[GadgetType.TM] = _EX
 
     return Gadget(
         insns[0].addr, tuple(insns), frozenset(cores), footprints, cores
     )
 
 
+def _indirect_shapes(
+    insns: Sequence[Instruction],
+    last: Mnemonic,
+    cores: dict[GadgetType, int],
+    footprints: dict[GadgetType, Footprint],
+) -> None:
+    """The CP, EP and RF sequences of a window of two or more instructions
+    that ends in an indirect call or jmp."""
+    n = len(insns)
+    if last is Mnemonic.CALL_RM and _is_store_mov(insns[-2]):
+        strict = (
+            n == 2
+            and insns[-2].operands[0].mem.is_bare
+            and insns[-1].operands[0].kind == "reg"
+        )
+        cores[GadgetType.CP] = n - 2
+        footprints[GadgetType.CP] = _MIN if strict else _EX
+
+    for i in range(n - 2, -1, -1):
+        insn = insns[i]
+        if insn.mnemonic is Mnemonic.POP and insn.operands[0].reg is Reg.RBP:
+            cores[GadgetType.EP] = i
+            footprints[GadgetType.EP] = _MIN if n == 2 else _EX
+            break
+
+    if last is Mnemonic.JMP_RM:
+        for i in range(1, n - 1):
+            if insns[i].mnemonic is Mnemonic.CALL_RM and _is_store_mov(
+                insns[i - 1]
+            ):
+                cores[GadgetType.RF] = i - 1
+                footprints[GadgetType.RF] = _MIN if n == 3 else _EX
+                break
+
+
 # A system-entry instruction ends a window only in its plain encoding; a
 # prefixed one is still a SYS core mid-window.
 _SYS_ENTRY_OPCODES = (b"\x0f\x05", b"\x0f\x34", b"\xcd\x80", GS_CALL_BYTES)
+_SYS_ENDS = _SYS_CORES | {Mnemonic.INT}
+
+# Mnemonics that may end a window: returns, indirect branches, system
+# entries in their plain encoding and, with heuristic types, relative jmps.
+_WINDOW_ENDS = _RET_CLASS | _SYS_ENDS | {Mnemonic.JMP_RM, Mnemonic.CALL_RM}
+_HEURISTIC_WINDOW_ENDS = _WINDOW_ENDS | {Mnemonic.JMP_REL}
 
 # Unconditional control transfers no window may span.
 _BLOCKERS = frozenset(
     {Mnemonic.RET, Mnemonic.RET_IMM, Mnemonic.JMP_REL, Mnemonic.JMP_RM}
 )
+
+_addr = attrgetter("addr")
 
 
 def find_gadgets(
@@ -403,44 +424,54 @@ def find_gadgets(
     instructions becomes a gadget, provided no unconditional control-flow
     break sits mid-window. A system-entry instruction is a terminator only
     when its encoding starts with the plain opcode bytes.
-    """
-    stream = sorted(insns, key=lambda i: i.addr)
-    terminator_positions = []
-    for pos, insn in enumerate(stream):
-        if insn.mnemonic in _RET_CLASS or insn.mnemonic in (
-            Mnemonic.JMP_RM,
-            Mnemonic.CALL_RM,
-        ):
-            terminator_positions.append(pos)
-        elif _is_sys_core(insn):
-            if insn.raw.startswith(_SYS_ENTRY_OPCODES):
-                terminator_positions.append(pos)
-        elif enable_heuristic_types and insn.mnemonic is Mnemonic.JMP_REL:
-            terminator_positions.append(pos)
 
-    # Core matches by stream position, computed the first time a window
-    # takes the position in; windows of nearby terminators share them.
-    matches: list[list[tuple[GadgetType, bool]] | None] = [None] * len(stream)
+    Each window is a slice of the sorted stream, a tuple, and goes through
+    the module's `classify` with its slice of the stream's core matches:
+    `_insn_cores` runs once per instruction that some window holds. Gadgets
+    come out sorted by address, then length.
+    """
+    stream = tuple(sorted(insns, key=_addr))
+    size = len(stream)
+    ends = _HEURISTIC_WINDOW_ENDS if enable_heuristic_types else _WINDOW_ENDS
+
+    # Core matches by stream position, made the first time a window takes
+    # the position in. The lowest start never moves back from one
+    # terminator to the next, so the positions below `matched` are done.
+    matches: list[_CoreHits] = [()] * size
+    matched = 0
     gadgets: list[Gadget] = []
-    for pos in terminator_positions:
+    keys: list[int] = []
+    for pos, insn in enumerate(stream):
+        m = insn.mnemonic
+        if m not in ends or (
+            m in _SYS_ENDS and not insn.raw.startswith(_SYS_ENTRY_OPCODES)
+        ):
+            continue
         low = pos
-        while pos - low + 1 < max_len and low > 0:
+        lowest = max(0, pos - max_len + 1)
+        while low > lowest:
             prev = stream[low - 1]
-            if prev.end != stream[low].addr or prev.mnemonic in _BLOCKERS:
+            if (
+                prev.addr + prev.length != stream[low].addr
+                or prev.mnemonic in _BLOCKERS
+            ):
                 break
             low -= 1
-        for i in range(low, pos + 1):
-            if matches[i] is None:
-                matches[i] = _insn_cores(stream[i])
-        for start in range(low, pos + 1):
+        stop = pos + 1
+        for i in range(max(low, matched), stop):
+            matches[i] = _insn_cores(stream[i])
+        matched = stop
+        for start in range(low, stop):
             gadgets.append(classify(
-                stream[start : pos + 1],
-                enable_heuristic_types,
-                matches[start : pos + 1],
+                stream[start:stop], enable_heuristic_types,
+                matches[start:stop],
             ))
+            # Positions order windows as (addr, length) does; the key packs
+            # the start and end positions into one int.
+            keys.append(start * size + pos)
 
-    gadgets.sort(key=lambda g: (g.addr, g.length))
-    return tuple(gadgets)
+    order = sorted(range(len(gadgets)), key=keys.__getitem__)
+    return tuple(map(gadgets.__getitem__, order))
 
 
 @dataclass(frozen=True)
@@ -566,13 +597,19 @@ def type_counts(gadgets: Iterable[Gadget]) -> dict[GadgetType, TypeCount]:
     return counts
 
 
-def evaluate_set(
-    gadgets: Iterable[Gadget], spec: GadgetSetSpec
+def set_coverage(
+    counts: Mapping[GadgetType, TypeCount], spec: GadgetSetSpec
 ) -> CoverageReport:
-    counts = type_counts(gadgets)
+    """The coverage of a set spec by per-type counts from type_counts."""
     return CoverageReport(
         spec.name, {t: counts.get(t, TypeCount()) for t in spec.required}
     )
+
+
+def evaluate_set(
+    gadgets: Iterable[Gadget], spec: GadgetSetSpec
+) -> CoverageReport:
+    return set_coverage(type_counts(gadgets), spec)
 
 
 def min_fp_labels(gadgets: Iterable[Gadget]) -> int:
@@ -599,13 +636,17 @@ def category_counts(
     category. A gadget contributes once per category it has a type in."""
     out = {name: TypeCount() for name in TC_CATEGORIES}
     for gadget in gadgets:
-        for name, members in TC_CATEGORIES.items():
-            present = [t for t in members if t in gadget.types]
-            if not present:
-                continue
-            if any(
-                gadget.footprints[t] is Footprint.MIN_FP for t in present
-            ):
+        # Whether the gadget has a minimal type, per category it is in.
+        minimal: dict[str, bool] = {}
+        for gtype in gadget.types:
+            name = _CATEGORY_OF.get(gtype)
+            if name is not None:
+                minimal[name] = (
+                    minimal.get(name, False)
+                    or gadget.footprints[gtype] is Footprint.MIN_FP
+                )
+        for name, is_min in minimal.items():
+            if is_min:
                 out[name].min_fp += 1
             else:
                 out[name].ex_fp += 1

@@ -243,8 +243,8 @@ class SynthProgram:
 
 
 def _pick(rng: random.Random, exclude: Iterable[Reg] = ()) -> Reg:
-    pool = [r for r in RENAME_DOMAIN if r not in set(exclude)]
-    return rng.choice(pool)
+    excluded = set(exclude)
+    return rng.choice([r for r in RENAME_DOMAIN if r not in excluded])
 
 
 # Plant templates, keyed by the gadget type they plant. Each takes three
@@ -358,10 +358,9 @@ def generate(params: GenParams, seed: int) -> SynthProgram:
     # Call graph: independent coin per ordered pair, plus a ring when the
     # harvest-from-anywhere property is required.
     edges: set[tuple[int, int]] = set()
+    coin, p = rng.random, params.connectivity
     for i in range(n):
-        for j in range(n):
-            if i != j and rng.random() < params.connectivity:
-                edges.add((i, j))
+        edges.update([(i, j) for j in range(n) if j != i and coin() < p])
     if params.ensure_strongly_connected and n > 1:
         for i in range(n):
             edges.add((i, (i + 1) % n))

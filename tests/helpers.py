@@ -12,6 +12,7 @@ from ropscope.disasm import (
     GS_CALL_BYTES,
     Instruction,
     Mnemonic,
+    Reg,
     PageDecodes,
     PageDisasm,
     decode,
@@ -19,7 +20,9 @@ from ropscope.disasm import (
 )
 from ropscope.gadgets import (
     BUILTIN_SETS,
+    Footprint,
     Gadget,
+    GadgetType,
     GadgetSetSpec,
     classify,
     find_gadgets,
@@ -381,6 +384,285 @@ def reference_sys_anchors(insns) -> list[int]:
                     anchors.append(start + pos)
                 pos = blob.find(pattern, pos + 1)
     return sorted(set(anchors))
+
+
+# --- the per-type classifier, an oracle for classify ---
+#
+# The window classifier as it was before classify made one backward scan:
+# a forward loop over every instruction's core matches, then one scan per
+# sequence-shaped type. Kept verbatim apart from the two function names.
+
+_ARITH = frozenset({Mnemonic.ADD, Mnemonic.SUB, Mnemonic.IMUL})
+_LOGICAL = frozenset(
+    {Mnemonic.AND, Mnemonic.OR, Mnemonic.XOR, Mnemonic.SHL, Mnemonic.SHR}
+)
+_PIVOT_WRITERS = _ARITH | _LOGICAL | {Mnemonic.MOV}
+_RET_CLASS = frozenset({Mnemonic.RET, Mnemonic.RET_IMM})
+_SYS_CORES = frozenset(
+    {Mnemonic.SYSCALL, Mnemonic.SYSENTER, Mnemonic.CALL_GS}
+)
+# The exact register order of the eight pops before a BROP gadget's return.
+BROP_REGS = (
+    Reg.RBX, Reg.RBP, Reg.R12, Reg.R13, Reg.R14, Reg.RSI, Reg.R15, Reg.RDI,
+)
+
+
+def _is_sys_core(insn: Instruction) -> bool:
+    if insn.mnemonic in _SYS_CORES:
+        return True
+    return (
+        insn.mnemonic is Mnemonic.INT
+        and insn.operands
+        and insn.operands[0].imm == 0x80
+    )
+
+
+def _is_store_mov(insn: Instruction) -> bool:
+    return (
+        insn.mnemonic is Mnemonic.MOV
+        and len(insn.operands) == 2
+        and insn.operands[0].is_mem
+        and insn.operands[1].is_reg
+    )
+
+
+
+# Per-instruction core matching. Each hit names a type and whether the match
+# is in the type's minimal shape (register operands or a bare [reg] address).
+
+
+def reference_insn_cores(insn: Instruction) -> list[tuple[GadgetType, bool]]:
+    hits: list[tuple[GadgetType, bool]] = []
+    m = insn.mnemonic
+    ops = insn.operands
+
+    if m in _PIVOT_WRITERS and len(ops) == 2 and ops[0].reg is Reg.RSP:
+        # A two-operand write to rsp is a stack pivot, whatever it computes.
+        hits.append((GadgetType.SP, ops[1].is_reg))
+
+    elif m is Mnemonic.MOV and len(ops) == 2:
+        dst, src = ops
+        if dst.is_reg and (src.is_reg or src.is_imm):
+            hits.append((GadgetType.MR, True))
+        elif dst.is_reg and src.is_mem:
+            mem = src.mem
+            hits.append((GadgetType.LM, mem.is_bare))
+            if mem.base is not None and mem.index is None and mem.disp != 0:
+                hits.append((GadgetType.LMEX, True))
+        elif dst.is_mem and src.is_reg:
+            mem = dst.mem
+            hits.append((GadgetType.SM, mem.is_bare))
+            hits.append((GadgetType.ST, mem.is_bare))
+            if mem.base is not None and mem.index is None and mem.disp != 0:
+                hits.append((GadgetType.STCONSTEX, True))
+        elif dst.is_mem and src.is_imm:
+            mem = dst.mem
+            hits.append((GadgetType.STCONST, mem.is_bare))
+            if mem.base is not None and mem.index is None and mem.disp != 0:
+                hits.append((GadgetType.STCONSTEX, True))
+
+    elif m in _ARITH and len(ops) == 2:
+        dst, src = ops
+        if dst.is_reg and (src.is_reg or src.is_imm):
+            hits.append((GadgetType.AM, True))
+        elif dst.is_reg and src.is_mem:
+            hits.append((GadgetType.AM_LD, src.mem.is_bare))
+        elif dst.is_mem and src.is_reg:
+            hits.append((GadgetType.AM_ST, dst.mem.is_bare))
+
+    elif m in _LOGICAL and len(ops) == 2:
+        dst = ops[0]
+        if dst.is_reg:
+            hits.append((GadgetType.LOGIC, True))
+        elif dst.is_mem:
+            hits.append((GadgetType.LOGIC, dst.mem.is_bare))
+
+    elif m is Mnemonic.POP and ops:
+        reg = ops[0].reg
+        if reg is Reg.RSP:
+            hits.append((GadgetType.SP, True))
+        else:
+            hits.append((GadgetType.LR, True))
+
+    elif m is Mnemonic.XCHG and len(ops) == 2:
+        regs = {o.reg for o in ops if o.is_reg}
+        if Reg.RSP in regs and len(regs) == 2:
+            hits.append((GadgetType.SP, True))
+
+    elif m is Mnemonic.LEA and ops and ops[0].reg is Reg.RSP:
+        hits.append((GadgetType.SP, False))
+
+    elif m is Mnemonic.JMP_RM:
+        hits.append((GadgetType.JMP, ops[0].is_reg))
+
+    elif m is Mnemonic.CALL_RM:
+        op = ops[0]
+        bare = op.is_reg or (op.is_mem and op.mem.is_bare)
+        hits.append((GadgetType.CALL, bare))
+
+    elif m is Mnemonic.CALL_GS:
+        hits.append((GadgetType.SYS, True))
+        hits.append((GadgetType.CALL, False))
+
+    elif _is_sys_core(insn):
+        hits.append((GadgetType.SYS, True))
+
+    return hits
+
+
+# The two places a single-instruction core may sit. A core that is the
+# window's last instruction acts by itself (a pivot redirects control
+# through the new stack, so its minimum footprint has no closing return);
+# it is minimal when it is the whole window. A core before a closing return
+# is minimal when the return alone follows it.
+_LAST_CORE_TYPES = frozenset(
+    {GadgetType.SP, GadgetType.JMP, GadgetType.CALL, GadgetType.SYS}
+)
+_RET_CORE_TYPES = frozenset(
+    {
+        GadgetType.MR, GadgetType.LR, GadgetType.AM, GadgetType.LM,
+        GadgetType.AM_LD, GadgetType.SM, GadgetType.AM_ST, GadgetType.LOGIC,
+        GadgetType.ST, GadgetType.STCONST,
+        GadgetType.STCONSTEX, GadgetType.LMEX,
+        GadgetType.SP, GadgetType.SYS,
+    }
+)
+
+
+def reference_classify(
+    insns: Sequence[Instruction],
+    enable_heuristic_types: bool = False,
+    matches: Sequence[list[tuple[GadgetType, bool]]] | None = None,
+) -> Gadget:
+    """Classify an instruction window into the gadget it forms.
+
+    Types, footprints and core indices are position-pure: they depend only
+    on mnemonics, operands, and branch offsets relative to the window, never
+    on absolute addresses. `matches`, when given, holds the core matches of
+    each instruction of the window as `find_gadgets` caches them.
+    """
+    assert insns, "cannot classify an empty window"
+    if matches is None:
+        matches = [reference_insn_cores(insn) for insn in insns]
+    last = insns[-1]
+    n = len(insns)
+    footprints: dict[GadgetType, Footprint] = {}
+    cores: dict[GadgetType, int] = {}
+
+    ret_end = last.mnemonic in _RET_CLASS
+
+    # Single-instruction core matches; the match closest to the terminator
+    # wins the core slot for its type.
+    per_insn: dict[GadgetType, tuple[int, bool]] = {}
+    for idx, hits in enumerate(matches):
+        for gtype, strict in hits:
+            per_insn[gtype] = (idx, strict)
+
+    for gtype, (idx, strict) in per_insn.items():
+        if idx == n - 1:
+            if gtype not in _LAST_CORE_TYPES:
+                continue
+            minimal = strict and n == 1
+        elif ret_end and gtype in _RET_CORE_TYPES:
+            minimal = strict and n == 2
+        else:
+            continue
+        cores[gtype] = idx
+        footprints[gtype] = Footprint.MIN_FP if minimal else Footprint.EX_FP
+
+    # Sequence-shaped types.
+    if last.mnemonic is Mnemonic.CALL_RM and n >= 2 and _is_store_mov(insns[-2]):
+        strict = (
+            n == 2
+            and insns[-2].operands[0].mem.is_bare
+            and last.operands[0].is_reg
+        )
+        cores[GadgetType.CP] = n - 2
+        footprints[GadgetType.CP] = (
+            Footprint.MIN_FP if strict else Footprint.EX_FP
+        )
+
+    if ret_end:
+        call_sites = [
+            i for i in range(n - 1) if insns[i].mnemonic is Mnemonic.CALL_RM
+        ]
+        if call_sites:
+            cores[GadgetType.CS2] = call_sites[-1]
+            footprints[GadgetType.CS2] = (
+                Footprint.MIN_FP if n == 2 else Footprint.EX_FP
+            )
+
+    if last.mnemonic in (Mnemonic.CALL_RM, Mnemonic.JMP_RM):
+        pops = [
+            i
+            for i in range(n - 1)
+            if insns[i].mnemonic is Mnemonic.POP
+            and insns[i].operands[0].reg is Reg.RBP
+        ]
+        if pops:
+            cores[GadgetType.EP] = pops[-1]
+            footprints[GadgetType.EP] = (
+                Footprint.MIN_FP if n == 2 else Footprint.EX_FP
+            )
+
+    if last.mnemonic is Mnemonic.JMP_RM:
+        for i in range(1, n - 1):
+            if insns[i].mnemonic is Mnemonic.CALL_RM and _is_store_mov(
+                insns[i - 1]
+            ):
+                cores[GadgetType.RF] = i - 1
+                footprints[GadgetType.RF] = (
+                    Footprint.MIN_FP if n == 3 else Footprint.EX_FP
+                )
+                break
+
+    if (
+        n == 9
+        and ret_end
+        and all(
+            insns[i].mnemonic is Mnemonic.POP
+            and insns[i].operands[0].reg is BROP_REGS[i]
+            for i in range(8)
+        )
+    ):
+        cores[GadgetType.BROP] = 7
+        footprints[GadgetType.BROP] = Footprint.MIN_FP
+
+    if (
+        last.mnemonic is Mnemonic.JMP_REL
+        and last.branch_target is not None
+        and insns[0].addr <= last.branch_target <= last.addr
+    ):
+        cores[GadgetType.STOP] = n - 1
+        footprints[GadgetType.STOP] = (
+            Footprint.MIN_FP if n <= 2 else Footprint.EX_FP
+        )
+
+    if enable_heuristic_types:
+        if n >= 20:
+            cores[GadgetType.TM] = n - 1
+            footprints[GadgetType.TM] = Footprint.EX_FP
+        backward_jcc = [
+            i
+            for i in range(n)
+            if insns[i].mnemonic is Mnemonic.JCC
+            and insns[i].branch_target is not None
+            and insns[0].addr <= insns[i].branch_target <= insns[i].addr
+        ]
+        if backward_jcc and ret_end:
+            cores[GadgetType.CS1] = backward_jcc[-1]
+            footprints[GadgetType.CS1] = Footprint.EX_FP
+        if (
+            ret_end
+            and n >= 2
+            and insns[0].mnemonic in (Mnemonic.CALL_REL, Mnemonic.CALL_RM)
+        ):
+            cores[GadgetType.FS] = 0
+            footprints[GadgetType.FS] = Footprint.EX_FP
+
+    return Gadget(
+        insns[0].addr, tuple(insns), frozenset(cores), footprints, cores
+    )
 
 
 def reference_find_gadgets(

@@ -13,6 +13,7 @@ from helpers import (
     decode_stream,
     gadget_multiset,
     is_sys_entry,
+    reference_classify,
     reference_find_gadgets,
     reference_sys_anchors,
 )
@@ -595,7 +596,12 @@ def _random_decodable_stream(seed: int, size: int) -> list:
             parts.append(_random_insn(rng))
         else:
             parts.append(rng.randbytes(rng.randint(1, 4)))
-    data = b"".join(parts)
+    return _sweep(b"".join(parts))
+
+
+def _sweep(data: bytes) -> list:
+    """Every instruction a linear sweep decodes; undecodable bytes are
+    skipped one at a time."""
     out, off = [], 0
     while off < len(data):
         insn = decode(data, 0x400000 + off, off)
@@ -646,3 +652,88 @@ def test_classification_digest_is_pinned():
         46054,
         "8006cd0b4db6fadbe0e7c950fb8db86f5f6e4665522adeb61fb69a968e6f1411",
     )
+
+
+# --- the one-scan classifier against the per-type oracle ---
+
+# Multi-instruction shapes that random single instructions rarely line up:
+# the BROP pops, and a store then an indirect call as RF and CP hold them.
+_STORE_CALL = asm(mov_mr(Reg.RDI, Reg.RAX), call_r(Reg.RSI))
+_STORE_CALL_BARE = asm(mov_mr(Reg.RSP, Reg.RBX), call_m(Reg.RAX))
+
+
+def _assert_windows_match_oracle(stream, max_len: int) -> None:
+    """Every window of up to max_len instructions of the stream, whatever
+    it ends at, and every window find_gadgets mines from it, classify as
+    the per-type oracle does, with and without heuristic types."""
+    stream = tuple(stream)
+    for heuristic in (False, True):
+        for end in range(1, len(stream) + 1):
+            for length in range(1, min(max_len, end) + 1):
+                window = stream[end - length : end]
+                assert classify(window, heuristic) == reference_classify(
+                    window, heuristic
+                ), (heuristic, [i.render() for i in window])
+        for g in find_gadgets(stream, max_len, heuristic):
+            assert g == reference_classify(g.insns, heuristic), (
+                heuristic, g.render()
+            )
+
+
+def _shaped_decodable_stream(seed: int, size: int) -> list:
+    """Like _random_decodable_stream, with the BROP pops and store-call
+    pairs mixed in."""
+    rng = random.Random(seed)
+    parts = []
+    while sum(map(len, parts)) < size:
+        roll = rng.random()
+        if roll < 0.04:
+            parts.append(BROP_POPS)
+        elif roll < 0.1:
+            parts.append(rng.choice((_STORE_CALL, _STORE_CALL_BARE)))
+        elif roll < 0.85:
+            parts.append(_random_insn(rng))
+        else:
+            parts.append(rng.randbytes(rng.randint(1, 4)))
+    return _sweep(b"".join(parts))
+
+
+def test_classify_matches_oracle_on_mined_windows():
+    """Every window find_gadgets mines from a seeded corpus under all four
+    schemes classifies as the per-type oracle does."""
+    program = generate(
+        GenParams(n_functions=40, max_functions_per_page=4), seed=21
+    )
+    for kind in SchemeKind:
+        image, _ = apply_scheme(program, RandomizationScheme(kind, seed=6))
+        for stream in offline_disassemble(image).values():
+            for heuristic in (False, True):
+                for g in find_gadgets(stream, 10, heuristic):
+                    assert g == reference_classify(g.insns, heuristic)
+
+
+@pytest.mark.parametrize("seed,max_len", [(0, 10), (1, 10), (2, 10), (3, 22)])
+def test_classify_matches_oracle_on_random_windows(seed, max_len):
+    # Windows of 20 or more instructions are the heuristic TM type's.
+    _assert_windows_match_oracle(
+        _shaped_decodable_stream(seed, 2048), max_len
+    )
+
+
+_SHAPED_CHUNKS = st.one_of(
+    _ORACLE_CHUNKS, st.sampled_from([BROP_POPS, _STORE_CALL, _STORE_CALL_BARE])
+)
+
+
+@given(
+    chunks=st.lists(_SHAPED_CHUNKS, min_size=1, max_size=16),
+    noise=st.lists(st.binary(min_size=1, max_size=3), max_size=2),
+)
+@settings(max_examples=150, deadline=None)
+def test_classify_matches_oracle_on_generated_streams(chunks, noise):
+    # Noise bytes between chunks break byte adjacency or decode as other
+    # instructions, as leaked bytes between functions do.
+    parts = list(chunks)
+    for k, blob in enumerate(noise):
+        parts.insert(1 + k * len(parts) // (len(noise) + 1), blob)
+    _assert_windows_match_oracle(_sweep(b"".join(parts)), 10)
