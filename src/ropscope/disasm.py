@@ -2,7 +2,10 @@
 
 One opcode map, `_OPCODE_MAP`, is the one place that lists the modelled
 opcodes: `_decode_body` reads an optional REX byte and dispatches through it,
-and `FIRST_BYTE_TABLE` is computed from its keys.
+and `FIRST_BYTE_TABLE` is computed from its keys. The map's handlers only
+parse operands: `_effects` is the one place where an instruction's register
+effects are decided, from one table of implicit effects per mnemonic and one
+rule over the operands.
 
 The decoder is total: any byte string yields either an Instruction or None
 (the invalid marker, always consuming one byte). Register effects are kept at
@@ -161,14 +164,6 @@ class MemRef(NamedTuple):
     disp: int = 0
     rip_relative: bool = False
 
-    def regs(self) -> frozenset[Reg]:
-        out = set()
-        if self.base is not None:
-            out.add(self.base)
-        if self.index is not None:
-            out.add(self.index)
-        return frozenset(out)
-
     @property
     def is_bare(self) -> bool:
         """A single-register expression with no displacement, index, or rip base."""
@@ -298,16 +293,81 @@ _GROUP1_DIGIT = {
 }
 _SHIFT_DIGIT = {4: Mnemonic.SHL, 5: Mnemonic.SHR}
 
+# `_effects` keeps register sets as masks, bit r for Reg r.
+_RSP, _RBP, _RAX = 1 << Reg.RSP, 1 << Reg.RBP, 1 << Reg.RAX
+
+# Implicit effects as (reads, writes) masks: the stack pointer of push, pop,
+# call, ret and leave (which also moves rbp), and the system-call number and
+# result in rax (syscall also clobbers rcx and r11).
+_IMPLICIT_EFFECTS = {
+    **dict.fromkeys(
+        (Mnemonic.PUSH, Mnemonic.POP, Mnemonic.RET, Mnemonic.RET_IMM,
+         Mnemonic.CALL_REL, Mnemonic.CALL_RM, Mnemonic.CALL_GS),
+        (_RSP, _RSP),
+    ),
+    Mnemonic.LEAVE: (_RBP | _RSP, _RBP | _RSP),
+    Mnemonic.SYSCALL: (_RAX, _RAX | 1 << Reg.RCX | 1 << Reg.R11),
+    Mnemonic.SYSENTER: (_RAX, _RAX),
+    Mnemonic.INT: (_RAX, _RAX),
+}
+
 # Mnemonics whose destination register value is also an input.
 _READS_DEST = frozenset(
     {
         Mnemonic.ADD, Mnemonic.OR, Mnemonic.AND, Mnemonic.SUB, Mnemonic.XOR,
-        Mnemonic.CMP, Mnemonic.TEST, Mnemonic.IMUL, Mnemonic.INC, Mnemonic.DEC,
-        Mnemonic.NOT, Mnemonic.NEG, Mnemonic.SHL, Mnemonic.SHR,
+        Mnemonic.IMUL, Mnemonic.INC, Mnemonic.DEC, Mnemonic.NOT, Mnemonic.NEG,
+        Mnemonic.SHL, Mnemonic.SHR, Mnemonic.XCHG,
     }
 )
-# Comparison mnemonics update flags only, never a register or memory cell.
-_NO_RESULT = frozenset({Mnemonic.CMP, Mnemonic.TEST})
+# Mnemonics with no destination, whose operands are all sources: comparisons
+# update flags only, and push and the indirect branches only read theirs.
+_NO_RESULT = frozenset(
+    {Mnemonic.CMP, Mnemonic.TEST, Mnemonic.PUSH, Mnemonic.CALL_RM,
+     Mnemonic.JMP_RM}
+)
+
+
+class _RegSets(dict):
+    """The one frozenset of each register mask: only a few dozen masks occur,
+    so a decode that finds both of its masks here builds no set, and every
+    retained instruction shares its sets."""
+
+    def __missing__(self, mask: int) -> frozenset[Reg]:
+        regs = self[mask] = frozenset(r for r in _REGS if mask >> r & 1)
+        return regs
+
+
+_REG_SETS = _RegSets()
+
+
+def _effects(
+    mnemonic: Mnemonic, operands: tuple[Operand, ...]
+) -> tuple[frozenset[Reg], frozenset[Reg]]:
+    """The registers an instruction reads and writes.
+
+    They are its mnemonic's implicit effects plus its operands': a memory
+    operand reads its address registers, and a register source is read. The
+    first operand is the destination unless the mnemonic is in `_NO_RESULT`;
+    a register destination is written, and also read when the mnemonic is in
+    `_READS_DEST`. xchg writes its source register too."""
+    reads, writes = _IMPLICIT_EFFECTS.get(mnemonic, (0, 0))
+    dest = mnemonic not in _NO_RESULT
+    for op in operands:
+        kind = op.kind
+        if kind == "reg":
+            bit = 1 << op.reg
+            if not dest or mnemonic in _READS_DEST:
+                reads |= bit
+            if dest or mnemonic is Mnemonic.XCHG:
+                writes |= bit
+        elif kind == "mem":
+            mem = op.mem
+            if mem.base is not None:
+                reads |= 1 << mem.base
+            if mem.index is not None:
+                reads |= 1 << mem.index
+        dest = False
+    return _REG_SETS[reads], _REG_SETS[writes]
 
 
 def _s8(value: int) -> int:
@@ -408,35 +468,6 @@ def _parse_modrm(
     return Operand.make_mem(mem, width), reg
 
 
-def _binary_effects(
-    mnemonic: Mnemonic, dst: Operand, src: Operand
-) -> tuple[frozenset[Reg], frozenset[Reg]]:
-    reads: set[Reg] = set()
-    writes: set[Reg] = set()
-    reads_dest = mnemonic in _READS_DEST
-    no_result = mnemonic in _NO_RESULT
-
-    if src.is_reg:
-        reads.add(src.reg)
-    elif src.is_mem:
-        reads |= src.mem.regs()
-
-    if dst.is_reg:
-        if reads_dest:
-            reads.add(dst.reg)
-        if not no_result:
-            writes.add(dst.reg)
-    elif dst.is_mem:
-        reads |= dst.mem.regs()
-
-    if mnemonic is Mnemonic.XCHG:
-        for op in (dst, src):
-            if op.is_reg:
-                reads.add(op.reg)
-                writes.add(op.reg)
-    return frozenset(reads), frozenset(writes)
-
-
 def decode(data: bytes, addr: int, offset: int = 0) -> Instruction | None:
     """Decode one instruction at addr from data[offset:], reading in place.
 
@@ -450,38 +481,19 @@ def decode(data: bytes, addr: int, offset: int = 0) -> Instruction | None:
         return None
 
 
-# One frozenset object per distinct register set: only a few dozen occur,
-# and every retained instruction would otherwise hold two sets of its own.
-_REG_SETS: dict[frozenset[Reg], frozenset[Reg]] = {}
-
-
-def _interned(regs: Iterable[Reg]) -> frozenset[Reg]:
-    key = frozenset(regs)
-    return _REG_SETS.setdefault(key, key)
-
-
 def _fin(
     cur: _Cursor,
     mnemonic: Mnemonic,
     operands: tuple[Operand, ...] = (),
-    reads: Iterable[Reg] = (),
-    writes: Iterable[Reg] = (),
     branch_target: int | None = None,
     cc: int | None = None,
 ) -> Instruction:
     """Build the instruction spanning the bytes the cursor has consumed."""
+    reads, writes = _effects(mnemonic, operands)
     return Instruction(
-        cur.addr, cur.pos - cur.start, mnemonic, operands,
-        _interned(reads), _interned(writes),
+        cur.addr, cur.pos - cur.start, mnemonic, operands, reads, writes,
         bytes(cur.data[cur.start : cur.pos]), branch_target, cc,
     )
-
-
-def _fin_binary(
-    cur: _Cursor, mnemonic: Mnemonic, dst: Operand, src: Operand
-) -> Instruction:
-    reads, writes = _binary_effects(mnemonic, dst, src)
-    return _fin(cur, mnemonic, (dst, src), reads, writes)
 
 
 # Source operand readers, called after the ModRM bytes with the operand size.
@@ -516,7 +528,7 @@ def _mr(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
     mnemonic, w = arg
     w = w or width
     rm, reg_bits = _parse_modrm(cur, rex, w)
-    return _fin_binary(cur, mnemonic, rm, _reg_op(reg_bits, w, rex != 0))
+    return _fin(cur, mnemonic, (rm, _reg_op(reg_bits, w, rex != 0)))
 
 
 def _rm(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
@@ -524,15 +536,14 @@ def _rm(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
     mnemonic, w = arg
     w = w or width
     rm, reg_bits = _parse_modrm(cur, rex, w)
-    return _fin_binary(cur, mnemonic, _reg_op(reg_bits, w, rex != 0), rm)
+    return _fin(cur, mnemonic, (_reg_op(reg_bits, w, rex != 0), rm))
 
 
 def _lea(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction | None:
     rm, reg_bits = _parse_modrm(cur, rex, width)
     if not rm.is_mem:
         return None
-    dst = _reg_op(reg_bits, width, rex != 0)
-    return _fin(cur, Mnemonic.LEA, (dst, rm), rm.mem.regs(), {dst.reg})
+    return _fin(cur, Mnemonic.LEA, (_reg_op(reg_bits, width, rex != 0), rm))
 
 
 def _group(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction | None:
@@ -544,46 +555,35 @@ def _group(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction | No
     mnemonic = digits.get(digit)
     if mnemonic is None:
         return None
-    return _fin_binary(cur, mnemonic, rm, source(cur, width))
+    return _fin(cur, mnemonic, (rm, source(cur, width)))
 
 
 def _unary(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction | None:
-    """op r/m, the ModRM reg field (/digit) picking the form. arg: digit ->
-    (mnemonic, stack); a stack set marks an indirect branch, whose operand is
-    64 bits in long mode and only read, and which reads and writes stack."""
+    """op r/m, the ModRM reg field (/digit) picking the mnemonic. arg: digit
+    -> mnemonic; an indirect branch's operand is 64 bits in long mode."""
     rm, digit = _parse_modrm(cur, rex, width)
-    form = arg.get(digit)
-    if form is None:
+    mnemonic = arg.get(digit)
+    if mnemonic is None:
         return None
-    mnemonic, stack = form
-    used = {rm.reg} if rm.is_reg else rm.mem.regs()
-    if stack is None:
-        return _fin(cur, mnemonic, (rm,), used, used if rm.is_reg else ())
-    rm = Operand.make_reg(rm.reg) if rm.is_reg else Operand.make_mem(rm.mem)
-    return _fin(cur, mnemonic, (rm,), stack | used, stack)
+    if mnemonic is Mnemonic.CALL_RM or mnemonic is Mnemonic.JMP_RM:
+        rm = Operand.make_reg(rm.reg) if rm.is_reg else Operand.make_mem(rm.mem)
+    return _fin(cur, mnemonic, (rm,))
 
 
-def _push(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+def _push_pop(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+    """push or pop of the register in the opcode's low bits. arg: mnemonic."""
     reg = _REGS[(op & 7) | ((rex & 1) << 3)]
-    return _fin(
-        cur, Mnemonic.PUSH, (Operand.make_reg(reg),), {reg, Reg.RSP}, {Reg.RSP}
-    )
-
-
-def _pop(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
-    reg = _REGS[(op & 7) | ((rex & 1) << 3)]
-    return _fin(
-        cur, Mnemonic.POP, (Operand.make_reg(reg),), {Reg.RSP}, {reg, Reg.RSP}
-    )
+    return _fin(cur, arg, (Operand.make_reg(reg),))
 
 
 def _xchg_rax(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
     other = (op & 7) | ((rex & 1) << 3)
     if other == 0:
         return _fin(cur, Mnemonic.NOP)
-    a = Operand.make_reg(Reg.RAX, width)
-    b = _reg_op(other, width, rex != 0)
-    return _fin(cur, Mnemonic.XCHG, (a, b), {a.reg, b.reg}, {a.reg, b.reg})
+    return _fin(
+        cur, Mnemonic.XCHG,
+        (Operand.make_reg(Reg.RAX, width), _reg_op(other, width, rex != 0)),
+    )
 
 
 def _mov_imm(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
@@ -591,31 +591,26 @@ def _mov_imm(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
     imm = cur.u64() if rex & 0x8 else cur.u32()
     return _fin(
         cur, Mnemonic.MOV,
-        (Operand.make_reg(reg, width), Operand.make_imm(imm, width)), (), {reg},
+        (Operand.make_reg(reg, width), Operand.make_imm(imm, width)),
     )
 
 
 def _rel(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
-    """Direct branch. arg: (mnemonic, displacement bytes, stack registers);
-    a Jcc's condition is the opcode's low nibble."""
-    mnemonic, size, stack = arg
+    """Direct branch. arg: (mnemonic, displacement bytes); a Jcc's condition
+    is the opcode's low nibble."""
+    mnemonic, size = arg
     disp = _s8(cur.u8()) if size == 1 else _s32(cur.u32())
     return _fin(
-        cur, mnemonic, (), stack, stack, branch_target=cur.target(disp),
+        cur, mnemonic, (), branch_target=cur.target(disp),
         cc=op & 0xF if mnemonic is Mnemonic.JCC else None,
     )
 
 
 def _fixed(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
-    """Fixed register effects. arg: (mnemonic, reads, writes, immediate
-    reader or None)."""
-    mnemonic, reads, writes, imm = arg
-    operands = () if imm is None else (imm(cur, width),)
-    return _fin(cur, mnemonic, operands, reads, writes)
+    """No ModRM operand. arg: (mnemonic, immediate reader or None)."""
+    mnemonic, imm = arg
+    return _fin(cur, mnemonic, () if imm is None else (imm(cur, width),))
 
-
-_RSP = frozenset({Reg.RSP})
-_RAX = frozenset({Reg.RAX})
 
 # The opcode map, in the manner of SDM Vol. 2 Appendix A: one entry per
 # modelled opcode, two-byte opcodes keyed 0x0F00 | second byte. It is the one
@@ -633,9 +628,9 @@ _OPCODE_MAP: dict[int, tuple[Callable[..., Instruction | None], object]] = {
     0x33: (_rm, (Mnemonic.XOR, None)),
     0x39: (_mr, (Mnemonic.CMP, None)),
     0x3B: (_rm, (Mnemonic.CMP, None)),
-    **dict.fromkeys(range(0x50, 0x58), (_push, None)),
-    **dict.fromkeys(range(0x58, 0x60), (_pop, None)),
-    **dict.fromkeys(range(0x70, 0x80), (_rel, (Mnemonic.JCC, 1, ()))),
+    **dict.fromkeys(range(0x50, 0x58), (_push_pop, Mnemonic.PUSH)),
+    **dict.fromkeys(range(0x58, 0x60), (_push_pop, Mnemonic.POP)),
+    **dict.fromkeys(range(0x70, 0x80), (_rel, (Mnemonic.JCC, 1))),
     0x81: (_group, (_GROUP1_DIGIT, _simm32)),
     0x83: (_group, (_GROUP1_DIGIT, _simm8)),
     0x85: (_mr, (Mnemonic.TEST, None)),
@@ -648,24 +643,21 @@ _OPCODE_MAP: dict[int, tuple[Callable[..., Instruction | None], object]] = {
     **dict.fromkeys(range(0x90, 0x98), (_xchg_rax, None)),
     **dict.fromkeys(range(0xB8, 0xC0), (_mov_imm, None)),
     0xC1: (_group, (_SHIFT_DIGIT, _uimm8)),
-    0xC2: (_fixed, (Mnemonic.RET_IMM, _RSP, _RSP, _uimm16)),
-    0xC3: (_fixed, (Mnemonic.RET, _RSP, _RSP, None)),
+    0xC2: (_fixed, (Mnemonic.RET_IMM, _uimm16)),
+    0xC3: (_fixed, (Mnemonic.RET, None)),
     0xC7: (_group, ({0: Mnemonic.MOV}, _simm32)),
-    0xC9: (_fixed,
-           (Mnemonic.LEAVE, {Reg.RBP, Reg.RSP}, {Reg.RBP, Reg.RSP}, None)),
-    0xCD: (_fixed, (Mnemonic.INT, _RAX, _RAX, _uimm8)),
+    0xC9: (_fixed, (Mnemonic.LEAVE, None)),
+    0xCD: (_fixed, (Mnemonic.INT, _uimm8)),
     0xD3: (_group, (_SHIFT_DIGIT, _cl)),
-    0xE8: (_rel, (Mnemonic.CALL_REL, 4, _RSP)),
-    0xE9: (_rel, (Mnemonic.JMP_REL, 4, ())),
-    0xEB: (_rel, (Mnemonic.JMP_REL, 1, ())),
-    0xF7: (_unary, {2: (Mnemonic.NOT, None), 3: (Mnemonic.NEG, None)}),
-    0xFF: (_unary, {0: (Mnemonic.INC, None), 1: (Mnemonic.DEC, None),
-                    2: (Mnemonic.CALL_RM, _RSP),
-                    4: (Mnemonic.JMP_RM, frozenset())}),
-    0x0F05: (_fixed,
-             (Mnemonic.SYSCALL, _RAX, {Reg.RAX, Reg.RCX, Reg.R11}, None)),
-    0x0F34: (_fixed, (Mnemonic.SYSENTER, _RAX, _RAX, None)),
-    **dict.fromkeys(range(0x0F80, 0x0F90), (_rel, (Mnemonic.JCC, 4, ()))),
+    0xE8: (_rel, (Mnemonic.CALL_REL, 4)),
+    0xE9: (_rel, (Mnemonic.JMP_REL, 4)),
+    0xEB: (_rel, (Mnemonic.JMP_REL, 1)),
+    0xF7: (_unary, {2: Mnemonic.NOT, 3: Mnemonic.NEG}),
+    0xFF: (_unary, {0: Mnemonic.INC, 1: Mnemonic.DEC, 2: Mnemonic.CALL_RM,
+                    4: Mnemonic.JMP_RM}),
+    0x0F05: (_fixed, (Mnemonic.SYSCALL, None)),
+    0x0F34: (_fixed, (Mnemonic.SYSENTER, None)),
+    **dict.fromkeys(range(0x0F80, 0x0F90), (_rel, (Mnemonic.JCC, 4))),
     0x0FAF: (_rm, (Mnemonic.IMUL, None)),
 }
 
@@ -683,7 +675,7 @@ def _decode_body(cur: _Cursor) -> Instruction | None:
     if cur.data.startswith(GS_CALL_BYTES, cur.start):
         cur.pos += len(GS_CALL_BYTES)
         mem = Operand.make_mem(MemRef(disp=0x10), 64)
-        return _fin(cur, Mnemonic.CALL_GS, (mem,), _RSP, _RSP)
+        return _fin(cur, Mnemonic.CALL_GS, (mem,))
     rex = 0
     op = cur.u8()
     if 0x40 <= op <= 0x4F:

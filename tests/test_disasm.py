@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import BASE, RO, RX, asm, code_image, decode_stream
-from ropscope import disasm
+from ropscope import disasm, encode
 from ropscope.disasm import (
     GS_CALL_BYTES,
+    MemRef,
     Mnemonic,
     Operand,
     PageDecodes,
@@ -36,6 +37,7 @@ from ropscope.encode import (
     call_rel32,
     call_rip,
     dec_m,
+    dec_r,
     gs_call,
     imul_rm,
     imul_rr,
@@ -64,9 +66,11 @@ from ropscope.encode import (
     push_r,
     ret,
     ret_imm,
+    shl_cl,
     shl_mi,
     shl_ri,
     shr_cl,
+    shr_ri,
     sysenter,
     syscall,
     xchg_rax,
@@ -174,6 +178,20 @@ _EFFECTS = [
     (leave(), {Reg.RBP, Reg.RSP}, {Reg.RBP, Reg.RSP}, "LOAD"),
     (ret(), {Reg.RSP}, {Reg.RSP}, "LOAD"),
     (call_r(Reg.RDI), {Reg.RDI, Reg.RSP}, {Reg.RSP}, "STORE"),
+    (syscall(), {Reg.RAX}, {Reg.RAX, Reg.RCX, Reg.R11}, "NONE"),
+    (sysenter(), {Reg.RAX}, {Reg.RAX}, "NONE"),
+    (int80(), {Reg.RAX}, {Reg.RAX}, "NONE"),
+    (gs_call(), {Reg.RSP}, {Reg.RSP}, "STORE"),
+    (ret_imm(8), {Reg.RSP}, {Reg.RSP}, "LOAD"),
+    (jmp_r(Reg.RSI), {Reg.RSI}, set(), "NONE"),
+    (jmp_rip(-0x800), set(), set(), "LOAD"),
+    (call_m(Reg.RAX, disp=0x18), {Reg.RAX, Reg.RSP}, {Reg.RSP}, "STORE"),
+    (dec_m(Reg.RBX), {Reg.RBX}, set(), "STORE"),
+    (not_r(Reg.RDX), {Reg.RDX}, {Reg.RDX}, "NONE"),
+    (shl_ri(Reg.RAX, 4), {Reg.RAX}, {Reg.RAX}, "NONE"),
+    (mov_mi(Reg.RDI, 0x1234, disp=8), {Reg.RDI}, set(), "STORE"),
+    (xchg_rax(Reg.R9), {Reg.RAX, Reg.R9}, {Reg.RAX, Reg.R9}, "NONE"),
+    (pop_r(Reg.R12), {Reg.RSP}, {Reg.R12, Reg.RSP}, "LOAD"),
 ]
 
 
@@ -297,6 +315,303 @@ def test_decoder_digest_is_pinned():
         digest.update(repr(_decode_record(data)).encode())
         digest.update(b"\n")
     assert digest.hexdigest() == DECODER_DIGEST
+
+
+# The encode/decode round trip: for every encode.py form, drawn registers,
+# widths, displacements and immediates decode to one instruction of exactly
+# the encoding's bytes, with those operands. Each builder draws a form's
+# arguments and returns the encoding and the instruction expected from it.
+_RT_ADDR = 0x40_0000
+_S8 = st.integers(-0x80, 0x7F)
+_S32 = st.integers(-(1 << 31), (1 << 31) - 1)
+
+
+def _want(raw, mnemonic, *operands, disp=None, cc=None):
+    """(raw, (mnemonic, operands, branch target, cc)) of a decode at _RT_ADDR."""
+    target = None if disp is None else (_RT_ADDR + len(raw) + disp) & disasm.MASK64
+    return raw, (mnemonic, operands, target, cc)
+
+
+def _width(d, widths=(32, 64)):
+    return d.draw(st.sampled_from(widths), label="width")
+
+
+def _reg(d, width=64, exclude=()):
+    # Without a REX prefix, byte-register numbers 4-7 name ah-bh, and
+    # encode.py adds no REX for spl-dil, so byte-width forms draw the other
+    # twelve registers.
+    if width == 8:
+        exclude = (*exclude, Reg.RSP, Reg.RBP, Reg.RSI, Reg.RDI)
+    return d.draw(st.sampled_from([r for r in Reg if r not in exclude]), label="reg")
+
+
+def _disp(d):
+    return d.draw(_S32, label="disp")
+
+
+def _imm(d, bits):
+    return d.draw(st.integers(0, (1 << bits) - 1), label="imm")
+
+
+def _alu(d):
+    op = d.draw(st.sampled_from(("add", "or", "and", "sub", "xor", "cmp")), label="op")
+    return op, Mnemonic[op.upper()]
+
+
+def _R(reg, width=64):
+    return Operand.make_reg(reg, width)
+
+
+def _M(base, disp, width=64):
+    return Operand.make_mem(MemRef(base, disp=disp), width)
+
+
+def _I(value, width):
+    return Operand.make_imm(value, width)
+
+
+def _rt_rr(encoder, mnemonic, widths=(32, 64)):
+    def build(d):
+        w = _width(d, widths)
+        a, b = _reg(d, w), _reg(d, w)
+        return _want(encoder(a, b, width=w), mnemonic, _R(a, w), _R(b, w))
+    return build
+
+
+def _rt_r_m(encoder, mnemonic, widths=(32, 64)):
+    def build(d):
+        w = _width(d, widths)
+        dst, base, disp = _reg(d, w), _reg(d), _disp(d)
+        raw = encoder(dst, base, disp, width=w)
+        return _want(raw, mnemonic, _R(dst, w), _M(base, disp, w))
+    return build
+
+
+def _rt_m_r(encoder, mnemonic, widths=(32, 64)):
+    def build(d):
+        w = _width(d, widths)
+        base, src, disp = _reg(d), _reg(d, w), _disp(d)
+        raw = encoder(base, src, disp, width=w)
+        return _want(raw, mnemonic, _M(base, disp, w), _R(src, w))
+    return build
+
+
+def _rt_r(encoder, mnemonic, *extra):
+    def build(d):
+        w = _width(d)
+        reg = _reg(d, w)
+        return _want(encoder(reg, width=w), mnemonic, _R(reg, w), *extra)
+    return build
+
+
+def _rt_m(encoder, mnemonic):
+    def build(d):
+        w, base, disp = _width(d), _reg(d), _disp(d)
+        return _want(encoder(base, disp, width=w), mnemonic, _M(base, disp, w))
+    return build
+
+
+def _rt_shift_ri(encoder, mnemonic):
+    def build(d):
+        w, imm = _width(d), _imm(d, 8)
+        reg = _reg(d, w)
+        return _want(encoder(reg, imm, width=w), mnemonic, _R(reg, w), _I(imm, 8))
+    return build
+
+
+# Push, pop and the indirect branches take a 64-bit operand whatever their
+# prefix.
+def _rt_r64(encoder, mnemonic):
+    def build(d):
+        reg = _reg(d)
+        return _want(encoder(reg), mnemonic, _R(reg))
+    return build
+
+
+def _rt_m64(encoder, mnemonic):
+    def build(d):
+        base, disp = _reg(d), _disp(d)
+        return _want(encoder(base, disp), mnemonic, _M(base, disp))
+    return build
+
+
+def _rt_rip(encoder, mnemonic):
+    def build(d):
+        disp = _disp(d)
+        mem = Operand.make_mem(MemRef(disp=disp, rip_relative=True))
+        return _want(encoder(disp), mnemonic, mem)
+    return build
+
+
+def _rt_rel(encoder, mnemonic, disps):
+    def build(d):
+        disp = d.draw(disps, label="disp")
+        return _want(encoder(disp), mnemonic, disp=disp)
+    return build
+
+
+def _rt_jcc(encoder, disps):
+    def build(d):
+        cc, disp = d.draw(st.integers(0, 15), label="cc"), d.draw(disps, label="disp")
+        return _want(encoder(cc, disp), Mnemonic.JCC, disp=disp, cc=cc)
+    return build
+
+
+def _rt_imm(encoder, mnemonic, bits):
+    def build(d):
+        imm = _imm(d, bits)
+        return _want(encoder(imm), mnemonic, _I(imm, bits))
+    return build
+
+
+def _rt_fixed(encoder, mnemonic, *operands):
+    return lambda d: _want(encoder(), mnemonic, *operands)
+
+
+def _rt_mov_ri(d):
+    w = _width(d)
+    dst, imm = _reg(d, w), _imm(d, w)
+    return _want(mov_ri(dst, imm, width=w), Mnemonic.MOV, _R(dst, w), _I(imm, w))
+
+
+def _rt_mov_ri_modrm(d):
+    w = _width(d)
+    dst, imm = _reg(d, w), d.draw(_S32, label="imm")
+    raw = mov_ri_modrm(dst, imm, width=w)
+    return _want(raw, Mnemonic.MOV, _R(dst, w), _I(imm, w))
+
+
+def _rt_mov_mi(d):
+    w, base, imm, disp = _width(d), _reg(d), d.draw(_S32, label="imm"), _disp(d)
+    raw = mov_mi(base, imm, disp, width=w)
+    return _want(raw, Mnemonic.MOV, _M(base, disp, w), _I(imm, w))
+
+
+def _rt_alu_rr(d):
+    (op, mnemonic), w = _alu(d), _width(d)
+    a, b = _reg(d, w), _reg(d, w)
+    return _want(alu_rr(op, a, b, width=w), mnemonic, _R(a, w), _R(b, w))
+
+
+def _rt_alu_rm(d):
+    (op, mnemonic), w = _alu(d), _width(d)
+    dst, base, disp = _reg(d, w), _reg(d), _disp(d)
+    raw = alu_rm(op, dst, base, disp, width=w)
+    return _want(raw, mnemonic, _R(dst, w), _M(base, disp, w))
+
+
+def _rt_alu_mr(d):
+    (op, mnemonic), w = _alu(d), _width(d)
+    base, src, disp = _reg(d), _reg(d, w), _disp(d)
+    raw = alu_mr(op, base, src, disp, width=w)
+    return _want(raw, mnemonic, _M(base, disp, w), _R(src, w))
+
+
+# alu_ri and alu_mi pick the imm8 form for values that fit a signed byte.
+def _rt_alu_ri(d):
+    (op, mnemonic), w = _alu(d), _width(d)
+    dst, imm = _reg(d, w), d.draw(st.one_of(_S8, _S32), label="imm")
+    return _want(alu_ri(op, dst, imm, width=w), mnemonic, _R(dst, w), _I(imm, w))
+
+
+def _rt_alu_mi(d):
+    (op, mnemonic), w = _alu(d), _width(d)
+    base, imm, disp = _reg(d), d.draw(st.one_of(_S8, _S32), label="imm"), _disp(d)
+    raw = alu_mi(op, base, imm, disp, width=w)
+    return _want(raw, mnemonic, _M(base, disp, w), _I(imm, w))
+
+
+def _rt_lea(d):
+    dst, base, disp = _reg(d), _reg(d), _disp(d)
+    return _want(lea(dst, base, disp), Mnemonic.LEA, _R(dst), _M(base, disp))
+
+
+def _rt_xchg_rax(d):
+    # xchg rax, rax is the one-byte nop.
+    w = _width(d)
+    other = _reg(d, w, exclude=(Reg.RAX,))
+    raw = xchg_rax(other, width=w)
+    return _want(raw, Mnemonic.XCHG, _R(Reg.RAX, w), _R(other, w))
+
+
+def _rt_shl_mi(d):
+    w, base, imm, disp = _width(d), _reg(d), _imm(d, 8), _disp(d)
+    raw = shl_mi(base, imm, disp, width=w)
+    return _want(raw, Mnemonic.SHL, _M(base, disp, w), _I(imm, 8))
+
+
+_ROUND_TRIP = {
+    "mov_rr": _rt_rr(mov_rr, Mnemonic.MOV, (8, 32, 64)),
+    "mov_rm": _rt_r_m(mov_rm, Mnemonic.MOV, (8, 32, 64)),
+    "mov_mr": _rt_m_r(mov_mr, Mnemonic.MOV, (8, 32, 64)),
+    "mov_ri": _rt_mov_ri,
+    "mov_ri_modrm": _rt_mov_ri_modrm,
+    "mov_mi": _rt_mov_mi,
+    "alu_rr": _rt_alu_rr,
+    "alu_rm": _rt_alu_rm,
+    "alu_mr": _rt_alu_mr,
+    "alu_ri": _rt_alu_ri,
+    "alu_mi": _rt_alu_mi,
+    "imul_rr": _rt_rr(imul_rr, Mnemonic.IMUL),
+    "imul_rm": _rt_r_m(imul_rm, Mnemonic.IMUL),
+    "test_rr": _rt_rr(enc_test_rr, Mnemonic.TEST),
+    "xchg_rr": _rt_rr(xchg_rr, Mnemonic.XCHG),
+    "xchg_rax": _rt_xchg_rax,
+    "push_r": _rt_r64(push_r, Mnemonic.PUSH),
+    "pop_r": _rt_r64(pop_r, Mnemonic.POP),
+    "inc_r": _rt_r(inc_r, Mnemonic.INC),
+    "dec_r": _rt_r(dec_r, Mnemonic.DEC),
+    "dec_m": _rt_m(dec_m, Mnemonic.DEC),
+    "neg_r": _rt_r(neg_r, Mnemonic.NEG),
+    "not_r": _rt_r(not_r, Mnemonic.NOT),
+    "shl_ri": _rt_shift_ri(shl_ri, Mnemonic.SHL),
+    "shr_ri": _rt_shift_ri(shr_ri, Mnemonic.SHR),
+    "shl_cl": _rt_r(shl_cl, Mnemonic.SHL, _R(Reg.RCX, 8)),
+    "shr_cl": _rt_r(shr_cl, Mnemonic.SHR, _R(Reg.RCX, 8)),
+    "shl_mi": _rt_shl_mi,
+    "lea": _rt_lea,
+    "nop": _rt_fixed(nop, Mnemonic.NOP),
+    "leave": _rt_fixed(leave, Mnemonic.LEAVE),
+    "ret": _rt_fixed(ret, Mnemonic.RET),
+    "ret_imm": _rt_imm(ret_imm, Mnemonic.RET_IMM, 16),
+    "call_rel32": _rt_rel(call_rel32, Mnemonic.CALL_REL, _S32),
+    "jmp_rel32": _rt_rel(jmp_rel32, Mnemonic.JMP_REL, _S32),
+    "jmp_rel8": _rt_rel(jmp_rel8, Mnemonic.JMP_REL, _S8),
+    "jcc_rel8": _rt_jcc(jcc_rel8, _S8),
+    "jcc_rel32": _rt_jcc(jcc_rel32, _S32),
+    "call_r": _rt_r64(call_r, Mnemonic.CALL_RM),
+    "jmp_r": _rt_r64(jmp_r, Mnemonic.JMP_RM),
+    "call_m": _rt_m64(call_m, Mnemonic.CALL_RM),
+    "jmp_m": _rt_m64(jmp_m, Mnemonic.JMP_RM),
+    "call_rip": _rt_rip(call_rip, Mnemonic.CALL_RM),
+    "jmp_rip": _rt_rip(jmp_rip, Mnemonic.JMP_RM),
+    "syscall": _rt_fixed(syscall, Mnemonic.SYSCALL),
+    "sysenter": _rt_fixed(sysenter, Mnemonic.SYSENTER),
+    "int_n": _rt_imm(int_n, Mnemonic.INT, 8),
+    "int80": _rt_fixed(int80, Mnemonic.INT, _I(0x80, 8)),
+    "gs_call": _rt_fixed(gs_call, Mnemonic.CALL_GS, _M(None, 0x10)),
+}
+
+
+def test_round_trip_covers_every_encoder():
+    public = {
+        name for name, value in vars(encode).items()
+        if callable(value) and not name.startswith("_")
+        and getattr(value, "__module__", None) == encode.__name__
+    }
+    assert set(_ROUND_TRIP) == public
+
+
+@pytest.mark.parametrize("form", sorted(_ROUND_TRIP))
+@given(st.data())
+@settings(max_examples=40)
+def test_encode_decode_round_trip(form, d):
+    raw, expected = _ROUND_TRIP[form](d)
+    # Trailing bytes show that the decode ends where the encoding does.
+    insn = decode(raw + bytes(8), _RT_ADDR)
+    assert insn is not None
+    assert insn.raw == raw and insn.length == len(raw)
+    assert (insn.mnemonic, insn.operands, insn.branch_target, insn.cc) == expected
 
 
 def test_decoded_records_are_immutable():
