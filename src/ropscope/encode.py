@@ -4,7 +4,9 @@ Every function returns raw bytes. The synthesizer builds program images from
 these, and the test suite uses them as the independent side of
 encode/decode round-trip checks. Memory operands are limited to a base
 register with an optional displacement, plus explicit rip-relative forms for
-indirect branches; that is all the toolkit ever needs to emit.
+indirect branches; that is all the toolkit ever needs to emit. Operands are
+32 or 64 bits wide, or 8 bits in the byte movs (mov_rr, mov_rm, mov_mr); any
+other width raises ValueError.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ def _rex(w: int, r: int, x: int, b: int) -> bytes:
 
 
 def _rex_w(width: int, reg_hi: int, rm_hi: int) -> bytes:
+    # The decoder reads no 0x66 prefix, so 32 and 64 bits are the only
+    # operand widths outside the byte movs.
+    if width not in (32, 64):
+        raise ValueError(f"cannot encode a {width}-bit operand")
     return _rex(1 if width == 64 else 0, reg_hi, 0, rm_hi)
 
 
@@ -66,25 +72,39 @@ def _binary_mem_r(opcode: int, base: Reg, disp: int, reg: Reg, width: int = 64) 
     )
 
 
+def _mov(
+    opcode: int, reg: Reg, rm_hi: int, operand: bytes, width: int,
+    byte_regs: tuple[Reg, ...],
+) -> bytes:
+    """A mov of the byte opcode (88 or 8A) at width 8 and of the next one
+    otherwise. Without a REX prefix byte registers 4-7 name ah-bh, so a
+    byte mov naming spl-dil takes at least the bare prefix 0x40."""
+    if width != 8:
+        return _rex_w(width, reg >> 3, rm_hi) + bytes([opcode + 1]) + operand
+    rex = _rex(0, reg >> 3, 0, rm_hi)
+    if not rex and any(4 <= r <= 7 for r in byte_regs):
+        rex = b"\x40"
+    return rex + bytes([opcode]) + operand
+
+
 def mov_rr(dst: Reg, src: Reg, width: int = 64) -> bytes:
-    opcode = 0x88 if width == 8 else 0x89
-    return _binary_rm_r(opcode, dst, src, width)
+    return _mov(0x88, src, dst >> 3, _modrm_reg(src, dst), width, (dst, src))
 
 
 def mov_rm(dst: Reg, base: Reg, disp: int = 0, width: int = 64) -> bytes:
-    opcode = 0x8A if width == 8 else 0x8B
-    return _binary_mem_r(opcode, base, disp, dst, width)
+    operand = _mem_operand(dst, base, disp)
+    return _mov(0x8A, dst, base >> 3, operand, width, (dst,))
 
 
 def mov_mr(base: Reg, src: Reg, disp: int = 0, width: int = 64) -> bytes:
-    opcode = 0x88 if width == 8 else 0x89
-    return _binary_mem_r(opcode, base, disp, src, width)
+    operand = _mem_operand(src, base, disp)
+    return _mov(0x88, src, base >> 3, operand, width, (src,))
 
 
 def mov_ri(dst: Reg, imm: int, width: int = 64) -> bytes:
     if width == 64:
         return _rex(1, 0, 0, dst >> 3) + bytes([0xB8 | (dst & 7)]) + struct.pack("<Q", imm & ((1 << 64) - 1))
-    return _rex(0, 0, 0, dst >> 3) + bytes([0xB8 | (dst & 7)]) + struct.pack("<I", imm & 0xFFFFFFFF)
+    return _rex_w(width, 0, dst >> 3) + bytes([0xB8 | (dst & 7)]) + struct.pack("<I", imm & 0xFFFFFFFF)
 
 
 def mov_ri_modrm(dst: Reg, imm: int, width: int = 64) -> bytes:
@@ -158,7 +178,7 @@ def xchg_rr(a: Reg, b: Reg, width: int = 64) -> bytes:
 
 
 def xchg_rax(other: Reg, width: int = 64) -> bytes:
-    return _rex(1 if width == 64 else 0, 0, 0, other >> 3) + bytes([0x90 | (other & 7)])
+    return _rex_w(width, 0, other >> 3) + bytes([0x90 | (other & 7)])
 
 
 def push_r(reg: Reg) -> bytes:

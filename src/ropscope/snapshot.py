@@ -316,6 +316,16 @@ _PF_W = 2
 _PF_R = 4
 
 
+@dataclass(slots=True)
+class _LoadedPage:
+    """A page load_elf is filling: its merged permissions, its bytes and a
+    mask of the bytes some segment has placed."""
+
+    perms: Perms
+    data: bytearray = field(default_factory=lambda: bytearray(PAGE_SIZE))
+    claimed: bytearray = field(default_factory=lambda: bytearray(PAGE_SIZE))
+
+
 def load_elf(src: str | Path | bytes, kind: str = "exec_only") -> MemoryImage:
     """Map the PT_LOAD segments of a little-endian ELF64 file into an image.
 
@@ -371,10 +381,7 @@ def load_elf(src: str | Path | bytes, kind: str = "exec_only") -> MemoryImage:
 
     # Accumulate page contents; segments may land on the same page only if
     # their byte ranges do not collide. A claim mask marks the bytes placed.
-    page_bytes: dict[int, bytearray] = {}
-    page_perms: dict[int, Perms] = {}
-    page_tags: dict[int, SegmentTag] = {}
-    claimed: dict[int, bytearray] = {}
+    loaded: dict[int, _LoadedPage] = {}
 
     for p_flags, p_offset, p_vaddr, p_filesz, p_memsz in segments:
         executable = bool(p_flags & _PF_X)
@@ -393,25 +400,18 @@ def load_elf(src: str | Path | bytes, kind: str = "exec_only") -> MemoryImage:
             )
 
         perms = Perms(bool(p_flags & _PF_R), writable, executable)
-        seg_tag = SegmentTag.CODE if executable else SegmentTag.DATA
         content = raw[p_offset : p_offset + p_filesz]
         for base, lo, hi in page_spans(p_vaddr, p_vaddr + p_memsz):
-            if base not in page_bytes:
-                page_bytes[base] = bytearray(PAGE_SIZE)
-                page_perms[base] = perms
-                page_tags[base] = seg_tag
-                claimed[base] = bytearray(PAGE_SIZE)
+            page = loaded.get(base)
+            if page is None:
+                page = loaded[base] = _LoadedPage(perms)
             # A byte walk would test the span's first byte for overlap before
             # merging permissions and the rest after, so this does too.
-            mask = claimed[base]
-            if not mask[lo] and perms != page_perms[base]:
+            mask = page.claimed
+            if not mask[lo] and perms != page.perms:
                 # Two loads share a page: take the union of the permissions,
                 # which is code if either is.
-                page_perms[base] = Perms.from_bits(
-                    perms.to_bits() | page_perms[base].to_bits()
-                )
-                if page_perms[base].executable:
-                    page_tags[base] = SegmentTag.CODE
+                page.perms = Perms.from_bits(perms.to_bits() | page.perms.to_bits())
             hit = mask.find(1, lo, hi)
             if hit != -1:
                 raise ElfFormatError(
@@ -420,11 +420,17 @@ def load_elf(src: str | Path | bytes, kind: str = "exec_only") -> MemoryImage:
             mask[lo:hi] = b"\x01" * (hi - lo)
             # Bytes past the file extent were never claimed, so they are zero.
             chunk = content[base + lo - p_vaddr : base + hi - p_vaddr]
-            page_bytes[base][lo : lo + len(chunk)] = chunk
+            page.data[lo : lo + len(chunk)] = chunk
 
+    # A page is code exactly when its merged permissions are executable.
     pages = [
-        PageRecord(base, page_perms[base], page_tags[base], bytes(data))
-        for base, data in sorted(page_bytes.items())
+        PageRecord(
+            base,
+            page.perms,
+            SegmentTag.CODE if page.perms.executable else SegmentTag.DATA,
+            bytes(page.data),
+        )
+        for base, page in sorted(loaded.items())
     ]
     return MemoryImage(pages, {"source": "elf", "load_kind": kind})
 

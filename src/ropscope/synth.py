@@ -444,7 +444,9 @@ def generate(params: GenParams, seed: int) -> SynthProgram:
 
 # Layout. Chunks are the relocation units of a scheme; each chunk is a run
 # of items plus an optional trailing link jump, placed without straddling a
-# page boundary and separated from its neighbors by invalid bytes.
+# page boundary and separated from its neighbors by invalid bytes. The link
+# jump is one more targeted branch of its unit: it is placed, encoded and
+# recorded in the page edges like any other.
 
 
 @dataclass
@@ -473,85 +475,66 @@ def _layout(
     start_base: int,
     renames: Mapping[int, Mapping[Reg, Reg]] | None = None,
 ) -> tuple[MemoryImage, GroundTruth]:
-    # Resolve renames and encode every untargeted item once. A targeted
-    # branch has a fixed size and is encoded once its target is placed.
-    resolved: dict[tuple[int, int], tuple[AsmItem, bytes | None]] = {}
-    size_of: dict[tuple[int, int], int] = {}
-    for f, fn in enumerate(program.functions):
-        for i, item in enumerate(fn.items):
+    # Placement: a unit is its chunk's renamed items plus the link jump, if
+    # any. An untargeted item is encoded here; a targeted branch has a fixed
+    # size and is encoded once every target is placed.
+    functions = program.functions
+    addr_of: dict[tuple[int, int], int] = {}
+    laid: list[tuple[int, int, AsmItem, bytes | None]] = []
+    fn_pages: list[set[int]] = [set() for _ in functions]
+    cursor = last_used = start_base
+    for chunk in chunks:
+        unit: list[tuple[tuple[int, int] | None, AsmItem]] = []
+        for f, i in chunk.items:
+            item = functions[f].items[i]
             if renames and f in renames:
                 item = _rename_args(item, renames[f])
-            code = None
-            if item.target is None:
-                code = getattr(enc, item.op)(*item.args)
-            resolved[(f, i)] = (item, code)
-            size_of[(f, i)] = _BRANCH_SIZES[item.op] if code is None else len(code)
-
-    # Pass 1: place chunks, record every item's address.
-    addr_of: dict[tuple[int, int], int] = {}
-    link_addr: list[int | None] = []
-    cursor = start_base
-    placements: list[tuple[int, _Chunk]] = []
-    last_used = start_base
-    for chunk in chunks:
-        size = sum(size_of[key] for key in chunk.items)
+            unit.append(((f, i), item))
         if chunk.link_to is not None:
-            size += _BRANCH_SIZES["jmp_rel32"]
+            unit.append((None, AsmItem("jmp_rel32", (), chunk.link_to)))
+        codes = [
+            None if item.target is not None else getattr(enc, item.op)(*item.args)
+            for _, item in unit
+        ]
+        sizes = [
+            _BRANCH_SIZES[item.op] if code is None else len(code)
+            for (_, item), code in zip(unit, codes)
+        ]
+        size = sum(sizes)
         if size > PAGE_SIZE:
             raise ValueError("relocation unit larger than a page")
         if page_base(cursor) != page_base(cursor + size - 1):
             cursor = page_base(cursor) + PAGE_SIZE
-        placements.append((cursor, chunk))
-        pos = cursor
-        for key in chunk.items:
-            addr_of[key] = pos
-            pos += size_of[key]
-        link_addr.append(pos if chunk.link_to is not None else None)
-        cursor = pos + (
-            _BRANCH_SIZES["jmp_rel32"] if chunk.link_to is not None else 0
-        )
-        last_used = max(last_used, cursor)
+        page = page_base(cursor)
+        for (key, item), code, item_size in zip(unit, codes, sizes):
+            if key is not None:
+                addr_of[key] = cursor
+                fn_pages[key[0]].add(page)
+            laid.append((cursor, item_size, item, code))
+            cursor += item_size
+        last_used = cursor
         cursor += chunk.gap_after
         if chunk.new_page_after:
             cursor = page_base(cursor) + PAGE_SIZE
 
-    # Pass 2: encode with resolved branch displacements. Pages past the
-    # last emitted byte are never materialized.
+    # Encoding: resolve every targeted branch, link jumps included, and note
+    # each direct branch's page edge. Pages past the last emitted byte are
+    # never materialized.
     lo_page = page_base(start_base)
     hi_page = page_base(last_used - 1 if last_used > start_base else start_base)
     n_pages = (hi_page - lo_page) // PAGE_SIZE + 1
     blob = bytearray(bytes([POISON_BYTE]) * (n_pages * PAGE_SIZE))
-
     page_edges: dict[int, set[int]] = {}
-
-    def note_edge(insn_addr: int, target_addr: int) -> None:
-        page_edges.setdefault(page_base(insn_addr), set()).add(
-            page_base(target_addr)
-        )
-
-    def emit(addr: int, encoded: bytes) -> None:
-        off = addr - lo_page
-        blob[off : off + len(encoded)] = encoded
-
-    for chunk_pos, (placed_at, chunk) in enumerate(placements):
-        for key in chunk.items:
-            item, code = resolved[key]
-            addr = addr_of[key]
-            if code is None:
-                target_addr = addr_of[item.target]
-                disp = target_addr - (addr + size_of[key])
-                code = getattr(enc, item.op)(*item.args, disp)
-                note_edge(addr, target_addr)
-            elif item.op == "jmp_rel8":
-                note_edge(addr, addr + len(code) + item.args[0])
-            emit(addr, code)
-        la = link_addr[chunk_pos]
-        if la is not None:
-            assert chunk.link_to is not None
-            target_addr = addr_of[chunk.link_to]
-            disp = target_addr - (la + 5)
-            emit(la, enc.jmp_rel32(disp))
-            note_edge(la, target_addr)
+    for addr, size, item, code in laid:
+        target = None
+        if code is None:
+            target = addr_of[item.target]
+            code = getattr(enc, item.op)(*item.args, target - (addr + size))
+        elif item.op == "jmp_rel8":
+            target = addr + size + item.args[0]
+        if target is not None:
+            page_edges.setdefault(page_base(addr), set()).add(page_base(target))
+        blob[addr - lo_page : addr - lo_page + size] = code
 
     pages = []
     for k in range(n_pages):
@@ -566,23 +549,11 @@ def _layout(
         )
         for p in program.plants
     )
-    entries = tuple(
-        addr_of[(f, 0)] for f in range(len(program.functions))
-    )
-    fn_pages = []
-    for f in range(len(program.functions)):
-        touched: set[int] = set()
-        for i in range(len(program.functions[f].items)):
-            a = addr_of[(f, i)]
-            touched.add(page_base(a))
-            touched.add(page_base(a + size_of[(f, i)] - 1))
-        fn_pages.append(frozenset(touched))
-
     truth = GroundTruth(
         planted=planted,
         page_edges={p: frozenset(t) for p, t in sorted(page_edges.items())},
-        function_entries=entries,
-        function_pages=tuple(fn_pages),
+        function_entries=tuple(addr_of[(f, 0)] for f in range(len(functions))),
+        function_pages=tuple(map(frozenset, fn_pages)),
         call_graph=program.call_graph,
         multi_instruction_plants=sum(
             1 for p in program.plants if p.n_items >= 2
@@ -592,10 +563,10 @@ def _layout(
 
 
 def _function_chunks(
-    program: SynthProgram, order: Sequence[int], params: GenParams
+    program: SynthProgram, order: Sequence[int]
 ) -> list[_Chunk]:
     chunks = []
-    per_page = params.max_functions_per_page
+    per_page = program.params.max_functions_per_page
     for pos, f in enumerate(order):
         chunk = _Chunk(
             items=[(f, i) for i in range(len(program.functions[f].items))],
@@ -648,7 +619,7 @@ def _instruction_chunks(
 def materialize(program: SynthProgram) -> tuple[MemoryImage, GroundTruth]:
     """Identity layout: original function order at the requested base."""
     order = list(range(len(program.functions)))
-    chunks = _function_chunks(program, order, program.params)
+    chunks = _function_chunks(program, order)
     return _layout(program, chunks, program.params.base)
 
 
@@ -657,7 +628,6 @@ def apply_scheme(
 ) -> tuple[MemoryImage, GroundTruth]:
     """Re-lay the program under a rerandomization scheme."""
     rng = random.Random(scheme.seed)
-    params = program.params
     n = len(program.functions)
 
     renames: Mapping[int, Mapping[Reg, Reg]] | None = None
@@ -672,14 +642,14 @@ def apply_scheme(
             rng.shuffle(perm)
             renames[f] = dict(zip(RENAME_DOMAIN, perm))
 
-    base = params.base
+    base = program.params.base
     if scheme.kind is SchemeKind.COARSE:
         base += (1 + rng.randrange(63)) * PAGE_SIZE
-        chunks = _function_chunks(program, list(range(n)), params)
+        chunks = _function_chunks(program, list(range(n)))
     elif scheme.kind is SchemeKind.FUNCTION:
         order = list(range(n))
         rng.shuffle(order)
-        chunks = _function_chunks(program, order, params)
+        chunks = _function_chunks(program, order)
     elif scheme.kind is SchemeKind.BLOCK:
         chunks = _block_chunks(program, rng)
     else:

@@ -6,10 +6,12 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
+from ropscope import encode as enc
 from ropscope.disasm import (
     GS_CALL_BYTES,
+    POISON_BYTE,
     Instruction,
     Mnemonic,
     Reg,
@@ -51,6 +53,15 @@ from ropscope.snapshot import (
     SegmentTag,
     WritableExecutableError,
     page_base,
+)
+from ropscope.synth import (
+    _BRANCH_SIZES,
+    AsmItem,
+    GroundTruth,
+    PlantRecord,
+    SynthProgram,
+    _Chunk,
+    _rename_args,
 )
 
 RX = Perms(True, False, True)
@@ -916,3 +927,129 @@ def reference_scan_pointers(
         scanned_pages=scanned_pages,
         scanned_words=scanned_words,
     )
+
+
+def reference_layout(
+    program: SynthProgram,
+    chunks: Sequence[_Chunk],
+    start_base: int,
+    renames: Mapping[int, Mapping[Reg, Reg]] | None = None,
+) -> tuple[MemoryImage, GroundTruth]:
+    """synth._layout as it was before the link jump became one more branch
+    item of its unit, kept verbatim. An oracle for synth._layout."""
+    # Resolve renames and encode every untargeted item once. A targeted
+    # branch has a fixed size and is encoded once its target is placed.
+    resolved: dict[tuple[int, int], tuple[AsmItem, bytes | None]] = {}
+    size_of: dict[tuple[int, int], int] = {}
+    for f, fn in enumerate(program.functions):
+        for i, item in enumerate(fn.items):
+            if renames and f in renames:
+                item = _rename_args(item, renames[f])
+            code = None
+            if item.target is None:
+                code = getattr(enc, item.op)(*item.args)
+            resolved[(f, i)] = (item, code)
+            size_of[(f, i)] = _BRANCH_SIZES[item.op] if code is None else len(code)
+
+    # Pass 1: place chunks, record every item's address.
+    addr_of: dict[tuple[int, int], int] = {}
+    link_addr: list[int | None] = []
+    cursor = start_base
+    placements: list[tuple[int, _Chunk]] = []
+    last_used = start_base
+    for chunk in chunks:
+        size = sum(size_of[key] for key in chunk.items)
+        if chunk.link_to is not None:
+            size += _BRANCH_SIZES["jmp_rel32"]
+        if size > PAGE_SIZE:
+            raise ValueError("relocation unit larger than a page")
+        if page_base(cursor) != page_base(cursor + size - 1):
+            cursor = page_base(cursor) + PAGE_SIZE
+        placements.append((cursor, chunk))
+        pos = cursor
+        for key in chunk.items:
+            addr_of[key] = pos
+            pos += size_of[key]
+        link_addr.append(pos if chunk.link_to is not None else None)
+        cursor = pos + (
+            _BRANCH_SIZES["jmp_rel32"] if chunk.link_to is not None else 0
+        )
+        last_used = max(last_used, cursor)
+        cursor += chunk.gap_after
+        if chunk.new_page_after:
+            cursor = page_base(cursor) + PAGE_SIZE
+
+    # Pass 2: encode with resolved branch displacements. Pages past the
+    # last emitted byte are never materialized.
+    lo_page = page_base(start_base)
+    hi_page = page_base(last_used - 1 if last_used > start_base else start_base)
+    n_pages = (hi_page - lo_page) // PAGE_SIZE + 1
+    blob = bytearray(bytes([POISON_BYTE]) * (n_pages * PAGE_SIZE))
+
+    page_edges: dict[int, set[int]] = {}
+
+    def note_edge(insn_addr: int, target_addr: int) -> None:
+        page_edges.setdefault(page_base(insn_addr), set()).add(
+            page_base(target_addr)
+        )
+
+    def emit(addr: int, encoded: bytes) -> None:
+        off = addr - lo_page
+        blob[off : off + len(encoded)] = encoded
+
+    for chunk_pos, (placed_at, chunk) in enumerate(placements):
+        for key in chunk.items:
+            item, code = resolved[key]
+            addr = addr_of[key]
+            if code is None:
+                target_addr = addr_of[item.target]
+                disp = target_addr - (addr + size_of[key])
+                code = getattr(enc, item.op)(*item.args, disp)
+                note_edge(addr, target_addr)
+            elif item.op == "jmp_rel8":
+                note_edge(addr, addr + len(code) + item.args[0])
+            emit(addr, code)
+        la = link_addr[chunk_pos]
+        if la is not None:
+            assert chunk.link_to is not None
+            target_addr = addr_of[chunk.link_to]
+            disp = target_addr - (la + 5)
+            emit(la, enc.jmp_rel32(disp))
+            note_edge(la, target_addr)
+
+    pages = []
+    for k in range(n_pages):
+        base = lo_page + k * PAGE_SIZE
+        data = bytes(blob[k * PAGE_SIZE : (k + 1) * PAGE_SIZE])
+        pages.append(PageRecord(base, RX, SegmentTag.CODE, data))
+    image = MemoryImage(pages, metadata={"generator": "synth"})
+
+    planted = tuple(
+        PlantRecord(
+            p.gtype, addr_of[(p.fn_idx, p.start_item)], p.n_items, p.fn_idx
+        )
+        for p in program.plants
+    )
+    entries = tuple(
+        addr_of[(f, 0)] for f in range(len(program.functions))
+    )
+    fn_pages = []
+    for f in range(len(program.functions)):
+        touched: set[int] = set()
+        for i in range(len(program.functions[f].items)):
+            a = addr_of[(f, i)]
+            touched.add(page_base(a))
+            touched.add(page_base(a + size_of[(f, i)] - 1))
+        fn_pages.append(frozenset(touched))
+
+    truth = GroundTruth(
+        planted=planted,
+        page_edges={p: frozenset(t) for p, t in sorted(page_edges.items())},
+        function_entries=entries,
+        function_pages=tuple(fn_pages),
+        call_graph=program.call_graph,
+        multi_instruction_plants=sum(
+            1 for p in program.plants if p.n_items >= 2
+        ),
+    )
+    return image, truth

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import inspect
 import os
 import random
 import re
@@ -91,6 +92,8 @@ from ropscope.synth import GenParams, generate, materialize
 RENDER_TABLE = [
     (mov_rr(Reg.RAX, Reg.RBX), "mov rax, rbx"),
     (mov_rr(Reg.R8, Reg.R15, width=32), "mov r8d, r15d"),
+    # A REX prefix, even a bare one, makes byte register 4 spl, not ah.
+    (mov_rr(Reg.RSP, Reg.RAX, width=8), "mov spl, al"),
     (mov_rm(Reg.RAX, Reg.RDX), "mov rax, [rdx]"),
     (mov_rm(Reg.RCX, Reg.RSI, disp=0x10), "mov rcx, [rsi+0x10]"),
     (mov_rm(Reg.RBX, Reg.R13, disp=-0x200), "mov rbx, [r13-0x200]"),
@@ -336,12 +339,7 @@ def _width(d, widths=(32, 64)):
     return d.draw(st.sampled_from(widths), label="width")
 
 
-def _reg(d, width=64, exclude=()):
-    # Without a REX prefix, byte-register numbers 4-7 name ah-bh, and
-    # encode.py adds no REX for spl-dil, so byte-width forms draw the other
-    # twelve registers.
-    if width == 8:
-        exclude = (*exclude, Reg.RSP, Reg.RBP, Reg.RSI, Reg.RDI)
+def _reg(d, exclude=()):
     return d.draw(st.sampled_from([r for r in Reg if r not in exclude]), label="reg")
 
 
@@ -373,7 +371,7 @@ def _I(value, width):
 def _rt_rr(encoder, mnemonic, widths=(32, 64)):
     def build(d):
         w = _width(d, widths)
-        a, b = _reg(d, w), _reg(d, w)
+        a, b = _reg(d), _reg(d)
         return _want(encoder(a, b, width=w), mnemonic, _R(a, w), _R(b, w))
     return build
 
@@ -381,7 +379,7 @@ def _rt_rr(encoder, mnemonic, widths=(32, 64)):
 def _rt_r_m(encoder, mnemonic, widths=(32, 64)):
     def build(d):
         w = _width(d, widths)
-        dst, base, disp = _reg(d, w), _reg(d), _disp(d)
+        dst, base, disp = _reg(d), _reg(d), _disp(d)
         raw = encoder(dst, base, disp, width=w)
         return _want(raw, mnemonic, _R(dst, w), _M(base, disp, w))
     return build
@@ -390,7 +388,7 @@ def _rt_r_m(encoder, mnemonic, widths=(32, 64)):
 def _rt_m_r(encoder, mnemonic, widths=(32, 64)):
     def build(d):
         w = _width(d, widths)
-        base, src, disp = _reg(d), _reg(d, w), _disp(d)
+        base, src, disp = _reg(d), _reg(d), _disp(d)
         raw = encoder(base, src, disp, width=w)
         return _want(raw, mnemonic, _M(base, disp, w), _R(src, w))
     return build
@@ -399,7 +397,7 @@ def _rt_m_r(encoder, mnemonic, widths=(32, 64)):
 def _rt_r(encoder, mnemonic, *extra):
     def build(d):
         w = _width(d)
-        reg = _reg(d, w)
+        reg = _reg(d)
         return _want(encoder(reg, width=w), mnemonic, _R(reg, w), *extra)
     return build
 
@@ -414,7 +412,7 @@ def _rt_m(encoder, mnemonic):
 def _rt_shift_ri(encoder, mnemonic):
     def build(d):
         w, imm = _width(d), _imm(d, 8)
-        reg = _reg(d, w)
+        reg = _reg(d)
         return _want(encoder(reg, imm, width=w), mnemonic, _R(reg, w), _I(imm, 8))
     return build
 
@@ -470,13 +468,13 @@ def _rt_fixed(encoder, mnemonic, *operands):
 
 def _rt_mov_ri(d):
     w = _width(d)
-    dst, imm = _reg(d, w), _imm(d, w)
+    dst, imm = _reg(d), _imm(d, w)
     return _want(mov_ri(dst, imm, width=w), Mnemonic.MOV, _R(dst, w), _I(imm, w))
 
 
 def _rt_mov_ri_modrm(d):
     w = _width(d)
-    dst, imm = _reg(d, w), d.draw(_S32, label="imm")
+    dst, imm = _reg(d), d.draw(_S32, label="imm")
     raw = mov_ri_modrm(dst, imm, width=w)
     return _want(raw, Mnemonic.MOV, _R(dst, w), _I(imm, w))
 
@@ -489,20 +487,20 @@ def _rt_mov_mi(d):
 
 def _rt_alu_rr(d):
     (op, mnemonic), w = _alu(d), _width(d)
-    a, b = _reg(d, w), _reg(d, w)
+    a, b = _reg(d), _reg(d)
     return _want(alu_rr(op, a, b, width=w), mnemonic, _R(a, w), _R(b, w))
 
 
 def _rt_alu_rm(d):
     (op, mnemonic), w = _alu(d), _width(d)
-    dst, base, disp = _reg(d, w), _reg(d), _disp(d)
+    dst, base, disp = _reg(d), _reg(d), _disp(d)
     raw = alu_rm(op, dst, base, disp, width=w)
     return _want(raw, mnemonic, _R(dst, w), _M(base, disp, w))
 
 
 def _rt_alu_mr(d):
     (op, mnemonic), w = _alu(d), _width(d)
-    base, src, disp = _reg(d), _reg(d, w), _disp(d)
+    base, src, disp = _reg(d), _reg(d), _disp(d)
     raw = alu_mr(op, base, src, disp, width=w)
     return _want(raw, mnemonic, _M(base, disp, w), _R(src, w))
 
@@ -510,7 +508,7 @@ def _rt_alu_mr(d):
 # alu_ri and alu_mi pick the imm8 form for values that fit a signed byte.
 def _rt_alu_ri(d):
     (op, mnemonic), w = _alu(d), _width(d)
-    dst, imm = _reg(d, w), d.draw(st.one_of(_S8, _S32), label="imm")
+    dst, imm = _reg(d), d.draw(st.one_of(_S8, _S32), label="imm")
     return _want(alu_ri(op, dst, imm, width=w), mnemonic, _R(dst, w), _I(imm, w))
 
 
@@ -529,7 +527,7 @@ def _rt_lea(d):
 def _rt_xchg_rax(d):
     # xchg rax, rax is the one-byte nop.
     w = _width(d)
-    other = _reg(d, w, exclude=(Reg.RAX,))
+    other = _reg(d, exclude=(Reg.RAX,))
     raw = xchg_rax(other, width=w)
     return _want(raw, Mnemonic.XCHG, _R(Reg.RAX, w), _R(other, w))
 
@@ -593,13 +591,37 @@ _ROUND_TRIP = {
 }
 
 
+_ENCODERS = {
+    name: value for name, value in vars(encode).items()
+    if callable(value) and not name.startswith("_")
+    and getattr(value, "__module__", None) == encode.__name__
+}
+
+
 def test_round_trip_covers_every_encoder():
-    public = {
-        name for name, value in vars(encode).items()
-        if callable(value) and not name.startswith("_")
-        and getattr(value, "__module__", None) == encode.__name__
-    }
-    assert set(_ROUND_TRIP) == public
+    assert set(_ROUND_TRIP) == set(_ENCODERS)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, encoder in _ENCODERS.items()
+    if "width" in inspect.signature(encoder).parameters
+))
+def test_encoders_refuse_widths_they_cannot_encode(name):
+    # The decoder reads no 0x66 prefix, so no form has a 16-bit encoding,
+    # and only the byte movs have an 8-bit one.
+    encoder = _ENCODERS[name]
+    sample = {"Reg": Reg.RCX, "int": 1, "str": "add"}
+    args = [
+        sample[param.annotation]
+        for param in inspect.signature(encoder).parameters.values()
+        if param.default is param.empty
+    ]
+    byte_forms = ("mov_rr", "mov_rm", "mov_mr")
+    for width in (16, 0, 128) if name in byte_forms else (8, 16, 0, 128):
+        with pytest.raises(ValueError, match=f"cannot encode a {width}-bit"):
+            encoder(*args, width=width)
+    for width in (32, 64, 8) if name in byte_forms else (32, 64):
+        assert decode(encoder(*args, width=width) + bytes(8), _RT_ADDR)
 
 
 @pytest.mark.parametrize("form", sorted(_ROUND_TRIP))

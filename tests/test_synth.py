@@ -1,9 +1,14 @@
 """Synthetic program generation, layout schemes, and ground truth."""
 
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_layout
+from ropscope import synth
 from ropscope.disasm import decode
 from ropscope.gadgets import Footprint, GadgetType, leaked_types
 from ropscope.harvest import (
@@ -260,3 +265,79 @@ def test_params_refuse_invalid_values(fields, message):
     with pytest.raises(ValueError) as exc:
         GenParams(**fields)
     assert str(exc.value) == message
+
+
+# The layout oracle: helpers.reference_layout is the layout that placed,
+# encoded and recorded each unit's link jump on a path of its own. Both must
+# give the same pages and ground truth, or refuse the same input.
+def _layout_outcome(lay):
+    try:
+        image, truth = lay()
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    pages = [(p.base, p.perms, p.tag, p.data) for p in image.pages]
+    return pages, image.metadata, truth.to_dict()
+
+
+def _assert_layout_matches_reference(lay):
+    outcome = _layout_outcome(lay)
+    with mock.patch.object(synth, "_layout", reference_layout):
+        assert _layout_outcome(lay) == outcome
+    return outcome
+
+
+_LAYOUT_CORPORA = {
+    "packed": GenParams(n_functions=24, mean_fn_len=12, connectivity=0.3),
+    "one_per_page": GenParams(n_functions=12, max_functions_per_page=1),
+    "three_per_page": GenParams(n_functions=16, max_functions_per_page=3),
+    # No calls and no plants, so every page edge is a link jump's. In the
+    # corpora above, other branches already join their few pages, which
+    # would hide a lost link edge.
+    "links_only": GenParams(
+        n_functions=12, mean_fn_len=80, connectivity=0.0,
+        ensure_strongly_connected=False, gadget_mix={},
+    ),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(_LAYOUT_CORPORA))
+@pytest.mark.parametrize("seed", [0, 7])
+def test_layout_matches_reference(corpus, seed):
+    program = generate(_LAYOUT_CORPORA[corpus], seed)
+    outcome = _assert_layout_matches_reference(lambda: materialize(program))
+    assert outcome[0] != "ValueError"
+    for kind in SchemeKind:
+        for rename in (False, True):
+            scheme = RandomizationScheme(kind, seed + 1, rename)
+            _assert_layout_matches_reference(
+                lambda: apply_scheme(program, scheme)
+            )
+
+
+@given(
+    params=st.builds(
+        GenParams,
+        n_functions=st.integers(1, 16),
+        mean_fn_len=st.integers(2, 40),
+        connectivity=st.floats(0.0, 1.0),
+        gadget_mix=st.sampled_from([None, {}]),
+        ensure_strongly_connected=st.booleans(),
+        max_functions_per_page=st.none() | st.integers(1, 4),
+        base=st.integers(0, 1 << 32),
+    ),
+    seed=st.integers(0, 1 << 16),
+    kind=st.sampled_from(SchemeKind),
+    rename=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_layout_matches_reference_on_drawn_params(params, seed, kind, rename):
+    program = generate(params, seed)
+    scheme = RandomizationScheme(kind, seed, rename)
+    _assert_layout_matches_reference(lambda: materialize(program))
+    _assert_layout_matches_reference(lambda: apply_scheme(program, scheme))
+
+
+def test_unit_larger_than_a_page_is_refused_by_both_layouts():
+    program = generate(GenParams(n_functions=2, mean_fn_len=3000), seed=5)
+    outcome = _assert_layout_matches_reference(lambda: materialize(program))
+    assert outcome == ("ValueError", "relocation unit larger than a page")
