@@ -23,6 +23,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from ropscope.canonical import dumps
 from ropscope.gadgets import (
     BUILTIN_SETS,
     GadgetSetSpec,
@@ -68,9 +69,6 @@ from ropscope.synth import (
     generate,
     materialize,
 )
-
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _parse_int(text: str) -> int:
@@ -126,14 +124,8 @@ def _cmd_harvest(args) -> int:
     if args.trace:
         Path(args.trace).write_text(trace.to_jsonl())
     summary = {
-        "start": f"{trace.start:#x}",
-        "pages_found": trace.pages_found,
-        "leak_cost": trace.leak_cost,
-        "analysis_cost": trace.analysis_cost,
-        "total_cost": trace.total_cost,
-        "skipped_targets": trace.skipped_targets,
+        **trace.summary(),
         "gadgets": len(trace.gadgets),
-        "converged": trace.converged,
         "convergence_clock": trace.convergence_clock(),
         "type_clocks": {
             t.value: c for t, c in sorted(
@@ -155,7 +147,7 @@ def _cmd_harvest(args) -> int:
             for name, clock in summary["type_clocks"].items():
                 print(f"  {name:10s} {clock}")
     else:
-        print(_canonical(summary))
+        print(dumps(summary))
     return 0
 
 
@@ -176,8 +168,7 @@ def _cmd_gadgets(args) -> int:
             payload = {"gadgets": gadget_report_rows(gadgets)}
             if coverage is not None:
                 payload["coverage"] = coverage.to_dict()
-            text = _canonical(payload)
-        text = text if text.endswith("\n") else text + "\n"
+            text = dumps(payload) + "\n"
         if args.out:
             Path(args.out).write_text(text)
         else:
@@ -219,7 +210,7 @@ def _cmd_upper_bound(args) -> int:
         if args.interval is not None:
             print(f"interval {args.interval}: {verdict.value}")
     else:
-        print(_canonical(payload))
+        print(dumps(payload))
     return 0
 
 
@@ -242,7 +233,7 @@ def _cmd_corrupt(args) -> int:
             }
             for t, s in summaries.items()
         }
-        print(_canonical(payload))
+        print(dumps(payload))
     else:
         sys.stdout.write(corruption_report_csv(summaries))
     return 0
@@ -273,7 +264,7 @@ def _cmd_scan(args) -> int:
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
     else:
-        print(_canonical(report.to_dict()))
+        print(dumps(report.to_dict()))
     return 0
 
 
@@ -287,7 +278,7 @@ def _write_corpus_entry(
     snap = out_dir / f"{name}.rsnp"
     truth_path = out_dir / f"{name}.truth.json"
     save_snapshot(image, snap)
-    truth_path.write_text(_canonical(truth.to_dict()) + "\n")
+    truth_path.write_text(dumps(truth.to_dict()) + "\n")
     return {
         "name": name,
         "scheme": None if scheme is None else scheme.to_dict(),
@@ -322,8 +313,8 @@ def _cmd_synth_generate(args) -> int:
         "params": params.to_dict(),
         "entries": entries,
     }
-    (out_dir / "manifest.json").write_text(_canonical(manifest) + "\n")
-    print(_canonical({"out_dir": str(out_dir), "entries": len(entries)}))
+    (out_dir / "manifest.json").write_text(dumps(manifest) + "\n")
+    print(dumps({"out_dir": str(out_dir), "entries": len(entries)}))
     return 0
 
 
@@ -367,8 +358,8 @@ def _cmd_synth_transform(args) -> int:
     manifest["entries"] = [
         e for e in manifest["entries"] if e.get("name") != name
     ] + [entry]
-    Path(args.manifest).write_text(_canonical(manifest) + "\n")
-    print(_canonical({"name": name, "snapshot_path": entry["snapshot_path"]}))
+    Path(args.manifest).write_text(dumps(manifest) + "\n")
+    print(dumps({"name": name, "snapshot_path": entry["snapshot_path"]}))
     return 0
 
 
@@ -429,7 +420,7 @@ def _cmd_compare(args) -> int:
                 f"tc={'yes' if stats['tc_preserved'] else 'no'}"
             )
     else:
-        print(_canonical(results))
+        print(dumps(results))
     return 0
 
 
@@ -437,7 +428,7 @@ def _cmd_starts(args) -> int:
     image = load_image(args.snapshot)
     starts = page_start_pointers(image, _harvest_options(args))
     payload = {f"{base:#x}": f"{ptr:#x}" for base, ptr in sorted(starts.items())}
-    print(_canonical(payload))
+    print(dumps(payload))
     return 0
 
 
@@ -592,7 +583,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SnapshotError, OSError, json.JSONDecodeError) as exc:
+    # JSON nested deeper than the parser allows raises RecursionError: it is
+    # malformed input like any other.
+    except (SnapshotError, OSError, json.JSONDecodeError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (StartPointerInvalid, ValueError) as exc:

@@ -379,7 +379,8 @@ def _s32(value: int) -> int:
 
 
 class _Cursor:
-    """Byte reader over data[start:]; raises IndexError past the end.
+    """Byte reader over data[start:]; a read past the end raises
+    IndexError or struct.error.
 
     addr is the address of data[start], so a relative branch target and the
     instruction length are both measured from start."""
@@ -403,15 +404,11 @@ class _Cursor:
         return value
 
     def u32(self) -> int:
-        if self.pos + 4 > len(self.data):
-            raise IndexError
         value = struct.unpack_from("<I", self.data, self.pos)[0]
         self.pos += 4
         return value
 
     def u64(self) -> int:
-        if self.pos + 8 > len(self.data):
-            raise IndexError
         value = struct.unpack_from("<Q", self.data, self.pos)[0]
         self.pos += 8
         return value

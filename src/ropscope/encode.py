@@ -5,8 +5,9 @@ these, and the test suite uses them as the independent side of
 encode/decode round-trip checks. Memory operands are limited to a base
 register with an optional displacement, plus explicit rip-relative forms for
 indirect branches; that is all the toolkit ever needs to emit. Operands are
-32 or 64 bits wide, or 8 bits in the byte movs (mov_rr, mov_rm, mov_mr); any
-other width raises ValueError.
+32 or 64 bits wide, or 8 bits in the byte movs (mov_rr, mov_rm, mov_mr). Any
+other width, and any immediate, displacement or condition code that its
+field cannot hold, raises ValueError: an encoding decodes to the values given.
 """
 
 from __future__ import annotations
@@ -18,6 +19,19 @@ from ropscope.disasm import Reg
 _ALU_RM_R = {"add": 0x01, "or": 0x09, "and": 0x21, "sub": 0x29, "xor": 0x31, "cmp": 0x39}
 _ALU_R_RM = {"add": 0x03, "or": 0x0B, "and": 0x23, "sub": 0x2B, "xor": 0x33, "cmp": 0x3B}
 _ALU_DIGIT = {"add": 0, "or": 1, "and": 4, "sub": 5, "xor": 6, "cmp": 7}
+
+
+def _pack(fmt: str, value: int) -> bytes:
+    try:
+        return struct.pack(fmt, value)
+    except struct.error as exc:
+        raise ValueError(f"{value}: {exc}") from None
+
+
+def _cc(cc: int) -> int:
+    if cc not in range(16):
+        raise ValueError(f"no condition code {cc}")
+    return cc
 
 
 def _rex(w: int, r: int, x: int, b: int) -> bytes:
@@ -47,10 +61,10 @@ def _mem_operand(reg_field: int, base: Reg, disp: int) -> bytes:
         disp_bytes = b""
     elif -128 <= disp <= 127:
         mod = 1
-        disp_bytes = struct.pack("<b", disp)
+        disp_bytes = _pack("<b", disp)
     else:
         mod = 2
-        disp_bytes = struct.pack("<i", disp)
+        disp_bytes = _pack("<i", disp)
     if needs_sib:
         return bytes([(mod << 6) | (reg_field << 3) | 4, 0x24]) + disp_bytes
     return bytes([(mod << 6) | (reg_field << 3) | low]) + disp_bytes
@@ -102,9 +116,9 @@ def mov_mr(base: Reg, src: Reg, disp: int = 0, width: int = 64) -> bytes:
 
 
 def mov_ri(dst: Reg, imm: int, width: int = 64) -> bytes:
-    if width == 64:
-        return _rex(1, 0, 0, dst >> 3) + bytes([0xB8 | (dst & 7)]) + struct.pack("<Q", imm & ((1 << 64) - 1))
-    return _rex_w(width, 0, dst >> 3) + bytes([0xB8 | (dst & 7)]) + struct.pack("<I", imm & 0xFFFFFFFF)
+    # The decoder reads this immediate unsigned, at the operand's width.
+    field = "<Q" if width == 64 else "<I"
+    return _rex_w(width, 0, dst >> 3) + bytes([0xB8 | (dst & 7)]) + _pack(field, imm)
 
 
 def mov_ri_modrm(dst: Reg, imm: int, width: int = 64) -> bytes:
@@ -112,7 +126,7 @@ def mov_ri_modrm(dst: Reg, imm: int, width: int = 64) -> bytes:
         _rex_w(width, 0, dst >> 3)
         + bytes([0xC7])
         + _modrm_reg(0, dst)
-        + struct.pack("<i", imm)
+        + _pack("<i", imm)
     )
 
 
@@ -121,7 +135,7 @@ def mov_mi(base: Reg, imm: int, disp: int = 0, width: int = 64) -> bytes:
         _rex_w(width, 0, base >> 3)
         + bytes([0xC7])
         + _mem_operand(0, base, disp)
-        + struct.pack("<i", imm)
+        + _pack("<i", imm)
     )
 
 
@@ -141,16 +155,16 @@ def alu_ri(op: str, dst: Reg, imm: int, width: int = 64) -> bytes:
     digit = _ALU_DIGIT[op]
     rex = _rex_w(width, 0, dst >> 3)
     if -128 <= imm <= 127:
-        return rex + bytes([0x83]) + _modrm_reg(digit, dst) + struct.pack("<b", imm)
-    return rex + bytes([0x81]) + _modrm_reg(digit, dst) + struct.pack("<i", imm)
+        return rex + bytes([0x83]) + _modrm_reg(digit, dst) + _pack("<b", imm)
+    return rex + bytes([0x81]) + _modrm_reg(digit, dst) + _pack("<i", imm)
 
 
 def alu_mi(op: str, base: Reg, imm: int, disp: int = 0, width: int = 64) -> bytes:
     digit = _ALU_DIGIT[op]
     rex = _rex_w(width, 0, base >> 3)
     if -128 <= imm <= 127:
-        return rex + bytes([0x83]) + _mem_operand(digit, base, disp) + struct.pack("<b", imm)
-    return rex + bytes([0x81]) + _mem_operand(digit, base, disp) + struct.pack("<i", imm)
+        return rex + bytes([0x83]) + _mem_operand(digit, base, disp) + _pack("<b", imm)
+    return rex + bytes([0x81]) + _mem_operand(digit, base, disp) + _pack("<i", imm)
 
 
 def imul_rr(dst: Reg, src: Reg, width: int = 64) -> bytes:
@@ -214,11 +228,11 @@ def not_r(reg: Reg, width: int = 64) -> bytes:
 
 
 def shl_ri(reg: Reg, imm: int, width: int = 64) -> bytes:
-    return _rex_w(width, 0, reg >> 3) + bytes([0xC1]) + _modrm_reg(4, reg) + bytes([imm & 0xFF])
+    return _rex_w(width, 0, reg >> 3) + bytes([0xC1]) + _modrm_reg(4, reg) + _pack("<B", imm)
 
 
 def shr_ri(reg: Reg, imm: int, width: int = 64) -> bytes:
-    return _rex_w(width, 0, reg >> 3) + bytes([0xC1]) + _modrm_reg(5, reg) + bytes([imm & 0xFF])
+    return _rex_w(width, 0, reg >> 3) + bytes([0xC1]) + _modrm_reg(5, reg) + _pack("<B", imm)
 
 
 def shl_cl(reg: Reg, width: int = 64) -> bytes:
@@ -230,7 +244,7 @@ def shr_cl(reg: Reg, width: int = 64) -> bytes:
 
 
 def shl_mi(base: Reg, imm: int, disp: int = 0, width: int = 64) -> bytes:
-    return _rex_w(width, 0, base >> 3) + bytes([0xC1]) + _mem_operand(4, base, disp) + bytes([imm & 0xFF])
+    return _rex_w(width, 0, base >> 3) + bytes([0xC1]) + _mem_operand(4, base, disp) + _pack("<B", imm)
 
 
 def lea(dst: Reg, base: Reg, disp: int = 0) -> bytes:
@@ -250,27 +264,27 @@ def ret() -> bytes:
 
 
 def ret_imm(imm: int) -> bytes:
-    return b"\xC2" + struct.pack("<H", imm)
+    return b"\xC2" + _pack("<H", imm)
 
 
 def call_rel32(disp: int) -> bytes:
-    return b"\xE8" + struct.pack("<i", disp)
+    return b"\xE8" + _pack("<i", disp)
 
 
 def jmp_rel32(disp: int) -> bytes:
-    return b"\xE9" + struct.pack("<i", disp)
+    return b"\xE9" + _pack("<i", disp)
 
 
 def jmp_rel8(disp: int) -> bytes:
-    return b"\xEB" + struct.pack("<b", disp)
+    return b"\xEB" + _pack("<b", disp)
 
 
 def jcc_rel8(cc: int, disp: int) -> bytes:
-    return bytes([0x70 + cc]) + struct.pack("<b", disp)
+    return bytes([0x70 + _cc(cc)]) + _pack("<b", disp)
 
 
 def jcc_rel32(cc: int, disp: int) -> bytes:
-    return bytes([0x0F, 0x80 + cc]) + struct.pack("<i", disp)
+    return bytes([0x0F, 0x80 + _cc(cc)]) + _pack("<i", disp)
 
 
 def call_r(reg: Reg) -> bytes:
@@ -290,11 +304,11 @@ def jmp_m(base: Reg, disp: int = 0) -> bytes:
 
 
 def call_rip(disp: int) -> bytes:
-    return bytes([0xFF, 0x15]) + struct.pack("<i", disp)
+    return bytes([0xFF, 0x15]) + _pack("<i", disp)
 
 
 def jmp_rip(disp: int) -> bytes:
-    return bytes([0xFF, 0x25]) + struct.pack("<i", disp)
+    return bytes([0xFF, 0x25]) + _pack("<i", disp)
 
 
 def syscall() -> bytes:
@@ -306,7 +320,7 @@ def sysenter() -> bytes:
 
 
 def int_n(imm: int) -> bytes:
-    return b"\xCD" + bytes([imm & 0xFF])
+    return b"\xCD" + _pack("<B", imm)
 
 
 def int80() -> bytes:

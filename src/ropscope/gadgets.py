@@ -10,8 +10,6 @@ or extended form.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -19,6 +17,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from ropscope.canonical import csv_text
 from ropscope.disasm import GS_CALL_BYTES, Instruction, Mnemonic, Reg
 
 
@@ -683,13 +682,7 @@ def gadget_report_rows(gadgets: Iterable[Gadget]) -> list[dict]:
 
 
 def gadget_report_csv(gadgets: Iterable[Gadget]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf,
-        fieldnames=["addr", "bytes_hex", "text", "types", "footprints"],
-        lineterminator="\n",
+    return csv_text(
+        ["addr", "bytes_hex", "text", "types", "footprints"],
+        (row.values() for row in gadget_report_rows(gadgets)),
     )
-    writer.writeheader()
-    for row in gadget_report_rows(gadgets):
-        writer.writerow(row)
-    return buf.getvalue()

@@ -15,7 +15,6 @@ available, which is what rerandomization-interval analysis consumes.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from enum import Enum
 from itertools import chain
 from typing import Iterable, Mapping
 
+from ropscope.canonical import dumps
 from ropscope.disasm import (
     FIRST_BYTE_TABLE,
     Instruction,
@@ -133,26 +133,20 @@ class HarvestTrace:
                 return e.clock
         return None
 
+    def summary(self) -> dict:
+        """The run's totals: the first record of the JSONL trace."""
+        return {
+            "start": f"{self.start:#x}",
+            "leak_cost": self.leak_cost,
+            "analysis_cost": self.analysis_cost,
+            "total_cost": self.total_cost,
+            "pages_found": self.pages_found,
+            "skipped_targets": self.skipped_targets,
+            "converged": self.converged,
+        }
+
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(
-                {
-                    "start": f"{self.start:#x}",
-                    "leak_cost": self.leak_cost,
-                    "analysis_cost": self.analysis_cost,
-                    "total_cost": self.total_cost,
-                    "pages_found": self.pages_found,
-                    "skipped_targets": self.skipped_targets,
-                    "converged": self.converged,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        ]
-        for e in self.events:
-            lines.append(
-                json.dumps(e.to_dict(), sort_keys=True, separators=(",", ":"))
-            )
+        lines = [dumps(self.summary())] + [dumps(e.to_dict()) for e in self.events]
         return "\n".join(lines) + "\n"
 
 

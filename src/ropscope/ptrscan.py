@@ -8,13 +8,12 @@ is a potential bootstrap pointer for recursive code harvesting.
 
 from __future__ import annotations
 
-import csv
-import io
 import struct
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
+from ropscope.canonical import csv_text
 from ropscope.snapshot import PAGE_MASK, PAGE_SIZE, MemoryImage, SegmentTag
 
 
@@ -65,19 +64,18 @@ class PointerScanReport:
         }
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["addr", "value", "segment", "target_executable"])
-        for h in self.hits:
-            writer.writerow(
+        return csv_text(
+            ["addr", "value", "segment", "target_executable"],
+            (
                 [
                     f"{h.addr:#x}",
                     f"{h.value:#x}",
                     h.tag.name.lower(),
                     int(h.target_executable),
                 ]
-            )
-        return buf.getvalue()
+                for h in self.hits
+            ),
+        )
 
 
 def _word_plans(alignment: int) -> list[tuple[struct.Struct, int, int, int]]:

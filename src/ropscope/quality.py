@@ -10,13 +10,12 @@ flags, so they never corrupt.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from ropscope.canonical import csv_text
 from ropscope.disasm import Mnemonic, Reg
 from ropscope.gadgets import Gadget, GadgetType
 
@@ -168,14 +167,9 @@ def summarize_by_type(
 def corruption_report_csv(
     summaries: Mapping[GadgetType, CorruptionSummary],
 ) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["type", "assessed", "corrupted", "rate", "mean_unique_registers"]
-    )
-    for gtype in sorted(summaries, key=lambda t: t.value):
-        s = summaries[gtype]
-        writer.writerow(
+    return csv_text(
+        ["type", "assessed", "corrupted", "rate", "mean_unique_registers"],
+        (
             [
                 gtype.value,
                 s.assessed,
@@ -185,21 +179,18 @@ def corruption_report_csv(
                 if s.mean_unique_registers is None
                 else f"{s.mean_unique_registers:.4f}",
             ]
-        )
-    return buf.getvalue()
+            for gtype, s in sorted(summaries.items(), key=lambda kv: kv[0].value)
+        ),
+    )
 
 
 def verdict_report_csv(verdicts: Sequence[CorruptionVerdict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+    return csv_text(
         [
             "addr", "type", "shape", "regset1", "regset2",
             "corrupted", "unique_registers",
-        ]
-    )
-    for v in verdicts:
-        writer.writerow(
+        ],
+        (
             [
                 f"{v.gadget_addr:#x}",
                 v.type_assessed.value,
@@ -209,5 +200,6 @@ def verdict_report_csv(verdicts: Sequence[CorruptionVerdict]) -> str:
                 int(v.corrupted),
                 v.unique_registers,
             ]
-        )
-    return buf.getvalue()
+            for v in verdicts
+        ),
+    )

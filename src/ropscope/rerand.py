@@ -12,14 +12,12 @@ invalidate partial knowledge are out of scope.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import statistics
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
+from ropscope.canonical import csv_text
 from ropscope.gadgets import BUILTIN_SETS
 from ropscope.harvest import (
     EventKind,
@@ -159,19 +157,15 @@ class UpperBoundReport:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-
     def timeline_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["start", "clock", "types_available"])
-        for _, record in sorted(self.per_start.items()):
-            for clock, count in record.type_timeline:
-                writer.writerow([f"{record.start:#x}", clock, count])
-        return buf.getvalue()
+        return csv_text(
+            ["start", "clock", "types_available"],
+            (
+                [f"{record.start:#x}", clock, count]
+                for _, record in sorted(self.per_start.items())
+                for clock, count in record.type_timeline
+            ),
+        )
 
 
 def upper_bound(

@@ -16,6 +16,8 @@ from enum import IntEnum
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
+from ropscope.canonical import dumps
+
 PAGE_SIZE = 4096
 PAGE_MASK = ~(PAGE_SIZE - 1)
 
@@ -235,9 +237,7 @@ def save_snapshot(image: MemoryImage, dest: str | Path | BinaryIO) -> None:
     for page in image:
         buf.write(_PAGE_HEADER.pack(page.base, page.perms.to_bits(), int(page.tag), 0))
         buf.write(page.data)
-    meta = json.dumps(image.metadata, sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
-    )
+    meta = dumps(image.metadata).encode("utf-8")
     buf.write(struct.pack("<I", len(meta)))
     buf.write(meta)
     payload = buf.getvalue()

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from helpers import RW, RX, asm, build_elf, decode_stream, gadget_multiset
+from ropscope.canonical import dumps
 from ropscope.disasm import Reg, decode
 from ropscope.encode import (
     alu_mr,
@@ -265,7 +266,7 @@ def test_convergence_mechanics():
         is IntervalSafety.UNSAFE
 
     rerun = upper_bound(image, opts=opts)
-    assert rerun.to_json() == report.to_json()
+    assert dumps(rerun.to_dict()) == dumps(report.to_dict())
     assert rerun.timeline_csv() == report.timeline_csv()
     assert time.perf_counter() - t0 < 30.0
 

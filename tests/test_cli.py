@@ -438,6 +438,26 @@ def test_compare_malformed_entries_exits_2(tmp_path, capsys, entries):
     )
 
 
+@pytest.mark.parametrize("reader", ["manifest", "set-file"])
+def test_deeply_nested_json_exits_1(snap, tmp_path, reader):
+    # Nesting deeper than the JSON parser allows is malformed input: one
+    # error line, no traceback.
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    argv = {
+        "manifest": ["compare", "--manifest", path],
+        "set-file": ["gadgets", snap, "--set-file", path],
+    }[reader]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ropscope.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_gadgets_on_hostile_snapshot_exits_1(tmp_path, capsys):
     path = tmp_path / "x.rsnp"
     save_snapshot(code_image(b"\xc3"), path)

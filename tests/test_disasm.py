@@ -230,6 +230,19 @@ def test_poison_byte_is_invalid():
     assert decode(b"\x06\x90", 0) is None
 
 
+@pytest.mark.parametrize("raw", [
+    "b8010203",         # mov eax, imm32
+    "48b8" + "00" * 7,  # mov rax, imm64
+    "e80102",           # call rel32
+    "0f8001",           # jo rel32
+    "8b8001",           # mov eax, [rax+disp32]
+    "c70001",           # mov dword [rax], imm32
+])
+def test_instruction_cut_short_is_invalid(raw):
+    # Each encoding lacks its last byte or more.
+    assert decode(bytes.fromhex(raw), 0) is None
+
+
 @given(st.binary(min_size=1, max_size=24))
 @settings(max_examples=400)
 def test_decode_total_and_bounded(data):
@@ -622,6 +635,29 @@ def test_encoders_refuse_widths_they_cannot_encode(name):
             encoder(*args, width=width)
     for width in (32, 64, 8) if name in byte_forms else (32, 64):
         assert decode(encoder(*args, width=width) + bytes(8), _RT_ADDR)
+
+
+# Values outside the field that would hold them: none may be masked into
+# another instruction, such as int_n(0x180) into int 0x80.
+_OUT_OF_RANGE = {
+    "jmp_rel8(200)": lambda: jmp_rel8(200),
+    "alu_ri(add, rax, 1<<40)": lambda: alu_ri("add", Reg.RAX, 1 << 40),
+    "mov_ri_modrm(rax, 1<<33)": lambda: mov_ri_modrm(Reg.RAX, 1 << 33),
+    "ret_imm(70000)": lambda: ret_imm(70000),
+    "mov_rm(rax, rbx, 1<<40)": lambda: mov_rm(Reg.RAX, Reg.RBX, 1 << 40),
+    "jcc_rel32(3, 1<<40)": lambda: jcc_rel32(3, 1 << 40),
+    "shl_ri(rax, 300)": lambda: shl_ri(Reg.RAX, 300),
+    "int_n(0x180)": lambda: int_n(0x180),
+    "jcc_rel8(20, 0)": lambda: jcc_rel8(20, 0),
+    "jcc_rel32(16, 0)": lambda: jcc_rel32(16, 0),
+    "mov_ri(rax, 1<<40, 32)": lambda: mov_ri(Reg.RAX, 1 << 40, 32),
+}
+
+
+@pytest.mark.parametrize("call", _OUT_OF_RANGE)
+def test_encoders_refuse_values_their_fields_cannot_hold(call):
+    with pytest.raises(ValueError):
+        _OUT_OF_RANGE[call]()
 
 
 @pytest.mark.parametrize("form", sorted(_ROUND_TRIP))
