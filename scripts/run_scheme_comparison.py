@@ -20,7 +20,7 @@ import statistics
 import sys
 from collections import Counter
 
-from ropscope.gadgets import min_fp_labels
+from ropscope.gadgets import min_fp_reduction_pct, population_stats
 from ropscope.harvest import HarvestOptions, mine_image
 from ropscope.synth import (
     GenParams,
@@ -36,7 +36,7 @@ from ropscope.synth import (
 def run_program(seed: int, params: GenParams, schemes, opts) -> dict:
     program = generate(params, seed)
     base_image, truth = materialize(program)
-    base = min_fp_labels(mine_image(base_image, opts))
+    base = population_stats(mine_image(base_image, opts))["min_fp_labels"]
     row = {
         "seed": seed,
         "baseline_min_fp": base,
@@ -46,11 +46,10 @@ def run_program(seed: int, params: GenParams, schemes, opts) -> dict:
     for kind in schemes:
         scheme = RandomizationScheme(kind=kind, seed=seed + 1)
         image, _ = apply_scheme(program, scheme)
-        count = min_fp_labels(mine_image(image, opts))
-        reduction = 100.0 * (base - count) / base if base else 0.0
+        count = population_stats(mine_image(image, opts))["min_fp_labels"]
         row["schemes"][kind.value] = {
             "min_fp": count,
-            "reduction_pct": round(reduction, 2),
+            "reduction_pct": round(min_fp_reduction_pct(base, count), 2),
         }
     return row
 

@@ -25,17 +25,16 @@ from pathlib import Path
 
 from ropscope.canonical import dumps
 from ropscope.gadgets import (
-    BUILTIN_SETS,
     GadgetSetSpec,
     GadgetType,
-    category_counts,
+    add_min_fp_reductions,
     evaluate_set,
     gadget_report_csv,
     gadget_report_rows,
     gadget_type,
     load_set_spec,
+    population_stats,
     resolve_set,
-    set_coverage,
     type_counts,
 )
 from ropscope.harvest import (
@@ -49,11 +48,12 @@ from ropscope.harvest import (
 from ropscope.ptrscan import scan_pointers
 from ropscope.quality import (
     assess_gadgets,
+    corruption_report,
     corruption_report_csv,
     summarize_by_type,
     verdict_report_csv,
 )
-from ropscope.rerand import evaluate_interval, upper_bound
+from ropscope.rerand import interval_verdict, upper_bound
 from ropscope.snapshot import (
     SegmentTag,
     SnapshotError,
@@ -123,31 +123,17 @@ def _cmd_harvest(args) -> int:
     trace = harvest(image, args.start, _harvest_options(args))
     if args.trace:
         Path(args.trace).write_text(trace.to_jsonl())
-    summary = {
-        **trace.summary(),
-        "gadgets": len(trace.gadgets),
-        "convergence_clock": trace.convergence_clock(),
-        "type_clocks": {
-            t.value: c for t, c in sorted(
-                trace.type_clocks().items(), key=lambda kv: kv[0].value
-            )
-        },
-    }
+    report = trace.report()
     if args.pretty:
-        print(f"start             {summary['start']}")
-        print(f"pages found       {summary['pages_found']}")
-        print(f"leak cost         {summary['leak_cost']}")
-        print(f"analysis cost     {summary['analysis_cost']}")
-        print(f"total cost        {summary['total_cost']}")
-        print(f"skipped targets   {summary['skipped_targets']}")
-        print(f"gadgets           {summary['gadgets']}")
-        print(f"converged         {summary['converged']}")
-        if summary["type_clocks"]:
+        for key in ("start", "pages_found", "leak_cost", "analysis_cost",
+                    "total_cost", "skipped_targets", "gadgets", "converged"):
+            print(f"{key.replace('_', ' '):18s}{report[key]}")
+        if report["type_clocks"]:
             print("type availability clocks:")
-            for name, clock in summary["type_clocks"].items():
+            for name, clock in report["type_clocks"].items():
                 print(f"  {name:10s} {clock}")
     else:
-        print(dumps(summary))
+        print(dumps(report))
     return 0
 
 
@@ -191,24 +177,18 @@ def _cmd_upper_bound(args) -> int:
     report = upper_bound(image, _harvest_options(args))
     payload = report.to_dict()
     if args.interval is not None:
-        verdict = evaluate_interval(args.interval, report=report)
-        payload["interval_verdict"] = {
-            "interval": args.interval,
-            "safety": verdict.value,
-            "minimum_clock": report.minimum_clock,
-        }
+        payload["interval_verdict"] = interval_verdict(args.interval, report)
     if args.timeline_csv:
         Path(args.timeline_csv).write_text(report.timeline_csv())
     if args.pretty:
-        print(f"set                 {report.spec_name}")
-        print(f"starts              {len(report.per_start)}")
-        print(f"converged starts    {report.converged_count}")
-        print(f"minimum clock       {report.minimum_clock}")
-        print(f"average clock       {report.average_clock}")
+        for key in ("set", "starts", "converged_starts", "minimum_clock",
+                    "average_clock"):
+            print(f"{key.replace('_', ' '):20s}{payload[key]}")
         for lo, hi in report.non_reactive_intervals:
             print(f"  non-reactive [{lo}, {hi})")
         if args.interval is not None:
-            print(f"interval {args.interval}: {verdict.value}")
+            safety = payload["interval_verdict"]["safety"]
+            print(f"interval {args.interval}: {safety}")
     else:
         print(dumps(payload))
     return 0
@@ -224,16 +204,7 @@ def _cmd_corrupt(args) -> int:
         return 0
     summaries = summarize_by_type(verdicts)
     if args.format == "json":
-        payload = {
-            t.value: {
-                "assessed": s.assessed,
-                "corrupted": s.corrupted,
-                "rate": s.rate_float,
-                "mean_unique_registers": s.mean_unique_registers,
-            }
-            for t, s in summaries.items()
-        }
-        print(dumps(payload))
+        print(dumps(corruption_report(summaries)))
     else:
         sys.stdout.write(corruption_report_csv(summaries))
     return 0
@@ -363,54 +334,26 @@ def _cmd_synth_transform(args) -> int:
     return 0
 
 
-def _entry_stats(image, opts) -> dict:
-    gadgets = mine_image(image, opts)
-    counts = type_counts(gadgets)
-    cats = category_counts(gadgets)
-    tc = set_coverage(counts, BUILTIN_SETS["tc"])
-    return {
-        "gadgets": len(gadgets),
-        # A label is one (gadget, type) pair, counted once in its type.
-        "min_fp_labels": sum(c.min_fp for c in counts.values()),
-        "types": {
-            t.value: {"min_fp": c.min_fp, "ex_fp": c.ex_fp}
-            for t, c in counts.items()
-        },
-        "categories": {
-            name: {"min_fp": c.min_fp, "ex_fp": c.ex_fp}
-            for name, c in cats.items()
-        },
-        "tc_preserved": tc.converged,
-        "tc_preserved_min_fp": tc.converged_min_fp,
-    }
-
-
 def _cmd_compare(args) -> int:
     base_dir, manifest = _load_manifest(args.manifest)
-    wanted = (
-        {n.strip() for n in args.schemes.split(",")} if args.schemes else None
-    )
+    entries = manifest["entries"]
+    if args.schemes:
+        wanted = {n.strip() for n in args.schemes.split(",")}
+        unknown = sorted(wanted - {e["name"] for e in entries})
+        if unknown:
+            raise ValueError(f"unknown manifest entry {unknown[0]!r}")
+        entries = [
+            e for e in entries if e["name"] == "baseline" or e["name"] in wanted
+        ]
     opts = _harvest_options(args)
-    results: dict[str, dict] = {}
-    baseline: dict | None = None
-    for entry in manifest["entries"]:
-        name = entry["name"]
-        if name != "baseline" and wanted is not None and name not in wanted:
-            continue
-        image = load_snapshot(base_dir / entry["snapshot_path"])
-        stats = _entry_stats(image, opts)
-        results[name] = stats
-        if name == "baseline":
-            baseline = stats
-    if baseline is not None:
-        base_min = baseline["min_fp_labels"]
-        for name, stats in results.items():
-            if base_min > 0:
-                stats["min_fp_reduction_pct"] = round(
-                    100.0 * (base_min - stats["min_fp_labels"]) / base_min, 4
-                )
-            else:
-                stats["min_fp_reduction_pct"] = 0.0
+    # One layout's image and gadgets at a time: each is dropped once counted.
+    results = {
+        e["name"]: population_stats(
+            mine_image(load_snapshot(base_dir / e["snapshot_path"]), opts)
+        )
+        for e in entries
+    }
+    add_min_fp_reductions(results)
     if args.pretty:
         for name, stats in results.items():
             print(

@@ -611,16 +611,6 @@ def evaluate_set(
     return set_coverage(type_counts(gadgets), spec)
 
 
-def min_fp_labels(gadgets: Iterable[Gadget]) -> int:
-    """Number of (gadget, type) labels in minimal-footprint form."""
-    return sum(
-        1
-        for g in gadgets
-        for t in g.types
-        if g.footprints[t] is Footprint.MIN_FP
-    )
-
-
 def leaked_types(gadgets: Iterable[Gadget]) -> frozenset[GadgetType]:
     out: set[GadgetType] = set()
     for gadget in gadgets:
@@ -650,6 +640,44 @@ def category_counts(
             else:
                 out[name].ex_fp += 1
     return out
+
+
+def population_stats(gadgets: Sequence[Gadget]) -> dict:
+    """One layout's entry in a scheme comparison: the MIN/EX counts of its
+    gadgets per type and per category, and whether they cover the tc set."""
+    counts = type_counts(gadgets)
+    tc = set_coverage(counts, BUILTIN_SETS["tc"])
+    return {
+        "gadgets": len(gadgets),
+        # A label is one (gadget, type) pair, counted once in its type.
+        "min_fp_labels": sum(c.min_fp for c in counts.values()),
+        "types": {
+            t.value: {"min_fp": c.min_fp, "ex_fp": c.ex_fp}
+            for t, c in counts.items()
+        },
+        "categories": {
+            name: {"min_fp": c.min_fp, "ex_fp": c.ex_fp}
+            for name, c in category_counts(gadgets).items()
+        },
+        "tc_preserved": tc.converged,
+        "tc_preserved_min_fp": tc.converged_min_fp,
+    }
+
+
+def min_fp_reduction_pct(baseline: int, count: int) -> float:
+    """The percentage of `baseline` MIN-footprint labels lost at `count`."""
+    return 100.0 * (baseline - count) / baseline if baseline else 0.0
+
+
+def add_min_fp_reductions(stats: Mapping[str, dict]) -> None:
+    """Give each layout's population_stats its min_fp_reduction_pct from
+    the layout named "baseline", when there is one."""
+    if "baseline" in stats:
+        base = stats["baseline"]["min_fp_labels"]
+        for entry in stats.values():
+            entry["min_fp_reduction_pct"] = round(
+                min_fp_reduction_pct(base, entry["min_fp_labels"]), 4
+            )
 
 
 def gadget_report_rows(gadgets: Iterable[Gadget]) -> list[dict]:

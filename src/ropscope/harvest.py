@@ -69,6 +69,9 @@ class HarvestOptions:
             )
         if self.max_gadget_len < 1:
             raise ValueError("max_len must be at least 1")
+        if self.stop_on_convergence and self.track_set is None:
+            raise ValueError("stop_on_convergence needs a gadget set to "
+                             "track (--set or --set-file)")
 
 
 class EventKind(str, Enum):
@@ -143,6 +146,17 @@ class HarvestTrace:
             "pages_found": self.pages_found,
             "skipped_targets": self.skipped_targets,
             "converged": self.converged,
+        }
+
+    def report(self) -> dict:
+        """The summary, gadget count and clocks the harvest command prints."""
+        return {
+            **self.summary(),
+            "gadgets": len(self.gadgets),
+            "convergence_clock": self.convergence_clock(),
+            "type_clocks": dict(sorted(
+                (t.value, clock) for t, clock in self.type_clocks().items()
+            )),
         }
 
     def to_jsonl(self) -> str:

@@ -115,29 +115,8 @@ class CorruptionSummary:
     type_assessed: GadgetType
     assessed: int
     corrupted: int
-    rate: Fraction | None
-    mean_unique_registers: float | None
-
-    @property
-    def rate_float(self) -> float | None:
-        return None if self.rate is None else float(self.rate)
-
-
-def corruption_rate(
-    verdicts: Sequence[CorruptionVerdict], gtype: GadgetType
-) -> CorruptionSummary:
-    relevant = [v for v in verdicts if v.type_assessed is gtype]
-    if not relevant:
-        return CorruptionSummary(gtype, 0, 0, None, None)
-    corrupted = sum(1 for v in relevant if v.corrupted)
-    mean_regs = sum(v.unique_registers for v in relevant) / len(relevant)
-    return CorruptionSummary(
-        gtype,
-        len(relevant),
-        corrupted,
-        Fraction(corrupted, len(relevant)),
-        mean_regs,
-    )
+    rate: Fraction
+    mean_unique_registers: float
 
 
 def assess_gadgets(
@@ -156,17 +135,46 @@ def assess_gadgets(
 
 
 def summarize_by_type(
-    verdicts: Sequence[CorruptionVerdict],
-) -> Mapping[GadgetType, CorruptionSummary]:
-    present = sorted(
-        {v.type_assessed for v in verdicts}, key=lambda t: t.value
-    )
-    return {t: corruption_rate(verdicts, t) for t in present}
+    verdicts: Iterable[CorruptionVerdict],
+) -> dict[GadgetType, CorruptionSummary]:
+    """One summary per type assessed, in type order."""
+    # Per type: verdicts, corrupted verdicts, registers touched.
+    totals: dict[GadgetType, list[int]] = {}
+    for v in verdicts:
+        t = totals.setdefault(v.type_assessed, [0, 0, 0])
+        t[0] += 1
+        t[1] += v.corrupted
+        t[2] += v.unique_registers
+    return {
+        gtype: CorruptionSummary(
+            gtype, assessed, corrupted, Fraction(corrupted, assessed),
+            registers / assessed,
+        )
+        for gtype, (assessed, corrupted, registers) in sorted(
+            totals.items(), key=lambda kv: kv[0].value
+        )
+    }
+
+
+def corruption_report(
+    summaries: Mapping[GadgetType, CorruptionSummary],
+) -> dict:
+    """The summaries keyed by type name: the corrupt command's JSON."""
+    return {
+        gtype.value: {
+            "assessed": s.assessed,
+            "corrupted": s.corrupted,
+            "rate": float(s.rate),
+            "mean_unique_registers": s.mean_unique_registers,
+        }
+        for gtype, s in summaries.items()
+    }
 
 
 def corruption_report_csv(
     summaries: Mapping[GadgetType, CorruptionSummary],
 ) -> str:
+    """The summaries as a table, in the order given."""
     return csv_text(
         ["type", "assessed", "corrupted", "rate", "mean_unique_registers"],
         (
@@ -174,12 +182,10 @@ def corruption_report_csv(
                 gtype.value,
                 s.assessed,
                 s.corrupted,
-                "" if s.rate is None else f"{float(s.rate):.6f}",
-                ""
-                if s.mean_unique_registers is None
-                else f"{s.mean_unique_registers:.4f}",
+                f"{float(s.rate):.6f}",
+                f"{s.mean_unique_registers:.4f}",
             ]
-            for gtype, s in sorted(summaries.items(), key=lambda kv: kv[0].value)
+            for gtype, s in summaries.items()
         ),
     )
 

@@ -223,3 +223,12 @@ def evaluate_interval(interval: int, report: UpperBoundReport) -> IntervalSafety
     if report.minimum_clock is not None and report.minimum_clock < interval:
         return IntervalSafety.UNSAFE
     return IntervalSafety.SAFE
+
+
+def interval_verdict(interval: int, report: UpperBoundReport) -> dict:
+    """evaluate_interval's verdict with what it was judged on."""
+    return {
+        "interval": interval,
+        "safety": evaluate_interval(interval, report).value,
+        "minimum_clock": report.minimum_clock,
+    }

@@ -551,6 +551,27 @@ def test_max_len_below_one_exits_2(corpus, capsys, command, max_len):
     assert capsys.readouterr().err == "error: max_len must be at least 1\n"
 
 
+def test_stop_on_convergence_needs_a_set(corpus, capsys):
+    # With no tracked set a run never converges, so the flag would do
+    # nothing.
+    argv = ["harvest", corpus / "baseline.rsnp", "--start", "0x400000",
+            "--stop-on-convergence"]
+    assert run(argv) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: stop_on_convergence needs a gadget set to track "
+        "(--set or --set-file)\n"
+    )
+    assert run([*argv, "--set", "tc"])[0] == 0
+
+
+@pytest.mark.parametrize("schemes", ["bogus", "baseline, bogus"])
+def test_compare_unknown_entry_exits_2(corpus, capsys, schemes):
+    code, out = run(["compare", "--manifest", corpus / "manifest.json",
+                     "--schemes", schemes])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: unknown manifest entry 'bogus'\n"
+
+
 @pytest.mark.parametrize("flag", [["--max-len", "3"], ["--heuristic-types"]])
 def test_starts_takes_no_mining_options(corpus, capsys, flag):
     # Start pointers come from the linear scan and the forward sweep, which
@@ -615,7 +636,8 @@ def test_bare_command_builds_default_options(
 
 _FLAG_CASES = [
     ("harvest", ["--no-cond"], {"follow_cond_branches": False}),
-    ("harvest", ["--stop-on-convergence"], {"stop_on_convergence": True}),
+    ("harvest", ["--stop-on-convergence", "--set", "tc"],
+     {"stop_on_convergence": True, "track_set": BUILTIN_SETS["tc"]}),
     ("harvest", ["--max-len", "7"], {"max_gadget_len": 7}),
     ("harvest", ["--set", "movtc"], {"track_set": BUILTIN_SETS["movtc"]}),
     ("gadgets", ["--heuristic-types"], {"enable_heuristic_types": True}),

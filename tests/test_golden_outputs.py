@@ -17,9 +17,13 @@ from ropscope.cli import main
 
 GOLDEN = {
     "compare": "c76a4b531372f6f94773beacb699a0537902a43b01d65aa06d631c0f729e2c3e",
+    "compare_pretty": "0d39e58232a58ae4f84159a9910c360034d5d8f6a24dfb40dc4be5c967b46e89",
+    "corrupt_csv": "dd20634cc433cd7a2019d12ed564efc38d8e64a6c7bfc8ba27a592af98ab97bc",
+    "corrupt_json": "8029b6992ba81cfa629c902561f38a0aa888c2fbb107a2a9c490aa23ba784689",
     "corrupt_verdicts": "f0caa58df7aba60ce15434c47abd4b2ee13eb7b2606ea59be01085f48691257d",
     "gadgets_tc": "d5c99449c06de9709e1fafc6d8b4248e8d59f9dd0b92f5f3c1934d3a0372e74f",
     "harvest_summary": "2087258e128dce43057f433abdfbc83666599605b2f18a4bc64c627ae1a02740",
+    "harvest_tc_pretty": "a0e465450e531ca89269728f5f7b5ee203f5aba88fad9984f33fe55174f12637",
     "harvest_tc_summary": "f6f9c95b84516bbc24d35463cdc5b07577cb96f9a1a6b42139d187c04e0665e3",
     "harvest_tc_trace": "f013d16a17b344c7229758ff88a59aec113121d976251d169795f70bec238150",
     "harvest_trace": "0b3e9caa1919d59d156918fb265d546d31a606a11a3116d8f1141df6aa0e8aed",
@@ -39,6 +43,9 @@ GOLDEN = {
     "synth_transform/function-s5-renamed.truth.json": "d6682ca5e31c3415118336e6e51b0c1250597bae21c1bf265961a6df0275679f",
     "synth_transform/manifest.json": "4a558f62381eae9b62e7de45d6a0405aed1a198be02ea0282b56c3d4d6e1f666",
     "upper_bound": "5cc1aec02068dde8772eaff81ce86b551ccf7b7590d3ea7195da606de6b4740e",
+    "upper_bound_interval_618": "b428cb54b1d9f1f9a14b6e76e3e9765462290f48917dbabd85994208a370f982",
+    "upper_bound_interval_640": "0ffbb4ffd877baef39bf24b5fe207991488b2ac2b42012a0c4e21d44b5abe843",
+    "upper_bound_interval_pretty": "8ec4b0af641a9fc20243e6bae4bfb871bcd508232701a688c0354b2c65b3a3cd",
     "upper_bound_timeline": "86b4201ff5061cbc0ccd38d509abcdaa122895b266a5188610e0eb8b32e9d882",
     "upper_bound_wide": "a4e9149af5ed6d931a0e62e42426753864104f128249f50a0528178cb3c0c66f",
     "upper_bound_wide_timeline": "a6a714681e21ca228952c09d487e4ea65d24d07d4e3a0f2449cdc0bdfe1df5b4",
@@ -107,12 +114,33 @@ def produce_outputs(root) -> dict[str, bytes]:
         "--timeline-csv", wide_timeline,
     ])
     out["upper_bound_wide_timeline"] = wide_timeline.read_bytes()
+    # The fastest start converges at clock 618: an interval of 618 is safe
+    # and one of 640 is not.
+    for interval in (618, 640):
+        out[f"upper_bound_interval_{interval}"] = _run([
+            "upper-bound", sparse_snap, "--set", "tc", "--max-len", "10",
+            "--interval", interval,
+        ])
     out["gadgets_tc"] = _run(["gadgets", packed_snap, "--set", "tc"])
-    out["corrupt_verdicts"] = _run(
-        ["corrupt", packed_snap, "--format", "verdicts"]
-    )
+    for fmt in ("verdicts", "json", "csv"):
+        out[f"corrupt_{fmt}"] = _run(
+            ["corrupt", packed_snap, "--format", fmt]
+        )
     out["compare"] = _run([
         "compare", "--manifest", packed / "manifest.json", "--max-len", "10",
+    ])
+    # The human-readable tables.
+    out["harvest_tc_pretty"] = _run([
+        "harvest", packed_snap, "--start", "0x400000", "--max-len", "10",
+        "--set", "tc", "--pretty",
+    ])
+    out["upper_bound_interval_pretty"] = _run([
+        "upper-bound", sparse_snap, "--set", "tc", "--max-len", "10",
+        "--interval", "640", "--pretty",
+    ])
+    out["compare_pretty"] = _run([
+        "compare", "--manifest", packed / "manifest.json", "--max-len", "10",
+        "--pretty",
     ])
     out["starts"] = _run(
         ["starts", packed_snap, "--start-strategy", "seeded", "--seed", "3"]
@@ -140,6 +168,15 @@ def test_pinned_outputs_are_not_trivial(outputs):
     assert wide["starts"] == 24 and wide["converged_starts"] > 0
     assert len(json.loads(outputs["starts"])) > 1
     assert outputs["corrupt_verdicts"].count(b"\n") > 10
+    rates = json.loads(outputs["corrupt_json"])
+    assert len(rates) > 10 and any(r["corrupted"] for r in rates.values())
+    assert outputs["corrupt_csv"].count(b"\n") == len(rates) + 1
+    assert [
+        json.loads(outputs[f"upper_bound_interval_{n}"])["interval_verdict"]
+        ["safety"] for n in (618, 640)
+    ] == ["safe", "unsafe"]
+    assert b"interval 640: unsafe" in outputs["upper_bound_interval_pretty"]
+    assert b"reduction=" in outputs["compare_pretty"]
     manifest = json.loads(outputs["synth_transform/manifest.json"])
     assert [e["name"] for e in manifest["entries"]] == [
         "baseline", "coarse", "function", "block", "instruction",

@@ -194,6 +194,11 @@ def test_start_on_poison_still_leaks_the_page():
     assert trace.analysis_cost == 0
 
 
+def test_stop_on_convergence_needs_a_track_set():
+    with pytest.raises(ValueError, match="stop_on_convergence"):
+        HarvestOptions(stop_on_convergence=True)
+
+
 def test_track_set_and_stop_on_convergence():
     base_a, base_b = 0x400000, 0x402000
     code_a = asm(pop_r(Reg.RBX), ret(), call_to(base_a + 3, base_b), ret())

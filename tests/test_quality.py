@@ -22,11 +22,10 @@ from ropscope.encode import (
 from ropscope.gadgets import Gadget, GadgetType, classify, find_gadgets
 from ropscope.quality import (
     MODIFIER_MNEMONICS,
-    CorruptionSummary,
     GadgetShape,
     analyze_corruption,
     assess_gadgets,
-    corruption_rate,
+    corruption_report,
     corruption_report_csv,
     summarize_by_type,
     verdict_report_csv,
@@ -179,15 +178,16 @@ def test_assess_gadgets_and_rates():
     assert verdicts
     assert all(v.type_assessed is GadgetType.LR for v in verdicts)
 
-    summary = corruption_rate(verdicts, GadgetType.LR)
+    by_type = summarize_by_type(verdicts)
+    # A type that no verdict assessed has no summary.
+    assert list(by_type) == [GadgetType.LR]
+    summary = by_type[GadgetType.LR]
     assert summary.assessed == len(verdicts)
     assert isinstance(summary.rate, Fraction)
     assert summary.rate == Fraction(summary.corrupted, summary.assessed)
-    assert summary.mean_unique_registers is not None
-
-    empty = corruption_rate(verdicts, GadgetType.SYS)
-    assert empty == CorruptionSummary(GadgetType.SYS, 0, 0, None, None)
-    assert empty.rate_float is None
+    assert summary.mean_unique_registers == (
+        sum(v.unique_registers for v in verdicts) / len(verdicts)
+    )
 
 
 def test_summaries_and_reports():
@@ -198,10 +198,16 @@ def test_summaries_and_reports():
     assert GadgetType.LR in by_type
     assert GadgetType.MR in by_type
 
+    assert list(by_type) == sorted(by_type, key=lambda t: t.value)
+    assert sum(s.assessed for s in by_type.values()) == len(verdicts)
+
     csv_text = corruption_report_csv(by_type)
     lines = csv_text.strip().splitlines()
     assert lines[0] == "type,assessed,corrupted,rate,mean_unique_registers"
     assert len(lines) == len(by_type) + 1
+    report = corruption_report(by_type)
+    assert list(report) == [line.split(",")[0] for line in lines[1:]]
+    assert all(isinstance(r["rate"], float) for r in report.values())
 
     detail = verdict_report_csv(verdicts)
     assert detail.count("\n") == len(verdicts) + 1
