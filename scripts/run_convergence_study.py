@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from ropscope.gadgets import BUILTIN_SETS, load_set_spec
-from ropscope.harvest import START_STRATEGIES, HarvestOptions
+from ropscope.harvest import HarvestOptions
 from ropscope.rerand import evaluate_interval, upper_bound
 from ropscope.snapshot import load_image
 from ropscope.synth import GenParams, generate, materialize
@@ -25,7 +25,8 @@ def main(argv=None) -> int:
     ap.add_argument("snapshot", nargs="?", help="snapshot or ELF to study")
     ap.add_argument("--generate", action="store_true",
                     help="study a generated program instead of a file")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0,
+                    help="seed of the generated program")
     ap.add_argument("--functions", type=int, default=GenParams.n_functions)
     ap.add_argument("--set", default="tc",
                     choices=sorted(BUILTIN_SETS))
@@ -36,8 +37,9 @@ def main(argv=None) -> int:
     ap.add_argument("--max-len", type=int, default=10,
                     help="mining window size; 10 covers the longest plant, "
                          "BROP's 8 pops plus ret")
-    ap.add_argument("--start-strategy", default="lowest",
-                    choices=START_STRATEGIES)
+    ap.add_argument("--start-seed", type=int, default=None,
+                    help="draw each page's start pointer from its "
+                         "candidates with this seed, not the lowest")
     ap.add_argument("--timeline-csv", default=None)
     args = ap.parse_args(argv)
 
@@ -52,10 +54,9 @@ def main(argv=None) -> int:
     spec = (load_set_spec(args.set_file) if args.set_file
             else BUILTIN_SETS[args.set])
     opts = HarvestOptions(
-        seed=args.seed,
         max_gadget_len=args.max_len,
-        start_strategy=args.start_strategy,
         track_set=spec,
+        start_seed=args.start_seed,
     )
     report = upper_bound(image, opts)
 

@@ -38,7 +38,6 @@ from ropscope.gadgets import (
     type_counts,
 )
 from ropscope.harvest import (
-    START_STRATEGIES,
     HarvestOptions,
     StartPointerInvalid,
     harvest,
@@ -53,7 +52,7 @@ from ropscope.quality import (
     summarize_by_type,
     verdict_report_csv,
 )
-from ropscope.rerand import interval_verdict, upper_bound
+from ropscope.rerand import check_interval, interval_verdict, upper_bound
 from ropscope.snapshot import (
     SegmentTag,
     SnapshotError,
@@ -119,8 +118,8 @@ def _harvest_options(args) -> HarvestOptions:
 
 
 def _cmd_harvest(args) -> int:
-    image = load_image(args.snapshot)
-    trace = harvest(image, args.start, _harvest_options(args))
+    opts = _harvest_options(args)
+    trace = harvest(load_image(args.snapshot), args.start, opts)
     if args.trace:
         Path(args.trace).write_text(trace.to_jsonl())
     report = trace.report()
@@ -138,10 +137,9 @@ def _cmd_harvest(args) -> int:
 
 
 def _cmd_gadgets(args) -> int:
-    image = load_image(args.snapshot)
     opts = _harvest_options(args)
     spec = opts.track_set
-    gadgets = mine_image(image, opts)
+    gadgets = mine_image(load_image(args.snapshot), opts)
     coverage = None
     if spec is not None and (args.pretty or args.format == "json"):
         coverage = evaluate_set(gadgets, spec)
@@ -173,8 +171,10 @@ def _cmd_gadgets(args) -> int:
 
 
 def _cmd_upper_bound(args) -> int:
-    image = load_image(args.snapshot)
-    report = upper_bound(image, _harvest_options(args))
+    if args.interval is not None:
+        check_interval(args.interval)
+    opts = _harvest_options(args)
+    report = upper_bound(load_image(args.snapshot), opts)
     payload = report.to_dict()
     if args.interval is not None:
         payload["interval_verdict"] = interval_verdict(args.interval, report)
@@ -195,9 +195,9 @@ def _cmd_upper_bound(args) -> int:
 
 
 def _cmd_corrupt(args) -> int:
-    image = load_image(args.snapshot)
-    gadgets = mine_image(image, _harvest_options(args))
     types = _parse_types(args.types) if args.types else None
+    opts = _harvest_options(args)
+    gadgets = mine_image(load_image(args.snapshot), opts)
     verdicts = assess_gadgets(gadgets, types)
     if args.format == "verdicts":
         sys.stdout.write(verdict_report_csv(verdicts))
@@ -214,8 +214,6 @@ _TAG_NAMES = {t.name.lower(): t for t in SegmentTag}
 
 
 def _cmd_scan(args) -> int:
-    # Pointers live in data segments, so an ELF is mapped with every PT_LOAD.
-    image = load_image(args.snapshot, kind="all_load")
     tags = None
     if args.segment:
         tags = []
@@ -225,6 +223,8 @@ def _cmd_scan(args) -> int:
                 raise ValueError(f"unknown segment tag {name!r}")
             tags.append(_TAG_NAMES[name])
     lib_range = _parse_range(args.lib_range) if args.lib_range else None
+    # Pointers live in data segments, so an ELF is mapped with every PT_LOAD.
+    image = load_image(args.snapshot, kind="all_load")
     report = scan_pointers(
         image,
         tags=tags,
@@ -368,8 +368,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_starts(args) -> int:
-    image = load_image(args.snapshot)
-    starts = page_start_pointers(image, _harvest_options(args))
+    opts = _harvest_options(args)
+    starts = page_start_pointers(load_image(args.snapshot), opts)
     payload = {f"{base:#x}": f"{ptr:#x}" for base, ptr in sorted(starts.items())}
     print(dumps(payload))
     return 0
@@ -403,10 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
             g.add_argument("--set-file", metavar="PATH",
                            help="JSON file with a custom gadget set")
 
-    def add_start_strategy(p):
-        p.add_argument("--start-strategy", choices=START_STRATEGIES)
-        p.add_argument("--seed", type=_parse_int,
-                       help="seed of the seeded start strategy")
+    def add_start_seed(p):
+        p.add_argument("--start-seed", type=_parse_int, metavar="N",
+                       help="draw each page's start pointer from its "
+                       "candidates with this seed, not the lowest")
 
     p = sub.add_parser("harvest", help="recursively harvest from a pointer")
     p.add_argument("snapshot")
@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="judge this rerandomization interval (clock ticks)")
     p.add_argument("--timeline-csv", default=None, metavar="PATH",
                    help="write per-start (clock, types) timeline rows here")
-    add_start_strategy(p)
+    add_start_seed(p)
     p.add_argument("--pretty", action="store_true")
     add_common(p)
     p.set_defaults(func=_cmd_upper_bound, **harvest_defaults)
@@ -468,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("starts", help="chosen start pointer per page")
     p.add_argument("snapshot")
-    add_start_strategy(p)
+    add_start_seed(p)
     p.set_defaults(func=_cmd_starts, **harvest_defaults)
 
     p_synth = sub.add_parser("synth", help="synthetic corpus tools")

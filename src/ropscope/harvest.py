@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from ropscope.canonical import dumps
 from ropscope.disasm import (
@@ -42,10 +42,6 @@ from ropscope.snapshot import PAGE_SIZE, MemoryImage, PageRecord, page_base
 
 LEAK_TICKS_PER_PAGE = 100
 
-# How each page's start pointer is picked from its candidates: the lowest
-# one, or one chosen by a generator seeded with the run seed and page base.
-START_STRATEGIES = ("lowest", "seeded")
-
 
 class StartPointerInvalid(ValueError):
     """The starting pointer does not land in mapped executable memory."""
@@ -53,20 +49,16 @@ class StartPointerInvalid(ValueError):
 
 @dataclass(frozen=True)
 class HarvestOptions:
-    seed: int = 0
     follow_cond_branches: bool = True
     max_gadget_len: int = 5
     enable_heuristic_types: bool = False
     track_set: GadgetSetSpec | None = None
     stop_on_convergence: bool = False
-    start_strategy: str = "lowest"
+    # Each page's start pointer is its lowest candidate when None, else one
+    # drawn by a generator seeded with this seed and the page base.
+    start_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.start_strategy not in START_STRATEGIES:
-            raise ValueError(
-                f"unknown start strategy {self.start_strategy!r}; "
-                f"choose one of {', '.join(START_STRATEGIES)}"
-            )
         if self.max_gadget_len < 1:
             raise ValueError("max_len must be at least 1")
         if self.stop_on_convergence and self.track_set is None:
@@ -83,8 +75,7 @@ class EventKind(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class HarvestEvent:
+class HarvestEvent(NamedTuple):
     step: int
     clock: int
     kind: EventKind
@@ -107,13 +98,16 @@ class HarvestTrace:
     analysis_cost: int
     pages_found: int
     skipped_targets: int
-    converged: bool
     # Analysis product; not part of the serialized trace.
     gadgets: tuple[Gadget, ...] = ()
 
     @property
     def total_cost(self) -> int:
         return self.leak_cost + self.analysis_cost
+
+    @property
+    def converged(self) -> bool:
+        return self.convergence_clock() is not None
 
     def pages(self) -> tuple[int, ...]:
         return tuple(
@@ -322,8 +316,7 @@ class _Walk:
     those in `track_set`, when one is given) become events; covering
     `track_set` converges the walk, and ends it with
     `stop_on_convergence`. Page discoveries are events only with
-    `page_events`; the clocks are the same either way. Events are
-    (clock, kind, payload) tuples.
+    `page_events`; the clocks are the same either way.
     """
 
     def __init__(
@@ -345,8 +338,7 @@ class _Walk:
         skipped = 0
         leak_cost = 0
         analysis_cost = 0
-        converged = False
-        events: list[tuple[int, EventKind, Mapping[str, object]]] = []
+        events: list[HarvestEvent] = []
         seen_types: set[GadgetType] = set()
 
         while queue:
@@ -357,10 +349,9 @@ class _Walk:
                 node = analysis.root(base)
                 leak_cost += LEAK_TICKS_PER_PAGE
                 if page_events:
-                    events.append((
-                        leak_cost + analysis_cost,
-                        EventKind.PAGE_DISCOVERED,
-                        {"base": base},
+                    events.append(HarvestEvent(
+                        len(events) + 1, leak_cost + analysis_cost,
+                        EventKind.PAGE_DISCOVERED, {"base": base},
                     ))
             child = nodes[base] = analysis.advance(
                 base, node, pending.pop(base)
@@ -392,17 +383,18 @@ class _Walk:
             clock = leak_cost + analysis_cost
             # A GadgetType is a str, so they sort by value.
             for gtype in sorted(new_types):
-                events.append(
-                    (clock, EventKind.TYPE_LEAKED, {"type": gtype.value})
-                )
+                events.append(HarvestEvent(
+                    len(events) + 1, clock, EventKind.TYPE_LEAKED,
+                    {"type": gtype.value},
+                ))
             seen_types |= new_types
             # A set spec is never empty, so the walk converges on the visit
             # that brings its last missing type.
             if tracked is not None and tracked <= seen_types:
-                converged = True
-                events.append(
-                    (clock, EventKind.CONVERGED, {"set": track_set.name})
-                )
+                events.append(HarvestEvent(
+                    len(events) + 1, clock, EventKind.CONVERGED,
+                    {"set": track_set.name},
+                ))
                 if stop_on_convergence:
                     break
 
@@ -410,7 +402,6 @@ class _Walk:
         self.skipped = skipped
         self.leak_cost = leak_cost
         self.analysis_cost = analysis_cost
-        self.converged = converged
         self.events = events
 
     def gadgets(self) -> tuple[Gadget, ...]:
@@ -458,15 +449,11 @@ def harvest(
     walk = _walk_from(image, start, opts, analysis, page_events=True)
     return HarvestTrace(
         start=start,
-        events=[
-            HarvestEvent(step, clock, kind, payload)
-            for step, (clock, kind, payload) in enumerate(walk.events, 1)
-        ],
+        events=walk.events,
         leak_cost=walk.leak_cost,
         analysis_cost=walk.analysis_cost,
         pages_found=len(walk.nodes),
         skipped_targets=walk.skipped,
-        converged=walk.converged,
         gadgets=walk.gadgets(),
     )
 
@@ -558,11 +545,11 @@ def _choose_starts(
             if _sweep_accepts(decodes, t - page.base)
         )
         if candidates:
-            if opts.start_strategy == "seeded":
-                rng = random.Random(opts.seed ^ page.base)
-                out[page.base] = rng.choice(candidates)
-            else:
+            if opts.start_seed is None:
                 out[page.base] = candidates[0]
+            else:
+                rng = random.Random(opts.start_seed ^ page.base)
+                out[page.base] = rng.choice(candidates)
             continue
         chosen = page.base
         for off in range(PAGE_SIZE):

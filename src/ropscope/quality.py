@@ -115,8 +115,11 @@ class CorruptionSummary:
     type_assessed: GadgetType
     assessed: int
     corrupted: int
-    rate: Fraction
     mean_unique_registers: float
+
+    @property
+    def rate(self) -> Fraction:
+        return Fraction(self.corrupted, self.assessed)
 
 
 def assess_gadgets(
@@ -147,8 +150,7 @@ def summarize_by_type(
         t[2] += v.unique_registers
     return {
         gtype: CorruptionSummary(
-            gtype, assessed, corrupted, Fraction(corrupted, assessed),
-            registers / assessed,
+            gtype, assessed, corrupted, registers / assessed
         )
         for gtype, (assessed, corrupted, registers) in sorted(
             totals.items(), key=lambda kv: kv[0].value

@@ -40,12 +40,15 @@ class ConvergenceRecord:
 
     start: int
     set_name: str
-    converged: bool
     convergence_clock: int | None
     type_timeline: tuple[tuple[int, int], ...]
     leak_fraction: float
     total_cost: int
     pages_found: int
+
+    @property
+    def converged(self) -> bool:
+        return self.convergence_clock is not None
 
     def time_to_k_types(self, k: int) -> int | None:
         """Clock at which the k-th distinct tracked type became available."""
@@ -83,14 +86,15 @@ def converge(
     spec = opts.track_set or BUILTIN_SETS["tc"]
     run_opts = replace(opts, track_set=spec, stop_on_convergence=True)
     walk = _walk_from(image, start, run_opts, analysis, page_events=False)
+    events = walk.events
     # The walk stops on convergence, so its event is the last one.
-    leaks = [c for c, kind, _ in walk.events if kind is EventKind.TYPE_LEAKED]
+    converged = bool(events) and events[-1].kind is EventKind.CONVERGED
+    leaks = [e.clock for e in events if e.kind is EventKind.TYPE_LEAKED]
     total = walk.leak_cost + walk.analysis_cost
     return ConvergenceRecord(
         start=start,
         set_name=spec.name,
-        converged=walk.converged,
-        convergence_clock=walk.events[-1][0] if walk.converged else None,
+        convergence_clock=events[-1].clock if converged else None,
         type_timeline=tuple(
             (clock, k) for k, clock in enumerate(leaks, 1)
         ),
@@ -185,9 +189,9 @@ def upper_bound(
     }
 
     converged_clocks = [
-        r.convergence_clock
+        clock
         for r in records.values()
-        if r.converged and r.convergence_clock is not None
+        if (clock := r.convergence_clock) is not None
     ]
     minimum = min(converged_clocks) if converged_clocks else None
     average = (
@@ -211,6 +215,13 @@ class IntervalSafety(str, Enum):
         return self.value
 
 
+def check_interval(interval: int) -> None:
+    """Raise ValueError unless `interval` can be judged: a positive number
+    of clock ticks."""
+    if interval <= 0:
+        raise ValueError("interval must be positive")
+
+
 def evaluate_interval(interval: int, report: UpperBoundReport) -> IntervalSafety:
     """Judge a rerandomization interval against measured convergence.
 
@@ -218,8 +229,7 @@ def evaluate_interval(interval: int, report: UpperBoundReport) -> IntervalSafety
     strictly: rerandomizing at the same tick the attacker would finish
     still defeats the attack.
     """
-    if interval <= 0:
-        raise ValueError("interval must be positive")
+    check_interval(interval)
     if report.minimum_clock is not None and report.minimum_clock < interval:
         return IntervalSafety.UNSAFE
     return IntervalSafety.SAFE

@@ -194,7 +194,10 @@ class GroundTruth:
     function_entries: tuple[int, ...]
     function_pages: tuple[frozenset[int], ...]
     call_graph: tuple[tuple[int, int], ...]
-    multi_instruction_plants: int
+
+    @property
+    def multi_instruction_plants(self) -> int:
+        return sum(1 for p in self.planted if p.n_items >= 2)
 
     def reachable_pages(self, start_page: int) -> frozenset[int]:
         """Transitive closure over branch page edges."""
@@ -457,9 +460,6 @@ class _Chunk:
     new_page_after: bool = False
 
 
-_BRANCH_SIZES = {"call_rel32": 5, "jmp_rel32": 5, "jcc_rel32": 6}
-
-
 def _rename_args(item: AsmItem, mapping: Mapping[Reg, Reg]) -> AsmItem:
     if item.pin:
         return item
@@ -476,11 +476,11 @@ def _layout(
     renames: Mapping[int, Mapping[Reg, Reg]] | None = None,
 ) -> tuple[MemoryImage, GroundTruth]:
     # Placement: a unit is its chunk's renamed items plus the link jump, if
-    # any. An untargeted item is encoded here; a targeted branch has a fixed
-    # size and is encoded once every target is placed.
+    # any. Every item is encoded here; a targeted branch, at displacement 0,
+    # only for its size, and again once every target is placed.
     functions = program.functions
     addr_of: dict[tuple[int, int], int] = {}
-    laid: list[tuple[int, int, AsmItem, bytes | None]] = []
+    laid: list[tuple[int, AsmItem, bytes]] = []
     fn_pages: list[set[int]] = [set() for _ in functions]
     cursor = last_used = start_base
     for chunk in chunks:
@@ -493,25 +493,23 @@ def _layout(
         if chunk.link_to is not None:
             unit.append((None, AsmItem("jmp_rel32", (), chunk.link_to)))
         codes = [
-            None if item.target is not None else getattr(enc, item.op)(*item.args)
+            getattr(enc, item.op)(
+                *item.args, *(() if item.target is None else (0,))
+            )
             for _, item in unit
         ]
-        sizes = [
-            _BRANCH_SIZES[item.op] if code is None else len(code)
-            for (_, item), code in zip(unit, codes)
-        ]
-        size = sum(sizes)
+        size = sum(map(len, codes))
         if size > PAGE_SIZE:
             raise ValueError("relocation unit larger than a page")
         if page_base(cursor) != page_base(cursor + size - 1):
             cursor = page_base(cursor) + PAGE_SIZE
         page = page_base(cursor)
-        for (key, item), code, item_size in zip(unit, codes, sizes):
+        for (key, item), code in zip(unit, codes):
             if key is not None:
                 addr_of[key] = cursor
                 fn_pages[key[0]].add(page)
-            laid.append((cursor, item_size, item, code))
-            cursor += item_size
+            laid.append((cursor, item, code))
+            cursor += len(code)
         last_used = cursor
         cursor += chunk.gap_after
         if chunk.new_page_after:
@@ -525,9 +523,10 @@ def _layout(
     n_pages = (hi_page - lo_page) // PAGE_SIZE + 1
     blob = bytearray(bytes([POISON_BYTE]) * (n_pages * PAGE_SIZE))
     page_edges: dict[int, set[int]] = {}
-    for addr, size, item, code in laid:
+    for addr, item, code in laid:
+        size = len(code)
         target = None
-        if code is None:
+        if item.target is not None:
             target = addr_of[item.target]
             code = getattr(enc, item.op)(*item.args, target - (addr + size))
         elif item.op == "jmp_rel8":
@@ -555,9 +554,6 @@ def _layout(
         function_entries=tuple(addr_of[(f, 0)] for f in range(len(functions))),
         function_pages=tuple(map(frozenset, fn_pages)),
         call_graph=program.call_graph,
-        multi_instruction_plants=sum(
-            1 for p in program.plants if p.n_items >= 2
-        ),
     )
     return image, truth
 

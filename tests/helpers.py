@@ -55,7 +55,6 @@ from ropscope.snapshot import (
     page_base,
 )
 from ropscope.synth import (
-    _BRANCH_SIZES,
     AsmItem,
     GroundTruth,
     PlantRecord,
@@ -834,7 +833,6 @@ def reference_harvest(
         analysis_cost=analysis_cost,
         pages_found=len(walk.states),
         skipped_targets=walk.skipped,
-        converged=converged,
         gadgets=walk.gadgets(),
     )
 
@@ -857,7 +855,6 @@ def reference_converge(
     return ConvergenceRecord(
         start=start,
         set_name=spec.name,
-        converged=trace.converged,
         convergence_clock=trace.convergence_clock(),
         type_timeline=tuple(
             (clock, k) for k, clock in enumerate(leaked, 1)
@@ -927,6 +924,11 @@ def reference_scan_pointers(
         scanned_pages=scanned_pages,
         scanned_words=scanned_words,
     )
+
+
+# Encoded sizes of the targeted branches, as the x86-64 manual gives them
+# (E8/E9 rel32, 0F 8x rel32), not as the encoder computes them.
+_BRANCH_SIZES = {"call_rel32": 5, "jmp_rel32": 5, "jcc_rel32": 6}
 
 
 def reference_layout(
@@ -1048,8 +1050,5 @@ def reference_layout(
         function_entries=entries,
         function_pages=tuple(fn_pages),
         call_graph=program.call_graph,
-        multi_instruction_plants=sum(
-            1 for p in program.plants if p.n_items >= 2
-        ),
     )
     return image, truth

@@ -524,14 +524,16 @@ def test_synth_generate_unknown_scheme_writes_nothing(tmp_path, capsys):
     ids=["harvest", "gadgets", "corrupt", "upper-bound", "starts"],
 )
 def test_seed_only_where_start_strategy_is(corpus, capsys, command, accepted):
-    argv = [command[0], corpus / "baseline.rsnp", *command[1:], "--seed", "3"]
-    if accepted:
-        assert run(argv)[0] == 0
-    else:
+    # The start seed is the one seed of the analysis commands.
+    argv = [command[0], corpus / "baseline.rsnp", *command[1:]]
+    for flag, takes in (("--start-seed", accepted), ("--seed", False)):
+        if takes:
+            assert run([*argv, flag, "3"])[0] == 0
+            continue
         with pytest.raises(SystemExit) as exc:
-            run(argv)
+            run([*argv, flag, "3"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("max_len", ["0", "-3"])
@@ -572,6 +574,53 @@ def test_compare_unknown_entry_exits_2(corpus, capsys, schemes):
     assert capsys.readouterr().err == "error: unknown manifest entry 'bogus'\n"
 
 
+# Options refused before the work they would steer: each case's argv, the
+# function of cli that does the work, and the one error line.
+_EARLY_REFUSALS = {
+    "corrupt --types BOGUS": (
+        ["corrupt", "SNAP", "--types", "BOGUS"], "mine_image",
+        "error: unknown gadget type 'BOGUS'\n",
+    ),
+    "upper-bound --interval 0": (
+        ["upper-bound", "SNAP", "--interval", "0"], "upper_bound",
+        "error: interval must be positive\n",
+    ),
+    "scan --segment bogus": (
+        ["scan", "SNAP", "--segment", "bogus"], "load_image",
+        "error: unknown segment tag 'bogus'\n",
+    ),
+    "scan --lib-range 5": (
+        ["scan", "SNAP", "--lib-range", "5"], "load_image",
+        "error: range must look like LO:HI, got '5'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_EARLY_REFUSALS))
+def test_bad_option_is_refused_before_work(corpus, capsys, monkeypatch, case):
+    argv, work, error = _EARLY_REFUSALS[case]
+    calls = []
+    original = getattr(cli, work)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, work, counted)
+    code, out = run([corpus / "baseline.rsnp" if a == "SNAP" else a
+                     for a in argv])
+    assert (code, out, calls) == (2, "", [])
+    assert capsys.readouterr().err == error
+
+
+def test_start_seed_changes_starts(corpus):
+    snap = corpus / "baseline.rsnp"
+    plain = run(["starts", snap])
+    seeded = run(["starts", snap, "--start-seed", "5"])
+    assert plain[0] == seeded[0] == 0
+    assert plain[1] != seeded[1]
+
+
 @pytest.mark.parametrize("flag", [["--max-len", "3"], ["--heuristic-types"]])
 def test_starts_takes_no_mining_options(corpus, capsys, flag):
     # Start pointers come from the linear scan and the forward sweep, which
@@ -585,11 +634,12 @@ def test_starts_takes_no_mining_options(corpus, capsys, flag):
 
 
 def test_seed_ignores_environment(corpus, monkeypatch):
-    argv = ["starts", corpus / "baseline.rsnp", "--start-strategy", "seeded"]
-    plain = run(argv)
+    argv = ["starts", corpus / "baseline.rsnp"]
+    plain, seeded = run(argv), run([*argv, "--start-seed", "0"])
     monkeypatch.setenv("ROPSCOPE_SEED", "0x10")
-    assert run(argv) == plain == run([*argv, "--seed", "0"])
-    assert plain[0] == 0
+    assert run(argv) == plain
+    assert run([*argv, "--start-seed", "0"]) == seeded
+    assert plain[0] == seeded[0] == 0
 
 
 class _Options(Exception):
@@ -642,11 +692,9 @@ _FLAG_CASES = [
     ("harvest", ["--set", "movtc"], {"track_set": BUILTIN_SETS["movtc"]}),
     ("gadgets", ["--heuristic-types"], {"enable_heuristic_types": True}),
     ("gadgets", ["--set", "tc"], {"track_set": BUILTIN_SETS["tc"]}),
-    ("upper-bound", ["--start-strategy", "seeded"],
-     {"start_strategy": "seeded"}),
-    ("upper-bound", ["--seed", "0x10"], {"seed": 16}),
+    ("upper-bound", ["--start-seed", "0x10"], {"start_seed": 16}),
     ("corrupt", ["--max-len", "2"], {"max_gadget_len": 2}),
-    ("starts", ["--seed", "3"], {"seed": 3}),
+    ("starts", ["--start-seed", "3"], {"start_seed": 3}),
     ("compare", ["--max-len", "10"], {"max_gadget_len": 10}),
     ("synth generate", ["--functions", "4"], {"n_functions": 4}),
     ("synth generate", ["--mean-len", "7"], {"mean_fn_len": 7}),

@@ -22,6 +22,8 @@ GOLDEN = {
     "corrupt_json": "8029b6992ba81cfa629c902561f38a0aa888c2fbb107a2a9c490aa23ba784689",
     "corrupt_verdicts": "f0caa58df7aba60ce15434c47abd4b2ee13eb7b2606ea59be01085f48691257d",
     "gadgets_tc": "d5c99449c06de9709e1fafc6d8b4248e8d59f9dd0b92f5f3c1934d3a0372e74f",
+    "harvest_stop_summary": "78b9593fd7cbde4fe478c5f09eb0208f48c9e9b199d962b3fa69ee066b90647c",
+    "harvest_stop_trace": "c42edaa61a02c7ee6623b605631e4628d1ffd5523d09db3190109ba7be81048d",
     "harvest_summary": "2087258e128dce43057f433abdfbc83666599605b2f18a4bc64c627ae1a02740",
     "harvest_tc_pretty": "a0e465450e531ca89269728f5f7b5ee203f5aba88fad9984f33fe55174f12637",
     "harvest_tc_summary": "f6f9c95b84516bbc24d35463cdc5b07577cb96f9a1a6b42139d187c04e0665e3",
@@ -46,6 +48,8 @@ GOLDEN = {
     "upper_bound_interval_618": "b428cb54b1d9f1f9a14b6e76e3e9765462290f48917dbabd85994208a370f982",
     "upper_bound_interval_640": "0ffbb4ffd877baef39bf24b5fe207991488b2ac2b42012a0c4e21d44b5abe843",
     "upper_bound_interval_pretty": "8ec4b0af641a9fc20243e6bae4bfb871bcd508232701a688c0354b2c65b3a3cd",
+    "upper_bound_seeded": "dbf27bfb5dae2728d9e0d8bbb0ab98c9b518dcaf44c55e48593cddba3f88f670",
+    "upper_bound_seeded_timeline": "bf6b07d2ef90eb736d8a081cfd80042f24f0932f7e5754a3e9d41098dc5a9915",
     "upper_bound_timeline": "86b4201ff5061cbc0ccd38d509abcdaa122895b266a5188610e0eb8b32e9d882",
     "upper_bound_wide": "a4e9149af5ed6d931a0e62e42426753864104f128249f50a0528178cb3c0c66f",
     "upper_bound_wide_timeline": "a6a714681e21ca228952c09d487e4ea65d24d07d4e3a0f2449cdc0bdfe1df5b4",
@@ -102,6 +106,12 @@ def produce_outputs(root) -> dict[str, bytes]:
             "--trace", trace, *extra,
         ])
         out[f"{key}_trace"] = trace.read_bytes()
+    stop_trace = root / "harvest_stop.jsonl"
+    out["harvest_stop_summary"] = _run([
+        "harvest", packed_snap, "--start", "0x400000", "--max-len", "10",
+        "--set", "tc", "--stop-on-convergence", "--trace", stop_trace,
+    ])
+    out["harvest_stop_trace"] = stop_trace.read_bytes()
     timeline = root / "timeline.csv"
     out["upper_bound"] = _run([
         "upper-bound", sparse_snap, "--set", "tc", "--max-len", "10",
@@ -114,6 +124,13 @@ def produce_outputs(root) -> dict[str, bytes]:
         "--timeline-csv", wide_timeline,
     ])
     out["upper_bound_wide_timeline"] = wide_timeline.read_bytes()
+    # Seeded start choice: one candidate per page drawn with seed 3.
+    seeded_timeline = root / "seeded_timeline.csv"
+    out["upper_bound_seeded"] = _run([
+        "upper-bound", sparse_snap, "--set", "tc", "--max-len", "10",
+        "--start-seed", "3", "--timeline-csv", seeded_timeline,
+    ])
+    out["upper_bound_seeded_timeline"] = seeded_timeline.read_bytes()
     # The fastest start converges at clock 618: an interval of 618 is safe
     # and one of 640 is not.
     for interval in (618, 640):
@@ -143,7 +160,7 @@ def produce_outputs(root) -> dict[str, bytes]:
         "--pretty",
     ])
     out["starts"] = _run(
-        ["starts", packed_snap, "--start-strategy", "seeded", "--seed", "3"]
+        ["starts", packed_snap, "--start-seed", "3"]
     )
     return out
 
@@ -162,10 +179,18 @@ def test_pinned_outputs_are_not_trivial(outputs):
     # A digest of an empty or degenerate report would pin nothing useful.
     summary = json.loads(outputs["harvest_tc_summary"])
     assert summary["pages_found"] > 1 and summary["type_clocks"]
+    # Stopping on convergence leaks fewer pages than the full run.
+    stopped = json.loads(outputs["harvest_stop_summary"])
+    assert stopped["converged"] and stopped["pages_found"] < summary["pages_found"]
     bound = json.loads(outputs["upper_bound"])
     assert bound["converged_starts"] > 0
     wide = json.loads(outputs["upper_bound_wide"])
     assert wide["starts"] == 24 and wide["converged_starts"] > 0
+    # Seeded starts are not the lowest candidates.
+    seeded = json.loads(outputs["upper_bound_seeded"])
+    assert [r["start"] for r in seeded["per_start"]] != [
+        r["start"] for r in bound["per_start"]
+    ]
     assert len(json.loads(outputs["starts"])) > 1
     assert outputs["corrupt_verdicts"].count(b"\n") > 10
     rates = json.loads(outputs["corrupt_json"])

@@ -484,12 +484,8 @@ def test_page_start_pointer_strategies_deterministic():
     for base, start in lowest.items():
         assert page_base(start) == base
 
-    seeded = page_start_pointers(
-        image, HarvestOptions(seed=5, start_strategy="seeded")
-    )
-    again = page_start_pointers(
-        image, HarvestOptions(seed=5, start_strategy="seeded")
-    )
+    seeded = page_start_pointers(image, HarvestOptions(start_seed=5))
+    again = page_start_pointers(image, HarvestOptions(start_seed=5))
     assert seeded == again
 
 
@@ -632,8 +628,8 @@ def test_offline_disassemble_matches_reference_on_ls(follow_cond):
 
 # The traversal against ReferenceTraversal, a set-based loop with no shared
 # analysis: dense and sparse seeded corpora and /usr/bin/ls, each option
-# that changes which pages a run reaches or when it stops, and the seeded
-# start strategy.
+# that changes which pages a run reaches or when it stops, and a seeded
+# start choice.
 ORACLE_CORPORA = {
     "24pages": GenParams(n_functions=24, max_functions_per_page=1),
     "dense": GenParams(
@@ -649,9 +645,7 @@ ORACLE_OPTIONS = {
         track_set=BUILTIN_SETS["priority"],
         stop_on_convergence=True,
     ),
-    "seeded": HarvestOptions(
-        max_gadget_len=6, seed=11, start_strategy="seeded"
-    ),
+    "seeded": HarvestOptions(max_gadget_len=6, start_seed=11),
 }
 
 
@@ -708,8 +702,3 @@ def test_traversal_matches_reference_on_drawn_params(
     image, _ = materialize(generate(params, seed))
     assert_matches_reference(image, ORACLE_OPTIONS[options])
 
-
-@pytest.mark.parametrize("strategy", ["seded", "", "Lowest", None])
-def test_unknown_start_strategy_is_refused(strategy):
-    with pytest.raises(ValueError, match="start strategy"):
-        HarvestOptions(start_strategy=strategy)

@@ -1,6 +1,8 @@
 """Smoke tests for the experiment scripts under scripts/."""
 
+import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,40 @@ def test_scheme_comparison(capsys):
     assert [line.split()[0] for line in lines[2:6]] == [
         "coarse", "function", "block", "instruction",
     ]
+
+
+# Byte-for-byte pins of the scripts' outputs, as in test_golden_outputs.py.
+SCRIPT_GOLDEN = {
+    "convergence_study": "fca94dc7ecedb0bee1a78f7bed47c643ccbc8dd0aaf6dc6cae0acd6a7da46577",
+    "scheme_comparison": "387faedb77431c920cdfb86683ef400d8af9ce2aeee2e4da98565cb52e752fe2",
+    "scheme_comparison_json": "9d44b9a3ba44a215a4e96d63df3960df6e088ba4d53af5e37e897441e0a65aea",
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_convergence_study_seeded_output(convergence_study, capsys):
+    code = convergence_study.main([
+        "--generate", "--seed", "7", "--start-seed", "7",
+        "--intervals", "200", "400",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "interval 400: " in out
+    assert _digest(out.encode()) == SCRIPT_GOLDEN["convergence_study"]
+
+
+def test_scheme_comparison_output(capsys, tmp_path, monkeypatch):
+    # A relative path keeps the "wrote PATH" line the same on every run.
+    monkeypatch.chdir(tmp_path)
+    code = _load("run_scheme_comparison").main(
+        ["--programs", "3", "--seed", "2", "--json", "comparison.json"]
+    )
+    out = capsys.readouterr().out
+    path = tmp_path / "comparison.json"
+    assert code == 0
+    assert len(json.loads(path.read_text())["rows"]) == 3
+    assert _digest(out.encode()) == SCRIPT_GOLDEN["scheme_comparison"]
+    assert _digest(path.read_bytes()) == SCRIPT_GOLDEN["scheme_comparison_json"]
