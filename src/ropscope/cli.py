@@ -195,7 +195,7 @@ def _cmd_upper_bound(args) -> int:
 
 
 def _cmd_corrupt(args) -> int:
-    types = _parse_types(args.types) if args.types else None
+    types = _parse_types(args.types) if args.types is not None else None
     opts = _harvest_options(args)
     gadgets = mine_image(load_image(args.snapshot), opts)
     verdicts = assess_gadgets(gadgets, types)
@@ -215,14 +215,16 @@ _TAG_NAMES = {t.name.lower(): t for t in SegmentTag}
 
 def _cmd_scan(args) -> int:
     tags = None
-    if args.segment:
+    if args.segment is not None:
         tags = []
         for name in args.segment.split(","):
             name = name.strip().lower()
             if name not in _TAG_NAMES:
                 raise ValueError(f"unknown segment tag {name!r}")
             tags.append(_TAG_NAMES[name])
-    lib_range = _parse_range(args.lib_range) if args.lib_range else None
+    lib_range = (
+        _parse_range(args.lib_range) if args.lib_range is not None else None
+    )
     # Pointers live in data segments, so an ELF is mapped with every PT_LOAD.
     image = load_image(args.snapshot, kind="all_load")
     report = scan_pointers(

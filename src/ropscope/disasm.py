@@ -2,10 +2,12 @@
 
 One opcode map, `_OPCODE_MAP`, is the one place that lists the modelled
 opcodes: `_decode_body` reads an optional REX byte and dispatches through it,
-and `FIRST_BYTE_TABLE` is computed from its keys. The map's handlers only
-parse operands: `_effects` is the one place where an instruction's register
-effects are decided, from one table of implicit effects per mnemonic and one
-rule over the operands.
+and `FIRST_BYTE_TABLE` is computed from its keys. The map's handlers read
+byte positions of the data in place and only parse operands: `_effects` is
+the one place where an instruction's register effects are decided, from one
+table of implicit effects per mnemonic and one rule over the operands. A
+direct branch has no operands, so its map entry carries the effects
+`_effects` gave its mnemonic when the map was built.
 
 The decoder is total: any byte string yields either an Instruction or None
 (the invalid marker, always consuming one byte). Register effects are kept at
@@ -370,52 +372,13 @@ def _effects(
     return _REG_SETS[reads], _REG_SETS[writes]
 
 
-def _s8(value: int) -> int:
-    return value - 0x100 if value >= 0x80 else value
-
-
-def _s32(value: int) -> int:
-    return value - 0x100000000 if value >= 0x80000000 else value
-
-
-class _Cursor:
-    """Byte reader over data[start:]; a read past the end raises
-    IndexError or struct.error.
-
-    addr is the address of data[start], so a relative branch target and the
-    instruction length are both measured from start."""
-
-    __slots__ = ("data", "pos", "start", "addr")
-
-    def __init__(self, data: bytes, start: int, addr: int):
-        self.data = data
-        self.pos = start
-        self.start = start
-        self.addr = addr
-
-    def u8(self) -> int:
-        value = self.data[self.pos]
-        self.pos += 1
-        return value
-
-    def u16(self) -> int:
-        value = struct.unpack_from("<H", self.data, self.pos)[0]
-        self.pos += 2
-        return value
-
-    def u32(self) -> int:
-        value = struct.unpack_from("<I", self.data, self.pos)[0]
-        self.pos += 4
-        return value
-
-    def u64(self) -> int:
-        value = struct.unpack_from("<Q", self.data, self.pos)[0]
-        self.pos += 8
-        return value
-
-    def target(self, disp: int) -> int:
-        """Absolute target of a displacement relative to the cursor."""
-        return (self.addr + self.pos - self.start + disp) & MASK64
+# Little-endian field readers, each returning a 1-tuple. The decoder reads
+# single bytes by index; a read past the end of the data raises
+# struct.error or IndexError, which `decode` maps to None.
+_S32 = struct.Struct("<i").unpack_from
+_U16 = struct.Struct("<H").unpack_from
+_U32 = struct.Struct("<I").unpack_from
+_U64 = struct.Struct("<Q").unpack_from
 
 
 def _reg_op(index: int, width: int, rex_present: bool) -> Operand:
@@ -425,15 +388,17 @@ def _reg_op(index: int, width: int, rex_present: bool) -> Operand:
 
 
 def _parse_modrm(
-    cur: _Cursor, rex: int, width: int
-) -> tuple[Operand, int]:
-    """Parse ModRM (and SIB/displacement). Returns (r/m operand, reg field)."""
-    modrm = cur.u8()
+    data: bytes, pos: int, rex: int, width: int
+) -> tuple[Operand, int, int]:
+    """Parse ModRM (and SIB/displacement) at pos. Returns (r/m operand, reg
+    field, position past them)."""
+    modrm = data[pos]
+    pos += 1
     mod = modrm >> 6
     reg = ((modrm >> 3) & 7) | ((rex & 0x4) << 1)
     rm = modrm & 7
     if mod == 3:
-        return _reg_op(rm | ((rex & 1) << 3), width, rex != 0), reg
+        return _reg_op(rm | ((rex & 1) << 3), width, rex != 0), reg, pos
 
     base: Reg | None = None
     index: Reg | None = None
@@ -441,172 +406,210 @@ def _parse_modrm(
     disp = 0
     rip = False
     if rm == 4:
-        sib = cur.u8()
+        sib = data[pos]
+        pos += 1
         scale = 1 << (sib >> 6)
         index_bits = ((sib >> 3) & 7) | ((rex & 0x2) << 2)
         if index_bits != 4:
             index = _REGS[index_bits]
         base_bits = sib & 7
         if base_bits == 5 and mod == 0:
-            disp = _s32(cur.u32())
+            disp = _S32(data, pos)[0]
+            pos += 4
         else:
             base = _REGS[base_bits | ((rex & 1) << 3)]
     elif rm == 5 and mod == 0:
         rip = True
-        disp = _s32(cur.u32())
+        disp = _S32(data, pos)[0]
+        pos += 4
     else:
         base = _REGS[rm | ((rex & 1) << 3)]
 
     if mod == 1:
-        disp = _s8(cur.u8())
+        disp = data[pos]
+        pos += 1
+        if disp >= 0x80:
+            disp -= 0x100
     elif mod == 2:
-        disp = _s32(cur.u32())
+        disp = _S32(data, pos)[0]
+        pos += 4
     mem = MemRef(base, index, scale, disp, rip)
-    return Operand.make_mem(mem, width), reg
+    return Operand.make_mem(mem, width), reg, pos
 
 
 def decode(data: bytes, addr: int, offset: int = 0) -> Instruction | None:
     """Decode one instruction at addr from data[offset:], reading in place.
 
     Returns None for anything outside the supported subset; the invalid
-    marker always consumes 1 byte."""
+    marker always consumes 1 byte. The instruction's raw bytes are a slice
+    of data."""
     if offset >= len(data) or not FIRST_BYTE_TABLE[data[offset]]:
         return None
     try:
-        return _decode_body(_Cursor(data, offset, addr))
+        return _decode_body(data, offset, addr)
     except (IndexError, struct.error):
         return None
 
 
 def _fin(
-    cur: _Cursor,
-    mnemonic: Mnemonic,
-    operands: tuple[Operand, ...] = (),
-    branch_target: int | None = None,
-    cc: int | None = None,
+    data: bytes, start: int, end: int, addr: int,
+    mnemonic: Mnemonic, operands: tuple[Operand, ...] = (),
 ) -> Instruction:
-    """Build the instruction spanning the bytes the cursor has consumed."""
+    """Build the instruction spanning data[start:end], its effects decided
+    by `_effects`."""
     reads, writes = _effects(mnemonic, operands)
     return Instruction(
-        cur.addr, cur.pos - cur.start, mnemonic, operands, reads, writes,
-        bytes(cur.data[cur.start : cur.pos]), branch_target, cc,
+        addr, end - start, mnemonic, operands, reads, writes, data[start:end]
     )
 
 
-# Source operand readers, called after the ModRM bytes with the operand size.
+# Source operand readers, called after the ModRM bytes with the operand
+# size. Each returns (operand, position past it).
 
 
-def _simm8(cur: _Cursor, width: int) -> Operand:
-    return Operand.make_imm(_s8(cur.u8()), width)
+def _simm8(data: bytes, pos: int, width: int) -> tuple[Operand, int]:
+    value = data[pos]
+    if value >= 0x80:
+        value -= 0x100
+    return Operand.make_imm(value, width), pos + 1
 
 
-def _simm32(cur: _Cursor, width: int) -> Operand:
-    return Operand.make_imm(_s32(cur.u32()), width)
+def _simm32(data: bytes, pos: int, width: int) -> tuple[Operand, int]:
+    return Operand.make_imm(_S32(data, pos)[0], width), pos + 4
 
 
-def _uimm8(cur: _Cursor, width: int) -> Operand:
-    return Operand.make_imm(cur.u8(), 8)
+def _uimm8(data: bytes, pos: int, width: int) -> tuple[Operand, int]:
+    return Operand.make_imm(data[pos], 8), pos + 1
 
 
-def _uimm16(cur: _Cursor, width: int) -> Operand:
-    return Operand.make_imm(cur.u16(), 16)
+def _uimm16(data: bytes, pos: int, width: int) -> tuple[Operand, int]:
+    return Operand.make_imm(_U16(data, pos)[0], 16), pos + 2
 
 
-def _cl(cur: _Cursor, width: int) -> Operand:
-    return Operand.make_reg(Reg.RCX, 8)
+def _cl(data: bytes, pos: int, width: int) -> tuple[Operand, int]:
+    return Operand.make_reg(Reg.RCX, 8), pos
 
 
-# Opcode-map handlers. Each takes the cursor past the opcode, the REX byte
-# (0 if none), the operand size, the opcode key and its map argument.
+# Opcode-map handlers. Each takes the data, the position past the opcode,
+# the instruction's start and address, the REX byte (0 if none), the
+# operand size, the opcode key and its map argument.
 
 
-def _mr(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+def _mr(data, pos, start, addr, rex, width, op, arg) -> Instruction:
     """op r/m, reg. arg: (mnemonic, fixed width or None for operand size)."""
     mnemonic, w = arg
     w = w or width
-    rm, reg_bits = _parse_modrm(cur, rex, w)
-    return _fin(cur, mnemonic, (rm, _reg_op(reg_bits, w, rex != 0)))
+    rm, reg_bits, pos = _parse_modrm(data, pos, rex, w)
+    return _fin(
+        data, start, pos, addr, mnemonic, (rm, _reg_op(reg_bits, w, rex != 0))
+    )
 
 
-def _rm(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+def _rm(data, pos, start, addr, rex, width, op, arg) -> Instruction:
     """op reg, r/m. arg: (mnemonic, fixed width or None for operand size)."""
     mnemonic, w = arg
     w = w or width
-    rm, reg_bits = _parse_modrm(cur, rex, w)
-    return _fin(cur, mnemonic, (_reg_op(reg_bits, w, rex != 0), rm))
+    rm, reg_bits, pos = _parse_modrm(data, pos, rex, w)
+    return _fin(
+        data, start, pos, addr, mnemonic, (_reg_op(reg_bits, w, rex != 0), rm)
+    )
 
 
-def _lea(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction | None:
-    rm, reg_bits = _parse_modrm(cur, rex, width)
+def _lea(data, pos, start, addr, rex, width, op, arg) -> Instruction | None:
+    rm, reg_bits, pos = _parse_modrm(data, pos, rex, width)
     if not rm.is_mem:
         return None
-    return _fin(cur, Mnemonic.LEA, (_reg_op(reg_bits, width, rex != 0), rm))
+    return _fin(
+        data, start, pos, addr, Mnemonic.LEA,
+        (_reg_op(reg_bits, width, rex != 0), rm),
+    )
 
 
-def _group(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction | None:
+def _group(data, pos, start, addr, rex, width, op, arg) -> Instruction | None:
     """op r/m, source, the ModRM reg field (/digit) picking the mnemonic.
 
     arg: (digit -> mnemonic, source reader)."""
     digits, source = arg
-    rm, digit = _parse_modrm(cur, rex, width)
+    rm, digit, pos = _parse_modrm(data, pos, rex, width)
     mnemonic = digits.get(digit)
     if mnemonic is None:
         return None
-    return _fin(cur, mnemonic, (rm, source(cur, width)))
+    src, pos = source(data, pos, width)
+    return _fin(data, start, pos, addr, mnemonic, (rm, src))
 
 
-def _unary(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction | None:
+def _unary(data, pos, start, addr, rex, width, op, arg) -> Instruction | None:
     """op r/m, the ModRM reg field (/digit) picking the mnemonic. arg: digit
     -> mnemonic; an indirect branch's operand is 64 bits in long mode."""
-    rm, digit = _parse_modrm(cur, rex, width)
+    rm, digit, pos = _parse_modrm(data, pos, rex, width)
     mnemonic = arg.get(digit)
     if mnemonic is None:
         return None
     if mnemonic is Mnemonic.CALL_RM or mnemonic is Mnemonic.JMP_RM:
         rm = Operand.make_reg(rm.reg) if rm.is_reg else Operand.make_mem(rm.mem)
-    return _fin(cur, mnemonic, (rm,))
+    return _fin(data, start, pos, addr, mnemonic, (rm,))
 
 
-def _push_pop(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+def _push_pop(data, pos, start, addr, rex, width, op, arg) -> Instruction:
     """push or pop of the register in the opcode's low bits. arg: mnemonic."""
     reg = _REGS[(op & 7) | ((rex & 1) << 3)]
-    return _fin(cur, arg, (Operand.make_reg(reg),))
+    return _fin(data, start, pos, addr, arg, (_REG_OPERANDS[reg, 64, False],))
 
 
-def _xchg_rax(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+def _xchg_rax(data, pos, start, addr, rex, width, op, arg) -> Instruction:
     other = (op & 7) | ((rex & 1) << 3)
     if other == 0:
-        return _fin(cur, Mnemonic.NOP)
+        return _fin(data, start, pos, addr, Mnemonic.NOP)
     return _fin(
-        cur, Mnemonic.XCHG,
+        data, start, pos, addr, Mnemonic.XCHG,
         (Operand.make_reg(Reg.RAX, width), _reg_op(other, width, rex != 0)),
     )
 
 
-def _mov_imm(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+def _mov_imm(data, pos, start, addr, rex, width, op, arg) -> Instruction:
     reg = _REGS[(op & 7) | ((rex & 1) << 3)]
-    imm = cur.u64() if rex & 0x8 else cur.u32()
+    if rex & 0x8:
+        imm, end = _U64(data, pos)[0], pos + 8
+    else:
+        imm, end = _U32(data, pos)[0], pos + 4
     return _fin(
-        cur, Mnemonic.MOV,
+        data, start, end, addr, Mnemonic.MOV,
         (Operand.make_reg(reg, width), Operand.make_imm(imm, width)),
     )
 
 
-def _rel(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
-    """Direct branch. arg: (mnemonic, displacement bytes); a Jcc's condition
-    is the opcode's low nibble."""
-    mnemonic, size = arg
-    disp = _s8(cur.u8()) if size == 1 else _s32(cur.u32())
-    return _fin(
-        cur, mnemonic, (), branch_target=cur.target(disp),
-        cc=op & 0xF if mnemonic is Mnemonic.JCC else None,
+def _rel(data, pos, start, addr, rex, width, op, arg) -> Instruction:
+    """Direct branch, built in one step. arg: (mnemonic, displacement bytes,
+    condition code or None, reads, writes); the target is taken from the
+    instruction's end."""
+    mnemonic, size, cc, reads, writes = arg
+    if size == 1:
+        disp = data[pos]
+        if disp >= 0x80:
+            disp -= 0x100
+    else:
+        disp = _S32(data, pos)[0]
+    end = pos + size
+    length = end - start
+    return Instruction(
+        addr, length, mnemonic, (), reads, writes, data[start:end],
+        (addr + length + disp) & MASK64, cc,
     )
 
 
-def _fixed(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+def _branch(mnemonic: Mnemonic, size: int, cc: int | None = None):
+    """The map entry of a direct branch. It has no operands, so its
+    effects are its mnemonic's alone: `_effects` decides them once, here."""
+    return _rel, (mnemonic, size, cc, *_effects(mnemonic, ()))
+
+
+def _fixed(data, pos, start, addr, rex, width, op, arg) -> Instruction:
     """No ModRM operand. arg: (mnemonic, immediate reader or None)."""
     mnemonic, imm = arg
-    return _fin(cur, mnemonic, () if imm is None else (imm(cur, width),))
+    if imm is None:
+        return _fin(data, start, pos, addr, mnemonic)
+    operand, pos = imm(data, pos, width)
+    return _fin(data, start, pos, addr, mnemonic, (operand,))
 
 
 # The opcode map, in the manner of SDM Vol. 2 Appendix A: one entry per
@@ -627,7 +630,7 @@ _OPCODE_MAP: dict[int, tuple[Callable[..., Instruction | None], object]] = {
     0x3B: (_rm, (Mnemonic.CMP, None)),
     **dict.fromkeys(range(0x50, 0x58), (_push_pop, Mnemonic.PUSH)),
     **dict.fromkeys(range(0x58, 0x60), (_push_pop, Mnemonic.POP)),
-    **dict.fromkeys(range(0x70, 0x80), (_rel, (Mnemonic.JCC, 1))),
+    **{op: _branch(Mnemonic.JCC, 1, op & 0xF) for op in range(0x70, 0x80)},
     0x81: (_group, (_GROUP1_DIGIT, _simm32)),
     0x83: (_group, (_GROUP1_DIGIT, _simm8)),
     0x85: (_mr, (Mnemonic.TEST, None)),
@@ -646,15 +649,16 @@ _OPCODE_MAP: dict[int, tuple[Callable[..., Instruction | None], object]] = {
     0xC9: (_fixed, (Mnemonic.LEAVE, None)),
     0xCD: (_fixed, (Mnemonic.INT, _uimm8)),
     0xD3: (_group, (_SHIFT_DIGIT, _cl)),
-    0xE8: (_rel, (Mnemonic.CALL_REL, 4)),
-    0xE9: (_rel, (Mnemonic.JMP_REL, 4)),
-    0xEB: (_rel, (Mnemonic.JMP_REL, 1)),
+    0xE8: _branch(Mnemonic.CALL_REL, 4),
+    0xE9: _branch(Mnemonic.JMP_REL, 4),
+    0xEB: _branch(Mnemonic.JMP_REL, 1),
     0xF7: (_unary, {2: Mnemonic.NOT, 3: Mnemonic.NEG}),
     0xFF: (_unary, {0: Mnemonic.INC, 1: Mnemonic.DEC, 2: Mnemonic.CALL_RM,
                     4: Mnemonic.JMP_RM}),
     0x0F05: (_fixed, (Mnemonic.SYSCALL, None)),
     0x0F34: (_fixed, (Mnemonic.SYSENTER, None)),
-    **dict.fromkeys(range(0x0F80, 0x0F90), (_rel, (Mnemonic.JCC, 4))),
+    **{op: _branch(Mnemonic.JCC, 4, op & 0xF)
+       for op in range(0x0F80, 0x0F90)},
     0x0FAF: (_rm, (Mnemonic.IMUL, None)),
 }
 
@@ -668,23 +672,31 @@ FIRST_BYTE_TABLE = bytes(
 )
 
 
-def _decode_body(cur: _Cursor) -> Instruction | None:
-    if cur.data.startswith(GS_CALL_BYTES, cur.start):
-        cur.pos += len(GS_CALL_BYTES)
-        mem = Operand.make_mem(MemRef(disp=0x10), 64)
-        return _fin(cur, Mnemonic.CALL_GS, (mem,))
+# The gs-relative call's one operand.
+_GS_OPERAND = Operand.make_mem(MemRef(disp=0x10), 64)
+
+
+def _decode_body(data: bytes, start: int, addr: int) -> Instruction | None:
+    op = data[start]
+    if op == 0x65 and data.startswith(GS_CALL_BYTES, start):
+        end = start + len(GS_CALL_BYTES)
+        return _fin(data, start, end, addr, Mnemonic.CALL_GS, (_GS_OPERAND,))
+    pos = start + 1
     rex = 0
-    op = cur.u8()
     if 0x40 <= op <= 0x4F:
         rex = op
-        op = cur.u8()
+        op = data[pos]
+        pos += 1
     if op == 0x0F:
-        op = 0x0F00 | cur.u8()
+        op = 0x0F00 | data[pos]
+        pos += 1
     entry = _OPCODE_MAP.get(op)
     if entry is None:
         return None
     handler, arg = entry
-    return handler(cur, rex, 64 if rex & 0x8 else 32, op, arg)
+    return handler(
+        data, pos, start, addr, rex, 64 if rex & 0x8 else 32, op, arg
+    )
 
 
 class PageDecodes(dict):

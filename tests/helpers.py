@@ -6,17 +6,25 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ropscope import encode as enc
 from ropscope.disasm import (
+    _GROUP1_DIGIT,
+    _REG_OPERANDS,
+    _REGS,
+    _SHIFT_DIGIT,
     GS_CALL_BYTES,
+    MASK64,
     POISON_BYTE,
     Instruction,
+    MemRef,
     Mnemonic,
+    Operand,
     Reg,
     PageDecodes,
     PageDisasm,
+    _effects,
     decode,
     extract_chain_targets,
 )
@@ -1052,3 +1060,329 @@ def reference_layout(
         call_graph=program.call_graph,
     )
     return image, truth
+
+
+# The decoder as it was before its hot path read byte positions directly:
+# a `_Cursor` object reads each byte through a method call, and every
+# decode builds its instruction through `_fin` and `_effects`. Its bodies
+# are kept verbatim as the oracle for `disasm.decode`; only `decode` is
+# renamed `reference_decode` and the first-byte table
+# `_REFERENCE_FIRST_BYTE_TABLE`. The records, register tables and the
+# `_effects` rule are the package's own.
+
+
+def _s8(value: int) -> int:
+    return value - 0x100 if value >= 0x80 else value
+
+
+def _s32(value: int) -> int:
+    return value - 0x100000000 if value >= 0x80000000 else value
+
+
+class _Cursor:
+    """Byte reader over data[start:]; a read past the end raises
+    IndexError or struct.error.
+
+    addr is the address of data[start], so a relative branch target and the
+    instruction length are both measured from start."""
+
+    __slots__ = ("data", "pos", "start", "addr")
+
+    def __init__(self, data: bytes, start: int, addr: int):
+        self.data = data
+        self.pos = start
+        self.start = start
+        self.addr = addr
+
+    def u8(self) -> int:
+        value = self.data[self.pos]
+        self.pos += 1
+        return value
+
+    def u16(self) -> int:
+        value = struct.unpack_from("<H", self.data, self.pos)[0]
+        self.pos += 2
+        return value
+
+    def u32(self) -> int:
+        value = struct.unpack_from("<I", self.data, self.pos)[0]
+        self.pos += 4
+        return value
+
+    def u64(self) -> int:
+        value = struct.unpack_from("<Q", self.data, self.pos)[0]
+        self.pos += 8
+        return value
+
+    def target(self, disp: int) -> int:
+        """Absolute target of a displacement relative to the cursor."""
+        return (self.addr + self.pos - self.start + disp) & MASK64
+
+
+def _reg_op(index: int, width: int, rex_present: bool) -> Operand:
+    if width == 8 and not rex_present and 4 <= index <= 7:
+        return _REG_OPERANDS[_REGS[index - 4], 8, True]
+    return _REG_OPERANDS[_REGS[index], width, False]
+
+
+def _parse_modrm(
+    cur: _Cursor, rex: int, width: int
+) -> tuple[Operand, int]:
+    """Parse ModRM (and SIB/displacement). Returns (r/m operand, reg field)."""
+    modrm = cur.u8()
+    mod = modrm >> 6
+    reg = ((modrm >> 3) & 7) | ((rex & 0x4) << 1)
+    rm = modrm & 7
+    if mod == 3:
+        return _reg_op(rm | ((rex & 1) << 3), width, rex != 0), reg
+
+    base: Reg | None = None
+    index: Reg | None = None
+    scale = 1
+    disp = 0
+    rip = False
+    if rm == 4:
+        sib = cur.u8()
+        scale = 1 << (sib >> 6)
+        index_bits = ((sib >> 3) & 7) | ((rex & 0x2) << 2)
+        if index_bits != 4:
+            index = _REGS[index_bits]
+        base_bits = sib & 7
+        if base_bits == 5 and mod == 0:
+            disp = _s32(cur.u32())
+        else:
+            base = _REGS[base_bits | ((rex & 1) << 3)]
+    elif rm == 5 and mod == 0:
+        rip = True
+        disp = _s32(cur.u32())
+    else:
+        base = _REGS[rm | ((rex & 1) << 3)]
+
+    if mod == 1:
+        disp = _s8(cur.u8())
+    elif mod == 2:
+        disp = _s32(cur.u32())
+    mem = MemRef(base, index, scale, disp, rip)
+    return Operand.make_mem(mem, width), reg
+
+
+def reference_decode(data: bytes, addr: int, offset: int = 0) -> Instruction | None:
+    """Decode one instruction at addr from data[offset:], reading in place.
+
+    Returns None for anything outside the supported subset; the invalid
+    marker always consumes 1 byte."""
+    if offset >= len(data) or not _REFERENCE_FIRST_BYTE_TABLE[data[offset]]:
+        return None
+    try:
+        return _decode_body(_Cursor(data, offset, addr))
+    except (IndexError, struct.error):
+        return None
+
+
+def _fin(
+    cur: _Cursor,
+    mnemonic: Mnemonic,
+    operands: tuple[Operand, ...] = (),
+    branch_target: int | None = None,
+    cc: int | None = None,
+) -> Instruction:
+    """Build the instruction spanning the bytes the cursor has consumed."""
+    reads, writes = _effects(mnemonic, operands)
+    return Instruction(
+        cur.addr, cur.pos - cur.start, mnemonic, operands, reads, writes,
+        bytes(cur.data[cur.start : cur.pos]), branch_target, cc,
+    )
+
+
+# Source operand readers, called after the ModRM bytes with the operand size.
+
+
+def _simm8(cur: _Cursor, width: int) -> Operand:
+    return Operand.make_imm(_s8(cur.u8()), width)
+
+
+def _simm32(cur: _Cursor, width: int) -> Operand:
+    return Operand.make_imm(_s32(cur.u32()), width)
+
+
+def _uimm8(cur: _Cursor, width: int) -> Operand:
+    return Operand.make_imm(cur.u8(), 8)
+
+
+def _uimm16(cur: _Cursor, width: int) -> Operand:
+    return Operand.make_imm(cur.u16(), 16)
+
+
+def _cl(cur: _Cursor, width: int) -> Operand:
+    return Operand.make_reg(Reg.RCX, 8)
+
+
+# Opcode-map handlers. Each takes the cursor past the opcode, the REX byte
+# (0 if none), the operand size, the opcode key and its map argument.
+
+
+def _mr(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+    """op r/m, reg. arg: (mnemonic, fixed width or None for operand size)."""
+    mnemonic, w = arg
+    w = w or width
+    rm, reg_bits = _parse_modrm(cur, rex, w)
+    return _fin(cur, mnemonic, (rm, _reg_op(reg_bits, w, rex != 0)))
+
+
+def _rm(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+    """op reg, r/m. arg: (mnemonic, fixed width or None for operand size)."""
+    mnemonic, w = arg
+    w = w or width
+    rm, reg_bits = _parse_modrm(cur, rex, w)
+    return _fin(cur, mnemonic, (_reg_op(reg_bits, w, rex != 0), rm))
+
+
+def _lea(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction | None:
+    rm, reg_bits = _parse_modrm(cur, rex, width)
+    if not rm.is_mem:
+        return None
+    return _fin(cur, Mnemonic.LEA, (_reg_op(reg_bits, width, rex != 0), rm))
+
+
+def _group(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction | None:
+    """op r/m, source, the ModRM reg field (/digit) picking the mnemonic.
+
+    arg: (digit -> mnemonic, source reader)."""
+    digits, source = arg
+    rm, digit = _parse_modrm(cur, rex, width)
+    mnemonic = digits.get(digit)
+    if mnemonic is None:
+        return None
+    return _fin(cur, mnemonic, (rm, source(cur, width)))
+
+
+def _unary(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction | None:
+    """op r/m, the ModRM reg field (/digit) picking the mnemonic. arg: digit
+    -> mnemonic; an indirect branch's operand is 64 bits in long mode."""
+    rm, digit = _parse_modrm(cur, rex, width)
+    mnemonic = arg.get(digit)
+    if mnemonic is None:
+        return None
+    if mnemonic is Mnemonic.CALL_RM or mnemonic is Mnemonic.JMP_RM:
+        rm = Operand.make_reg(rm.reg) if rm.is_reg else Operand.make_mem(rm.mem)
+    return _fin(cur, mnemonic, (rm,))
+
+
+def _push_pop(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+    """push or pop of the register in the opcode's low bits. arg: mnemonic."""
+    reg = _REGS[(op & 7) | ((rex & 1) << 3)]
+    return _fin(cur, arg, (Operand.make_reg(reg),))
+
+
+def _xchg_rax(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+    other = (op & 7) | ((rex & 1) << 3)
+    if other == 0:
+        return _fin(cur, Mnemonic.NOP)
+    return _fin(
+        cur, Mnemonic.XCHG,
+        (Operand.make_reg(Reg.RAX, width), _reg_op(other, width, rex != 0)),
+    )
+
+
+def _mov_imm(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+    reg = _REGS[(op & 7) | ((rex & 1) << 3)]
+    imm = cur.u64() if rex & 0x8 else cur.u32()
+    return _fin(
+        cur, Mnemonic.MOV,
+        (Operand.make_reg(reg, width), Operand.make_imm(imm, width)),
+    )
+
+
+def _rel(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+    """Direct branch. arg: (mnemonic, displacement bytes); a Jcc's condition
+    is the opcode's low nibble."""
+    mnemonic, size = arg
+    disp = _s8(cur.u8()) if size == 1 else _s32(cur.u32())
+    return _fin(
+        cur, mnemonic, (), branch_target=cur.target(disp),
+        cc=op & 0xF if mnemonic is Mnemonic.JCC else None,
+    )
+
+
+def _fixed(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
+    """No ModRM operand. arg: (mnemonic, immediate reader or None)."""
+    mnemonic, imm = arg
+    return _fin(cur, mnemonic, () if imm is None else (imm(cur, width),))
+
+
+# The opcode map, in the manner of SDM Vol. 2 Appendix A: one entry per
+# modelled opcode, two-byte opcodes keyed 0x0F00 | second byte. It is the one
+# place that lists what the decoder models; every other opcode decodes to None.
+_OPCODE_MAP: dict[int, tuple[Callable[..., Instruction | None], object]] = {
+    0x01: (_mr, (Mnemonic.ADD, None)),
+    0x03: (_rm, (Mnemonic.ADD, None)),
+    0x09: (_mr, (Mnemonic.OR, None)),
+    0x0B: (_rm, (Mnemonic.OR, None)),
+    0x21: (_mr, (Mnemonic.AND, None)),
+    0x23: (_rm, (Mnemonic.AND, None)),
+    0x29: (_mr, (Mnemonic.SUB, None)),
+    0x2B: (_rm, (Mnemonic.SUB, None)),
+    0x31: (_mr, (Mnemonic.XOR, None)),
+    0x33: (_rm, (Mnemonic.XOR, None)),
+    0x39: (_mr, (Mnemonic.CMP, None)),
+    0x3B: (_rm, (Mnemonic.CMP, None)),
+    **dict.fromkeys(range(0x50, 0x58), (_push_pop, Mnemonic.PUSH)),
+    **dict.fromkeys(range(0x58, 0x60), (_push_pop, Mnemonic.POP)),
+    **dict.fromkeys(range(0x70, 0x80), (_rel, (Mnemonic.JCC, 1))),
+    0x81: (_group, (_GROUP1_DIGIT, _simm32)),
+    0x83: (_group, (_GROUP1_DIGIT, _simm8)),
+    0x85: (_mr, (Mnemonic.TEST, None)),
+    0x87: (_mr, (Mnemonic.XCHG, None)),
+    0x88: (_mr, (Mnemonic.MOV, 8)),
+    0x89: (_mr, (Mnemonic.MOV, None)),
+    0x8A: (_rm, (Mnemonic.MOV, 8)),
+    0x8B: (_rm, (Mnemonic.MOV, None)),
+    0x8D: (_lea, None),
+    **dict.fromkeys(range(0x90, 0x98), (_xchg_rax, None)),
+    **dict.fromkeys(range(0xB8, 0xC0), (_mov_imm, None)),
+    0xC1: (_group, (_SHIFT_DIGIT, _uimm8)),
+    0xC2: (_fixed, (Mnemonic.RET_IMM, _uimm16)),
+    0xC3: (_fixed, (Mnemonic.RET, None)),
+    0xC7: (_group, ({0: Mnemonic.MOV}, _simm32)),
+    0xC9: (_fixed, (Mnemonic.LEAVE, None)),
+    0xCD: (_fixed, (Mnemonic.INT, _uimm8)),
+    0xD3: (_group, (_SHIFT_DIGIT, _cl)),
+    0xE8: (_rel, (Mnemonic.CALL_REL, 4)),
+    0xE9: (_rel, (Mnemonic.JMP_REL, 4)),
+    0xEB: (_rel, (Mnemonic.JMP_REL, 1)),
+    0xF7: (_unary, {2: Mnemonic.NOT, 3: Mnemonic.NEG}),
+    0xFF: (_unary, {0: Mnemonic.INC, 1: Mnemonic.DEC, 2: Mnemonic.CALL_RM,
+                    4: Mnemonic.JMP_RM}),
+    0x0F05: (_fixed, (Mnemonic.SYSCALL, None)),
+    0x0F34: (_fixed, (Mnemonic.SYSENTER, None)),
+    **dict.fromkeys(range(0x0F80, 0x0F90), (_rel, (Mnemonic.JCC, 4))),
+    0x0FAF: (_rm, (Mnemonic.IMUL, None)),
+}
+
+# _REFERENCE_FIRST_BYTE_TABLE[b] is 1 exactly when some byte string starting with b
+# decodes: a one-byte opcode of the map, a REX prefix, 0x0F (two-byte
+# opcodes) or 0x65 (the gs-relative call). As a bytes.translate table it maps
+# a page to a mask whose zero bytes decode to None at once.
+_REFERENCE_FIRST_BYTE_TABLE = bytes(
+    int(b in _OPCODE_MAP or 0x40 <= b <= 0x4F or b in (0x0F, 0x65))
+    for b in range(256)
+)
+
+
+def _decode_body(cur: _Cursor) -> Instruction | None:
+    if cur.data.startswith(GS_CALL_BYTES, cur.start):
+        cur.pos += len(GS_CALL_BYTES)
+        mem = Operand.make_mem(MemRef(disp=0x10), 64)
+        return _fin(cur, Mnemonic.CALL_GS, (mem,))
+    rex = 0
+    op = cur.u8()
+    if 0x40 <= op <= 0x4F:
+        rex = op
+        op = cur.u8()
+    if op == 0x0F:
+        op = 0x0F00 | cur.u8()
+    entry = _OPCODE_MAP.get(op)
+    if entry is None:
+        return None
+    handler, arg = entry
+    return handler(cur, rex, 64 if rex & 0x8 else 32, op, arg)

@@ -593,6 +593,19 @@ _EARLY_REFUSALS = {
         ["scan", "SNAP", "--lib-range", "5"], "load_image",
         "error: range must look like LO:HI, got '5'\n",
     ),
+    # An empty list option is refused, not read as "no restriction".
+    "corrupt --types=": (
+        ["corrupt", "SNAP", "--types="], "mine_image",
+        "error: unknown gadget type ''\n",
+    ),
+    "scan --segment=": (
+        ["scan", "SNAP", "--segment="], "load_image",
+        "error: unknown segment tag ''\n",
+    ),
+    "scan --lib-range=": (
+        ["scan", "SNAP", "--lib-range="], "load_image",
+        "error: range must look like LO:HI, got ''\n",
+    ),
 }
 
 

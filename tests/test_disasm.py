@@ -14,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BASE, RO, RX, asm, code_image, decode_stream
+from helpers import (
+    BASE,
+    RO,
+    RX,
+    asm,
+    code_image,
+    decode_stream,
+    reference_decode,
+)
 from ropscope import disasm, encode
 from ropscope.disasm import (
     GS_CALL_BYTES,
@@ -273,10 +281,25 @@ def test_decode_in_place_equals_decode_of_slice(draw, data, addr):
     assert decode(data, addr, off) == decode(data[off:], addr)
 
 
+@given(
+    st.data(),
+    st.one_of(st.binary(max_size=32), _ENCODED),
+    st.sampled_from([0, 0x7000, (1 << 64) - 3]),
+)
+@settings(max_examples=400)
+def test_decode_equals_reference_decoder(draw, data, addr):
+    # reference_decode reads through a cursor object and builds every
+    # instruction through _effects; at 2**64 - 3 branch targets wrap.
+    cut = draw.draw(st.integers(0, len(data)), label="cut")
+    data = data[:cut]
+    off = draw.draw(st.integers(0, len(data)), label="offset")
+    assert decode(data, addr, off) == reference_decode(data, addr, off)
+
+
 def _decode_unfiltered(data):
     """The decoder without its first-byte table."""
     try:
-        return disasm._decode_body(disasm._Cursor(data, 0, 0))
+        return disasm._decode_body(data, 0, 0)
     except (IndexError, struct.error):
         return None
 
@@ -305,6 +328,13 @@ def _digest_inputs():
     for rex in range(0x40, 0x50):
         for op in range(256):
             yield bytes([rex, op]) + rng.randbytes(15)
+
+
+def test_digest_inputs_decode_as_the_reference_does():
+    for data in _digest_inputs():
+        assert decode(data, 0x7FFF_F000) == reference_decode(
+            data, 0x7FFF_F000
+        ), data.hex()
 
 
 def _decode_record(data):
