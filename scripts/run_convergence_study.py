@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ropscope.cli import run_guarded
 from ropscope.gadgets import BUILTIN_SETS, load_set_spec
 from ropscope.harvest import HarvestOptions
-from ropscope.rerand import evaluate_interval, upper_bound
+from ropscope.rerand import check_interval, evaluate_interval, upper_bound
 from ropscope.snapshot import load_image
 from ropscope.synth import GenParams, generate, materialize
 
@@ -42,15 +43,15 @@ def main(argv=None) -> int:
                          "candidates with this seed, not the lowest")
     ap.add_argument("--timeline-csv", default=None)
     args = ap.parse_args(argv)
-
-    if args.generate:
-        program = generate(GenParams(n_functions=args.functions), args.seed)
-        image, _ = materialize(program)
-    elif args.snapshot:
-        image = load_image(args.snapshot)
-    else:
+    if not (args.generate or args.snapshot):
         ap.error("give a snapshot path or --generate")
+    return run_guarded(lambda: study(args))
 
+
+def study(args) -> int:
+    """Check every option, then load or generate the image and report."""
+    for interval in args.intervals:
+        check_interval(interval)
     spec = (load_set_spec(args.set_file) if args.set_file
             else BUILTIN_SETS[args.set])
     opts = HarvestOptions(
@@ -58,6 +59,11 @@ def main(argv=None) -> int:
         track_set=spec,
         start_seed=args.start_seed,
     )
+    if args.generate:
+        params = GenParams(n_functions=args.functions)
+        image, _ = materialize(generate(params, args.seed))
+    else:
+        image = load_image(args.snapshot)
     report = upper_bound(image, opts)
 
     print(f"tracked set: {report.spec_name} "

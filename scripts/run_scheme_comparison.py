@@ -20,6 +20,7 @@ import statistics
 import sys
 from collections import Counter
 
+from ropscope.cli import run_guarded
 from ropscope.gadgets import min_fp_reduction_pct, population_stats
 from ropscope.harvest import HarvestOptions, mine_image
 from ropscope.synth import (
@@ -72,7 +73,14 @@ def main(argv=None) -> int:
                          "BROP's 8 pops plus ret")
     ap.add_argument("--json", default=None, help="write full results here")
     args = ap.parse_args(argv)
+    return run_guarded(lambda: compare(args))
 
+
+def compare(args) -> int:
+    """Check every option, then mine each program under each scheme and
+    report."""
+    if args.programs < 1:
+        raise ValueError("--programs must be at least 1")
     mix = {t: n * args.mix_scale for t, n in default_gadget_mix().items()}
     params = GenParams(
         n_functions=args.functions,

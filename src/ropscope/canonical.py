@@ -10,8 +10,11 @@ from typing import Iterable, Sequence
 
 
 def dumps(obj) -> str:
-    """`obj` as JSON with sorted keys and no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """`obj` as JSON with sorted keys and no whitespace. A NaN or infinite
+    float raises ValueError: JSON has no token for it."""
+    return json.dumps(
+        obj, sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
 
 
 def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:

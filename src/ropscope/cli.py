@@ -22,6 +22,7 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import Callable
 
 from ropscope.canonical import dumps
 from ropscope.gadgets import (
@@ -524,10 +525,12 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def run_guarded(run: Callable[[], int]) -> int:
+    """The exit code of `run()`, or of the failure it raises, which is
+    printed as one `error:` line on stderr: 1 for input/output and parse
+    failures, 2 for domain errors."""
     try:
-        return args.func(args)
+        return run()
     # JSON nested deeper than the parser allows raises RecursionError: it is
     # malformed input like any other.
     except (SnapshotError, OSError, json.JSONDecodeError, RecursionError) as exc:
@@ -536,6 +539,11 @@ def main(argv=None) -> int:
     except (StartPointerInvalid, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    return run_guarded(lambda: args.func(args))
 
 
 def console_main() -> None:  # pragma: no cover - thin wrapper

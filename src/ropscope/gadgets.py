@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ropscope.canonical import csv_text
 from ropscope.disasm import GS_CALL_BYTES, Instruction, Mnemonic, Reg
@@ -412,6 +412,46 @@ _BLOCKERS = frozenset(
 _addr = attrgetter("addr")
 
 
+def _terminator_windows(
+    stream: tuple[Instruction, ...], max_len: int, enable_heuristic_types: bool
+) -> Iterator[tuple[int, int, list[_CoreHits]]]:
+    """Yield (low, pos, matches) for each terminator of a sorted stream, in
+    stream order: the windows that end at `pos` start at each of low..pos,
+    and `matches` holds `_insn_cores` of every position up to `pos`.
+
+    A terminator is an instruction that may end a window, a system entry
+    only in its plain encoding. A window reaches back over byte-adjacent
+    instructions, at most max_len in all, and no unconditional control-flow
+    break sits before its terminator. Each instruction's core matches are
+    made the first time a window takes it in: the lowest start never moves
+    back from one terminator to the next, so the positions below `matched`
+    are done."""
+    size = len(stream)
+    ends = _HEURISTIC_WINDOW_ENDS if enable_heuristic_types else _WINDOW_ENDS
+    matches: list[_CoreHits] = [()] * size
+    matched = 0
+    for pos, insn in enumerate(stream):
+        m = insn.mnemonic
+        if m not in ends or (
+            m in _SYS_ENDS and not insn.raw.startswith(_SYS_ENTRY_OPCODES)
+        ):
+            continue
+        low = pos
+        lowest = max(0, pos - max_len + 1)
+        while low > lowest:
+            prev = stream[low - 1]
+            if (
+                prev.addr + prev.length != stream[low].addr
+                or prev.mnemonic in _BLOCKERS
+            ):
+                break
+            low -= 1
+        for i in range(max(low, matched), pos + 1):
+            matches[i] = _insn_cores(stream[i])
+        matched = pos + 1
+        yield low, pos, matches
+
+
 def find_gadgets(
     insns: Sequence[Instruction],
     max_len: int = 5,
@@ -431,35 +471,12 @@ def find_gadgets(
     """
     stream = tuple(sorted(insns, key=_addr))
     size = len(stream)
-    ends = _HEURISTIC_WINDOW_ENDS if enable_heuristic_types else _WINDOW_ENDS
-
-    # Core matches by stream position, made the first time a window takes
-    # the position in. The lowest start never moves back from one
-    # terminator to the next, so the positions below `matched` are done.
-    matches: list[_CoreHits] = [()] * size
-    matched = 0
     gadgets: list[Gadget] = []
     keys: list[int] = []
-    for pos, insn in enumerate(stream):
-        m = insn.mnemonic
-        if m not in ends or (
-            m in _SYS_ENDS and not insn.raw.startswith(_SYS_ENTRY_OPCODES)
-        ):
-            continue
-        low = pos
-        lowest = max(0, pos - max_len + 1)
-        while low > lowest:
-            prev = stream[low - 1]
-            if (
-                prev.addr + prev.length != stream[low].addr
-                or prev.mnemonic in _BLOCKERS
-            ):
-                break
-            low -= 1
+    for low, pos, matches in _terminator_windows(
+        stream, max_len, enable_heuristic_types
+    ):
         stop = pos + 1
-        for i in range(max(low, matched), stop):
-            matches[i] = _insn_cores(stream[i])
-        matched = stop
         for start in range(low, stop):
             gadgets.append(classify(
                 stream[start:stop], enable_heuristic_types,
@@ -471,6 +488,51 @@ def find_gadgets(
 
     order = sorted(range(len(gadgets)), key=keys.__getitem__)
     return tuple(map(gadgets.__getitem__, order))
+
+
+_CALLS = (Mnemonic.CALL_REL, Mnemonic.CALL_RM)
+
+
+def stream_types(
+    insns: Sequence[Instruction],
+    max_len: int = 5,
+    enable_heuristic_types: bool = False,
+) -> frozenset[GadgetType]:
+    """The gadget types of a stream's windows: what
+    `leaked_types(find_gadgets(insns, max_len, enable_heuristic_types))`
+    gives, without building a Gadget for every window.
+
+    The windows that end at one terminator are suffixes of the longest, and
+    each type rule but two only gains as a window grows backward: its
+    instructions stay in the window, so a core or call site the backward
+    scan met is still met, a store before an indirect call or a pop of rbp
+    is still there, a branch target inside the window stays inside, and the
+    last instruction and its core matches never change. TM only needs 20
+    instructions or more. The two exceptions look at one window length or
+    at the first instruction: BROP is judged only at exactly 9
+    instructions, and FS only when the window starts at a call. So the
+    module's `classify` runs on the longest window, the 9-instruction one
+    and, with heuristic types, each one that starts at a call."""
+    stream = tuple(sorted(insns, key=_addr))
+    found: set[GadgetType] = set()
+    for low, pos, matches in _terminator_windows(
+        stream, max_len, enable_heuristic_types
+    ):
+        stop = pos + 1
+        starts = {low}
+        if stop - 9 > low:
+            starts.add(stop - 9)
+        if enable_heuristic_types:
+            starts.update(
+                start for start in range(low + 1, pos)
+                if stream[start].mnemonic in _CALLS
+            )
+        for start in starts:
+            found |= classify(
+                stream[start:stop], enable_heuristic_types,
+                matches[start:stop],
+            ).types
+    return frozenset(found)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from ropscope.gadgets import (
     GadgetType,
     find_gadgets,
     leaked_types,
+    stream_types,
 )
 from ropscope.snapshot import PAGE_SIZE, MemoryImage, PageRecord, page_base
 
@@ -158,28 +159,45 @@ class HarvestTrace:
         return "\n".join(lines) + "\n"
 
 
+# A chain target's entry in ImageAnalysis's target index: its address, its
+# page base or None when the address is not executable, and its bit, the
+# number of entries the index held before it.
+_Target = tuple[int, int | None, int]
+
+
 class _Node:
     """A page's traversal state in ImageAnalysis's node map: its stream,
-    what mining the stream yields (gadgets, chain targets as a mask over the
-    target index, their gadget types) and `children`, the node each batch
-    met so far leads to, or None for a batch that adds nothing, so no node
-    refers to itself and reference counting frees the map. A node never
-    changes after it is built, except to gain children."""
+    what mining the stream yields (its gadgets, None in a types-only
+    analysis until they are first read, its chain targets as index entries
+    in address order, and its gadget types) and `children`, the edge each
+    batch met so far takes, or None for a batch that adds nothing, so no
+    node refers to itself and reference counting frees the map. A node
+    never changes after it is built, except to gain children and gadgets."""
 
     __slots__ = ("disasm", "gadgets", "targets", "types", "children")
 
     def __init__(
         self,
         disasm: PageDisasm,
-        gadgets: tuple[Gadget, ...] = (),
-        targets: int = 0,
+        gadgets: tuple[Gadget, ...] | None = (),
+        targets: tuple[_Target, ...] = (),
         types: frozenset[GadgetType] = frozenset(),
     ):
         self.disasm = disasm
         self.gadgets = gadgets
         self.targets = targets
         self.types = types
-        self.children: dict[tuple[int, ...], _Node | None] = {}
+        self.children: dict[tuple[int, ...], _Edge | None] = {}
+
+
+class _Edge(NamedTuple):
+    """Where one batch of entries leads from a node: the child, the
+    instructions the batch added, and the child's chain targets that the
+    node does not have, in address order."""
+
+    child: _Node
+    added: int
+    targets: tuple[_Target, ...]
 
 
 _UNSEEN = object()  # a batch not yet added to a node
@@ -191,32 +209,40 @@ class ImageAnalysis:
 
     It holds each page's decode results by offset, which the linear branch
     scan and every traversal share, so each offset is decoded once per
-    image, and one node per traversal state, keyed by page base and stream
+    image, and one node per traversal state: a root per page, where its
+    traversals start, and the others keyed by page base and stream
     addresses. The addresses determine the state: its claimed bytes are
     its instructions' spans, each the page's shared decode at its offset.
     So a stream is mined once however many batch histories reach it, and
-    a harvest replays its traversal as lookups of children keyed by sorted
-    batch: `PageDisasm.add_entries` runs once per (node, batch) edge over
-    all harvests. Clocks read the difference in stream length between a
-    node and its child, which is what the harvest would have decoded.
+    a harvest replays its traversal along the edges its nodes store by
+    sorted batch: `PageDisasm.add_entries` runs once per (node, batch) edge
+    over all harvests. An edge holds what the harvest would have decoded
+    and the chain targets it would have found new on the page.
 
     It also owns the target index: every chain target and seed address any
-    traversal meets gets one bit, which records the address and its page
-    base, or None when the address is not executable. A stream's chain
-    targets are an `int` mask over these bits, and so is the set a
-    traversal has handled, so a visit finds its new targets with one
-    `mask & ~handled` and reads bits only when that is not zero.
+    traversal meets gets one entry and one bit, so a traversal records the
+    targets it has handled as a set of bits.
+
+    A types-only analysis mines each stream for its gadget types alone, and
+    builds a node's gadgets only when they are read: the convergence runs
+    of rerand read no gadget. Harvests and offline mining read the gadgets
+    of each page's last stream, which most streams they mine are, so the
+    default mines the gadgets and takes the types from them.
     """
 
     def __init__(
-        self, image: MemoryImage, opts: HarvestOptions = HarvestOptions()
+        self,
+        image: MemoryImage,
+        opts: HarvestOptions = HarvestOptions(),
+        types_only: bool = False,
     ):
         self.image = image
         self.opts = opts
+        self.types_only = types_only
         self._decodes: dict[int, PageDecodes] = {}
+        self._roots: dict[int, _Node] = {}
         self._nodes: dict[tuple[int, tuple[int, ...]], _Node] = {}
-        self._target_bits: dict[int, int] = {}
-        self._targets: list[tuple[int, int | None]] = []
+        self._targets: dict[int, _Target] = {}
 
     def check(self, image: MemoryImage, opts: HarvestOptions) -> None:
         """Raise ValueError unless built for this image and options that
@@ -236,70 +262,82 @@ class ImageAnalysis:
             self._decodes[page.base] = PageDecodes(page)
         return self._decodes[page.base]
 
-    def target_mask(self, addrs: Iterable[int]) -> int:
-        """The mask of these addresses in the target index, which gains a
-        bit for each address it has not met before."""
-        bits = self._target_bits
-        targets = self._targets
-        mask = 0
-        for addr in addrs:
-            bit = bits.get(addr)
-            if bit is None:
-                bit = bits[addr] = len(targets)
-                executable = self.image.is_executable(addr)
-                targets.append((addr, page_base(addr) if executable else None))
-            mask |= 1 << bit
-        return mask
-
-    def targets(self, mask: int) -> list[tuple[int, int | None]]:
-        """(address, page base or None) of each target in the mask, in
-        ascending address order. The bits are read off the mask's binary
-        text, in time linear in its length however many bits are set."""
-        targets = self._targets
-        digits = bin(mask)
-        top = len(digits) - 1  # bit i is digits[top - i]
+    def target_entries(self, addrs: Iterable[int]) -> tuple[_Target, ...]:
+        """The entries of these distinct addresses in the target index, in
+        address order; the index gains one for each address it has not met
+        before."""
+        index = self._targets
         out = []
-        pos = digits.find("1", 2)
-        while pos != -1:
-            out.append(targets[top - pos])
-            pos = digits.find("1", pos + 1)
+        for addr in addrs:
+            entry = index.get(addr)
+            if entry is None:
+                executable = self.image.is_executable(addr)
+                entry = index[addr] = (
+                    addr, page_base(addr) if executable else None, len(index)
+                )
+            out.append(entry)
         out.sort()
-        return out
+        return tuple(out)
 
     def root(self, base: int) -> _Node:
         """The empty-stream node of the page at `base`, where each of its
         traversals starts; it yields nothing and is never mined."""
-        node = self._nodes.get((base, ()))
+        node = self._roots.get(base)
         if node is None:
             page = self.image.page_at(base)
-            node = self._nodes[base, ()] = _Node(PageDisasm(self.decodes(page)))
+            node = self._roots[base] = _Node(PageDisasm(self.decodes(page)))
         return node
 
-    def advance(self, base: int, node: _Node, entries: Iterable[int]) -> _Node:
-        """The node reached from `node` of the page at `base` by adding one
-        batch of entries: `node` itself when the batch adds nothing, and
-        built and mined on the first visit to its stream."""
-        batch = tuple(sorted(entries))
-        child = node.children.get(batch, _UNSEEN)
-        if child is _UNSEEN:
-            disasm = node.disasm.extended(batch)
+    def advance(
+        self, base: int, node: _Node, batch: tuple[int, ...]
+    ) -> _Edge | None:
+        """The edge a sorted batch of entries takes from `node` of the page
+        at `base`, stored among its children: None when the batch adds
+        nothing, and its child built and mined on the first visit to the
+        child's stream."""
+        disasm = node.disasm.extended(batch)
+        # add_entries only adds, so the lengths differ by what it added.
+        added = len(disasm.insns) - len(node.disasm.insns)
+        edge = None
+        if added:
             key = (base, disasm.addresses())
             child = self._nodes.get(key)
             if child is None:
-                stream = disasm.instructions()
-                opts = self.opts
-                gadgets = find_gadgets(
-                    stream, opts.max_gadget_len, opts.enable_heuristic_types
-                )
-                targets = extract_chain_targets(
-                    stream, self.image, include_cond=opts.follow_cond_branches
-                )
-                child = self._nodes[key] = _Node(
-                    disasm, gadgets, self.target_mask(targets),
-                    leaked_types(gadgets),
-                )
-            node.children[batch] = None if child is node else child
-        return child or node
+                child = self._nodes[key] = self._mine(disasm)
+            targets = child.targets
+            if node.targets:
+                known = set(node.targets)
+                targets = tuple(t for t in targets if t not in known)
+            edge = _Edge(child, added, targets)
+        node.children[batch] = edge
+        return edge
+
+    def _mine(self, disasm: PageDisasm) -> _Node:
+        stream = disasm.instructions()
+        opts = self.opts
+        targets = self.target_entries(extract_chain_targets(
+            stream, self.image, include_cond=opts.follow_cond_branches
+        ))
+        if self.types_only:
+            types = stream_types(
+                stream, opts.max_gadget_len, opts.enable_heuristic_types
+            )
+            return _Node(disasm, None, targets, types)
+        gadgets = find_gadgets(
+            stream, opts.max_gadget_len, opts.enable_heuristic_types
+        )
+        return _Node(disasm, gadgets, targets, leaked_types(gadgets))
+
+    def gadgets(self, node: _Node) -> tuple[Gadget, ...]:
+        """The node's gadgets, mined on their first read in a types-only
+        analysis."""
+        if node.gadgets is None:
+            opts = self.opts
+            node.gadgets = find_gadgets(
+                node.disasm.instructions(), opts.max_gadget_len,
+                opts.enable_heuristic_types,
+            )
+        return node.gadgets
 
 
 class _Walk:
@@ -309,14 +347,14 @@ class _Walk:
     Seeds, which must be executable, and every chain target found later
     become pending entries of their page; a page is queued whenever it has
     pending entries, and each visit adds them all as one batch, moving the
-    page's node along the analysis's node map. A page's first visit costs
-    LEAK_TICKS_PER_PAGE and every instruction a batch adds one tick. When
-    a visit changes the page's stream, or is its first, the new node's
-    chain targets are queued and its gadget types not seen before (only
-    those in `track_set`, when one is given) become events; covering
-    `track_set` converges the walk, and ends it with
-    `stop_on_convergence`. Page discoveries are events only with
-    `page_events`; the clocks are the same either way.
+    page's node along the analysis's edge for that batch. A page's first
+    visit costs LEAK_TICKS_PER_PAGE and every instruction a batch adds one
+    tick. When a visit changes the page's stream, the chain targets the
+    edge brings that the walk has not handled are queued, and the new
+    node's gadget types not seen before (only those in `track_set`, when
+    one is given) become events; covering `track_set` converges the walk,
+    and ends it with `stop_on_convergence`. Page discoveries are events
+    only with `page_events`; the clocks are the same either way.
     """
 
     def __init__(
@@ -330,52 +368,61 @@ class _Walk:
         tracked = set(track_set.required) if track_set else None
         nodes: dict[int, _Node] = {}
         pending: dict[int, list[int]] = {}
-        # Targets handled so far, as a mask over the analysis's index.
-        handled = analysis.target_mask(seeds)
-        for addr, base in analysis.targets(handled):
+        # The bits of the targets handled so far in the analysis's index.
+        # A page's node's own targets are always among them, so of an
+        # edge's targets only those another page brought can be handled.
+        handled: set[int] = set()
+        for addr, base, bit in analysis.target_entries(seeds):
+            handled.add(bit)
             pending.setdefault(base, []).append(addr)
         queue = deque(pending)
         skipped = 0
         leak_cost = 0
         analysis_cost = 0
         events: list[HarvestEvent] = []
+        # Every type of the nodes reached so far, tracked or not.
         seen_types: set[GadgetType] = set()
+        roots = analysis._roots  # read in place on each first visit
 
         while queue:
             base = queue.popleft()
+            batch = tuple(sorted(pending.pop(base)))
             node = nodes.get(base)
-            first_visit = node is None
-            if first_visit:
-                node = analysis.root(base)
+            if node is None:
+                node = nodes[base] = roots.get(base) or analysis.root(base)
                 leak_cost += LEAK_TICKS_PER_PAGE
                 if page_events:
                     events.append(HarvestEvent(
                         len(events) + 1, leak_cost + analysis_cost,
                         EventKind.PAGE_DISCOVERED, {"base": base},
                     ))
-            child = nodes[base] = analysis.advance(
-                base, node, pending.pop(base)
-            )
-            if child is node and not first_visit:
+            edge = node.children.get(batch, _UNSEEN)
+            if edge is _UNSEEN:
+                edge = analysis.advance(base, node, batch)
+            if edge is None:
                 continue
-            fresh = child.targets & ~handled
-            if fresh:
-                handled |= fresh
-                for addr, tbase in analysis.targets(fresh):
-                    if tbase is None:
-                        skipped += 1
-                        continue
-                    entries = pending.get(tbase)
-                    if entries is None:
-                        queue.append(tbase)
-                        entries = pending[tbase] = []
-                    entries.append(addr)
-            # add_entries only adds, so the lengths differ by what it added.
-            analysis_cost += len(child.disasm.insns) - len(node.disasm.insns)
+            child, added, targets = edge
+            nodes[base] = child
+            for addr, tbase, bit in targets:
+                if bit in handled:
+                    continue
+                handled.add(bit)
+                if tbase is None:
+                    skipped += 1
+                    continue
+                entries = pending.get(tbase)
+                if entries is None:
+                    queue.append(tbase)
+                    entries = pending[tbase] = []
+                entries.append(addr)
+            analysis_cost += added
 
             # seen_types already holds the types of every other page, so
-            # only the page just mined can add new ones.
+            # only the page just mined can add new ones; mostly it adds none.
+            if child.types <= seen_types:
+                continue
             new_types = child.types - seen_types
+            seen_types |= new_types
             if tracked is not None:
                 new_types &= tracked
             if not new_types:
@@ -387,7 +434,6 @@ class _Walk:
                     len(events) + 1, clock, EventKind.TYPE_LEAKED,
                     {"type": gtype.value},
                 ))
-            seen_types |= new_types
             # A set spec is never empty, so the walk converges on the visit
             # that brings its last missing type.
             if tracked is not None and tracked <= seen_types:
@@ -398,6 +444,7 @@ class _Walk:
                 if stop_on_convergence:
                     break
 
+        self.analysis = analysis
         self.nodes = nodes
         self.skipped = skipped
         self.leak_cost = leak_cost
@@ -406,9 +453,9 @@ class _Walk:
 
     def gadgets(self) -> tuple[Gadget, ...]:
         """Gadgets of every visited page's current stream, in page order."""
-        nodes = self.nodes
+        nodes, analysis = self.nodes, self.analysis
         return tuple(chain.from_iterable(
-            nodes[base].gadgets for base in sorted(nodes)
+            analysis.gadgets(nodes[base]) for base in sorted(nodes)
         ))
 
 

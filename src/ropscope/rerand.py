@@ -82,9 +82,12 @@ def converge(
     `tc` set when None) is covered or the reachable code is exhausted. An
     analysis shared across starts saves repeated decoding and mining; see
     harvest. It runs harvest's clocked loop but keeps only the clocks: no
-    page events and no gadgets."""
+    page events and no gadgets, so the analysis it builds when none is
+    passed mines only gadget types."""
     spec = opts.track_set or BUILTIN_SETS["tc"]
     run_opts = replace(opts, track_set=spec, stop_on_convergence=True)
+    if analysis is None:
+        analysis = ImageAnalysis(image, opts, types_only=True)
     walk = _walk_from(image, start, run_opts, analysis, page_events=False)
     events = walk.events
     # The walk stops on convergence, so its event is the last one.
@@ -180,7 +183,7 @@ def upper_bound(
     runs is the largest interval that still defeats every measured attack
     path."""
     spec = opts.track_set or BUILTIN_SETS["tc"]
-    analysis = ImageAnalysis(image, opts)
+    analysis = ImageAnalysis(image, opts, types_only=True)
     # Each start lies in its own page, so no start repeats.
     starts = page_start_pointers(image, opts, analysis)
     records = {

@@ -91,8 +91,9 @@ class SynthFunction:
 @dataclass(frozen=True)
 class GenParams:
     """Generator parameters. Construction raises ValueError when
-    max_functions_per_page is below 1, n_functions is below 1, base is
-    negative, or gadget_mix names a type with no plant template."""
+    max_functions_per_page is below 1, n_functions is below 1, connectivity
+    is not a probability (NaN included), base is negative, or gadget_mix
+    names a type with no plant template or gives a count below 0."""
 
     n_functions: int = 12
     mean_fn_len: int = 10
@@ -108,11 +109,20 @@ class GenParams:
             raise ValueError("params max_functions_per_page must be at least 1")
         if self.n_functions < 1:
             raise ValueError("need at least one function")
+        # A NaN fails every comparison, so it fails this one too.
+        if not 0.0 <= self.connectivity <= 1.0:
+            raise ValueError(
+                f"params connectivity must be in [0, 1], not {self.connectivity}"
+            )
         if self.base < 0:
             raise ValueError("params base must be non-negative")
-        for gtype in self.gadget_mix or ():
+        for gtype, count in (self.gadget_mix or {}).items():
             if gtype not in _PLANTS:
                 raise ValueError(f"gadget type {gtype.value} is not plantable")
+            if count < 0:
+                raise ValueError(
+                    f"gadget_mix count of {gtype.value} must be non-negative"
+                )
 
     def to_dict(self) -> dict:
         return {

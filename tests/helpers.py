@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import struct
 from collections import deque
+import statistics
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ropscope import encode as enc
 from ropscope.disasm import (
@@ -50,7 +52,12 @@ from ropscope.harvest import (
     page_start_pointers,
 )
 from ropscope.ptrscan import PointerHit, PointerScanReport
-from ropscope.rerand import ConvergenceRecord
+from ropscope.rerand import (
+    ConvergenceRecord,
+    UpperBoundReport,
+    _non_reactive_intervals,
+    merged_time_to_types,
+)
 from ropscope.snapshot import (
     PAGE_SIZE,
     ElfFormatError,
@@ -873,6 +880,257 @@ def reference_converge(
         total_cost=trace.total_cost,
         pages_found=trace.pages_found,
     )
+
+
+# The node map as it was before edges: a node's chain targets are an int
+# mask over the target index, its children are the nodes themselves, every
+# stream is mined for its gadgets, and a visit decodes the targets it has
+# not handled off the mask's binary text. ReferenceAnalysis and ReferenceWalk
+# keep that ImageAnalysis and _Walk verbatim, as the oracle for the edges,
+# the root table and types-only mining.
+
+
+class _MaskNode:
+    __slots__ = ("disasm", "gadgets", "targets", "types", "children")
+
+    def __init__(
+        self,
+        disasm: PageDisasm,
+        gadgets: tuple[Gadget, ...] = (),
+        targets: int = 0,
+        types: frozenset[GadgetType] = frozenset(),
+    ):
+        self.disasm = disasm
+        self.gadgets = gadgets
+        self.targets = targets
+        self.types = types
+        self.children: dict[tuple[int, ...], _MaskNode | None] = {}
+
+
+_UNSEEN = object()  # a batch not yet added to a node
+
+
+class ReferenceAnalysis:
+    """ImageAnalysis with target masks and a node map that holds the
+    roots; the parts of it that ReferenceWalk uses."""
+
+    def __init__(
+        self, image: MemoryImage, opts: HarvestOptions = HarvestOptions()
+    ):
+        self.image = image
+        self.opts = opts
+        self._decodes: dict[int, PageDecodes] = {}
+        self._nodes: dict[tuple[int, tuple[int, ...]], _MaskNode] = {}
+        self._target_bits: dict[int, int] = {}
+        self._targets: list[tuple[int, int | None]] = []
+
+    def decodes(self, page: PageRecord) -> PageDecodes:
+        if page.base not in self._decodes:
+            self._decodes[page.base] = PageDecodes(page)
+        return self._decodes[page.base]
+
+    def target_mask(self, addrs: Iterable[int]) -> int:
+        """The mask of these addresses in the target index, which gains a
+        bit for each address it has not met before."""
+        bits = self._target_bits
+        targets = self._targets
+        mask = 0
+        for addr in addrs:
+            bit = bits.get(addr)
+            if bit is None:
+                bit = bits[addr] = len(targets)
+                executable = self.image.is_executable(addr)
+                targets.append((addr, page_base(addr) if executable else None))
+            mask |= 1 << bit
+        return mask
+
+    def targets(self, mask: int) -> list[tuple[int, int | None]]:
+        """(address, page base or None) of each target in the mask, in
+        ascending address order. The bits are read off the mask's binary
+        text, in time linear in its length however many bits are set."""
+        targets = self._targets
+        digits = bin(mask)
+        top = len(digits) - 1  # bit i is digits[top - i]
+        out = []
+        pos = digits.find("1", 2)
+        while pos != -1:
+            out.append(targets[top - pos])
+            pos = digits.find("1", pos + 1)
+        out.sort()
+        return out
+
+    def root(self, base: int) -> _MaskNode:
+        """The empty-stream node of the page at `base`, where each of its
+        traversals starts; it yields nothing and is never mined."""
+        node = self._nodes.get((base, ()))
+        if node is None:
+            page = self.image.page_at(base)
+            node = self._nodes[base, ()] = _MaskNode(
+                PageDisasm(self.decodes(page))
+            )
+        return node
+
+    def advance(
+        self, base: int, node: _MaskNode, entries: Iterable[int]
+    ) -> _MaskNode:
+        """The node reached from `node` of the page at `base` by adding one
+        batch of entries: `node` itself when the batch adds nothing, and
+        built and mined on the first visit to its stream."""
+        batch = tuple(sorted(entries))
+        child = node.children.get(batch, _UNSEEN)
+        if child is _UNSEEN:
+            disasm = node.disasm.extended(batch)
+            key = (base, disasm.addresses())
+            child = self._nodes.get(key)
+            if child is None:
+                stream = disasm.instructions()
+                opts = self.opts
+                gadgets = find_gadgets(
+                    stream, opts.max_gadget_len, opts.enable_heuristic_types
+                )
+                targets = extract_chain_targets(
+                    stream, self.image, include_cond=opts.follow_cond_branches
+                )
+                child = self._nodes[key] = _MaskNode(
+                    disasm, gadgets, self.target_mask(targets),
+                    leaked_types(gadgets),
+                )
+            node.children[batch] = None if child is node else child
+        return child or node
+
+
+class ReferenceWalk:
+    """harvest._Walk over a ReferenceAnalysis."""
+
+    def __init__(
+        self,
+        analysis: ReferenceAnalysis,
+        seeds: Iterable[int],
+        track_set: GadgetSetSpec | None = None,
+        stop_on_convergence: bool = False,
+        page_events: bool = False,
+    ):
+        tracked = set(track_set.required) if track_set else None
+        nodes: dict[int, _MaskNode] = {}
+        pending: dict[int, list[int]] = {}
+        # Targets handled so far, as a mask over the analysis's index.
+        handled = analysis.target_mask(seeds)
+        for addr, base in analysis.targets(handled):
+            pending.setdefault(base, []).append(addr)
+        queue = deque(pending)
+        skipped = 0
+        leak_cost = 0
+        analysis_cost = 0
+        events: list[HarvestEvent] = []
+        seen_types: set[GadgetType] = set()
+
+        while queue:
+            base = queue.popleft()
+            node = nodes.get(base)
+            first_visit = node is None
+            if first_visit:
+                node = analysis.root(base)
+                leak_cost += LEAK_TICKS_PER_PAGE
+                if page_events:
+                    events.append(HarvestEvent(
+                        len(events) + 1, leak_cost + analysis_cost,
+                        EventKind.PAGE_DISCOVERED, {"base": base},
+                    ))
+            child = nodes[base] = analysis.advance(
+                base, node, pending.pop(base)
+            )
+            if child is node and not first_visit:
+                continue
+            fresh = child.targets & ~handled
+            if fresh:
+                handled |= fresh
+                for addr, tbase in analysis.targets(fresh):
+                    if tbase is None:
+                        skipped += 1
+                        continue
+                    entries = pending.get(tbase)
+                    if entries is None:
+                        queue.append(tbase)
+                        entries = pending[tbase] = []
+                    entries.append(addr)
+            # add_entries only adds, so the lengths differ by what it added.
+            analysis_cost += len(child.disasm.insns) - len(node.disasm.insns)
+
+            # seen_types already holds the types of every other page, so
+            # only the page just mined can add new ones.
+            new_types = child.types - seen_types
+            if tracked is not None:
+                new_types &= tracked
+            if not new_types:
+                continue
+            clock = leak_cost + analysis_cost
+            # A GadgetType is a str, so they sort by value.
+            for gtype in sorted(new_types):
+                events.append(HarvestEvent(
+                    len(events) + 1, clock, EventKind.TYPE_LEAKED,
+                    {"type": gtype.value},
+                ))
+            seen_types |= new_types
+            # A set spec is never empty, so the walk converges on the visit
+            # that brings its last missing type.
+            if tracked is not None and tracked <= seen_types:
+                events.append(HarvestEvent(
+                    len(events) + 1, clock, EventKind.CONVERGED,
+                    {"set": track_set.name},
+                ))
+                if stop_on_convergence:
+                    break
+
+        self.nodes = nodes
+        self.skipped = skipped
+        self.leak_cost = leak_cost
+        self.analysis_cost = analysis_cost
+        self.events = events
+
+    def gadgets(self) -> tuple[Gadget, ...]:
+        """Gadgets of every visited page's current stream, in page order."""
+        nodes = self.nodes
+        return tuple(chain.from_iterable(
+            nodes[base].gadgets for base in sorted(nodes)
+        ))
+
+
+def reference_upper_bound(
+    image: MemoryImage, opts: HarvestOptions = HarvestOptions()
+) -> tuple[UpperBoundReport, ReferenceAnalysis]:
+    """upper_bound with each start's convergence run a ReferenceWalk over
+    one shared ReferenceAnalysis, and that analysis. An oracle for the
+    edges of upper_bound's node map."""
+    spec = opts.track_set or BUILTIN_SETS["tc"]
+    analysis = ReferenceAnalysis(image, opts)
+    records = {}
+    for _, start in sorted(page_start_pointers(image, opts).items()):
+        walk = ReferenceWalk(analysis, (start,), spec, True)
+        events = walk.events
+        converged = bool(events) and events[-1].kind is EventKind.CONVERGED
+        leaks = [e.clock for e in events if e.kind is EventKind.TYPE_LEAKED]
+        total = walk.leak_cost + walk.analysis_cost
+        records[start] = ConvergenceRecord(
+            start=start,
+            set_name=spec.name,
+            convergence_clock=events[-1].clock if converged else None,
+            type_timeline=tuple((c, k) for k, c in enumerate(leaks, 1)),
+            leak_fraction=walk.leak_cost / total if total else 0.0,
+            total_cost=total,
+            pages_found=len(walk.nodes),
+        )
+    clocks = [
+        r.convergence_clock for r in records.values() if r.converged
+    ]
+    merged = merged_time_to_types(list(records.values()), len(spec.required))
+    report = UpperBoundReport(
+        spec_name=spec.name,
+        per_start=records,
+        minimum_clock=min(clocks) if clocks else None,
+        average_clock=float(statistics.fmean(clocks)) if clocks else None,
+        non_reactive_intervals=_non_reactive_intervals(merged),
+    )
+    return report, analysis
 
 
 def reference_scan_pointers(

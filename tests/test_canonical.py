@@ -49,3 +49,11 @@ def test_guard_sees_the_writers_it_forbids():
 def test_formats():
     assert dumps({"b": [1, 2], "a": "x"}) == '{"a":"x","b":[1,2]}'
     assert csv_text(["a", "b"], [[1, "x,y"], ("", 2)]) == 'a,b\n1,"x,y"\n,2\n'
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_floats_are_refused(value):
+    # json.dumps would write NaN or Infinity, which no JSON reader accepts.
+    with pytest.raises(ValueError):
+        dumps({"connectivity": value})
+    assert dumps({"connectivity": 0.5}) == '{"connectivity":0.5}'

@@ -505,6 +505,42 @@ def test_synth_generate_negative_base_creates_nothing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "2.5", "-0.1", "inf"])
+def test_synth_generate_connectivity_outside_unit_interval_exits_2(
+    tmp_path, capsys, value
+):
+    # A NaN once reached manifest.json as the token NaN, which is not JSON.
+    out_dir = tmp_path / "corpus"
+    code, out = run(["synth", "generate", "--out-dir", out_dir,
+                     "--functions", "4", "--connectivity", value])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: params connectivity must be in [0, 1]")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_synth_transform_negative_mix_count_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "corpus"
+    code, _ = run(["synth", "generate", "--out-dir", out_dir, "--seed", "5",
+                   "--functions", "4"])
+    assert code == 0
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["params"]["gadget_mix"] = {"LR": 2, "LM": -1}
+    manifest_path.write_text(json.dumps(manifest))
+    before = sorted(p.name for p in out_dir.iterdir())
+    capsys.readouterr()
+
+    code, out = run(["synth", "transform", "--manifest", manifest_path,
+                     "--scheme", "function"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: gadget_mix count of LM must be non-negative\n"
+    )
+    assert sorted(p.name for p in out_dir.iterdir()) == before
+
+
 def test_synth_generate_unknown_scheme_writes_nothing(tmp_path, capsys):
     out_dir = tmp_path / "corpus"
     out_dir.mkdir()

@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -66,6 +66,7 @@ from ropscope.gadgets import (
     leaked_types,
     load_set_spec,
     resolve_set,
+    stream_types,
 )
 from ropscope.harvest import offline_disassemble
 from ropscope.synth import (
@@ -737,3 +738,58 @@ def test_classify_matches_oracle_on_generated_streams(chunks, noise):
     for k, blob in enumerate(noise):
         parts.insert(1 + k * len(parts) // (len(noise) + 1), blob)
     _assert_windows_match_oracle(_sweep(b"".join(parts)), 10)
+
+
+# --- stream_types: the leaked types without a Gadget per window ---
+
+# The 8-pop BROP run closed by a return, and calls that can start an FS
+# window inside a longer one.
+_TYPE_CHUNKS = st.one_of(
+    _SHAPED_CHUNKS,
+    st.sampled_from([
+        asm(BROP_POPS, ret()), call_rel32(0x40), call_r(Reg.RDI),
+        call_m(Reg.RBX, 8),
+    ]),
+)
+
+
+@given(
+    chunks=st.lists(_TYPE_CHUNKS, min_size=1, max_size=24),
+    noise=st.lists(st.binary(min_size=1, max_size=3), max_size=2),
+)
+# A BROP run with an instruction before it: only its 9-instruction window
+# is BROP. A call inside a longer window: only the window it starts is FS.
+@example(chunks=[nop(), asm(BROP_POPS, ret())], noise=[])
+@example(chunks=[nop(), call_rel32(0x40), pop_r(Reg.RBX), ret()], noise=[])
+@settings(max_examples=60, deadline=None)
+def test_stream_types_equal_leaked_types_of_all_windows(chunks, noise):
+    parts = list(chunks)
+    for k, blob in enumerate(noise):
+        parts.insert(1 + k * len(parts) // (len(noise) + 1), blob)
+    stream = _sweep(b"".join(parts))
+    for max_len in range(1, 26):
+        for heuristic in (False, True):
+            assert stream_types(stream, max_len, heuristic) == leaked_types(
+                find_gadgets(stream, max_len, heuristic)
+            ), (max_len, heuristic)
+
+
+def test_stream_types_classifies_through_classify(monkeypatch):
+    """stream_types classifies through the module's classify, as a tracer
+    sees find_gadgets do, and fewer windows than find_gadgets builds."""
+    image, _ = materialize(generate(GenParams(n_functions=6), seed=3))
+    streams = list(offline_disassemble(image).values())
+    calls = []
+    real_classify = gadgets_module.classify
+
+    def counting_classify(*args, **kwargs):
+        calls.append(1)
+        return real_classify(*args, **kwargs)
+
+    monkeypatch.setattr(gadgets_module, "classify", counting_classify)
+    types = set()
+    for stream in streams:
+        types |= stream_types(stream, 10)
+    found = [g for stream in streams for g in find_gadgets(stream, 10)]
+    assert types == leaked_types(found) and types
+    assert 0 < len(calls) - len(found) < len(found)

@@ -45,6 +45,9 @@ GOLDEN = {
     "synth_transform/function-s5-renamed.truth.json": "d6682ca5e31c3415118336e6e51b0c1250597bae21c1bf265961a6df0275679f",
     "synth_transform/manifest.json": "4a558f62381eae9b62e7de45d6a0405aed1a198be02ea0282b56c3d4d6e1f666",
     "upper_bound": "5cc1aec02068dde8772eaff81ce86b551ccf7b7590d3ea7195da606de6b4740e",
+    "upper_bound_batches": "1465dc99912cb15ea06faa903180ee8dbec7aa52c2d09ac3a6188dec5bbccfb8",
+    "upper_bound_batches_timeline": "8169423eff4b14e2113e40ef0c84ad26de861152b2e62c201bc7ea1eebf719ca",
+    "upper_bound_heuristic": "e352e99ef80deef6cd2977e5b70a5e78a024ec71934b6cf4a35ac1b53f200cd0",
     "upper_bound_interval_618": "b428cb54b1d9f1f9a14b6e76e3e9765462290f48917dbabd85994208a370f982",
     "upper_bound_interval_640": "0ffbb4ffd877baef39bf24b5fe207991488b2ac2b42012a0c4e21d44b5abe843",
     "upper_bound_interval_pretty": "8ec4b0af641a9fc20243e6bae4bfb871bcd508232701a688c0354b2c65b3a3cd",
@@ -81,6 +84,11 @@ def produce_outputs(root) -> dict[str, bytes]:
     wide = root / "wide"
     _generate(wide, "--seed", "5", "--functions", "24",
               "--max-functions-per-page", "1")
+    # Out-degree about 4 with two functions a page: many pages are entered
+    # by several batches, so a walk moves past their first node.
+    batches = root / "batches"
+    _generate(batches, "--seed", "7", "--functions", "60",
+              "--connectivity", "0.067", "--max-functions-per-page", "2")
     packed_snap = packed / "baseline.rsnp"
     sparse_snap = sparse / "baseline.rsnp"
     out: dict[str, bytes] = {}
@@ -124,6 +132,23 @@ def produce_outputs(root) -> dict[str, bytes]:
         "--timeline-csv", wide_timeline,
     ])
     out["upper_bound_wide_timeline"] = wide_timeline.read_bytes()
+    # Every type only the heuristic rules give, with windows long enough
+    # for BROP's nine and TM's twenty instructions.
+    heuristic_set = root / "heuristic_set.json"
+    heuristic_set.write_text(json.dumps({
+        "name": "heuristic",
+        "types": ["BROP", "FS", "CS1", "STOP", "TM", "CS2"],
+    }))
+    out["upper_bound_heuristic"] = _run([
+        "upper-bound", wide / "baseline.rsnp", "--heuristic-types",
+        "--set-file", heuristic_set, "--max-len", "20",
+    ])
+    batches_timeline = root / "batches_timeline.csv"
+    out["upper_bound_batches"] = _run([
+        "upper-bound", batches / "baseline.rsnp", "--set", "tc",
+        "--max-len", "10", "--timeline-csv", batches_timeline,
+    ])
+    out["upper_bound_batches_timeline"] = batches_timeline.read_bytes()
     # Seeded start choice: one candidate per page drawn with seed 3.
     seeded_timeline = root / "seeded_timeline.csv"
     out["upper_bound_seeded"] = _run([
@@ -186,6 +211,18 @@ def test_pinned_outputs_are_not_trivial(outputs):
     assert bound["converged_starts"] > 0
     wide = json.loads(outputs["upper_bound_wide"])
     assert wide["starts"] == 24 and wide["converged_starts"] > 0
+    # The heuristic set has types no start finds (no STOP is planted), but
+    # each start leaks several of them, BROP and TM included.
+    heuristic = json.loads(outputs["upper_bound_heuristic"])
+    assert heuristic["starts"] == 24 and heuristic["converged_starts"] == 0
+    assert all(
+        len(r["type_timeline"]) >= 4 for r in heuristic["per_start"]
+    )
+    batches = json.loads(outputs["upper_bound_batches"])
+    assert batches["starts"] == 30 and batches["converged_starts"] == 30
+    assert outputs["upper_bound_batches_timeline"].count(b"\n") == 1 + sum(
+        len(r["type_timeline"]) for r in batches["per_start"]
+    )
     # Seeded starts are not the lowest candidates.
     seeded = json.loads(outputs["upper_bound_seeded"])
     assert [r["start"] for r in seeded["per_start"]] != [

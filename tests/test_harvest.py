@@ -34,7 +34,13 @@ from ropscope.encode import (
     ret,
     syscall,
 )
-from ropscope.gadgets import BUILTIN_SETS, GadgetSetSpec, GadgetType, find_gadgets
+from ropscope.gadgets import (
+    BUILTIN_SETS,
+    GadgetSetSpec,
+    GadgetType,
+    find_gadgets,
+    leaked_types,
+)
 from ropscope.harvest import (
     EventKind,
     HarvestOptions,
@@ -328,20 +334,27 @@ def test_shared_analysis_matches_fresh_runs(shared_corpus):
         assert traces[s] == harvest(image, s, opts)
 
 
+def keyed_nodes(analysis):
+    """(base, stream addresses) and node for every node of an analysis's
+    node map, each page's root included."""
+    roots = [((base, ()), node) for base, node in analysis._roots.items()]
+    return roots + list(analysis._nodes.items())
+
+
 def graph_edges(analysis):
     """(node, batch, child) for every edge of an analysis's node map; a
     batch that adds nothing leads back to its node."""
     return [
-        (node, batch, child or node)
-        for node in analysis._nodes.values()
-        for batch, child in node.children.items()
+        (node, batch, node if edge is None else edge.child)
+        for _, node in keyed_nodes(analysis)
+        for batch, edge in node.children.items()
     ]
 
 
 def upper_bound_on(analysis, monkeypatch):
     """Run upper_bound with `analysis` in place of the one it builds."""
     monkeypatch.setattr(
-        rerand_module, "ImageAnalysis", lambda image, opts: analysis
+        rerand_module, "ImageAnalysis", lambda image, opts, **kw: analysis
     )
     return upper_bound(analysis.image, HarvestOptions(max_gadget_len=10))
 
@@ -354,7 +367,7 @@ def test_tree_states_are_never_changed(shared_corpus, monkeypatch):
     def states():
         return {
             key: (id(node), dict(node.disasm.insns), bytes(node.disasm._claimed))
-            for key, node in analysis._nodes.items()
+            for key, node in keyed_nodes(analysis)
         }
 
     before = states()
@@ -362,15 +375,59 @@ def test_tree_states_are_never_changed(shared_corpus, monkeypatch):
     assert states() == before
     # A node is keyed by its page and its stream, and a child is its
     # node's state plus one batch, so building it left the node as it was.
-    for (base, addresses), node in analysis._nodes.items():
+    for (base, addresses), node in keyed_nodes(analysis):
         assert node.disasm.page.base == base
         assert node.disasm.addresses() == addresses
         # No node refers to itself, so reference counting frees the map.
-        assert all(child is not node for child in node.children.values())
+        assert all(
+            edge is None or edge.child is not node
+            for edge in node.children.values()
+        )
     for node, batch, child in graph_edges(analysis):
         assert child.disasm.page is node.disasm.page
         assert node.disasm.insns.items() <= child.disasm.insns.items()
         assert child.disasm.insns == node.disasm.extended(batch).insns
+
+
+def test_edges_hold_what_their_batch_adds(shared_corpus, monkeypatch):
+    # A visit replays an edge in place of the node it leads to: the
+    # instructions its batch added and the targets the child has that its
+    # node lacks, in address order.
+    analysis = ImageAnalysis(shared_corpus, HarvestOptions(max_gadget_len=10))
+    upper_bound_on(analysis, monkeypatch)
+    edges = 0
+    for _, node in keyed_nodes(analysis):
+        known = set(node.targets)
+        for edge in node.children.values():
+            if edge is None:
+                continue
+            edges += 1
+            child = edge.child
+            assert edge.added == len(child.disasm.insns) - len(node.disasm.insns)
+            assert edge.added > 0
+            assert edge.targets == tuple(
+                t for t in child.targets if t not in known
+            )
+            assert list(child.targets) == sorted(child.targets)
+    assert edges
+
+
+def test_types_only_analysis_mines_gadgets_when_read(shared_corpus):
+    # upper_bound's analysis mines types alone; a harvest that shares it
+    # reads gadgets, which are mined then, and gets the trace a fresh
+    # harvest gets.
+    image = shared_corpus
+    opts = HarvestOptions(max_gadget_len=10)
+    analysis = ImageAnalysis(image, opts, types_only=True)
+    starts = sorted(page_start_pointers(image, opts, analysis).values())
+    for s in starts:
+        converge(image, s, opts, analysis)
+    nodes = list(analysis._nodes.values())
+    assert nodes and all(node.gadgets is None for node in nodes)
+    for s in starts[:3]:
+        assert harvest(image, s, opts, analysis) == harvest(image, s, opts)
+    for node in nodes:
+        assert leaked_types(analysis.gadgets(node)) == node.types
 
 
 def test_add_entries_runs_once_per_tree_node(shared_corpus, monkeypatch):
@@ -396,7 +453,7 @@ def test_add_entries_runs_once_per_tree_node(shared_corpus, monkeypatch):
 
     def check_counts():
         assert len(calls) == len(graph_edges(analysis))
-        streams = [key for key in analysis._nodes if key[1]]
+        streams = [key for key, _ in keyed_nodes(analysis) if key[1]]
         assert len(mined) == len(streams)
         assert len(set(mined)) == len(mined)
 
@@ -418,17 +475,23 @@ def test_batch_histories_with_one_stream_share_a_node():
     base = image.executable_pages()[0].base
     a, b = base, base + len(first)
     analysis = ImageAnalysis(image, HarvestOptions())
+
+    def advance(node, entries):
+        edge = analysis.advance(base, node, tuple(sorted(entries)))
+        return node if edge is None else edge.child
+
     root = analysis.root(base)
     assert analysis.root(base) is root
-    ab = analysis.advance(base, analysis.advance(base, root, [a]), [b])
-    ba = analysis.advance(base, analysis.advance(base, root, [b]), [a])
+    ab = advance(advance(root, [a]), [b])
+    ba = advance(advance(root, [b]), [a])
     assert ab is ba
-    assert analysis.advance(base, root, [b, a]) is ab
+    assert advance(root, [b, a]) is ab
     assert ab.disasm.addresses() == (a, a + 1, b, b + 1)
     # A batch that adds nothing leads back to its own node.
-    assert analysis.advance(base, ab, [a]) is ab
-    assert analysis.advance(base, root, [base + PAGE_SIZE - 1]) is root
-    assert len(analysis._nodes) == 4  # the empty stream, a, b and both
+    assert advance(ab, [a]) is ab
+    assert advance(root, [base + PAGE_SIZE - 1]) is root
+    # The empty stream, a, b and both.
+    assert len(keyed_nodes(analysis)) == 4
 
 
 def test_harvest_refuses_mismatched_analysis():

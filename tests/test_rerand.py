@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import asm, code_image
+from helpers import asm, code_image, reference_upper_bound
 from ropscope.canonical import dumps
 from ropscope.disasm import Reg
 from ropscope.encode import pop_r, ret
@@ -171,3 +171,61 @@ def test_record_serialization():
     assert d["start"] == hex(start)
     assert d["set"] == "tc"
     assert d["type_timeline"] == [list(e) for e in record.type_timeline]
+
+
+# upper_bound against the node map it replaced (helpers.ReferenceWalk): the
+# same report and timeline on packed pages, on one function per page with
+# starts that share most of their pages, on pages entered by several
+# batches, with seeded starts and with the heuristic types.
+HEURISTIC_SET = GadgetSetSpec(
+    "heuristic",
+    (GadgetType.BROP, GadgetType.FS, GadgetType.CS1, GadgetType.STOP,
+     GadgetType.TM, GadgetType.CS2),
+)
+ORACLE_CASES = {
+    "packed": (GenParams(n_functions=12, max_functions_per_page=3), OPTS),
+    "one-per-page-24": (
+        GenParams(n_functions=24, connectivity=4 / 24, max_functions_per_page=1),
+        OPTS,
+    ),
+    "one-per-page-200": (
+        GenParams(n_functions=200, connectivity=4 / 200,
+                  max_functions_per_page=1),
+        OPTS,
+    ),
+    "two-per-page-60": (
+        GenParams(n_functions=60, connectivity=4 / 60, max_functions_per_page=2),
+        OPTS,
+    ),
+    "start-seed": (
+        GenParams(n_functions=24, max_functions_per_page=2),
+        replace(OPTS, start_seed=3),
+    ),
+    "heuristic": (
+        GenParams(n_functions=24, max_functions_per_page=1),
+        HarvestOptions(max_gadget_len=20, enable_heuristic_types=True,
+                       track_set=HEURISTIC_SET),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_upper_bound_matches_node_map_oracle(case):
+    params, opts = ORACLE_CASES[case]
+    image, _ = materialize(generate(params, seed=7))
+    expected, analysis = reference_upper_bound(image, opts)
+    report = upper_bound(image, opts)
+    assert report.to_dict() == expected.to_dict()
+    assert report.timeline_csv() == expected.timeline_csv()
+    if case == "two-per-page-60":
+        # Some page is entered again after its first node: the walk moves
+        # along an edge that does not start at a root.
+        assert any(
+            node.children for (_, addresses), node in analysis._nodes.items()
+            if addresses
+        )
+    if case == "heuristic":
+        # Types only the 9-window (BROP) and 20-instruction windows (TM)
+        # give are tracked; no start finds STOP, so none converges.
+        assert report.converged_count == 0
+        assert max(len(r.type_timeline) for r in report.per_start.values()) >= 4

@@ -47,6 +47,61 @@ def test_convergence_study_on_saved_snapshot(convergence_study, capsys, tmp_path
     assert any(line.startswith("minimum clock: ") for line in lines)
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--generate", "--functions", "4", "--intervals", "100", "0"],
+         "interval must be positive"),
+        (["--generate", "--functions", "0"], "need at least one function"),
+        (["--generate", "--functions", "4", "--max-len", "0"],
+         "max_len must be at least 1"),
+    ],
+    ids=["zero-interval", "no-functions", "zero-max-len"],
+)
+def test_convergence_study_refuses_bad_options_before_work(
+    convergence_study, capsys, monkeypatch, argv, message
+):
+    # Nothing is generated and no start is harvested before the refusal.
+    monkeypatch.setattr(convergence_study, "generate", None)
+    code = convergence_study.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {message}\n"
+
+
+def test_convergence_study_missing_snapshot_exits_1(
+    convergence_study, capsys, tmp_path
+):
+    code = convergence_study.main([str(tmp_path / "missing.rsnp")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--programs", "0"], "--programs must be at least 1"),
+        (["--programs", "1", "--mix-scale", "-1"],
+         "gadget_mix count of LR must be non-negative"),
+        (["--programs", "1", "--functions", "0"],
+         "need at least one function"),
+        (["--programs", "1", "--max-len", "0"], "max_len must be at least 1"),
+    ],
+    ids=["no-programs", "negative-mix-scale", "no-functions", "zero-max-len"],
+)
+def test_scheme_comparison_refuses_bad_options_before_work(
+    capsys, monkeypatch, argv, message
+):
+    module = _load("run_scheme_comparison")
+    monkeypatch.setattr(module, "generate", None)
+    code = module.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {message}\n"
+
+
 def test_scheme_comparison(capsys):
     code = _load("run_scheme_comparison").main(
         ["--programs", "2", "--functions", "6"]

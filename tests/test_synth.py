@@ -257,14 +257,32 @@ def test_params_round_trip():
         ({"base": -4096}, "params base must be non-negative"),
         ({"gadget_mix": {GadgetType.LR: 1, GadgetType.FS: 2}},
          "gadget type FS is not plantable"),
+        ({"connectivity": float("nan")},
+         "params connectivity must be in [0, 1], not nan"),
+        ({"connectivity": 2.5},
+         "params connectivity must be in [0, 1], not 2.5"),
+        ({"connectivity": -0.1},
+         "params connectivity must be in [0, 1], not -0.1"),
+        ({"gadget_mix": {GadgetType.LR: 1, GadgetType.LM: -1}},
+         "gadget_mix count of LM must be non-negative"),
     ],
     ids=["zero-per-page", "negative-per-page", "no-functions",
-         "negative-base", "unplantable"],
+         "negative-base", "unplantable", "nan-connectivity",
+         "connectivity-above-one", "negative-connectivity",
+         "negative-mix-count"],
 )
 def test_params_refuse_invalid_values(fields, message):
     with pytest.raises(ValueError) as exc:
         GenParams(**fields)
     assert str(exc.value) == message
+
+
+def test_params_accept_connectivity_bounds_and_empty_mix():
+    for connectivity in (0.0, 1.0):
+        assert GenParams(connectivity=connectivity).connectivity == connectivity
+    assert GenParams(gadget_mix={GadgetType.LR: 0}).gadget_mix == {
+        GadgetType.LR: 0
+    }
 
 
 # The layout oracle: helpers.reference_layout is the layout that placed,
