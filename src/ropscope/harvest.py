@@ -227,7 +227,9 @@ class ImageAnalysis:
     builds a node's gadgets only when they are read: the convergence runs
     of rerand read no gadget. Harvests and offline mining read the gadgets
     of each page's last stream, which most streams they mine are, so the
-    default mines the gadgets and takes the types from them.
+    default mines the gadgets and takes the types from them: mining types
+    first and the gadgets on read made a 300-page closure harvest 2-13%
+    slower and mine_image 4-27% slower (BENCH_25.json has the runs).
     """
 
     def __init__(
@@ -242,7 +244,7 @@ class ImageAnalysis:
         self._decodes: dict[int, PageDecodes] = {}
         self._roots: dict[int, _Node] = {}
         self._nodes: dict[tuple[int, tuple[int, ...]], _Node] = {}
-        self._targets: dict[int, _Target] = {}
+        self.target_index: dict[int, _Target] = {}
 
     def check(self, image: MemoryImage, opts: HarvestOptions) -> None:
         """Raise ValueError unless built for this image and options that
@@ -266,7 +268,7 @@ class ImageAnalysis:
         """The entries of these distinct addresses in the target index, in
         address order; the index gains one for each address it has not met
         before."""
-        index = self._targets
+        index = self.target_index
         out = []
         for addr in addrs:
             entry = index.get(addr)
@@ -292,9 +294,12 @@ class ImageAnalysis:
         self, base: int, node: _Node, batch: tuple[int, ...]
     ) -> _Edge | None:
         """The edge a sorted batch of entries takes from `node` of the page
-        at `base`, stored among its children: None when the batch adds
-        nothing, and its child built and mined on the first visit to the
-        child's stream."""
+        at `base`: None when the batch adds nothing. It is built on the
+        batch's first visit to the node and kept among its children, and
+        its child is mined on the first visit to the child's stream."""
+        edge = node.children.get(batch, _UNSEEN)
+        if edge is not _UNSEEN:
+            return edge
         disasm = node.disasm.extended(batch)
         # add_entries only adds, so the lengths differ by what it added.
         added = len(disasm.insns) - len(node.disasm.insns)
@@ -382,27 +387,30 @@ class _Walk:
         events: list[HarvestEvent] = []
         # Every type of the nodes reached so far, tracked or not.
         seen_types: set[GadgetType] = set()
-        roots = analysis._roots  # read in place on each first visit
+        index = analysis.target_index
 
         while queue:
             base = queue.popleft()
             batch = tuple(sorted(pending.pop(base)))
             node = nodes.get(base)
             if node is None:
-                node = nodes[base] = roots.get(base) or analysis.root(base)
+                node = nodes[base] = analysis.root(base)
                 leak_cost += LEAK_TICKS_PER_PAGE
                 if page_events:
                     events.append(HarvestEvent(
                         len(events) + 1, leak_cost + analysis_cost,
                         EventKind.PAGE_DISCOVERED, {"base": base},
                     ))
-            edge = node.children.get(batch, _UNSEEN)
-            if edge is _UNSEEN:
-                edge = analysis.advance(base, node, batch)
+            edge = analysis.advance(base, node, batch)
             if edge is None:
                 continue
             child, added, targets = edge
             nodes[base] = child
+            # A walk that has handled every target in the index finds none
+            # new. One on densely linked code soon has, and from then on it
+            # skips edges of a hundred targets; see BENCH_25.json.
+            if len(handled) == len(index):
+                targets = ()
             for addr, tbase, bit in targets:
                 if bit in handled:
                     continue

@@ -197,6 +197,9 @@ ORACLE_CASES = {
         GenParams(n_functions=60, connectivity=4 / 60, max_functions_per_page=2),
         OPTS,
     ),
+    # Densely linked: each page's root edge carries about a quarter of the
+    # index, and every walk soon handles all of it.
+    "dense-60": (GenParams(n_functions=60, max_functions_per_page=1), OPTS),
     "start-seed": (
         GenParams(n_functions=24, max_functions_per_page=2),
         replace(OPTS, start_seed=3),
