@@ -497,10 +497,13 @@ def stream_types(
     insns: Sequence[Instruction],
     max_len: int = 5,
     enable_heuristic_types: bool = False,
-) -> frozenset[GadgetType]:
-    """The gadget types of a stream's windows: what
-    `leaked_types(find_gadgets(insns, max_len, enable_heuristic_types))`
-    gives, without building a Gadget for every window.
+) -> tuple[frozenset[GadgetType], int]:
+    """The gadget types of a stream's windows and how many windows it has:
+    what `leaked_types(find_gadgets(insns, max_len, enable_heuristic_types))`
+    and the `len` of that `find_gadgets` call give, without building a
+    Gadget for every window. `find_gadgets` builds one Gadget per (start,
+    terminator) window, so the windows that end at `pos` and start at
+    `low`..`pos` count pos - low + 1.
 
     The windows that end at one terminator are suffixes of the longest, and
     each type rule but two only gains as a window grows backward: its
@@ -515,10 +518,12 @@ def stream_types(
     and, with heuristic types, each one that starts at a call."""
     stream = tuple(sorted(insns, key=_addr))
     found: set[GadgetType] = set()
+    windows = 0
     for low, pos, matches in _terminator_windows(
         stream, max_len, enable_heuristic_types
     ):
         stop = pos + 1
+        windows += stop - low
         starts = {low}
         if stop - 9 > low:
             starts.add(stop - 9)
@@ -532,7 +537,7 @@ def stream_types(
                 stream[start:stop], enable_heuristic_types,
                 matches[start:stop],
             ).types
-    return frozenset(found)
+    return frozenset(found), windows
 
 
 @dataclass(frozen=True)

@@ -91,16 +91,56 @@ class HarvestEvent(NamedTuple):
         }
 
 
-@dataclass
 class HarvestTrace:
-    start: int
-    events: list[HarvestEvent]
-    leak_cost: int
-    analysis_cost: int
-    pages_found: int
-    skipped_targets: int
-    # Analysis product; not part of the serialized trace.
-    gadgets: tuple[Gadget, ...] = ()
+    """A harvest's clocked record. Its gadgets, those of every visited
+    page's stream in page order, are an analysis product and not part of
+    the serialized trace: a trace of a walk takes their count from the
+    walk's nodes and mines the gadgets on their first read."""
+
+    def __init__(
+        self,
+        start: int,
+        events: list[HarvestEvent],
+        leak_cost: int,
+        analysis_cost: int,
+        pages_found: int,
+        skipped_targets: int,
+        gadgets: tuple[Gadget, ...] = (),
+        walk: _Walk | None = None,
+    ):
+        self.start = start
+        self.events = events
+        self.leak_cost = leak_cost
+        self.analysis_cost = analysis_cost
+        self.pages_found = pages_found
+        self.skipped_targets = skipped_targets
+        self._gadgets = gadgets
+        self._walk = walk
+        self.gadget_count = len(gadgets) if walk is None else walk.windows()
+
+    @property
+    def gadgets(self) -> tuple[Gadget, ...]:
+        if self._walk is not None:
+            self._gadgets = self._walk.gadgets()
+            self._walk = None
+        return self._gadgets
+
+    def _record(self) -> tuple:
+        return (
+            self.start, self.events, self.leak_cost, self.analysis_cost,
+            self.pages_found, self.skipped_targets,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HarvestTrace):
+            return NotImplemented
+        return (
+            self._record() == other._record()
+            and self.gadgets == other.gadgets
+        )
+
+    def __repr__(self) -> str:
+        return f"HarvestTrace({self.summary()})"
 
     @property
     def total_cost(self) -> int:
@@ -147,7 +187,7 @@ class HarvestTrace:
         """The summary, gadget count and clocks the harvest command prints."""
         return {
             **self.summary(),
-            "gadgets": len(self.gadgets),
+            "gadgets": self.gadget_count,
             "convergence_clock": self.convergence_clock(),
             "type_clocks": dict(sorted(
                 (t.value, clock) for t, clock in self.type_clocks().items()
@@ -169,12 +209,14 @@ class _Node:
     """A page's traversal state in ImageAnalysis's node map: its stream,
     what mining the stream yields (its gadgets, None in a types-only
     analysis until they are first read, its chain targets as index entries
-    in address order, and its gadget types) and `children`, the edge each
-    batch met so far takes, or None for a batch that adds nothing, so no
-    node refers to itself and reference counting frees the map. A node
-    never changes after it is built, except to gain children and gadgets."""
+    in address order, its gadget types and its window count, which is
+    `len(find_gadgets(stream, ...))` in either mode) and `children`, the
+    edge each batch met so far takes, or None for a batch that adds
+    nothing, so no node refers to itself and reference counting frees the
+    map. A node never changes after it is built, except to gain children
+    and gadgets."""
 
-    __slots__ = ("disasm", "gadgets", "targets", "types", "children")
+    __slots__ = ("disasm", "gadgets", "targets", "types", "windows", "children")
 
     def __init__(
         self,
@@ -182,11 +224,13 @@ class _Node:
         gadgets: tuple[Gadget, ...] | None = (),
         targets: tuple[_Target, ...] = (),
         types: frozenset[GadgetType] = frozenset(),
+        windows: int = 0,
     ):
         self.disasm = disasm
         self.gadgets = gadgets
         self.targets = targets
         self.types = types
+        self.windows = windows
         self.children: dict[tuple[int, ...], _Edge | None] = {}
 
 
@@ -223,13 +267,15 @@ class ImageAnalysis:
     traversal meets gets one entry and one bit, so a traversal records the
     targets it has handled as a set of bits.
 
-    A types-only analysis mines each stream for its gadget types alone, and
-    builds a node's gadgets only when they are read: the convergence runs
-    of rerand read no gadget. Harvests and offline mining read the gadgets
-    of each page's last stream, which most streams they mine are, so the
-    default mines the gadgets and takes the types from them: mining types
-    first and the gadgets on read made a 300-page closure harvest 2-13%
-    slower and mine_image 4-27% slower (BENCH_25.json has the runs).
+    A types-only analysis mines each stream for its gadget types and window
+    count alone, and builds a node's gadgets only when they are read. The
+    clocked walks read no gadget: convergence runs read the types, and a
+    harvest reads the types and the count and mines its trace's gadgets
+    only when they are read, so both build a types-only analysis when none
+    is passed. Offline mining reads the gadgets of each page's last stream,
+    which most streams it mines are, so the default mines the gadgets and
+    takes the types from them: mining types first and the gadgets on read
+    made mine_image 4-27% slower (BENCH_25.json has the runs).
     """
 
     def __init__(
@@ -324,14 +370,16 @@ class ImageAnalysis:
             stream, self.image, include_cond=opts.follow_cond_branches
         ))
         if self.types_only:
-            types = stream_types(
+            types, windows = stream_types(
                 stream, opts.max_gadget_len, opts.enable_heuristic_types
             )
-            return _Node(disasm, None, targets, types)
+            return _Node(disasm, None, targets, types, windows)
         gadgets = find_gadgets(
             stream, opts.max_gadget_len, opts.enable_heuristic_types
         )
-        return _Node(disasm, gadgets, targets, leaked_types(gadgets))
+        return _Node(
+            disasm, gadgets, targets, leaked_types(gadgets), len(gadgets)
+        )
 
     def gadgets(self, node: _Node) -> tuple[Gadget, ...]:
         """The node's gadgets, mined on their first read in a types-only
@@ -466,6 +514,10 @@ class _Walk:
             analysis.gadgets(nodes[base]) for base in sorted(nodes)
         ))
 
+    def windows(self) -> int:
+        """How many gadgets `gadgets` gives, read without mining them."""
+        return sum(node.windows for node in self.nodes.values())
+
 
 def _walk_from(
     image: MemoryImage,
@@ -475,13 +527,14 @@ def _walk_from(
     page_events: bool,
 ) -> _Walk:
     """The walk from one start pointer that harvest and rerand.converge
-    clock, tracking `opts.track_set`."""
+    clock, tracking `opts.track_set`, over a types-only analysis when none
+    is passed: neither reads a gadget unless asked to."""
     if not image.is_executable(start):
         raise StartPointerInvalid(
             f"start pointer {start:#x} is not in executable memory"
         )
     if analysis is None:
-        analysis = ImageAnalysis(image, opts)
+        analysis = ImageAnalysis(image, opts, types_only=True)
     else:
         analysis.check(image, opts)
     return _Walk(
@@ -499,7 +552,10 @@ def harvest(
     """Run the harvesting loop from one leaked code pointer.
 
     Pass an analysis built for the same image and mining options to share
-    decoding and mining with other harvests; a fresh one is built otherwise.
+    decoding and mining with other harvests; it is used in the mode it was
+    built with. Otherwise the harvest builds its own types-only analysis.
+    Either way the trace counts its gadgets from the walk's nodes, and
+    `trace.gadgets` mines them when first read.
     """
     walk = _walk_from(image, start, opts, analysis, page_events=True)
     return HarvestTrace(
@@ -509,7 +565,7 @@ def harvest(
         analysis_cost=walk.analysis_cost,
         pages_found=len(walk.nodes),
         skipped_targets=walk.skipped,
-        gadgets=walk.gadgets(),
+        walk=walk,
     )
 
 
@@ -618,8 +674,9 @@ def _choose_starts(
 def harvest_all_starts(
     image: MemoryImage, opts: HarvestOptions = HarvestOptions()
 ) -> dict[int, HarvestTrace]:
-    """Harvest once from each per-page start pointer, sharing one analysis."""
-    analysis = ImageAnalysis(image, opts)
+    """Harvest once from each per-page start pointer, sharing one
+    types-only analysis: each trace's gadgets are mined when read."""
+    analysis = ImageAnalysis(image, opts, types_only=True)
     starts = page_start_pointers(image, opts, analysis)
     return {
         start: harvest(image, start, opts, analysis)

@@ -82,12 +82,9 @@ def converge(
     `tc` set when None) is covered or the reachable code is exhausted. An
     analysis shared across starts saves repeated decoding and mining; see
     harvest. It runs harvest's clocked loop but keeps only the clocks: no
-    page events and no gadgets, so the analysis it builds when none is
-    passed mines only gadget types."""
+    page events and no gadgets."""
     spec = opts.track_set or BUILTIN_SETS["tc"]
     run_opts = replace(opts, track_set=spec, stop_on_convergence=True)
-    if analysis is None:
-        analysis = ImageAnalysis(image, opts, types_only=True)
     walk = _walk_from(image, start, run_opts, analysis, page_events=False)
     events = walk.events
     # The walk stops on convergence, so its event is the last one.

@@ -91,9 +91,10 @@ class SynthFunction:
 @dataclass(frozen=True)
 class GenParams:
     """Generator parameters. Construction raises ValueError when
-    max_functions_per_page is below 1, n_functions is below 1, connectivity
-    is not a probability (NaN included), base is negative, or gadget_mix
-    names a type with no plant template or gives a count below 0."""
+    max_functions_per_page is below 1, n_functions or mean_fn_len is below
+    1, connectivity is not a probability (NaN included), base is negative,
+    or gadget_mix names a type with no plant template or gives a count
+    below 0."""
 
     n_functions: int = 12
     mean_fn_len: int = 10
@@ -109,6 +110,10 @@ class GenParams:
             raise ValueError("params max_functions_per_page must be at least 1")
         if self.n_functions < 1:
             raise ValueError("need at least one function")
+        if self.mean_fn_len < 1:
+            raise ValueError(
+                f"params mean_fn_len must be at least 1, not {self.mean_fn_len}"
+            )
         # A NaN fails every comparison, so it fails this one too.
         if not 0.0 <= self.connectivity <= 1.0:
             raise ValueError(

@@ -520,6 +520,19 @@ def test_synth_generate_connectivity_outside_unit_interval_exits_2(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_synth_generate_mean_len_below_one_exits_2(tmp_path, capsys, value):
+    # -5 once exited 0 and recorded a mean length no function has.
+    out_dir = tmp_path / "corpus"
+    code, out = run(["synth", "generate", "--out-dir", out_dir,
+                     "--functions", "4", "--mean-len", value])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: params mean_fn_len must be at least 1, not {value}\n"
+    )
+    assert not out_dir.exists()
+
+
 def test_synth_transform_negative_mix_count_exits_2(tmp_path, capsys):
     out_dir = tmp_path / "corpus"
     code, _ = run(["synth", "generate", "--out-dir", out_dir, "--seed", "5",

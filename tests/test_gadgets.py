@@ -769,8 +769,9 @@ def test_stream_types_equal_leaked_types_of_all_windows(chunks, noise):
     stream = _sweep(b"".join(parts))
     for max_len in range(1, 26):
         for heuristic in (False, True):
-            assert stream_types(stream, max_len, heuristic) == leaked_types(
-                find_gadgets(stream, max_len, heuristic)
+            gadgets = find_gadgets(stream, max_len, heuristic)
+            assert stream_types(stream, max_len, heuristic) == (
+                leaked_types(gadgets), len(gadgets)
             ), (max_len, heuristic)
 
 
@@ -789,7 +790,7 @@ def test_stream_types_classifies_through_classify(monkeypatch):
     monkeypatch.setattr(gadgets_module, "classify", counting_classify)
     types = set()
     for stream in streams:
-        types |= stream_types(stream, 10)
+        types |= stream_types(stream, 10)[0]
     found = [g for stream in streams for g in find_gadgets(stream, 10)]
     assert types == leaked_types(found) and types
     assert 0 < len(calls) - len(found) < len(found)

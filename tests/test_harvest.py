@@ -1,7 +1,9 @@
 """Recursive code-page harvesting: closure, costs, events, determinism."""
 
+import io
 import json
 import sys
+from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import ropscope.disasm as disasm_module
 import ropscope.harvest as harvest_module
 import ropscope.rerand as rerand_module
+from ropscope import cli
 from helpers import (
     RW,
     asm,
@@ -60,6 +63,7 @@ from ropscope.snapshot import (
     SegmentTag,
     load_image,
     page_base,
+    save_snapshot,
 )
 from ropscope.synth import (
     GenParams,
@@ -712,6 +716,15 @@ ORACLE_OPTIONS = {
 }
 
 
+def oracle_image(corpus):
+    if corpus == "ls":
+        if not Path("/usr/bin/ls").exists():
+            pytest.skip("/usr/bin/ls is not present")
+        return load_image("/usr/bin/ls")
+    image, _ = materialize(generate(ORACLE_CORPORA[corpus], seed=7))
+    return image
+
+
 def assert_matches_reference(image, opts):
     """From every start, one shared analysis gives the reference's trace,
     gadgets and convergence records."""
@@ -734,13 +747,7 @@ def assert_matches_reference(image, opts):
 @pytest.mark.parametrize("options", sorted(ORACLE_OPTIONS))
 @pytest.mark.parametrize("corpus", [*sorted(ORACLE_CORPORA), "ls"])
 def test_traversal_matches_set_based_reference(corpus, options):
-    if corpus == "ls":
-        if not Path("/usr/bin/ls").exists():
-            pytest.skip("/usr/bin/ls is not present")
-        image = load_image("/usr/bin/ls")
-    else:
-        image, _ = materialize(generate(ORACLE_CORPORA[corpus], seed=7))
-    assert_matches_reference(image, ORACLE_OPTIONS[options])
+    assert_matches_reference(oracle_image(corpus), ORACLE_OPTIONS[options])
 
 
 @given(
@@ -765,3 +772,64 @@ def test_traversal_matches_reference_on_drawn_params(
     image, _ = materialize(generate(params, seed))
     assert_matches_reference(image, ORACLE_OPTIONS[options])
 
+
+@pytest.mark.parametrize("stop", [False, True])
+@pytest.mark.parametrize("corpus", [*sorted(ORACLE_CORPORA), "ls"])
+def test_own_analysis_counts_and_mines_like_a_full_one(corpus, stop):
+    # A harvest given no analysis mines types alone, counts its gadgets
+    # from its nodes and mines them when read; a full shared analysis
+    # mines every gadget up front. Both give the same trace.
+    image = oracle_image(corpus)
+    for opts in (
+        HarvestOptions(
+            max_gadget_len=10, track_set=BUILTIN_SETS["priority"],
+            stop_on_convergence=stop,
+        ),
+        HarvestOptions(
+            max_gadget_len=8, enable_heuristic_types=True,
+            track_set=BUILTIN_SETS["tc"], stop_on_convergence=stop,
+        ),
+    ):
+        full = ImageAnalysis(image, opts)
+        starts = sorted(page_start_pointers(image, opts, full).values())
+        for start in starts[::2]:
+            own = harvest(image, start, opts)
+            shared = harvest(image, start, opts, full)
+            assert own.report() == shared.report()
+            assert own.report()["gadgets"] == len(own.gadgets)
+            assert shared.report()["gadgets"] == len(shared.gadgets)
+            assert own.to_jsonl() == shared.to_jsonl()
+            assert own.gadgets == shared.gadgets
+            assert own == shared
+
+
+def test_harvest_command_mines_no_gadgets(tmp_path, monkeypatch):
+    # The command prints a gadget count and clocks, which types-only mining
+    # gives: find_gadgets never runs.
+    image, truth = materialize(generate(SHARED_CORPORA["24pages"], seed=7))
+    path = tmp_path / "image.rsnp"
+    save_snapshot(image, path)
+    start = truth.function_entries[0]
+    mined = []
+
+    def counting_find_gadgets(stream, *rest):
+        mined.append(stream)
+        return find_gadgets(stream, *rest)
+
+    monkeypatch.setattr(harvest_module, "find_gadgets", counting_find_gadgets)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main([
+            "harvest", str(path), "--start", hex(start), "--max-len", "10",
+            "--set", "tc", "--trace", str(tmp_path / "trace.jsonl"),
+        ])
+    assert code == 0
+    report = json.loads(buf.getvalue())
+    assert mined == []
+    trace = harvest(image, start, HarvestOptions(
+        max_gadget_len=10, track_set=BUILTIN_SETS["tc"]
+    ))
+    assert report == json.loads(json.dumps(trace.report()))
+    assert mined == []
+    assert report["gadgets"] == len(trace.gadgets) > 0
+    assert mined

@@ -1,0 +1,129 @@
+"""Relations between runs that any correct harvest model satisfies.
+
+Unlike the verbatim oracles in helpers.py, these do not pin how the
+current code computes a quantity, only how two runs of it must relate.
+
+Stop: a --stop-on-convergence harvest is the full harvest cut at
+convergence. Its events are a prefix of the full harvest's, and
+rerand.converge's record is the one derived from the full harvest's
+page-discovery and type-leak events alone: the convergence clock is the
+clock of the type leak that completes the tracked set.
+"""
+
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ropscope.gadgets import BUILTIN_SETS
+from ropscope.harvest import (
+    LEAK_TICKS_PER_PAGE,
+    EventKind,
+    HarvestOptions,
+    ImageAnalysis,
+    harvest,
+    page_start_pointers,
+)
+from ropscope.rerand import ConvergenceRecord, converge
+from ropscope.snapshot import load_image
+from ropscope.synth import GenParams, generate, materialize
+
+
+def record_from_full_harvest(trace, spec):
+    """The convergence record read off a full harvest's events, and the
+    number of its events a stopping harvest keeps."""
+    required = set(spec.required)
+    leaked = set()
+    clocks = []
+    pages = 0
+    for i, event in enumerate(trace.events):
+        if event.kind is EventKind.PAGE_DISCOVERED:
+            pages += 1
+        elif event.kind is EventKind.TYPE_LEAKED:
+            leaked.add(event.payload["type"])
+            clocks.append(event.clock)
+            # Only tracked types leak, so this is the visit's last leak.
+            if required <= leaked:
+                clock = event.clock
+                record = ConvergenceRecord(
+                    start=trace.start,
+                    set_name=spec.name,
+                    convergence_clock=clock,
+                    type_timeline=tuple(
+                        (c, k) for k, c in enumerate(clocks, 1)
+                    ),
+                    leak_fraction=LEAK_TICKS_PER_PAGE * pages / clock,
+                    total_cost=clock,
+                    pages_found=pages,
+                )
+                # The leaks, then the convergence event.
+                return record, i + 2
+    total = trace.total_cost
+    record = ConvergenceRecord(
+        start=trace.start,
+        set_name=spec.name,
+        convergence_clock=None,
+        type_timeline=tuple((c, k) for k, c in enumerate(clocks, 1)),
+        leak_fraction=trace.leak_cost / total if total else 0.0,
+        total_cost=total,
+        pages_found=trace.pages_found,
+    )
+    return record, len(trace.events)
+
+
+def assert_stop_relation(image, opts):
+    spec = opts.track_set
+    analysis = ImageAnalysis(image, opts, types_only=True)
+    stopping = replace(opts, stop_on_convergence=True)
+    starts = sorted(page_start_pointers(image, opts, analysis).values())
+    assert starts
+    for start in starts:
+        full = harvest(image, start, opts, analysis)
+        stopped = harvest(image, start, stopping, analysis)
+        expected, kept = record_from_full_harvest(full, spec)
+        assert stopped.events == full.events[:kept]
+        if expected.converged:
+            assert full.events[kept - 1].kind is EventKind.CONVERGED
+            assert full.events[kept - 1].clock == expected.convergence_clock
+        else:
+            assert not full.converged
+        assert converge(image, start, stopping, analysis) == expected
+
+
+@given(
+    n_functions=st.integers(1, 10),
+    connectivity=st.sampled_from([0.0, 0.2, 0.5]),
+    per_page=st.sampled_from([None, 1, 3]),
+    strongly_connected=st.booleans(),
+    seed=st.integers(0, 2**16),
+    set_name=st.sampled_from(sorted(BUILTIN_SETS)),
+    max_len=st.integers(2, 10),
+)
+@settings(max_examples=12, deadline=None)
+def test_stop_cuts_the_full_harvest_at_convergence(
+    n_functions, connectivity, per_page, strongly_connected, seed, set_name,
+    max_len,
+):
+    params = GenParams(
+        n_functions=n_functions,
+        mean_fn_len=8,
+        connectivity=connectivity,
+        ensure_strongly_connected=strongly_connected,
+        max_functions_per_page=per_page,
+    )
+    image, _ = materialize(generate(params, seed))
+    assert_stop_relation(image, HarvestOptions(
+        max_gadget_len=max_len, track_set=BUILTIN_SETS[set_name]
+    ))
+
+
+@pytest.mark.parametrize("set_name", ["tc", "priority"])
+def test_stop_cuts_the_full_harvest_at_convergence_on_ls(set_name):
+    path = Path("/usr/bin/ls")
+    if not path.exists():
+        pytest.skip("/usr/bin/ls is not present")
+    assert_stop_relation(load_image(path), HarvestOptions(
+        max_gadget_len=10, track_set=BUILTIN_SETS[set_name]
+    ))

@@ -254,6 +254,8 @@ def test_params_round_trip():
         ({"max_functions_per_page": -1},
          "params max_functions_per_page must be at least 1"),
         ({"n_functions": 0}, "need at least one function"),
+        ({"mean_fn_len": 0}, "params mean_fn_len must be at least 1, not 0"),
+        ({"mean_fn_len": -5}, "params mean_fn_len must be at least 1, not -5"),
         ({"base": -4096}, "params base must be non-negative"),
         ({"gadget_mix": {GadgetType.LR: 1, GadgetType.FS: 2}},
          "gadget type FS is not plantable"),
@@ -267,6 +269,7 @@ def test_params_round_trip():
          "gadget_mix count of LM must be non-negative"),
     ],
     ids=["zero-per-page", "negative-per-page", "no-functions",
+         "zero-mean-len", "negative-mean-len",
          "negative-base", "unplantable", "nan-connectivity",
          "connectivity-above-one", "negative-connectivity",
          "negative-mix-count"],
@@ -280,6 +283,7 @@ def test_params_refuse_invalid_values(fields, message):
 def test_params_accept_connectivity_bounds_and_empty_mix():
     for connectivity in (0.0, 1.0):
         assert GenParams(connectivity=connectivity).connectivity == connectivity
+    assert GenParams(mean_fn_len=1).mean_fn_len == 1
     assert GenParams(gadget_mix={GadgetType.LR: 0}).gadget_mix == {
         GadgetType.LR: 0
     }
