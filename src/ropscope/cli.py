@@ -340,7 +340,7 @@ def _cmd_synth_transform(args) -> int:
 def _cmd_compare(args) -> int:
     base_dir, manifest = _load_manifest(args.manifest)
     entries = manifest["entries"]
-    if args.schemes:
+    if args.schemes is not None:
         wanted = {n.strip() for n in args.schemes.split(",")}
         unknown = sorted(wanted - {e["name"] for e in entries})
         if unknown:

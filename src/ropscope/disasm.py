@@ -138,6 +138,14 @@ _MNEMONIC_TEXT = {
     Mnemonic.SYSENTER: "sysenter", Mnemonic.INT: "int",
 }
 
+# The members the per-instruction code reads, bound once: on Python 3.11 a
+# member read through its Enum class costs as much as twenty module-global
+# reads.
+_MOV, _LEA, _XCHG, _NOP = Mnemonic.MOV, Mnemonic.LEA, Mnemonic.XCHG, Mnemonic.NOP
+_JCC, _CALL_GS = Mnemonic.JCC, Mnemonic.CALL_GS
+_DIRECT_BRANCHES = frozenset({Mnemonic.CALL_REL, Mnemonic.JMP_REL})
+_INDIRECT_BRANCHES = frozenset({Mnemonic.CALL_RM, Mnemonic.JMP_RM})
+
 _CC_NAMES = [
     "jo", "jno", "jb", "jae", "je", "jne", "jbe", "ja",
     "js", "jns", "jp", "jnp", "jl", "jge", "jle", "jg",
@@ -244,6 +252,8 @@ _REG_OPERANDS = {
     for width in (8, 16, 32, 64)
     for high8 in (False, True)
 }
+_REG_RAX = Reg.RAX
+_CL = _REG_OPERANDS[Reg.RCX, 8, False]
 
 
 class Instruction(NamedTuple):
@@ -266,11 +276,11 @@ class Instruction(NamedTuple):
         return self.mnemonic in _TERMINATORS
 
     def render(self) -> str:
-        if self.mnemonic is Mnemonic.JCC:
+        if self.mnemonic is _JCC:
             text = _CC_NAMES[self.cc or 0]
         else:
             text = _MNEMONIC_TEXT[self.mnemonic]
-        if self.mnemonic is Mnemonic.CALL_GS:
+        if self.mnemonic is _CALL_GS:
             return f"call gs:{self.operands[0].mem.render()}"
         if self.branch_target is not None:
             return f"{text} {self.branch_target:#x}"
@@ -360,7 +370,7 @@ def _effects(
             bit = 1 << op.reg
             if not dest or mnemonic in _READS_DEST:
                 reads |= bit
-            if dest or mnemonic is Mnemonic.XCHG:
+            if dest or mnemonic is _XCHG:
                 writes |= bit
         elif kind == "mem":
             mem = op.mem
@@ -487,7 +497,7 @@ def _uimm16(data: bytes, pos: int, width: int) -> tuple[Operand, int]:
 
 
 def _cl(data: bytes, pos: int, width: int) -> tuple[Operand, int]:
-    return Operand.make_reg(Reg.RCX, 8), pos
+    return _CL, pos
 
 
 # Opcode-map handlers. Each takes the data, the position past the opcode,
@@ -520,7 +530,7 @@ def _lea(data, pos, start, addr, rex, width, op, arg) -> Instruction | None:
     if not rm.is_mem:
         return None
     return _fin(
-        data, start, pos, addr, Mnemonic.LEA,
+        data, start, pos, addr, _LEA,
         (_reg_op(reg_bits, width, rex != 0), rm),
     )
 
@@ -545,7 +555,7 @@ def _unary(data, pos, start, addr, rex, width, op, arg) -> Instruction | None:
     mnemonic = arg.get(digit)
     if mnemonic is None:
         return None
-    if mnemonic is Mnemonic.CALL_RM or mnemonic is Mnemonic.JMP_RM:
+    if mnemonic in _INDIRECT_BRANCHES:
         rm = Operand.make_reg(rm.reg) if rm.is_reg else Operand.make_mem(rm.mem)
     return _fin(data, start, pos, addr, mnemonic, (rm,))
 
@@ -559,10 +569,10 @@ def _push_pop(data, pos, start, addr, rex, width, op, arg) -> Instruction:
 def _xchg_rax(data, pos, start, addr, rex, width, op, arg) -> Instruction:
     other = (op & 7) | ((rex & 1) << 3)
     if other == 0:
-        return _fin(data, start, pos, addr, Mnemonic.NOP)
+        return _fin(data, start, pos, addr, _NOP)
     return _fin(
-        data, start, pos, addr, Mnemonic.XCHG,
-        (Operand.make_reg(Reg.RAX, width), _reg_op(other, width, rex != 0)),
+        data, start, pos, addr, _XCHG,
+        (_REG_OPERANDS[_REG_RAX, width, False], _reg_op(other, width, rex != 0)),
     )
 
 
@@ -573,8 +583,8 @@ def _mov_imm(data, pos, start, addr, rex, width, op, arg) -> Instruction:
     else:
         imm, end = _U32(data, pos)[0], pos + 4
     return _fin(
-        data, start, end, addr, Mnemonic.MOV,
-        (Operand.make_reg(reg, width), Operand.make_imm(imm, width)),
+        data, start, end, addr, _MOV,
+        (_REG_OPERANDS[reg, width, False], Operand.make_imm(imm, width)),
     )
 
 
@@ -815,11 +825,10 @@ def extract_chain_targets(
     """
     targets: set[int] = set()
     for insn in insns:
-        if insn.mnemonic in (Mnemonic.CALL_REL, Mnemonic.JMP_REL):
+        m = insn.mnemonic
+        if m in _DIRECT_BRANCHES or (m is _JCC and include_cond):
             targets.add(insn.branch_target)
-        elif insn.mnemonic is Mnemonic.JCC and include_cond:
-            targets.add(insn.branch_target)
-        elif insn.mnemonic in (Mnemonic.CALL_RM, Mnemonic.JMP_RM):
+        elif m in _INDIRECT_BRANCHES:
             op = insn.operands[0]
             if not (op.is_mem and op.mem.rip_relative):
                 continue

@@ -53,6 +53,16 @@ class GadgetType(str, Enum):
         return self.value
 
 
+# The members, bound once in definition order for the per-window code: on
+# Python 3.11 a member read through its Enum class costs as much as twenty
+# module-global reads.
+(
+    _MR, _LR, _AM, _LM, _AM_LD, _SM, _AM_ST, _LOGIC, _SP, _JMP, _CALL, _SYS,
+    _CP, _CS1, _FS, _TM, _RF, _CS2, _EP, _BROP, _STOP, _ST, _STCONSTEX,
+    _STCONST, _LMEX,
+) = GadgetType
+
+
 def gadget_type(name: object) -> GadgetType:
     """The gadget type whose value is `name`; ValueError for any other."""
     try:
@@ -64,6 +74,13 @@ def gadget_type(name: object) -> GadgetType:
 class Footprint(Enum):
     MIN_FP = "MIN"
     EX_FP = "EX"
+
+    # Members are singletons compared by identity, so the C-level identity
+    # hash agrees with equality; Enum's own hashes the name in Python.
+    __hash__ = object.__hash__
+
+
+_MIN, _EX = Footprint.MIN_FP, Footprint.EX_FP
 
 
 # Operation categories used by scheme-comparison reports.
@@ -94,12 +111,19 @@ _SYS_CORES = frozenset(
 BROP_REGS = (
     Reg.RBX, Reg.RBP, Reg.R12, Reg.R13, Reg.R14, Reg.RSI, Reg.R15, Reg.RDI,
 )
+# The registers and mnemonics the per-window code reads, bound once as the
+# gadget types are.
+_RSP, _RBP = Reg.RSP, Reg.RBP
+_MOV, _POP, _XCHG, _LEA = Mnemonic.MOV, Mnemonic.POP, Mnemonic.XCHG, Mnemonic.LEA
+_CALL_RM, _JMP_RM, _CALL_GS = Mnemonic.CALL_RM, Mnemonic.JMP_RM, Mnemonic.CALL_GS
+_JCC, _JMP_REL, _INT = Mnemonic.JCC, Mnemonic.JMP_REL, Mnemonic.INT
+_CALLS = frozenset({Mnemonic.CALL_REL, Mnemonic.CALL_RM})
 
 
 def _is_store_mov(insn: Instruction) -> bool:
     ops = insn.operands
     return (
-        insn.mnemonic is Mnemonic.MOV
+        insn.mnemonic is _MOV
         and len(ops) == 2
         and ops[0].kind == "mem"
         and ops[1].kind == "reg"
@@ -162,79 +186,79 @@ def _insn_cores(insn: Instruction) -> _CoreHits:
     hits: list[tuple[GadgetType, bool]] = []
     ops = insn.operands
 
-    if m in _PIVOT_WRITERS and len(ops) == 2 and ops[0].reg is Reg.RSP:
+    if m in _PIVOT_WRITERS and len(ops) == 2 and ops[0].reg is _RSP:
         # A two-operand write to rsp is a stack pivot, whatever it computes.
-        hits.append((GadgetType.SP, ops[1].kind == "reg"))
+        hits.append((_SP, ops[1].kind == "reg"))
 
-    elif m is Mnemonic.MOV and len(ops) == 2:
+    elif m is _MOV and len(ops) == 2:
         dst, src = ops
         # An operand that is not in memory is a register or an immediate.
         if dst.kind == "reg" and src.kind != "mem":
-            hits.append((GadgetType.MR, True))
+            hits.append((_MR, True))
         elif dst.kind == "reg":
             mem = src.mem
-            hits.append((GadgetType.LM, mem.is_bare))
+            hits.append((_LM, mem.is_bare))
             if mem.base is not None and mem.index is None and mem.disp != 0:
-                hits.append((GadgetType.LMEX, True))
+                hits.append((_LMEX, True))
         elif dst.kind == "mem" and src.kind == "reg":
             mem = dst.mem
-            hits.append((GadgetType.SM, mem.is_bare))
-            hits.append((GadgetType.ST, mem.is_bare))
+            hits.append((_SM, mem.is_bare))
+            hits.append((_ST, mem.is_bare))
             if mem.base is not None and mem.index is None and mem.disp != 0:
-                hits.append((GadgetType.STCONSTEX, True))
+                hits.append((_STCONSTEX, True))
         elif dst.kind == "mem" and src.kind == "imm":
             mem = dst.mem
-            hits.append((GadgetType.STCONST, mem.is_bare))
+            hits.append((_STCONST, mem.is_bare))
             if mem.base is not None and mem.index is None and mem.disp != 0:
-                hits.append((GadgetType.STCONSTEX, True))
+                hits.append((_STCONSTEX, True))
 
     elif m in _ARITH and len(ops) == 2:
         dst, src = ops
         if dst.kind == "reg" and src.kind != "mem":
-            hits.append((GadgetType.AM, True))
+            hits.append((_AM, True))
         elif dst.kind == "reg":
-            hits.append((GadgetType.AM_LD, src.mem.is_bare))
+            hits.append((_AM_LD, src.mem.is_bare))
         elif dst.kind == "mem" and src.kind == "reg":
-            hits.append((GadgetType.AM_ST, dst.mem.is_bare))
+            hits.append((_AM_ST, dst.mem.is_bare))
 
     elif m in _LOGICAL and len(ops) == 2:
         dst = ops[0]
         if dst.kind == "reg":
-            hits.append((GadgetType.LOGIC, True))
+            hits.append((_LOGIC, True))
         elif dst.kind == "mem":
-            hits.append((GadgetType.LOGIC, dst.mem.is_bare))
+            hits.append((_LOGIC, dst.mem.is_bare))
 
-    elif m is Mnemonic.POP and ops:
+    elif m is _POP and ops:
         reg = ops[0].reg
-        if reg is Reg.RSP:
-            hits.append((GadgetType.SP, True))
+        if reg is _RSP:
+            hits.append((_SP, True))
         else:
-            hits.append((GadgetType.LR, True))
+            hits.append((_LR, True))
 
-    elif m is Mnemonic.XCHG and len(ops) == 2:
+    elif m is _XCHG and len(ops) == 2:
         regs = {o.reg for o in ops if o.kind == "reg"}
-        if Reg.RSP in regs and len(regs) == 2:
-            hits.append((GadgetType.SP, True))
+        if _RSP in regs and len(regs) == 2:
+            hits.append((_SP, True))
 
-    elif m is Mnemonic.LEA and ops and ops[0].reg is Reg.RSP:
-        hits.append((GadgetType.SP, False))
+    elif m is _LEA and ops and ops[0].reg is _RSP:
+        hits.append((_SP, False))
 
-    elif m is Mnemonic.JMP_RM:
-        hits.append((GadgetType.JMP, ops[0].kind == "reg"))
+    elif m is _JMP_RM:
+        hits.append((_JMP, ops[0].kind == "reg"))
 
-    elif m is Mnemonic.CALL_RM:
+    elif m is _CALL_RM:
         op = ops[0]
         bare = op.kind == "reg" or (op.kind == "mem" and op.mem.is_bare)
-        hits.append((GadgetType.CALL, bare))
+        hits.append((_CALL, bare))
 
-    elif m is Mnemonic.CALL_GS:
-        hits.append((GadgetType.SYS, True))
-        hits.append((GadgetType.CALL, False))
+    elif m is _CALL_GS:
+        hits.append((_SYS, True))
+        hits.append((_CALL, False))
 
     elif m in _SYS_CORES or (
-        m is Mnemonic.INT and ops and ops[0].imm == 0x80
+        m is _INT and ops and ops[0].imm == 0x80
     ):
-        hits.append((GadgetType.SYS, True))
+        hits.append((_SYS, True))
 
     return hits
 
@@ -257,8 +281,6 @@ _RET_CORE_TYPES = frozenset(
     }
 )
 
-_MIN, _EX = Footprint.MIN_FP, Footprint.EX_FP
-
 
 def _backward_branch(insn: Instruction, first: int) -> bool:
     """A branch whose target lies in the window from `first` to the branch."""
@@ -276,7 +298,24 @@ def classify(
     Types, footprints and core indices are position-pure: they depend only
     on mnemonics, operands, and branch offsets relative to the window, never
     on absolute addresses. `matches`, when given, holds `_insn_cores` of
-    each instruction of the window, as `find_gadgets` caches them.
+    each instruction of the window, as `find_gadgets` caches them. The
+    rules are `_classify`'s."""
+    assert insns, "cannot classify an empty window"
+    if matches is None:
+        matches = [_insn_cores(insn) for insn in insns]
+    cores, footprints = _classify(insns, enable_heuristic_types, matches)
+    return Gadget(
+        insns[0].addr, tuple(insns), frozenset(cores), footprints, cores
+    )
+
+
+def _classify(
+    insns: Sequence[Instruction],
+    enable_heuristic_types: bool,
+    matches: Sequence[_CoreHits],
+) -> tuple[dict[GadgetType, int], dict[GadgetType, Footprint]]:
+    """The core index and footprint of each type of a nonempty window, given
+    `_insn_cores` of each of its instructions.
 
     The single-instruction cores come from one backward scan from the
     terminator. The first hit of a type the scan meets, the one closest to
@@ -288,9 +327,6 @@ def classify(
     The CP, EP and RF shapes are looked for only in windows that end in an
     indirect call or jmp, and BROP only in 9-instruction return windows.
     """
-    assert insns, "cannot classify an empty window"
-    if matches is None:
-        matches = [_insn_cores(insn) for insn in insns]
     n = len(insns)
     last = insns[-1].mnemonic
     footprints: dict[GadgetType, Footprint] = {}
@@ -309,54 +345,52 @@ def classify(
                         footprints[gtype] = _MIN if strict and two else _EX
                 # An indirect call always matches a CALL core; a jcc never
                 # matches one.
-                if call_site < 0 and insns[idx].mnemonic is Mnemonic.CALL_RM:
+                if call_site < 0 and insns[idx].mnemonic is _CALL_RM:
                     call_site = idx
             elif want_cs1:
                 insn = insns[idx]
-                if insn.mnemonic is Mnemonic.JCC and _backward_branch(
+                if insn.mnemonic is _JCC and _backward_branch(
                     insn, insns[0].addr
                 ):
-                    cores[GadgetType.CS1] = idx
-                    footprints[GadgetType.CS1] = _EX
+                    cores[_CS1] = idx
+                    footprints[_CS1] = _EX
                     want_cs1 = False
         if call_site >= 0:
-            cores[GadgetType.CS2] = call_site
-            footprints[GadgetType.CS2] = _MIN if two else _EX
+            cores[_CS2] = call_site
+            footprints[_CS2] = _MIN if two else _EX
         if n == 9 and all(
-            insns[i].mnemonic is Mnemonic.POP
+            insns[i].mnemonic is _POP
             and insns[i].operands[0].reg is BROP_REGS[i]
             for i in range(8)
         ):
-            cores[GadgetType.BROP] = 7
-            footprints[GadgetType.BROP] = _MIN
+            cores[_BROP] = 7
+            footprints[_BROP] = _MIN
         if (
             enable_heuristic_types
             and n >= 2
-            and insns[0].mnemonic in (Mnemonic.CALL_REL, Mnemonic.CALL_RM)
+            and insns[0].mnemonic in _CALLS
         ):
-            cores[GadgetType.FS] = 0
-            footprints[GadgetType.FS] = _EX
+            cores[_FS] = 0
+            footprints[_FS] = _EX
     else:
         one = n == 1
         for gtype, strict in matches[-1]:
             if gtype in _LAST_CORE_TYPES:
                 cores[gtype] = n - 1
                 footprints[gtype] = _MIN if strict and one else _EX
-        if n >= 2 and (last is Mnemonic.CALL_RM or last is Mnemonic.JMP_RM):
+        if n >= 2 and (last is _CALL_RM or last is _JMP_RM):
             _indirect_shapes(insns, last, cores, footprints)
-        elif last is Mnemonic.JMP_REL and _backward_branch(
+        elif last is _JMP_REL and _backward_branch(
             insns[-1], insns[0].addr
         ):
-            cores[GadgetType.STOP] = n - 1
-            footprints[GadgetType.STOP] = _MIN if n <= 2 else _EX
+            cores[_STOP] = n - 1
+            footprints[_STOP] = _MIN if n <= 2 else _EX
 
     if enable_heuristic_types and n >= 20:
-        cores[GadgetType.TM] = n - 1
-        footprints[GadgetType.TM] = _EX
+        cores[_TM] = n - 1
+        footprints[_TM] = _EX
 
-    return Gadget(
-        insns[0].addr, tuple(insns), frozenset(cores), footprints, cores
-    )
+    return cores, footprints
 
 
 def _indirect_shapes(
@@ -368,29 +402,29 @@ def _indirect_shapes(
     """The CP, EP and RF sequences of a window of two or more instructions
     that ends in an indirect call or jmp."""
     n = len(insns)
-    if last is Mnemonic.CALL_RM and _is_store_mov(insns[-2]):
+    if last is _CALL_RM and _is_store_mov(insns[-2]):
         strict = (
             n == 2
             and insns[-2].operands[0].mem.is_bare
             and insns[-1].operands[0].kind == "reg"
         )
-        cores[GadgetType.CP] = n - 2
-        footprints[GadgetType.CP] = _MIN if strict else _EX
+        cores[_CP] = n - 2
+        footprints[_CP] = _MIN if strict else _EX
 
     for i in range(n - 2, -1, -1):
         insn = insns[i]
-        if insn.mnemonic is Mnemonic.POP and insn.operands[0].reg is Reg.RBP:
-            cores[GadgetType.EP] = i
-            footprints[GadgetType.EP] = _MIN if n == 2 else _EX
+        if insn.mnemonic is _POP and insn.operands[0].reg is _RBP:
+            cores[_EP] = i
+            footprints[_EP] = _MIN if n == 2 else _EX
             break
 
-    if last is Mnemonic.JMP_RM:
+    if last is _JMP_RM:
         for i in range(1, n - 1):
-            if insns[i].mnemonic is Mnemonic.CALL_RM and _is_store_mov(
+            if insns[i].mnemonic is _CALL_RM and _is_store_mov(
                 insns[i - 1]
             ):
-                cores[GadgetType.RF] = i - 1
-                footprints[GadgetType.RF] = _MIN if n == 3 else _EX
+                cores[_RF] = i - 1
+                footprints[_RF] = _MIN if n == 3 else _EX
                 break
 
 
@@ -490,9 +524,6 @@ def find_gadgets(
     return tuple(map(gadgets.__getitem__, order))
 
 
-_CALLS = (Mnemonic.CALL_REL, Mnemonic.CALL_RM)
-
-
 def stream_types(
     insns: Sequence[Instruction],
     max_len: int = 5,
@@ -513,9 +544,11 @@ def stream_types(
     last instruction and its core matches never change. TM only needs 20
     instructions or more. The two exceptions look at one window length or
     at the first instruction: BROP is judged only at exactly 9
-    instructions, and FS only when the window starts at a call. So the
-    module's `classify` runs on the longest window, the 9-instruction one
-    and, with heuristic types, each one that starts at a call."""
+    instructions, and FS only when the window starts at a call. So
+    `_classify`, the rules of `classify` with no Gadget built, runs on the
+    longest window, the 9-instruction one and, with heuristic types, each
+    one that starts at a call. The module's `classify` is not called, so a
+    tracer that wraps it counts only the windows of `find_gadgets`."""
     stream = tuple(sorted(insns, key=_addr))
     found: set[GadgetType] = set()
     windows = 0
@@ -533,10 +566,10 @@ def stream_types(
                 if stream[start].mnemonic in _CALLS
             )
         for start in starts:
-            found |= classify(
+            found.update(_classify(
                 stream[start:stop], enable_heuristic_types,
                 matches[start:stop],
-            ).types
+            )[0])
     return frozenset(found), windows
 
 
@@ -656,7 +689,7 @@ def type_counts(gadgets: Iterable[Gadget]) -> dict[GadgetType, TypeCount]:
     for gadget in gadgets:
         for gtype in gadget.types:
             count = counts.setdefault(gtype, TypeCount())
-            if gadget.footprints[gtype] is Footprint.MIN_FP:
+            if gadget.footprints[gtype] is _MIN:
                 count.min_fp += 1
             else:
                 count.ex_fp += 1
@@ -699,7 +732,7 @@ def category_counts(
             if name is not None:
                 minimal[name] = (
                     minimal.get(name, False)
-                    or gadget.footprints[gtype] is Footprint.MIN_FP
+                    or gadget.footprints[gtype] is _MIN
                 )
         for name, is_min in minimal.items():
             if is_min:
@@ -747,6 +780,12 @@ def add_min_fp_reductions(stats: Mapping[str, dict]) -> None:
             )
 
 
+# The report text of each (type, footprint) label.
+_FOOTPRINT_LABEL = {
+    (t, fp): f"{t.value}={fp.value}" for t in GadgetType for fp in Footprint
+}
+
+
 def gadget_report_rows(gadgets: Iterable[Gadget]) -> list[dict]:
     # Windows that end at one terminator share their tail instructions, so
     # each instruction is rendered once per report. The memo holds every
@@ -761,15 +800,17 @@ def gadget_report_rows(gadgets: Iterable[Gadget]) -> list[dict]:
 
     rows = []
     for g in gadgets:
+        # A GadgetType is a str, so they sort by value.
+        types = sorted(g.types)
+        footprints = g.footprints
         rows.append(
             {
                 "addr": f"{g.addr:#x}",
                 "bytes_hex": g.raw.hex(),
                 "text": "; ".join(map(render, g.insns)),
-                "types": "|".join(sorted(t.value for t in g.types)),
+                "types": "|".join(types),
                 "footprints": "|".join(
-                    f"{t.value}={g.footprints[t].value}"
-                    for t in sorted(g.types, key=lambda t: t.value)
+                    [_FOOTPRINT_LABEL[t, footprints[t]] for t in types]
                 ),
             }
         )

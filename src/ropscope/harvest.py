@@ -76,6 +76,15 @@ class EventKind(str, Enum):
         return self.value
 
 
+# Bound once for the per-event code: on Python 3.11 a member read through its
+# Enum class costs as much as twenty module-global reads.
+_PAGE_DISCOVERED, _TYPE_LEAKED, _CONVERGED = EventKind
+# The text of each kind, and the gadget type of each type name.
+_KIND_TEXT = {kind: kind.value for kind in EventKind}
+_GADGET_TYPES = {gtype.value: gtype for gtype in GadgetType}
+_TYPE_TEXT = {gtype: gtype.value for gtype in GadgetType}
+
+
 class HarvestEvent(NamedTuple):
     step: int
     clock: int
@@ -86,7 +95,7 @@ class HarvestEvent(NamedTuple):
         return {
             "step": self.step,
             "clock": self.clock,
-            "kind": self.kind.value,
+            "kind": _KIND_TEXT[self.kind],
             "payload": dict(self.payload),
         }
 
@@ -154,20 +163,20 @@ class HarvestTrace:
         return tuple(
             e.payload["base"]  # type: ignore[misc]
             for e in self.events
-            if e.kind is EventKind.PAGE_DISCOVERED
+            if e.kind is _PAGE_DISCOVERED
         )
 
     def type_clocks(self) -> dict[GadgetType, int]:
         """Clock value at which each gadget type first became available."""
         return {
-            GadgetType(e.payload["type"]): e.clock
+            _GADGET_TYPES[e.payload["type"]]: e.clock
             for e in self.events
-            if e.kind is EventKind.TYPE_LEAKED
+            if e.kind is _TYPE_LEAKED
         }
 
     def convergence_clock(self) -> int | None:
         for e in self.events:
-            if e.kind is EventKind.CONVERGED:
+            if e.kind is _CONVERGED:
                 return e.clock
         return None
 
@@ -419,6 +428,7 @@ class _Walk:
         page_events: bool = False,
     ):
         tracked = set(track_set.required) if track_set else None
+        set_name = track_set.name if track_set else None
         nodes: dict[int, _Node] = {}
         pending: dict[int, list[int]] = {}
         # The bits of the targets handled so far in the analysis's index.
@@ -447,7 +457,7 @@ class _Walk:
                 if page_events:
                     events.append(HarvestEvent(
                         len(events) + 1, leak_cost + analysis_cost,
-                        EventKind.PAGE_DISCOVERED, {"base": base},
+                        _PAGE_DISCOVERED, {"base": base},
                     ))
             edge = analysis.advance(base, node, batch)
             if edge is None:
@@ -487,15 +497,14 @@ class _Walk:
             # A GadgetType is a str, so they sort by value.
             for gtype in sorted(new_types):
                 events.append(HarvestEvent(
-                    len(events) + 1, clock, EventKind.TYPE_LEAKED,
-                    {"type": gtype.value},
+                    len(events) + 1, clock, _TYPE_LEAKED,
+                    {"type": _TYPE_TEXT[gtype]},
                 ))
             # A set spec is never empty, so the walk converges on the visit
             # that brings its last missing type.
             if tracked is not None and tracked <= seen_types:
                 events.append(HarvestEvent(
-                    len(events) + 1, clock, EventKind.CONVERGED,
-                    {"set": track_set.name},
+                    len(events) + 1, clock, _CONVERGED, {"set": set_name},
                 ))
                 if stop_on_convergence:
                     break

@@ -11,14 +11,13 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ropscope.canonical import csv_text
 from ropscope.snapshot import PAGE_MASK, PAGE_SIZE, MemoryImage, SegmentTag
 
 
-@dataclass(frozen=True)
-class PointerHit:
+class PointerHit(NamedTuple):
     addr: int
     value: int
     tag: SegmentTag
@@ -150,18 +149,12 @@ def scan_pointers(
                 if lo <= value < hi
             ]
         found.sort()
+        base, tag = page.base, page.tag
         for off, value in found:
             is_exec = executable.get(value & PAGE_MASK)
             if is_exec is None or (require_executable_target and not is_exec):
                 continue
-            hits.append(
-                PointerHit(
-                    addr=page.base + off,
-                    value=value,
-                    tag=page.tag,
-                    target_executable=is_exec,
-                )
-            )
+            hits.append(PointerHit(base + off, value, tag, is_exec))
     return PointerScanReport(
         hits=tuple(hits),
         lib_range=lib_range,

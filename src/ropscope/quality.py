@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ropscope.canonical import csv_text
-from ropscope.disasm import Mnemonic, Reg
+from ropscope.disasm import _NAME64, Mnemonic, Reg
 from ropscope.gadgets import Gadget, GadgetType
 
 # Register-writing mnemonics that can clobber a core's inputs or outputs.
@@ -42,9 +42,20 @@ class GadgetShape(Enum):
     TYPE2 = "type2"
     TYPE3 = "type3"
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash agrees with equality; Enum's own hashes the name in Python.
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class CorruptionVerdict:
+
+# Bound once for the per-verdict code: on Python 3.11 a member read through
+# its Enum class costs as much as twenty module-global reads.
+_TYPE1, _TYPE2, _TYPE3 = GadgetShape
+_SHAPE_TEXT = {shape: shape.value for shape in GadgetShape}
+_SP = GadgetType.SP
+_RSP_ONLY = frozenset({Reg.RSP})
+
+
+class CorruptionVerdict(NamedTuple):
     gadget_addr: int
     type_assessed: GadgetType
     shape: GadgetShape
@@ -57,46 +68,48 @@ class CorruptionVerdict:
 def _filtered(regs: frozenset[Reg], keep_rsp: bool) -> frozenset[Reg]:
     if keep_rsp:
         return regs
-    return regs - {Reg.RSP}
+    return regs - _RSP_ONLY
 
 
 def analyze_corruption(gadget: Gadget, gtype: GadgetType) -> CorruptionVerdict:
     """Assess whether surrounding instructions corrupt the type's core."""
-    if gtype not in gadget.core_index:
-        raise ValueError(
-            f"gadget at {gadget.addr:#x} has no {gtype.value} core"
-        )
-    core_idx = gadget.core_index[gtype]
-    core = gadget.insns[core_idx]
+    core_idx = gadget.core_index.get(gtype)
+    if core_idx is None:
+        raise ValueError(f"gadget at {gadget.addr:#x} has no {gtype} core")
+    insns = gadget.insns
+    core = insns[core_idx]
     # Stack-pointer conflicts only matter when the stack pivot itself is the
     # behavior under assessment; every gadget touches rsp incidentally.
-    keep_rsp = gtype is GadgetType.SP
+    keep_rsp = gtype is _SP
 
     sources = _filtered(core.reads, keep_rsp)
     dests = _filtered(core.writes, keep_rsp)
 
     if not dests and sources:
-        shape = GadgetShape.TYPE3
+        shape = _TYPE3
     elif dests and not sources:
-        shape = GadgetShape.TYPE2
+        shape = _TYPE2
     else:
-        shape = GadgetShape.TYPE1
+        shape = _TYPE1
 
     pre_writes: set[Reg] = set()
-    for insn in gadget.insns[:core_idx]:
+    for insn in insns[:core_idx]:
         if insn.mnemonic in MODIFIER_MNEMONICS:
             pre_writes |= insn.writes
     post_writes: set[Reg] = set()
-    for insn in gadget.insns[core_idx + 1 :]:
+    for insn in insns[core_idx + 1 :]:
         if insn.mnemonic in MODIFIER_MNEMONICS:
             post_writes |= insn.writes
 
-    regset1 = frozenset(_filtered(frozenset(pre_writes), keep_rsp) & sources)
-    regset2 = frozenset(_filtered(frozenset(post_writes), keep_rsp) & dests)
+    # sources and dests hold rsp only when it is kept, so the writes they
+    # meet need no filter of their own.
+    regset1 = sources & pre_writes
+    regset2 = dests & post_writes
 
     touched: set[Reg] = set()
-    for insn in gadget.insns:
-        touched |= insn.reads | insn.writes
+    for insn in insns:
+        touched |= insn.reads
+        touched |= insn.writes
     return CorruptionVerdict(
         gadget_addr=gadget.addr,
         type_assessed=gtype,
@@ -130,7 +143,8 @@ def assess_gadgets(
     wanted = None if types is None else set(types)
     out: list[CorruptionVerdict] = []
     for gadget in gadgets:
-        for gtype in sorted(gadget.types, key=lambda t: t.value):
+        # A GadgetType is a str, so they sort by value.
+        for gtype in sorted(gadget.types):
             if wanted is not None and gtype not in wanted:
                 continue
             out.append(analyze_corruption(gadget, gtype))
@@ -201,10 +215,11 @@ def verdict_report_csv(verdicts: Sequence[CorruptionVerdict]) -> str:
         (
             [
                 f"{v.gadget_addr:#x}",
-                v.type_assessed.value,
-                v.shape.value,
-                "|".join(sorted(r.name.lower() for r in v.regset1)),
-                "|".join(sorted(r.name.lower() for r in v.regset2)),
+                # A GadgetType is a str: the writer writes its value.
+                v.type_assessed,
+                _SHAPE_TEXT[v.shape],
+                "|".join(sorted([_NAME64[r] for r in v.regset1])),
+                "|".join(sorted([_NAME64[r] for r in v.regset2])),
                 int(v.corrupted),
                 v.unique_registers,
             ]

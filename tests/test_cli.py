@@ -615,12 +615,23 @@ def test_stop_on_convergence_needs_a_set(corpus, capsys):
     assert run([*argv, "--set", "tc"])[0] == 0
 
 
-@pytest.mark.parametrize("schemes", ["bogus", "baseline, bogus"])
-def test_compare_unknown_entry_exits_2(corpus, capsys, schemes):
+# An empty --schemes names one empty entry, as " " and "," do: it does not
+# fall back to every layout.
+_UNKNOWN_ENTRIES = {
+    "bogus": "bogus", "baseline, bogus": "bogus", "": "", " ": "", ",": "",
+}
+
+
+@pytest.mark.parametrize(
+    "schemes, unknown", _UNKNOWN_ENTRIES.items(), ids=list(_UNKNOWN_ENTRIES)
+)
+def test_compare_unknown_entry_exits_2(corpus, capsys, schemes, unknown):
     code, out = run(["compare", "--manifest", corpus / "manifest.json",
                      "--schemes", schemes])
     assert (code, out) == (2, "")
-    assert capsys.readouterr().err == "error: unknown manifest entry 'bogus'\n"
+    assert capsys.readouterr().err == (
+        f"error: unknown manifest entry {unknown!r}\n"
+    )
 
 
 # Options refused before the work they would steer: each case's argv, the

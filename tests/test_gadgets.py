@@ -775,22 +775,32 @@ def test_stream_types_equal_leaked_types_of_all_windows(chunks, noise):
             ), (max_len, heuristic)
 
 
-def test_stream_types_classifies_through_classify(monkeypatch):
-    """stream_types classifies through the module's classify, as a tracer
-    sees find_gadgets do, and fewer windows than find_gadgets builds."""
+def test_stream_types_builds_no_gadget(monkeypatch):
+    """stream_types applies classify's rules through the private core and
+    builds no Gadget, so the module's classify, which a tracer wraps, counts
+    only find_gadgets' windows; the core sees fewer windows than
+    find_gadgets builds."""
     image, _ = materialize(generate(GenParams(n_functions=6), seed=3))
     streams = list(offline_disassemble(image).values())
-    calls = []
-    real_classify = gadgets_module.classify
+    calls = {"classify": 0, "_classify": 0}
 
-    def counting_classify(*args, **kwargs):
-        calls.append(1)
-        return real_classify(*args, **kwargs)
+    def counting(name):
+        real = getattr(gadgets_module, name)
 
-    monkeypatch.setattr(gadgets_module, "classify", counting_classify)
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gadgets_module, name, count)
+
+    counting("classify")
+    counting("_classify")
     types = set()
     for stream in streams:
         types |= stream_types(stream, 10)[0]
+    assert calls["classify"] == 0
+    streamed = calls["_classify"]
     found = [g for stream in streams for g in find_gadgets(stream, 10)]
     assert types == leaked_types(found) and types
-    assert 0 < len(calls) - len(found) < len(found)
+    assert calls["classify"] == len(found)
+    assert 0 < streamed < len(found)

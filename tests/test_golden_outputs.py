@@ -9,11 +9,21 @@ say why.
 import hashlib
 import io
 import json
+import random
 from contextlib import redirect_stdout
 
 import pytest
 
 from ropscope.cli import main
+from ropscope.snapshot import (
+    PAGE_SIZE,
+    RO,
+    RW,
+    ImageBuilder,
+    SegmentTag,
+    load_snapshot,
+    save_snapshot,
+)
 
 GOLDEN = {
     "compare": "c76a4b531372f6f94773beacb699a0537902a43b01d65aa06d631c0f729e2c3e",
@@ -21,6 +31,7 @@ GOLDEN = {
     "corrupt_csv": "dd20634cc433cd7a2019d12ed564efc38d8e64a6c7bfc8ba27a592af98ab97bc",
     "corrupt_json": "8029b6992ba81cfa629c902561f38a0aa888c2fbb107a2a9c490aa23ba784689",
     "corrupt_verdicts": "f0caa58df7aba60ce15434c47abd4b2ee13eb7b2606ea59be01085f48691257d",
+    "gadgets_csv": "74eddb5c87489f2c7a056cf1ad0bf552a14a4591d9d395b10eae92068538a377",
     "gadgets_tc": "d5c99449c06de9709e1fafc6d8b4248e8d59f9dd0b92f5f3c1934d3a0372e74f",
     "harvest_stop_summary": "78b9593fd7cbde4fe478c5f09eb0208f48c9e9b199d962b3fa69ee066b90647c",
     "harvest_stop_trace": "c42edaa61a02c7ee6623b605631e4628d1ffd5523d09db3190109ba7be81048d",
@@ -29,6 +40,9 @@ GOLDEN = {
     "harvest_tc_summary": "f6f9c95b84516bbc24d35463cdc5b07577cb96f9a1a6b42139d187c04e0665e3",
     "harvest_tc_trace": "f013d16a17b344c7229758ff88a59aec113121d976251d169795f70bec238150",
     "harvest_trace": "0b3e9caa1919d59d156918fb265d546d31a606a11a3116d8f1141df6aa0e8aed",
+    "scan_any_target_csv": "64354ae756ba48d44d77b1915c5239134d5bf57a224ea4b8067556234c1f0eaa",
+    "scan_csv": "3bb23a57c6e8fab13d19620c88732bfb2d8f65df2eae9bec40f47747cd17e67f",
+    "scan_json": "ac66434feb0e1710e9e0c628e31d9d96531611ab67997bc14f078a66f9d3d3bd",
     "starts": "dc4f66472eb5526d757e958568450efa43d5ae9b00590ab122a1025a34c8e0b1",
     "synth/baseline.rsnp": "a25dbcac4c65118a5b7e538b5d8c834733d283af36c278262d8a2611917e8e2f",
     "synth/baseline.truth.json": "ae971222ec2bddebf7024054b23c399263f36d49804b65c11283be387edb308f",
@@ -69,6 +83,40 @@ def _run(argv) -> bytes:
 
 def _generate(out_dir, *extra) -> None:
     _run(["synth", "generate", "--out-dir", out_dir, *extra])
+
+
+def pointer_image(code_snap, seed: int):
+    """The code pages of a snapshot plus seeded data pages of every tag,
+    one of them a read-only page tagged code. Each data page holds random
+    words and, at arbitrary byte offsets, planted pointers into the code,
+    into the data pages and into unmapped memory."""
+    rng = random.Random(seed)
+    builder = ImageBuilder()
+    code = load_snapshot(code_snap).pages
+    for page in code:
+        builder.put(page.base, page.data, perms=page.perms, tag=page.tag)
+    code_lo, code_hi = code[0].base, code[-1].end
+    data_pages = [
+        (0x600000, RW, SegmentTag.HEAP),
+        (0x601000, RW, SegmentTag.DATA),
+        (0x602000, RO, SegmentTag.CODE),
+        (0x603000, RW, SegmentTag.OTHER),
+        (0x7FE000, RW, SegmentTag.STACK),
+        (0x7FF000, RW, SegmentTag.STACK),
+    ]
+    for base, perms, tag in data_pages:
+        page = bytearray(rng.randbytes(PAGE_SIZE))
+        for _ in range(60):
+            value = rng.choice([
+                rng.randrange(code_lo, code_hi),
+                rng.randrange(0x600000, 0x604000),
+                rng.randrange(0x7FE000, 0x800000),
+                rng.randrange(0x900000, 0xA00000),
+            ])
+            off = rng.randrange(PAGE_SIZE - 7)
+            page[off : off + 8] = value.to_bytes(8, "little")
+        builder.put(base, bytes(page), perms=perms, tag=tag)
+    return builder.build()
 
 
 def produce_outputs(root) -> dict[str, bytes]:
@@ -164,6 +212,19 @@ def produce_outputs(root) -> dict[str, bytes]:
             "--interval", interval,
         ])
     out["gadgets_tc"] = _run(["gadgets", packed_snap, "--set", "tc"])
+    out["gadgets_csv"] = _run([
+        "gadgets", packed_snap, "--format", "csv", "--heuristic-types",
+        "--max-len", "10",
+    ])
+    scan_snap = root / "pointers.rsnp"
+    save_snapshot(pointer_image(packed_snap, 5), scan_snap)
+    out["scan_json"] = _run(["scan", scan_snap])
+    out["scan_csv"] = _run(["scan", scan_snap, "--format", "csv"])
+    # Pointers to data pages too, at 4-byte alignment, in one library range.
+    out["scan_any_target_csv"] = _run([
+        "scan", scan_snap, "--format", "csv", "--any-target",
+        "--alignment", "4", "--lib-range", f"{0x400800:#x}:{0x7FF000:#x}",
+    ])
     for fmt in ("verdicts", "json", "csv"):
         out[f"corrupt_{fmt}"] = _run(
             ["corrupt", packed_snap, "--format", fmt]
@@ -229,6 +290,13 @@ def test_pinned_outputs_are_not_trivial(outputs):
         r["start"] for r in bound["per_start"]
     ]
     assert len(json.loads(outputs["starts"])) > 1
+    # Hits in every tag, and rows with targets both executable and not.
+    scan = json.loads(outputs["scan_json"])
+    assert len(scan["by_tag"]) == 5 and scan["occurrences"] > 10
+    assert outputs["scan_csv"].count(b"\n") == scan["occurrences"] + 1
+    any_target = outputs["scan_any_target_csv"]
+    assert any_target.count(b",0\n") > 10 and any_target.count(b",1\n") > 10
+    assert b"FS=EX" in outputs["gadgets_csv"]
     assert outputs["corrupt_verdicts"].count(b"\n") > 10
     rates = json.loads(outputs["corrupt_json"])
     assert len(rates) > 10 and any(r["corrupted"] for r in rates.values())

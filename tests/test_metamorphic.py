@@ -8,6 +8,10 @@ convergence. Its events are a prefix of the full harvest's, and
 rerand.converge's record is the one derived from the full harvest's
 page-discovery and type-leak events alone: the convergence clock is the
 clock of the type leak that completes the tracked set.
+
+Track set: for gadget sets A ⊆ B, from every start, A converges whenever B
+does and no later. The walk is the same whatever it tracks, and A's types
+have all leaked once B's have.
 """
 
 from dataclasses import replace
@@ -17,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ropscope.gadgets import BUILTIN_SETS
+from ropscope.gadgets import BUILTIN_SETS, GadgetSetSpec
 from ropscope.harvest import (
     LEAK_TICKS_PER_PAGE,
     EventKind,
@@ -127,3 +131,88 @@ def test_stop_cuts_the_full_harvest_at_convergence_on_ls(set_name):
     assert_stop_relation(load_image(path), HarvestOptions(
         max_gadget_len=10, track_set=BUILTIN_SETS[set_name]
     ))
+
+
+def assert_track_set_relation(image, opts, subsets):
+    """From every start, each subset of opts.track_set converges whenever
+    the set does, at a clock no later. Returns the number of starts the set
+    converges from."""
+    analysis = ImageAnalysis(image, opts, types_only=True)
+    starts = sorted(page_start_pointers(image, opts, analysis).values())
+    assert starts
+    converged = 0
+    for start in starts:
+        whole = converge(image, start, opts, analysis)
+        if not whole.converged:
+            continue
+        converged += 1
+        for subset in subsets:
+            part = converge(
+                image, start, replace(opts, track_set=subset), analysis
+            )
+            assert part.converged, (start, subset)
+            assert part.convergence_clock <= whole.convergence_clock, (
+                start, subset,
+            )
+    return converged
+
+
+@given(
+    n_functions=st.integers(1, 10),
+    connectivity=st.sampled_from([0.0, 0.2, 0.5]),
+    per_page=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**16),
+    set_name=st.sampled_from(sorted(BUILTIN_SETS)),
+    max_len=st.integers(2, 10),
+    data=st.data(),
+)
+@settings(max_examples=12, deadline=None)
+def test_a_subset_converges_no_later_than_its_set(
+    n_functions, connectivity, per_page, seed, set_name, max_len, data,
+):
+    params = GenParams(
+        n_functions=n_functions,
+        mean_fn_len=8,
+        connectivity=connectivity,
+        max_functions_per_page=per_page,
+    )
+    image, _ = materialize(generate(params, seed))
+    spec = BUILTIN_SETS[set_name]
+    subsets = [
+        GadgetSetSpec(f"sub{i}", tuple(data.draw(st.lists(
+            st.sampled_from(spec.required), min_size=1, unique=True,
+        ))))
+        for i in range(3)
+    ]
+    assert_track_set_relation(
+        image, HarvestOptions(max_gadget_len=max_len, track_set=spec), subsets
+    )
+
+
+def test_a_subset_converges_no_later_than_its_set_on_ls():
+    path = Path("/usr/bin/ls")
+    if not path.exists():
+        pytest.skip("/usr/bin/ls is not present")
+    image = load_image(path)
+    opts = HarvestOptions(max_gadget_len=10)
+    # No start converges on a built-in set here, so the set is the most
+    # types one start's harvest leaks, and the subsets are all of its own.
+    analysis = ImageAnalysis(image, opts, types_only=True)
+    leaked = max(
+        (
+            sorted(harvest(image, start, opts, analysis).type_clocks())
+            for start in page_start_pointers(image, opts, analysis).values()
+        ),
+        key=lambda types: (len(types), types),
+    )
+    assert len(leaked) >= 3
+    subsets = [
+        GadgetSetSpec(f"sub{mask}", tuple(
+            t for i, t in enumerate(leaked) if mask >> i & 1
+        ))
+        for mask in range(1, (1 << len(leaked)) - 1)
+    ]
+    spec = GadgetSetSpec("leaked", tuple(leaked))
+    assert assert_track_set_relation(
+        image, replace(opts, track_set=spec), subsets
+    ) > 0
