@@ -9,6 +9,14 @@ table of implicit effects per mnemonic and one rule over the operands. A
 direct branch has no operands, so its map entry carries the effects
 `_effects` gave its mnemonic when the map was built.
 
+Each map entry also carries its opcode's length shape (ModRM present,
+immediate bytes, immediate bytes under REX.W), which gives an encoding's
+length without parsing its operands. `decode` uses it to look an encoding
+up in an optional memo, so an analysis runs each encoding's handler once
+however many offsets hold it. A direct branch's target depends on its
+address, so direct branches, like the gs-relative call, which has no map
+entry, are decoded at each address.
+
 The decoder is total: any byte string yields either an Instruction or None
 (the invalid marker, always consuming one byte). Register effects are kept at
 full 64-bit register granularity: sub-register operands alias their parent,
@@ -447,16 +455,24 @@ def _parse_modrm(
     return Operand.make_mem(mem, width), reg, pos
 
 
-def decode(data: bytes, addr: int, offset: int = 0) -> Instruction | None:
+def decode(
+    data: bytes, addr: int, offset: int = 0, memo: dict | None = None
+) -> Instruction | None:
     """Decode one instruction at addr from data[offset:], reading in place.
 
     Returns None for anything outside the supported subset; the invalid
     marker always consumes 1 byte. The instruction's raw bytes are a slice
-    of data."""
+    of data.
+
+    Apart from a direct branch's target, a decode depends only on its bytes,
+    so a memo may share it between offsets and pages: given one, the decode
+    of an encoding the memo holds is its fields at this addr, and any other
+    is decoded and stored in it, an invalid one too. Direct branches and
+    the gs-relative call are decoded afresh at each address."""
     if offset >= len(data) or not FIRST_BYTE_TABLE[data[offset]]:
         return None
     try:
-        return _decode_body(data, offset, addr)
+        return _decode_body(data, offset, addr, memo)
     except (IndexError, struct.error):
         return None
 
@@ -610,7 +626,8 @@ def _rel(data, pos, start, addr, rex, width, op, arg) -> Instruction:
 def _branch(mnemonic: Mnemonic, size: int, cc: int | None = None):
     """The map entry of a direct branch. It has no operands, so its
     effects are its mnemonic's alone: `_effects` decides them once, here."""
-    return _rel, (mnemonic, size, cc, *_effects(mnemonic, ()))
+    shape = _IB if size == 1 else _IZ
+    return _rel, (mnemonic, size, cc, *_effects(mnemonic, ())), shape
 
 
 def _fixed(data, pos, start, addr, rex, width, op, arg) -> Instruction:
@@ -622,54 +639,81 @@ def _fixed(data, pos, start, addr, rex, width, op, arg) -> Instruction:
     return _fin(data, start, pos, addr, mnemonic, (operand,))
 
 
+# Length shapes, after the operand codes of SDM Vol. 2 Appendix A: whether
+# a ModRM byte follows the opcode, and the immediate's bytes without and with
+# REX.W. A direct branch's displacement counts as its immediate.
+_Z = (False, 0, 0)  # no operand bytes
+_E = (True, 0, 0)  # ModRM (E and G operands)
+_E_IB = (True, 1, 1)  # ModRM, Ib
+_E_IZ = (True, 4, 4)  # ModRM, Iz (an imm32, sign-extended under REX.W)
+_IB = (False, 1, 1)  # Ib or Jb
+_IW = (False, 2, 2)  # Iw
+_IZ = (False, 4, 4)  # Jz
+_IV = (False, 4, 8)  # Iv: imm32, or imm64 under REX.W
+
+# The bytes a ModRM byte spans with its SIB byte and displacement, by the
+# ModRM byte. A SIB byte with base 5 under mod 0 adds a disp32 of its own.
+_MODRM_LENGTH = bytes(
+    1
+    + (mod != 3 and rm == 4)
+    + (1 if mod == 1 else 4 if mod == 2 or (mod == 0 and rm == 5) else 0)
+    for mod in range(4)
+    for _reg in range(8)
+    for rm in range(8)
+)
+
 # The opcode map, in the manner of SDM Vol. 2 Appendix A: one entry per
-# modelled opcode, two-byte opcodes keyed 0x0F00 | second byte. It is the one
-# place that lists what the decoder models; every other opcode decodes to None.
-_OPCODE_MAP: dict[int, tuple[Callable[..., Instruction | None], object]] = {
-    0x01: (_mr, (Mnemonic.ADD, None)),
-    0x03: (_rm, (Mnemonic.ADD, None)),
-    0x09: (_mr, (Mnemonic.OR, None)),
-    0x0B: (_rm, (Mnemonic.OR, None)),
-    0x21: (_mr, (Mnemonic.AND, None)),
-    0x23: (_rm, (Mnemonic.AND, None)),
-    0x29: (_mr, (Mnemonic.SUB, None)),
-    0x2B: (_rm, (Mnemonic.SUB, None)),
-    0x31: (_mr, (Mnemonic.XOR, None)),
-    0x33: (_rm, (Mnemonic.XOR, None)),
-    0x39: (_mr, (Mnemonic.CMP, None)),
-    0x3B: (_rm, (Mnemonic.CMP, None)),
-    **dict.fromkeys(range(0x50, 0x58), (_push_pop, Mnemonic.PUSH)),
-    **dict.fromkeys(range(0x58, 0x60), (_push_pop, Mnemonic.POP)),
+# modelled opcode, two-byte opcodes keyed 0x0F00 | second byte, each its
+# handler, the handler's argument and its length shape. It is the one place
+# that lists what the decoder models; every other opcode decodes to None.
+_OPCODE_MAP: dict[
+    int,
+    tuple[Callable[..., Instruction | None], object, tuple[bool, int, int]],
+] = {
+    0x01: (_mr, (Mnemonic.ADD, None), _E),
+    0x03: (_rm, (Mnemonic.ADD, None), _E),
+    0x09: (_mr, (Mnemonic.OR, None), _E),
+    0x0B: (_rm, (Mnemonic.OR, None), _E),
+    0x21: (_mr, (Mnemonic.AND, None), _E),
+    0x23: (_rm, (Mnemonic.AND, None), _E),
+    0x29: (_mr, (Mnemonic.SUB, None), _E),
+    0x2B: (_rm, (Mnemonic.SUB, None), _E),
+    0x31: (_mr, (Mnemonic.XOR, None), _E),
+    0x33: (_rm, (Mnemonic.XOR, None), _E),
+    0x39: (_mr, (Mnemonic.CMP, None), _E),
+    0x3B: (_rm, (Mnemonic.CMP, None), _E),
+    **dict.fromkeys(range(0x50, 0x58), (_push_pop, Mnemonic.PUSH, _Z)),
+    **dict.fromkeys(range(0x58, 0x60), (_push_pop, Mnemonic.POP, _Z)),
     **{op: _branch(Mnemonic.JCC, 1, op & 0xF) for op in range(0x70, 0x80)},
-    0x81: (_group, (_GROUP1_DIGIT, _simm32)),
-    0x83: (_group, (_GROUP1_DIGIT, _simm8)),
-    0x85: (_mr, (Mnemonic.TEST, None)),
-    0x87: (_mr, (Mnemonic.XCHG, None)),
-    0x88: (_mr, (Mnemonic.MOV, 8)),
-    0x89: (_mr, (Mnemonic.MOV, None)),
-    0x8A: (_rm, (Mnemonic.MOV, 8)),
-    0x8B: (_rm, (Mnemonic.MOV, None)),
-    0x8D: (_lea, None),
-    **dict.fromkeys(range(0x90, 0x98), (_xchg_rax, None)),
-    **dict.fromkeys(range(0xB8, 0xC0), (_mov_imm, None)),
-    0xC1: (_group, (_SHIFT_DIGIT, _uimm8)),
-    0xC2: (_fixed, (Mnemonic.RET_IMM, _uimm16)),
-    0xC3: (_fixed, (Mnemonic.RET, None)),
-    0xC7: (_group, ({0: Mnemonic.MOV}, _simm32)),
-    0xC9: (_fixed, (Mnemonic.LEAVE, None)),
-    0xCD: (_fixed, (Mnemonic.INT, _uimm8)),
-    0xD3: (_group, (_SHIFT_DIGIT, _cl)),
+    0x81: (_group, (_GROUP1_DIGIT, _simm32), _E_IZ),
+    0x83: (_group, (_GROUP1_DIGIT, _simm8), _E_IB),
+    0x85: (_mr, (Mnemonic.TEST, None), _E),
+    0x87: (_mr, (Mnemonic.XCHG, None), _E),
+    0x88: (_mr, (Mnemonic.MOV, 8), _E),
+    0x89: (_mr, (Mnemonic.MOV, None), _E),
+    0x8A: (_rm, (Mnemonic.MOV, 8), _E),
+    0x8B: (_rm, (Mnemonic.MOV, None), _E),
+    0x8D: (_lea, None, _E),
+    **dict.fromkeys(range(0x90, 0x98), (_xchg_rax, None, _Z)),
+    **dict.fromkeys(range(0xB8, 0xC0), (_mov_imm, None, _IV)),
+    0xC1: (_group, (_SHIFT_DIGIT, _uimm8), _E_IB),
+    0xC2: (_fixed, (Mnemonic.RET_IMM, _uimm16), _IW),
+    0xC3: (_fixed, (Mnemonic.RET, None), _Z),
+    0xC7: (_group, ({0: Mnemonic.MOV}, _simm32), _E_IZ),
+    0xC9: (_fixed, (Mnemonic.LEAVE, None), _Z),
+    0xCD: (_fixed, (Mnemonic.INT, _uimm8), _IB),
+    0xD3: (_group, (_SHIFT_DIGIT, _cl), _E),
     0xE8: _branch(Mnemonic.CALL_REL, 4),
     0xE9: _branch(Mnemonic.JMP_REL, 4),
     0xEB: _branch(Mnemonic.JMP_REL, 1),
-    0xF7: (_unary, {2: Mnemonic.NOT, 3: Mnemonic.NEG}),
+    0xF7: (_unary, {2: Mnemonic.NOT, 3: Mnemonic.NEG}, _E),
     0xFF: (_unary, {0: Mnemonic.INC, 1: Mnemonic.DEC, 2: Mnemonic.CALL_RM,
-                    4: Mnemonic.JMP_RM}),
-    0x0F05: (_fixed, (Mnemonic.SYSCALL, None)),
-    0x0F34: (_fixed, (Mnemonic.SYSENTER, None)),
+                    4: Mnemonic.JMP_RM}, _E),
+    0x0F05: (_fixed, (Mnemonic.SYSCALL, None), _Z),
+    0x0F34: (_fixed, (Mnemonic.SYSENTER, None), _Z),
     **{op: _branch(Mnemonic.JCC, 4, op & 0xF)
        for op in range(0x0F80, 0x0F90)},
-    0x0FAF: (_rm, (Mnemonic.IMUL, None)),
+    0x0FAF: (_rm, (Mnemonic.IMUL, None), _E),
 }
 
 # FIRST_BYTE_TABLE[b] is 1 exactly when some byte string starting with b
@@ -686,11 +730,25 @@ FIRST_BYTE_TABLE = bytes(
 _GS_OPERAND = Operand.make_mem(MemRef(disp=0x10), 64)
 
 
-def _decode_body(data: bytes, start: int, addr: int) -> Instruction | None:
+# Builds an Instruction from a tuple of its fields without NamedTuple's
+# argument handling.
+_new_tuple = tuple.__new__
+
+
+def _decode_body(
+    data: bytes, start: int, addr: int, memo: dict | None = None
+) -> Instruction | None:
+    """Parse the prefix and opcode at start and dispatch to the opcode's
+    handler, or, given a memo, answer from it when it holds the encoding.
+
+    A memo maps an encoding, sliced by its opcode's length shape, to the
+    fields of its decode after `addr`, or to () when it decodes to None. A
+    direct branch's target depends on its address, so it always runs its
+    handler, as does the gs-relative call, which has no map entry."""
     op = data[start]
     if op == 0x65 and data.startswith(GS_CALL_BYTES, start):
         end = start + len(GS_CALL_BYTES)
-        return _fin(data, start, end, addr, Mnemonic.CALL_GS, (_GS_OPERAND,))
+        return _fin(data, start, end, addr, _CALL_GS, (_GS_OPERAND,))
     pos = start + 1
     rex = 0
     if 0x40 <= op <= 0x4F:
@@ -703,25 +761,55 @@ def _decode_body(data: bytes, start: int, addr: int) -> Instruction | None:
     entry = _OPCODE_MAP.get(op)
     if entry is None:
         return None
-    handler, arg = entry
-    return handler(
-        data, pos, start, addr, rex, 64 if rex & 0x8 else 32, op, arg
-    )
+    handler, arg, shape = entry
+    if memo is None or handler is _rel:
+        return handler(
+            data, pos, start, addr, rex, 64 if rex & 0x8 else 32, op, arg
+        )
+    modrm, imm, imm_w = shape
+    end = pos + (imm_w if rex & 0x8 else imm)
+    if modrm:
+        byte = data[pos]
+        end += _MODRM_LENGTH[byte]
+        if byte & 0xC7 == 0x04 and data[pos + 1] & 7 == 5:
+            end += 4
+    if end > len(data):
+        return None
+    raw = data[start:end]
+    rest = memo.get(raw)
+    if rest is None:
+        insn = handler(
+            data, pos, start, addr, rex, 64 if rex & 0x8 else 32, op, arg
+        )
+        # Keyed by the instruction's own bytes, the slice is not kept.
+        if insn is None:
+            memo[raw] = ()
+        else:
+            memo[insn.raw] = insn[1:]
+        return insn
+    return _new_tuple(Instruction, (addr,) + rest) if rest else None
 
 
 class PageDecodes(dict):
     """Decode results of one page keyed by in-page offset, each computed on
     first lookup. They depend only on the page bytes, so the linear branch
     scan and any number of traversals of the page share one, and each
-    offset is decoded once."""
+    offset is decoded once.
 
-    def __init__(self, page: PageRecord):
+    Each lookup calls the module's `decode` once, with `memo` when one is
+    given: an analysis passes one memo to all its pages, so an encoding that
+    recurs at other offsets or pages runs its handler once. Direct branches
+    are the exception, as `decode` says."""
+
+    def __init__(self, page: PageRecord, memo: dict | None = None):
         super().__init__()
         self.page = page
+        self.memo = memo
 
     def __missing__(self, offset: int) -> Instruction | None:
+        page = self.page
         insn = self[offset] = decode(
-            self.page.data, self.page.base + offset, offset
+            page.data, page.base + offset, offset, self.memo
         )
         return insn
 

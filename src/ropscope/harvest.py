@@ -262,15 +262,19 @@ class ImageAnalysis:
 
     It holds each page's decode results by offset, which the linear branch
     scan and every traversal share, so each offset is decoded once per
-    image, and one node per traversal state: a root per page, where its
-    traversals start, and the others keyed by page base and stream
-    addresses. The addresses determine the state: its claimed bytes are
-    its instructions' spans, each the page's shared decode at its offset.
-    So a stream is mined once however many batch histories reach it, and
-    a harvest replays its traversal along the edges its nodes store by
-    sorted batch: `PageDisasm.add_entries` runs once per (node, batch) edge
-    over all harvests. An edge holds what the harvest would have decoded
-    and the chain targets it would have found new on the page.
+    image. Its pages share one decode memo keyed by encoding, so each
+    encoding runs its handler once per image however many offsets hold it;
+    direct branches are the exception, since their targets depend on their
+    addresses (see `disasm.decode`). It also holds one node per traversal
+    state: a root per page, where its traversals start, and the others
+    keyed by page base and stream addresses. The addresses determine the
+    state: its claimed bytes are its instructions' spans, each the page's
+    shared decode at its offset. So a stream is mined once however many
+    batch histories reach it, and a harvest replays its traversal along the
+    edges its nodes store by sorted batch: `PageDisasm.add_entries` runs
+    once per (node, batch) edge over all harvests. An edge holds what the
+    harvest would have decoded and the chain targets it would have found
+    new on the page.
 
     It also owns the target index: every chain target and seed address any
     traversal meets gets one entry and one bit, so a traversal records the
@@ -297,6 +301,7 @@ class ImageAnalysis:
         self.opts = opts
         self.types_only = types_only
         self._decodes: dict[int, PageDecodes] = {}
+        self._encodings: dict[bytes, tuple] = {}
         self._roots: dict[int, _Node] = {}
         self._nodes: dict[tuple[int, tuple[int, ...]], _Node] = {}
         self.target_index: dict[int, _Target] = {}
@@ -316,7 +321,7 @@ class ImageAnalysis:
 
     def decodes(self, page: PageRecord) -> PageDecodes:
         if page.base not in self._decodes:
-            self._decodes[page.base] = PageDecodes(page)
+            self._decodes[page.base] = PageDecodes(page, self._encodings)
         return self._decodes[page.base]
 
     def target_entries(self, addrs: Iterable[int]) -> tuple[_Target, ...]:

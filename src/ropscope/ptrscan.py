@@ -17,6 +17,10 @@ from ropscope.canonical import csv_text
 from ropscope.snapshot import PAGE_MASK, PAGE_SIZE, MemoryImage, SegmentTag
 
 
+# Each tag's name in reports, indexed by tag: its wire values run 0, 1, 2, ...
+_TAG_TEXT = tuple(tag.name.lower() for tag in SegmentTag)
+
+
 class PointerHit(NamedTuple):
     addr: int
     value: int
@@ -55,10 +59,8 @@ class PointerScanReport:
             "occurrences": self.occurrences,
             "unique_values": self.unique_values,
             "by_tag": {
-                tag.name.lower(): count
-                for tag, count in sorted(
-                    self.by_tag().items(), key=lambda kv: kv[0].value
-                )
+                _TAG_TEXT[tag]: count
+                for tag, count in sorted(self.by_tag().items())
             },
         }
 
@@ -66,13 +68,8 @@ class PointerScanReport:
         return csv_text(
             ["addr", "value", "segment", "target_executable"],
             (
-                [
-                    f"{h.addr:#x}",
-                    f"{h.value:#x}",
-                    h.tag.name.lower(),
-                    int(h.target_executable),
-                ]
-                for h in self.hits
+                [f"{addr:#x}", f"{value:#x}", _TAG_TEXT[tag], int(executable)]
+                for addr, value, tag, executable in self.hits
             ),
         )
 

@@ -10,6 +10,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
+from ropscope import disasm as disasm_module
 from ropscope import encode as enc
 from ropscope.disasm import (
     _GROUP1_DIGIT,
@@ -118,6 +119,66 @@ def multi_page_image(
         assert base % PAGE_SIZE == 0
         builder.put(base, code, perms=RX, tag=SegmentTag.CODE, fill=fill)
     return builder.build()
+
+
+def shape_length(data: bytes, offset: int = 0) -> int | None:
+    """The length of the encoding at data[offset:] by its opcode-map entry's
+    length shape, with ModRM, SIB and displacement sized by the SDM's rules
+    rather than the decoder's table; None when no map entry covers its
+    opcode, as for the gs-relative call, or the bytes end first."""
+    try:
+        pos = offset
+        op = data[pos]
+        pos += 1
+        rex = 0
+        if 0x40 <= op <= 0x4F:
+            rex, op = op, data[pos]
+            pos += 1
+        if op == 0x0F:
+            op = 0x0F00 | data[pos]
+            pos += 1
+        entry = disasm_module._OPCODE_MAP.get(op)
+        if entry is None:
+            return None
+        modrm, imm, imm_w = entry[2]
+        if modrm:
+            mod, rm = data[pos] >> 6, data[pos] & 7
+            pos += 1
+            if mod != 3 and rm == 4:
+                base = data[pos] & 7
+                pos += 1
+                if mod == 0 and base == 5:
+                    pos += 4
+            elif mod == 0 and rm == 5:
+                pos += 4
+            pos += {0: 0, 1: 1, 2: 4, 3: 0}[mod]
+    except IndexError:
+        return None
+    end = pos + (imm_w if rex & 0x8 else imm)
+    return end - offset if end <= len(data) else None
+
+
+# The `synth generate` options of each corpus the golden outputs are
+# computed on.
+GOLDEN_CORPORA = {
+    "packed": ["--seed", "7", "--functions", "12",
+               "--max-functions-per-page", "3",
+               "--schemes", "coarse,instruction"],
+    "sparse": ["--seed", "11", "--functions", "6",
+               "--max-functions-per-page", "1"],
+    # One function per page on 24 pages: starts share most of their pages.
+    "wide": ["--seed", "5", "--functions", "24",
+             "--max-functions-per-page", "1"],
+    # Out-degree about 4 with two functions a page: many pages are entered
+    # by several batches, so a walk moves past their first node.
+    "batches": ["--seed", "7", "--functions", "60",
+                "--connectivity", "0.067", "--max-functions-per-page", "2"],
+    # The generator's own files: every layout, truth and the manifest.
+    "layouts": ["--seed", "7", "--functions", "12",
+                "--max-functions-per-page", "3",
+                "--schemes", "coarse,function,block,instruction",
+                "--rename-registers"],
+}
 
 
 _EHDR = struct.Struct("<16sHHIQQQIHHHHHH")

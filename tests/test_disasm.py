@@ -1,7 +1,9 @@
 """Decoder truth tables, stream disassembly, and chain-target extraction."""
 
+import contextlib
 import functools
 import hashlib
+import io
 import inspect
 import os
 import random
@@ -20,8 +22,10 @@ from helpers import (
     RX,
     asm,
     code_image,
+    GOLDEN_CORPORA,
     decode_stream,
     reference_decode,
+    shape_length,
 )
 from ropscope import disasm, encode
 from ropscope.disasm import (
@@ -86,13 +90,17 @@ from ropscope.encode import (
     xchg_rr,
 )
 from ropscope.encode import test_rr as enc_test_rr
+from ropscope.cli import main as cli_main
 from ropscope.harvest import ImageAnalysis, collect_branch_targets
 from ropscope.snapshot import (
     PAGE_SIZE,
     ImageBuilder,
+    PageRecord,
     Perms,
     SegmentTag,
     load_elf,
+    load_image,
+    load_snapshot,
 )
 from ropscope.synth import GenParams, generate, materialize
 
@@ -361,6 +369,128 @@ def test_decoder_digest_is_pinned():
         digest.update(repr(_decode_record(data)).encode())
         digest.update(b"\n")
     assert digest.hexdigest() == DECODER_DIGEST
+
+
+def assert_memo_agrees(pages):
+    """Memoized decodes of the pages, all sharing one memo, equal the
+    memo-less decode at every offset that can start an instruction. Where a
+    decode is not None its length is its shape's, and each decode the memo
+    holds is keyed by its own bytes. Returns the memo."""
+    memo = {}
+    # The shape reads no byte past the length it gives, so one offset of
+    # each encoding checks them all.
+    shaped = {GS_CALL_BYTES}
+    for page in pages:
+        decodes = PageDecodes(page, memo)
+        mask = page.data.translate(disasm.FIRST_BYTE_TABLE)
+        off = mask.find(1)
+        while off != -1:
+            insn = decode(page.data, page.base + off, off)
+            assert decodes[off] == insn, (hex(page.base), off)
+            if insn is not None and insn.raw not in shaped:
+                assert shape_length(page.data, off) == insn.length, insn.raw
+                shaped.add(insn.raw)
+            off = mask.find(1, off + 1)
+    # The fields after addr: (length, mnemonic, operands, reads, writes,
+    # raw, branch_target, cc), or () for an invalid decode.
+    for raw, rest in memo.items():
+        assert rest == () or (rest[0], rest[5]) == (len(raw), raw)
+    return memo
+
+
+def _page(base, data, at=0):
+    """An executable page holding data at offset `at`, poison elsewhere."""
+    filled = bytearray([disasm.POISON_BYTE]) * PAGE_SIZE
+    filled[at : at + len(data)] = data
+    return PageRecord(base, RX, SegmentTag.CODE, bytes(filled))
+
+
+@given(st.one_of(st.binary(min_size=1, max_size=32), _ENCODED))
+@settings(max_examples=300, deadline=None)
+def test_memoized_decodes_equal_memo_less_decode(data):
+    # The same bytes at the start and at the end of a page, at other
+    # addresses (the last page wraps a branch target past 2**64), so the
+    # second page's decodes are memo hits and its tail is cut short.
+    assert_memo_agrees([
+        _page(0x7000, data),
+        _page(0x40_0000, data, PAGE_SIZE - len(data)),
+        _page((1 << 64) - PAGE_SIZE, data, 1),
+    ])
+
+
+@pytest.fixture(scope="module")
+def golden_images(tmp_path_factory):
+    """Every image of every corpus the golden outputs are computed on."""
+    root = tmp_path_factory.mktemp("golden")
+    commands = [
+        ["synth", "generate", "--out-dir", root / name, *options]
+        for name, options in GOLDEN_CORPORA.items()
+    ]
+    commands.append([
+        "synth", "transform", "--manifest", root / "layouts" / "manifest.json",
+        "--scheme", "function", "--scheme-seed", "5", "--rename-registers",
+    ])
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main([str(a) for a in argv]) == 0
+    return [load_snapshot(p) for p in sorted(root.glob("*/*.rsnp"))]
+
+
+def test_memoized_decodes_equal_memo_less_decode_on_golden_corpora(
+    golden_images,
+):
+    assert len(golden_images) == 12
+    for image in golden_images:
+        assert_memo_agrees(image.executable_pages())
+
+
+_REAL_BINARIES = [
+    "/usr/bin/ls", "/usr/bin/bash", "/usr/lib/x86_64-linux-gnu/libc.so.6",
+]
+
+
+@pytest.mark.parametrize("path", _REAL_BINARIES, ids=os.path.basename)
+def test_memoized_decodes_equal_memo_less_decode_on_real_binaries(path):
+    if not os.path.exists(path):
+        pytest.skip(f"{path} is not present")
+    memo = assert_memo_agrees(load_image(path).executable_pages())
+    assert memo
+
+
+def test_memo_hit_keeps_each_site_address_and_slot():
+    # The same mov and `call [rip+d]` at two sites: the second site's
+    # decodes come from the memo, and its call reads its own slot.
+    call_at = len(mov_rr(Reg.RAX, Reg.RBX))
+    call_end = BASE + call_at + len(call_rip(0))
+    slot = BASE + PAGE_SIZE
+    code = asm(mov_rr(Reg.RAX, Reg.RBX), call_rip(slot - call_end), ret())
+    gap = 0x40
+    builder = ImageBuilder()
+    builder.put(BASE, code + bytes([disasm.POISON_BYTE]) * (gap - len(code))
+                + code, perms=RX, tag=SegmentTag.CODE, fill=0x06)
+    targets = (BASE + 0x100, BASE + 0x200)
+    slots = bytearray(PAGE_SIZE)
+    slots[0:8] = targets[0].to_bytes(8, "little")
+    slots[gap : gap + 8] = targets[1].to_bytes(8, "little")
+    builder.put(slot, bytes(slots), perms=RO, tag=SegmentTag.DATA)
+    image = builder.build()
+    page = image.page_at(BASE)
+    decodes = ImageAnalysis(image).decodes(page)
+    pd = PageDisasm(decodes)
+    assert pd.add_entries([BASE, BASE + gap]) == 6
+    for offset in (0, call_at):
+        first, second = decodes[offset], decodes[gap + offset]
+        assert second.raw == first.raw
+        # The memo's fields, at this site's address.
+        assert second.operands is first.operands
+        assert (first.addr, second.addr) == (BASE + offset, BASE + gap + offset)
+        for insn in (first, second):
+            assert insn == decode(page.data, insn.addr, insn.addr - BASE)
+    calls = (decodes[call_at], decodes[gap + call_at])
+    assert [extract_chain_targets([c], image) for c in calls] == [
+        frozenset({t}) for t in targets
+    ]
+    assert extract_chain_targets(pd.instructions(), image) == frozenset(targets)
 
 
 # The encode/decode round trip: for every encode.py form, drawn registers,

@@ -14,6 +14,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from helpers import GOLDEN_CORPORA
 from ropscope.cli import main
 from ropscope.snapshot import (
     PAGE_SIZE,
@@ -121,32 +122,16 @@ def pointer_image(code_snap, seed: int):
 
 def produce_outputs(root) -> dict[str, bytes]:
     """Run every pinned command on corpora generated under root."""
-    packed = root / "packed"
-    _generate(packed, "--seed", "7", "--functions", "12",
-              "--max-functions-per-page", "3",
-              "--schemes", "coarse,instruction")
-    sparse = root / "sparse"
-    _generate(sparse, "--seed", "11", "--functions", "6",
-              "--max-functions-per-page", "1")
-    # One function per page on 24 pages: starts share most of their pages.
-    wide = root / "wide"
-    _generate(wide, "--seed", "5", "--functions", "24",
-              "--max-functions-per-page", "1")
-    # Out-degree about 4 with two functions a page: many pages are entered
-    # by several batches, so a walk moves past their first node.
-    batches = root / "batches"
-    _generate(batches, "--seed", "7", "--functions", "60",
-              "--connectivity", "0.067", "--max-functions-per-page", "2")
+    for name, options in GOLDEN_CORPORA.items():
+        _generate(root / name, *options)
+    packed, sparse, wide, batches, layouts = (
+        root / name for name in ("packed", "sparse", "wide", "batches", "layouts")
+    )
     packed_snap = packed / "baseline.rsnp"
     sparse_snap = sparse / "baseline.rsnp"
     out: dict[str, bytes] = {}
-    # The generator's own files: every layout, truth and the manifest, plus
-    # one entry that synth transform adds to the manifest.
-    layouts = root / "layouts"
-    _generate(layouts, "--seed", "7", "--functions", "12",
-              "--max-functions-per-page", "3",
-              "--schemes", "coarse,function,block,instruction",
-              "--rename-registers")
+    # The generator's own files, plus one entry that synth transform adds
+    # to the manifest.
     for path in sorted(layouts.iterdir()):
         out[f"synth/{path.name}"] = path.read_bytes()
     _run(["synth", "transform", "--manifest", layouts / "manifest.json",

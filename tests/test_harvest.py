@@ -25,6 +25,7 @@ from helpers import (
     reference_converge,
     reference_harvest,
     reference_offline_disassemble,
+    shape_length,
 )
 from ropscope.disasm import PageDisasm, Reg
 from ropscope.encode import (
@@ -617,9 +618,9 @@ def decoded_addrs(monkeypatch, run):
     addrs = []
     decode = disasm_module.decode
 
-    def counting_decode(data, addr, offset=0):
+    def counting_decode(data, addr, offset=0, memo=None):
         addrs.append(addr)
-        return decode(data, addr, offset)
+        return decode(data, addr, offset, memo)
 
     # `from ropscope.disasm import decode` copies the binding, so replace
     # it in every module that holds one.
@@ -629,6 +630,24 @@ def decoded_addrs(monkeypatch, run):
     run()
     monkeypatch.undo()
     return addrs
+
+
+def handled_encodings(monkeypatch, run):
+    """The encodings passed to an opcode handler other than the direct
+    branches' while run() executes, each cut to its length shape."""
+    encodings = []
+    opcode_map = {}
+    for op, (handler, arg, shape) in disasm_module._OPCODE_MAP.items():
+        if handler is not disasm_module._rel:
+            def counting(data, pos, start, *rest, handler=handler):
+                encodings.append(data[start:start + shape_length(data, start)])
+                return handler(data, pos, start, *rest)
+            handler = counting
+        opcode_map[op] = (handler, arg, shape)
+    monkeypatch.setattr(disasm_module, "_OPCODE_MAP", opcode_map)
+    run()
+    monkeypatch.undo()
+    return encodings
 
 
 @pytest.mark.parametrize("corpus", ["24pages", "8pages-sparse"])
@@ -642,6 +661,16 @@ def test_each_offset_is_decoded_once_per_analysis(corpus, monkeypatch):
     for addrs in (mined, bounded):
         assert addrs
         assert len(addrs) == len(set(addrs))
+    # The analysis's pages share one decode memo, so an encoding that is
+    # not a direct branch reaches its handler once however many offsets
+    # hold it.
+    for run, addrs in (
+        (lambda: mine_image(image, opts), mined),
+        (lambda: upper_bound(image, opts), bounded),
+    ):
+        encodings = handled_encodings(monkeypatch, run)
+        assert encodings
+        assert len(encodings) == len(set(encodings)) < len(addrs)
 
 
 def test_offline_mining_equals_stream_mining_on_linear_code():

@@ -21,7 +21,8 @@ from ropscope import disasm, gadgets, harvest, ptrscan, quality
 HOT_PATHS = {
     disasm: (
         "_effects", "_unary", "_xchg_rax", "_mov_imm", "_lea", "_cl",
-        "extract_chain_targets", "Instruction.render",
+        "extract_chain_targets", "Instruction.render", "decode",
+        "_decode_body", "PageDecodes.__missing__",
     ),
     gadgets: (
         "_is_store_mov", "_insn_cores", "classify", "_classify",
@@ -32,7 +33,7 @@ HOT_PATHS = {
         "_filtered", "analyze_corruption", "assess_gadgets",
         "verdict_report_csv",
     ),
-    ptrscan: ("scan_pointers",),
+    ptrscan: ("scan_pointers", "PointerScanReport.to_csv"),
     harvest: (
         "HarvestEvent.to_dict", "HarvestTrace.pages",
         "HarvestTrace.type_clocks", "HarvestTrace.convergence_clock",

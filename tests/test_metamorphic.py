@@ -12,6 +12,12 @@ clock of the type leak that completes the tracked set.
 Track set: for gadget sets A ⊆ B, from every start, A converges whenever B
 does and no later. The walk is the same whatever it tracks, and A's types
 have all leaked once B's have.
+
+Shift: a COARSE re-layout moves the whole image by a number of pages and
+changes no byte of code, so upper_bound's records, in start order, are
+equal once each start is rebased, and so are each harvest's events once
+each discovered page is. Nothing the model measures may read an absolute
+address.
 """
 
 from dataclasses import replace
@@ -30,9 +36,16 @@ from ropscope.harvest import (
     harvest,
     page_start_pointers,
 )
-from ropscope.rerand import ConvergenceRecord, converge
+from ropscope.rerand import ConvergenceRecord, converge, upper_bound
 from ropscope.snapshot import load_image
-from ropscope.synth import GenParams, generate, materialize
+from ropscope.synth import (
+    GenParams,
+    RandomizationScheme,
+    SchemeKind,
+    apply_scheme,
+    generate,
+    materialize,
+)
 
 
 def record_from_full_harvest(trace, spec):
@@ -216,3 +229,61 @@ def test_a_subset_converges_no_later_than_its_set_on_ls():
     assert assert_track_set_relation(
         image, replace(opts, track_set=spec), subsets
     ) > 0
+
+
+def rebased_events(trace, delta):
+    """The trace's events with each discovered page moved down by delta."""
+    return [
+        event._replace(payload={"base": event.payload["base"] - delta})
+        if event.kind is EventKind.PAGE_DISCOVERED
+        else event
+        for event in trace.events
+    ]
+
+
+def assert_shift_relation(image, shifted, delta, opts):
+    report = upper_bound(image, opts)
+    moved = upper_bound(shifted, opts)
+    assert [replace(r, start=r.start - delta) for _, r in sorted(
+        moved.per_start.items()
+    )] == [r for _, r in sorted(report.per_start.items())]
+    assert (moved.minimum_clock, moved.average_clock) == (
+        report.minimum_clock, report.average_clock,
+    )
+    assert moved.non_reactive_intervals == report.non_reactive_intervals
+    analysis = ImageAnalysis(image, opts, types_only=True)
+    moved_analysis = ImageAnalysis(shifted, opts, types_only=True)
+    for start in sorted(report.per_start):
+        trace = harvest(image, start, opts, analysis)
+        moved_trace = harvest(shifted, start + delta, opts, moved_analysis)
+        assert rebased_events(moved_trace, delta) == trace.events
+
+
+@given(
+    n_functions=st.integers(1, 10),
+    connectivity=st.sampled_from([0.0, 0.2, 0.5]),
+    per_page=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**16),
+    scheme_seed=st.integers(0, 2**16),
+    set_name=st.sampled_from(sorted(BUILTIN_SETS)),
+    max_len=st.integers(2, 10),
+)
+@settings(max_examples=12, deadline=None)
+def test_a_coarse_shift_changes_no_record_or_event(
+    n_functions, connectivity, per_page, seed, scheme_seed, set_name, max_len,
+):
+    program = generate(GenParams(
+        n_functions=n_functions,
+        mean_fn_len=8,
+        connectivity=connectivity,
+        max_functions_per_page=per_page,
+    ), seed)
+    image, truth = materialize(program)
+    shifted, moved_truth = apply_scheme(
+        program, RandomizationScheme(SchemeKind.COARSE, seed=scheme_seed)
+    )
+    delta = moved_truth.function_entries[0] - truth.function_entries[0]
+    assert delta > 0 and delta % 4096 == 0
+    assert_shift_relation(image, shifted, delta, HarvestOptions(
+        max_gadget_len=max_len, track_set=BUILTIN_SETS[set_name]
+    ))
