@@ -310,10 +310,18 @@ def _load_manifest(path: str) -> tuple[Path, dict]:
         raise ValueError(
             "manifest entries must be objects with string name and snapshot_path"
         )
+    names = set()
+    for entry in entries:
+        if entry["name"] in names:
+            raise ValueError(f"manifest entry {entry['name']!r} is repeated")
+        names.add(entry["name"])
     return manifest_path.parent, data
 
 
 def _cmd_synth_transform(args) -> int:
+    # compare measures every layout against the generated one.
+    if args.name == "baseline":
+        raise ValueError("entry name 'baseline' is the generated layout's")
     base_dir, manifest = _load_manifest(args.manifest)
     params = GenParams.from_dict(manifest["params"])
     program = generate(params, manifest["seed"])
@@ -350,9 +358,11 @@ def _cmd_compare(args) -> int:
         ]
     opts = _harvest_options(args)
     # One layout's image and gadgets at a time: each is dropped once counted.
+    # The layouts are one program's, so they share one decode memo.
+    memo: dict = {}
     results = {
         e["name"]: population_stats(
-            mine_image(load_snapshot(base_dir / e["snapshot_path"]), opts)
+            mine_image(load_snapshot(base_dir / e["snapshot_path"]), opts, memo)
         )
         for e in entries
     }

@@ -13,9 +13,10 @@ Each map entry also carries its opcode's length shape (ModRM present,
 immediate bytes, immediate bytes under REX.W), which gives an encoding's
 length without parsing its operands. `decode` uses it to look an encoding
 up in an optional memo, so an analysis runs each encoding's handler once
-however many offsets hold it. A direct branch's target depends on its
-address, so direct branches, like the gs-relative call, which has no map
-entry, are decoded at each address.
+however many offsets hold it. A memo holds no address, so it may span a
+command's images: `compare` passes one to every layout of a program. A
+direct branch's target depends on its address, so direct branches, like
+the gs-relative call, which has no map entry, are decoded at each address.
 
 The decoder is total: any byte string yields either an Instruction or None
 (the invalid marker, always consuming one byte). Register effects are kept at
@@ -305,6 +306,10 @@ class Instruction(NamedTuple):
         return f"{text} " + ", ".join(parts)
 
 
+# Builds an Instruction from a tuple of all its fields without the extra
+# frame of NamedTuple's generated __new__.
+_new_tuple = tuple.__new__
+
 GS_CALL_BYTES = bytes([0x65, 0xFF, 0x15, 0x10, 0x00, 0x00, 0x00])
 
 _GROUP1_DIGIT = {
@@ -484,9 +489,10 @@ def _fin(
     """Build the instruction spanning data[start:end], its effects decided
     by `_effects`."""
     reads, writes = _effects(mnemonic, operands)
-    return Instruction(
-        addr, end - start, mnemonic, operands, reads, writes, data[start:end]
-    )
+    return _new_tuple(Instruction, (
+        addr, end - start, mnemonic, operands, reads, writes, data[start:end],
+        None, None,
+    ))
 
 
 # Source operand readers, called after the ModRM bytes with the operand
@@ -617,10 +623,10 @@ def _rel(data, pos, start, addr, rex, width, op, arg) -> Instruction:
         disp = _S32(data, pos)[0]
     end = pos + size
     length = end - start
-    return Instruction(
+    return _new_tuple(Instruction, (
         addr, length, mnemonic, (), reads, writes, data[start:end],
         (addr + length + disp) & MASK64, cc,
-    )
+    ))
 
 
 def _branch(mnemonic: Mnemonic, size: int, cc: int | None = None):
@@ -730,11 +736,6 @@ FIRST_BYTE_TABLE = bytes(
 _GS_OPERAND = Operand.make_mem(MemRef(disp=0x10), 64)
 
 
-# Builds an Instruction from a tuple of its fields without NamedTuple's
-# argument handling.
-_new_tuple = tuple.__new__
-
-
 def _decode_body(
     data: bytes, start: int, addr: int, memo: dict | None = None
 ) -> Instruction | None:
@@ -797,9 +798,10 @@ class PageDecodes(dict):
     offset is decoded once.
 
     Each lookup calls the module's `decode` once, with `memo` when one is
-    given: an analysis passes one memo to all its pages, so an encoding that
-    recurs at other offsets or pages runs its handler once. Direct branches
-    are the exception, as `decode` says."""
+    given: an analysis passes one memo to all its pages, and a command may
+    pass one to the analyses of all its images, so an encoding that recurs
+    at other offsets, pages or images runs its handler once. Direct
+    branches are the exception, as `decode` says."""
 
     def __init__(self, page: PageRecord, memo: dict | None = None):
         super().__init__()

@@ -263,20 +263,24 @@ class ImageAnalysis:
     It holds each page's decode results by offset, which the linear branch
     scan and every traversal share, so each offset is decoded once per
     image. Its pages share one decode memo keyed by encoding, so each
-    encoding runs its handler once per image however many offsets hold it;
-    direct branches are the exception, since their targets depend on their
-    addresses (see `disasm.decode`). It also holds one node per traversal
-    state: a root per page, where its traversals start, and the others
-    keyed by page base and stream addresses. The addresses determine the
-    state: its claimed bytes are its instructions' spans, each the page's
-    shared decode at its offset. So a stream is mined once however many
-    batch histories reach it, and a harvest replays its traversal along the
-    edges its nodes store by sorted batch: `PageDisasm.add_entries` runs
-    once per (node, batch) edge over all harvests. An edge holds what the
-    harvest would have decoded and the chain targets it would have found
-    new on the page.
+    encoding runs its handler once however many offsets hold it; direct
+    branches are the exception, since their targets depend on their
+    addresses (see `disasm.decode`). The rest of a decode depends only on
+    its bytes, so the memo may span images: pass `memo` to share one
+    between the analyses of a command, such as the layouts of one program
+    that `compare` mines, and it is made fresh when None.
 
-    It also owns the target index: every chain target and seed address any
+    It also holds one node per traversal state: a root per page, where its
+    traversals start, and the others keyed by page base and stream
+    addresses. The addresses determine the state: its claimed bytes are
+    its instructions' spans, each the page's shared decode at its offset.
+    So a stream is mined once however many batch histories reach it, and a
+    harvest replays its traversal along the edges its nodes store by sorted
+    batch: `PageDisasm.add_entries` runs once per (node, batch) edge over
+    all harvests. An edge holds what the harvest would have decoded and the
+    chain targets it would have found new on the page.
+
+    It owns the target index too: every chain target and seed address any
     traversal meets gets one entry and one bit, so a traversal records the
     targets it has handled as a set of bits.
 
@@ -296,12 +300,13 @@ class ImageAnalysis:
         image: MemoryImage,
         opts: HarvestOptions = HarvestOptions(),
         types_only: bool = False,
+        memo: dict[bytes, tuple] | None = None,
     ):
         self.image = image
         self.opts = opts
         self.types_only = types_only
         self._decodes: dict[int, PageDecodes] = {}
-        self._encodings: dict[bytes, tuple] = {}
+        self._encodings: dict[bytes, tuple] = {} if memo is None else memo
         self._roots: dict[int, _Node] = {}
         self._nodes: dict[tuple[int, tuple[int, ...]], _Node] = {}
         self.target_index: dict[int, _Target] = {}
@@ -676,13 +681,17 @@ def _choose_starts(
                 rng = random.Random(opts.start_seed ^ page.base)
                 out[page.base] = rng.choice(candidates)
             continue
-        chosen = page.base
-        for off in range(PAGE_SIZE):
-            if _sweep_accepts(decodes, off):
-                chosen = page.base + off
-                break
-        out[page.base] = chosen
+        out[page.base] = _swept_start(page, decodes)
     return out
+
+
+def _swept_start(page: PageRecord, decodes: PageDecodes) -> int:
+    """The start of a page none of whose branch targets is accepted: its
+    first offset whose forward decode is accepted, else its base."""
+    for off in range(PAGE_SIZE):
+        if _sweep_accepts(decodes, off):
+            return page.base + off
+    return page.base
 
 
 def harvest_all_starts(
@@ -698,17 +707,33 @@ def harvest_all_starts(
     }
 
 
-def _closure(image: MemoryImage, opts: HarvestOptions) -> _Walk:
+def _closure_seeds(
+    analysis: ImageAnalysis, targets_by_page: dict[int, set[int]]
+) -> set[int]:
+    """Every direct branch target plus the per-page start pointers.
+
+    A page's start pointer is one of its targets whenever one of them is
+    accepted, and every target is a seed already, so only a page with no
+    accepted target adds its swept start: the seeds are those of
+    `_choose_starts` under any `start_seed`."""
+    seeds: set[int] = set()
+    for page in analysis.image.executable_pages():
+        targets = targets_by_page[page.base]
+        seeds |= targets
+        decodes = analysis.decodes(page)
+        if not any(_sweep_accepts(decodes, t - page.base) for t in targets):
+            seeds.add(_swept_start(page, decodes))
+    return seeds
+
+
+def _closure(
+    image: MemoryImage, opts: HarvestOptions, memo: dict | None = None
+) -> _Walk:
     """The walk to closure, tracking no set, from every direct branch
     target the linear scan finds plus the per-page start pointers; offline
     mining reads its nodes and leaves its clock unread."""
-    analysis = ImageAnalysis(image, opts)
-    targets_by_page = collect_branch_targets(analysis)
-    seeds: set[int] = set(
-        _choose_starts(analysis, targets_by_page, opts).values()
-    )
-    for targets in targets_by_page.values():
-        seeds |= targets
+    analysis = ImageAnalysis(image, opts, memo=memo)
+    seeds = _closure_seeds(analysis, collect_branch_targets(analysis))
     return _Walk(analysis, sorted(seeds))
 
 
@@ -726,7 +751,14 @@ def offline_disassemble(
 
 
 def mine_image(
-    image: MemoryImage, opts: HarvestOptions = HarvestOptions()
+    image: MemoryImage,
+    opts: HarvestOptions = HarvestOptions(),
+    memo: dict | None = None,
 ) -> tuple[Gadget, ...]:
-    """Gadgets of every offline-disassembled stream, in page order."""
-    return _closure(image, opts).gadgets()
+    """Gadgets of every offline-disassembled stream, in page order.
+
+    `memo` is the analysis's decode memo (see ImageAnalysis): a command
+    that mines several images, such as the layouts of one program, passes
+    one dict to every call so that an encoding the images share runs its
+    handler once. The gadgets are the same with or without it."""
+    return _closure(image, opts, memo).gadgets()

@@ -181,6 +181,16 @@ GOLDEN_CORPORA = {
 }
 
 
+def all_layouts_options(name: str) -> list[str]:
+    """The `synth generate` options of the golden corpus `name`, emitting
+    all four scheme layouts besides the baseline."""
+    options = list(GOLDEN_CORPORA[name])
+    if "--schemes" in options:
+        at = options.index("--schemes")
+        del options[at:at + 2]
+    return options + ["--schemes", "coarse,function,block,instruction"]
+
+
 _EHDR = struct.Struct("<16sHHIQQQIHHHHHH")
 _PHDR = struct.Struct("<IIQQQQQQ")
 

@@ -11,14 +11,24 @@ from pathlib import Path
 
 import pytest
 
-from helpers import RW, asm, build_elf, code_image
+from helpers import RW, all_layouts_options, asm, build_elf, code_image
 from ropscope import cli
+from ropscope.canonical import dumps
 from ropscope.cli import main
 from ropscope.disasm import Reg
 from ropscope.encode import call_rel32, mov_rr, pop_r, ret, syscall
-from ropscope.gadgets import BUILTIN_SETS
-from ropscope.harvest import HarvestOptions
-from ropscope.snapshot import ImageBuilder, SegmentTag, save_snapshot
+from ropscope.gadgets import (
+    BUILTIN_SETS,
+    add_min_fp_reductions,
+    population_stats,
+)
+from ropscope.harvest import HarvestOptions, mine_image
+from ropscope.snapshot import (
+    ImageBuilder,
+    SegmentTag,
+    load_snapshot,
+    save_snapshot,
+)
 from ropscope.synth import GenParams
 
 
@@ -436,6 +446,92 @@ def test_compare_malformed_entries_exits_2(tmp_path, capsys, entries):
         "error: manifest entries must be objects with string name and "
         "snapshot_path\n"
     )
+
+
+@pytest.mark.parametrize("command", ["compare", "synth transform"])
+def test_repeated_manifest_entry_exits_2(tmp_path, capsys, command):
+    # The snapshots do not exist: the manifest is refused before any loads.
+    manifest_path = tmp_path / "manifest.json"
+    entries = [{"name": name, "snapshot_path": f"{name}.rsnp"}
+               for name in ("baseline", "coarse", "coarse")]
+    manifest_path.write_text(json.dumps(
+        {"seed": 1, "params": {}, "entries": entries}
+    ))
+    argv = {
+        "compare": ["compare", "--manifest", manifest_path],
+        "synth transform": ["synth", "transform", "--manifest",
+                            manifest_path, "--scheme", "function"],
+    }[command]
+    assert run(argv) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: manifest entry 'coarse' is repeated\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
+def test_synth_transform_refuses_the_baseline_name(tmp_path, capsys):
+    # compare measures every layout against the generated baseline, so a
+    # transform may not replace it.
+    out_dir = tmp_path / "corpus"
+    code, _ = run(["synth", "generate", "--out-dir", out_dir, "--seed", "5",
+                   "--functions", "4"])
+    assert code == 0
+    files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert {"manifest.json", "baseline.rsnp", "baseline.truth.json"} <= (
+        files.keys()
+    )
+    capsys.readouterr()
+
+    code, out = run(["synth", "transform", "--manifest",
+                     out_dir / "manifest.json", "--scheme", "instruction",
+                     "--name", "baseline"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: entry name 'baseline' is the generated layout's\n"
+    )
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == files
+
+
+@pytest.fixture(scope="module")
+def four_layouts(tmp_path_factory):
+    """The packed golden corpus with all four scheme layouts."""
+    out_dir = tmp_path_factory.mktemp("four_layouts")
+    code, _ = run(["synth", "generate", "--out-dir", out_dir,
+                   *all_layouts_options("packed")])
+    assert code == 0
+    return out_dir
+
+
+@pytest.mark.parametrize("heuristic", [False, True],
+                         ids=["default-types", "heuristic-types"])
+def test_compare_equals_each_layout_mined_alone(four_layouts, heuristic):
+    # compare shares one decode memo between the layouts; mined one at a
+    # time with no memo, each gives the same statistics.
+    manifest_path = four_layouts / "manifest.json"
+    argv = ["compare", "--manifest", str(manifest_path), "--max-len", "10"]
+    # compare has no --heuristic-types flag, but builds its options from
+    # the parsed arguments' fields like every command.
+    args = cli.build_parser().parse_args(argv)
+    args.enable_heuristic_types = heuristic
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli._cmd_compare(args) == 0
+
+    opts = HarvestOptions(max_gadget_len=10, enable_heuristic_types=heuristic)
+    entries = json.loads(manifest_path.read_text())["entries"]
+    assert len(entries) == 5
+    expected = {
+        e["name"]: population_stats(
+            mine_image(load_snapshot(four_layouts / e["snapshot_path"]), opts)
+        )
+        for e in entries
+    }
+    add_min_fp_reductions(expected)
+    assert buf.getvalue() == dumps(expected) + "\n"
+    if not heuristic:
+        assert run(argv) == (0, buf.getvalue())
+    else:
+        assert run(argv)[1] != buf.getvalue()
 
 
 @pytest.mark.parametrize("reader", ["manifest", "set-file"])

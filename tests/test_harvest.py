@@ -16,7 +16,9 @@ import ropscope.harvest as harvest_module
 import ropscope.rerand as rerand_module
 from ropscope import cli
 from helpers import (
+    GOLDEN_CORPORA,
     RW,
+    all_layouts_options,
     asm,
     code_image,
     gadget_multiset,
@@ -63,6 +65,7 @@ from ropscope.snapshot import (
     ImageBuilder,
     SegmentTag,
     load_image,
+    load_snapshot,
     page_base,
     save_snapshot,
 )
@@ -671,6 +674,107 @@ def test_each_offset_is_decoded_once_per_analysis(corpus, monkeypatch):
         encodings = handled_encodings(monkeypatch, run)
         assert encodings
         assert len(encodings) == len(set(encodings)) < len(addrs)
+
+
+@pytest.fixture(scope="module")
+def golden_layouts(tmp_path_factory):
+    """Each golden corpus's directory, generated with all four scheme
+    layouts, by name."""
+    root = tmp_path_factory.mktemp("layouts")
+    dirs = {}
+    for name in GOLDEN_CORPORA:
+        dirs[name] = root / name
+        argv = ["synth", "generate", "--out-dir", str(dirs[name]),
+                *all_layouts_options(name)]
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    return dirs
+
+
+def layout_paths(corpus_dir) -> list[Path]:
+    manifest = json.loads((corpus_dir / "manifest.json").read_text())
+    return [corpus_dir / e["snapshot_path"] for e in manifest["entries"]]
+
+
+def test_each_encoding_is_handled_once_per_compare(
+    golden_layouts, monkeypatch
+):
+    # compare mines a program's layouts through one decode memo, so an
+    # encoding that is not a direct branch reaches its handler once per
+    # command, however many layouts and offsets hold it.
+    corpus = golden_layouts["packed"]
+    argv = ["compare", "--manifest", str(corpus / "manifest.json"),
+            "--max-len", "10"]
+
+    def compare():
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+
+    addrs = decoded_addrs(monkeypatch, compare)
+    encodings = handled_encodings(monkeypatch, compare)
+    assert encodings
+    assert len(encodings) == len(set(encodings)) < len(addrs)
+    # Mined alone, each layout handles again what the others share.
+    opts = HarvestOptions(max_gadget_len=10)
+    alone = [
+        handled_encodings(
+            monkeypatch, lambda: mine_image(load_snapshot(path), opts)
+        )
+        for path in layout_paths(corpus)
+    ]
+    assert len(alone) == 5
+    assert len(encodings) < sum(map(len, alone))
+
+
+def no_accepted_target_image():
+    """A page of each start case: one with no branch target, one whose
+    only target lands in filler, one of filler alone, and one with an
+    accepted target beside a target in filler. The offset sweep picks the
+    first three pages' starts."""
+    a, b, c, d = 0x400000, 0x401000, 0x402000, 0x403000
+    pop_ret = asm(pop_r(Reg.RBX), ret())
+    return multi_page_image({
+        a: asm(call_to(a, b + 0x20), call_to(a + 5, d),
+               call_to(a + 10, d + 0x10), ret()),
+        b: bytes([0x06]) * 0x100 + pop_ret,
+        c: bytes([0x06]),
+        d: pop_ret,
+    })
+
+
+@pytest.mark.parametrize("start_seed", [None, 3])
+def test_closure_seeds_are_the_targets_and_the_chosen_starts(
+    golden_layouts, start_seed
+):
+    # The closure seeds every branch target, so it sweeps offsets only on
+    # pages none of whose targets is accepted; its seeds are still the
+    # targets and the start pointers page_start_pointers chooses.
+    opts = HarvestOptions(start_seed=start_seed)
+    images = [no_accepted_target_image()] + [
+        load_snapshot(path)
+        for corpus in golden_layouts.values()
+        for path in layout_paths(corpus)
+    ]
+    assert len(images) == 1 + 5 * len(GOLDEN_CORPORA)
+    for image in images:
+        analysis = ImageAnalysis(image, opts)
+        targets_by_page = collect_branch_targets(analysis)
+        starts = harvest_module._choose_starts(analysis, targets_by_page, opts)
+        expected = set(starts.values()).union(*targets_by_page.values())
+        assert harvest_module._closure_seeds(
+            analysis, targets_by_page
+        ) == expected
+        assert offline_disassemble(image, opts) == (
+            reference_offline_disassemble(image, opts)
+        )
+    # The crafted image's starts: the first accepted offset of the page
+    # with no target and of the page whose target is filler, the base of
+    # the page of filler alone, and the accepted target of the last page.
+    image = images[0]
+    assert page_start_pointers(image, opts) == {
+        0x400000: 0x400000, 0x401000: 0x401100, 0x402000: 0x402000,
+        0x403000: 0x403000,
+    }
 
 
 def test_offline_mining_equals_stream_mining_on_linear_code():

@@ -22,7 +22,7 @@ HOT_PATHS = {
     disasm: (
         "_effects", "_unary", "_xchg_rax", "_mov_imm", "_lea", "_cl",
         "extract_chain_targets", "Instruction.render", "decode",
-        "_decode_body", "PageDecodes.__missing__",
+        "_decode_body", "PageDecodes.__missing__", "_fin", "_rel",
     ),
     gadgets: (
         "_is_store_mov", "_insn_cores", "classify", "_classify",
