@@ -487,7 +487,7 @@ def _terminator_windows(
 
 
 def find_gadgets(
-    insns: Sequence[Instruction],
+    insns: Iterable[Instruction],
     max_len: int = 5,
     enable_heuristic_types: bool = False,
 ) -> tuple[Gadget, ...]:
@@ -525,7 +525,7 @@ def find_gadgets(
 
 
 def stream_types(
-    insns: Sequence[Instruction],
+    insns: Iterable[Instruction],
     max_len: int = 5,
     enable_heuristic_types: bool = False,
 ) -> tuple[frozenset[GadgetType], int]:

@@ -35,7 +35,6 @@ from ropscope.gadgets import (
     GadgetSetSpec,
     GadgetType,
     find_gadgets,
-    leaked_types,
     stream_types,
 )
 from ropscope.snapshot import PAGE_SIZE, MemoryImage, PageRecord, page_base
@@ -216,14 +215,13 @@ _Target = tuple[int, int | None, int]
 
 class _Node:
     """A page's traversal state in ImageAnalysis's node map: its stream,
-    what mining the stream yields (its gadgets, None in a types-only
-    analysis until they are first read, its chain targets as index entries
-    in address order, its gadget types and its window count, which is
-    `len(find_gadgets(stream, ...))` in either mode) and `children`, the
-    edge each batch met so far takes, or None for a batch that adds
-    nothing, so no node refers to itself and reference counting frees the
-    map. A node never changes after it is built, except to gain children
-    and gadgets."""
+    its chain targets as index entries in address order, what mining the
+    stream yields and `children`, the edge each batch met so far takes, or
+    None for a batch that adds nothing, so no node refers to itself and
+    reference counting frees the map. A mined node's gadgets, and its
+    gadget types with its window count (`len` of its gadgets), are None
+    until ImageAnalysis first reads them. A node never changes after it is
+    built, except to gain children and its products."""
 
     __slots__ = ("disasm", "gadgets", "targets", "types", "windows", "children")
 
@@ -232,8 +230,8 @@ class _Node:
         disasm: PageDisasm,
         gadgets: tuple[Gadget, ...] | None = (),
         targets: tuple[_Target, ...] = (),
-        types: frozenset[GadgetType] = frozenset(),
-        windows: int = 0,
+        types: frozenset[GadgetType] | None = frozenset(),
+        windows: int | None = 0,
     ):
         self.disasm = disasm
         self.gadgets = gadgets
@@ -284,27 +282,21 @@ class ImageAnalysis:
     traversal meets gets one entry and one bit, so a traversal records the
     targets it has handled as a set of bits.
 
-    A types-only analysis mines each stream for its gadget types and window
-    count alone, and builds a node's gadgets only when they are read. The
-    clocked walks read no gadget: convergence runs read the types, and a
-    harvest reads the types and the count and mines its trace's gadgets
-    only when they are read, so both build a types-only analysis when none
-    is passed. Offline mining reads the gadgets of each page's last stream,
-    which most streams it mines are, so the default mines the gadgets and
-    takes the types from them: mining types first and the gadgets on read
-    made mine_image 4-27% slower (BENCH_25.json has the runs).
+    A node finds its chain targets when built, since every walk follows
+    them, and mines its gadget types and window count (`types`) and its
+    gadgets (`gadgets`) on their first read. Only walks that record events
+    read types, and only offline mining and `trace.gadgets` read gadgets,
+    so each walk mines only what its caller reads.
     """
 
     def __init__(
         self,
         image: MemoryImage,
         opts: HarvestOptions = HarvestOptions(),
-        types_only: bool = False,
         memo: dict[bytes, tuple] | None = None,
     ):
         self.image = image
         self.opts = opts
-        self.types_only = types_only
         self._decodes: dict[int, PageDecodes] = {}
         self._encodings: dict[bytes, tuple] = {} if memo is None else memo
         self._roots: dict[int, _Node] = {}
@@ -383,30 +375,30 @@ class ImageAnalysis:
         return edge
 
     def _mine(self, disasm: PageDisasm) -> _Node:
-        stream = disasm.instructions()
-        opts = self.opts
+        """A new stream's node, with the chain targets every walk follows."""
         targets = self.target_entries(extract_chain_targets(
-            stream, self.image, include_cond=opts.follow_cond_branches
+            disasm.insns.values(), self.image,
+            include_cond=self.opts.follow_cond_branches,
         ))
-        if self.types_only:
-            types, windows = stream_types(
-                stream, opts.max_gadget_len, opts.enable_heuristic_types
+        return _Node(disasm, None, targets, None, None)
+
+    def types(self, node: _Node) -> frozenset[GadgetType]:
+        """The node's gadget types, mined with its window count when first
+        read."""
+        if node.types is None:
+            opts = self.opts
+            node.types, node.windows = stream_types(
+                node.disasm.insns.values(), opts.max_gadget_len,
+                opts.enable_heuristic_types,
             )
-            return _Node(disasm, None, targets, types, windows)
-        gadgets = find_gadgets(
-            stream, opts.max_gadget_len, opts.enable_heuristic_types
-        )
-        return _Node(
-            disasm, gadgets, targets, leaked_types(gadgets), len(gadgets)
-        )
+        return node.types
 
     def gadgets(self, node: _Node) -> tuple[Gadget, ...]:
-        """The node's gadgets, mined on their first read in a types-only
-        analysis."""
+        """The node's gadgets, mined on their first read."""
         if node.gadgets is None:
             opts = self.opts
             node.gadgets = find_gadgets(
-                node.disasm.instructions(), opts.max_gadget_len,
+                node.disasm.insns.values(), opts.max_gadget_len,
                 opts.enable_heuristic_types,
             )
         return node.gadgets
@@ -426,7 +418,8 @@ class _Walk:
     node's gadget types not seen before (only those in `track_set`, when
     one is given) become events; covering `track_set` converges the walk,
     and ends it with `stop_on_convergence`. Page discoveries are events
-    only with `page_events`; the clocks are the same either way.
+    only with `page_events`; with neither it nor `track_set` a walk reads
+    no node's types. The clocks are the same either way.
     """
 
     def __init__(
@@ -455,6 +448,7 @@ class _Walk:
         events: list[HarvestEvent] = []
         # Every type of the nodes reached so far, tracked or not.
         seen_types: set[GadgetType] = set()
+        records = page_events or tracked is not None
         index = analysis.target_index
 
         while queue:
@@ -492,12 +486,18 @@ class _Walk:
                     entries = pending[tbase] = []
                 entries.append(addr)
             analysis_cost += added
+            if not records:
+                continue
 
             # seen_types already holds the types of every other page, so
-            # only the page just mined can add new ones; mostly it adds none.
-            if child.types <= seen_types:
+            # only the page just reached can add new ones; mostly it adds
+            # none.
+            types = child.types
+            if types is None:
+                types = analysis.types(child)
+            if types <= seen_types:
                 continue
-            new_types = child.types - seen_types
+            new_types = types - seen_types
             seen_types |= new_types
             if tracked is not None:
                 new_types &= tracked
@@ -534,7 +534,7 @@ class _Walk:
         ))
 
     def windows(self) -> int:
-        """How many gadgets `gadgets` gives, read without mining them."""
+        """How many gadgets `gadgets` gives, read without building them."""
         return sum(node.windows for node in self.nodes.values())
 
 
@@ -546,14 +546,14 @@ def _walk_from(
     page_events: bool,
 ) -> _Walk:
     """The walk from one start pointer that harvest and rerand.converge
-    clock, tracking `opts.track_set`, over a types-only analysis when none
-    is passed: neither reads a gadget unless asked to."""
+    clock, tracking `opts.track_set`, over a new analysis when none is
+    passed: neither reads a gadget unless asked to."""
     if not image.is_executable(start):
         raise StartPointerInvalid(
             f"start pointer {start:#x} is not in executable memory"
         )
     if analysis is None:
-        analysis = ImageAnalysis(image, opts, types_only=True)
+        analysis = ImageAnalysis(image, opts)
     else:
         analysis.check(image, opts)
     return _Walk(
@@ -571,10 +571,9 @@ def harvest(
     """Run the harvesting loop from one leaked code pointer.
 
     Pass an analysis built for the same image and mining options to share
-    decoding and mining with other harvests; it is used in the mode it was
-    built with. Otherwise the harvest builds its own types-only analysis.
-    Either way the trace counts its gadgets from the walk's nodes, and
-    `trace.gadgets` mines them when first read.
+    decoding and mining with other harvests; otherwise the harvest builds
+    its own. Either way the trace counts its gadgets from the window counts
+    of the walk's nodes, and `trace.gadgets` mines them when first read.
     """
     walk = _walk_from(image, start, opts, analysis, page_events=True)
     return HarvestTrace(
@@ -698,8 +697,8 @@ def harvest_all_starts(
     image: MemoryImage, opts: HarvestOptions = HarvestOptions()
 ) -> dict[int, HarvestTrace]:
     """Harvest once from each per-page start pointer, sharing one
-    types-only analysis: each trace's gadgets are mined when read."""
-    analysis = ImageAnalysis(image, opts, types_only=True)
+    analysis: each trace's gadgets are mined when read."""
+    analysis = ImageAnalysis(image, opts)
     starts = page_start_pointers(image, opts, analysis)
     return {
         start: harvest(image, start, opts, analysis)

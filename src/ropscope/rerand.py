@@ -180,7 +180,7 @@ def upper_bound(
     runs is the largest interval that still defeats every measured attack
     path."""
     spec = opts.track_set or BUILTIN_SETS["tc"]
-    analysis = ImageAnalysis(image, opts, types_only=True)
+    analysis = ImageAnalysis(image, opts)
     # Each start lies in its own page, so no start repeats.
     starts = page_start_pointers(image, opts, analysis)
     records = {

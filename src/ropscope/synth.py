@@ -147,27 +147,51 @@ class GenParams:
     @staticmethod
     def from_dict(data: Mapping) -> "GenParams":
         """Inverse of to_dict; malformed params (a missing key, a value of
-        the wrong type, an unknown gadget type) raise ValueError."""
+        the wrong type, an unknown gadget type) raise ValueError. An
+        integer field takes an int and no bool, ensure_strongly_connected a
+        bool, and connectivity an int or a float."""
         try:
             mix = data.get("gadget_mix")
             if mix is not None:
-                mix = {gadget_type(k): int(v) for k, v in mix.items()}
+                mix = {
+                    gadget_type(k): _integer(v, f"gadget_mix count of {k}")
+                    for k, v in mix.items()
+                }
             per_page = data.get("max_functions_per_page")
+            connectivity = data["connectivity"]
+            if isinstance(connectivity, (bool, str)):
+                raise TypeError(
+                    f"connectivity must be a number, not {connectivity!r}"
+                )
+            strongly_connected = data["ensure_strongly_connected"]
+            if not isinstance(strongly_connected, bool):
+                raise TypeError(
+                    "ensure_strongly_connected must be true or false, "
+                    f"not {strongly_connected!r}"
+                )
             return GenParams(
-                n_functions=int(data["n_functions"]),
-                mean_fn_len=int(data["mean_fn_len"]),
-                connectivity=float(data["connectivity"]),
+                n_functions=_integer(data["n_functions"], "n_functions"),
+                mean_fn_len=_integer(data["mean_fn_len"], "mean_fn_len"),
+                connectivity=float(connectivity),
                 gadget_mix=mix,
-                ensure_strongly_connected=bool(
-                    data["ensure_strongly_connected"]
+                ensure_strongly_connected=strongly_connected,
+                max_functions_per_page=None if per_page is None else _integer(
+                    per_page, "max_functions_per_page"
                 ),
-                max_functions_per_page=None if per_page is None else int(per_page),
-                base=int(data["base"]),
+                base=_integer(data["base"], "base"),
             )
         except KeyError as exc:
             raise ValueError(f"params lack {exc.args[0]!r}") from None
-        except (AttributeError, TypeError) as exc:
+        # float() of an int beyond the float range overflows.
+        except (AttributeError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed params: {exc}") from None
+
+
+def _integer(value: object, name: str) -> int:
+    """int(value), refusing the bools, floats and strings int() coerces."""
+    if isinstance(value, (bool, float, str)):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    return int(value)
 
 
 class SchemeKind(str, Enum):

@@ -958,7 +958,7 @@ def reference_converge(
 # stream is mined for its gadgets, and a visit decodes the targets it has
 # not handled off the mask's binary text. ReferenceAnalysis and ReferenceWalk
 # keep that ImageAnalysis and _Walk verbatim, as the oracle for the edges,
-# the root table and types-only mining.
+# the root table and mining on first read.
 
 
 class _MaskNode:

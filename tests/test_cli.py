@@ -378,9 +378,38 @@ def test_unknown_builtin_set_exits_2(snap):
          "object or a real number, not 'NoneType'"),
         ({"max_functions_per_page": 0},
          "params max_functions_per_page must be at least 1"),
+        ({"base": 1e400}, "malformed params: base must be an integer, not inf"),
+        ({"connectivity": 10**400},
+         "malformed params: int too large to convert to float"),
+        ({"n_functions": 2.9},
+         "malformed params: n_functions must be an integer, not 2.9"),
+        ({"n_functions": True},
+         "malformed params: n_functions must be an integer, not True"),
+        ({"mean_fn_len": "10"},
+         "malformed params: mean_fn_len must be an integer, not '10'"),
+        ({"gadget_mix": {"LM": 1.0}},
+         "malformed params: gadget_mix count of LM must be an integer, "
+         "not 1.0"),
+        ({"max_functions_per_page": False},
+         "malformed params: max_functions_per_page must be an integer, "
+         "not False"),
+        ({"ensure_strongly_connected": "false"},
+         "malformed params: ensure_strongly_connected must be true or "
+         "false, not 'false'"),
+        ({"ensure_strongly_connected": 0},
+         "malformed params: ensure_strongly_connected must be true or "
+         "false, not 0"),
+        ({"connectivity": True},
+         "malformed params: connectivity must be a number, not True"),
+        ({"connectivity": "0.25"},
+         "malformed params: connectivity must be a number, not '0.25'"),
     ],
     ids=["unknown-mix-type", "missing-n-functions", "mix-not-an-object",
-         "mix-count-null", "zero-functions-per-page"],
+         "mix-count-null", "zero-functions-per-page", "base-overflow",
+         "connectivity-overflow", "n-functions-float", "n-functions-bool",
+         "mean-fn-len-string", "mix-count-float", "functions-per-page-bool",
+         "strongly-connected-string", "strongly-connected-int",
+         "connectivity-bool", "connectivity-string"],
 )
 def test_synth_transform_malformed_manifest_exits_2(
     tmp_path, capsys, params, message

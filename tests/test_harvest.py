@@ -362,7 +362,7 @@ def graph_edges(analysis):
 def upper_bound_on(analysis, monkeypatch):
     """Run upper_bound with `analysis` in place of the one it builds."""
     monkeypatch.setattr(
-        rerand_module, "ImageAnalysis", lambda image, opts, **kw: analysis
+        rerand_module, "ImageAnalysis", lambda image, opts: analysis
     )
     return upper_bound(analysis.image, HarvestOptions(max_gadget_len=10))
 
@@ -420,13 +420,28 @@ def test_edges_hold_what_their_batch_adds(shared_corpus, monkeypatch):
     assert edges
 
 
-def test_types_only_analysis_mines_gadgets_when_read(shared_corpus):
-    # upper_bound's analysis mines types alone; a harvest that shares it
-    # reads gadgets, which are mined then, and gets the trace a fresh
-    # harvest gets.
+def count_mining(monkeypatch):
+    """The sorted stream addresses that harvest passes to find_gadgets and
+    to stream_types from now on, by function name."""
+    mined = {"find_gadgets": [], "stream_types": []}
+    for name, streams in mined.items():
+
+        def counting(insns, *rest, mine=getattr(harvest_module, name),
+                     streams=streams):
+            streams.append(tuple(sorted(insn.addr for insn in insns)))
+            return mine(insns, *rest)
+
+        monkeypatch.setattr(harvest_module, name, counting)
+    return mined
+
+
+def test_analysis_mines_gadgets_when_read(shared_corpus):
+    # Convergence runs read each node's types alone; a harvest that shares
+    # their analysis reads gadgets, which are mined then, and gets the
+    # trace a fresh harvest gets.
     image = shared_corpus
     opts = HarvestOptions(max_gadget_len=10)
-    analysis = ImageAnalysis(image, opts, types_only=True)
+    analysis = ImageAnalysis(image, opts)
     starts = sorted(page_start_pointers(image, opts, analysis).values())
     for s in starts:
         converge(image, s, opts, analysis)
@@ -436,11 +451,13 @@ def test_types_only_analysis_mines_gadgets_when_read(shared_corpus):
         assert harvest(image, s, opts, analysis) == harvest(image, s, opts)
     for node in nodes:
         assert leaked_types(analysis.gadgets(node)) == node.types
+        assert len(node.gadgets) == node.windows
 
 
 def test_add_entries_runs_once_per_tree_node(shared_corpus, monkeypatch):
-    # add_entries runs once per edge of the node map and find_gadgets once
-    # per distinct non-empty stream (named for the trees the map replaced).
+    # add_entries runs once per edge of the node map, and each kind of
+    # mining at most once per distinct non-empty stream (named for the
+    # trees the map replaced).
     calls = []
     add_entries = PageDisasm.add_entries
 
@@ -448,25 +465,23 @@ def test_add_entries_runs_once_per_tree_node(shared_corpus, monkeypatch):
         calls.append(self)
         return add_entries(self, entries)
 
-    mined = []
-
-    def counting_find_gadgets(stream, *rest):
-        mined.append(stream)
-        return find_gadgets(stream, *rest)
-
     monkeypatch.setattr(PageDisasm, "add_entries", counting_add_entries)
-    monkeypatch.setattr(harvest_module, "find_gadgets", counting_find_gadgets)
+    mined = count_mining(monkeypatch)
     opts = HarvestOptions(max_gadget_len=10)
     analysis = ImageAnalysis(shared_corpus, opts)
 
     def check_counts():
         assert len(calls) == len(graph_edges(analysis))
-        streams = [key for key, _ in keyed_nodes(analysis) if key[1]]
-        assert len(mined) == len(streams)
-        assert len(set(mined)) == len(mined)
+        streams = {key[1] for key, _ in keyed_nodes(analysis) if key[1]}
+        for name, mined_streams in mined.items():
+            assert len(set(mined_streams)) == len(mined_streams), name
+            assert set(mined_streams) <= streams, name
+        return streams
 
     upper_bound_on(analysis, monkeypatch)
-    check_counts()
+    # Convergence runs read every stream's types and no gadget.
+    assert len(mined["stream_types"]) == len(check_counts())
+    assert mined["find_gadgets"] == []
     # Harvests from every start to closure, in reverse order, add edges
     # only for the batches upper_bound did not take.
     starts = page_start_pointers(shared_corpus, opts, analysis)
@@ -614,6 +629,22 @@ def test_mine_image_scans_branch_targets_once(monkeypatch):
     image, _, _ = topology_image()
     mine_image(image)
     assert calls == [image]
+
+
+def test_offline_mining_mines_only_what_it_returns(monkeypatch):
+    # offline_disassemble reads no node's gadgets or types, and mine_image
+    # reads the gadgets of each visited page's stream and no types.
+    mined = count_mining(monkeypatch)
+    image, _ = materialize(generate(
+        GenParams(n_functions=10, max_functions_per_page=3), 2
+    ))
+    streams = offline_disassemble(image)
+    assert mined == {"find_gadgets": [], "stream_types": []}
+    mine_image(image)
+    assert mined["stream_types"] == []
+    assert sorted(mined["find_gadgets"]) == sorted(
+        tuple(insn.addr for insn in stream) for stream in streams.values()
+    )
 
 
 def decoded_addrs(monkeypatch, run):
@@ -937,8 +968,8 @@ def test_own_analysis_counts_and_mines_like_a_full_one(corpus, stop):
 
 
 def test_harvest_command_mines_no_gadgets(tmp_path, monkeypatch):
-    # The command prints a gadget count and clocks, which types-only mining
-    # gives: find_gadgets never runs.
+    # The command prints a gadget count and clocks, which each node's types
+    # and window count give: find_gadgets never runs.
     image, truth = materialize(generate(SHARED_CORPORA["24pages"], seed=7))
     path = tmp_path / "image.rsnp"
     save_snapshot(image, path)

@@ -92,7 +92,7 @@ def record_from_full_harvest(trace, spec):
 
 def assert_stop_relation(image, opts):
     spec = opts.track_set
-    analysis = ImageAnalysis(image, opts, types_only=True)
+    analysis = ImageAnalysis(image, opts)
     stopping = replace(opts, stop_on_convergence=True)
     starts = sorted(page_start_pointers(image, opts, analysis).values())
     assert starts
@@ -150,7 +150,7 @@ def assert_track_set_relation(image, opts, subsets):
     """From every start, each subset of opts.track_set converges whenever
     the set does, at a clock no later. Returns the number of starts the set
     converges from."""
-    analysis = ImageAnalysis(image, opts, types_only=True)
+    analysis = ImageAnalysis(image, opts)
     starts = sorted(page_start_pointers(image, opts, analysis).values())
     assert starts
     converged = 0
@@ -210,7 +210,7 @@ def test_a_subset_converges_no_later_than_its_set_on_ls():
     opts = HarvestOptions(max_gadget_len=10)
     # No start converges on a built-in set here, so the set is the most
     # types one start's harvest leaks, and the subsets are all of its own.
-    analysis = ImageAnalysis(image, opts, types_only=True)
+    analysis = ImageAnalysis(image, opts)
     leaked = max(
         (
             sorted(harvest(image, start, opts, analysis).type_clocks())
@@ -251,8 +251,8 @@ def assert_shift_relation(image, shifted, delta, opts):
         report.minimum_clock, report.average_clock,
     )
     assert moved.non_reactive_intervals == report.non_reactive_intervals
-    analysis = ImageAnalysis(image, opts, types_only=True)
-    moved_analysis = ImageAnalysis(shifted, opts, types_only=True)
+    analysis = ImageAnalysis(image, opts)
+    moved_analysis = ImageAnalysis(shifted, opts)
     for start in sorted(report.per_start):
         trace = harvest(image, start, opts, analysis)
         moved_trace = harvest(shifted, start + delta, opts, moved_analysis)

@@ -244,6 +244,9 @@ def test_params_round_trip():
         gadget_mix={GadgetType.LR: 1},
     )
     assert GenParams.from_dict(params.to_dict()) == params
+    # to_dict writes an int connectivity as it is.
+    params = GenParams(connectivity=0)
+    assert GenParams.from_dict(params.to_dict()) == params
 
 
 @pytest.mark.parametrize(
