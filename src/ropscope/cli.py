@@ -265,12 +265,10 @@ def _cmd_synth_generate(args) -> int:
     params = _options(GenParams, args)
     names = args.schemes.split(",") if args.schemes else []
     kinds = [SchemeKind(name.strip()) for name in names]
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     program = generate(params, args.seed)
-    entries = []
-    image, truth = materialize(program)
-    entries.append(_write_corpus_entry(out_dir, "baseline", image, truth, None))
+    # Every layout is made before any file is written: one that is refused
+    # leaves nothing behind.
+    layouts = [("baseline", *materialize(program), None)]
     for kind in kinds:
         scheme = RandomizationScheme(
             kind=kind,
@@ -278,10 +276,13 @@ def _cmd_synth_generate(args) -> int:
             rename_registers=args.rename_registers
             and kind is SchemeKind.FUNCTION,
         )
-        image_s, truth_s = apply_scheme(program, scheme)
-        entries.append(
-            _write_corpus_entry(out_dir, kind.value, image_s, truth_s, scheme)
-        )
+        layouts.append((kind.value, *apply_scheme(program, scheme), scheme))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    entries = [
+        _write_corpus_entry(out_dir, name, image, truth, scheme)
+        for name, image, truth, scheme in layouts
+    ]
     manifest = {
         "seed": args.seed,
         "params": params.to_dict(),

@@ -15,8 +15,8 @@ length without parsing its operands. `decode` uses it to look an encoding
 up in an optional memo, so an analysis runs each encoding's handler once
 however many offsets hold it. A memo holds no address, so it may span a
 command's images: `compare` passes one to every layout of a program. A
-direct branch's target depends on its address, so direct branches, like
-the gs-relative call, which has no map entry, are decoded at each address.
+direct branch's target depends on its address, so direct branches are
+decoded at each address.
 
 The decoder is total: any byte string yields either an Instruction or None
 (the invalid marker, always consuming one byte). Register effects are kept at
@@ -472,8 +472,8 @@ def decode(
     Apart from a direct branch's target, a decode depends only on its bytes,
     so a memo may share it between offsets and pages: given one, the decode
     of an encoding the memo holds is its fields at this addr, and any other
-    is decoded and stored in it, an invalid one too. Direct branches and
-    the gs-relative call are decoded afresh at each address."""
+    is decoded and stored in it, an invalid one too. Direct branches are
+    decoded afresh at each address."""
     if offset >= len(data) or not FIRST_BYTE_TABLE[data[offset]]:
         return None
     try:
@@ -645,6 +645,19 @@ def _fixed(data, pos, start, addr, rex, width, op, arg) -> Instruction:
     return _fin(data, start, pos, addr, mnemonic, (operand,))
 
 
+# The gs-relative call's one operand.
+_GS_OPERAND = Operand.make_mem(MemRef(disp=0x10), 64)
+
+
+def _gs_call(data, pos, start, addr, rex, width, op, arg) -> Instruction | None:
+    """The gs-segment prefix starts only the gs-relative call, exactly
+    GS_CALL_BYTES, so a REX byte before it leaves it invalid."""
+    if not data.startswith(GS_CALL_BYTES, start):
+        return None
+    end = start + len(GS_CALL_BYTES)
+    return _fin(data, start, end, addr, _CALL_GS, (_GS_OPERAND,))
+
+
 # Length shapes, after the operand codes of SDM Vol. 2 Appendix A: whether
 # a ModRM byte follows the opcode, and the immediate's bytes without and with
 # REX.W. A direct branch's displacement counts as its immediate.
@@ -656,6 +669,7 @@ _IB = (False, 1, 1)  # Ib or Jb
 _IW = (False, 2, 2)  # Iw
 _IZ = (False, 4, 4)  # Jz
 _IV = (False, 4, 8)  # Iv: imm32, or imm64 under REX.W
+_GS = (False, 6, 6)  # the gs-relative call's bytes after its prefix
 
 # The bytes a ModRM byte spans with its SIB byte and displacement, by the
 # ModRM byte. A SIB byte with base 5 under mod 0 adds a disp32 of its own.
@@ -688,6 +702,7 @@ _OPCODE_MAP: dict[
     0x33: (_rm, (Mnemonic.XOR, None), _E),
     0x39: (_mr, (Mnemonic.CMP, None), _E),
     0x3B: (_rm, (Mnemonic.CMP, None), _E),
+    0x65: (_gs_call, None, _GS),
     **dict.fromkeys(range(0x50, 0x58), (_push_pop, Mnemonic.PUSH, _Z)),
     **dict.fromkeys(range(0x58, 0x60), (_push_pop, Mnemonic.POP, _Z)),
     **{op: _branch(Mnemonic.JCC, 1, op & 0xF) for op in range(0x70, 0x80)},
@@ -723,17 +738,13 @@ _OPCODE_MAP: dict[
 }
 
 # FIRST_BYTE_TABLE[b] is 1 exactly when some byte string starting with b
-# decodes: a one-byte opcode of the map, a REX prefix, 0x0F (two-byte
-# opcodes) or 0x65 (the gs-relative call). As a bytes.translate table it maps
-# a page to a mask whose zero bytes decode to None at once.
+# decodes: a one-byte opcode of the map, a REX prefix or 0x0F (two-byte
+# opcodes). As a bytes.translate table it maps a page to a mask whose zero
+# bytes decode to None at once.
 FIRST_BYTE_TABLE = bytes(
-    int(b in _OPCODE_MAP or 0x40 <= b <= 0x4F or b in (0x0F, 0x65))
+    int(b in _OPCODE_MAP or 0x40 <= b <= 0x4F or b == 0x0F)
     for b in range(256)
 )
-
-
-# The gs-relative call's one operand.
-_GS_OPERAND = Operand.make_mem(MemRef(disp=0x10), 64)
 
 
 def _decode_body(
@@ -745,11 +756,8 @@ def _decode_body(
     A memo maps an encoding, sliced by its opcode's length shape, to the
     fields of its decode after `addr`, or to () when it decodes to None. A
     direct branch's target depends on its address, so it always runs its
-    handler, as does the gs-relative call, which has no map entry."""
+    handler."""
     op = data[start]
-    if op == 0x65 and data.startswith(GS_CALL_BYTES, start):
-        end = start + len(GS_CALL_BYTES)
-        return _fin(data, start, end, addr, _CALL_GS, (_GS_OPERAND,))
     pos = start + 1
     rex = 0
     if 0x40 <= op <= 0x4F:
@@ -801,7 +809,7 @@ class PageDecodes(dict):
     given: an analysis passes one memo to all its pages, and a command may
     pass one to the analyses of all its images, so an encoding that recurs
     at other offsets, pages or images runs its handler once. Direct
-    branches are the exception, as `decode` says."""
+    branches are the one exception, as `decode` says."""
 
     def __init__(self, page: PageRecord, memo: dict | None = None):
         super().__init__()

@@ -207,10 +207,9 @@ class HarvestTrace:
         return "\n".join(lines) + "\n"
 
 
-# A chain target's entry in ImageAnalysis's target index: its address, its
-# page base or None when the address is not executable, and its bit, the
-# number of entries the index held before it.
-_Target = tuple[int, int | None, int]
+# A chain target's entry in ImageAnalysis's target index: its address and
+# its page base, or None when the address is not executable.
+_Target = tuple[int, int | None]
 
 
 class _Node:
@@ -258,20 +257,21 @@ class ImageAnalysis:
     """Facts that depend only on the image and the mining options, computed
     once and shared by every harvest over that image.
 
-    It holds each page's decode results by offset, which the linear branch
-    scan and every traversal share, so each offset is decoded once per
-    image. Its pages share one decode memo keyed by encoding, so each
-    encoding runs its handler once however many offsets hold it; direct
-    branches are the exception, since their targets depend on their
-    addresses (see `disasm.decode`). The rest of a decode depends only on
+    It holds each page's decode results by offset in the page's root,
+    where every traversal of the page starts, and the linear branch scan
+    reads them there too, so each offset is decoded once per image. Its
+    pages share one decode memo keyed by encoding, so each encoding runs
+    its handler once however many offsets hold it; direct branches are the
+    one exception, since their targets depend on their addresses (see
+    `disasm.decode`). The rest of a decode depends only on
     its bytes, so the memo may span images: pass `memo` to share one
     between the analyses of a command, such as the layouts of one program
     that `compare` mines, and it is made fresh when None.
 
-    It also holds one node per traversal state: a root per page, where its
-    traversals start, and the others keyed by page base and stream
-    addresses. The addresses determine the state: its claimed bytes are
-    its instructions' spans, each the page's shared decode at its offset.
+    It holds one node per traversal state, keyed by page base and stream
+    addresses; a page's root is its empty stream's node. The addresses
+    determine the state: its claimed bytes are its instructions' spans,
+    each the page's shared decode at its offset.
     So a stream is mined once however many batch histories reach it, and a
     harvest replays its traversal along the edges its nodes store by sorted
     batch: `PageDisasm.add_entries` runs once per (node, batch) edge over
@@ -279,8 +279,8 @@ class ImageAnalysis:
     chain targets it would have found new on the page.
 
     It owns the target index too: every chain target and seed address any
-    traversal meets gets one entry and one bit, so a traversal records the
-    targets it has handled as a set of bits.
+    traversal meets gets one entry, so a traversal that has handled as many
+    addresses as the index holds has handled them all.
 
     A node finds its chain targets when built, since every walk follows
     them, and mines its gadget types and window count (`types`) and its
@@ -297,9 +297,7 @@ class ImageAnalysis:
     ):
         self.image = image
         self.opts = opts
-        self._decodes: dict[int, PageDecodes] = {}
         self._encodings: dict[bytes, tuple] = {} if memo is None else memo
-        self._roots: dict[int, _Node] = {}
         self._nodes: dict[tuple[int, tuple[int, ...]], _Node] = {}
         self.target_index: dict[int, _Target] = {}
 
@@ -317,9 +315,8 @@ class ImageAnalysis:
             raise ValueError("analysis was built for other mining options")
 
     def decodes(self, page: PageRecord) -> PageDecodes:
-        if page.base not in self._decodes:
-            self._decodes[page.base] = PageDecodes(page, self._encodings)
-        return self._decodes[page.base]
+        """The decode results of an executable page, held by its root."""
+        return self.root(page.base).disasm.decodes
 
     def target_entries(self, addrs: Iterable[int]) -> tuple[_Target, ...]:
         """The entries of these distinct addresses in the target index, in
@@ -332,19 +329,20 @@ class ImageAnalysis:
             if entry is None:
                 executable = self.image.is_executable(addr)
                 entry = index[addr] = (
-                    addr, page_base(addr) if executable else None, len(index)
+                    addr, page_base(addr) if executable else None
                 )
             out.append(entry)
         out.sort()
         return tuple(out)
 
     def root(self, base: int) -> _Node:
-        """The empty-stream node of the page at `base`, where each of its
-        traversals starts; it yields nothing and is never mined."""
-        node = self._roots.get(base)
+        """The empty-stream node of the page at `base`, which holds the
+        page's decodes and where each of its traversals starts; it yields
+        nothing and is never mined."""
+        node = self._nodes.get((base, ()))
         if node is None:
-            page = self.image.page_at(base)
-            node = self._roots[base] = _Node(PageDisasm(self.decodes(page)))
+            decodes = PageDecodes(self.image.page_at(base), self._encodings)
+            node = self._nodes[base, ()] = _Node(PageDisasm(decodes))
         return node
 
     def advance(
@@ -434,12 +432,13 @@ class _Walk:
         set_name = track_set.name if track_set else None
         nodes: dict[int, _Node] = {}
         pending: dict[int, list[int]] = {}
-        # The bits of the targets handled so far in the analysis's index.
-        # A page's node's own targets are always among them, so of an
-        # edge's targets only those another page brought can be handled.
+        # The addresses of the targets handled so far, each in the
+        # analysis's index. A page's node's own targets are always among
+        # them, so of an edge's targets only those another page brought can
+        # be handled.
         handled: set[int] = set()
-        for addr, base, bit in analysis.target_entries(seeds):
-            handled.add(bit)
+        for addr, base in analysis.target_entries(seeds):
+            handled.add(addr)
             pending.setdefault(base, []).append(addr)
         queue = deque(pending)
         skipped = 0
@@ -473,10 +472,10 @@ class _Walk:
             # skips edges of a hundred targets; see BENCH_25.json.
             if len(handled) == len(index):
                 targets = ()
-            for addr, tbase, bit in targets:
-                if bit in handled:
+            for addr, tbase in targets:
+                if addr in handled:
                     continue
-                handled.add(bit)
+                handled.add(addr)
                 if tbase is None:
                     skipped += 1
                     continue

@@ -559,6 +559,10 @@ def _layout(
     # never materialized.
     lo_page = page_base(start_base)
     hi_page = page_base(last_used - 1 if last_used > start_base else start_base)
+    if hi_page + PAGE_SIZE > 1 << 64:
+        raise ValueError(
+            f"malformed params: the layout from {start_base:#x} ends past 2**64"
+        )
     n_pages = (hi_page - lo_page) // PAGE_SIZE + 1
     blob = bytearray(bytes([POISON_BYTE]) * (n_pages * PAGE_SIZE))
     page_edges: dict[int, set[int]] = {}

@@ -125,7 +125,7 @@ def shape_length(data: bytes, offset: int = 0) -> int | None:
     """The length of the encoding at data[offset:] by its opcode-map entry's
     length shape, with ModRM, SIB and displacement sized by the SDM's rules
     rather than the decoder's table; None when no map entry covers its
-    opcode, as for the gs-relative call, or the bytes end first."""
+    opcode or the bytes end first."""
     try:
         pos = offset
         op = data[pos]

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -24,6 +25,7 @@ from ropscope.gadgets import (
 )
 from ropscope.harvest import HarvestOptions, mine_image
 from ropscope.snapshot import (
+    PAGE_SIZE,
     ImageBuilder,
     SegmentTag,
     load_snapshot,
@@ -403,13 +405,20 @@ def test_unknown_builtin_set_exits_2(snap):
          "malformed params: connectivity must be a number, not True"),
         ({"connectivity": "0.25"},
          "malformed params: connectivity must be a number, not '0.25'"),
+        ({"base": 2**64},
+         "malformed params: the layout from 0x10000000000000000 ends past "
+         "2**64"),
+        ({"base": 2**64 - PAGE_SIZE, "n_functions": 40},
+         "malformed params: the layout from 0xfffffffffffff000 ends past "
+         "2**64"),
     ],
     ids=["unknown-mix-type", "missing-n-functions", "mix-not-an-object",
          "mix-count-null", "zero-functions-per-page", "base-overflow",
          "connectivity-overflow", "n-functions-float", "n-functions-bool",
          "mean-fn-len-string", "mix-count-float", "functions-per-page-bool",
          "strongly-connected-string", "strongly-connected-int",
-         "connectivity-bool", "connectivity-string"],
+         "connectivity-bool", "connectivity-string", "base-at-2**64",
+         "base-near-top-multi-page"],
 )
 def test_synth_transform_malformed_manifest_exits_2(
     tmp_path, capsys, params, message
@@ -626,6 +635,31 @@ def test_synth_generate_negative_base_creates_nothing(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == (
         "error: params base must be non-negative\n"
+    )
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--functions", "4", "--base", "0x10000000000000000"],
+     ["--functions", "40", "--base", "0xfffffffffffff000"],
+     # The baseline fits on the top page; the coarse shift moves it past.
+     ["--functions", "4", "--base", "0xfffffffffffff000",
+      "--schemes", "coarse"]],
+    ids=["base-at-2**64", "near-top-multi-page", "near-top-coarse-shift"],
+)
+def test_synth_generate_layout_past_2_64_creates_nothing(
+    tmp_path, capsys, options
+):
+    # Such a base once died in save_snapshot with a traceback and exit 1.
+    out_dir = tmp_path / "corpus"
+    code, out = run(["synth", "generate", "--out-dir", out_dir, "--seed", "5",
+                     *options])
+    assert (code, out) == (2, "")
+    assert re.fullmatch(
+        r"error: malformed params: the layout from 0x1?[0-9a-f]{16} ends "
+        r"past 2\*\*64\n",
+        capsys.readouterr().err,
     )
     assert not out_dir.exists()
 

@@ -342,19 +342,12 @@ def test_shared_analysis_matches_fresh_runs(shared_corpus):
         assert traces[s] == harvest(image, s, opts)
 
 
-def keyed_nodes(analysis):
-    """(base, stream addresses) and node for every node of an analysis's
-    node map, each page's root included."""
-    roots = [((base, ()), node) for base, node in analysis._roots.items()]
-    return roots + list(analysis._nodes.items())
-
-
 def graph_edges(analysis):
     """(node, batch, child) for every edge of an analysis's node map; a
     batch that adds nothing leads back to its node."""
     return [
         (node, batch, node if edge is None else edge.child)
-        for _, node in keyed_nodes(analysis)
+        for node in analysis._nodes.values()
         for batch, edge in node.children.items()
     ]
 
@@ -375,7 +368,7 @@ def test_tree_states_are_never_changed(shared_corpus, monkeypatch):
     def states():
         return {
             key: (id(node), dict(node.disasm.insns), bytes(node.disasm._claimed))
-            for key, node in keyed_nodes(analysis)
+            for key, node in analysis._nodes.items()
         }
 
     before = states()
@@ -383,7 +376,7 @@ def test_tree_states_are_never_changed(shared_corpus, monkeypatch):
     assert states() == before
     # A node is keyed by its page and its stream, and a child is its
     # node's state plus one batch, so building it left the node as it was.
-    for (base, addresses), node in keyed_nodes(analysis):
+    for (base, addresses), node in analysis._nodes.items():
         assert node.disasm.page.base == base
         assert node.disasm.addresses() == addresses
         # No node refers to itself, so reference counting frees the map.
@@ -404,7 +397,7 @@ def test_edges_hold_what_their_batch_adds(shared_corpus, monkeypatch):
     analysis = ImageAnalysis(shared_corpus, HarvestOptions(max_gadget_len=10))
     upper_bound_on(analysis, monkeypatch)
     edges = 0
-    for _, node in keyed_nodes(analysis):
+    for node in analysis._nodes.values():
         known = set(node.targets)
         for edge in node.children.values():
             if edge is None:
@@ -445,7 +438,9 @@ def test_analysis_mines_gadgets_when_read(shared_corpus):
     starts = sorted(page_start_pointers(image, opts, analysis).values())
     for s in starts:
         converge(image, s, opts, analysis)
-    nodes = list(analysis._nodes.values())
+    # Roots hold the empty stream's products, never None.
+    nodes = [node for (_, addresses), node in analysis._nodes.items()
+             if addresses]
     assert nodes and all(node.gadgets is None for node in nodes)
     for s in starts[:3]:
         assert harvest(image, s, opts, analysis) == harvest(image, s, opts)
@@ -472,7 +467,7 @@ def test_add_entries_runs_once_per_tree_node(shared_corpus, monkeypatch):
 
     def check_counts():
         assert len(calls) == len(graph_edges(analysis))
-        streams = {key[1] for key, _ in keyed_nodes(analysis) if key[1]}
+        streams = {key[1] for key in analysis._nodes if key[1]}
         for name, mined_streams in mined.items():
             assert len(set(mined_streams)) == len(mined_streams), name
             assert set(mined_streams) <= streams, name
@@ -514,7 +509,32 @@ def test_batch_histories_with_one_stream_share_a_node():
     assert advance(ab, [a]) is ab
     assert advance(root, [base + PAGE_SIZE - 1]) is root
     # The empty stream, a, b and both.
-    assert len(keyed_nodes(analysis)) == 4
+    assert len(analysis._nodes) == 4
+
+
+def test_roots_and_decodes_live_in_the_node_map(shared_corpus, monkeypatch):
+    # One map of traversal states: a page's root is its empty stream's
+    # node and holds the page's decode results, and a target entry is its
+    # address and its page base, or None off executable pages.
+    analysis = ImageAnalysis(shared_corpus, HarvestOptions(max_gadget_len=10))
+    upper_bound_on(analysis, monkeypatch)
+    assert vars(analysis).keys() == {
+        "image", "opts", "_encodings", "_nodes", "target_index"
+    }
+    pages = shared_corpus.executable_pages()
+    for page in pages:
+        root = analysis._nodes[page.base, ()]
+        assert analysis.root(page.base) is root
+        assert root.disasm.insns == {}
+        assert analysis.decodes(page) is root.disasm.decodes
+        assert root.disasm.decodes.page is page
+    assert {base for base, addresses in analysis._nodes if not addresses} == {
+        page.base for page in pages
+    }
+    assert analysis.target_index
+    for addr, entry in analysis.target_index.items():
+        executable = shared_corpus.is_executable(addr)
+        assert entry == (addr, page_base(addr) if executable else None)
 
 
 def test_harvest_refuses_mismatched_analysis():

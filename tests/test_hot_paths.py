@@ -23,6 +23,7 @@ HOT_PATHS = {
         "_effects", "_unary", "_xchg_rax", "_mov_imm", "_lea", "_cl",
         "extract_chain_targets", "Instruction.render", "decode",
         "_decode_body", "PageDecodes.__missing__", "_fin", "_rel",
+        "_gs_call",
     ),
     gadgets: (
         "_is_store_mov", "_insn_cores", "classify", "_classify",

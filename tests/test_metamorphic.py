@@ -18,6 +18,12 @@ changes no byte of code, so upper_bound's records, in start order, are
 equal once each start is rebased, and so are each harvest's events once
 each discovered page is. Nothing the model measures may read an absolute
 address.
+
+Gadget length: raising max_gadget_len only adds windows, and the walk
+order does not depend on mining, so from every start a harvest finds the
+same pages at the same leak and analysis cost at every length, each type
+leaks no later at a longer length, and an upper_bound start that converges
+still converges, no later.
 """
 
 from dataclasses import replace
@@ -287,3 +293,61 @@ def test_a_coarse_shift_changes_no_record_or_event(
     assert_shift_relation(image, shifted, delta, HarvestOptions(
         max_gadget_len=max_len, track_set=BUILTIN_SETS[set_name]
     ))
+
+
+GADGET_LENGTHS = (3, 5, 10)
+
+
+def assert_gadget_length_relation(image, heuristic):
+    """The gadget length relation over GADGET_LENGTHS. Returns the number of
+    upper_bound starts that converge at the shortest length."""
+    runs = []
+    for max_len in GADGET_LENGTHS:
+        opts = HarvestOptions(
+            max_gadget_len=max_len, enable_heuristic_types=heuristic
+        )
+        analysis = ImageAnalysis(image, opts)
+        starts = sorted(page_start_pointers(image, opts, analysis).values())
+        traces = [harvest(image, start, opts, analysis) for start in starts]
+        runs.append((starts, traces, upper_bound(image, opts)))
+    assert runs[0][0]
+    for (starts, traces, report), (_, longer_traces, longer_report) in zip(
+        runs, runs[1:]
+    ):
+        assert [t.start for t in longer_traces] == starts
+        for trace, longer in zip(traces, longer_traces):
+            assert (longer.pages(), longer.leak_cost, longer.analysis_cost) == (
+                trace.pages(), trace.leak_cost, trace.analysis_cost,
+            ), trace.start
+            longer_clocks = longer.type_clocks()
+            for gtype, clock in trace.type_clocks().items():
+                assert longer_clocks.get(gtype, clock + 1) <= clock, (
+                    trace.start, gtype,
+                )
+        assert longer_report.per_start.keys() == report.per_start.keys()
+        for start, record in report.per_start.items():
+            if record.converged:
+                longer = longer_report.per_start[start]
+                assert longer.converged, start
+                assert longer.convergence_clock <= record.convergence_clock, start
+    return sum(r.converged for r in runs[0][2].per_start.values())
+
+
+@pytest.mark.parametrize("heuristic", [False, True], ids=["core", "heuristic"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_longer_gadget_length_leaks_no_later(seed, heuristic):
+    # One function per page: every start converges, so the relation
+    # compares convergence clocks from every start.
+    image, _ = materialize(generate(
+        GenParams(n_functions=12, max_functions_per_page=1), seed
+    ))
+    pages = len(image.executable_pages())
+    assert assert_gadget_length_relation(image, heuristic) == pages
+
+
+@pytest.mark.parametrize("heuristic", [False, True], ids=["core", "heuristic"])
+def test_a_longer_gadget_length_leaks_no_later_on_ls(heuristic):
+    path = Path("/usr/bin/ls")
+    if not path.exists():
+        pytest.skip("/usr/bin/ls is not present")
+    assert_gadget_length_relation(load_image(path), heuristic)
