@@ -34,12 +34,10 @@ from ropscope.synth import (
 )
 
 
-def run_program(
-    seed: int, params: GenParams, schemes, opts, memo: dict | None = None
-) -> dict:
+def run_program(seed: int, params: GenParams, schemes, opts) -> dict:
     program = generate(params, seed)
     base_image, truth = materialize(program)
-    base = population_stats(mine_image(base_image, opts, memo))["min_fp_labels"]
+    base = population_stats(mine_image(base_image, opts))["min_fp_labels"]
     row = {
         "seed": seed,
         "baseline_min_fp": base,
@@ -49,7 +47,7 @@ def run_program(
     for kind in schemes:
         scheme = RandomizationScheme(kind=kind, seed=seed + 1)
         image, _ = apply_scheme(program, scheme)
-        count = population_stats(mine_image(image, opts, memo))["min_fp_labels"]
+        count = population_stats(mine_image(image, opts))["min_fp_labels"]
         row["schemes"][kind.value] = {
             "min_fp": count,
             "reduction_pct": round(min_fp_reduction_pct(base, count), 2),
@@ -92,11 +90,8 @@ def compare(args) -> int:
     schemes = [SchemeKind(s) for s in args.schemes]
     opts = HarvestOptions(max_gadget_len=args.max_len)
 
-    # Every layout of every program shares one decode memo: the programs
-    # are built from the same instruction kinds.
-    memo: dict = {}
     rows = [
-        run_program(args.seed + i, params, schemes, opts, memo)
+        run_program(args.seed + i, params, schemes, opts)
         for i in range(args.programs)
     ]
 

@@ -359,11 +359,9 @@ def _cmd_compare(args) -> int:
         ]
     opts = _harvest_options(args)
     # One layout's image and gadgets at a time: each is dropped once counted.
-    # The layouts are one program's, so they share one decode memo.
-    memo: dict = {}
     results = {
         e["name"]: population_stats(
-            mine_image(load_snapshot(base_dir / e["snapshot_path"]), opts, memo)
+            mine_image(load_snapshot(base_dir / e["snapshot_path"]), opts)
         )
         for e in entries
     }

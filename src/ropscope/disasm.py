@@ -12,11 +12,10 @@ direct branch has no operands, so its map entry carries the effects
 Each map entry also carries its opcode's length shape (ModRM present,
 immediate bytes, immediate bytes under REX.W), which gives an encoding's
 length without parsing its operands. `decode` uses it to look an encoding
-up in an optional memo, so an analysis runs each encoding's handler once
-however many offsets hold it. A memo holds no address, so it may span a
-command's images: `compare` passes one to every layout of a program. A
-direct branch's target depends on its address, so direct branches are
-decoded at each address.
+up in `_ENCODINGS`, the decoder's one memo, kept for the process, so each
+encoding runs its handler once however many offsets, pages and images hold
+it. The memo holds no address. A direct branch's target depends on its
+address, so direct branches are decoded at each address.
 
 The decoder is total: any byte string yields either an Instruction or None
 (the invalid marker, always consuming one byte). Register effects are kept at
@@ -460,9 +459,7 @@ def _parse_modrm(
     return Operand.make_mem(mem, width), reg, pos
 
 
-def decode(
-    data: bytes, addr: int, offset: int = 0, memo: dict | None = None
-) -> Instruction | None:
+def decode(data: bytes, addr: int, offset: int = 0) -> Instruction | None:
     """Decode one instruction at addr from data[offset:], reading in place.
 
     Returns None for anything outside the supported subset; the invalid
@@ -470,14 +467,14 @@ def decode(
     of data.
 
     Apart from a direct branch's target, a decode depends only on its bytes,
-    so a memo may share it between offsets and pages: given one, the decode
+    so `_ENCODINGS` shares it between offsets, pages and images: the decode
     of an encoding the memo holds is its fields at this addr, and any other
-    is decoded and stored in it, an invalid one too. Direct branches are
+    is decoded and stored there, an invalid one too. Direct branches are
     decoded afresh at each address."""
     if offset >= len(data) or not FIRST_BYTE_TABLE[data[offset]]:
         return None
     try:
-        return _decode_body(data, offset, addr, memo)
+        return _decode_body(data, offset, addr)
     except (IndexError, struct.error):
         return None
 
@@ -747,16 +744,18 @@ FIRST_BYTE_TABLE = bytes(
 )
 
 
-def _decode_body(
-    data: bytes, start: int, addr: int, memo: dict | None = None
-) -> Instruction | None:
-    """Parse the prefix and opcode at start and dispatch to the opcode's
-    handler, or, given a memo, answer from it when it holds the encoding.
+# The decoder's memo, kept for the process: an encoding, sliced by its
+# opcode's length shape, maps to the fields of its decode after `addr`, or
+# to () when it decodes to None.
+_ENCODINGS: dict[bytes, tuple] = {}
 
-    A memo maps an encoding, sliced by its opcode's length shape, to the
-    fields of its decode after `addr`, or to () when it decodes to None. A
-    direct branch's target depends on its address, so it always runs its
-    handler."""
+
+def _decode_body(data: bytes, start: int, addr: int) -> Instruction | None:
+    """Parse the prefix and opcode at start and answer from `_ENCODINGS`,
+    running the opcode's handler on an encoding the memo does not hold.
+
+    A direct branch's target depends on its address, so a direct branch
+    runs its handler and is not stored."""
     op = data[start]
     pos = start + 1
     rex = 0
@@ -771,8 +770,8 @@ def _decode_body(
     if entry is None:
         return None
     handler, arg, shape = entry
-    if memo is None or handler is _rel:
-        return handler(
+    if handler is _rel:
+        return _rel(
             data, pos, start, addr, rex, 64 if rex & 0x8 else 32, op, arg
         )
     modrm, imm, imm_w = shape
@@ -785,16 +784,16 @@ def _decode_body(
     if end > len(data):
         return None
     raw = data[start:end]
-    rest = memo.get(raw)
+    rest = _ENCODINGS.get(raw)
     if rest is None:
         insn = handler(
             data, pos, start, addr, rex, 64 if rex & 0x8 else 32, op, arg
         )
         # Keyed by the instruction's own bytes, the slice is not kept.
         if insn is None:
-            memo[raw] = ()
+            _ENCODINGS[raw] = ()
         else:
-            memo[insn.raw] = insn[1:]
+            _ENCODINGS[insn.raw] = insn[1:]
         return insn
     return _new_tuple(Instruction, (addr,) + rest) if rest else None
 
@@ -805,22 +804,18 @@ class PageDecodes(dict):
     scan and any number of traversals of the page share one, and each
     offset is decoded once.
 
-    Each lookup calls the module's `decode` once, with `memo` when one is
-    given: an analysis passes one memo to all its pages, and a command may
-    pass one to the analyses of all its images, so an encoding that recurs
-    at other offsets, pages or images runs its handler once. Direct
-    branches are the one exception, as `decode` says."""
+    Each lookup calls the module's `decode` once, which answers from the
+    decoder's memo, so an encoding that recurs at other offsets, pages or
+    images runs its handler once. Direct branches are the one exception,
+    as `decode` says."""
 
-    def __init__(self, page: PageRecord, memo: dict | None = None):
+    def __init__(self, page: PageRecord):
         super().__init__()
         self.page = page
-        self.memo = memo
 
     def __missing__(self, offset: int) -> Instruction | None:
         page = self.page
-        insn = self[offset] = decode(
-            page.data, page.base + offset, offset, self.memo
-        )
+        insn = self[offset] = decode(page.data, page.base + offset, offset)
         return insn
 
 

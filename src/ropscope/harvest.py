@@ -259,14 +259,11 @@ class ImageAnalysis:
 
     It holds each page's decode results by offset in the page's root,
     where every traversal of the page starts, and the linear branch scan
-    reads them there too, so each offset is decoded once per image. Its
-    pages share one decode memo keyed by encoding, so each encoding runs
-    its handler once however many offsets hold it; direct branches are the
-    one exception, since their targets depend on their addresses (see
-    `disasm.decode`). The rest of a decode depends only on
-    its bytes, so the memo may span images: pass `memo` to share one
-    between the analyses of a command, such as the layouts of one program
-    that `compare` mines, and it is made fresh when None.
+    reads them there too, so each offset is decoded once per image. The
+    decoder keeps one memo by encoding for the process, so each encoding
+    runs its handler once however many offsets, pages and images hold it;
+    direct branches are the one exception, since their targets depend on
+    their addresses (see `disasm.decode`).
 
     It holds one node per traversal state, keyed by page base and stream
     addresses; a page's root is its empty stream's node. The addresses
@@ -290,14 +287,10 @@ class ImageAnalysis:
     """
 
     def __init__(
-        self,
-        image: MemoryImage,
-        opts: HarvestOptions = HarvestOptions(),
-        memo: dict[bytes, tuple] | None = None,
+        self, image: MemoryImage, opts: HarvestOptions = HarvestOptions()
     ):
         self.image = image
         self.opts = opts
-        self._encodings: dict[bytes, tuple] = {} if memo is None else memo
         self._nodes: dict[tuple[int, tuple[int, ...]], _Node] = {}
         self.target_index: dict[int, _Target] = {}
 
@@ -341,7 +334,7 @@ class ImageAnalysis:
         nothing and is never mined."""
         node = self._nodes.get((base, ()))
         if node is None:
-            decodes = PageDecodes(self.image.page_at(base), self._encodings)
+            decodes = PageDecodes(self.image.page_at(base))
             node = self._nodes[base, ()] = _Node(PageDisasm(decodes))
         return node
 
@@ -724,13 +717,11 @@ def _closure_seeds(
     return seeds
 
 
-def _closure(
-    image: MemoryImage, opts: HarvestOptions, memo: dict | None = None
-) -> _Walk:
+def _closure(image: MemoryImage, opts: HarvestOptions) -> _Walk:
     """The walk to closure, tracking no set, from every direct branch
     target the linear scan finds plus the per-page start pointers; offline
     mining reads its nodes and leaves its clock unread."""
-    analysis = ImageAnalysis(image, opts, memo=memo)
+    analysis = ImageAnalysis(image, opts)
     seeds = _closure_seeds(analysis, collect_branch_targets(analysis))
     return _Walk(analysis, sorted(seeds))
 
@@ -749,14 +740,11 @@ def offline_disassemble(
 
 
 def mine_image(
-    image: MemoryImage,
-    opts: HarvestOptions = HarvestOptions(),
-    memo: dict | None = None,
+    image: MemoryImage, opts: HarvestOptions = HarvestOptions()
 ) -> tuple[Gadget, ...]:
     """Gadgets of every offline-disassembled stream, in page order.
 
-    `memo` is the analysis's decode memo (see ImageAnalysis): a command
-    that mines several images, such as the layouts of one program, passes
-    one dict to every call so that an encoding the images share runs its
-    handler once. The gadgets are the same with or without it."""
-    return _closure(image, opts, memo).gadgets()
+    The decoder's memo outlives the call, so mining several images, such
+    as the layouts of one program, runs each encoding the images share
+    through its handler once (see ImageAnalysis)."""
+    return _closure(image, opts).gadgets()

@@ -1,5 +1,7 @@
 import pytest
 
+from ropscope import disasm
+
 
 def pytest_configure(config):
     config.addinivalue_line(
@@ -7,6 +9,16 @@ def pytest_configure(config):
         "criterion(text): acceptance criterion summarized on one report line",
     )
     config._criterion_results = []
+
+
+@pytest.fixture(autouse=True)
+def fresh_decode_memo():
+    """Give each test an empty decoder memo, so what one test decodes is
+    never a memo hit in another. Its own MonkeyPatch keeps it in place
+    when a test undoes the `monkeypatch` fixture."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(disasm, "_ENCODINGS", {})
+        yield
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -371,26 +371,39 @@ def test_decoder_digest_is_pinned():
     assert digest.hexdigest() == DECODER_DIGEST
 
 
+class _Misses(dict):
+    """A decoder memo whose lookups all miss, so every decode through it
+    runs its opcode's handler at its own address."""
+
+    def get(self, key, default=None):
+        return default
+
+
 def assert_memo_agrees(pages):
-    """Memoized decodes of the pages, all sharing one memo, equal the
-    memo-less decode at every offset that can start an instruction. Where a
-    decode is not None its length is its shape's, and each decode the memo
-    holds is keyed by its own bytes. Returns the memo."""
-    memo = {}
+    """Memoized decodes of the pages, all sharing the decoder's memo, equal
+    a decode through a memo that always misses at every offset that can
+    start an instruction. Where a decode is not None its length is its
+    shape's, and each decode the memo holds is keyed by its own bytes.
+    Returns the memo."""
+    memo = disasm._ENCODINGS
     # The shape reads no byte past the length it gives, so one offset of
     # each encoding checks them all.
     shaped = set()
     for page in pages:
-        decodes = PageDecodes(page, memo)
         mask = page.data.translate(disasm.FIRST_BYTE_TABLE)
-        off = mask.find(1)
-        while off != -1:
-            insn = decode(page.data, page.base + off, off)
-            assert decodes[off] == insn, (hex(page.base), off)
+        offsets = [off for off, byte in enumerate(mask) if byte]
+        decodes = PageDecodes(page)
+        memoized = [decodes[off] for off in offsets]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(disasm, "_ENCODINGS", _Misses())
+            handled = [
+                decode(page.data, page.base + off, off) for off in offsets
+            ]
+        for off, hit, insn in zip(offsets, memoized, handled):
+            assert hit == insn, (hex(page.base), off)
             if insn is not None and insn.raw not in shaped:
                 assert shape_length(page.data, off) == insn.length, insn.raw
                 shaped.add(insn.raw)
-            off = mask.find(1, off + 1)
     # The fields after addr: (length, mnemonic, operands, reads, writes,
     # raw, branch_target, cc), or () for an invalid decode.
     for raw, rest in memo.items():
@@ -407,7 +420,7 @@ def _page(base, data, at=0):
 
 @given(st.one_of(st.binary(min_size=1, max_size=32), _ENCODED))
 @settings(max_examples=300, deadline=None)
-def test_memoized_decodes_equal_memo_less_decode(data):
+def test_memoized_decodes_equal_handler_decodes(data):
     # The same bytes at the start and at the end of a page, at other
     # addresses (the last page wraps a branch target past 2**64), so the
     # second page's decodes are memo hits and its tail is cut short.
@@ -436,7 +449,7 @@ def golden_images(tmp_path_factory):
     return [load_snapshot(p) for p in sorted(root.glob("*/*.rsnp"))]
 
 
-def test_memoized_decodes_equal_memo_less_decode_on_golden_corpora(
+def test_memoized_decodes_equal_handler_decodes_on_golden_corpora(
     golden_images,
 ):
     assert len(golden_images) == 12
@@ -450,7 +463,7 @@ _REAL_BINARIES = [
 
 
 @pytest.mark.parametrize("path", _REAL_BINARIES, ids=os.path.basename)
-def test_memoized_decodes_equal_memo_less_decode_on_real_binaries(path):
+def test_memoized_decodes_equal_handler_decodes_on_real_binaries(path):
     if not os.path.exists(path):
         pytest.skip(f"{path} is not present")
     memo = assert_memo_agrees(load_image(path).executable_pages())

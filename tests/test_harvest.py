@@ -518,9 +518,7 @@ def test_roots_and_decodes_live_in_the_node_map(shared_corpus, monkeypatch):
     # address and its page base, or None off executable pages.
     analysis = ImageAnalysis(shared_corpus, HarvestOptions(max_gadget_len=10))
     upper_bound_on(analysis, monkeypatch)
-    assert vars(analysis).keys() == {
-        "image", "opts", "_encodings", "_nodes", "target_index"
-    }
+    assert vars(analysis).keys() == {"image", "opts", "_nodes", "target_index"}
     pages = shared_corpus.executable_pages()
     for page in pages:
         root = analysis._nodes[page.base, ()]
@@ -672,9 +670,9 @@ def decoded_addrs(monkeypatch, run):
     addrs = []
     decode = disasm_module.decode
 
-    def counting_decode(data, addr, offset=0, memo=None):
+    def counting_decode(data, addr, offset=0):
         addrs.append(addr)
-        return decode(data, addr, offset, memo)
+        return decode(data, addr, offset)
 
     # `from ropscope.disasm import decode` copies the binding, so replace
     # it in every module that holds one.
@@ -715,16 +713,18 @@ def test_each_offset_is_decoded_once_per_analysis(corpus, monkeypatch):
     for addrs in (mined, bounded):
         assert addrs
         assert len(addrs) == len(set(addrs))
-    # The analysis's pages share one decode memo, so an encoding that is
+    # The decoder's memo is kept for the process, so an encoding that is
     # not a direct branch reaches its handler once however many offsets
-    # hold it.
+    # hold it, and a second run over the same image runs no handler.
     for run, addrs in (
         (lambda: mine_image(image, opts), mined),
         (lambda: upper_bound(image, opts), bounded),
     ):
+        disasm_module._ENCODINGS.clear()
         encodings = handled_encodings(monkeypatch, run)
         assert encodings
         assert len(encodings) == len(set(encodings)) < len(addrs)
+        assert handled_encodings(monkeypatch, run) == []
 
 
 @pytest.fixture(scope="module")
@@ -750,9 +750,9 @@ def layout_paths(corpus_dir) -> list[Path]:
 def test_each_encoding_is_handled_once_per_compare(
     golden_layouts, monkeypatch
 ):
-    # compare mines a program's layouts through one decode memo, so an
-    # encoding that is not a direct branch reaches its handler once per
-    # command, however many layouts and offsets hold it.
+    # The decoder's memo outlives each layout's mining, so an encoding that
+    # is not a direct branch reaches its handler once per command, however
+    # many layouts and offsets hold it.
     corpus = golden_layouts["packed"]
     argv = ["compare", "--manifest", str(corpus / "manifest.json"),
             "--max-len", "10"]
@@ -762,19 +762,22 @@ def test_each_encoding_is_handled_once_per_compare(
             assert cli.main(argv) == 0
 
     addrs = decoded_addrs(monkeypatch, compare)
+    disasm_module._ENCODINGS.clear()
     encodings = handled_encodings(monkeypatch, compare)
     assert encodings
     assert len(encodings) == len(set(encodings)) < len(addrs)
-    # Mined alone, each layout handles again what the others share.
+    # Mined one after another by plain mine_image calls, the layouts
+    # handle exactly what compare handled.
     opts = HarvestOptions(max_gadget_len=10)
-    alone = [
-        handled_encodings(
-            monkeypatch, lambda: mine_image(load_snapshot(path), opts)
-        )
-        for path in layout_paths(corpus)
-    ]
-    assert len(alone) == 5
-    assert len(encodings) < sum(map(len, alone))
+    paths = layout_paths(corpus)
+    assert len(paths) == 5
+
+    def mine_layouts():
+        for path in paths:
+            mine_image(load_snapshot(path), opts)
+
+    disasm_module._ENCODINGS.clear()
+    assert handled_encodings(monkeypatch, mine_layouts) == encodings
 
 
 def no_accepted_target_image():

@@ -24,6 +24,11 @@ order does not depend on mining, so from every start a harvest finds the
 same pages at the same leak and analysis cost at every length, each type
 leaks no later at a longer length, and an upper_bound start that converges
 still converges, no later.
+
+Locality: a code page that no branch or pointer reaches, and that branches
+nowhere, is harvested only from its own start, so adding one to an image
+adds exactly one upper_bound record, from a start on that page, and leaves
+every other record equal.
 """
 
 from dataclasses import replace
@@ -33,6 +38,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import RX, asm
+from ropscope.disasm import POISON_BYTE, Reg
+from ropscope.encode import mov_rr, pop_r, ret
 from ropscope.gadgets import BUILTIN_SETS, GadgetSetSpec
 from ropscope.harvest import (
     LEAK_TICKS_PER_PAGE,
@@ -43,7 +51,13 @@ from ropscope.harvest import (
     page_start_pointers,
 )
 from ropscope.rerand import ConvergenceRecord, converge, upper_bound
-from ropscope.snapshot import load_image
+from ropscope.snapshot import (
+    PAGE_SIZE,
+    MemoryImage,
+    PageRecord,
+    SegmentTag,
+    load_image,
+)
 from ropscope.synth import (
     GenParams,
     RandomizationScheme,
@@ -351,3 +365,35 @@ def test_a_longer_gadget_length_leaks_no_later_on_ls(heuristic):
     if not path.exists():
         pytest.skip("/usr/bin/ls is not present")
     assert_gadget_length_relation(load_image(path), heuristic)
+
+
+def with_unreached_page(image):
+    """The image plus one executable page right past its last page, holding
+    gadgets and no branch, and that page's base. No branch or pointer of
+    the image points past its own pages, so nothing reaches the new one."""
+    base = image.pages[-1].end
+    code = asm(pop_r(Reg.RBX), ret(), mov_rr(Reg.RAX, Reg.RBX), ret())
+    data = code + bytes([POISON_BYTE]) * (PAGE_SIZE - len(code))
+    page = PageRecord(base, RX, SegmentTag.CODE, data)
+    return MemoryImage([*image, page], image.metadata), base
+
+
+@pytest.mark.parametrize("per_page", [1, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_an_unreached_page_adds_one_record_and_changes_no_other(
+    seed, per_page
+):
+    image, _ = materialize(generate(
+        GenParams(n_functions=12, max_functions_per_page=per_page), seed
+    ))
+    grown, base = with_unreached_page(image)
+    opts = HarvestOptions(max_gadget_len=10)
+    report = upper_bound(image, opts)
+    grown_report = upper_bound(grown, opts)
+    added = grown_report.per_start.keys() - report.per_start.keys()
+    assert len(added) == 1
+    (start,) = added
+    assert base <= start < base + PAGE_SIZE
+    assert {
+        s: r for s, r in grown_report.per_start.items() if s != start
+    } == report.per_start
