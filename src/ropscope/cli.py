@@ -24,6 +24,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Callable
 
+from ropscope import disasm
 from ropscope.canonical import dumps
 from ropscope.gadgets import (
     GadgetSetSpec,
@@ -552,7 +553,10 @@ def run_guarded(run: Callable[[], int]) -> int:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return run_guarded(lambda: args.func(args))
+    try:
+        return run_guarded(lambda: args.func(args))
+    finally:
+        disasm.clear_memo()
 
 
 def console_main() -> None:  # pragma: no cover - thin wrapper

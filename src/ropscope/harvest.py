@@ -260,9 +260,10 @@ class ImageAnalysis:
     It holds each page's decode results by offset in the page's root,
     where every traversal of the page starts, and the linear branch scan
     reads them there too, so each offset is decoded once per image. The
-    decoder keeps one memo by encoding for the process, so each encoding
-    runs its handler once however many offsets, pages and images hold it;
-    direct branches are the one exception, since their targets depend on
+    decoder keeps one memo by encoding until `disasm.clear_memo`, which
+    `cli.main` calls as each command ends, so each encoding runs its
+    handler once however many offsets, pages and images hold it; direct
+    branches are the one exception, since their targets depend on
     their addresses (see `disasm.decode`).
 
     It holds one node per traversal state, keyed by page base and stream
@@ -745,6 +746,6 @@ def mine_image(
     """Gadgets of every offline-disassembled stream, in page order.
 
     The decoder's memo outlives the call, so mining several images, such
-    as the layouts of one program, runs each encoding the images share
-    through its handler once (see ImageAnalysis)."""
+    as the layouts of one program in one command, runs each encoding the
+    images share through its handler once (see ImageAnalysis)."""
     return _closure(image, opts).gadgets()

@@ -543,8 +543,8 @@ def four_layouts(tmp_path_factory):
 @pytest.mark.parametrize("heuristic", [False, True],
                          ids=["default-types", "heuristic-types"])
 def test_compare_equals_each_layout_mined_alone(four_layouts, heuristic):
-    # compare shares one decode memo between the layouts; mined one at a
-    # time with no memo, each gives the same statistics.
+    # Each layout mined alone gives the statistics compare gives it, so
+    # they do not depend on what the decoder's memo already holds.
     manifest_path = four_layouts / "manifest.json"
     argv = ["compare", "--manifest", str(manifest_path), "--max-len", "10"]
     # compare has no --heuristic-types flag, but builds its options from

@@ -713,9 +713,10 @@ def test_each_offset_is_decoded_once_per_analysis(corpus, monkeypatch):
     for addrs in (mined, bounded):
         assert addrs
         assert len(addrs) == len(set(addrs))
-    # The decoder's memo is kept for the process, so an encoding that is
-    # not a direct branch reaches its handler once however many offsets
-    # hold it, and a second run over the same image runs no handler.
+    # The decoder's memo outlives each call (cli.main empties it when a
+    # command ends), so an encoding that is not a direct branch reaches
+    # its handler once however many offsets hold it, and a second run over
+    # the same image runs no handler.
     for run, addrs in (
         (lambda: mine_image(image, opts), mined),
         (lambda: upper_bound(image, opts), bounded),
@@ -752,7 +753,9 @@ def test_each_encoding_is_handled_once_per_compare(
 ):
     # The decoder's memo outlives each layout's mining, so an encoding that
     # is not a direct branch reaches its handler once per command, however
-    # many layouts and offsets hold it.
+    # many layouts and offsets hold it. cli.main empties the memo as the
+    # command ends, so a second compare in the process handles the same
+    # encodings again, as a process of its own would.
     corpus = golden_layouts["packed"]
     argv = ["compare", "--manifest", str(corpus / "manifest.json"),
             "--max-len", "10"]
@@ -762,10 +765,11 @@ def test_each_encoding_is_handled_once_per_compare(
             assert cli.main(argv) == 0
 
     addrs = decoded_addrs(monkeypatch, compare)
-    disasm_module._ENCODINGS.clear()
+    assert not disasm_module._ENCODINGS
     encodings = handled_encodings(monkeypatch, compare)
     assert encodings
     assert len(encodings) == len(set(encodings)) < len(addrs)
+    assert handled_encodings(monkeypatch, compare) == encodings
     # Mined one after another by plain mine_image calls, the layouts
     # handle exactly what compare handled.
     opts = HarvestOptions(max_gadget_len=10)
@@ -776,7 +780,7 @@ def test_each_encoding_is_handled_once_per_compare(
         for path in paths:
             mine_image(load_snapshot(path), opts)
 
-    disasm_module._ENCODINGS.clear()
+    assert not disasm_module._ENCODINGS
     assert handled_encodings(monkeypatch, mine_layouts) == encodings
 
 
