@@ -21,8 +21,8 @@ import sys
 from collections import Counter
 
 from ropscope.cli import run_guarded
-from ropscope.gadgets import min_fp_reduction_pct, population_stats
-from ropscope.harvest import HarvestOptions, mine_image
+from ropscope.gadgets import min_fp_reduction_pct
+from ropscope.harvest import HarvestOptions, image_population
 from ropscope.synth import (
     GenParams,
     RandomizationScheme,
@@ -37,7 +37,7 @@ from ropscope.synth import (
 def run_program(seed: int, params: GenParams, schemes, opts) -> dict:
     program = generate(params, seed)
     base_image, truth = materialize(program)
-    base = population_stats(mine_image(base_image, opts))["min_fp_labels"]
+    base = image_population(base_image, opts)["min_fp_labels"]
     row = {
         "seed": seed,
         "baseline_min_fp": base,
@@ -47,7 +47,7 @@ def run_program(seed: int, params: GenParams, schemes, opts) -> dict:
     for kind in schemes:
         scheme = RandomizationScheme(kind=kind, seed=seed + 1)
         image, _ = apply_scheme(program, scheme)
-        count = population_stats(mine_image(image, opts))["min_fp_labels"]
+        count = image_population(image, opts)["min_fp_labels"]
         row["schemes"][kind.value] = {
             "min_fp": count,
             "reduction_pct": round(min_fp_reduction_pct(base, count), 2),

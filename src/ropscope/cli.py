@@ -35,7 +35,6 @@ from ropscope.gadgets import (
     gadget_report_rows,
     gadget_type,
     load_set_spec,
-    population_stats,
     resolve_set,
     type_counts,
 )
@@ -43,6 +42,7 @@ from ropscope.harvest import (
     HarvestOptions,
     StartPointerInvalid,
     harvest,
+    image_population,
     mine_image,
     page_start_pointers,
 )
@@ -359,10 +359,10 @@ def _cmd_compare(args) -> int:
             e for e in entries if e["name"] == "baseline" or e["name"] in wanted
         ]
     opts = _harvest_options(args)
-    # One layout's image and gadgets at a time: each is dropped once counted.
+    # One layout's image at a time: each is dropped once counted.
     results = {
-        e["name"]: population_stats(
-            mine_image(load_snapshot(base_dir / e["snapshot_path"]), opts)
+        e["name"]: image_population(
+            load_snapshot(base_dir / e["snapshot_path"]), opts
         )
         for e in entries
     }

@@ -81,6 +81,8 @@ class Footprint(Enum):
 
 
 _MIN, _EX = Footprint.MIN_FP, Footprint.EX_FP
+# The report text of each type.
+_TYPE_TEXT = {gtype: gtype.value for gtype in GadgetType}
 
 
 # Operation categories used by scheme-comparison reports.
@@ -718,46 +720,72 @@ def leaked_types(gadgets: Iterable[Gadget]) -> frozenset[GadgetType]:
     return frozenset(out)
 
 
-def category_counts(
-    gadgets: Iterable[Gadget],
-) -> dict[str, TypeCount]:
-    """MIN/EX counts of expressiveness-core gadgets grouped by operation
-    category. A gadget contributes once per category it has a type in."""
-    out = {name: TypeCount() for name in TC_CATEGORIES}
-    for gadget in gadgets:
-        # Whether the gadget has a minimal type, per category it is in.
+def population_stats(
+    streams: Iterable[Iterable[Instruction]],
+    max_len: int = 5,
+    enable_heuristic_types: bool = False,
+) -> dict:
+    """One layout's entry in a scheme comparison, counted over its decoded
+    streams: how many windows they have, the MIN/EX counts of those windows
+    per type and per category, and whether they cover the tc set.
+
+    A window counts once per type it has, and once per category it has a
+    type in, as MIN when one of those types is. The windows are those of
+    `find_gadgets`, the same `_terminator_windows` and `_classify` rules,
+    but no Gadget is built, sorted or read again: each window's footprints
+    are counted as one labelling, and the tallies are read off the few
+    distinct labellings. `gadgets` and `corrupt` still build one Gadget per
+    window, since they report or judge each one."""
+    # How many windows have each (type, footprint) labelling, its pairs in
+    # the order `_classify` made them: equal labellings made in two orders
+    # are counted apart and summed below.
+    labellings: dict[tuple[tuple[GadgetType, Footprint], ...], int] = {}
+    windows = 0
+    for insns in streams:
+        stream = tuple(sorted(insns, key=_addr))
+        for low, pos, matches in _terminator_windows(
+            stream, max_len, enable_heuristic_types
+        ):
+            stop = pos + 1
+            windows += stop - low
+            for start in range(low, stop):
+                key = tuple(_classify(
+                    stream[start:stop], enable_heuristic_types,
+                    matches[start:stop],
+                )[1].items())
+                labellings[key] = labellings.get(key, 0) + 1
+
+    counts: dict[GadgetType, TypeCount] = {}
+    categories = {name: TypeCount() for name in TC_CATEGORIES}
+    for labelling, n in labellings.items():
+        # Whether the windows have a MIN type, per category they are in.
         minimal: dict[str, bool] = {}
-        for gtype in gadget.types:
+        for gtype, fp in labelling:
+            count = counts.setdefault(gtype, TypeCount())
+            if fp is _MIN:
+                count.min_fp += n
+            else:
+                count.ex_fp += n
             name = _CATEGORY_OF.get(gtype)
             if name is not None:
-                minimal[name] = (
-                    minimal.get(name, False)
-                    or gadget.footprints[gtype] is _MIN
-                )
+                minimal[name] = minimal.get(name, False) or fp is _MIN
         for name, is_min in minimal.items():
             if is_min:
-                out[name].min_fp += 1
+                categories[name].min_fp += n
             else:
-                out[name].ex_fp += 1
-    return out
-
-
-def population_stats(gadgets: Sequence[Gadget]) -> dict:
-    """One layout's entry in a scheme comparison: the MIN/EX counts of its
-    gadgets per type and per category, and whether they cover the tc set."""
-    counts = type_counts(gadgets)
-    tc = set_coverage(counts, BUILTIN_SETS["tc"])
+                categories[name].ex_fp += n
+    tc = set_coverage(counts, TC_SET)
     return {
-        "gadgets": len(gadgets),
-        # A label is one (gadget, type) pair, counted once in its type.
+        "gadgets": windows,
+        # A label is one (window, type) pair, counted once in its type.
         "min_fp_labels": sum(c.min_fp for c in counts.values()),
         "types": {
-            t.value: {"min_fp": c.min_fp, "ex_fp": c.ex_fp}
+            _TYPE_TEXT[t]: {"min_fp": c.min_fp, "ex_fp": c.ex_fp}
             for t, c in counts.items()
         },
         "categories": {
             name: {"min_fp": c.min_fp, "ex_fp": c.ex_fp}
-            for name, c in category_counts(gadgets).items()
+            for name, c in categories.items()
         },
         "tc_preserved": tc.converged,
         "tc_preserved_min_fp": tc.converged_min_fp,

@@ -34,7 +34,9 @@ from ropscope.gadgets import (
     Gadget,
     GadgetSetSpec,
     GadgetType,
+    _TYPE_TEXT,
     find_gadgets,
+    population_stats,
     stream_types,
 )
 from ropscope.snapshot import PAGE_SIZE, MemoryImage, PageRecord, page_base
@@ -81,7 +83,6 @@ _PAGE_DISCOVERED, _TYPE_LEAKED, _CONVERGED = EventKind
 # The text of each kind, and the gadget type of each type name.
 _KIND_TEXT = {kind: kind.value for kind in EventKind}
 _GADGET_TYPES = {gtype.value: gtype for gtype in GadgetType}
-_TYPE_TEXT = {gtype: gtype.value for gtype in GadgetType}
 
 
 class HarvestEvent(NamedTuple):
@@ -749,3 +750,15 @@ def mine_image(
     as the layouts of one program in one command, runs each encoding the
     images share through its handler once (see ImageAnalysis)."""
     return _closure(image, opts).gadgets()
+
+
+def image_population(
+    image: MemoryImage, opts: HarvestOptions = HarvestOptions()
+) -> dict:
+    """`population_stats` of every offline-disassembled stream: what
+    `mine_image` finds, counted without building a Gadget per window."""
+    walk = _closure(image, opts)
+    return population_stats(
+        (node.disasm.insns.values() for node in walk.nodes.values()),
+        opts.max_gadget_len, opts.enable_heuristic_types,
+    )

@@ -37,9 +37,13 @@ from ropscope.gadgets import (
     Gadget,
     GadgetType,
     GadgetSetSpec,
+    TC_CATEGORIES,
+    TypeCount,
     classify,
     find_gadgets,
     leaked_types,
+    set_coverage,
+    type_counts,
 )
 from ropscope.harvest import (
     LEAK_TICKS_PER_PAGE,
@@ -390,6 +394,58 @@ def gadget_multiset(gadgets) -> list[tuple]:
         )
         for g in gadgets
     )
+
+
+def reference_category_counts(
+    gadgets: Iterable[Gadget],
+) -> dict[str, TypeCount]:
+    """MIN/EX counts of expressiveness-core gadgets grouped by operation
+    category. A gadget contributes once per category it has a type in."""
+    category_of = {
+        gtype: name for name, members in TC_CATEGORIES.items()
+        for gtype in members
+    }
+    out = {name: TypeCount() for name in TC_CATEGORIES}
+    for gadget in gadgets:
+        # Whether the gadget has a minimal type, per category it is in.
+        minimal: dict[str, bool] = {}
+        for gtype in gadget.types:
+            name = category_of.get(gtype)
+            if name is not None:
+                minimal[name] = (
+                    minimal.get(name, False)
+                    or gadget.footprints[gtype] is Footprint.MIN_FP
+                )
+        for name, is_min in minimal.items():
+            if is_min:
+                out[name].min_fp += 1
+            else:
+                out[name].ex_fp += 1
+    return out
+
+
+def reference_population_stats(gadgets: Sequence[Gadget]) -> dict:
+    """One layout's scheme-comparison entry read off its Gadget records: the
+    MIN/EX counts per type and per category, and whether they cover the tc
+    set. An oracle for `gadgets.population_stats`, which counts windows
+    without building them."""
+    counts = type_counts(gadgets)
+    tc = set_coverage(counts, BUILTIN_SETS["tc"])
+    return {
+        "gadgets": len(gadgets),
+        # A label is one (gadget, type) pair, counted once in its type.
+        "min_fp_labels": sum(c.min_fp for c in counts.values()),
+        "types": {
+            t.value: {"min_fp": c.min_fp, "ex_fp": c.ex_fp}
+            for t, c in counts.items()
+        },
+        "categories": {
+            name: {"min_fp": c.min_fp, "ex_fp": c.ex_fp}
+            for name, c in reference_category_counts(gadgets).items()
+        },
+        "tc_preserved": tc.converged,
+        "tc_preserved_min_fp": tc.converged_min_fp,
+    }
 
 
 def reference_offline_disassemble(

@@ -12,17 +12,22 @@ from pathlib import Path
 
 import pytest
 
-from helpers import RW, all_layouts_options, asm, build_elf, code_image
+from helpers import (
+    RW,
+    all_layouts_options,
+    asm,
+    build_elf,
+    code_image,
+    reference_population_stats,
+)
+import ropscope.gadgets as gadgets_module
+import ropscope.harvest as harvest_module
 from ropscope import cli
 from ropscope.canonical import dumps
 from ropscope.cli import main
 from ropscope.disasm import Reg
 from ropscope.encode import call_rel32, mov_rr, pop_r, ret, syscall
-from ropscope.gadgets import (
-    BUILTIN_SETS,
-    add_min_fp_reductions,
-    population_stats,
-)
+from ropscope.gadgets import BUILTIN_SETS, add_min_fp_reductions
 from ropscope.harvest import HarvestOptions, mine_image
 from ropscope.snapshot import (
     PAGE_SIZE,
@@ -559,7 +564,7 @@ def test_compare_equals_each_layout_mined_alone(four_layouts, heuristic):
     entries = json.loads(manifest_path.read_text())["entries"]
     assert len(entries) == 5
     expected = {
-        e["name"]: population_stats(
+        e["name"]: reference_population_stats(
             mine_image(load_snapshot(four_layouts / e["snapshot_path"]), opts)
         )
         for e in entries
@@ -570,6 +575,24 @@ def test_compare_equals_each_layout_mined_alone(four_layouts, heuristic):
         assert run(argv) == (0, buf.getvalue())
     else:
         assert run(argv)[1] != buf.getvalue()
+
+
+def test_compare_builds_no_gadget(four_layouts, monkeypatch):
+    # compare only prints counts, so it counts each window as it is
+    # classified: with every way to build a Gadget refused it prints the
+    # same bytes.
+    argv = ["compare", "--manifest", four_layouts / "manifest.json",
+            "--max-len", "10"]
+    expected = run(argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare built a gadget")
+
+    monkeypatch.setattr(gadgets_module, "classify", refuse)
+    monkeypatch.setattr(gadgets_module, "Gadget", refuse)
+    monkeypatch.setattr(harvest_module, "find_gadgets", refuse)
+    assert run(argv) == expected
+    assert expected[0] == 0
 
 
 @pytest.mark.parametrize("reader", ["manifest", "set-file"])
@@ -887,7 +910,7 @@ _OPTION_COMMANDS = {
     "upper-bound": (["upper-bound", "SNAP"], "upper_bound"),
     "corrupt": (["corrupt", "SNAP"], "mine_image"),
     "starts": (["starts", "SNAP"], "page_start_pointers"),
-    "compare": (["compare", "--manifest", "MANIFEST"], "mine_image"),
+    "compare": (["compare", "--manifest", "MANIFEST"], "image_population"),
     "synth generate": (["synth", "generate", "--out-dir", "OUT"], "generate"),
 }
 

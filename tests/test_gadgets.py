@@ -57,7 +57,6 @@ from ropscope.gadgets import (
     Footprint,
     GadgetSetSpec,
     GadgetType,
-    category_counts,
     classify,
     evaluate_set,
     find_gadgets,
@@ -65,6 +64,7 @@ from ropscope.gadgets import (
     gadget_report_rows,
     leaked_types,
     load_set_spec,
+    population_stats,
     resolve_set,
     stream_types,
 )
@@ -531,13 +531,14 @@ def test_evaluate_set_counts_and_convergence():
 
 def test_leaked_types_and_categories():
     code = asm(mov_rm(Reg.RAX, Reg.RDX), ret(), jmp_r(Reg.RDI))
-    gadgets = find_gadgets(decode_stream(code))
+    stream = decode_stream(code)
+    gadgets = find_gadgets(stream)
     types = leaked_types(gadgets)
     assert GadgetType.LM in types
     assert GadgetType.JMP in types
-    cats = category_counts(gadgets)
-    assert cats["memory"].total >= 1
-    assert cats["control_flow"].min_fp >= 1
+    cats = population_stats([stream])["categories"]
+    assert cats["memory"]["min_fp"] + cats["memory"]["ex_fp"] >= 1
+    assert cats["control_flow"]["min_fp"] >= 1
 
 
 def test_gadget_reports():

@@ -27,6 +27,7 @@ from helpers import (
     reference_converge,
     reference_harvest,
     reference_offline_disassemble,
+    reference_population_stats,
     shape_length,
 )
 from ropscope.disasm import PageDisasm, Reg
@@ -55,6 +56,7 @@ from ropscope.harvest import (
     collect_branch_targets,
     harvest,
     harvest_all_starts,
+    image_population,
     mine_image,
     offline_disassemble,
     page_start_pointers,
@@ -663,6 +665,44 @@ def test_offline_mining_mines_only_what_it_returns(monkeypatch):
     assert sorted(mined["find_gadgets"]) == sorted(
         tuple(insn.addr for insn in stream) for stream in streams.values()
     )
+
+
+# Seeded corpora of one function per page, three per page and packed.
+POPULATION_LAYOUTS = {"1-per-page": 1, "3-per-page": 3, "packed": None}
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("layout", list(POPULATION_LAYOUTS))
+def test_image_population_equals_reference_stats(seed, layout):
+    # The window count reads each window's footprints as they are made;
+    # the oracle reads them off the Gadget records mine_image builds.
+    image, _ = materialize(generate(GenParams(
+        n_functions=12, max_functions_per_page=POPULATION_LAYOUTS[layout]
+    ), seed))
+    for heuristic in (False, True):
+        for max_len in (1, 3, 10):
+            opts = HarvestOptions(
+                max_gadget_len=max_len, enable_heuristic_types=heuristic
+            )
+            assert image_population(image, opts) == (
+                reference_population_stats(mine_image(image, opts))
+            )
+
+
+@pytest.mark.parametrize("heuristic", [False, True],
+                         ids=["default-types", "heuristic-types"])
+def test_image_population_equals_reference_stats_on_ls(heuristic):
+    path = Path("/usr/bin/ls")
+    if not path.exists():
+        pytest.skip("/usr/bin/ls is not present")
+    image = load_image(path)
+    for max_len in (3, 10):
+        opts = HarvestOptions(
+            max_gadget_len=max_len, enable_heuristic_types=heuristic
+        )
+        stats = image_population(image, opts)
+        assert stats == reference_population_stats(mine_image(image, opts))
+        assert stats["gadgets"] > 0
 
 
 def decoded_addrs(monkeypatch, run):

@@ -27,7 +27,7 @@ HOT_PATHS = {
     ),
     gadgets: (
         "_is_store_mov", "_insn_cores", "classify", "_classify",
-        "_indirect_shapes", "stream_types", "type_counts", "category_counts",
+        "_indirect_shapes", "stream_types", "type_counts", "population_stats",
         "gadget_report_rows",
     ),
     quality: (
