@@ -9,12 +9,17 @@ import json
 from typing import Iterable, Sequence
 
 
+# json.dumps builds a new encoder on every call made with options, so the
+# one encoder these options need is built once.
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
+
+
 def dumps(obj) -> str:
     """`obj` as JSON with sorted keys and no whitespace. A NaN or infinite
     float raises ValueError: JSON has no token for it."""
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
+    return _ENCODER.encode(obj)
 
 
 def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:

@@ -25,23 +25,22 @@ from pathlib import Path
 from typing import Callable
 
 from ropscope import disasm
-from ropscope.canonical import dumps
+from ropscope.canonical import csv_text, dumps
 from ropscope.gadgets import (
     GadgetSetSpec,
     GadgetType,
     add_min_fp_reductions,
-    evaluate_set,
-    gadget_report_csv,
-    gadget_report_rows,
     gadget_type,
     load_set_spec,
     resolve_set,
-    type_counts,
+    set_coverage,
 )
 from ropscope.harvest import (
+    REPORT_FIELDS,
     HarvestOptions,
     StartPointerInvalid,
     harvest,
+    image_gadget_report,
     image_population,
     mine_image,
     page_start_pointers,
@@ -141,17 +140,20 @@ def _cmd_harvest(args) -> int:
 def _cmd_gadgets(args) -> int:
     opts = _harvest_options(args)
     spec = opts.track_set
-    gadgets = mine_image(load_image(args.snapshot), opts)
-    coverage = None
-    if spec is not None and (args.pretty or args.format == "json"):
-        coverage = evaluate_set(gadgets, spec)
     # The report is rendered only where it is written: to --out, or to
     # stdout unless --pretty prints the summary in its place.
-    if args.out or not args.pretty:
+    rendered = bool(args.out) or not args.pretty
+    rows, counts, windows = image_gadget_report(
+        load_image(args.snapshot), opts, rendered
+    )
+    coverage = None
+    if spec is not None and (args.pretty or args.format == "json"):
+        coverage = set_coverage(counts, spec)
+    if rendered:
         if args.format == "csv":
-            text = gadget_report_csv(gadgets)
+            text = csv_text(REPORT_FIELDS, (row.values() for row in rows))
         else:
-            payload = {"gadgets": gadget_report_rows(gadgets)}
+            payload = {"gadgets": rows}
             if coverage is not None:
                 payload["coverage"] = coverage.to_dict()
             text = dumps(payload) + "\n"
@@ -160,10 +162,10 @@ def _cmd_gadgets(args) -> int:
         else:
             sys.stdout.write(text)
     if args.pretty:
-        counts = {t.value: c.total for t, c in type_counts(gadgets).items()}
-        print(f"gadgets mined: {len(gadgets)}")
-        for name in sorted(counts):
-            print(f"  {name:10s} {counts[name]}")
+        totals = {t.value: c.total for t, c in counts.items()}
+        print(f"gadgets mined: {windows}")
+        for name in sorted(totals):
+            print(f"  {name:10s} {totals[name]}")
         if coverage is not None:
             print(
                 f"set {spec.name}: converged={coverage.converged} "

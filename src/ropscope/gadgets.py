@@ -17,7 +17,6 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ropscope.canonical import csv_text
 from ropscope.disasm import GS_CALL_BYTES, Instruction, Mnemonic, Reg
 
 
@@ -720,6 +719,26 @@ def leaked_types(gadgets: Iterable[Gadget]) -> frozenset[GadgetType]:
     return frozenset(out)
 
 
+# A window's (type, footprint) pairs in the order `_classify` made them.
+Labelling = tuple[tuple[GadgetType, Footprint], ...]
+
+
+def labelling_counts(
+    labellings: Mapping[Labelling, int]
+) -> dict[GadgetType, TypeCount]:
+    """What `type_counts` gives for windows counted by labelling: how many
+    windows have each labelling."""
+    counts: dict[GadgetType, TypeCount] = {}
+    for labelling, n in labellings.items():
+        for gtype, fp in labelling:
+            count = counts.setdefault(gtype, TypeCount())
+            if fp is _MIN:
+                count.min_fp += n
+            else:
+                count.ex_fp += n
+    return counts
+
+
 def population_stats(
     streams: Iterable[Iterable[Instruction]],
     max_len: int = 5,
@@ -734,12 +753,12 @@ def population_stats(
     `find_gadgets`, the same `_terminator_windows` and `_classify` rules,
     but no Gadget is built, sorted or read again: each window's footprints
     are counted as one labelling, and the tallies are read off the few
-    distinct labellings. `gadgets` and `corrupt` still build one Gadget per
-    window, since they report or judge each one."""
-    # How many windows have each (type, footprint) labelling, its pairs in
-    # the order `_classify` made them: equal labellings made in two orders
-    # are counted apart and summed below.
-    labellings: dict[tuple[tuple[GadgetType, Footprint], ...], int] = {}
+    distinct labellings. `harvest.image_gadget_report` reports each window
+    the same way; `corrupt` still builds one Gadget per window, since it
+    judges each one."""
+    # How many windows have each labelling: equal labellings made in two
+    # orders are counted apart and summed below.
+    labellings: dict[Labelling, int] = {}
     windows = 0
     for insns in streams:
         stream = tuple(sorted(insns, key=_addr))
@@ -755,17 +774,12 @@ def population_stats(
                 )[1].items())
                 labellings[key] = labellings.get(key, 0) + 1
 
-    counts: dict[GadgetType, TypeCount] = {}
+    counts = labelling_counts(labellings)
     categories = {name: TypeCount() for name in TC_CATEGORIES}
     for labelling, n in labellings.items():
         # Whether the windows have a MIN type, per category they are in.
         minimal: dict[str, bool] = {}
         for gtype, fp in labelling:
-            count = counts.setdefault(gtype, TypeCount())
-            if fp is _MIN:
-                count.min_fp += n
-            else:
-                count.ex_fp += n
             name = _CATEGORY_OF.get(gtype)
             if name is not None:
                 minimal[name] = minimal.get(name, False) or fp is _MIN
@@ -814,39 +828,11 @@ _FOOTPRINT_LABEL = {
 }
 
 
-def gadget_report_rows(gadgets: Iterable[Gadget]) -> list[dict]:
-    # Windows that end at one terminator share their tail instructions, so
-    # each instruction is rendered once per report. The memo holds every
-    # instruction it names, so no id is reused while it lives.
-    rendered: dict[int, tuple[Instruction, str]] = {}
-
-    def render(insn: Instruction) -> str:
-        memo = rendered.get(id(insn))
-        if memo is None:
-            memo = rendered[id(insn)] = (insn, insn.render())
-        return memo[1]
-
-    rows = []
-    for g in gadgets:
-        # A GadgetType is a str, so they sort by value.
-        types = sorted(g.types)
-        footprints = g.footprints
-        rows.append(
-            {
-                "addr": f"{g.addr:#x}",
-                "bytes_hex": g.raw.hex(),
-                "text": "; ".join(map(render, g.insns)),
-                "types": "|".join(types),
-                "footprints": "|".join(
-                    [_FOOTPRINT_LABEL[t, footprints[t]] for t in types]
-                ),
-            }
-        )
-    return rows
-
-
-def gadget_report_csv(gadgets: Iterable[Gadget]) -> str:
-    return csv_text(
-        ["addr", "bytes_hex", "text", "types", "footprints"],
-        (row.values() for row in gadget_report_rows(gadgets)),
+def labelling_text(labelling: Labelling) -> tuple[str, str]:
+    """The `types` and `footprints` columns of a window's report row."""
+    footprints = dict(labelling)
+    # A GadgetType is a str, so they sort by value.
+    types = sorted(footprints)
+    return "|".join(types), "|".join(
+        [_FOOTPRINT_LABEL[t, footprints[t]] for t in types]
     )

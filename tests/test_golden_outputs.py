@@ -33,7 +33,9 @@ GOLDEN = {
     "corrupt_json": "8029b6992ba81cfa629c902561f38a0aa888c2fbb107a2a9c490aa23ba784689",
     "corrupt_verdicts": "f0caa58df7aba60ce15434c47abd4b2ee13eb7b2606ea59be01085f48691257d",
     "gadgets_csv": "74eddb5c87489f2c7a056cf1ad0bf552a14a4591d9d395b10eae92068538a377",
+    "gadgets_json": "6f4256d61b727d8e6949c527c2c26cbf78acb83e5f9154e1baaafe6ef6cffae5",
     "gadgets_tc": "d5c99449c06de9709e1fafc6d8b4248e8d59f9dd0b92f5f3c1934d3a0372e74f",
+    "gadgets_tc_pretty": "5d3a0ce91556ded79d1466df10758a146e24f15fc0a03570a49a626990c80651",
     "harvest_stop_summary": "78b9593fd7cbde4fe478c5f09eb0208f48c9e9b199d962b3fa69ee066b90647c",
     "harvest_stop_trace": "c42edaa61a02c7ee6623b605631e4628d1ffd5523d09db3190109ba7be81048d",
     "harvest_summary": "2087258e128dce43057f433abdfbc83666599605b2f18a4bc64c627ae1a02740",
@@ -201,6 +203,7 @@ def produce_outputs(root) -> dict[str, bytes]:
         "gadgets", packed_snap, "--format", "csv", "--heuristic-types",
         "--max-len", "10",
     ])
+    out["gadgets_json"] = _run(["gadgets", packed_snap, "--max-len", "10"])
     scan_snap = root / "pointers.rsnp"
     save_snapshot(pointer_image(packed_snap, 5), scan_snap)
     out["scan_json"] = _run(["scan", scan_snap])
@@ -230,6 +233,9 @@ def produce_outputs(root) -> dict[str, bytes]:
         "compare", "--manifest", packed / "manifest.json", "--max-len", "10",
         "--pretty",
     ])
+    out["gadgets_tc_pretty"] = _run(
+        ["gadgets", packed_snap, "--set", "tc", "--pretty"]
+    )
     out["starts"] = _run(
         ["starts", packed_snap, "--start-seed", "3"]
     )
@@ -282,6 +288,12 @@ def test_pinned_outputs_are_not_trivial(outputs):
     any_target = outputs["scan_any_target_csv"]
     assert any_target.count(b",0\n") > 10 and any_target.count(b",1\n") > 10
     assert b"FS=EX" in outputs["gadgets_csv"]
+    # The report without a set has no coverage, and the summary lists the
+    # per-type totals and the set's verdict.
+    assert set(json.loads(outputs["gadgets_json"])) == {"gadgets"}
+    pretty = outputs["gadgets_tc_pretty"].decode().splitlines()
+    assert pretty[0].startswith("gadgets mined: ") and len(pretty) > 10
+    assert pretty[-1].startswith("set tc: converged=True")
     assert outputs["corrupt_verdicts"].count(b"\n") > 10
     rates = json.loads(outputs["corrupt_json"])
     assert len(rates) > 10 and any(r["corrupted"] for r in rates.values())

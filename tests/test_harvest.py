@@ -28,6 +28,7 @@ from helpers import (
     reference_harvest,
     reference_offline_disassemble,
     reference_population_stats,
+    reference_report_rows,
     shape_length,
 )
 from ropscope.disasm import PageDisasm, Reg
@@ -47,6 +48,7 @@ from ropscope.gadgets import (
     GadgetType,
     find_gadgets,
     leaked_types,
+    type_counts,
 )
 from ropscope.harvest import (
     EventKind,
@@ -56,6 +58,7 @@ from ropscope.harvest import (
     collect_branch_targets,
     harvest,
     harvest_all_starts,
+    image_gadget_report,
     image_population,
     mine_image,
     offline_disassemble,
@@ -703,6 +706,48 @@ def test_image_population_equals_reference_stats_on_ls(heuristic):
         stats = image_population(image, opts)
         assert stats == reference_population_stats(mine_image(image, opts))
         assert stats["gadgets"] > 0
+
+
+def reference_gadget_report(image, opts):
+    """What `image_gadget_report` gives, read off the Gadget records
+    `mine_image` builds."""
+    gadgets = mine_image(image, opts)
+    return reference_report_rows(gadgets), type_counts(gadgets), len(gadgets)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("layout", list(POPULATION_LAYOUTS))
+def test_image_gadget_report_equals_reference_rows(seed, layout):
+    image, _ = materialize(generate(GenParams(
+        n_functions=12, max_functions_per_page=POPULATION_LAYOUTS[layout]
+    ), seed))
+    for heuristic in (False, True):
+        for max_len in (1, 3, 10):
+            opts = HarvestOptions(
+                max_gadget_len=max_len, enable_heuristic_types=heuristic
+            )
+            expected = reference_gadget_report(image, opts)
+            assert image_gadget_report(image, opts) == expected
+            # Without rows it still counts every window.
+            assert image_gadget_report(image, opts, rows=False) == (
+                [], *expected[1:]
+            )
+
+
+@pytest.mark.parametrize("heuristic", [False, True],
+                         ids=["default-types", "heuristic-types"])
+def test_image_gadget_report_equals_reference_rows_on_ls(heuristic):
+    path = Path("/usr/bin/ls")
+    if not path.exists():
+        pytest.skip("/usr/bin/ls is not present")
+    image = load_image(path)
+    for max_len in (3, 10):
+        opts = HarvestOptions(
+            max_gadget_len=max_len, enable_heuristic_types=heuristic
+        )
+        report = image_gadget_report(image, opts)
+        assert report == reference_gadget_report(image, opts)
+        assert report[2] > 0
 
 
 def decoded_addrs(monkeypatch, run):

@@ -28,7 +28,7 @@ HOT_PATHS = {
     gadgets: (
         "_is_store_mov", "_insn_cores", "classify", "_classify",
         "_indirect_shapes", "stream_types", "type_counts", "population_stats",
-        "gadget_report_rows",
+        "labelling_counts",
     ),
     quality: (
         "_filtered", "analyze_corruption", "assess_gadgets",
@@ -38,6 +38,7 @@ HOT_PATHS = {
     harvest: (
         "HarvestEvent.to_dict", "HarvestTrace.pages",
         "HarvestTrace.type_clocks", "HarvestTrace.convergence_clock",
+        "image_gadget_report",
     ),
 }
 
