@@ -21,8 +21,8 @@ import sys
 from collections import Counter
 
 from ropscope.cli import run_guarded
-from ropscope.gadgets import min_fp_reduction_pct
-from ropscope.harvest import HarvestOptions, image_population
+from ropscope.gadgets import min_fp_reduction_pct, population_stats
+from ropscope.harvest import HarvestOptions, image_gadget_report
 from ropscope.synth import (
     GenParams,
     RandomizationScheme,
@@ -34,10 +34,16 @@ from ropscope.synth import (
 )
 
 
+def min_fp_labels(image, opts) -> int:
+    """The image's MIN-footprint label count, as `compare` reports it."""
+    labellings = image_gadget_report(image, opts, rows=False)[1]
+    return population_stats(labellings)["min_fp_labels"]
+
+
 def run_program(seed: int, params: GenParams, schemes, opts) -> dict:
     program = generate(params, seed)
     base_image, truth = materialize(program)
-    base = image_population(base_image, opts)["min_fp_labels"]
+    base = min_fp_labels(base_image, opts)
     row = {
         "seed": seed,
         "baseline_min_fp": base,
@@ -47,7 +53,7 @@ def run_program(seed: int, params: GenParams, schemes, opts) -> dict:
     for kind in schemes:
         scheme = RandomizationScheme(kind=kind, seed=seed + 1)
         image, _ = apply_scheme(program, scheme)
-        count = image_population(image, opts)["min_fp_labels"]
+        count = min_fp_labels(image, opts)
         row["schemes"][kind.value] = {
             "min_fp": count,
             "reduction_pct": round(min_fp_reduction_pct(base, count), 2),

@@ -31,7 +31,9 @@ from ropscope.gadgets import (
     GadgetType,
     add_min_fp_reductions,
     gadget_type,
+    labelling_counts,
     load_set_spec,
+    population_stats,
     resolve_set,
     set_coverage,
 )
@@ -41,7 +43,6 @@ from ropscope.harvest import (
     StartPointerInvalid,
     harvest,
     image_gadget_report,
-    image_population,
     mine_image,
     page_start_pointers,
 )
@@ -143,9 +144,10 @@ def _cmd_gadgets(args) -> int:
     # The report is rendered only where it is written: to --out, or to
     # stdout unless --pretty prints the summary in its place.
     rendered = bool(args.out) or not args.pretty
-    rows, counts, windows = image_gadget_report(
-        load_image(args.snapshot), opts, rendered
+    rows, labellings = image_gadget_report(
+        load_image(args.snapshot), opts, rows=rendered
     )
+    counts = labelling_counts(labellings)
     coverage = None
     if spec is not None and (args.pretty or args.format == "json"):
         coverage = set_coverage(counts, spec)
@@ -163,7 +165,7 @@ def _cmd_gadgets(args) -> int:
             sys.stdout.write(text)
     if args.pretty:
         totals = {t.value: c.total for t, c in counts.items()}
-        print(f"gadgets mined: {windows}")
+        print(f"gadgets mined: {sum(labellings.values())}")
         for name in sorted(totals):
             print(f"  {name:10s} {totals[name]}")
         if coverage is not None:
@@ -363,9 +365,9 @@ def _cmd_compare(args) -> int:
     opts = _harvest_options(args)
     # One layout's image at a time: each is dropped once counted.
     results = {
-        e["name"]: image_population(
-            load_snapshot(base_dir / e["snapshot_path"]), opts
-        )
+        e["name"]: population_stats(image_gadget_report(
+            load_snapshot(base_dir / e["snapshot_path"]), opts, rows=False
+        )[1])
         for e in entries
     }
     add_min_fp_reductions(results)

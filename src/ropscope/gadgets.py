@@ -739,41 +739,15 @@ def labelling_counts(
     return counts
 
 
-def population_stats(
-    streams: Iterable[Iterable[Instruction]],
-    max_len: int = 5,
-    enable_heuristic_types: bool = False,
-) -> dict:
-    """One layout's entry in a scheme comparison, counted over its decoded
-    streams: how many windows they have, the MIN/EX counts of those windows
-    per type and per category, and whether they cover the tc set.
+def population_stats(labellings: Mapping[Labelling, int]) -> dict:
+    """One layout's entry in a scheme comparison, read off how many of its
+    windows have each labelling, as `harvest.image_gadget_report` tallies
+    them: how many windows there are, their MIN/EX counts per type and per
+    category, and whether they cover the tc set.
 
     A window counts once per type it has, and once per category it has a
-    type in, as MIN when one of those types is. The windows are those of
-    `find_gadgets`, the same `_terminator_windows` and `_classify` rules,
-    but no Gadget is built, sorted or read again: each window's footprints
-    are counted as one labelling, and the tallies are read off the few
-    distinct labellings. `harvest.image_gadget_report` reports each window
-    the same way; `corrupt` still builds one Gadget per window, since it
-    judges each one."""
-    # How many windows have each labelling: equal labellings made in two
-    # orders are counted apart and summed below.
-    labellings: dict[Labelling, int] = {}
-    windows = 0
-    for insns in streams:
-        stream = tuple(sorted(insns, key=_addr))
-        for low, pos, matches in _terminator_windows(
-            stream, max_len, enable_heuristic_types
-        ):
-            stop = pos + 1
-            windows += stop - low
-            for start in range(low, stop):
-                key = tuple(_classify(
-                    stream[start:stop], enable_heuristic_types,
-                    matches[start:stop],
-                )[1].items())
-                labellings[key] = labellings.get(key, 0) + 1
-
+    type in, as MIN when one of those types is. Equal labellings made in
+    two orders are counted apart and summed here."""
     counts = labelling_counts(labellings)
     categories = {name: TypeCount() for name in TC_CATEGORIES}
     for labelling, n in labellings.items():
@@ -790,7 +764,7 @@ def population_stats(
                 categories[name].ex_fp += n
     tc = set_coverage(counts, TC_SET)
     return {
-        "gadgets": windows,
+        "gadgets": sum(labellings.values()),
         # A label is one (window, type) pair, counted once in its type.
         "min_fp_labels": sum(c.min_fp for c in counts.values()),
         "types": {

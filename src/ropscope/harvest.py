@@ -36,15 +36,12 @@ from ropscope.gadgets import (
     GadgetSetSpec,
     GadgetType,
     Labelling,
-    TypeCount,
     _TYPE_TEXT,
     _addr,
     _classify,
     _terminator_windows,
     find_gadgets,
-    labelling_counts,
     labelling_text,
-    population_stats,
     stream_types,
 )
 from ropscope.snapshot import PAGE_SIZE, MemoryImage, PageRecord, page_base
@@ -223,26 +220,24 @@ _Target = tuple[int, int | None]
 
 class _Node:
     """A page's traversal state in ImageAnalysis's node map: its stream,
-    its chain targets as index entries in address order, what mining the
-    stream yields and `children`, the edge each batch met so far takes, or
-    None for a batch that adds nothing, so no node refers to itself and
-    reference counting frees the map. A mined node's gadgets, and its
-    gadget types with its window count (`len` of its gadgets), are None
-    until ImageAnalysis first reads them. A node never changes after it is
-    built, except to gain children and its products."""
+    its chain targets as index entries in address order, its gadget types
+    and window count, and `children`, the edge each batch met so far takes,
+    or None for a batch that adds nothing, so no node refers to itself and
+    reference counting frees the map. A mined node's types and window count
+    (how many gadgets `find_gadgets` makes of its stream) are None until
+    ImageAnalysis first reads them. A node never changes after it is
+    built, except to gain children and those two products."""
 
-    __slots__ = ("disasm", "gadgets", "targets", "types", "windows", "children")
+    __slots__ = ("disasm", "targets", "types", "windows", "children")
 
     def __init__(
         self,
         disasm: PageDisasm,
-        gadgets: tuple[Gadget, ...] | None = (),
         targets: tuple[_Target, ...] = (),
         types: frozenset[GadgetType] | None = frozenset(),
         windows: int | None = 0,
     ):
         self.disasm = disasm
-        self.gadgets = gadgets
         self.targets = targets
         self.types = types
         self.windows = windows
@@ -290,10 +285,11 @@ class ImageAnalysis:
     addresses as the index holds has handled them all.
 
     A node finds its chain targets when built, since every walk follows
-    them, and mines its gadget types and window count (`types`) and its
-    gadgets (`gadgets`) on their first read. Only walks that record events
-    read types, and only offline mining and `trace.gadgets` read gadgets,
-    so each walk mines only what its caller reads.
+    them, and mines its gadget types and window count (`types`) on their
+    first read; only walks that record events read them. No node keeps
+    its gadgets: `_Walk.gadgets` mines each visited stream afresh, for
+    `mine_image`, whose walk is its own, and for `trace.gadgets`, which
+    keeps what it read.
     """
 
     def __init__(
@@ -381,7 +377,7 @@ class ImageAnalysis:
             disasm.insns.values(), self.image,
             include_cond=self.opts.follow_cond_branches,
         ))
-        return _Node(disasm, None, targets, None, None)
+        return _Node(disasm, targets, None, None)
 
     def types(self, node: _Node) -> frozenset[GadgetType]:
         """The node's gadget types, mined with its window count when first
@@ -393,16 +389,6 @@ class ImageAnalysis:
                 opts.enable_heuristic_types,
             )
         return node.types
-
-    def gadgets(self, node: _Node) -> tuple[Gadget, ...]:
-        """The node's gadgets, mined on their first read."""
-        if node.gadgets is None:
-            opts = self.opts
-            node.gadgets = find_gadgets(
-                node.disasm.insns.values(), opts.max_gadget_len,
-                opts.enable_heuristic_types,
-            )
-        return node.gadgets
 
 
 class _Walk:
@@ -529,10 +515,15 @@ class _Walk:
         self.events = events
 
     def gadgets(self) -> tuple[Gadget, ...]:
-        """Gadgets of every visited page's current stream, in page order."""
-        nodes, analysis = self.nodes, self.analysis
+        """Gadgets of every visited page's current stream, in page order,
+        mined on each call."""
+        nodes, opts = self.nodes, self.analysis.opts
         return tuple(chain.from_iterable(
-            analysis.gadgets(nodes[base]) for base in sorted(nodes)
+            find_gadgets(
+                nodes[base].disasm.insns.values(), opts.max_gadget_len,
+                opts.enable_heuristic_types,
+            )
+            for base in sorted(nodes)
         ))
 
     def windows(self) -> int:
@@ -753,25 +744,14 @@ def mine_image(
     image: MemoryImage, opts: HarvestOptions = HarvestOptions()
 ) -> tuple[Gadget, ...]:
     """Gadgets of every offline-disassembled stream, in page order, for
-    `corrupt`, which judges each one; `image_gadget_report` and
-    `image_population` read the same windows without building them.
+    `corrupt`, which judges each one; `image_gadget_report` labels the
+    same windows without building them. The closure walk is the call's
+    own, so each of its streams is mined once.
 
     The decoder's memo outlives the call, so mining several images, such
     as the layouts of one program in one command, runs each encoding the
     images share through its handler once (see ImageAnalysis)."""
     return _closure(image, opts).gadgets()
-
-
-def image_population(
-    image: MemoryImage, opts: HarvestOptions = HarvestOptions()
-) -> dict:
-    """`population_stats` of every offline-disassembled stream: what
-    `mine_image` finds, counted without building a Gadget per window."""
-    walk = _closure(image, opts)
-    return population_stats(
-        (node.disasm.insns.values() for node in walk.nodes.values()),
-        opts.max_gadget_len, opts.enable_heuristic_types,
-    )
 
 
 # The keys of a `gadgets` report row, in the order of its CSV columns.
@@ -782,12 +762,16 @@ def image_gadget_report(
     image: MemoryImage,
     opts: HarvestOptions = HarvestOptions(),
     rows: bool = True,
-) -> tuple[list[dict], dict[GadgetType, TypeCount], int]:
-    """The `gadgets` report of every offline-disassembled stream, built
-    without a Gadget per window: its rows, in the order of `mine_image`'s
-    gadgets (by page, then by window start and end), the per-type MIN/EX
-    counts `type_counts` gives for them, and how many there are. With
-    `rows` false no row is made and no instruction rendered.
+) -> tuple[list[dict], dict[Labelling, int]]:
+    """The one offline labelling pass: every window of every
+    offline-disassembled stream, labelled without a Gadget per window. It
+    gives the `gadgets` report's rows, in the order of `mine_image`'s
+    gadgets (by page, then by window start and end), and how many windows
+    have each `_classify` labelling, which `labelling_counts` turns into
+    the per-type MIN/EX counts `type_counts` gives and `population_stats`
+    into a `compare` entry; the counts sum to the window count. With
+    `rows` false, as `compare` and `gadgets --pretty` call it, no row is
+    made and no instruction rendered.
 
     Windows that end at one terminator are suffixes of the longest, which
     is byte-adjacent, so its instructions are rendered once and its bytes
@@ -839,4 +823,4 @@ def image_gadget_report(
         # Positions order windows as find_gadgets' (addr, length) does.
         keyed.sort(key=itemgetter(0))
         out += [row for _, row in keyed]
-    return out, labelling_counts(tally), sum(tally.values())
+    return out, tally

@@ -428,8 +428,8 @@ def reference_category_counts(
 def reference_population_stats(gadgets: Sequence[Gadget]) -> dict:
     """One layout's scheme-comparison entry read off its Gadget records: the
     MIN/EX counts per type and per category, and whether they cover the tc
-    set. An oracle for `gadgets.population_stats`, which counts windows
-    without building them."""
+    set. An oracle for `gadgets.population_stats` of the tally that
+    `harvest.image_gadget_report` makes without building the records."""
     counts = type_counts(gadgets)
     tc = set_coverage(counts, BUILTIN_SETS["tc"])
     return {

@@ -581,6 +581,29 @@ def test_compare_equals_each_layout_mined_alone(four_layouts, heuristic):
         assert run(argv)[1] != buf.getvalue()
 
 
+def test_compare_counts_what_gadgets_reports(four_layouts):
+    # compare and gadgets read one labelling pass: on every layout,
+    # compare's window count and per-type totals are the gadgets summary's.
+    manifest_path = four_layouts / "manifest.json"
+    code, out = run(["compare", "--manifest", manifest_path])
+    assert code == 0
+    stats = json.loads(out)
+    entries = json.loads(manifest_path.read_text())["entries"]
+    assert sorted(stats) == sorted(e["name"] for e in entries)
+    for e in entries:
+        code, pretty = run(["gadgets", four_layouts / e["snapshot_path"],
+                            "--pretty"])
+        assert code == 0
+        entry = stats[e["name"]]
+        totals = {name: c["min_fp"] + c["ex_fp"]
+                  for name, c in entry["types"].items()}
+        assert pretty.splitlines() == [
+            f"gadgets mined: {entry['gadgets']}",
+            *(f"  {name:10s} {totals[name]}" for name in sorted(totals)),
+        ]
+        assert entry["gadgets"] > 0
+
+
 def test_compare_builds_no_gadget(four_layouts, monkeypatch):
     # compare only prints counts, so it counts each window as it is
     # classified: with every way to build a Gadget refused it prints the
@@ -950,7 +973,7 @@ _OPTION_COMMANDS = {
     "upper-bound": (["upper-bound", "SNAP"], "upper_bound"),
     "corrupt": (["corrupt", "SNAP"], "mine_image"),
     "starts": (["starts", "SNAP"], "page_start_pointers"),
-    "compare": (["compare", "--manifest", "MANIFEST"], "image_population"),
+    "compare": (["compare", "--manifest", "MANIFEST"], "image_gadget_report"),
     "synth generate": (["synth", "generate", "--out-dir", "OUT"], "generate"),
 }
 
@@ -961,8 +984,11 @@ def _parsed_options(monkeypatch, corpus, tmp_path, command, flags=()):
     paths = {"SNAP": corpus / "baseline.rsnp",
              "MANIFEST": corpus / "manifest.json", "OUT": tmp_path / "out"}
 
-    def capture(*args):
-        (opts,) = [a for a in args if isinstance(a, (HarvestOptions, GenParams))]
+    def capture(*args, **kwargs):
+        (opts,) = [
+            a for a in (*args, *kwargs.values())
+            if isinstance(a, (HarvestOptions, GenParams))
+        ]
         raise _Options(opts)
 
     monkeypatch.setattr(cli, consumer, capture)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -536,7 +537,9 @@ def test_leaked_types_and_categories():
     types = leaked_types(gadgets)
     assert GadgetType.LM in types
     assert GadgetType.JMP in types
-    cats = population_stats([stream])["categories"]
+    # How many windows have each labelling, as the labelling pass tallies.
+    labellings = Counter(tuple(g.footprints.items()) for g in gadgets)
+    cats = population_stats(labellings)["categories"]
     assert cats["memory"]["min_fp"] + cats["memory"]["ex_fp"] >= 1
     assert cats["control_flow"]["min_fp"] >= 1
 

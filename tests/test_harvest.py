@@ -47,7 +47,9 @@ from ropscope.gadgets import (
     GadgetSetSpec,
     GadgetType,
     find_gadgets,
+    labelling_counts,
     leaked_types,
+    population_stats,
     type_counts,
 )
 from ropscope.harvest import (
@@ -59,7 +61,6 @@ from ropscope.harvest import (
     harvest,
     harvest_all_starts,
     image_gadget_report,
-    image_population,
     mine_image,
     offline_disassemble,
     page_start_pointers,
@@ -436,7 +437,8 @@ def count_mining(monkeypatch):
 def test_analysis_mines_gadgets_when_read(shared_corpus):
     # Convergence runs read each node's types alone; a harvest that shares
     # their analysis reads gadgets, which are mined then, and gets the
-    # trace a fresh harvest gets.
+    # trace a fresh harvest gets. Each node's types and window count are
+    # those of its stream's gadgets.
     image = shared_corpus
     opts = HarvestOptions(max_gadget_len=10)
     analysis = ImageAnalysis(image, opts)
@@ -446,12 +448,13 @@ def test_analysis_mines_gadgets_when_read(shared_corpus):
     # Roots hold the empty stream's products, never None.
     nodes = [node for (_, addresses), node in analysis._nodes.items()
              if addresses]
-    assert nodes and all(node.gadgets is None for node in nodes)
+    assert nodes
     for s in starts[:3]:
         assert harvest(image, s, opts, analysis) == harvest(image, s, opts)
     for node in nodes:
-        assert leaked_types(analysis.gadgets(node)) == node.types
-        assert len(node.gadgets) == node.windows
+        gadgets = find_gadgets(node.disasm.insns.values(), 10)
+        assert leaked_types(gadgets) == node.types
+        assert len(gadgets) == node.windows
 
 
 def test_add_entries_runs_once_per_tree_node(shared_corpus, monkeypatch):
@@ -677,8 +680,8 @@ POPULATION_LAYOUTS = {"1-per-page": 1, "3-per-page": 3, "packed": None}
 @pytest.mark.parametrize("seed", range(1, 6))
 @pytest.mark.parametrize("layout", list(POPULATION_LAYOUTS))
 def test_image_population_equals_reference_stats(seed, layout):
-    # The window count reads each window's footprints as they are made;
-    # the oracle reads them off the Gadget records mine_image builds.
+    # compare's entry is read off the labelling pass's tally; the oracle
+    # reads it off the Gadget records mine_image builds.
     image, _ = materialize(generate(GenParams(
         n_functions=12, max_functions_per_page=POPULATION_LAYOUTS[layout]
     ), seed))
@@ -687,7 +690,8 @@ def test_image_population_equals_reference_stats(seed, layout):
             opts = HarvestOptions(
                 max_gadget_len=max_len, enable_heuristic_types=heuristic
             )
-            assert image_population(image, opts) == (
+            _, labellings = image_gadget_report(image, opts, rows=False)
+            assert population_stats(labellings) == (
                 reference_population_stats(mine_image(image, opts))
             )
 
@@ -703,16 +707,24 @@ def test_image_population_equals_reference_stats_on_ls(heuristic):
         opts = HarvestOptions(
             max_gadget_len=max_len, enable_heuristic_types=heuristic
         )
-        stats = image_population(image, opts)
+        _, labellings = image_gadget_report(image, opts, rows=False)
+        stats = population_stats(labellings)
         assert stats == reference_population_stats(mine_image(image, opts))
         assert stats["gadgets"] > 0
 
 
 def reference_gadget_report(image, opts):
-    """What `image_gadget_report` gives, read off the Gadget records
-    `mine_image` builds."""
+    """The rows, per-type counts and window count that `image_gadget_report`
+    and its tally give, read off the Gadget records `mine_image` builds."""
     gadgets = mine_image(image, opts)
     return reference_report_rows(gadgets), type_counts(gadgets), len(gadgets)
+
+
+def gadget_report(image, opts, rows=True):
+    """`image_gadget_report`'s rows, with its tally read as per-type counts
+    and a window count."""
+    out, labellings = image_gadget_report(image, opts, rows)
+    return out, labelling_counts(labellings), sum(labellings.values())
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
@@ -727,9 +739,9 @@ def test_image_gadget_report_equals_reference_rows(seed, layout):
                 max_gadget_len=max_len, enable_heuristic_types=heuristic
             )
             expected = reference_gadget_report(image, opts)
-            assert image_gadget_report(image, opts) == expected
+            assert gadget_report(image, opts) == expected
             # Without rows it still counts every window.
-            assert image_gadget_report(image, opts, rows=False) == (
+            assert gadget_report(image, opts, rows=False) == (
                 [], *expected[1:]
             )
 
@@ -745,7 +757,7 @@ def test_image_gadget_report_equals_reference_rows_on_ls(heuristic):
         opts = HarvestOptions(
             max_gadget_len=max_len, enable_heuristic_types=heuristic
         )
-        report = image_gadget_report(image, opts)
+        report = gadget_report(image, opts)
         assert report == reference_gadget_report(image, opts)
         assert report[2] > 0
 
