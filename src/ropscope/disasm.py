@@ -230,23 +230,11 @@ class Operand(NamedTuple):
     def make_mem(mem: MemRef, width: int = 64) -> Operand:
         return Operand("mem", None, width, False, None, mem)
 
-    @property
-    def is_reg(self) -> bool:
-        return self.kind == "reg"
-
-    @property
-    def is_imm(self) -> bool:
-        return self.kind == "imm"
-
-    @property
-    def is_mem(self) -> bool:
-        return self.kind == "mem"
-
     def render(self) -> str:
-        if self.is_reg:
+        if self.kind == "reg":
             assert self.reg is not None
             return reg_name(self.reg, self.width, self.high8)
-        if self.is_imm:
+        if self.kind == "imm":
             assert self.imm is not None
             return f"{self.imm:#x}" if self.imm >= 0 else f"-{-self.imm:#x}"
         assert self.mem is not None
@@ -298,7 +286,7 @@ class Instruction(NamedTuple):
         # Annotate pure-memory destinations with a width so stores read unambiguously.
         parts = []
         for op in self.operands:
-            if op.is_mem and all(o.kind != "reg" for o in self.operands):
+            if op.kind == "mem" and all(o.kind != "reg" for o in self.operands):
                 size = {8: "byte", 16: "word", 32: "dword", 64: "qword"}[op.width]
                 parts.append(f"{size} {op.render()}")
             else:
@@ -547,7 +535,7 @@ def _rm(data, pos, start, addr, rex, width, op, arg) -> Instruction:
 
 def _lea(data, pos, start, addr, rex, width, op, arg) -> Instruction | None:
     rm, reg_bits, pos = _parse_modrm(data, pos, rex, width)
-    if not rm.is_mem:
+    if rm.kind != "mem":
         return None
     return _fin(
         data, start, pos, addr, _LEA,
@@ -576,7 +564,7 @@ def _unary(data, pos, start, addr, rex, width, op, arg) -> Instruction | None:
     if mnemonic is None:
         return None
     if mnemonic in _INDIRECT_BRANCHES:
-        rm = Operand.make_reg(rm.reg) if rm.is_reg else Operand.make_mem(rm.mem)
+        rm = Operand.make_reg(rm.reg) if rm.kind == "reg" else Operand.make_mem(rm.mem)
     return _fin(data, start, pos, addr, mnemonic, (rm,))
 
 
@@ -935,7 +923,7 @@ def extract_chain_targets(
             targets.add(insn.branch_target)
         elif m in _INDIRECT_BRANCHES:
             op = insn.operands[0]
-            if not (op.is_mem and op.mem.rip_relative):
+            if not (op.kind == "mem" and op.mem.rip_relative):
                 continue
             slot = (insn.end + op.mem.disp) & MASK64
             try:

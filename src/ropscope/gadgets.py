@@ -142,26 +142,8 @@ class Gadget(NamedTuple):
     core_index: Mapping[GadgetType, int]
 
     @property
-    def length(self) -> int:
-        return len(self.insns)
-
-    @property
-    def end(self) -> int:
-        return self.insns[-1].end
-
-    @property
     def raw(self) -> bytes:
         return b"".join(i.raw for i in self.insns)
-
-    @property
-    def terminator(self) -> Instruction:
-        return self.insns[-1]
-
-    def footprint(self, gtype: GadgetType) -> Footprint | None:
-        return self.footprints.get(gtype)
-
-    def render(self) -> str:
-        return "; ".join(i.render() for i in self.insns)
 
 
 # Per-instruction core matching. Each hit names a type and whether the match

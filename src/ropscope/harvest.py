@@ -106,52 +106,26 @@ class HarvestEvent(NamedTuple):
 
 
 class HarvestTrace:
-    """A harvest's clocked record. Its gadgets, those of every visited
-    page's stream in page order, are an analysis product and not part of
-    the serialized trace: a trace of a walk takes their count from the
-    walk's nodes and mines the gadgets on their first read."""
+    """A harvest's clocked record, read off its walk: the events, both
+    costs, the pages the walk visited, the targets it skipped and its
+    gadget count, which the walk's nodes give without building a gadget.
+    Its gadgets, those of every visited page's stream in page order, are
+    an analysis product and not part of the serialized trace:
+    `trace.gadgets` mines the walk's streams each time it is read."""
 
-    def __init__(
-        self,
-        start: int,
-        events: list[HarvestEvent],
-        leak_cost: int,
-        analysis_cost: int,
-        pages_found: int,
-        skipped_targets: int,
-        gadgets: tuple[Gadget, ...] = (),
-        walk: _Walk | None = None,
-    ):
+    def __init__(self, start: int, walk: _Walk):
         self.start = start
-        self.events = events
-        self.leak_cost = leak_cost
-        self.analysis_cost = analysis_cost
-        self.pages_found = pages_found
-        self.skipped_targets = skipped_targets
-        self._gadgets = gadgets
+        self.events = walk.events
+        self.leak_cost = walk.leak_cost
+        self.analysis_cost = walk.analysis_cost
+        self.pages_found = len(walk.nodes)
+        self.skipped_targets = walk.skipped
+        self.gadget_count = walk.windows()
         self._walk = walk
-        self.gadget_count = len(gadgets) if walk is None else walk.windows()
 
     @property
     def gadgets(self) -> tuple[Gadget, ...]:
-        if self._walk is not None:
-            self._gadgets = self._walk.gadgets()
-            self._walk = None
-        return self._gadgets
-
-    def _record(self) -> tuple:
-        return (
-            self.start, self.events, self.leak_cost, self.analysis_cost,
-            self.pages_found, self.skipped_targets,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HarvestTrace):
-            return NotImplemented
-        return (
-            self._record() == other._record()
-            and self.gadgets == other.gadgets
-        )
+        return self._walk.gadgets()
 
     def __repr__(self) -> str:
         return f"HarvestTrace({self.summary()})"
@@ -263,12 +237,12 @@ class ImageAnalysis:
 
     It holds each page's decode results by offset in the page's root,
     where every traversal of the page starts, and the linear branch scan
-    reads them there too, so each offset is decoded once per image. The
-    decoder keeps one memo by encoding until `disasm.clear_memo`, which
-    `cli.main` calls as each command ends, so each encoding runs its
-    handler once however many offsets, pages and images hold it; direct
-    branches are the one exception, since their targets depend on
-    their addresses (see `disasm.decode`).
+    and the start rule's sweeps read them there too, so each offset is
+    decoded once per image. The decoder keeps one memo by encoding until
+    `disasm.clear_memo`, which `cli.main` calls as each command ends, so
+    each encoding runs its handler once however many offsets, pages and
+    images hold it; direct branches are the one exception, since their
+    targets depend on their addresses (see `disasm.decode`).
 
     It holds one node per traversal state, keyed by page base and stream
     addresses; a page's root is its empty stream's node. The addresses
@@ -288,8 +262,8 @@ class ImageAnalysis:
     them, and mines its gadget types and window count (`types`) on their
     first read; only walks that record events read them. No node keeps
     its gadgets: `_Walk.gadgets` mines each visited stream afresh, for
-    `mine_image`, whose walk is its own, and for `trace.gadgets`, which
-    keeps what it read.
+    `mine_image`, whose walk is its own, and for each read of
+    `trace.gadgets`.
     """
 
     def __init__(
@@ -566,18 +540,10 @@ def harvest(
     Pass an analysis built for the same image and mining options to share
     decoding and mining with other harvests; otherwise the harvest builds
     its own. Either way the trace counts its gadgets from the window counts
-    of the walk's nodes, and `trace.gadgets` mines them when first read.
+    of the walk's nodes, and `trace.gadgets` mines them when read.
     """
     walk = _walk_from(image, start, opts, analysis, page_events=True)
-    return HarvestTrace(
-        start=start,
-        events=walk.events,
-        leak_cost=walk.leak_cost,
-        analysis_cost=walk.analysis_cost,
-        pages_found=len(walk.nodes),
-        skipped_targets=walk.skipped,
-        walk=walk,
-    )
+    return HarvestTrace(start, walk)
 
 
 # Start-pointer discovery: one plausible leaked pointer per executable page.
@@ -639,12 +605,9 @@ def page_start_pointers(
     opts: HarvestOptions = HarvestOptions(),
     analysis: ImageAnalysis | None = None,
 ) -> dict[int, int]:
-    """Pick one start pointer per executable page.
-
-    Direct branch targets collected from a linear scan of all executable
-    bytes are preferred (lowest in-page target that decodes acceptably);
-    otherwise the first offset whose forward decode is accepted; otherwise
-    the page base. An analysis passed in shares its decode results.
+    """Pick one start pointer per executable page by `_choose_starts`' rule
+    over the direct branch targets a linear scan of all executable bytes
+    collects. An analysis passed in shares its decode results.
     """
     if analysis is None:
         analysis = ImageAnalysis(image, opts)
@@ -658,32 +621,33 @@ def _choose_starts(
     targets_by_page: dict[int, set[int]],
     opts: HarvestOptions,
 ) -> dict[int, int]:
+    """The one start rule: a page starts at its lowest branch target whose
+    forward decode is accepted, or, with `opts.start_seed`, at one of its
+    accepted targets drawn by a generator seeded with the seed and the
+    page base. A page with no accepted target starts at its first accepted
+    offset, else at its base."""
     out: dict[int, int] = {}
     for page in analysis.image.executable_pages():
+        base = page.base
         decodes = analysis.decodes(page)
-        candidates = sorted(
-            t
-            for t in targets_by_page[page.base]
-            if _sweep_accepts(decodes, t - page.base)
+        accepted = (
+            t for t in sorted(targets_by_page[base])
+            if _sweep_accepts(decodes, t - base)
         )
-        if candidates:
-            if opts.start_seed is None:
-                out[page.base] = candidates[0]
-            else:
-                rng = random.Random(opts.start_seed ^ page.base)
-                out[page.base] = rng.choice(candidates)
-            continue
-        out[page.base] = _swept_start(page, decodes)
+        if opts.start_seed is None:
+            start = next(accepted, None)
+        else:
+            candidates = list(accepted)
+            rng = random.Random(opts.start_seed ^ base)
+            start = rng.choice(candidates) if candidates else None
+        if start is None:
+            start = next(
+                (base + off for off in range(PAGE_SIZE)
+                 if _sweep_accepts(decodes, off)),
+                base,
+            )
+        out[base] = start
     return out
-
-
-def _swept_start(page: PageRecord, decodes: PageDecodes) -> int:
-    """The start of a page none of whose branch targets is accepted: its
-    first offset whose forward decode is accepted, else its base."""
-    for off in range(PAGE_SIZE):
-        if _sweep_accepts(decodes, off):
-            return page.base + off
-    return page.base
 
 
 def harvest_all_starts(
@@ -699,32 +663,19 @@ def harvest_all_starts(
     }
 
 
-def _closure_seeds(
-    analysis: ImageAnalysis, targets_by_page: dict[int, set[int]]
-) -> set[int]:
-    """Every direct branch target plus the per-page start pointers.
-
-    A page's start pointer is one of its targets whenever one of them is
-    accepted, and every target is a seed already, so only a page with no
-    accepted target adds its swept start: the seeds are those of
-    `_choose_starts` under any `start_seed`."""
-    seeds: set[int] = set()
-    for page in analysis.image.executable_pages():
-        targets = targets_by_page[page.base]
-        seeds |= targets
-        decodes = analysis.decodes(page)
-        if not any(_sweep_accepts(decodes, t - page.base) for t in targets):
-            seeds.add(_swept_start(page, decodes))
-    return seeds
-
-
 def _closure(image: MemoryImage, opts: HarvestOptions) -> _Walk:
-    """The walk to closure, tracking no set, from every direct branch
-    target the linear scan finds plus the per-page start pointers; offline
-    mining reads its nodes and leaves its clock unread."""
+    """The walk to closure, tracking no set, seeded with every direct
+    branch target the linear scan finds plus the start `_choose_starts`
+    picks for each page; a page's start is one of its targets unless none
+    of them is accepted, so the seeds are the same under any
+    `start_seed`. Offline mining reads the walk's nodes and leaves its
+    clock unread."""
     analysis = ImageAnalysis(image, opts)
-    seeds = _closure_seeds(analysis, collect_branch_targets(analysis))
-    return _Walk(analysis, sorted(seeds))
+    targets_by_page = collect_branch_targets(analysis)
+    starts = _choose_starts(analysis, targets_by_page, opts)
+    return _Walk(
+        analysis, set(starts.values()).union(*targets_by_page.values())
+    )
 
 
 def offline_disassemble(

@@ -200,9 +200,6 @@ class MemoryImage:
             raise UnmappedRead(addr)
         return page
 
-    def is_mapped(self, addr: Pointer) -> bool:
-        return page_base(addr) in self._by_base
-
     def is_executable(self, addr: Pointer) -> bool:
         page = self._by_base.get(page_base(addr))
         return page is not None and page.perms.executable

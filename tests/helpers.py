@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import struct
 from collections import deque
 import statistics
@@ -54,6 +55,7 @@ from ropscope.harvest import (
     HarvestTrace,
     ImageAnalysis,
     StartPointerInvalid,
+    _sweep_accepts,
     collect_branch_targets,
     page_start_pointers,
 )
@@ -387,7 +389,7 @@ def gadget_multiset(gadgets) -> list[tuple]:
     return sorted(
         (
             g.addr,
-            g.length,
+            len(g.insns),
             tuple(sorted(t.value for t in g.types)),
             tuple(
                 sorted((t.value, f.value) for t, f in g.footprints.items())
@@ -460,7 +462,7 @@ def reference_report_rows(gadgets: Iterable[Gadget]) -> list[dict]:
         rows.append({
             "addr": f"{g.addr:#x}",
             "bytes_hex": g.raw.hex(),
-            "text": g.render(),
+            "text": "; ".join(i.render() for i in g.insns),
             "types": "|".join(types),
             "footprints": "|".join(f"{t}={footprints[t]}" for t in types),
         })
@@ -475,13 +477,43 @@ def reference_report_csv(gadgets: Iterable[Gadget]) -> str:
     )
 
 
+def reference_start_pointers(
+    image: MemoryImage, opts: HarvestOptions = HarvestOptions()
+) -> dict[int, int]:
+    """One start pointer per executable page: sweep every branch target
+    of the page, sort the accepted ones, and take the lowest, or with
+    `opts.start_seed` the one a generator seeded with the seed and the
+    page base draws; a page with no accepted target starts at its first
+    accepted offset, else at its base. An oracle for page_start_pointers."""
+    targets_by_page = collect_branch_targets(ImageAnalysis(image))
+    out = {}
+    for page in image.executable_pages():
+        decodes = PageDecodes(page)
+        accepted = sorted(
+            t for t in targets_by_page[page.base]
+            if _sweep_accepts(decodes, t - page.base)
+        )
+        if not accepted:
+            out[page.base] = next(
+                (page.base + off for off in range(PAGE_SIZE)
+                 if _sweep_accepts(decodes, off)),
+                page.base,
+            )
+        elif opts.start_seed is None:
+            out[page.base] = accepted[0]
+        else:
+            rng = random.Random(opts.start_seed ^ page.base)
+            out[page.base] = rng.choice(accepted)
+    return out
+
+
 def reference_offline_disassemble(
     image: MemoryImage, opts: HarvestOptions = HarvestOptions()
 ) -> dict[int, tuple[Instruction, ...]]:
     """Offline disassembly as a FIFO of single addresses: every start
     pointer and linear-scan target, then each stream's chain targets
     whenever an entry extends it. An oracle for the shared traversal."""
-    seeds = set(page_start_pointers(image, opts).values())
+    seeds = set(reference_start_pointers(image, opts).values())
     for targets in collect_branch_targets(ImageAnalysis(image)).values():
         seeds |= targets
     states: dict[int, PageDisasm] = {}
@@ -600,8 +632,8 @@ def _is_store_mov(insn: Instruction) -> bool:
     return (
         insn.mnemonic is Mnemonic.MOV
         and len(insn.operands) == 2
-        and insn.operands[0].is_mem
-        and insn.operands[1].is_reg
+        and insn.operands[0].kind == "mem"
+        and insn.operands[1].kind == "reg"
     )
 
 
@@ -617,24 +649,24 @@ def reference_insn_cores(insn: Instruction) -> list[tuple[GadgetType, bool]]:
 
     if m in _PIVOT_WRITERS and len(ops) == 2 and ops[0].reg is Reg.RSP:
         # A two-operand write to rsp is a stack pivot, whatever it computes.
-        hits.append((GadgetType.SP, ops[1].is_reg))
+        hits.append((GadgetType.SP, ops[1].kind == "reg"))
 
     elif m is Mnemonic.MOV and len(ops) == 2:
         dst, src = ops
-        if dst.is_reg and (src.is_reg or src.is_imm):
+        if dst.kind == "reg" and (src.kind == "reg" or src.kind == "imm"):
             hits.append((GadgetType.MR, True))
-        elif dst.is_reg and src.is_mem:
+        elif dst.kind == "reg" and src.kind == "mem":
             mem = src.mem
             hits.append((GadgetType.LM, mem.is_bare))
             if mem.base is not None and mem.index is None and mem.disp != 0:
                 hits.append((GadgetType.LMEX, True))
-        elif dst.is_mem and src.is_reg:
+        elif dst.kind == "mem" and src.kind == "reg":
             mem = dst.mem
             hits.append((GadgetType.SM, mem.is_bare))
             hits.append((GadgetType.ST, mem.is_bare))
             if mem.base is not None and mem.index is None and mem.disp != 0:
                 hits.append((GadgetType.STCONSTEX, True))
-        elif dst.is_mem and src.is_imm:
+        elif dst.kind == "mem" and src.kind == "imm":
             mem = dst.mem
             hits.append((GadgetType.STCONST, mem.is_bare))
             if mem.base is not None and mem.index is None and mem.disp != 0:
@@ -642,18 +674,18 @@ def reference_insn_cores(insn: Instruction) -> list[tuple[GadgetType, bool]]:
 
     elif m in _ARITH and len(ops) == 2:
         dst, src = ops
-        if dst.is_reg and (src.is_reg or src.is_imm):
+        if dst.kind == "reg" and (src.kind == "reg" or src.kind == "imm"):
             hits.append((GadgetType.AM, True))
-        elif dst.is_reg and src.is_mem:
+        elif dst.kind == "reg" and src.kind == "mem":
             hits.append((GadgetType.AM_LD, src.mem.is_bare))
-        elif dst.is_mem and src.is_reg:
+        elif dst.kind == "mem" and src.kind == "reg":
             hits.append((GadgetType.AM_ST, dst.mem.is_bare))
 
     elif m in _LOGICAL and len(ops) == 2:
         dst = ops[0]
-        if dst.is_reg:
+        if dst.kind == "reg":
             hits.append((GadgetType.LOGIC, True))
-        elif dst.is_mem:
+        elif dst.kind == "mem":
             hits.append((GadgetType.LOGIC, dst.mem.is_bare))
 
     elif m is Mnemonic.POP and ops:
@@ -664,7 +696,7 @@ def reference_insn_cores(insn: Instruction) -> list[tuple[GadgetType, bool]]:
             hits.append((GadgetType.LR, True))
 
     elif m is Mnemonic.XCHG and len(ops) == 2:
-        regs = {o.reg for o in ops if o.is_reg}
+        regs = {o.reg for o in ops if o.kind == "reg"}
         if Reg.RSP in regs and len(regs) == 2:
             hits.append((GadgetType.SP, True))
 
@@ -672,11 +704,11 @@ def reference_insn_cores(insn: Instruction) -> list[tuple[GadgetType, bool]]:
         hits.append((GadgetType.SP, False))
 
     elif m is Mnemonic.JMP_RM:
-        hits.append((GadgetType.JMP, ops[0].is_reg))
+        hits.append((GadgetType.JMP, ops[0].kind == "reg"))
 
     elif m is Mnemonic.CALL_RM:
         op = ops[0]
-        bare = op.is_reg or (op.is_mem and op.mem.is_bare)
+        bare = op.kind == "reg" or (op.kind == "mem" and op.mem.is_bare)
         hits.append((GadgetType.CALL, bare))
 
     elif m is Mnemonic.CALL_GS:
@@ -754,7 +786,7 @@ def reference_classify(
         strict = (
             n == 2
             and insns[-2].operands[0].mem.is_bare
-            and last.operands[0].is_reg
+            and last.operands[0].kind == "reg"
         )
         cores[GadgetType.CP] = n - 2
         footprints[GadgetType.CP] = (
@@ -873,7 +905,7 @@ def reference_find_gadgets(
             )
             if adjacent and not any(i.mnemonic in blockers for i in window[:-1]):
                 out.append(classify(window, heuristic))
-    return tuple(sorted(out, key=lambda g: (g.addr, g.length)))
+    return tuple(sorted(out, key=lambda g: (g.addr, len(g.insns))))
 
 
 def reference_branch_targets(image: MemoryImage) -> dict[int, set[int]]:
@@ -995,15 +1027,30 @@ def reference_harvest(
             stamp(EventKind.CONVERGED, {"set": opts.track_set.name})
             if opts.stop_on_convergence:
                 break
-    return HarvestTrace(
-        start=start,
-        events=events,
-        leak_cost=leak_cost,
-        analysis_cost=analysis_cost,
-        pages_found=len(walk.states),
-        skipped_targets=walk.skipped,
-        gadgets=walk.gadgets(),
-    )
+    return HarvestTrace(start, _StandInWalk(
+        events, leak_cost, analysis_cost, walk.states, walk.skipped,
+        walk.gadgets(),
+    ))
+
+
+@dataclass
+class _StandInWalk:
+    """What HarvestTrace reads off a walk, holding a reference harvest's
+    own results: its events, costs, visited pages by base, skipped
+    targets and gadgets."""
+
+    events: list[HarvestEvent]
+    leak_cost: int
+    analysis_cost: int
+    nodes: dict[int, PageDisasm]
+    skipped: int
+    mined: tuple[Gadget, ...]
+
+    def gadgets(self) -> tuple[Gadget, ...]:
+        return self.mined
+
+    def windows(self) -> int:
+        return len(self.mined)
 
 
 def reference_converge(
@@ -1308,6 +1355,7 @@ def reference_scan_pointers(
         raise ValueError("empty library range")
 
     wanted = None if tags is None else set(tags)
+    mapped = {page.base for page in image.pages}
     hits: list[PointerHit] = []
     scanned_pages = 0
     scanned_words = 0
@@ -1325,7 +1373,7 @@ def reference_scan_pointers(
                 lib_range[0] <= value < lib_range[1]
             ):
                 continue
-            if not image.is_mapped(value):
+            if page_base(value) not in mapped:
                 continue
             is_exec = image.is_executable(value)
             if require_executable_target and not is_exec:
@@ -1651,7 +1699,7 @@ def _rm(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction:
 
 def _lea(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction | None:
     rm, reg_bits = _parse_modrm(cur, rex, width)
-    if not rm.is_mem:
+    if rm.kind != "mem":
         return None
     return _fin(cur, Mnemonic.LEA, (_reg_op(reg_bits, width, rex != 0), rm))
 
@@ -1676,7 +1724,7 @@ def _unary(cur: _Cursor, rex: int, width: int, op: int, arg) -> Instruction | No
     if mnemonic is None:
         return None
     if mnemonic is Mnemonic.CALL_RM or mnemonic is Mnemonic.JMP_RM:
-        rm = Operand.make_reg(rm.reg) if rm.is_reg else Operand.make_mem(rm.mem)
+        rm = Operand.make_reg(rm.reg) if rm.kind == "reg" else Operand.make_mem(rm.mem)
     return _fin(cur, mnemonic, (rm,))
 
 

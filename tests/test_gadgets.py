@@ -249,7 +249,7 @@ def test_mining_emits_every_suffix_window():
     code = asm(mov_rr(Reg.RDI, Reg.RAX), ret())
     insns = decode_stream(code)
     gadgets = find_gadgets(insns)
-    assert [(g.addr - insns[0].addr, g.length) for g in gadgets] == [
+    assert [(g.addr - insns[0].addr, len(g.insns)) for g in gadgets] == [
         (0, 2),
         (len(code) - 1, 1),
     ]
@@ -258,8 +258,8 @@ def test_mining_emits_every_suffix_window():
 def test_mining_respects_max_len_and_is_monotone():
     code = asm(*[nop()] * 6, ret())
     insns = decode_stream(code)
-    short = {(g.addr, g.length) for g in find_gadgets(insns, max_len=3)}
-    full = {(g.addr, g.length) for g in find_gadgets(insns, max_len=8)}
+    short = {(g.addr, len(g.insns)) for g in find_gadgets(insns, max_len=3)}
+    full = {(g.addr, len(g.insns)) for g in find_gadgets(insns, max_len=8)}
     assert max(length for _, length in short) == 3
     assert short <= full
     assert len(full) == 7
@@ -273,8 +273,8 @@ def test_mining_stops_at_control_flow_blockers():
     for g in gadgets:
         mid_rets = [i for i in g.insns[:-1] if i.mnemonic.name.startswith("RET")]
         assert not mid_rets
-    second_ret_windows = [g for g in gadgets if g.terminator.addr == insns[-1].addr]
-    assert sorted(g.length for g in second_ret_windows) == [1, 2]
+    second_ret_windows = [g for g in gadgets if g.insns[-1].addr == insns[-1].addr]
+    assert sorted(len(g.insns) for g in second_ret_windows) == [1, 2]
 
 
 def test_mining_requires_byte_adjacency():
@@ -285,13 +285,13 @@ def test_mining_requires_byte_adjacency():
         chunk2, base=base + len(chunk1) + 3
     )
     gadgets = find_gadgets(insns)
-    assert all(g.length == 1 for g in gadgets)
+    assert all(len(g.insns) == 1 for g in gadgets)
 
 
 def test_mining_calls_do_not_block_windows():
     code = asm(pop_r(Reg.RBX), call_rel32(0x100), ret())
     insns = decode_stream(code)
-    lengths = {g.length for g in find_gadgets(insns)}
+    lengths = {len(g.insns) for g in find_gadgets(insns)}
     assert 3 in lengths  # pop; call; ret mined as one window
 
 
@@ -309,9 +309,9 @@ def sys_terminators(insns, heuristic: bool = False) -> list[int]:
     windows at; every terminator yields at least its one-instruction
     window."""
     return sorted({
-        g.terminator.addr
+        g.insns[-1].addr
         for g in find_gadgets(insns, enable_heuristic_types=heuristic)
-        if is_sys_entry(g.terminator)
+        if is_sys_entry(g.insns[-1])
     })
 
 
@@ -324,7 +324,7 @@ def test_sys_anchor_alignment_rejects_embedded_bytes():
     gadgets = find_gadgets(insns)
     sys_windows = [g for g in gadgets if GadgetType.SYS in g.types]
     assert sys_windows
-    assert all(g.terminator.addr != insns[0].addr for g in gadgets)
+    assert all(g.insns[-1].addr != insns[0].addr for g in gadgets)
 
 
 def test_sys_anchors_cover_all_entry_kinds():
@@ -342,8 +342,8 @@ def test_prefixed_sys_entry_is_a_core_but_not_a_terminator():
     insns = decode_stream(code)
     assert is_sys_entry(insns[0])
     assert sys_terminators(insns) == []
-    (window,) = [g for g in find_gadgets(insns) if g.length == 2]
-    assert window.footprint(GadgetType.SYS) is MIN
+    (window,) = [g for g in find_gadgets(insns) if len(g.insns) == 2]
+    assert window.footprints[GadgetType.SYS] is MIN
 
 
 _SYS_STREAM_CHUNKS = st.sampled_from([
@@ -442,13 +442,10 @@ def test_gadget_accessors():
     code = asm(pop_r(Reg.RBX), ret())
     insns = decode_stream(code)
     g = find_gadgets(insns)[0]
-    assert g.length == 2
+    assert g.insns == tuple(insns)
     assert g.raw == code
-    assert g.end == insns[-1].end
-    assert g.terminator.render() == "ret"
-    assert g.footprint(GadgetType.LR) is MIN
-    assert g.footprint(GadgetType.SYS) is None
-    assert g.render() == "pop rbx; ret"
+    assert g.footprints[GadgetType.LR] is MIN
+    assert GadgetType.SYS not in g.footprints
 
 
 def test_untyped_windows_are_still_reported():
@@ -681,7 +678,7 @@ def _assert_windows_match_oracle(stream, max_len: int) -> None:
                 ), (heuristic, [i.render() for i in window])
         for g in find_gadgets(stream, max_len, heuristic):
             assert g == reference_classify(g.insns, heuristic), (
-                heuristic, g.render()
+                heuristic, [i.render() for i in g.insns]
             )
 
 

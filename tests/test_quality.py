@@ -38,7 +38,7 @@ def gadget_of(code: bytes, length: int | None = None, max_len: int = 8):
     gadgets = find_gadgets(insns, max_len=max_len)
     want = length if length is not None else len(insns)
     for g in gadgets:
-        if g.length == want:
+        if len(g.insns) == want:
             return g
     raise AssertionError("expected window not mined")
 
